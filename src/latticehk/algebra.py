@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .rational import Mat, Q0, Q1, QQ, row_space
 
@@ -64,25 +64,6 @@ class FreeProduct:
 
     def __repr__(self):
         return f"FreeProduct({self.base!r}, {self.copies})"
-
-
-@dataclass(frozen=True)
-class CcrPresentation:
-    """Generators Q^n with pairing relations [a,b] = sigma(a,b) * 1 plus an
-    extra relation subspace in Lambda^2 + scalar coordinates."""
-
-    n: int
-    sigma: Mat
-    extra: Optional[Mat] = None  # rows in wedge+scalar coordinates
-
-    def __post_init__(self):
-        if self.sigma.nrows != self.n or self.sigma.ncols != self.n:
-            raise AlgebraError("sigma shape mismatch")
-        if self.sigma.transpose() != -self.sigma:
-            raise AlgebraError("sigma must be antisymmetric")
-
-    def __repr__(self):
-        return f"CcrPresentation(n={self.n})"
 
 
 def table_check(alg: QPower) -> bool:
@@ -299,39 +280,6 @@ def consistency_check(span: Mat) -> bool:
         return True
     wedge_part = Mat([r[:-1] for r in span.data], span.ncols - 1)
     return wedge_part.rank() == span.rank()
-
-
-def perp_relation_triples(subspaces: Sequence[tuple[Mat, Mat]],
-                          disjoint: Iterable[tuple[int, int]]):
-    """Commutation triples (u, v, 0) spanning S_a wedge S_b for every causally
-    disjoint tagged pair; subspaces are given as (basis-columns, unused)."""
-    out = []
-    for (a, b) in disjoint:
-        Ba = subspaces[a][0]
-        Bb = subspaces[b][0]
-        for u in Ba.cols():
-            for v in Bb.cols():
-                out.append((u, v, Q0))
-    return out
-
-
-def ccr_relation_triples(basis: Mat, sigma_ambient: Mat):
-    """CCR triples for all pairs from the columns of ``basis`` with the
-    pairing evaluated through ``sigma_ambient``."""
-    cols = basis.cols()
-    out = []
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            u, v = cols[i], cols[j]
-            c = _eval_sigma(sigma_ambient, u, v)
-            out.append((u, v, c))
-    return out
-
-
-def _eval_sigma(sigma: Mat, u: Sequence, v: Sequence):
-    return sum((QQ(u[i]) * sum((sigma.data[i][j] * QQ(v[j])
-                                for j in range(sigma.ncols)), Q0)
-                for i in range(sigma.nrows)), Q0)
 
 
 # ---------------------------------------------------------------------------

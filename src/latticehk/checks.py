@@ -15,8 +15,7 @@ from typing import Callable, Optional
 from . import geometry as geo
 from .algebra import (QPower, ThinDiagram, TruncatedFreeAlgebra, WedgeSpace,
                       count_cocones, count_homs, count_homs_from_value,
-                      enumerate_homs, relation_span, two_valued_colimit,
-                      consistency_check)
+                      relation_span, two_valued_colimit)
 from .descent import (CheckRecord, finer_coarser_check,
                       generator_counit_check, make_digest,
                       prestack_failure_demo, relation_counit_check,
@@ -26,9 +25,9 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                        bounded_spacetime, cauchy_development, cone,
                        contains_cauchy_surface_of, double_complement,
                        find_D_stable_neighborhood, hull, is_causally_convex,
-                       is_cauchy_morphism, is_D_stable, region_development,
-                       region_diamond, region_full, region_points,
-                       region_slab, region_strict_diamond,
+                       is_cauchy_morphism, is_D_stable, region_diamond,
+                       region_full, region_points, region_slab,
+                       region_strict_diamond,
                        check_loc_morphism, check_D_stable_image,
                        verify_development_restriction,
                        verify_development_confined, WindowTooSmallError)
@@ -36,15 +35,22 @@ from .kleingordon import (KgContext, apply_P, field_clean, green, pairing,
                           propagator)
 from .nets import (build_indicator, build_kg_aqft, check_time_slice,
                    count_nat_transforms, epsilon_iso_check, make_predicate,
-                   pullback_indicator, AqftError, PointFamily, verify_point,
+                   pullback_indicator, PointFamily, verify_point,
                    reconstruct_global)
 from .rational import Mat, Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     check_cover_intersections, check_localization_functor,
                     close_universe_for_localization,
                     compare_localization_models, embedding_site_functor,
-                    enumerate_universe, j_functor, pullback_cover,
-                    refinement_functor, extend_cover)
+                    enumerate_universe, j_functor, refinement_functor,
+                    extend_cover)
+
+
+# the enumerate_universe keywords a scenario's "universe" block may set,
+# besides "compactness"
+UNIVERSE_KEYS = ("x_range", "t_range", "max_height", "diamonds",
+                 "strict_diamonds", "slabs", "min_slab_height", "hull_count",
+                 "max_hull_seed", "seed", "cap")
 
 
 @dataclass
@@ -67,13 +73,22 @@ class RunContext:
                    "universe": self.universe_cfg, "extra": extra}
         return make_digest(payload)
 
-    def site(self, compactness=None, localized=None) -> SiteCategory:
-        cfg = dict(self.universe_cfg)
-        comp = compactness or cfg.pop("compactness", "rc")
-        loc = cfg.pop("localized", False) if localized is None else localized
-        cfg.pop("compactness", None)
-        uni = enumerate_universe(self.M, compactness=comp, **_universe_kwargs(cfg))
-        return SiteCategory(self.M, uni, comp, loc)
+    def universe(self, compactness: str, M: Optional[LatticeSpacetime] = None,
+                 **overrides) -> list[Region]:
+        """The configured universe over ``M`` (the scenario's spacetime by
+        default); ``overrides`` replace configured enumeration keys."""
+        cfg = {k: self.universe_cfg[k] for k in UNIVERSE_KEYS
+               if k in self.universe_cfg}
+        cfg.update(overrides)
+        for k in ("x_range", "t_range"):
+            if cfg.get(k) is not None:
+                cfg[k] = tuple(cfg[k])
+        return enumerate_universe(self.M if M is None else M,
+                                  compactness=compactness, **cfg)
+
+    def site(self, compactness=None, localized=False) -> SiteCategory:
+        comp = compactness or self.universe_cfg.get("compactness", "rc")
+        return SiteCategory(self.M, self.universe(comp), comp, localized)
 
     def zone_points(self):
         cfg = self.universe_cfg
@@ -84,17 +99,6 @@ class RunContext:
         xr = tuple(cfg["x_range"])
         return [(t, x) for t in range(tr[0], tr[1] + 1)
                 for x in range(xr[0], xr[1] + 1)]
-
-
-def _universe_kwargs(cfg: dict) -> dict:
-    keys = ("x_range", "t_range", "max_height", "diamonds", "strict_diamonds",
-            "slabs", "min_slab_height", "hull_count", "max_hull_seed",
-            "seed", "cap")
-    out = {k: cfg[k] for k in keys if k in cfg}
-    for k in ("x_range", "t_range"):
-        if k in out and out[k] is not None:
-            out[k] = tuple(out[k])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +463,6 @@ def _bounded_embeddings(ctx: RunContext):
     return out
 
 
-def _seeded_embeddings(ctx: RunContext):
-    return _translation_embeddings(ctx, 4) + _bounded_embeddings(ctx)
-
-
 def check_embedding_lemmas(ctx: RunContext, opts):
     """Development commutes with faithful (translation) embeddings exactly;
     for bounded sub-lattice sources only the outer bound survives (their
@@ -624,15 +624,11 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
     bad, total = 0, 0
-    cfg = dict(ctx.universe_cfg)
-    cfg.pop("compactness", None)
-    cfg.pop("localized", None)
-    kw = _universe_kwargs(cfg)
     for label, f in _translation_embeddings(ctx,
                                             int(opts.get("count", 12))):
         if not check_loc_morphism(f):
             continue
-        src_uni = enumerate_universe(f.source, compactness="rc", **kw)
+        src_uni = ctx.universe("rc", f.source)
         imgs = [apply_embedding(f, U) for U in src_uni]
         tgt_uni = sorted(set(imgs), key=lambda r: r.sort_key())
         src_site = SiteCategory(f.source, src_uni, "rc", localized=True)
@@ -1001,18 +997,13 @@ def _prop310_setup(ctx: RunContext):
         dia = region_diamond(N, (0, 0), (3, 1))
         Msrc = bounded_spacetime(N.unbounded(), dia.pts)
         f = LatticeEmbedding(Msrc, N, 0, 0)
-        x_range = None
+        uniN = ctx.universe("copen")
     else:
         dia = region_diamond(N, (0, 0), (4, 0))
         Msrc = bounded_spacetime(N.unbounded(), dia.pts)
         f = LatticeEmbedding(Msrc, N, 0, 0)
-        x_range = tuple(ctx.universe_cfg.get("x_range", (-2, 4)))
-    cfg = dict(ctx.universe_cfg)
-    cfg.pop("compactness", None)
-    cfg.pop("localized", None)
-    if x_range is not None:
-        cfg["x_range"] = x_range
-    uniN = enumerate_universe(N, compactness="copen", **_universe_kwargs(cfg))
+        uniN = ctx.universe("copen", x_range=ctx.universe_cfg.get(
+            "x_range", (-2, 4)))
     img = f.image()
     uniN = sorted(set(uniN) | {img}, key=lambda r: r.sort_key())
     siteN = SiteCategory(N, uniN, "copen", localized=False)
@@ -1067,34 +1058,23 @@ def check_nat_transform_counts(ctx: RunContext, opts):
 
 
 def check_pullback_functorial(ctx: RunContext, opts):
-    """(g after f)^* equals f^* after g^* on the nose."""
+    """(g after f)^* equals f^* after g^* on the nose, over the universe
+    S0 and its images S1 = f(S0) and S2 = g(S1)."""
     M = ctx.M
     f = LatticeEmbedding(M, M, 1, 1)
     g = LatticeEmbedding(M, M, 1, -1)
     gf = LatticeEmbedding(M, M, 2, 0)
-    cfg = dict(ctx.universe_cfg)
-    cfg.pop("compactness", None)
-    cfg.pop("localized", None)
-    kw = _universe_kwargs(cfg)
-    uni = enumerate_universe(M, compactness="copen", **kw)
-    # close under both translations so every image is materialized
-    def shift(r, dt, dx):
-        if r.is_full:
-            return r
-        return region_points(M, [(t + dt, x + dx) for (t, x) in r.pts])
-    big = set(uni)
-    for r in list(big):
-        for (dt, dx) in ((1, 1), (1, -1), (2, 0)):
-            big.add(shift(r, dt, dx))
-    site = SiteCategory(M, sorted(big, key=lambda r: r.sort_key()),
-                        "copen", False)
-    A = build_indicator(site, make_predicate("equals_full", site), QPower(2))
-    Ff = embedding_site_functor(f, site, site)
-    Fg = embedding_site_functor(g, site, site)
-    Fgf = embedding_site_functor(gf, site, site)
+    s0 = ctx.site("copen")
+    s1 = SiteCategory(M, [apply_embedding(f, U) for U in s0.objects], "copen")
+    s2 = SiteCategory(M, [apply_embedding(g, U) for U in s1.objects], "copen")
+    Ff = embedding_site_functor(f, s0, s1)
+    Fg = embedding_site_functor(g, s1, s2)
+    Fgf = embedding_site_functor(gf, s0, s2)
+    A = build_indicator(s2, make_predicate("equals_full", s2), QPower(2))
     lhs = pullback_indicator(Fgf, A)
     rhs = pullback_indicator(Ff, pullback_indicator(Fg, A))
-    ok = all(lhs.values[k] == rhs.values[k] for k in site.object_keys())
+    ok = Fgf.omap == {k: Fg.omap[j] for k, j in Ff.omap.items()} and \
+        all(lhs.values[k] == rhs.values[k] for k in s0.object_keys())
     return [CheckRecord("net.pullback-functorial",
                         "pullbacks-compose-on-the-nose",
                         "pass" if ok else "fail", digest=ctx.digest())]
@@ -1548,12 +1528,7 @@ def check_prestack_demos(ctx: RunContext, opts):
     A, B = QPower(2), QPower(2)
     M = ctx.M
     if M.kind == "plane":
-        cfg = dict(ctx.universe_cfg)
-        cfg.pop("compactness", None)
-        cfg.pop("localized", None)
-        uni = enumerate_universe(M, compactness="copen",
-                                 **_universe_kwargs(cfg))
-        site = SiteCategory(M, uni, "copen", False)
+        site = ctx.site("copen")
         tr = ctx.universe_cfg.get("t_range", (0, 3))
         xr = ctx.universe_cfg.get("x_range", (0, 3))
         zone = region_points(M, [(t, x) for t in range(tr[0], tr[1] + 1)
@@ -1573,11 +1548,7 @@ def check_prestack_demos(ctx: RunContext, opts):
         zone = region_slab(M, tr[0], tr[1])
         pieces = tuple(region_points(M, [p]) for p in sorted(zone.pts))
         cov = Cover(region_full(M), pieces, zone=zone)
-        cfg = dict(ctx.universe_cfg)
-        cfg.pop("compactness", None)
-        cfg.pop("localized", None)
-        kw = _universe_kwargs(cfg)
-        uni = enumerate_universe(M, compactness="copen", **kw)
+        uni = ctx.universe("copen")
         variants = [
             ("time-sliced", "copen", True),
             ("rc", "rc", False),
@@ -1604,11 +1575,7 @@ def check_indicator_datum(ctx: RunContext, opts):
     constant-initial datum on any proper cover, and identity cocycles are
     verified."""
     M = ctx.M
-    cfg = dict(ctx.universe_cfg)
-    cfg.pop("compactness", None)
-    cfg.pop("localized", None)
-    uni = enumerate_universe(M, compactness="copen", **_universe_kwargs(cfg))
-    site = SiteCategory(M, uni, "copen", False)
+    site = ctx.site("copen")
     A = build_indicator(site, make_predicate("equals_full", site), QPower(2))
     tr = ctx.universe_cfg.get("t_range", (0, 3))
     if M.kind == "cylinder":

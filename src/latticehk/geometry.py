@@ -98,10 +98,6 @@ class LatticeSpacetime:
         t_lo, t_hi = self.window
         return self.with_window(t_lo - margin, t_hi + margin)
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.extent is not None
-
     def unbounded(self) -> "LatticeSpacetime":
         return LatticeSpacetime(self.kind, self.window, self.circumference)
 

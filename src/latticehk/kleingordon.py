@@ -58,10 +58,6 @@ def field_add(f: dict, g: dict, scale=Q1) -> dict:
     return field_clean(out)
 
 
-def field_support(f: dict) -> frozenset:
-    return frozenset(field_clean(f))
-
-
 def apply_P(cfg: KgConfig, phi: dict) -> dict:
     """The Klein-Gordon stencil; support may grow by one step."""
     M = cfg.ambient
@@ -211,10 +207,6 @@ class KgSpace:
     def reduce_field(self, field: dict) -> tuple:
         return self.quotient.reduce(self.ambient_vector(field))
 
-    def section_field(self, coords) -> dict:
-        amb = self.quotient.section(coords)
-        return field_clean({p: v for p, v in zip(self.pts, amb)})
-
     def basis_fields(self) -> list[dict]:
         return [{self.pts[c]: Q1} for c in self.quotient.free]
 
@@ -238,8 +230,12 @@ class KgSpace:
         return self._sigma
 
     def sigma_reduced(self) -> Mat:
-        s = self.quotient.section_matrix()
-        return s.transpose() @ self.sigma_ambient() @ s
+        """The pairing on quotient coordinates.  The section sends them to
+        the free coordinates of the point basis, so the pairing is the
+        submatrix of ``sigma_ambient`` on those rows and columns."""
+        sig = self.sigma_ambient().data
+        free = self.quotient.free
+        return Mat([[sig[i][j] for j in free] for i in free], len(free))
 
 
 class KgContext:

@@ -18,7 +18,7 @@ from .algebra import (INITIAL, Initial, QPower, ThinDiagram,
 from .geometry import (LatticeEmbedding, Region, apply_embedding,
                        contains_cauchy_surface_of, region_full)
 from .rational import Mat, Q1
-from .sites import CoverCategory, SiteCategory
+from .sites import SiteCategory
 
 
 class AqftError(Exception):
@@ -28,10 +28,6 @@ class AqftError(Exception):
 # ---------------------------------------------------------------------------
 # indicator families
 # ---------------------------------------------------------------------------
-
-
-PREDICATES = ("equals_full", "contains_cauchy_surface", "contains_image",
-              "equals_region")
 
 
 def make_predicate(name: str, site: SiteCategory,
@@ -241,9 +237,6 @@ class CcrAqft:
     skipped: tuple = ()
     label: str = "ccr"
 
-    def value_dim(self, k) -> int:
-        return self.spaces[k].dim
-
     def transition(self, a, b) -> Mat:
         return self.transitions[(a, b)]
 
@@ -352,9 +345,6 @@ class PointFamily:
     members: dict
     arrows: dict
     compositions: tuple = ()
-
-    def alpha_component(self, label, k) -> Optional[Mat]:
-        return self.arrows[label][3].get(k)
 
 
 def _object_image(f: LatticeEmbedding, src_site, tgt_site, k):

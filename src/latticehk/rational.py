@@ -1,19 +1,14 @@
 """Exact rational matrices, quotient spaces, and the coequalizer test.
 
-All arithmetic is exact.  gmpy2's mpq is used when importable (it is much
-faster on the elimination-heavy checks), with ``fractions.Fraction`` as a
-drop-in fallback.  Elimination uses a fixed pivoting order (first nonzero
-entry in column order), so every reduction is deterministic.
+All arithmetic is exact, over ``fractions.Fraction`` (exported as ``QQ``).
+Elimination uses a fixed pivoting order (first nonzero entry in column
+order), so every reduction is deterministic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as QQ
 from typing import Iterable, Optional, Sequence
-
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
 
 Q0 = QQ(0)
 Q1 = QQ(1)
@@ -23,19 +18,13 @@ class ForkError(ValueError):
     """The two parallel maps do not form a fork with the candidate quotient."""
 
 
-def _q(x) -> "QQ":
-    if isinstance(x, str):
-        return QQ(x)
-    return QQ(x)
-
-
 class Mat:
     """Dense exact-rational matrix; rows of tuples, immutable by convention."""
 
     __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Sequence], ncols: Optional[int] = None):
-        data = tuple(tuple(_q(v) for v in row) for row in rows)
+        data = tuple(tuple(QQ(v) for v in row) for row in rows)
         self.data = data
         self.nrows = len(data)
         if data:
@@ -106,14 +95,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.nrows != other.nrows:
-            if self.nrows == 0 or other.nrows == 0:
-                raise ValueError("hstack with mismatched zero-row matrix")
-            raise ValueError("row count mismatch")
-        return Mat([r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                   self.ncols + other.ncols)
-
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
@@ -165,11 +146,6 @@ class Mat:
         return aug.rank() == self.rank()
 
 
-def rank_kernel(a: Mat) -> tuple[int, list[tuple]]:
-    """Exact rank and a right-kernel basis."""
-    return a.rank(), a.nullspace()
-
-
 def row_space(rows: Iterable[Sequence], ncols: int) -> Mat:
     """Reduced row basis of the span of the given vectors."""
     m = Mat(list(rows), ncols)
@@ -201,7 +177,7 @@ class QuotientSpace:
         self.dim = len(self.free)
 
     def reduce(self, vec: Sequence) -> tuple:
-        v = list(_q(x) for x in vec)
+        v = [QQ(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         for row, pc in zip(self.sub_rref.data, self.pivots):
@@ -213,13 +189,8 @@ class QuotientSpace:
     def section(self, coords: Sequence) -> tuple:
         v = [Q0] * self.ambient_dim
         for c, val in zip(self.free, coords):
-            v[c] = _q(val)
+            v[c] = QQ(val)
         return tuple(v)
-
-    def section_matrix(self) -> Mat:
-        return Mat.from_cols([self.section([Q1 if i == j else Q0
-                                            for i in range(self.dim)])
-                              for j in range(self.dim)], self.ambient_dim)
 
     def is_zero_class(self, vec: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(vec))

@@ -14,7 +14,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 import jsonschema
 
-from .checks import REGISTRY, RunContext, run_check
+from .checks import REGISTRY, UNIVERSE_KEYS, RunContext, run_check
 from .descent import CheckRecord
 from .geometry import (GeometryError, LatticeSpacetime, Region, hull,
                        region_diamond, region_full, region_points,
@@ -37,7 +37,12 @@ SCENARIO_SCHEMA = {
                            "items": {"type": "integer"}},
             },
         },
-        "universe": {"type": "object"},
+        # propertyNames, not additionalProperties: jsonschema re-checks the
+        # schema on every validation, and one enum costs less than a
+        # sub-schema per key
+        "universe": {"type": "object",
+                     "propertyNames": {"enum": ["compactness",
+                                                *UNIVERSE_KEYS]}},
         "covers": {"type": "array"},
         "regions": {"type": "object"},
         "aqft": {"type": "object"},
@@ -232,9 +237,10 @@ DEMOS = {
             options={"causality.development-vs-double-complement":
                      {"hulls": 40}}),
         # the equality with the double causal complement is a continuum
-        # theorem that genuinely fails on the lattice for disconnected
-        # regions; the corpus includes such instances on purpose and the
-        # companion records confirm the divergence by brute force
+        # theorem that fails on the lattice where the causal complement U'
+        # is empty and on thin hulls (some of them 4-connected staircases);
+        # the corpus includes such instances on purpose and the companion
+        # records confirm the divergence by brute force (docs/decisions.md)
         "expect": {"causality.development-vs-double-complement": "fail"},
     },
 }

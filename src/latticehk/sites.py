@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .geometry import (GeometryError, LatticeSpacetime, Region,
-                       are_causally_disjoint, cauchy_development,
-                       find_D_stable_neighborhood, hull, is_causally_convex,
-                       is_D_stable, region_development, region_diamond,
-                       region_full, region_points, region_slab,
-                       region_strict_diamond, LatticeEmbedding,
+                       cauchy_development, find_D_stable_neighborhood, hull,
+                       is_causally_convex, is_D_stable, region_development,
+                       region_diamond, region_full, region_points,
+                       region_slab, region_strict_diamond, LatticeEmbedding,
                        apply_embedding, preimage_region, _Grid)
 
 
@@ -148,9 +147,6 @@ class SiteCategory:
                 not self.hom_exists(u2, v2):
             raise SiteError("orthogonality needs two morphisms to one target")
         return self.disjoint_k(self.index[u1], self.index[u2])
-
-    def is_cauchy_k(self, a, b) -> bool:
-        return bool(self.cauchy[a] >> b & 1)
 
     def relocalized(self, localized: bool) -> "SiteCategory":
         return SiteCategory(self.M, self.objects, self.compactness, localized)
@@ -528,10 +524,6 @@ class CoverCategory:
                     break
             self._local_rule_ok = ok
         return self._local_rule_ok
-
-    @property
-    def intrinsic_rule_agrees(self) -> bool:
-        return bool(self.check_local_hom_rule())
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ def test_validate_rejects_bad_configs():
                                          "window": [0, 4]},
                            "checks": ["algebra.hom-counts"],
                            "bogus_key": 1})
+    # a typo in the universe block is rejected, not dropped
+    with pytest.raises(ScenarioError):
+        validate_scenario({"schema": "latticehk-scenario/1",
+                           "spacetime": {"kind": "plane",
+                                         "window": [0, 4]},
+                           "universe": {"compactness": "rc",
+                                        "t_rang": [0, 3]},
+                           "checks": ["algebra.hom-counts"]})
 
 
 def test_run_scenario_report_shape():
@@ -67,6 +75,15 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({
+        "schema": "latticehk-scenario/1",
+        "spacetime": {"kind": "cylinder", "circumference": 6,
+                      "window": [-14, 16]},
+        "universe": {"compactness": "rc", "t_rang": [0, 3]},
+        "checks": ["algebra.hom-counts"],
+    }))
+    assert main(["run", str(typo)]) == 2
 
 
 def test_cli_demo_and_overrides(tmp_path):

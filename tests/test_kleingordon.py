@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from latticehk.geometry import (LatticeEmbedding, cone, region_diamond,
-                                region_points, region_slab)
+from latticehk.geometry import (LatticeEmbedding, cone, hull,
+                                region_diamond, region_points, region_slab)
 from latticehk.kleingordon import (KgConfig, KgContext, TimesliceSkip,
                                    apply_P, field_add, field_clean, green,
                                    pairing, propagator, pushforward_matrix)
@@ -100,11 +100,33 @@ def test_extension_injective_and_cauchy_iso(kg_cyl, cyl):
     assert ext2.rank() == kg_cyl.space(dia_small.points()).dim
 
 
-def test_sigma_descends(kg_cyl, cyl):
+def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
     s = kg_cyl.space(region_slab(cyl, 0, 2))
     sig = s.sigma_reduced()
     assert sig.transpose() == -sig
     assert any(v != 0 for row in sig.data for v in row)
+    # sigma_reduced reads the free rows and columns of sigma_ambient; the
+    # reference is S^T sigma S with S the section of the unit vectors
+    for kg, M in ((kg_cyl, cyl), (kg_plane, plane)):
+        rng = random.Random(2)
+        zone = [(t, x) for t in range(0, 4) for x in range(0, 4)]
+        # the plane has no finite slabs; a three-row strip stands in
+        slab = region_slab(M, 0, 2) if M.kind == "cylinder" else \
+            hull(M, region_points(M, [(t, x) for t in range(3)
+                                      for x in range(5)]))
+        for U in (slab, region_diamond(M, (0, 1), (4, 1)),
+                  hull(M, region_points(M, rng.sample(zone, 3)))):
+            space = kg.space(U.points())
+            q = space.quotient
+            assert 0 < q.dim < q.ambient_dim  # S selects a proper subset
+            S = Mat.from_cols([q.section([Q1 if i == j else Q0
+                                          for i in range(q.dim)])
+                               for j in range(q.dim)], q.ambient_dim)
+            ref = S.transpose() @ space.sigma_ambient() @ S
+            sel = space.sigma_reduced()
+            assert sel == ref
+            assert [[type(v) for v in r] for r in sel.data] == \
+                [[type(v) for v in r] for r in ref.data]
 
 
 def test_timeslice_flat_cut(kg_cyl, cyl):

@@ -1,7 +1,7 @@
 import pytest
 
 from latticehk.algebra import Initial, QPower
-from latticehk.checks import check_point_family
+from latticehk.checks import check_point_family, check_pullback_functorial
 from latticehk.geometry import (LatticeEmbedding, bounded_spacetime,
                                 region_diamond, region_points,
                                 region_slab)
@@ -130,6 +130,12 @@ def test_kg_aqft_localized(cyl):
 def test_point_family_check(cyl_ctx):
     recs = check_point_family(cyl_ctx, {})
     assert recs[0].verdict == "pass", recs[0].witness
+
+
+@pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])
+def test_pullback_functorial_check(ctx_name, request):
+    recs = check_pullback_functorial(request.getfixturevalue(ctx_name), {})
+    assert [r.verdict for r in recs] == ["pass"]
 
 
 def test_nat_transform_count_multiplicative_over_blocks(cyl):
