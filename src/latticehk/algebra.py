@@ -3,11 +3,14 @@ free products, and the degree-two relation calculus for CCR presentations.
 
 A CCR-style relation ``[a, b] = c * 1`` is carried as the pair
 ``(a wedge b, -c)`` living in the exterior square of the generator space
-extended by a scalar line.  For presentations whose relations all have this
-shape, membership in the two-sided ideal truncated at filtration degree two
-coincides with membership in the linear span of the relation vectors; that
-principle is validated against a brute-force truncated ideal closure in the
-test suite and is flagged in reports as an oracle-validated assumption.
+extended by a scalar line.  For consistent presentations whose relations all
+have this shape, membership in the two-sided ideal truncated at filtration
+degree two coincides with membership in the linear span of the relation
+vectors.  Consistent means the span holds no vector (0, c) with c nonzero
+(``consistency_check``); otherwise the relations force 1 = 0, the ideal holds
+everything and the span need not.  The principle is validated against a
+brute-force truncated ideal closure in the test suite and is flagged in
+reports as an oracle-validated assumption.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .scenarios import (DEMOS, ScenarioError, report_bytes, run_scenario)
 from .sites import SiteError
 
 
-def _emit(report: dict, path, fail_fast_hit: bool = False) -> int:
+def _emit(report: dict, path) -> int:
     data = report_bytes(report)
     if path:
         with open(path, "wb") as fh:

@@ -16,7 +16,6 @@ that keeps changing indicates that the materialization window is too small.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -35,8 +34,12 @@ class ModelError(GeometryError):
     """An internal lattice-model invariant failed (a bug, not bad input)."""
 
 
-def _default_pad() -> int:
-    return int(os.environ.get("LATTICEHK_WINDOW_MARGIN", "0"))
+def set_bits(m: int):
+    """Indices of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 @dataclass(frozen=True)
@@ -239,12 +242,10 @@ class _Grid:
     def pts_of(self, rows: list[int]) -> frozenset[Point]:
         out = []
         for r, m in enumerate(rows):
-            t = self.t0 + r
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                out.append((t, self.M.norm_x(self.x0 + i)))
-                m ^= low
+            if m:
+                t = self.t0 + r
+                for i in set_bits(m):
+                    out.append((t, self.M.norm_x(self.x0 + i)))
         return frozenset(out)
 
     def spread(self, m: int) -> int:
@@ -257,78 +258,43 @@ class _Grid:
 
     # -- cones ------------------------------------------------------------
 
-    def future(self, seed_rows: list[int], strict: bool = False) -> list[int]:
+    def cone(self, seed_rows: list[int], up: bool,
+             strict: bool = False) -> list[int]:
+        """Rows of J+ (``up``) or J- of the seed rows; I+ or I- when
+        ``strict``."""
+        if strict:
+            # I+(S) = J+ of the seeds shifted one step up (I- one step down)
+            seed_rows = [0] + seed_rows[:-1] if up else seed_rows[1:] + [0]
         out = [0] * self.nrows
         prev = 0
-        for r in range(self.nrows):
-            if strict:
-                # I+(S) = J+ of the seeds shifted one step up
-                shifted = seed_rows[r - 1] if r > 0 else 0
-                out[r] = shifted | self.spread(prev)
-            else:
-                out[r] = seed_rows[r] | self.spread(prev)
-            prev = out[r]
-        return out
-
-    def past(self, seed_rows: list[int], strict: bool = False) -> list[int]:
-        out = [0] * self.nrows
-        prev = 0
-        for r in range(self.nrows - 1, -1, -1):
-            if strict:
-                shifted = seed_rows[r + 1] if r + 1 < self.nrows else 0
-                out[r] = shifted | self.spread(prev)
-            else:
-                out[r] = seed_rows[r] | self.spread(prev)
-            prev = out[r]
+        for r in range(self.nrows) if up else range(self.nrows - 1, -1, -1):
+            prev = out[r] = seed_rows[r] | self.spread(prev)
         return out
 
     def both(self, seed_rows: list[int]) -> list[int]:
-        f = self.future(seed_rows)
-        p = self.past(seed_rows)
+        f = self.cone(seed_rows, True)
+        p = self.cone(seed_rows, False)
         return [a | b for a, b in zip(f, p)]
 
     # -- escape dynamic programming ----------------------------------------
 
-    def escapes_up(self, blocker: list[int],
-                   inside: Optional[list[int]] = None) -> list[int]:
-        """Rows of points admitting a future-maximal causal path avoiding
-        ``blocker``.  With ``inside`` the path must stay in ``inside`` and is
-        maximal there; otherwise paths are unbounded and escape past the top
-        row (which must lie above the blocker)."""
+    def escapes(self, blocker: list[int], up: bool,
+                inside: Optional[list[int]] = None) -> list[int]:
+        """Rows of points admitting a future-maximal (``up``) or past-maximal
+        causal path avoiding ``blocker``.  With ``inside`` the path must stay
+        in ``inside`` and is maximal there; otherwise paths are unbounded and
+        escape past the last row in that direction (which must lie beyond
+        the blocker)."""
         out = [0] * self.nrows
-        above = self.full if inside is None else 0
-        prev_inside = self.full if inside is None else 0
-        for r in range(self.nrows - 1, -1, -1):
-            here = self.full if inside is None else inside[r]
-            ok = here & ~blocker[r]
-            cont = self.spread(above)
-            if inside is None:
-                out[r] = ok & cont
-            else:
-                no_succ = ~self.spread(prev_inside) & self.full
-                out[r] = ok & (no_succ | cont)
-            above = out[r]
+        nxt = self.full if inside is None else 0
+        nxt_inside = 0
+        for r in range(self.nrows - 1, -1, -1) if up else range(self.nrows):
+            ok = self.spread(nxt)
             if inside is not None:
-                prev_inside = inside[r]
-        return out
-
-    def escapes_down(self, blocker: list[int],
-                     inside: Optional[list[int]] = None) -> list[int]:
-        out = [0] * self.nrows
-        below = self.full if inside is None else 0
-        prev_inside = self.full if inside is None else 0
-        for r in range(self.nrows):
-            here = self.full if inside is None else inside[r]
-            ok = here & ~blocker[r]
-            cont = self.spread(below)
-            if inside is None:
-                out[r] = ok & cont
-            else:
-                no_pred = ~self.spread(prev_inside) & self.full
-                out[r] = ok & (no_pred | cont)
-            below = out[r]
-            if inside is not None:
-                prev_inside = inside[r]
+                # a path inside may also end here: no step stays inside
+                ok = inside[r] & (ok | (self.full & ~self.spread(nxt_inside)))
+                nxt_inside = inside[r]
+            nxt = out[r] = ok & ~blocker[r]
         return out
 
 
@@ -348,19 +314,18 @@ def cone(M: LatticeSpacetime, S: Region, direction: str, strict: bool,
     tmin = min(t for (t, _) in pts)
     tmax = max(t for (t, _) in pts)
     t_lo, t_hi = M.window
-    if direction == "future":
+    up = direction == "future"
+    if up:
         if horizon > t_hi:
             raise WindowTooSmallError(
                 f"horizon {horizon} beyond window top {t_hi}")
         g = _Grid(M, tmin, horizon, pts)
-        rows = g.future(g.mask_rows(pts), strict=strict)
     else:
         if horizon < t_lo:
             raise WindowTooSmallError(
                 f"horizon {horizon} below window bottom {t_lo}")
         g = _Grid(M, horizon, tmax, pts)
-        rows = g.past(g.mask_rows(pts), strict=strict)
-    out = g.pts_of(rows)
+    out = g.pts_of(g.cone(g.mask_rows(pts), up, strict))
     if M.extent is not None:
         out = out & M.extent
     if not out:
@@ -380,8 +345,8 @@ def hull(M: LatticeSpacetime, S: Region) -> Region:
     tmax = max(t for (t, _) in pts)
     g = _Grid(M, tmin, tmax, pts)
     seed = g.mask_rows(pts)
-    fut = g.future(seed)
-    pas = g.past(seed)
+    fut = g.cone(seed, True)
+    pas = g.cone(seed, False)
     out = g.pts_of([a & b for a, b in zip(fut, pas)])
     if M.extent is not None:
         out = out & M.extent  # convex extent: paths between its points stay in
@@ -397,9 +362,7 @@ def is_causally_convex(M: LatticeSpacetime, U: Region) -> bool:
 def are_causally_disjoint(M: LatticeSpacetime, U1: Region, U2: Region) -> bool:
     """True iff no point of U1 is causally related to a point of U2."""
     if U1.is_full or U2.is_full:
-        if M.extent is None:
-            return False
-        # bounded: full = extent, still never disjoint from a nonempty region
+        # the full region (the extent, when bounded) meets every cone
         return False
     p1, p2 = U1.pts, U2.pts
     ts = [t for (t, _) in p1 | p2]
@@ -422,17 +385,40 @@ def _margin_for(M: LatticeSpacetime, pts: frozenset[Point]) -> int:
     else:
         xs = [x for (_, x) in pts]
         sdiam = max(xs) - min(xs) + 1
-    return span + sdiam + 2 + _default_pad()
+    return span + sdiam + 2
 
 
-def _blocked(M: LatticeSpacetime, g: _Grid, umask: list[int],
-             tmin: int, tmax: int) -> bool:
-    """True iff every inextendible causal path meets the blocker."""
-    up = g.escapes_up(umask)
+def _blocks_every_path(g: _Grid, up: list[int], tmin: int) -> bool:
+    """True iff every inextendible causal path meets the blocker whose
+    upward escapes are ``up``: no site of the row below it escapes."""
     r = g.row_index(tmin) - 1
     if r < 0:
         raise ModelError("grid does not pad below the blocker")
     return up[r] == 0
+
+
+def _doubling_probe(M: LatticeSpacetime, pts: frozenset[Point], run,
+                    unstable: str):
+    """``run(0)``, verified equal to ``run(m)`` for the window margin ``m``
+    of ``pts``; ``unstable`` is the error text when they differ."""
+    m = _margin_for(M, pts)
+    r0 = run(0)
+    if r0 != run(m):
+        raise WindowTooSmallError(unstable)
+    return r0
+
+
+def _windowed(M: LatticeSpacetime, result, exceeds: str) -> Region:
+    """The region of a stable ('full' | 'points', pts) result; ``exceeds``
+    is the error text when its points leave the window."""
+    kind, pts = result
+    if kind == "full":
+        return region_full(M)
+    t_lo, t_hi = M.window
+    if any(not (t_lo <= t <= t_hi) for (t, _) in pts):
+        raise WindowTooSmallError(f"{exceeds} the window {M.window}; "
+                                  "enlarge it")
+    return Region(M, "points", pts)
 
 
 def _development_raw(M: LatticeSpacetime, pts: frozenset[Point],
@@ -444,14 +430,12 @@ def _development_raw(M: LatticeSpacetime, pts: frozenset[Point],
     """
     g = _Grid(M, t0, t1, pts)
     umask = g.mask_rows(pts)
-    tmin = min(t for (t, _) in pts)
-    tmax = max(t for (t, _) in pts)
-    if _blocked(M, g, umask, tmin, tmax):
+    up = g.escapes(umask, True)
+    if _blocks_every_path(g, up, min(t for (t, _) in pts)):
         if M.kind == "plane":
             raise ModelError("finite set cannot block the plane")
         return "full", None
-    up = g.escapes_up(umask)
-    down = g.escapes_down(umask)
+    down = g.escapes(umask, False)
     dev = [u | (g.full & ~(a & b)) for u, a, b in zip(umask, up, down)]
     return "points", g.pts_of(dev)
 
@@ -463,25 +447,15 @@ def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
     if M.extent is not None:
         return region_development(M, U, region_full(M))
     pts = U.pts
-    m = _margin_for(M, pts)
     t_lo, t_hi = M.window
 
     def run(extra):
         # one extra row so the blocked probe below U's band is in range
         return _development_raw(M, pts, t_lo - extra - 1, t_hi + extra + 1)
 
-    r0, r1 = run(0), run(m)
-    if r0 != r1:
-        raise WindowTooSmallError(
-            "cauchy_development unstable under window doubling; enlarge the "
-            f"window {M.window}")
-    kind, dev = r0
-    if kind == "full":
-        return region_full(M)
-    if any(not (t_lo <= t <= t_hi) for (t, _) in dev):
-        raise WindowTooSmallError(
-            f"development exceeds the window {M.window}; enlarge it")
-    return Region(M, "points", dev)
+    return _windowed(M, _doubling_probe(
+        M, pts, run, "cauchy_development unstable under window doubling; "
+        f"enlarge the window {M.window}"), "development exceeds")
 
 
 def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:
@@ -500,8 +474,8 @@ def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:
     g = _Grid(M, min(ts), max(ts), vpts)
     vmask = g.mask_rows(vpts)
     umask = g.mask_rows(upts)
-    up = g.escapes_up(umask, inside=vmask)
-    down = g.escapes_down(umask, inside=vmask)
+    up = g.escapes(umask, True, inside=vmask)
+    down = g.escapes(umask, False, inside=vmask)
     dev = [(u | (v & ~(a & b))) & v
            for u, v, a, b in zip(umask, vmask, up, down)]
     return region_points(M, g.pts_of(dev))
@@ -538,24 +512,14 @@ def double_complement(M: LatticeSpacetime, U: Region) -> Region:
     if not is_causally_convex(M, U):
         raise GeometryError("double_complement expects a causally convex "
                             "region")
-    m = _margin_for(M, pts)
     t_lo, t_hi = M.window
 
     def run(extra):
         return _double_complement_raw(M, pts, t_lo - extra, t_hi + extra)
 
-    r0, r1 = run(0), run(m)
-    if r0 != r1:
-        raise WindowTooSmallError(
-            "double_complement unstable under window doubling; enlarge the "
-            f"window {M.window}")
-    kind, out = r0
-    if kind == "full":
-        return region_full(M)
-    if any(not (t_lo <= t <= t_hi) for (t, _) in out):
-        raise WindowTooSmallError(
-            f"double complement exceeds the window {M.window}; enlarge it")
-    return Region(M, "points", out)
+    return _windowed(M, _doubling_probe(
+        M, pts, run, "double_complement unstable under window doubling; "
+        f"enlarge the window {M.window}"), "double complement exceeds")
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +551,15 @@ def contains_cauchy_surface_of(M: LatticeSpacetime, U: Region,
     if V.is_full and V.ambient.extent is None and M.extent is None:
         # finite path segments spanning U's time band decide the full case
         pts = U.pts
-        m = _margin_for(M, pts)
         t_lo, t_hi = M.window
 
         def run(extra):
             g = _Grid(M, t_lo - extra - 1, t_hi + extra + 1, pts)
-            tmin = min(t for (t, _) in pts)
-            tmax = max(t for (t, _) in pts)
-            return _blocked(M, g, g.mask_rows(pts), tmin, tmax)
+            return _blocks_every_path(g, g.escapes(g.mask_rows(pts), True),
+                                      min(t for (t, _) in pts))
 
-        r0, r1 = run(0), run(m)
-        if r0 != r1:
-            raise WindowTooSmallError("contains_cauchy_surface_of unstable "
-                                      "under window doubling")
-        return r0
+        return _doubling_probe(M, pts, run, "contains_cauchy_surface_of "
+                               "unstable under window doubling")
     dev = region_development(M, U, V)
     return dev.pts == V.points()
 
@@ -625,8 +584,8 @@ def region_strict_diamond(M: LatticeSpacetime, bottom: Point,
     if t1 - t0 < 2:
         raise GeometryError("strict diamond needs time separation >= 2")
     g = _Grid(M, t0, t1, [bottom, top])
-    fut = g.future(g.mask_rows([bottom]), strict=True)
-    pas = g.past(g.mask_rows([top]), strict=True)
+    fut = g.cone(g.mask_rows([bottom]), True, strict=True)
+    pas = g.cone(g.mask_rows([top]), False, strict=True)
     pts = g.pts_of([a & b for a, b in zip(fut, pas)])
     if not pts:
         raise GeometryError("empty strict diamond")

@@ -108,43 +108,31 @@ def green(cfg: KgConfig, phi: dict, direction: str,
         return phi.get(_norm(M, t, x), Q0)
 
     if direction == "retarded":
+        step, start = 1, min(ts)
         stop = t_hi if t_stop is None else t_stop
         if stop > t_hi:
             raise WindowTooSmallError("green horizon beyond the window")
-        for t in range(min(ts), stop):
-            xs = set()
-            for (tt, x) in out:
-                if tt == t:
-                    xs.update({x - 1, x, x + 1})
-            for (tt, x) in phi:
-                if tt == t:
-                    xs.add(x)
-            for x in xs:
-                v = 2 * psi(t, x) - psi(t - 1, x) \
-                    + (psi(t, x + 1) - 2 * psi(t, x) + psi(t, x - 1)) \
-                    + m2 * psi(t, x) - src(t, x)
-                if v != 0:
-                    out[_norm(M, t + 1, x)] = v
     elif direction == "advanced":
+        step, start = -1, max(ts)
         stop = t_lo if t_stop is None else t_stop
         if stop < t_lo:
             raise WindowTooSmallError("green horizon below the window")
-        for t in range(max(ts), stop, -1):
-            xs = set()
-            for (tt, x) in out:
-                if tt == t:
-                    xs.update({x - 1, x, x + 1})
-            for (tt, x) in phi:
-                if tt == t:
-                    xs.add(x)
-            for x in xs:
-                v = 2 * psi(t, x) - psi(t + 1, x) \
-                    + (psi(t, x + 1) - 2 * psi(t, x) + psi(t, x - 1)) \
-                    + m2 * psi(t, x) - src(t, x)
-                if v != 0:
-                    out[_norm(M, t - 1, x)] = v
     else:
         raise KgError("direction must be 'retarded' or 'advanced'")
+    for t in range(start, stop, step):
+        xs = set()
+        for (tt, x) in out:
+            if tt == t:
+                xs.update({x - 1, x, x + 1})
+        for (tt, x) in phi:
+            if tt == t:
+                xs.add(x)
+        for x in xs:
+            v = 2 * psi(t, x) - psi(t - step, x) \
+                + (psi(t, x + 1) - 2 * psi(t, x) + psi(t, x - 1)) \
+                + m2 * psi(t, x) - src(t, x)
+            if v != 0:
+                out[_norm(M, t + step, x)] = v
     return field_clean(out)
 
 
@@ -269,10 +257,9 @@ class KgContext:
     # -- time-slice maps ----------------------------------------------------
 
     def _band_ok(self, p, tstar: int, vpts: set) -> bool:
-        M = self.ambient
         (tp, xp) = p
-        for (row, reach) in ((tstar, abs(tstar + 1 - tp) + 0),
-                             (tstar + 1, abs(tstar - tp) + 0)):
+        for (row, reach) in ((tstar, abs(tstar + 1 - tp)),
+                             (tstar + 1, abs(tstar - tp))):
             xs = self._cone_row(xp, reach)
             for x in xs:
                 if (row, x) not in vpts:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from .algebra import (INITIAL, Initial, QPower, ThinDiagram,
                       enumerate_homs, two_valued_colimit)
 from .geometry import (LatticeEmbedding, Region, apply_embedding,
-                       contains_cauchy_surface_of, region_full)
+                       contains_cauchy_surface_of, region_full, set_bits)
 from .rational import Mat, Q1
 from .sites import SiteCategory
 
@@ -111,14 +111,10 @@ def check_time_slice_indicator(A: IndicatorAqft) -> bool:
     if not isinstance(site, SiteCategory):
         raise AqftError("time-slice check runs on a site")
     for a in site.object_keys():
-        m = site.cauchy[a]
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
+        for b in set_bits(site.cauchy[a]):
             if type(A.values[a]) is not type(A.values[b]) or \
                     A.values[a] != A.values[b]:
                 return False
-            m ^= low
     return True
 
 
@@ -308,15 +304,11 @@ def check_kg_axioms(A: CcrAqft) -> list[str]:
                                 f"pair {a}, {b} inside {c}")
     # time-slice: Cauchy morphisms become isomorphisms
     for a in keys:
-        m = site.cauchy[a]
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
+        for b in set_bits(site.cauchy[a]):
             if (a, b) in A.transitions:
                 t = A.transitions[(a, b)]
                 if t.nrows != t.ncols or t.rank() != t.nrows:
                     errs.append(f"Cauchy morphism {a}->{b} not invertible")
-            m ^= low
     return errs
 
 

@@ -20,9 +20,9 @@ from typing import Iterable, Optional
 
 from .geometry import (GeometryError, LatticeSpacetime, Region,
                        cauchy_development, find_D_stable_neighborhood, hull,
-                       is_causally_convex, is_D_stable, region_development,
-                       region_diamond, region_full, region_points,
-                       region_slab, region_strict_diamond, LatticeEmbedding,
+                       is_causally_convex, is_D_stable, region_diamond,
+                       region_full, region_points, region_slab,
+                       region_strict_diamond, set_bits, LatticeEmbedding,
                        apply_embedding, preimage_region, _Grid)
 
 
@@ -39,12 +39,8 @@ def _closure(masks: list[int]) -> list[int]:
         changed = False
         for i in range(n):
             acc = out[i]
-            m = acc
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
+            for j in set_bits(acc):
                 acc |= out[j]
-                m ^= low
             if acc != out[i]:
                 out[i] = acc
                 changed = True
@@ -262,12 +258,8 @@ def saturation_hom(plain_site: SiteCategory) -> list[int]:
     edges = [0] * n
     for i in range(n):
         edges[i] |= plain_site.hom[i]
-        m = plain_site.cauchy[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
+        for j in set_bits(plain_site.cauchy[i]):
             edges[j] |= 1 << i  # formal inverse of the Cauchy morphism i -> j
-            m ^= low
     return _closure(edges)
 
 
@@ -417,12 +409,12 @@ class CoverCategory:
     relation is generated by per-piece morphisms and overlap identifications
     and closed under composition; the build then verifies the one-morphism
     simplified description (hom exists iff the ambient site has a morphism
-    between the underlying regions) and, for the localized flavor, that the
-    per-piece localized rule agrees with the ambient one on D-stable pieces.
+    between the underlying regions).  Per-piece morphisms follow the ambient
+    rule: developments computed inside a bounded piece can be strictly
+    larger near its caps, where the piece's boundary funnels maximal paths.
     """
 
-    def __init__(self, site: SiteCategory, cover: Cover,
-                 verify: bool = True):
+    def __init__(self, site: SiteCategory, cover: Cover):
         if cover.ambient != site.M:
             raise SiteError("cover and site ambient mismatch")
         if site.localized and not cover.is_D_stable():
@@ -454,11 +446,7 @@ class CoverCategory:
                             overlaps[key].contains(site.objects[k1]):
                         gen[a] |= 1 << b
         self.hom = _closure(gen)
-        self._explicit_ok = None
-        self._local_rule_ok = None
-        if verify:
-            self.check_explicit_description()
-            self.check_local_hom_rule()
+        self.check_explicit_description()
 
     def object_keys(self):
         return range(len(self.objects))
@@ -472,58 +460,14 @@ class CoverCategory:
     def disjoint_k(self, a, b) -> bool:
         return self.site.disjoint_k(self.objects[a][1], self.objects[b][1])
 
-    def check_explicit_description(self) -> bool:
+    def check_explicit_description(self) -> None:
         """Generated homs coincide with ambient homs between the underlying
         regions (the simplified description of the cover category)."""
-        if self._explicit_ok is None:
-            ok = True
-            for a, (_, k1) in enumerate(self.objects):
-                for b, (_, k2) in enumerate(self.objects):
-                    if self.hom_k(a, b) != self.site.hom_k(k1, k2):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._explicit_ok = ok
-        if not self._explicit_ok:
-            raise SiteError("cover category does not match its simplified "
-                            "description")
-        return self._explicit_ok
-
-    def check_local_hom_rule(self) -> bool:
-        """Diagnostic: whether the development computed inside each piece
-        (treating the piece as a sub-lattice) agrees with the ambient one on
-        admitted regions.
-
-        In the continuum this agreement is what makes per-piece morphisms
-        ambient morphisms; bounded lattice pieces have a reflecting boundary
-        that funnels maximal paths, so the intrinsic development can be
-        strictly larger near caps.  The cover category is therefore defined
-        through the ambient rule (the full-subcategory reading) and this
-        diagnostic records where the intrinsic sub-lattice model is
-        unfaithful; it never fails the build.
-        """
-        if not self.site.localized:
-            self._local_rule_ok = True
-            return True
-        if self._local_rule_ok is None:
-            M = self.site.M
-            ok = True
-            for i, piece in enumerate(self.cover.pieces):
-                for k in self.site.object_keys():
-                    v = self.site.objects[k]
-                    if not piece.contains(v):
-                        continue
-                    inner = region_development(M, v, piece)
-                    ambient = self.site.dev[k]
-                    if ambient.is_full or \
-                            inner.pts != (ambient.pts & piece.points()):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._local_rule_ok = ok
-        return self._local_rule_ok
+        for a, (_, k1) in enumerate(self.objects):
+            for b, (_, k2) in enumerate(self.objects):
+                if self.hom_k(a, b) != self.site.hom_k(k1, k2):
+                    raise SiteError("cover category does not match its "
+                                    "simplified description")
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +540,9 @@ def check_localization_functor(plain_site: SiteCategory) -> bool:
     if not L.is_functor() or not L.preserves_orthogonality():
         return False
     for a in plain_site.object_keys():
-        m = plain_site.cauchy[a]
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
+        for b in set_bits(plain_site.cauchy[a]):
             if not (loc.hom_k(a, b) and loc.hom_k(b, a)):
                 return False
-            m ^= low
     return True
 
 

@@ -9,6 +9,7 @@ from latticehk.algebra import (AlgebraError, FreeProduct, INITIAL, Initial,
                                count_homs, count_homs_from_value,
                                enumerate_homs, relation_span, table_check,
                                two_valued_colimit)
+from latticehk.checks import check_degree2_ideal_principle
 from latticehk.rational import Mat, QQ, Q0, Q1
 
 
@@ -135,3 +136,13 @@ def test_degree2_ideal_principle_oracle():
                 else:
                     in_span = all(x == 0 for x in cand)
                 assert in_span == free.ideal_contains(ideal, u, v, c)
+
+
+def test_degree2_check_compares_consistent_presentations(plane_ctx):
+    # seed 7 draws inconsistent presentations (1 = 0), where the truncated
+    # ideal holds every candidate and the span does not
+    rec, = check_degree2_ideal_principle(plane_ctx, {})
+    assert rec.verdict == "pass", rec.witness
+    assert rec.witness["inconsistent"] > 0 and rec.witness["trials"] > 0
+    rec, = check_degree2_ideal_principle(plane_ctx, {"trials": 0})
+    assert rec.verdict == "skip"

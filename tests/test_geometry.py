@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,6 +41,40 @@ def test_cone_past_and_errors(plane):
     with pytest.raises(WindowTooSmallError):
         cone(plane, region_points(plane, [(0, 0)]), "future", False, 99)
     assert cone(plane, region_full(plane), "future", False, 4).is_full
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("direction", ["future", "past"])
+@pytest.mark.parametrize("kind", ["plane", "cyl"])
+def test_cone_matches_definition(kind, direction, strict, request):
+    """J+/J-/I+/I- agree with the definition within the horizon: (t, x) is
+    in the cone of S iff some s in S has dt >= xdist (dt > xdist when
+    strict), dt counted from s toward the horizon."""
+    M = request.getfixturevalue(kind)
+    up = direction == "future"
+    rng = random.Random(f"cone:{kind}:{direction}:{strict}")
+    for _ in range(12):
+        S = region_points(M, [(rng.randint(0, 4), rng.randint(-2, 4))
+                              for _ in range(rng.randint(1, 4))])
+        ts = [t for (t, _) in S.pts]
+        if up:
+            lo = min(ts)
+            hi = horizon = max(ts) + rng.randint(1, 4)
+        else:
+            lo = horizon = min(ts) - rng.randint(1, 4)
+            hi = max(ts)
+        reach = hi - lo
+        xs = range(M.circumference) if M.kind == "cylinder" else \
+            range(-2 - reach - 1, 4 + reach + 2)
+        want = set()
+        for t in range(lo, hi + 1):
+            for x in xs:
+                for (st, sx) in S.pts:
+                    dt = t - st if up else st - t
+                    d = M.xdist(x, sx)
+                    if dt > d or (dt == d and not strict):
+                        want.add((t, x))
+        assert cone(M, S, direction, strict, horizon).pts == want
 
 
 def test_cone_monotone_idempotent(plane):

@@ -127,9 +127,14 @@ def test_kg_aqft_localized(cyl):
         assert m.rank() == 12
 
 
-def test_point_family_check(cyl_ctx):
-    recs = check_point_family(cyl_ctx, {})
-    assert recs[0].verdict == "pass", recs[0].witness
+@pytest.mark.parametrize("ctx_name, verdict",
+                         [("plane_ctx", "skip"), ("cyl_ctx", "pass")],
+                         ids=["plane_ctx", "cyl_ctx"])
+def test_point_family_check(ctx_name, verdict, request):
+    recs = check_point_family(request.getfixturevalue(ctx_name), {})
+    assert [r.verdict for r in recs] == [verdict], recs[0].witness
+    if verdict == "skip":
+        assert recs[0].witness["reason"]
 
 
 @pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])

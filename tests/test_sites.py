@@ -142,6 +142,12 @@ def test_cover_category_and_j(cyl):
     cc1 = CoverCategory(site, Cover(s03, (s03,)))
     assert len(cc1.objects) == len(site.objects)
     assert j_functor(cc1).fully_faithful()
+    # a generated hom the ambient site lacks breaks the simplified description
+    a, b = next((a, b) for a in cc1.object_keys() for b in cc1.object_keys()
+                if not cc1.hom_k(a, b))
+    cc1.hom[a] |= 1 << b
+    with pytest.raises(SiteError):
+        cc1.check_explicit_description()
 
 
 def test_localized_cover_requires_d_stable(cyl):
