@@ -249,22 +249,24 @@ class WedgeSpace:
         self.pair_index = {p: k for k, p in enumerate(self.pairs)}
         self.dim = len(self.pairs) + 1
 
+    def wedge(self, u: Sequence, v: Sequence) -> list:
+        """The coordinates of u wedge v, in the arithmetic of the entries
+        (integers stay integers)."""
+        return [u[i] * v[j] - u[j] * v[i] for (i, j) in self.pairs]
+
     def relation_vector(self, u: Sequence, v: Sequence, c) -> tuple:
         """(u wedge v, -c) for the relation [u, v] = c * 1."""
-        out = [Q0] * self.dim
-        for k, (i, j) in enumerate(self.pairs):
-            out[k] = QQ(u[i]) * QQ(v[j]) - QQ(u[j]) * QQ(v[i])
-        out[-1] = -QQ(c)
-        return tuple(out)
+        u = [QQ(x) for x in u]
+        v = [QQ(x) for x in v]
+        return tuple(self.wedge(u, v)) + (-QQ(c),)
 
     def graph_of(self, sigma: Mat) -> Mat:
-        """Span of all relations [e_i, e_j] = sigma(i,j) * 1."""
-        rows = []
-        for (i, j) in self.pairs:
-            u = [Q1 if t == i else Q0 for t in range(self.n)]
-            v = [Q1 if t == j else Q0 for t in range(self.n)]
-            rows.append(self.relation_vector(u, v, sigma.data[i][j]))
-        return row_space(rows, self.dim)
+        """Span of all relations [e_i, e_j] = sigma(i,j) * 1.  Its rows
+        (e_k, -sigma_k), one per pair k = (i, j), are already reduced."""
+        size = len(self.pairs)
+        return Mat([[Q1 if t == k else Q0 for t in range(size)] +
+                    [-sigma.data[i][j]]
+                    for k, (i, j) in enumerate(self.pairs)], self.dim)
 
 
 def relation_span(n: int, triples: Iterable[tuple]) -> Mat:

@@ -32,8 +32,8 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                        check_loc_morphism, check_D_stable_image,
                        verify_development_restriction,
                        verify_development_confined, WindowTooSmallError)
-from .kleingordon import (KgContext, apply_P, field_clean, green, pairing,
-                          propagator, pushforward_matrix)
+from .kleingordon import (KgContext, KgError, apply_P, field_clean, green,
+                          pairing, propagator, pushforward_matrix)
 from .nets import (build_indicator, build_kg_aqft, check_time_slice,
                    count_nat_transforms, epsilon_iso_check, make_predicate,
                    pullback_indicator, PointFamily, verify_point,
@@ -1253,10 +1253,21 @@ def check_kg_generator_spaces(ctx: RunContext, opts):
 def check_kg_time_slice(ctx: RunContext, opts):
     """Extensions along Cauchy inclusions are isomorphisms; flat-cut maps
     agree with extension-by-zero on plain inclusions; the two half-cuts sum
-    to zero as fields."""
+    to zero as fields.
+
+    A cylinder row is causally a Cauchy band but carries only half the
+    leapfrog Cauchy data, so a universe holding one-row slabs is a
+    configuration error (``KgError``); ``min_slab_height: 2`` excludes them.
+    With no Cauchy pair in the universe (the plane) the check skips."""
     kg = _kg_ctx(ctx)
     M = ctx.M
     site = ctx.site(compactness="rc", localized=False)
+    if M.kind == "cylinder" and any(
+            len(r.pts) == M.circumference and len({t for t, _ in r.pts}) == 1
+            for r in site.objects):
+        raise KgError("kg.time-slice needs a universe without one-row "
+                      "slabs (min_slab_height: 2): a one-row slab carries "
+                      "half the leapfrog Cauchy data")
     bad_iso, n_iso = 0, 0
     for a in site.object_keys():
         for b in set_bits(site.cauchy[a]):
@@ -1267,6 +1278,12 @@ def check_kg_time_slice(ctx: RunContext, opts):
             n_iso += 1
             if ext.nrows != ext.ncols or ext.rank() != ext.nrows:
                 bad_iso += 1
+    if n_iso == 0:
+        return [CheckRecord("kg.time-slice",
+                            "cauchy-inclusions-induce-isomorphisms", "skip",
+                            witness={"reason": "no Cauchy pair in the "
+                                     "universe", "cauchy_pairs": 0},
+                            digest=ctx.digest())]
     # flat-cut reduction on a plain localized pair
     bad_cut = 0
     if M.kind == "cylinder":

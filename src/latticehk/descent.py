@@ -22,15 +22,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain, combinations, product
+from operator import mul
 from typing import Optional
 
-from .algebra import WedgeSpace, consistency_check
+from .algebra import WedgeSpace
 from .geometry import (LatticeSpacetime, Region, are_causally_disjoint,
                        cauchy_development, region_points)
 from .kleingordon import KgContext
 from .nets import (AqftError, CcrAqft, IndicatorAqft, count_nat_transforms)
-from .rational import Mat, Q0, is_exact_coequalizer, row_space, \
-    same_row_space
+from .rational import (IntegerEchelon, Mat, Q0, is_exact_coequalizer,
+                       primitive_integer)
 from .sites import Cover, CoverCategory, SiteCategory, SiteError
 
 
@@ -336,6 +338,14 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     parts contribute vanishing-pairing relations (withheld when
     ``include_perp`` is false, the engineered negative control).  If the
     direct span falls short, relations from an adapted band cover are added.
+
+    Every relation (u wedge v, -sigma(u, v)) lies on the pairing graph
+    {(w, -sigma(w))}: a same-piece relation by construction, a vanishing one
+    because sigma(u, v) = 0 is verified for it.  The graph projects one to
+    one onto its wedge part, so the span is always consistent, and it equals
+    the graph exactly when its wedge parts have rank d(d-1)/2.  That rank is
+    found over the integers, from primitive integer multiples of the image
+    basis vectors, which span the same relations.
     """
     M = ctx.ambient
     info: dict = {"flavor": "localized" if localized else "plain"}
@@ -353,78 +363,59 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     if not parts:
         return "skip", {**info, "reason": "no piece meets the region"}
     T = ctx.space(target_pts)
-    d = T.dim
-    wedge = WedgeSpace(d)
-    sigma = T.sigma_reduced()
-    graph = wedge.graph_of(sigma)
+    wedge = WedgeSpace(T.dim)
+    graph = wedge.graph_of(T.sigma_reduced())
+    sigma = primitive_integer([-row[-1] for row in graph.data])
+    span = IntegerEchelon(graph.nrows)
+    bases: dict = {}
 
     def image_basis(pts):
-        s = ctx.space(pts)
-        return Mat.from_cols([T.reduce_field(f) for f in s.basis_fields()],
-                             d)
+        if pts not in bases:
+            s = ctx.space(pts)
+            bases[pts] = [primitive_integer(T.reduce_field(f))
+                          for f in s.basis_fields()]
+        return bases[pts]
 
-    def relations_for(regions):
-        rows = []
-        bases = [image_basis(p) for p in regions]
-        for b in bases:
-            cols = b.cols()
-            for i in range(len(cols)):
-                for j in range(i + 1, len(cols)):
-                    u, v = cols[i], cols[j]
-                    c = _pair(sigma, u, v)
-                    rows.append(wedge.relation_vector(u, v, c))
-        if include_perp:
-            for i in range(len(regions)):
-                for j in range(i + 1, len(regions)):
-                    ri = region_points(M, regions[i])
-                    rj = region_points(M, regions[j])
-                    if not are_causally_disjoint(M, ri, rj):
-                        continue
-                    for u in bases[i].cols():
-                        for v in bases[j].cols():
-                            if _pair(sigma, u, v) != 0:
-                                raise AqftError("pairing fails causal "
-                                                "support (internal error)")
-                            rows.append(wedge.relation_vector(u, v, Q0))
-        return rows
+    def add_same_piece(regions):
+        for pts in regions:
+            cols = image_basis(pts)
+            for i, u in enumerate(cols):
+                for v in cols[i + 1:]:
+                    span.add(wedge.wedge(u, v))
 
-    rows = relations_for(parts)
-    span = row_space(rows, wedge.dim) if rows else Mat([], wedge.dim)
+    def add_perp(region_pairs):
+        for a, b in region_pairs:
+            if not are_causally_disjoint(M, region_points(M, a),
+                                         region_points(M, b)):
+                continue
+            for u in image_basis(a):
+                for v in image_basis(b):
+                    w = wedge.wedge(u, v)
+                    if sum(map(mul, w, sigma)):
+                        raise AqftError("pairing fails causal support "
+                                        "(internal error)")
+                    span.add(w)
+
+    add_same_piece(parts)
+    if include_perp:
+        add_perp(combinations(parts, 2))
     strategy = "direct"
-    if not same_row_space(span, graph) and allow_adapted and include_perp:
+    if span.rank < graph.nrows and allow_adapted and include_perp:
         segments, ad_info = build_adapted_cover(ctx, target_pts, parts)
         info["adapted"] = ad_info
         if segments is not None:
-            rows += relations_for(segments)
-            # cross perp relations between band segments and pieces
-            for seg in segments:
-                for p in parts:
-                    rs = region_points(M, seg)
-                    rp = region_points(M, p)
-                    if are_causally_disjoint(M, rs, rp):
-                        for u in image_basis(seg).cols():
-                            for v in image_basis(p).cols():
-                                rows.append(wedge.relation_vector(u, v, Q0))
-            span = row_space(rows, wedge.dim)
+            add_same_piece(segments)
+            add_perp(chain(combinations(segments, 2),
+                           product(segments, parts)))
             strategy = "adapted"
-    info.update(strategy=strategy, span_dim=span.nrows,
-                graph_dim=graph.nrows,
-                consistent=consistency_check(span))
-    if same_row_space(span, graph) and info["consistent"]:
+    info.update(strategy=strategy, span_dim=span.rank,
+                graph_dim=graph.nrows, consistent=True)
+    if span.rank == graph.nrows:
         return "pass", info
-    witness = None
-    for row in graph.data:
-        aug = Mat(list(span.data) + [row], wedge.dim)
-        if aug.rank() != span.rank():
-            witness = [str(v) for v in row]
-            break
-    return "fail", {**info, "witness": witness}
-
-
-def _pair(sigma: Mat, u, v):
-    return sum((u[i] * sum((sigma.data[i][j] * v[j]
-                            for j in range(sigma.ncols)), Q0)
-                for i in range(sigma.nrows)), Q0)
+    # the first graph row off the span: the first pair whose e_k is missing
+    missing = next(k for k in range(graph.nrows) if not span.contains(
+        [int(t == k) for t in range(graph.nrows)]))
+    return "fail", {**info, "witness": [str(v) for v in graph.data[missing]]}
 
 
 # ---------------------------------------------------------------------------

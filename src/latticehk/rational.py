@@ -1,6 +1,7 @@
 """Exact rational matrices, quotient spaces, and the coequalizer test.
 
-All arithmetic is exact, over ``fractions.Fraction`` (exported as ``QQ``).
+All arithmetic is exact, over ``fractions.Fraction`` (exported as ``QQ``),
+except in :class:`IntegerEchelon`, which eliminates over the integers.
 Elimination uses a fixed pivoting order (first nonzero entry in column
 order), so every reduction is deterministic.
 """
@@ -8,6 +9,7 @@ order), so every reduction is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Q0 = QQ(0)
@@ -64,9 +66,13 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        ot = other.transpose().data
-        return Mat([[sum((a * b for a, b in zip(row, col)), Q0)
-                     for col in ot] for row in self.data], other.ncols)
+        cols = other.cols()
+        out = []
+        for row in self.data:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            out.append([sum((a * col[k] for k, a in nonzero if col[k]), Q0)
+                        for col in cols])
+        return Mat(out, other.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -144,6 +150,63 @@ class Mat:
         aug = Mat([row + (v,) for row, v in zip(self.data, vec)],
                   self.ncols + 1)
         return aug.rank() == self.rank()
+
+
+def primitive_integer(vec: Sequence) -> list[int]:
+    """The integer multiple of a vector of ints or Fractions whose entries
+    are coprime; it spans the same line.  The zero vector stays zero."""
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
+
+
+class IntegerEchelon:
+    """Echelon basis over the integers of a span that grows row by row.
+
+    ``add`` reduces a row against the basis by fraction-free row
+    combination (E. H. Bareiss, Math. Comp. 22 (1968)), dividing by the gcd
+    of the entries after each step so that they stay small, and keeps what
+    is left when it is nonzero.  Once the rank equals the number of columns
+    every row lies in the span, so ``add`` returns at once.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: dict[int, list[int]] = {}   # pivot column -> basis row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, row: Sequence[int]):
+        """(pivot column, row) of the reduced row; the pivot is None when
+        the row lies in the span."""
+        row = list(row)
+        for c in range(self.ncols):
+            a = row[c]
+            if not a:
+                continue
+            b = self.rows.get(c)
+            if b is None:
+                return c, row
+            g = gcd(a, b[c])
+            fa, fb = b[c] // g, a // g
+            row = [fa * x - fb * y for x, y in zip(row, b)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+        return None, row
+
+    def add(self, row: Sequence[int]) -> None:
+        if len(self.rows) == self.ncols:
+            return
+        c, reduced = self._reduce(row)
+        if c is not None:
+            self.rows[c] = reduced
+
+    def contains(self, row: Sequence[int]) -> bool:
+        return self._reduce(row)[0] is None
 
 
 def row_space(rows: Iterable[Sequence], ncols: int) -> Mat:
@@ -227,16 +290,16 @@ def is_exact_coequalizer(r1: Mat, r2: Mat, q: Mat):
         raise ValueError("parallel maps must share shape")
     if q.ncols != r1.nrows:
         raise ValueError("q domain mismatch")
-    if (q @ r1) != (q @ r2):
+    d = r1 - r2
+    if any(v for row in (q @ d).data for v in row):
         raise ForkError("q does not coequalize the pair")
-    if q.rank() != q.nrows:
+    kernel = q.nullspace()
+    ker_dim = len(kernel)
+    if q.ncols - ker_dim != q.nrows:   # the rank of q: q is not onto
         for y in q.transpose().nullspace():
             if any(v != 0 for v in y):
                 return False, {"kind": "cokernel", "functional": y}
         return False, {"kind": "cokernel", "functional": None}
-    d = r1 - r2
-    kernel = q.nullspace()
-    ker_dim = len(kernel)
     im_rank = d.rank()
     if im_rank == ker_dim:
         return True, None

@@ -84,6 +84,18 @@ def test_cli_run_and_exit_codes(tmp_path):
         "checks": ["algebra.hom-counts"],
     }))
     assert main(["run", str(typo)]) == 2
+    # kg.time-slice on a cylinder universe with one-row slabs
+    one_row = tmp_path / "one_row.json"
+    one_row.write_text(json.dumps({
+        "schema": "latticehk-scenario/1",
+        "spacetime": {"kind": "cylinder", "circumference": 4,
+                      "window": [-14, 16]},
+        "universe": {"compactness": "rc", "t_range": [0, 2],
+                     "max_height": 2},
+        "aqft": {"family": "klein-gordon", "mass2": "1/4"},
+        "checks": ["kg.time-slice"],
+    }))
+    assert main(["run", str(one_row)]) == 2
 
 
 def test_cli_demo_and_overrides(tmp_path):

@@ -1,15 +1,18 @@
 import pytest
 
-from latticehk.algebra import QPower
-from latticehk.checks import column_cover, tall_diamond_cover
-from latticehk.descent import (build_adapted_cover, finer_coarser_check,
-                               generator_counit_check, make_digest,
-                               prestack_failure_demo, relation_counit_check,
-                               restrict_to_cover)
-from latticehk.geometry import (cauchy_development, is_causally_convex,
+from latticehk.algebra import QPower, WedgeSpace, consistency_check
+from latticehk.checks import (RunContext, _descent_instances, column_cover,
+                              tall_diamond_cover)
+from latticehk.descent import (_piece_parts, build_adapted_cover,
+                               finer_coarser_check, generator_counit_check,
+                               make_digest, prestack_failure_demo,
+                               relation_counit_check, restrict_to_cover)
+from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
+                                cauchy_development, is_causally_convex,
                                 region_diamond, region_full, region_points,
                                 region_slab)
 from latticehk.nets import build_indicator, make_predicate
+from latticehk.rational import Mat, Q0, Q1, row_space, same_row_space
 from latticehk.sites import (Cover, SiteCategory, SiteError,
                              enumerate_universe)
 
@@ -95,6 +98,155 @@ def test_negative_control_strict_inclusion(kg_cyl, cyl):
     assert info["span_dim"] < info["graph_dim"]
     v2, _ = relation_counit_check(kg_cyl, cov, U, include_perp=True)
     assert v2 == "pass"
+
+
+def _fraction_relation_check(kg, cover, U, localized=False,
+                             include_perp=True, allow_adapted=True):
+    """The relation counit check in its first, Fraction formulation: every
+    relation row (u wedge v, -sigma(u, v)) built with the Fraction pairing,
+    the span and the graph reduced by ``row_space``, compared by
+    ``same_row_space`` and ``consistency_check``.  Kept as the oracle of the
+    integer rank check."""
+    M = kg.ambient
+    info = {"flavor": "localized" if localized else "plain"}
+    target = cauchy_development(M, U).points() if localized else U.points()
+    parts = _piece_parts(cover, target)
+    T = kg.space(target)
+    d = T.dim
+    wedge = WedgeSpace(d)
+    sigma = T.sigma_reduced()
+    units = [[Q1 if t == i else Q0 for t in range(d)] for i in range(d)]
+    graph = row_space([wedge.relation_vector(units[i], units[j],
+                                             sigma.data[i][j])
+                       for (i, j) in wedge.pairs], wedge.dim)
+
+    def pair(u, v):
+        return sum((a * b for a, b in zip(u, sigma.apply(v))), Q0)
+
+    def basis(pts):
+        return [T.reduce_field(f) for f in kg.space(pts).basis_fields()]
+
+    def perp(a, b):
+        if not are_causally_disjoint(M, region_points(M, a),
+                                     region_points(M, b)):
+            return []
+        rows = []
+        for u in basis(a):
+            for v in basis(b):
+                assert pair(u, v) == 0
+                rows.append(wedge.relation_vector(u, v, Q0))
+        return rows
+
+    def relations_for(regions):
+        rows = []
+        for pts in regions:
+            cols = basis(pts)
+            for i in range(len(cols)):
+                for j in range(i + 1, len(cols)):
+                    rows.append(wedge.relation_vector(
+                        cols[i], cols[j], pair(cols[i], cols[j])))
+        if include_perp:
+            for i in range(len(regions)):
+                for j in range(i + 1, len(regions)):
+                    rows += perp(regions[i], regions[j])
+        return rows
+
+    rows = relations_for(parts)
+    span = row_space(rows, wedge.dim) if rows else Mat([], wedge.dim)
+    strategy = "direct"
+    if not same_row_space(span, graph) and allow_adapted and include_perp:
+        segments, ad_info = build_adapted_cover(kg, target, parts)
+        info["adapted"] = ad_info
+        if segments is not None:
+            rows += relations_for(segments)
+            for seg in segments:
+                for p in parts:
+                    rows += perp(seg, p)
+            span = row_space(rows, wedge.dim)
+            strategy = "adapted"
+    info.update(strategy=strategy, span_dim=span.nrows,
+                graph_dim=graph.nrows, consistent=consistency_check(span))
+    if same_row_space(span, graph) and info["consistent"]:
+        return "pass", info
+    witness = None
+    for row in graph.data:
+        if Mat(list(span.data) + [row], wedge.dim).rank() != span.nrows:
+            witness = [str(v) for v in row]
+            break
+    return "fail", {**info, "witness": witness}
+
+
+def _plane_strip_ctx():
+    """The plane strip x in [-2, 2], rows 0..3, seed 0, on which one plain
+    kg-counit instance fails its relation check (docs/decisions.md)."""
+    return RunContext(M=LatticeSpacetime("plane", (-14, 16)), seed=0,
+                      universe_cfg={"compactness": "rc", "t_range": [0, 3],
+                                    "x_range": [-2, 2], "cap": 1600},
+                      aqft_cfg={"mass2": "1/4"})
+
+
+def _relation_oracle_inputs(plane_ctx, cyl_ctx, kg_plane, kg_cyl, plane,
+                            cyl):
+    """(kg, cover, U, keyword arguments) for the oracle comparison."""
+    out = []
+    for ctx, kg in ((plane_ctx, kg_plane), (cyl_ctx, kg_cyl)):
+        for localized in (False, True):
+            out += [(kg, cov, U, {"localized": localized})
+                    for cov, U in _descent_instances(ctx, localized, 4)]
+    p1 = region_points(cyl, [(0, 0), (1, 0)])
+    p2 = region_points(cyl, [(0, 3), (1, 3)])
+    U = region_points(cyl, p1.pts | p2.pts)
+    out.append((kg_cyl, Cover(U, (p1, p2)), U,
+                {"include_perp": False, "allow_adapted": False}))
+    T = region_diamond(plane, (0, 0), (6, 0))
+    n1 = region_points(plane, [p for p in T.pts if p[0] - p[1] <= 4])
+    n2 = region_points(plane, [p for p in T.pts if p[0] - p[1] >= 2])
+    out.append((kg_plane, Cover(T, (n1, n2)), T, {}))
+    cov, U = _descent_instances(_plane_strip_ctx(), False, 10)[6]
+    out.append((kg_plane, cov, U, {}))
+    return out
+
+
+def test_relation_check_agrees_with_fraction_oracle(plane_ctx, cyl_ctx,
+                                                    kg_plane, kg_cyl, plane,
+                                                    cyl):
+    inputs = _relation_oracle_inputs(plane_ctx, cyl_ctx, kg_plane, kg_cyl,
+                                     plane, cyl)
+    seen = set()
+    for kg, cov, U, kwargs in inputs:
+        got = relation_counit_check(kg, cov, U, **kwargs)
+        assert got == _fraction_relation_check(kg, cov, U, **kwargs)
+        seen.add((got[0], got[1].get("strategy")))
+    assert {("pass", "direct"), ("pass", "adapted"),
+            ("fail", "direct")} <= seen
+
+
+def test_plane_strip_relation_failure_diagnosis(kg_plane, plane):
+    """The one plain relation failure of kg-counit on the plane strip: two
+    pieces, causally related as wholes, leave out the vanishing relation of
+    a spacelike pair split across them (docs/decisions.md)."""
+    cov, U = _descent_instances(_plane_strip_ctx(), False, 10)[6]
+    assert sorted(U.pts) == [(0, -1), (1, -2), (1, -1), (1, 0), (2, -3),
+                             (2, -2), (2, -1), (3, -2)]
+    p1, p2 = cov.pieces
+    assert len(p1.pts & p2.pts) == 4
+    assert not are_causally_disjoint(plane, p1, p2)
+    assert generator_counit_check(kg_plane, cov, U)[0] == "pass"
+    v, info = relation_counit_check(kg_plane, cov, U)
+    assert v == "fail"
+    assert (info["span_dim"], info["graph_dim"]) == (14, 15)
+    assert info["strategy"] == "direct"
+    assert info["adapted"] == {"reason": "band classes do not span the "
+                                         "target"}
+    # the witness is the graph row (e_k, 0) of one generator pair
+    T = kg_plane.space(U.pts)
+    k = info["witness"].index("1")
+    assert info["witness"][-1] == "0"
+    i, j = WedgeSpace(T.dim).pairs[k]
+    a, b = (T.pts[T.quotient.free[c]] for c in (i, j))
+    assert {a, b} == {(1, 0), (2, -3)}
+    assert abs(a[0] - b[0]) < abs(a[1] - b[1])   # spacelike
+    assert (a in p1.pts) != (b in p1.pts) and (a in p2.pts) != (b in p2.pts)
 
 
 def test_thin_cover_divergence_is_documented(kg_cyl, cyl):

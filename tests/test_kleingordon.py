@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from latticehk.checks import RunContext, check_kg_time_slice
 from latticehk.geometry import (LatticeEmbedding, cone, hull,
                                 region_diamond, region_points, region_slab)
-from latticehk.kleingordon import (KgConfig, KgContext, TimesliceSkip,
-                                   apply_P, field_add, field_clean, green,
-                                   pairing, propagator, pushforward_matrix)
+from latticehk.kleingordon import (KgConfig, KgContext, KgError,
+                                   TimesliceSkip, apply_P, field_add,
+                                   field_clean, green, pairing, propagator,
+                                   pushforward_matrix)
 from latticehk.rational import Mat, QQ, Q0, Q1
 
 
@@ -211,3 +213,23 @@ def test_timeslice_cut_position_independent(kg_cyl, cyl):
     m2 = kg_cyl.timeslice_map(U.points(), tall.points())
     ext_back = kg_cyl.extension(tall.points(), V.points())
     assert ext_back @ m2 == m1
+
+
+def test_time_slice_check_needs_two_row_slabs(cyl_ctx, cyl):
+    """A one-row cylinder slab carries half the leapfrog Cauchy data: with
+    the default min_slab_height the check refuses the universe; with two-row
+    slabs every Cauchy pair gives an isomorphism."""
+    with pytest.raises(KgError, match="min_slab_height"):
+        check_kg_time_slice(cyl_ctx, {})
+    ctx = RunContext(M=cyl, seed=7,
+                     universe_cfg={**cyl_ctx.universe_cfg,
+                                   "min_slab_height": 2},
+                     aqft_cfg=cyl_ctx.aqft_cfg)
+    rec = check_kg_time_slice(ctx, {})[0]
+    assert rec.verdict == "pass" and rec.witness["cauchy_pairs"] == 31
+
+
+def test_time_slice_check_skips_without_cauchy_pairs(plane_ctx):
+    rec = check_kg_time_slice(plane_ctx, {})[0]
+    assert rec.verdict == "skip" and rec.witness["cauchy_pairs"] == 0
+    assert rec.witness["reason"]
