@@ -64,6 +64,9 @@ class RunContext:
     covers: list = field(default_factory=list)
     aqft_cfg: dict = field(default_factory=dict)
     regions: dict = field(default_factory=dict)
+    # sites built in this run, keyed by (M, compactness, frozenset(objects))
+    sites: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def rng(self, salt: str = "") -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
@@ -88,8 +91,23 @@ class RunContext:
                                   compactness=compactness, **cfg)
 
     def site(self, compactness=None, localized=False) -> SiteCategory:
+        """The site over the configured universe."""
         comp = compactness or self.universe_cfg.get("compactness", "rc")
-        return SiteCategory(self.M, self.universe(comp), comp, localized)
+        return self.site_over(self.universe(comp), comp, localized)
+
+    def site_over(self, objects, compactness: str = "rc",
+                  localized: bool = False,
+                  M: Optional[LatticeSpacetime] = None) -> SiteCategory:
+        """The site over ``objects`` (regions of ``M``, the scenario's
+        spacetime by default), built once per run; the other morphism rule
+        is its relocalized twin."""
+        M = self.M if M is None else M
+        key = (M, compactness, frozenset(objects))
+        site = self.sites.get(key)
+        if site is None:
+            site = self.sites[key] = SiteCategory(M, key[2], compactness,
+                                                  localized)
+        return site.relocalized(localized)
 
     def zone_points(self):
         cfg = self.universe_cfg
@@ -608,8 +626,8 @@ def check_localization_oracle(ctx: RunContext, opts):
         seeds = seeded_hulls(M, zone, rng, per)
         closed = close_universe_for_localization(M, seeds, cap=1200)
         sizes.append(len(closed))
-        psite = SiteCategory(M, closed, "rc", localized=False)
-        ok, mism = compare_localization_models(psite)
+        psite = ctx.site_over(closed, "rc")
+        _, mism = compare_localization_models(psite)
         mismatches += len(mism)
         if not check_localization_functor(psite):
             mismatches += 1
@@ -625,15 +643,15 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
     bad, total = 0, 0
+    # every translation maps ctx.M to itself
+    src_uni = ctx.universe("rc")
     for label, f in _translation_embeddings(ctx,
                                             int(opts.get("count", 12))):
         if not check_loc_morphism(f):
             continue
-        src_uni = ctx.universe("rc", f.source)
         imgs = [apply_embedding(f, U) for U in src_uni]
-        tgt_uni = sorted(set(imgs), key=lambda r: r.sort_key())
-        src_site = SiteCategory(f.source, src_uni, "rc", localized=True)
-        tgt_site = SiteCategory(f.target, tgt_uni, "rc", localized=True)
+        src_site = ctx.site_over(src_uni, "rc", localized=True)
+        tgt_site = ctx.site_over(imgs, "rc", localized=True, M=f.target)
         F = embedding_site_functor(f, src_site, tgt_site)
         total += 1
         if not (F.fully_faithful() and F.preserves_orthogonality()
@@ -1009,10 +1027,9 @@ def _prop310_setup(ctx: RunContext):
         uniN = ctx.universe("copen", x_range=ctx.universe_cfg.get(
             "x_range", (-2, 4)))
     img = f.image()
-    uniN = sorted(set(uniN) | {img}, key=lambda r: r.sort_key())
-    siteN = SiteCategory(N, uniN, "copen", localized=False)
+    siteN = ctx.site_over(set(uniN) | {img}, "copen")
     uniM = enumerate_universe(Msrc, compactness="copen", cap=2000)
-    siteM = SiteCategory(Msrc, uniM, "copen", localized=False)
+    siteM = ctx.site_over(uniM, "copen", M=Msrc)
     return f, siteM, siteN, img
 
 
@@ -1069,8 +1086,8 @@ def check_pullback_functorial(ctx: RunContext, opts):
     g = LatticeEmbedding(M, M, 1, -1)
     gf = LatticeEmbedding(M, M, 2, 0)
     s0 = ctx.site("copen")
-    s1 = SiteCategory(M, [apply_embedding(f, U) for U in s0.objects], "copen")
-    s2 = SiteCategory(M, [apply_embedding(g, U) for U in s1.objects], "copen")
+    s1 = ctx.site_over([apply_embedding(f, U) for U in s0.objects], "copen")
+    s2 = ctx.site_over([apply_embedding(g, U) for U in s1.objects], "copen")
     Ff = embedding_site_functor(f, s0, s1)
     Fg = embedding_site_functor(g, s1, s2)
     Fgf = embedding_site_functor(gf, s0, s2)
@@ -1116,14 +1133,13 @@ def check_point_family(ctx: RunContext, opts):
                               strict_diamonds=False)
     uni2 = enumerate_universe(M2, compactness="copen", cap=2000,
                               strict_diamonds=False)
-    site1 = SiteCategory(M1, uni1, "copen", False)
-    site2 = SiteCategory(M2, uni2, "copen", False)
+    site1 = ctx.site_over(uni1, "copen", M=M1)
+    site2 = ctx.site_over(uni2, "copen", M=M2)
     imgs = [apply_embedding(i1, r) for r in site1.objects] + \
         [apply_embedding(i2, r) for r in site2.objects] + \
         [apply_embedding(LatticeEmbedding(M1, N, 1, 1), r)
          for r in site1.objects]
-    uniN = sorted(set(imgs), key=lambda r: r.sort_key())
-    siteN = SiteCategory(N, uniN, "rc", False)
+    siteN = ctx.site_over(imgs, "rc", M=N)
     A1 = build_kg_aqft(ctx1, site1)
     A2 = build_kg_aqft(ctx2, site2)
     AN = build_kg_aqft(ctxN, siteN)
@@ -1579,7 +1595,7 @@ def check_prestack_demos(ctx: RunContext, opts):
         for name, comp, loc in variants:
             objs = uni if comp == "copen" else \
                 [u for u in uni if not u.is_full]
-            site = SiteCategory(M, objs, comp, loc)
+            site = ctx.site_over(objs, comp, loc)
             r = prestack_failure_demo(
                 site, cov, "contains_cauchy_surface", A, B,
                 lambda site=site: make_predicate("contains_cauchy_surface",

@@ -26,7 +26,8 @@ class Mat:
     __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Sequence], ncols: Optional[int] = None):
-        data = tuple(tuple(QQ(v) for v in row) for row in rows)
+        data = tuple(tuple(v if type(v) is QQ else QQ(v) for v in row)
+                     for row in rows)
         self.data = data
         self.nrows = len(data)
         if data:

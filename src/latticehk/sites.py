@@ -10,15 +10,26 @@ The category attached to a cover is built from its generators-and-relations
 presentation (per-piece morphisms plus overlap identifications) as a
 reachability closure, and the simplified one-morphism description is a
 verified property of the build, not an assumption.
+
+Relations are bitset rows: bit ``j`` of row ``i`` relates object ``i`` to
+object ``j``.  A site indexes the points of its objects once; the hom rows
+are ANDs of per-point column masks (the objects, or the developments, that
+hold each point), and the disjoint rows are one AND per pair of flattened
+causal-cone rows.  Functor properties pull target rows back along the
+object map and compare whole ints.  The frozenset rules above (``contains``
+on regions and developments, ``are_causally_disjoint``) stay the definition
+and are the test oracle for the rows.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .geometry import (GeometryError, LatticeSpacetime, Region,
+from .geometry import (GeometryError, LatticeSpacetime, Point, Region,
                        cauchy_development, find_D_stable_neighborhood, hull,
                        is_causally_convex, is_D_stable, region_diamond,
                        region_full, region_points, region_slab,
@@ -52,6 +63,11 @@ class SiteCategory:
 
     flavor: ``compactness`` in {"rc", "copen"} (whether the symbolic full
     region is admitted) x ``localized`` (which morphism rule applies).
+
+    Rows are bitsets over the object indices: bit ``j`` of ``hom[i]`` is the
+    morphism ``i -> j``.  ``plain_hom``, ``local_hom``, ``cauchy`` and
+    ``disjoint`` do not depend on the morphism rule and are shared, as
+    tuples, with the :meth:`relocalized` twin.
     """
 
     def __init__(self, M: LatticeSpacetime, universe: Iterable[Region],
@@ -73,48 +89,91 @@ class SiteCategory:
         self.localized = localized
         self.objects: tuple[Region, ...] = tuple(objs)
         self.index = {r: k for k, r in enumerate(self.objects)}
-        n = len(objs)
-        self.dev = [cauchy_development(M, r) for r in objs]
-        self.hom = [0] * n
-        self.cauchy = [0] * n
-        for i, u in enumerate(objs):
-            for j, v in enumerate(objs):
-                plain = v.contains(u)
-                loc = self.dev[j].contains(u)
-                if (loc if localized else plain):
-                    self.hom[i] |= 1 << j
-                if plain and self.dev[i] == self.dev[j]:
-                    self.cauchy[i] |= 1 << j
-        self.disjoint = self._disjoint_matrix()
+        # the point set of each object: the extent for a bounded full region,
+        # None for the full region of an unbounded spacetime
+        own = [r.pts if not r.is_full else M.extent for r in objs]
+        self._points = {p: b for b, p in enumerate(
+            frozenset().union(*[s for s in own if s is not None]))}
+        self._bits = tuple(None if s is None else self._point_mask(s)
+                           for s in own)
+        self.plain_hom = self._containing(objs, own)
+        # developments are needed only here, so the site does not keep them
+        dev = [cauchy_development(M, r) for r in objs]
+        self.local_hom = self._containing(dev, own)
+        same_dev: dict[Region, int] = {}
+        for j, d in enumerate(dev):
+            same_dev[d] = same_dev.get(d, 0) | 1 << j
+        self.cauchy = tuple(row & same_dev[d]
+                            for row, d in zip(self.plain_hom, dev))
+        self.hom = self.local_hom if localized else self.plain_hom
+        self.disjoint = self._disjoint_rows()
+        self._twin: Optional[SiteCategory] = None
 
-    def _disjoint_matrix(self) -> list[int]:
+    def _point_mask(self, pts: Iterable[Point]) -> int:
+        """Bits of the indexed points among ``pts``."""
+        index = self._points
+        out = 0
+        for p in pts:
+            b = index.get(p)
+            if b is not None:
+                out |= 1 << b
+        return out
+
+    def _containing(self, holders, own) -> tuple[int, ...]:
+        """Row ``i`` holds the ``j`` whose ``holders[j]`` contains object
+        ``i``: the AND, over the points of object ``i``, of each point's
+        column mask (the holders that hold it)."""
+        every = 0
+        cols = [0] * len(self._points)
+        for j, h in enumerate(holders):
+            if h.is_full:
+                every |= 1 << j
+                continue
+            for p in h.pts:
+                b = self._points.get(p)
+                if b is not None:
+                    cols[b] |= 1 << j
+        rows = []
+        for s in own:
+            if s is None:
+                rows.append(every)  # only a full region holds the full one
+                continue
+            row = -1
+            for p in s:
+                row &= cols[self._points[p]]
+            rows.append(row | every)
+        return tuple(rows)
+
+    def _disjoint_rows(self) -> tuple[int, ...]:
+        """Row ``i`` holds the ``j`` causally disjoint from object ``i``.
+        Each region's rows and the rows of its causal cone are flattened
+        into one int over a shared grid, so one AND settles a pair."""
         objs = self.objects
-        n = len(objs)
-        out = [0] * n
-        expl = [r for r in objs if not r.is_full]
+        out = [0] * len(objs)
+        expl = [k for k, r in enumerate(objs) if not r.is_full]
         if expl:
-            pts = frozenset().union(*[r.points() for r in expl])
+            pts = frozenset().union(*[objs[k].pts for k in expl])
             ts = [t for (t, _) in pts]
             g = _Grid(self.M, min(ts), max(ts), pts)
-            jrows = {}
-            masks = {}
-            for k, r in enumerate(objs):
-                if r.is_full:
-                    continue
-                m = g.mask_rows(r.points())
-                masks[k] = m
-                jrows[k] = g.both(m)
-            for i in range(n):
-                if i not in jrows:
-                    continue
-                for j in range(i + 1, n):
-                    if j not in masks:
-                        continue
-                    if all((a & b) == 0
-                           for a, b in zip(jrows[i], masks[j])):
+
+            def flat(rows):
+                v = 0
+                for m in reversed(rows):
+                    v = v << g.width | m
+                return v
+
+            masks, cones = {}, {}
+            for k in expl:
+                rows = g.mask_rows(objs[k].pts)
+                masks[k] = flat(rows)
+                cones[k] = flat(g.both(rows))
+            for a, i in enumerate(expl):
+                ci = cones[i]
+                for j in expl[a + 1:]:
+                    if not ci & masks[j]:
                         out[i] |= 1 << j
                         out[j] |= 1 << i
-        return out
+        return tuple(out)
 
     # -- protocol shared with CoverCategory ---------------------------------
 
@@ -135,6 +194,18 @@ class SiteCategory:
     def hom_exists(self, U: Region, V: Region) -> bool:
         return self.hom_k(self.index[U], self.index[V])
 
+    def within(self, region: Region) -> int:
+        """Mask of the objects that ``region`` contains."""
+        n = len(self.objects)
+        if region.is_full:
+            return (1 << n) - 1
+        held = self._point_mask(region.pts)
+        out = 0
+        for k, b in enumerate(self._bits):
+            if b is not None and not b & ~held:
+                out |= 1 << k
+        return out
+
     def orthogonal(self, m1: tuple[Region, Region],
                    m2: tuple[Region, Region]) -> bool:
         """Morphisms are (source, target) pairs sharing the target."""
@@ -145,7 +216,18 @@ class SiteCategory:
         return self.disjoint_k(self.index[u1], self.index[u2])
 
     def relocalized(self, localized: bool) -> "SiteCategory":
-        return SiteCategory(self.M, self.objects, self.compactness, localized)
+        """The same objects under the ``localized`` rule.  The other rule's
+        site is made once and shares every row with this one.  It keeps no
+        reference back: a cycle would hold both sites until the cyclic
+        garbage collector runs."""
+        if bool(localized) == bool(self.localized):
+            return self
+        if self._twin is None:
+            twin = copy.copy(self)
+            twin.localized = localized
+            twin.hom = self.local_hom if localized else self.plain_hom
+            self._twin = twin
+        return self._twin
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +376,10 @@ def compare_localization_models(plain_site: SiteCategory):
     """
     loc = plain_site.relocalized(True)
     sat = saturation_hom(plain_site)
-    mism = []
-    n = len(plain_site.objects)
-    for i in range(n):
-        for j in range(n):
-            a = loc.hom_k(i, j)
-            b = bool(sat[i] >> j & 1)
-            if a != b:
-                mism.append((plain_site.objects[i], plain_site.objects[j],
-                             a, b))
+    objs = plain_site.objects
+    mism = [(objs[i], objs[j], bool(row >> j & 1), bool(sat[i] >> j & 1))
+            for i, row in enumerate(loc.hom)
+            for j in set_bits(row ^ sat[i])]
     return not mism, mism
 
 
@@ -412,6 +489,9 @@ class CoverCategory:
     between the underlying regions).  Per-piece morphisms follow the ambient
     rule: developments computed inside a bounded piece can be strictly
     larger near its caps, where the piece's boundary funnels maximal paths.
+
+    Rows are bitsets over the object indices, read off the site's rows
+    pulled back along the projection (i, k) |-> k.
     """
 
     def __init__(self, site: SiteCategory, cover: Cover):
@@ -424,29 +504,42 @@ class CoverCategory:
                 "where the simplified description fails")
         self.site = site
         self.cover = cover
-        objs = []
-        for i, piece in enumerate(cover.pieces):
-            for k in site.object_keys():
-                if piece.contains(site.objects[k]):
-                    objs.append((i, k))
+        objs = [(i, k) for i, piece in enumerate(cover.pieces)
+                for k in set_bits(site.within(piece))]
         if not objs:
             raise SiteError("empty cover category; universe too coarse")
         self.objects: tuple[tuple[int, int], ...] = tuple(objs)
         self.index = {o: n for n, o in enumerate(objs)}
-        n = len(objs)
-        gen = [0] * n
-        overlaps = cover.intersections()
-        for a, (i, k1) in enumerate(objs):
-            for b, (j, k2) in enumerate(objs):
-                if i == j and site.hom_k(k1, k2):
-                    gen[a] |= 1 << b
-                elif k1 == k2:
-                    key = (min(i, j), max(i, j))
-                    if key in overlaps and \
-                            overlaps[key].contains(site.objects[k1]):
-                        gen[a] |= 1 << b
+        self._over = _preimage({a: k for a, (_, k) in enumerate(objs)})
+        piece_rows = [0] * len(cover.pieces)
+        for a, (i, _) in enumerate(objs):
+            piece_rows[i] |= 1 << a
+        # the simplified description: row a holds b iff the site has the
+        # morphism between their underlying regions
+        self._described = self._pulled(site.hom)
+        gen = [self._described[a] & piece_rows[i]
+               for a, (i, _) in enumerate(objs)]
+        for (i, j), overlap in cover.intersections().items():
+            for k in set_bits(site.within(overlap)):
+                a, b = self.index[(i, k)], self.index[(j, k)]
+                gen[a] |= 1 << b
+                gen[b] |= 1 << a
         self.hom = _closure(gen)
         self.check_explicit_description()
+
+    def _pulled(self, site_rows) -> tuple[int, ...]:
+        """Per object (i, k), the site row of ``k`` pulled back to objects."""
+        memo: dict[int, int] = {}
+        out = []
+        for (_, k) in self.objects:
+            if k not in memo:
+                memo[k] = _pull(site_rows[k], self._over)
+            out.append(memo[k])
+        return tuple(out)
+
+    @functools.cached_property
+    def disjoint(self) -> tuple[int, ...]:
+        return self._pulled(self.site.disjoint)
 
     def object_keys(self):
         return range(len(self.objects))
@@ -463,11 +556,9 @@ class CoverCategory:
     def check_explicit_description(self) -> None:
         """Generated homs coincide with ambient homs between the underlying
         regions (the simplified description of the cover category)."""
-        for a, (_, k1) in enumerate(self.objects):
-            for b, (_, k2) in enumerate(self.objects):
-                if self.hom_k(a, b) != self.site.hom_k(k1, k2):
-                    raise SiteError("cover category does not match its "
-                                    "simplified description")
+        if tuple(self.hom) != self._described:
+            raise SiteError("cover category does not match its "
+                            "simplified description")
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +566,30 @@ class CoverCategory:
 # ---------------------------------------------------------------------------
 
 
+def _preimage(omap: dict) -> dict[int, int]:
+    """Per target key, the mask of the source keys mapped onto it."""
+    pre: dict[int, int] = {}
+    for a, y in omap.items():
+        pre[y] = pre.get(y, 0) | 1 << a
+    return pre
+
+
+def _pull(row: int, pre: dict[int, int]) -> int:
+    """The source keys whose image is a bit of the target ``row``."""
+    out = 0
+    for y in set_bits(row):
+        out |= pre.get(y, 0)
+    return out
+
+
 class SiteFunctor:
     """An object map between two thin orthogonal site-like structures.
 
-    Both ends expose object_keys/hom_k/disjoint_k; thinness makes the action
-    on morphisms implicit.  All properties are checked exhaustively over the
-    materialized objects.
+    Both ends expose object_keys and the bitset rows ``hom`` and
+    ``disjoint``; thinness makes the action on morphisms implicit.  Every
+    property is checked over the materialized objects, one row at a time:
+    the target's rows are pulled back along the object map (which need not
+    be injective) and compared with the source's rows as whole ints.
     """
 
     def __init__(self, source, target, omap: dict):
@@ -488,36 +597,52 @@ class SiteFunctor:
         for k in source.object_keys():
             if k not in omap:
                 raise SiteError(f"object map misses {k}")
+        self._pre = _preimage({k: omap[k] for k in source.object_keys()})
+
+    def _pulled(self, target_rows) -> dict[int, int]:
+        """Target rows of the image objects, pulled back to source keys."""
+        return {y: _pull(target_rows[y], self._pre) for y in self._pre}
 
     def is_functor(self) -> bool:
-        s, t, m = self.source, self.target, self.omap
-        return all(t.hom_k(m[a], m[b])
-                   for a in s.object_keys() for b in s.object_keys()
-                   if s.hom_k(a, b))
+        s, m = self.source, self.omap
+        back = self._pulled(self.target.hom)
+        return all(not s.hom[a] & ~back[m[a]] for a in s.object_keys())
 
     def fully_faithful(self) -> bool:
-        s, t, m = self.source, self.target, self.omap
-        return all(s.hom_k(a, b) == t.hom_k(m[a], m[b])
-                   for a in s.object_keys() for b in s.object_keys())
+        s, m = self.source, self.omap
+        back = self._pulled(self.target.hom)
+        return all(s.hom[a] == back[m[a]] for a in s.object_keys())
 
-    def _orth_pairs(self, structure):
-        keys = list(structure.object_keys())
-        rows = structure.hom
-        for a in keys:
-            for b in keys:
-                if a < b and rows[a] & rows[b]:
-                    yield a, b
+    @functools.cached_property
+    def _orth_rows(self) -> tuple[int, ...]:
+        """Row ``a`` holds the ``b`` that share a target with ``a``, the
+        pairs whose morphisms into that target orthogonality speaks of.
+        Disjointness is symmetric, so each pair may be read from both
+        ends, and no object is disjoint from itself."""
+        s = self.source
+        into: dict[int, int] = {}
+        for a in s.object_keys():
+            for c in set_bits(s.hom[a]):
+                into[c] = into.get(c, 0) | 1 << a
+        out = []
+        for a in s.object_keys():
+            row = 0
+            for c in set_bits(s.hom[a]):
+                row |= into[c]
+            out.append(row)
+        return tuple(out)
 
     def preserves_orthogonality(self) -> bool:
-        s, t, m = self.source, self.target, self.omap
-        return all(t.disjoint_k(m[a], m[b])
-                   for a, b in self._orth_pairs(s) if s.disjoint_k(a, b))
+        s, m = self.source, self.omap
+        back = self._pulled(self.target.disjoint)
+        return all(not pairs & s.disjoint[a] & ~back[m[a]]
+                   for a, pairs in enumerate(self._orth_rows))
 
     def reflects_orthogonality(self) -> bool:
-        s, t, m = self.source, self.target, self.omap
-        return all(s.disjoint_k(a, b)
-                   for a, b in self._orth_pairs(s)
-                   if t.disjoint_k(m[a], m[b]))
+        s, m = self.source, self.omap
+        back = self._pulled(self.target.disjoint)
+        return all(not pairs & back[m[a]] & ~s.disjoint[a]
+                   for a, pairs in enumerate(self._orth_rows))
 
 
 def j_functor(cc: CoverCategory) -> SiteFunctor:

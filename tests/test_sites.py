@@ -254,3 +254,279 @@ def test_localized_orthogonality_composition_stable(cyl):
     from latticehk.sites import check_orthogonality_composition_stable
     assert check_orthogonality_composition_stable(site)
     assert check_orthogonality_composition_stable(site.relocalized(False))
+
+
+# ---------------------------------------------------------------------------
+# bitset rows against the frozenset definitions
+# ---------------------------------------------------------------------------
+
+
+def _oracle_universes(M, seed):
+    """An rc and a copen universe of ``M`` (seeded samples) and a copen
+    universe of a bounded sub-lattice of ``M``."""
+    import random
+    from latticehk.geometry import bounded_spacetime
+    rng = random.Random(seed)
+    kw = {"t_range": (0, 3), "max_height": 3, "hull_count": 20,
+          "seed": seed, "cap": 900}
+    if M.kind == "plane":
+        kw["x_range"] = (-1, 2)
+        extent = region_diamond(M, (0, 0), (4, 0)).pts
+    else:
+        extent = region_slab(M, 0, 2).pts
+    rc = enumerate_universe(M, compactness="rc", **kw)
+    copen = [r for r in enumerate_universe(M, compactness="copen", **kw)
+             if not r.is_full]
+    B = bounded_spacetime(M, extent)
+    bounded = enumerate_universe(B, compactness="copen", cap=900)
+    return [(M, "rc", rng.sample(rc, 50)),
+            (M, "copen", rng.sample(copen, 50) + [region_full(M)]),
+            (B, "copen", bounded)]
+
+
+def _oracle_rows(M, objs):
+    from latticehk.geometry import are_causally_disjoint
+    dev = [cauchy_development(M, r) for r in objs]
+    n = len(objs)
+    plain, loc, cauchy, disjoint = ([0] * n for _ in range(4))
+    for i, u in enumerate(objs):
+        for j, v in enumerate(objs):
+            if v.contains(u):
+                plain[i] |= 1 << j
+                if dev[i] == dev[j]:
+                    cauchy[i] |= 1 << j
+            if dev[j].contains(u):
+                loc[i] |= 1 << j
+            if are_causally_disjoint(M, u, v):
+                disjoint[i] |= 1 << j
+    return plain, loc, cauchy, disjoint
+
+
+@pytest.mark.parametrize("backend", ["plane", "cyl"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_site_rows_match_frozenset_oracle(backend, seed, request):
+    M = request.getfixturevalue(backend)
+    for N, comp, uni in _oracle_universes(M, seed):
+        site = SiteCategory(N, uni, comp, localized=False)
+        plain, loc, cauchy, disjoint = _oracle_rows(N, site.objects)
+        assert list(site.hom) == plain
+        assert list(site.relocalized(True).hom) == loc
+        assert list(site.cauchy) == cauchy
+        assert list(site.disjoint) == disjoint
+        for piece in site.objects[::7]:
+            assert site.within(piece) == sum(
+                1 << k for k, r in enumerate(site.objects)
+                if piece.contains(r))
+
+
+def _pairwise_properties(F):
+    """is_functor, fully_faithful, preserves and reflects orthogonality,
+    each by its definition over every pair of source objects."""
+    s, t, m = F.source, F.target, F.omap
+    keys = list(s.object_keys())
+    pairs = [(a, b) for a in keys for b in keys if a < b and
+             any(s.hom_k(a, c) and s.hom_k(b, c) for c in keys)]
+    return (all(t.hom_k(m[a], m[b])
+                for a in keys for b in keys if s.hom_k(a, b)),
+            all(s.hom_k(a, b) == t.hom_k(m[a], m[b])
+                for a in keys for b in keys),
+            all(t.disjoint_k(m[a], m[b])
+                for a, b in pairs if s.disjoint_k(a, b)),
+            all(s.disjoint_k(a, b)
+                for a, b in pairs if t.disjoint_k(m[a], m[b])))
+
+
+def _row_properties(F):
+    return (F.is_functor(), F.fully_faithful(),
+            F.preserves_orthogonality(), F.reflects_orthogonality())
+
+
+def test_row_functor_checks_match_pairwise_definitions(plane, cyl):
+    import random
+    from latticehk.checks import column_cover
+    from latticehk.sites import SiteFunctor
+    functors = []
+    # the non-injective map of test_deliberately_broken_functor
+    u1 = region_points(plane, [(0, -3)])
+    u2 = region_points(plane, [(0, 3)])
+    big = region_diamond(plane, (-4, 0), (4, 0))
+    site = SiteCategory(plane, [u1, u2, big], "rc", localized=False)
+    i1, i2, ib = (site.index[u1], site.index[u2], site.index[big])
+    functors.append(SiteFunctor(site, site, {i1: i1, i2: i1, ib: ib}))
+    # j functors of cover categories, plain and localized
+    uni = enumerate_universe(cyl, compactness="rc", t_range=(0, 3),
+                             max_height=3, cap=900)
+    s03 = region_slab(cyl, 0, 3)
+    plain = SiteCategory(cyl, [r for r in uni if s03.contains(r)], "rc")
+    p1 = region_points(cyl, [p for p in s03.pts if p[0] <= 2])
+    p2 = region_points(cyl, [p for p in s03.pts if p[0] >= 1])
+    functors.append(j_functor(CoverCategory(plain, Cover(s03, (p1, p2)))))
+    functors.append(j_functor(CoverCategory(plain.relocalized(True),
+                                            column_cover(cyl, s03, 2))))
+    # an embedding functor between localized sites
+    src = SiteCategory(cyl, uni, "rc", localized=True)
+    f = LatticeEmbedding(cyl, cyl, 1, 2)
+    tgt = SiteCategory(cyl, [apply_embedding(f, r) for r in uni], "rc",
+                       localized=True)
+    functors.append(embedding_site_functor(f, src, tgt))
+    # seeded non-injective maps of a small site into itself
+    rng = random.Random(5)
+    small = SiteCategory(cyl, rng.sample(uni, 30), "rc")
+    keys = list(small.object_keys())
+    for _ in range(4):
+        omap = {k: rng.choice(keys) for k in keys}
+        functors.append(SiteFunctor(small, small.relocalized(True), omap))
+        functors.append(SiteFunctor(small, small, {
+            k: k if rng.random() < 0.8 else rng.choice(keys)
+            for k in keys}))
+    seen = set()
+    for F in functors:
+        expected = _pairwise_properties(F)
+        assert _row_properties(F) == expected
+        seen.add(expected)
+    assert len(seen) > 2  # the corpus has both verdicts
+
+
+def _pairwise_cover_category(site, cover):
+    """Objects and generated homs of a cover category, by the frozenset
+    definitions: admission by containment, per-piece morphisms and overlap
+    identifications, closed under composition."""
+    from latticehk.sites import _closure
+    objs = [(i, k) for i, piece in enumerate(cover.pieces)
+            for k in site.object_keys() if piece.contains(site.objects[k])]
+    overlaps = cover.intersections()
+    gen = [0] * len(objs)
+    for a, (i, k1) in enumerate(objs):
+        for b, (j, k2) in enumerate(objs):
+            if i == j and site.hom_k(k1, k2):
+                gen[a] |= 1 << b
+            elif k1 == k2:
+                key = (min(i, j), max(i, j))
+                if key in overlaps and \
+                        overlaps[key].contains(site.objects[k1]):
+                    gen[a] |= 1 << b
+    return tuple(objs), _closure(gen)
+
+
+def test_cover_category_rows_match_pairwise_definitions(cyl):
+    from latticehk.checks import column_cover, tall_diamond_cover
+    uni = enumerate_universe(cyl, compactness="rc", t_range=(0, 3),
+                             max_height=3, cap=900)
+    s03 = region_slab(cyl, 0, 3)
+    site = SiteCategory(cyl, uni, "rc", localized=False)
+    p1 = region_points(cyl, [p for p in s03.pts if p[0] <= 2])
+    p2 = region_points(cyl, [p for p in s03.pts if p[0] >= 1])
+    cases = [(site, Cover(s03, (p1, p2))),
+             (site.relocalized(True), column_cover(cyl, s03, 1)),
+             (site.relocalized(True), tall_diamond_cover(cyl, s03))]
+    for st, cov in cases:
+        cc = CoverCategory(st, cov)
+        objs, hom = _pairwise_cover_category(st, cov)
+        assert cc.objects == objs
+        assert cc.hom == hom
+        assert [cc.disjoint_k(a, b) for a in cc.object_keys()
+                for b in cc.object_keys()] == \
+            [bool(cc.disjoint[a] >> b & 1) for a in cc.object_keys()
+             for b in cc.object_keys()]
+
+
+# ---------------------------------------------------------------------------
+# the per-run site cache
+# ---------------------------------------------------------------------------
+
+
+def test_site_rows_are_shared_and_immutable(cyl_ctx):
+    site = SiteCategory(cyl_ctx.M, cyl_ctx.universe("rc"), "rc")
+    loc = site.relocalized(True)
+    assert site.relocalized(False) is site
+    assert site.relocalized(True) is loc
+    assert loc.relocalized(False).hom is site.hom
+    for name in ("plain_hom", "local_hom", "cauchy", "disjoint"):
+        assert getattr(loc, name) is getattr(site, name)
+        with pytest.raises(TypeError):
+            getattr(site, name)[0] = 0
+    assert site.hom is site.plain_hom and loc.hom is site.local_hom
+    with pytest.raises(TypeError):
+        loc.hom[0] |= 1
+
+
+def _count_site_builds(monkeypatch):
+    import latticehk.sites as sites_mod
+    builds = []
+    init = sites_mod.SiteCategory.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sites_mod.SiteCategory, "__init__", counting)
+    return builds
+
+
+def test_localized_embedding_functors_build_each_site_once(monkeypatch):
+    from latticehk.checks import check_localized_embedding_functors
+    from latticehk.scenarios import DEMOS, build_context
+    ctx = build_context(DEMOS["localization-oracle"])
+    builds = _count_site_builds(monkeypatch)
+    recs = check_localized_embedding_functors(ctx, {})
+    assert recs[0].verdict == "pass"
+    assert len(builds) <= 7
+    assert len(ctx.sites) == len(builds)
+
+
+def test_each_run_starts_with_an_empty_site_cache(monkeypatch):
+    import latticehk.scenarios as scen
+    config = scen._cylinder_scenario(
+        ["site.precostack-instances", "site.cover-intersections"],
+        t_range=(0, 3), max_height=3)
+    contexts = []
+    build = scen.build_context
+
+    def recording(cfg):
+        ctx = build(cfg)
+        assert not ctx.sites
+        contexts.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(scen, "build_context", recording)
+    builds = _count_site_builds(monkeypatch)
+    first = scen.report_bytes(scen.run_scenario(config), drop_timestamp=True)
+    n_first = len(builds)
+    second = scen.report_bytes(scen.run_scenario(config), drop_timestamp=True)
+    assert first == second
+    assert len(contexts) == 2 and contexts[0] is not contexts[1]
+    assert n_first > 0 and len(builds) == 2 * n_first
+
+
+def test_site_cache_races_build_identical_sites(cyl_ctx):
+    import sys
+    import threading
+    from latticehk.checks import RunContext
+    ctx = RunContext(M=cyl_ctx.M, seed=7,
+                     universe_cfg={"compactness": "rc", "t_range": [0, 2],
+                                   "max_height": 2})
+    uni = ctx.universe("rc")
+    got = []
+
+    def worker(localized):
+        got.append(ctx.site_over(uni, "rc", localized))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k % 2 == 1,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and len(got) == 6
+    assert len(ctx.sites) == 1
+    ref = SiteCategory(ctx.M, uni, "rc")
+    for site in got:
+        assert site.objects == ref.objects
+        assert site.hom == (ref.local_hom if site.localized
+                            else ref.plain_hom)
+        assert (site.cauchy, site.disjoint) == (ref.cauchy, ref.disjoint)
