@@ -67,6 +67,9 @@ class RunContext:
     # sites built in this run, keyed by (M, compactness, frozenset(objects))
     sites: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
+    # universes enumerated in this run, keyed by (M, compactness, keywords)
+    universes: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def rng(self, salt: str = "") -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
@@ -78,17 +81,22 @@ class RunContext:
         return make_digest(payload)
 
     def universe(self, compactness: str, M: Optional[LatticeSpacetime] = None,
-                 **overrides) -> list[Region]:
+                 **overrides) -> tuple[Region, ...]:
         """The configured universe over ``M`` (the scenario's spacetime by
-        default); ``overrides`` replace configured enumeration keys."""
+        default), enumerated once per run; ``overrides`` replace configured
+        enumeration keys."""
         cfg = {k: self.universe_cfg[k] for k in UNIVERSE_KEYS
                if k in self.universe_cfg}
         cfg.update(overrides)
         for k in ("x_range", "t_range"):
             if cfg.get(k) is not None:
                 cfg[k] = tuple(cfg[k])
-        return enumerate_universe(self.M if M is None else M,
-                                  compactness=compactness, **cfg)
+        M = self.M if M is None else M
+        key = (M, compactness, tuple(sorted(cfg.items())))
+        if key not in self.universes:
+            self.universes[key] = tuple(enumerate_universe(
+                M, compactness=compactness, **cfg))
+        return self.universes[key]
 
     def site(self, compactness=None, localized=False) -> SiteCategory:
         """The site over the configured universe."""

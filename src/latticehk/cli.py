@@ -58,7 +58,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--window", help="override window, e.g. -12..14")
     ap.add_argument("--max-universe", type=int, default=None)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--fail-fast", action="store_true")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -89,11 +88,8 @@ def main(argv=None) -> int:
         if args.cmd == "run":
             with open(args.scenario) as fh:
                 config = json.load(fh)
-            config = _apply_overrides(config, args)
-            report = run_scenario(config, jobs=args.jobs, fail_fast=args.fail_fast)
         elif args.cmd == "demo":
-            config = _apply_overrides(DEMOS[args.name], args)
-            report = run_scenario(config, jobs=args.jobs, fail_fast=args.fail_fast)
+            config = DEMOS[args.name]
         elif args.cmd in ("check-causality", "check-site"):
             group = "causality." if args.cmd == "check-causality" else "site."
             checks = [cid for cid in sorted(REGISTRY) if
@@ -119,11 +115,11 @@ def main(argv=None) -> int:
                                  "cap": 1600},
                     "checks": checks, "expect": expect,
                 }
-            config = _apply_overrides(config, args)
-            report = run_scenario(config, jobs=args.jobs, fail_fast=args.fail_fast)
         else:  # pragma: no cover
             ap.error("unknown command")
             return 2
+        report = run_scenario(_apply_overrides(config, args),
+                              fail_fast=args.fail_fast)
     except (ScenarioError, GeometryError, SiteError, KgError, AqftError,
             FileNotFoundError, json.JSONDecodeError) as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import mul
 from typing import Optional
 
@@ -137,13 +137,12 @@ def _piece_parts(cover: Cover, target_pts: frozenset):
     return parts
 
 
-def generator_counit_check(ctx: KgContext, cover: Cover, U: Region,
-                           localized: bool = False):
-    """Exactness of  (+) L(P_i & P_j & T)  =>  (+) L(P_i & T)  ->  L(T)
-    with T = U (plain) or T = D(U) (localized flavor).
-
-    Returns (verdict, info) with verdict in pass/fail/skip.
-    """
+def _counit_target(ctx: KgContext, cover: Cover, U: Region, localized: bool,
+                   check_iso: bool = False):
+    """The target T = U (plain) or T = D(U) (localized) of a counit check
+    and the cover's parts of it, as ``(None, info, T, parts)``; or
+    ``(verdict, info, None, None)`` when the check ends before any algebra.
+    ``check_iso`` also asks L(U) -> L(D(U)) to be an isomorphism."""
     M = ctx.ambient
     info: dict = {"flavor": "localized" if localized else "plain"}
     if localized:
@@ -151,60 +150,67 @@ def generator_counit_check(ctx: KgContext, cover: Cover, U: Region,
             raise SiteError("localized descent checks need D-stable covers")
         D = cauchy_development(M, U)
         if D.is_full and M.extent is None:
-            return "skip", {**info,
-                            "reason": "development not materializable"}
+            return "skip", {**info, "reason": "development not "
+                                              "materializable"}, None, None
         target_pts = D.points()
-        ext = ctx.extension(U.points(), target_pts)
-        iso = ext.nrows == ext.ncols and ext.rank() == ext.nrows
-        info["target_iso"] = iso
-        if not iso:
-            return "fail", {**info,
-                            "reason": "extension into the development is "
-                                      "not an isomorphism"}
+        if check_iso:
+            ext = ctx.extension(U.points(), target_pts)
+            iso = ext.nrows == ext.ncols and ext.rank() == ext.nrows
+            info["target_iso"] = iso
+            if not iso:
+                return "fail", {**info,
+                                "reason": "extension into the development "
+                                          "is not an isomorphism"}, None, None
     else:
         target_pts = U.points()
     parts = _piece_parts(cover, target_pts)
     if not parts:
-        return "skip", {**info, "reason": "no piece meets the region"}
+        return "skip", {**info, "reason": "no piece meets the region"}, \
+            None, None
+    return None, info, target_pts, parts
+
+
+def generator_counit_check(ctx: KgContext, cover: Cover, U: Region,
+                           localized: bool = False):
+    """Exactness of  (+) L(P_i & P_j & T)  =>  (+) L(P_i & T)  ->  L(T)
+    with T = U (plain) or T = D(U) (localized flavor).
+
+    Every map is an extension by zero, read off by ``KgContext.extension``.
+    Returns (verdict, info) with verdict in pass/fail/skip.
+    """
+    verdict, info, target_pts, parts = _counit_target(
+        ctx, cover, U, localized, check_iso=True)
+    if verdict:
+        return verdict, info
     T = ctx.space(target_pts)
-    spaces = [ctx.space(p) for p in parts]
-    offsets = []
-    total = 0
-    for s in spaces:
-        offsets.append(total)
-        total += s.dim
-    qcols = []
-    for s in spaces:
-        for f in s.basis_fields():
-            qcols.append(T.reduce_field(f))
+    blocks = [ctx.extension(p, target_pts).cols() for p in parts]
+    offsets = list(accumulate((len(b) for b in blocks), initial=0))
+    total = offsets.pop()
+    qcols = [c for b in blocks for c in b]
     q = Mat.from_cols(qcols, T.dim) if qcols else Mat([], 0)
     r1_cols, r2_cols = [], []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            inter = parts[i] & parts[j]
-            if not inter:
-                continue
-            sij = ctx.space(inter)
-            for f in sij.basis_fields():
-                c1 = [Q0] * total
-                for r, v in enumerate(ctx.space(parts[i]).reduce_field(f)):
-                    c1[offsets[i] + r] = v
-                r1_cols.append(c1)
-                c2 = [Q0] * total
-                for r, v in enumerate(ctx.space(parts[j]).reduce_field(f)):
-                    c2[offsets[j] + r] = v
-                r2_cols.append(c2)
-    if r1_cols:
-        r1 = Mat.from_cols(r1_cols, total)
-        r2 = Mat.from_cols(r2_cols, total)
-    else:
-        r1 = Mat.zeros(total, 0)
-        r2 = Mat.zeros(total, 0)
+    for i, j in combinations(range(len(parts)), 2):
+        inter = parts[i] & parts[j]
+        if not inter:
+            continue
+        for c1, c2 in zip(ctx.extension(inter, parts[i]).cols(),
+                          ctx.extension(inter, parts[j]).cols()):
+            r1_cols.append(_placed(c1, offsets[i], total))
+            r2_cols.append(_placed(c2, offsets[j], total))
+    r1 = Mat.from_cols(r1_cols, total)
+    r2 = Mat.from_cols(r2_cols, total)
     ok, witness = is_exact_coequalizer(r1, r2, q)
     info.update(pieces=len(parts), target_dim=T.dim, sum_dim=total)
     if ok:
         return "pass", info
     return "fail", {**info, "witness": _jsonable_witness(witness)}
+
+
+def _placed(col: tuple, offset: int, total: int) -> list:
+    """``col`` as the block at ``offset`` of a column of length ``total``."""
+    out = [Q0] * total
+    out[offset:offset + len(col)] = col
+    return out
 
 
 def _jsonable_witness(w):
@@ -292,10 +298,8 @@ def build_adapted_cover(ctx: KgContext, target_pts: frozenset,
             best_reason = "union property failed"
             continue
         T = ctx.space(target_pts)
-        image_cols = []
-        for seg in segments:
-            s = ctx.space(seg)
-            image_cols.extend(T.reduce_field(f) for f in s.basis_fields())
+        image_cols = [c for seg in segments
+                      for c in ctx.extension(seg, target_pts).cols()]
         span_rank = Mat.from_cols(image_cols, T.dim).rank() \
             if image_cols else 0
         if span_rank != T.dim:
@@ -347,21 +351,11 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     found over the integers, from primitive integer multiples of the image
     basis vectors, which span the same relations.
     """
+    verdict, info, target_pts, parts = _counit_target(ctx, cover, U,
+                                                      localized)
+    if verdict:
+        return verdict, info
     M = ctx.ambient
-    info: dict = {"flavor": "localized" if localized else "plain"}
-    if localized:
-        if not cover.is_D_stable():
-            raise SiteError("localized descent checks need D-stable covers")
-        D = cauchy_development(M, U)
-        if D.is_full and M.extent is None:
-            return "skip", {**info,
-                            "reason": "development not materializable"}
-        target_pts = D.points()
-    else:
-        target_pts = U.points()
-    parts = _piece_parts(cover, target_pts)
-    if not parts:
-        return "skip", {**info, "reason": "no piece meets the region"}
     T = ctx.space(target_pts)
     wedge = WedgeSpace(T.dim)
     graph = wedge.graph_of(T.sigma_reduced())
@@ -371,9 +365,8 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
 
     def image_basis(pts):
         if pts not in bases:
-            s = ctx.space(pts)
-            bases[pts] = [primitive_integer(T.reduce_field(f))
-                          for f in s.basis_fields()]
+            bases[pts] = [primitive_integer(c) for c in
+                          ctx.extension(pts, target_pts).cols()]
         return bases[pts]
 
     def add_same_piece(regions):

@@ -172,11 +172,8 @@ class KgSpace:
         outside = sorted({q for img in images for q in img} - set(self.pts))
         constraint = Mat([[images[j].get(q, Q0) for j in range(n)]
                           for q in outside], n)
-        kernel = constraint.nullspace() if outside else \
-            [tuple(Q1 if i == j else Q0 for i in range(n))
-             for j in range(n)]
         rel_rows = []
-        for chi in kernel:
+        for chi in constraint.nullspace():
             chi_field = {p: c for p, c in zip(self.pts, chi) if c != 0}
             img = apply_P(cfg, chi_field)
             if not set(img) <= set(self.pts):
@@ -186,14 +183,15 @@ class KgSpace:
         self.dim = self.quotient.dim
         self._sigma = None
 
-    def ambient_vector(self, field: dict) -> list:
+    def coordinates(self, field: dict) -> dict:
+        """The field as a sparse ambient vector ``{point index: value}``."""
         field = field_clean(field)
         if not set(field) <= set(self.pts):
             raise KgError("field leaves the region")
-        return [field.get(p, Q0) for p in self.pts]
+        return {self.index[p]: v for p, v in field.items()}
 
     def reduce_field(self, field: dict) -> tuple:
-        return self.quotient.reduce(self.ambient_vector(field))
+        return self.quotient.reduce_sparse(self.coordinates(field))
 
     def basis_fields(self) -> list[dict]:
         return [{self.pts[c]: Q1} for c in self.quotient.free]
@@ -245,14 +243,13 @@ class KgContext:
 
     def extension(self, U, V) -> Mat:
         """Extension-by-zero on classes; injective for causally convex
-        nested regions."""
+        nested regions.  Each point keeps its label, so each column is read
+        off the target's reduced relations."""
         src, dst = self.space(U), self.space(V)
-        if not set(src.pts) <= set(dst.pts):
+        if not src.index.keys() <= dst.index.keys():
             raise KgError("extension needs nested regions")
-        amb = Mat([[Q1 if dst.pts[r] == src.pts[c] else Q0
-                    for c in range(len(src.pts))]
-                   for r in range(len(dst.pts))], len(src.pts))
-        return induced_quotient_map(src.quotient, dst.quotient, amb)
+        return induced_quotient_map(src.quotient, dst.quotient,
+                                    [{dst.index[p]: Q1} for p in src.pts])
 
     # -- time-slice maps ----------------------------------------------------
 
@@ -286,7 +283,7 @@ class KgContext:
         src, dst = self.space(U), self.space(V)
         vpts = set(dst.pts)
         vrows = sorted({t for (t, _) in dst.pts})
-        cols = []
+        images = []
         for p in src.pts:
             tstar = None
             for t in vrows:
@@ -303,9 +300,8 @@ class KgContext:
                     w[(tstar, x)] = w.get((tstar, x), Q0) - v
                 if t == tstar:
                     w[(tstar + 1, x)] = w.get((tstar + 1, x), Q0) + v
-            cols.append(dst.ambient_vector(field_clean(w)))
-        amb = Mat.from_cols(cols, len(dst.pts))
-        return induced_quotient_map(src.quotient, dst.quotient, amb)
+            images.append(dst.coordinates(w))
+        return induced_quotient_map(src.quotient, dst.quotient, images)
 
     def transition(self, U, V, localized: bool) -> Mat:
         upts = U.points() if isinstance(U, Region) else frozenset(U)
@@ -323,7 +319,6 @@ def pushforward_matrix(ctx_src: KgContext, ctx_tgt: KgContext, f,
     from .geometry import apply_embedding
     src = ctx_src.space(U)
     dst = ctx_tgt.space(apply_embedding(f, U))
-    n = len(src.pts)
-    amb = Mat([[Q1 if dst.pts[r] == f.map_point(src.pts[c]) else Q0
-                for c in range(n)] for r in range(len(dst.pts))], n)
-    return induced_quotient_map(src.quotient, dst.quotient, amb)
+    return induced_quotient_map(
+        src.quotient, dst.quotient,
+        [{dst.index[f.map_point(p)]: Q1} for p in src.pts])

@@ -1,9 +1,12 @@
 """Exact rational matrices, quotient spaces, and the coequalizer test.
 
-All arithmetic is exact, over ``fractions.Fraction`` (exported as ``QQ``),
-except in :class:`IntegerEchelon`, which eliminates over the integers.
-Elimination uses a fixed pivoting order (first nonzero entry in column
-order), so every reduction is deterministic.
+Entries are exact rationals, ``fractions.Fraction`` (exported as ``QQ``).
+There is one elimination routine: rows are cleared of denominators
+(:func:`primitive_integer`) and eliminated over the integers by the
+fraction-free step of :class:`IntegerEchelon`; ``Mat.rref`` adds a
+back-substitution with the same step and divides each pivot row by its
+pivot once, back into Fractions.  The reduced row echelon form is unique,
+so the result does not depend on the order of elimination.
 """
 
 from __future__ import annotations
@@ -104,33 +107,27 @@ class Mat:
 
     # -- elimination -------------------------------------------------------
 
+    def _echelon(self) -> "IntegerEchelon":
+        ech = IntegerEchelon(self.ncols)
+        for row in self.data:
+            ech.add(primitive_integer(row))
+        return ech
+
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
-        rows = [list(r) for r in self.data]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            hit = None
-            for i in range(pr, len(rows)):
-                if rows[i][pc] != 0:
-                    hit = i
-                    break
-            if hit is None:
-                continue
-            rows[pr], rows[hit] = rows[hit], rows[pr]
-            inv = rows[pr][pc]
-            rows[pr] = [v / inv for v in rows[pr]]
-            for i in range(len(rows)):
-                if i != pr and rows[i][pc] != 0:
-                    f = rows[i][pc]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(rows):
-                break
-        return Mat(rows[:pr], self.ncols), tuple(pivots)
+        """Reduced row echelon form and pivot columns: the integer echelon,
+        back-substitution with the same step, then one division per row."""
+        rows = self._echelon().rows
+        pivots = sorted(rows)
+        for k in range(len(pivots) - 1, 0, -1):
+            c = pivots[k]
+            for d in pivots[:k]:
+                if rows[d][c]:
+                    rows[d] = _eliminate(rows[d], rows[c], c)
+        return Mat([[QQ(x, rows[c][c]) for x in rows[c]] for c in pivots],
+                   self.ncols), tuple(pivots)
 
     def rank(self) -> int:
-        return self.rref()[0].nrows
+        return self._echelon().rank
 
     def nullspace(self) -> list[tuple]:
         """Basis of the right kernel, one vector per free column."""
@@ -162,14 +159,23 @@ def primitive_integer(vec: Sequence) -> list[int]:
     return [x // g for x in ints] if g else ints
 
 
+def _eliminate(row: list[int], b: list[int], c: int) -> list[int]:
+    """The fraction-free combination of ``row`` and ``b`` (with b[c] != 0)
+    whose entry in column c is zero, divided by the gcd of its entries so
+    that they stay small (E. H. Bareiss, Math. Comp. 22 (1968))."""
+    g = gcd(row[c], b[c])
+    fa, fb = b[c] // g, row[c] // g
+    row = [fa * x - fb * y for x, y in zip(row, b)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 class IntegerEchelon:
     """Echelon basis over the integers of a span that grows row by row.
 
-    ``add`` reduces a row against the basis by fraction-free row
-    combination (E. H. Bareiss, Math. Comp. 22 (1968)), dividing by the gcd
-    of the entries after each step so that they stay small, and keeps what
-    is left when it is nonzero.  Once the rank equals the number of columns
-    every row lies in the span, so ``add`` returns at once.
+    ``add`` reduces a row against the basis with :func:`_eliminate` and
+    keeps what is left when it is nonzero.  Once the rank equals the number
+    of columns every row lies in the span, so ``add`` returns at once.
     """
 
     def __init__(self, ncols: int):
@@ -185,18 +191,12 @@ class IntegerEchelon:
         the row lies in the span."""
         row = list(row)
         for c in range(self.ncols):
-            a = row[c]
-            if not a:
+            if not row[c]:
                 continue
             b = self.rows.get(c)
             if b is None:
                 return c, row
-            g = gcd(a, b[c])
-            fa, fb = b[c] // g, a // g
-            row = [fa * x - fb * y for x, y in zip(row, b)]
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
+            row = _eliminate(row, b, c)
         return None, row
 
     def add(self, row: Sequence[int]) -> None:
@@ -239,16 +239,32 @@ class QuotientSpace:
         self.free = tuple(c for c in range(ambient_dim)
                           if c not in self.pivots)
         self.dim = len(self.free)
+        self._free_pos = {c: j for j, c in enumerate(self.free)}
+        # pivot column -> its relation row on the free columns
+        self._relations = {pc: [row[c] for c in self.free]
+                           for row, pc in zip(self.sub_rref.data,
+                                              self.pivots)}
+
+    def reduce_sparse(self, vec: dict) -> tuple:
+        """Quotient coordinates of the vector ``{ambient index: value}``:
+        a free coordinate is its own class, and a pivot coordinate is minus
+        its relation row on the free columns."""
+        out = [Q0] * self.dim
+        for i, v in vec.items():
+            j = self._free_pos.get(i)
+            if j is not None:
+                out[j] += v
+                continue
+            for k, r in enumerate(self._relations[i]):
+                if r:
+                    out[k] -= v * r
+        return tuple(out)
 
     def reduce(self, vec: Sequence) -> tuple:
-        v = [QQ(x) for x in vec]
-        if len(v) != self.ambient_dim:
+        if len(vec) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for row, pc in zip(self.sub_rref.data, self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v[c] for c in self.free)
+        return self.reduce_sparse({i: v for i, v in enumerate(map(QQ, vec))
+                                   if v})
 
     def section(self, coords: Sequence) -> tuple:
         v = [Q0] * self.ambient_dim
@@ -256,27 +272,28 @@ class QuotientSpace:
             v[c] = QQ(val)
         return tuple(v)
 
-    def is_zero_class(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
 
 def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,
-                         ambient_map: Mat) -> Mat:
-    """The map on quotients induced by ``ambient_map``; raises with a witness
-    vector when the map does not send the source subspace into the target
-    subspace."""
-    if ambient_map.ncols != src.ambient_dim or \
-            ambient_map.nrows != dst.ambient_dim:
-        raise ValueError("ambient map shape mismatch")
+                         images: Sequence[dict]) -> Mat:
+    """The map on quotients that sends source coordinate i to the sparse
+    target vector ``images[i]`` (``{target index: value}``).
+
+    Column j is the reduction of the image of free coordinate j.  Raises
+    with a witness when a source relation does not land in the target
+    relations.
+    """
+    if len(images) != src.ambient_dim:
+        raise ValueError("one image per source coordinate is needed")
     for row in src.sub_rref.data:
-        img = ambient_map.apply(row)
-        if not dst.is_zero_class(img):
+        img: dict = {}
+        for a, image in zip(row, images):
+            if a:
+                for k, v in image.items():
+                    img[k] = img.get(k, Q0) + a * v
+        if any(dst.reduce_sparse(img)):
             raise ValueError(f"map not defined on quotient; witness {row}")
-    cols = []
-    for j in range(src.dim):
-        e = src.section([Q1 if i == j else Q0 for i in range(src.dim)])
-        cols.append(dst.reduce(ambient_map.apply(e)))
-    return Mat.from_cols(cols, dst.dim)
+    return Mat.from_cols([dst.reduce_sparse(images[c]) for c in src.free],
+                         dst.dim)
 
 
 def is_exact_coequalizer(r1: Mat, r2: Mat, q: Mat):
@@ -305,12 +322,6 @@ def is_exact_coequalizer(r1: Mat, r2: Mat, q: Mat):
     if im_rank == ker_dim:
         return True, None
     for k in kernel:
-        if not _in_colspace(d, k):
+        if not d.column_space_contains(k):
             return False, {"kind": "kernel", "vector": k}
     return False, {"kind": "kernel", "vector": None}
-
-
-def _in_colspace(m: Mat, vec: Sequence) -> bool:
-    if m.ncols == 0:
-        return all(v == 0 for v in vec)
-    return m.column_space_contains(vec)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 import json
-from concurrent.futures import ThreadPoolExecutor
 import jsonschema
 
 from .checks import REGISTRY, UNIVERSE_KEYS, RunContext, run_check
@@ -127,27 +126,20 @@ def _is_unexpected(rec: CheckRecord, expect: dict) -> bool:
 
 def run_scenario(config: dict, jobs: int = 1,
                  fail_fast: bool = False) -> dict:
-    """Execute a validated scenario and assemble the report."""
+    """Execute a validated scenario and assemble the report.  The checks run
+    one after another; ``jobs`` accepts only 1."""
+    if jobs != 1:
+        raise ValueError("checks run in one thread; jobs must be 1")
     validate_scenario(config)
     ctx = build_context(config)
     options = config.get("options", {})
     expect = config.get("expect", {})
-    check_ids = list(config["checks"])
-
-    def run_one(cid):
-        return run_check(cid, ctx, options.get(cid, {}))
-
-    if jobs > 1 and not fail_fast:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(run_one, check_ids))
-    else:
-        batches = []
-        for cid in check_ids:
-            batch = run_one(cid)
-            batches.append(batch)
-            if fail_fast and any(_is_unexpected(r, expect) for r in batch):
-                break
-    records: list[CheckRecord] = [r for batch in batches for r in batch]
+    records: list[CheckRecord] = []
+    for cid in config["checks"]:
+        batch = run_check(cid, ctx, options.get(cid, {}))
+        records.extend(batch)
+        if fail_fast and any(_is_unexpected(r, expect) for r in batch):
+            break
     summary = {"pass": 0, "fail": 0, "skip": 0, "unexpected": 0}
     for rec in records:
         summary[rec.verdict] += 1

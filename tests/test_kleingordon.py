@@ -3,7 +3,7 @@ import random
 import pytest
 
 from latticehk.checks import RunContext, check_kg_time_slice
-from latticehk.geometry import (LatticeEmbedding, cone, hull,
+from latticehk.geometry import (LatticeEmbedding, apply_embedding, cone, hull,
                                 region_diamond, region_points, region_slab)
 from latticehk.kleingordon import (KgConfig, KgContext, KgError,
                                    TimesliceSkip, apply_P, field_add,
@@ -233,3 +233,105 @@ def test_time_slice_check_skips_without_cauchy_pairs(plane_ctx):
     rec = check_kg_time_slice(plane_ctx, {})[0]
     assert rec.verdict == "skip" and rec.witness["cauchy_pairs"] == 0
     assert rec.witness["reason"]
+
+
+# -- the maps against their dense-product definition --------------------------
+
+
+def _dense_reduce(q, vec):
+    """Reduction against the relation rows one pivot at a time."""
+    v = list(vec)
+    for row, pc in zip(q.sub_rref.data, q.pivots):
+        if v[pc] != 0:
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v[c] for c in q.free)
+
+
+def _dense_induced(src, dst, amb: Mat) -> Mat:
+    """The induced map as a product: the section of each quotient unit
+    vector, the ambient matrix, then the target reduction."""
+    for row in src.quotient.sub_rref.data:
+        if any(_dense_reduce(dst.quotient, amb.apply(row))):
+            raise ValueError("map not defined on quotient")
+    cols = []
+    for j in range(src.dim):
+        e = src.quotient.section([Q1 if i == j else Q0
+                                  for i in range(src.dim)])
+        cols.append(_dense_reduce(dst.quotient, amb.apply(e)))
+    return Mat.from_cols(cols, dst.dim)
+
+
+def _relabel(src, dst, f) -> Mat:
+    """The dense 0/1 matrix sending point p of src to point f(p) of dst."""
+    return Mat([[Q1 if q == f(p) else Q0 for p in src.pts]
+                for q in dst.pts], len(src.pts))
+
+
+def _dense_timeslice(kg, src, dst) -> Mat:
+    vpts = set(dst.pts)
+    rows = sorted({t for (t, _) in dst.pts})
+    cols = []
+    for p in src.pts:
+        tstar = next((t for t in rows if kg._band_ok(p, t, vpts)), None)
+        if tstar is None:
+            raise TimesliceSkip("no cut")
+        g = propagator(kg.cfg, {p: Q1}, tstar, tstar + 1)
+        w = {}
+        for ((t, x), v) in g.items():
+            if t == tstar + 1:
+                w[(tstar, x)] = w.get((tstar, x), Q0) - v
+            if t == tstar:
+                w[(tstar + 1, x)] = w.get((tstar + 1, x), Q0) + v
+        cols.append([w.get(q, Q0) for q in dst.pts])
+    return _dense_induced(src, dst, Mat.from_cols(cols, len(dst.pts)))
+
+
+def _nested_pairs(M, seed):
+    """Seeded pairs U <= V of causally convex regions in a small zone; half
+    of the U are hulls of interior points of V, so that a flat cut fits."""
+    rng = random.Random(seed)
+    zone = [(t, x) for t in range(0, 5) for x in range(0, 5)]
+    pairs = []
+    while len(pairs) < 8:
+        big = sorted(rng.sample(zone, 2))
+        V = hull(M, region_points(M, big)) if rng.random() < 0.5 else \
+            region_diamond(M, (0, 2), (6, 2))
+        inner = [(t, x) for (t, x) in sorted(V.pts)
+                 if all(M.norm_point(q) in V.pts for q in
+                        ((t - 1, x), (t + 1, x), (t, x - 1), (t, x + 1)))]
+        pool = inner if inner and len(pairs) % 2 else sorted(V.pts)
+        U = hull(M, region_points(M, rng.sample(pool, min(len(pool),
+                                                          rng.randint(1, 3)))))
+        if U.pts <= V.pts:
+            pairs.append((U, V))
+    return pairs
+
+
+@pytest.mark.parametrize("backend", ["plane", "cyl"])
+def test_maps_match_the_dense_product(backend, request):
+    M = request.getfixturevalue(backend)
+    kg = request.getfixturevalue(f"kg_{backend}")
+    checked = {"extension": 0, "timeslice": 0, "pushforward": 0}
+    for U, V in _nested_pairs(M, 5):
+        src, dst = kg.space(U.points()), kg.space(V.points())
+        got = kg.extension(U.points(), V.points())
+        assert got == _dense_induced(src, dst, _relabel(src, dst,
+                                                        lambda p: p))
+        checked["extension"] += 1
+        for a, b in ((U, V), (V, U)):
+            sa, sb = kg.space(a.points()), kg.space(b.points())
+            try:
+                ref = _dense_timeslice(kg, sa, sb)
+            except (TimesliceSkip, ValueError) as e:
+                with pytest.raises(type(e)):
+                    kg.timeslice_map(a.points(), b.points())
+                continue
+            assert kg.timeslice_map(a.points(), b.points()) == ref
+            checked["timeslice"] += 1
+        f = LatticeEmbedding(M, M, 1, -2)
+        img = kg.space(apply_embedding(f, V).points())
+        assert pushforward_matrix(kg, kg, f, V) == \
+            _dense_induced(dst, img, _relabel(dst, img, f.map_point))
+        checked["pushforward"] += 1
+    assert all(checked.values()), checked

@@ -8,6 +8,84 @@ from latticehk.rational import (ForkError, Mat, QQ, Q0, Q1, QuotientSpace,
                                 row_space, same_row_space)
 
 
+def fraction_rref(m: Mat):
+    """Gauss-Jordan elimination over Fractions: the reference that
+    ``Mat.rref`` (integer elimination) must reproduce entry for entry."""
+    rows = [list(r) for r in m.data]
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        hit = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc] != 0:
+                hit = i
+                break
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        inv = rows[pr][pc]
+        rows[pr] = [v / inv for v in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][pc] != 0:
+                f = rows[i][pc]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return Mat(rows[:pr], m.ncols), tuple(pivots)
+
+
+def _oracle_matrices():
+    """Seeded matrices: empty, all-zero, rank-deficient and full-rank, with
+    entries over denominators 1, 2, 3 and 4."""
+    rng = random.Random(11)
+    out = [Mat([], 0), Mat([], 3), Mat([[], []]), Mat.zeros(3, 4),
+           Mat.identity(4)]
+    for den in (1, 2, 3, 4):
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[QQ(rng.randint(-5, 5), rng.choice((1, den)))
+                     for _ in range(ncols)] for _ in range(nrows)]
+            out.append(Mat(rows, ncols))
+            # rank-deficient: repeat combinations of the first rows
+            k = rng.randint(1, nrows)
+            extra = [[sum((QQ(rng.randint(-2, 2), den) * rows[i][c]
+                           for i in range(k)), Q0) for c in range(ncols)]
+                     for _ in range(2)]
+            out.append(Mat(rows[:k] + extra, ncols))
+        # full rank: an upper unitriangular matrix with its rows mixed
+        n = rng.randint(2, 5)
+        tri = [[QQ(1) if c == r else
+                QQ(rng.randint(-3, 3), den) if c > r else Q0
+                for c in range(n)] for r in range(n)]
+        out.append(Mat(tri[::-1], n))
+    return out
+
+
+def test_rref_rank_nullspace_match_fraction_elimination():
+    kinds = set()
+    for m in _oracle_matrices():
+        red, piv = m.rref()
+        ref_red, ref_piv = fraction_rref(m)
+        assert (red, piv) == (ref_red, ref_piv)
+        assert all(type(v) is QQ for row in red.data for v in row)
+        assert m.rank() == ref_red.nrows
+        ref_null = []
+        for fc in (c for c in range(m.ncols) if c not in ref_piv):
+            v = [Q0] * m.ncols
+            v[fc] = Q1
+            for row, pc in zip(ref_red.data, ref_piv):
+                v[pc] = -row[fc]
+            ref_null.append(tuple(v))
+        assert m.nullspace() == ref_null
+        rank = ref_red.nrows
+        kinds.add("empty" if not m.nrows * m.ncols else
+                  "zero" if rank == 0 else
+                  "full" if rank == min(m.nrows, m.ncols) else "deficient")
+    assert kinds == {"empty", "zero", "full", "deficient"}
+
+
 def test_basic_ops():
     a = Mat([[1, 2], [3, 4]])
     b = Mat([[0, 1], [1, 0]])
@@ -59,7 +137,7 @@ def test_quotient_space():
 def test_induced_quotient_map():
     src = QuotientSpace(2, [[1, -1]])
     dst = QuotientSpace(2, [[1, -1]])
-    swap = Mat([[0, 1], [1, 0]])
+    swap = [{1: 1}, {0: 1}]   # the images of the two source coordinates
     ind = induced_quotient_map(src, dst, swap)
     assert ind == Mat.identity(1)
     bad_dst = QuotientSpace(2, [])

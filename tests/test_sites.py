@@ -530,3 +530,33 @@ def test_site_cache_races_build_identical_sites(cyl_ctx):
         assert site.hom == (ref.local_hom if site.localized
                             else ref.plain_hom)
         assert (site.cauchy, site.disjoint) == (ref.cauchy, ref.disjoint)
+
+
+def test_universe_is_enumerated_once_per_key(monkeypatch, cyl):
+    import latticehk.checks as checks
+    calls = []
+    real = checks.enumerate_universe
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "enumerate_universe", counting)
+    ctx = checks.RunContext(M=cyl, seed=7,
+                            universe_cfg={"compactness": "rc",
+                                          "t_range": [0, 2],
+                                          "max_height": 2})
+    uni = ctx.universe("rc")
+    assert isinstance(uni, tuple)
+    assert ctx.universe("rc") is uni
+    assert ctx.site().objects == ctx.site(localized=True).objects
+    assert len(calls) == 1
+    # another compactness or another override is another enumeration
+    assert ctx.universe("rc", t_range=[0, 1]) is not uni
+    assert ctx.universe("copen") is not uni
+    assert len(calls) == 3
+    assert ctx.universe("rc", t_range=(0, 1)) is \
+        ctx.universe("rc", t_range=[0, 1])
+    assert len(calls) == 3
+    assert uni == tuple(real(cyl, compactness="rc", t_range=(0, 2),
+                             max_height=2))
