@@ -1,9 +1,11 @@
 """Check registry: every verification the workbench can run, keyed by a
-stable id and bound to a claim label and an expected verdict class.
+stable id and bound to a claim label.
 
 Each runner takes a resolved :class:`RunContext` plus per-check options and
-returns a list of :class:`~latticehk.descent.CheckRecord`.  Checks are pure;
-the CLI and the acceptance suite execute them through the same registry.
+returns a list of :class:`~latticehk.descent.CheckRecord`.  A runner is
+declared once, by :func:`register`, which also names the claim of each record
+it emits.  Checks are pure; the CLI and the acceptance suite execute them
+through the same registry.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                        check_loc_morphism, check_D_stable_image,
                        verify_development_restriction,
                        verify_development_confined, WindowTooSmallError)
-from .kleingordon import (KgContext, KgError, apply_P, field_clean, green,
-                          pairing, propagator, pushforward_matrix)
+from .kleingordon import (KgContext, KgError, apply_P, field_add,
+                          field_clean, green, pairing, propagator,
+                          pushforward_matrix)
 from .nets import (build_indicator, build_kg_aqft, check_time_slice,
                    count_nat_transforms, epsilon_iso_check, make_predicate,
                    pullback_indicator, PointFamily, verify_point,
@@ -53,6 +56,31 @@ UNIVERSE_KEYS = ("x_range", "t_range", "max_height", "diamonds",
                  "strict_diamonds", "slabs", "min_slab_height", "hull_count",
                  "max_hull_seed", "seed", "cap")
 
+# the verdict every record is expected to carry unless a scenario's "expect"
+# block says otherwise; a skip is accepted in its place
+EXPECTED = "pass"
+
+# check id -> runner, filled by @register
+REGISTRY: dict[str, Callable] = {}
+# record id -> claim label, for every record a runner may emit
+CLAIM_OF: dict[str, str] = {}
+
+
+def register(check_id: str, claim: str, flavors: tuple = (),
+             companions: Optional[dict] = None):
+    """Register the decorated runner under ``check_id`` and return it
+    unchanged.  The records ``check_id`` and ``check_id-<flavor>`` carry
+    ``claim``; ``companions`` maps the ids of further records the runner
+    emits to their own claims."""
+    def deco(runner: Callable) -> Callable:
+        REGISTRY[check_id] = runner
+        CLAIM_OF[check_id] = claim
+        for flavor in flavors:
+            CLAIM_OF[f"{check_id}-{flavor}"] = claim
+        CLAIM_OF.update(companions or {})
+        return runner
+    return deco
+
 
 @dataclass
 class RunContext:
@@ -61,15 +89,16 @@ class RunContext:
     M: LatticeSpacetime
     seed: int = 0
     universe_cfg: dict = field(default_factory=dict)
-    covers: list = field(default_factory=list)
     aqft_cfg: dict = field(default_factory=dict)
-    regions: dict = field(default_factory=dict)
     # sites built in this run, keyed by (M, compactness, frozenset(objects))
     sites: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
     # universes enumerated in this run, keyed by (M, compactness, keywords)
     universes: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+    # Klein-Gordon contexts of this run, keyed by (M, mass2)
+    kgs: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False)
 
     def rng(self, salt: str = "") -> random.Random:
         return random.Random(f"{self.seed}:{salt}")
@@ -79,6 +108,13 @@ class RunContext:
                    "window": self.M.window, "seed": self.seed,
                    "universe": self.universe_cfg, "extra": extra}
         return make_digest(payload)
+
+    def record(self, rec_id: str, verdict: str, witness=None,
+               extra=None) -> CheckRecord:
+        """A record with its registered claim and this run's digest, salted
+        by ``extra``."""
+        return CheckRecord(rec_id, CLAIM_OF[rec_id], verdict, witness,
+                           self.digest(extra))
 
     def universe(self, compactness: str, M: Optional[LatticeSpacetime] = None,
                  **overrides) -> tuple[Region, ...]:
@@ -117,6 +153,16 @@ class RunContext:
                                                   localized)
         return site.relocalized(localized)
 
+    def kg(self, M: Optional[LatticeSpacetime] = None) -> KgContext:
+        """The Klein-Gordon context over ``M`` (the scenario's spacetime by
+        default) at the configured mass squared, built once per run so that
+        the checks share its generator spaces."""
+        M = self.M if M is None else M
+        key = (M, QQ(str(self.aqft_cfg.get("mass2", "1/4"))))
+        if key not in self.kgs:
+            self.kgs[key] = KgContext(*key)
+        return self.kgs[key]
+
     def zone_points(self):
         cfg = self.universe_cfg
         tr = tuple(cfg.get("t_range", self.M.window))
@@ -154,17 +200,48 @@ def seeded_hulls(M: LatticeSpacetime, zone, rng, count, max_seed=4):
     return out
 
 
+def largest_first(site: SiteCategory, min_height: int = 0) -> list[Region]:
+    """The explicit objects of ``site`` whose last row is at least
+    ``min_height`` rows after their first, largest first."""
+    return sorted((r for r in site.objects if not r.is_full and
+                   r.t_range()[1] - r.t_range()[0] >= min_height),
+                  key=lambda r: -len(r.pts))
+
+
+def halves(M, pts, mid: int, overlap: int) -> tuple[Region, Region]:
+    """The points of ``pts`` at or below row ``mid + overlap`` and those at
+    or above row ``mid - overlap``."""
+    return (region_points(M, [p for p in pts if p[0] <= mid + overlap]),
+            region_points(M, [p for p in pts if p[0] >= mid - overlap]))
+
+
 def band_covers(M, U: Region, overlap=2):
     """Time-band covers of an explicit region with the given overlap."""
     t0, t1 = U.t_range()
     if t1 - t0 < 2:
         return []
-    mid = (t0 + t1) // 2
-    hi = min(mid + overlap, t1)
-    lo = max(mid - overlap, t0)
-    p1 = region_points(M, [p for p in U.pts if p[0] <= hi])
-    p2 = region_points(M, [p for p in U.pts if p[0] >= lo])
-    return [Cover(U, (p1, p2))]
+    return [Cover(U, halves(M, U.pts, (t0 + t1) // 2, overlap))]
+
+
+def refine_by_halves(M, cov: Cover) -> tuple[Cover, dict]:
+    """The cover whose pieces are the halves (overlap one) of the pieces of
+    ``cov`` spanning three rows or more, and the others unchanged, with the
+    map from its pieces to the pieces of ``cov`` they refine."""
+    pieces, alpha = [], {}
+    for i, piece in enumerate(cov.pieces):
+        a, b = piece.t_range()
+        for sub in ((piece,) if b - a < 2 else
+                    halves(M, piece.pts, (a + b) // 2, 1)):
+            alpha[len(pieces)] = i
+            pieces.append(sub)
+    return Cover(cov.base, tuple(pieces), zone=cov.zone), alpha
+
+
+def point_cover(M, zone: Region) -> Cover:
+    """The cover of the whole spacetime by the single points of ``zone``."""
+    return Cover(region_full(M),
+                 tuple(region_points(M, [p]) for p in sorted(zone.pts)),
+                 zone=zone)
 
 
 def column_cover(M, zone_slab: Region, step=1):
@@ -190,24 +267,14 @@ def tall_diamond_cover(M, zone_slab: Region, height=4):
     return Cover(region_full(M), tuple(pieces), zone=zone_slab)
 
 
-def small_diamond_cover(M, zone_slab: Region):
-    """D-stable cover by height-four strict diamonds around every site."""
-    t0, t1 = zone_slab.t_range()
-    pieces = []
-    for t in range(t0, t1 + 1):
-        for x in range(M.circumference):
-            pieces.append(region_strict_diamond(M, (t - 2, x), (t + 2, x)))
-    return Cover(region_full(M), tuple(pieces), zone=zone_slab)
-
-
 # ---------------------------------------------------------------------------
 # causality checks
 # ---------------------------------------------------------------------------
 
 
+@register("causality.cone-lightcone", "unit-slope-lattice-lightcones")
 def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
     M = ctx.M
-    recs = []
     if M.kind == "plane":
         c = cone(M, region_points(M, [(0, 0)]), "future", False, 4)
         want = {(t, x) for t in range(0, 5) for x in range(-t, t + 1)}
@@ -219,11 +286,7 @@ def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
         c3 = cone(M, region_points(M, [(0, 0)]), "future", False, 3)
         slice3 = {p for p in c3.pts if p[0] == 3}
         ok = len(slice3) == M.circumference
-    recs.append(CheckRecord("causality.cone-lightcone",
-                            "unit-slope-lattice-lightcones",
-                            "pass" if ok else "fail",
-                            digest=ctx.digest()))
-    return recs
+    return [ctx.record("causality.cone-lightcone", "pass" if ok else "fail")]
 
 
 def _brute_causal(M, p, q) -> bool:
@@ -260,6 +323,14 @@ def _brute_development(M, upts: frozenset, box) -> frozenset:
                      if p in upts or not (esc(p, True) and esc(p, False)))
 
 
+@register("causality.development-vs-double-complement",
+          "development-equals-double-complement-for-rc-causally-convex",
+          companions={
+              "causality.development-inside-double-complement":
+                  "development-inside-double-complement",
+              "causality.divergence-brute-confirmed":
+                  "double-complement-divergences-confirmed-by-path-"
+                  "enumeration"})
 def check_development_vs_double_complement(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone_points()
@@ -278,20 +349,16 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
             incl_bad += 1
         if D != DC:
             mism.append((U, D, DC))
-    recs = [CheckRecord(
+    recs = [ctx.record(
         "causality.development-vs-double-complement",
-        "development-equals-double-complement-for-rc-causally-convex",
         "pass" if not mism else "fail",
-        witness=None if not mism else {
+        None if not mism else {
             "corpus": len(corpus), "mismatches": len(mism),
             "example": sorted(mism[0][0].pts)},
-        digest=ctx.digest({"corpus": len(corpus)}))]
-    recs.append(CheckRecord(
-        "causality.development-inside-double-complement",
-        "development-inside-double-complement",
-        "pass" if incl_bad == 0 else "fail",
-        witness=None if not incl_bad else {"violations": incl_bad},
-        digest=ctx.digest()))
+        {"corpus": len(corpus)}),
+        ctx.record("causality.development-inside-double-complement",
+                   "pass" if incl_bad == 0 else "fail",
+                   None if not incl_bad else {"violations": incl_bad})]
     # brute-force confirmation on a few divergent instances: the divergence
     # is a property of the lattice, not of the mask engine
     confirmed = True
@@ -318,23 +385,26 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
         if {p for p in inner if p in bdc} != {p for p in inner
                                               if p in got_dc}:
             confirmed = False
-    recs.append(CheckRecord(
+    recs.append(ctx.record(
         "causality.divergence-brute-confirmed",
-        "double-complement-divergences-confirmed-by-path-enumeration",
         "pass" if confirmed else "fail",
-        witness={"divergent": len(mism),
-                 "brute_checked": min(len(mism),
-                                      int(opts.get("brute", 2)))},
-        digest=ctx.digest()))
+        {"divergent": len(mism),
+         "brute_checked": min(len(mism), int(opts.get("brute", 2)))}))
     return recs
 
 
+@register("causality.development-props",
+          "development-idempotent-monotone-hull-stable")
 def check_development_properties(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone_points()
     rng = ctx.rng("devprops")
+    corpus = seeded_hulls(M, zone, rng, int(opts.get("count", 30)))
+    if not corpus:
+        return [ctx.record("causality.development-props", "skip",
+                           {"reason": "no hull drawn", "count": 0})]
     ok_idem = ok_mono = ok_hull = True
-    for U in seeded_hulls(M, zone, rng, int(opts.get("count", 30))):
+    for U in corpus:
         D = cauchy_development(M, U)
         if not D.is_full:
             if cauchy_development(M, D) != D:
@@ -347,12 +417,12 @@ def check_development_properties(ctx: RunContext, opts):
         H = hull(M, U)
         if hull(M, H) != H or not H.is_relatively_compact:
             ok_hull = False
-    return [CheckRecord("causality.development-props",
-                        "development-idempotent-monotone-hull-stable",
-                        "pass" if ok_idem and ok_mono and ok_hull else "fail",
-                        digest=ctx.digest())]
+    return [ctx.record("causality.development-props",
+                       "pass" if ok_idem and ok_mono and ok_hull else "fail")]
 
 
+@register("causality.strict-diamonds-d-stable",
+          "strict-diamonds-are-d-stable-causally-convex")
 def check_strict_diamonds(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone_points()
@@ -370,13 +440,13 @@ def check_strict_diamonds(ctx: RunContext, opts):
             if not (is_causally_convex(M, V) and V.is_relatively_compact
                     and is_D_stable(M, V)):
                 bad += 1
-    return [CheckRecord("causality.strict-diamonds-d-stable",
-                        "strict-diamonds-are-d-stable-causally-convex",
-                        "pass" if bad == 0 and total else "fail",
-                        witness={"total": total, "bad": bad},
-                        digest=ctx.digest())]
+    return [ctx.record("causality.strict-diamonds-d-stable",
+                       "pass" if bad == 0 and total else "fail",
+                       {"total": total, "bad": bad})]
 
 
+@register("causality.disjointness-hereditary",
+          "causal-disjointness-passes-to-subregions")
 def check_disjointness_hereditary(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone_points()
@@ -397,13 +467,13 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
                                          max(1, len(U2.pts) // 2)))
         if not are_causally_disjoint(M, s1, s2):
             ok = False
-    return [CheckRecord("causality.disjointness-hereditary",
-                        "causal-disjointness-passes-to-subregions",
-                        "pass" if ok and found else "fail",
-                        witness={"instances": found},
-                        digest=ctx.digest())]
+    return [ctx.record("causality.disjointness-hereditary",
+                       "pass" if ok and found else "fail",
+                       {"instances": found})]
 
 
+@register("causality.cauchy-union-property",
+          "cauchy-extension-unions-stay-causally-convex")
 def check_cauchy_union_property(ctx: RunContext, opts):
     """For a Cauchy inclusion U <= U' and any U <= V (all causally convex),
     the union U' | V is causally convex and V <= U' | V is Cauchy."""
@@ -430,14 +500,14 @@ def check_cauchy_union_property(ctx: RunContext, opts):
             continue
         if not is_cauchy_morphism(M, V, union):
             bad += 1
-    return [CheckRecord("causality.cauchy-union-property",
-                        "cauchy-extension-unions-stay-causally-convex",
-                        "pass" if found and bad == 0 else
-                        ("skip" if not found else "fail"),
-                        witness={"instances": found, "bad": bad},
-                        digest=ctx.digest())]
+    return [ctx.record("causality.cauchy-union-property",
+                       "pass" if found and bad == 0 else
+                       ("skip" if not found else "fail"),
+                       {"instances": found, "bad": bad})]
 
 
+@register("causality.d-stable-neighborhood-sweep",
+          "d-stable-neighborhoods-exist-inside-any-region")
 def check_d_stable_neighborhoods(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone_points()
@@ -448,11 +518,8 @@ def check_d_stable_neighborhoods(ctx: RunContext, opts):
         if not (p in V.pts and U.contains(V) and is_D_stable(M, V)
                 and is_causally_convex(M, V)):
             ok = False
-    return [CheckRecord("causality.d-stable-neighborhood-sweep",
-                        "d-stable-neighborhoods-exist-inside-any-region",
-                        "pass" if ok else "fail",
-                        witness={"points": len(U.pts)},
-                        digest=ctx.digest())]
+    return [ctx.record("causality.d-stable-neighborhood-sweep",
+                       "pass" if ok else "fail", {"points": len(U.pts)})]
 
 
 def _translation_embeddings(ctx: RunContext, count: int = 12):
@@ -466,30 +533,35 @@ def _translation_embeddings(ctx: RunContext, count: int = 12):
             for (dt, dx) in shifts[:count]]
 
 
+def _diamond_source(M: LatticeSpacetime) -> LatticeSpacetime:
+    """The bounded sub-lattice over the diamond from (0, 0) to (4, 0) of the
+    plane, or to (3, 1) of a cylinder."""
+    top = (4, 0) if M.kind == "plane" else (3, 1)
+    return bounded_spacetime(M.unbounded(),
+                             region_diamond(M, (0, 0), top).pts)
+
+
 def _bounded_embeddings(ctx: RunContext):
     """Sub-lattice inclusions and wraps.  Their intrinsic path structure has
     a reflecting boundary, so developments computed inside them only bound
     the ambient ones from above; the checks below assert exactly that."""
     M = ctx.M
-    out = []
+    sub = _diamond_source(M)
     if M.kind == "plane":
-        dia = region_diamond(M, (0, 0), (4, 0))
-        sub = bounded_spacetime(M.unbounded(), dia.pts)
-        out.append(("restrict-diamond", LatticeEmbedding(sub, M, 0, 0)))
-        out.append(("restrict-translate", LatticeEmbedding(sub, M, 1, 2)))
-    else:
-        P = LatticeSpacetime("plane", M.window)
-        strip = hull(P, region_points(
-            P, [(t, x) for t in range(0, 3)
-                for x in range(0, max(2, M.circumference - 3))]))
-        sub = bounded_spacetime(P, strip.pts)
-        out.append(("wrap-strip", LatticeEmbedding(sub, M, 0, 1)))
-        dia = region_diamond(M, (0, 0), (3, 1))
-        subc = bounded_spacetime(M.unbounded(), dia.pts)
-        out.append(("restrict-diamond", LatticeEmbedding(subc, M, 1, 0)))
-    return out
+        return [("restrict-diamond", LatticeEmbedding(sub, M, 0, 0)),
+                ("restrict-translate", LatticeEmbedding(sub, M, 1, 2))]
+    P = LatticeSpacetime("plane", M.window)
+    strip = hull(P, region_points(
+        P, [(t, x) for t in range(0, 3)
+            for x in range(0, max(2, M.circumference - 3))]))
+    return [("wrap-strip",
+             LatticeEmbedding(bounded_spacetime(P, strip.pts), M, 0, 1)),
+            ("restrict-diamond", LatticeEmbedding(sub, M, 1, 0))]
 
 
+@register("causality.embedding-development-lemmas",
+          "development-commutes-with-embeddings-and-stays-in-d-stable-"
+          "images")
 def check_embedding_lemmas(ctx: RunContext, opts):
     """Development commutes with faithful (translation) embeddings exactly;
     for bounded sub-lattice sources only the outer bound survives (their
@@ -535,17 +607,22 @@ def check_embedding_lemmas(ctx: RunContext, opts):
                 n_d2 += 1
                 if not verify_development_confined(f, U):
                     bad_d2 += 1
-    verdict = "pass" if bad_eq == bad_incl == bad_d2 == 0 else "fail"
-    return [CheckRecord("causality.embedding-development-lemmas",
-                        "development-commutes-with-embeddings-and-stays-in-"
-                        "d-stable-images", verdict,
-                        witness={"equality_instances": n_eq,
-                                 "bounded_inclusion_instances": n_incl,
-                                 "confinement_instances": n_d2,
-                                 "bad": bad_eq + bad_incl + bad_d2},
-                        digest=ctx.digest())]
+    witness = {"equality_instances": n_eq,
+               "bounded_inclusion_instances": n_incl,
+               "confinement_instances": n_d2,
+               "bad": bad_eq + bad_incl + bad_d2}
+    if witness["bad"]:
+        verdict = "fail"
+    elif n_eq + n_incl:
+        verdict = "pass"
+    else:
+        verdict, witness = "skip", {"reason": "no region drawn", **witness}
+    return [ctx.record("causality.embedding-development-lemmas", verdict,
+                       witness)]
 
 
+@register("causality.stabilization",
+          "window-doubling-leaves-stable-results-unchanged")
 def check_stabilization(ctx: RunContext, opts):
     M = ctx.M
 
@@ -564,12 +641,12 @@ def check_stabilization(ctx: RunContext, opts):
         cauchy_development(tight, region_points(tight, wide.pts))
     except WindowTooSmallError:
         caught = True
-    return [CheckRecord("causality.stabilization",
-                        "window-doubling-leaves-stable-results-unchanged",
-                        "pass" if ok and caught else "fail",
-                        digest=ctx.digest())]
+    return [ctx.record("causality.stabilization",
+                       "pass" if ok and caught else "fail")]
 
 
+@register("causality.cauchy-morphism-equivalence",
+          "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces")
 def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     """Ambient Cauchy morphisms always contain an intrinsic Cauchy surface
     of their codomain, and for the whole spacetime as codomain the two
@@ -606,13 +683,10 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
                 rhs = contains_cauchy_surface_of(M, U, full)
                 if lhs != rhs:
                     full_ok = False
-    return [CheckRecord("causality.cauchy-morphism-equivalence",
-                        "ambient-cauchy-morphisms-contain-intrinsic-cauchy-"
-                        "surfaces",
-                        "pass" if found and bad == 0 and full_ok else "fail",
-                        witness={"instances": found, "bad": bad,
-                                 "intrinsic_only": converse_gap},
-                        digest=ctx.digest())]
+    return [ctx.record("causality.cauchy-morphism-equivalence",
+                       "pass" if found and bad == 0 and full_ok else "fail",
+                       {"instances": found, "bad": bad,
+                        "intrinsic_only": converse_gap})]
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +694,8 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
 # ---------------------------------------------------------------------------
 
 
+@register("site.localization-oracle",
+          "localized-homs-match-zigzag-saturation")
 def check_localization_oracle(ctx: RunContext, opts):
     """Closed-form localized morphisms against the zigzag-saturation oracle
     on seeded witness-closed universes."""
@@ -628,6 +704,10 @@ def check_localization_oracle(ctx: RunContext, opts):
     rng = ctx.rng("locoracle")
     rounds = int(opts.get("universes", 5))
     per = int(opts.get("regions", 12))
+    if not rounds:
+        return [ctx.record("site.localization-oracle", "skip",
+                           {"reason": "no universe drawn", "universes": 0},
+                           {"universes": 0})]
     mismatches = 0
     sizes = []
     for _ in range(rounds):
@@ -639,14 +719,16 @@ def check_localization_oracle(ctx: RunContext, opts):
         mismatches += len(mism)
         if not check_localization_functor(psite):
             mismatches += 1
-    return [CheckRecord("site.localization-oracle",
-                        "localized-homs-match-zigzag-saturation",
-                        "pass" if mismatches == 0 else "fail",
-                        witness={"universes": rounds, "sizes": sizes,
-                                 "mismatches": mismatches},
-                        digest=ctx.digest({"universes": rounds}))]
+    return [ctx.record("site.localization-oracle",
+                       "pass" if mismatches == 0 else "fail",
+                       {"universes": rounds, "sizes": sizes,
+                        "mismatches": mismatches},
+                       {"universes": rounds})]
 
 
+@register("site.localized-embedding-functors",
+          "localized-embedding-functors-fully-faithful-orthogonality-"
+          "reflecting")
 def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
@@ -665,12 +747,9 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
         if not (F.fully_faithful() and F.preserves_orthogonality()
                 and F.reflects_orthogonality()):
             bad += 1
-    return [CheckRecord("site.localized-embedding-functors",
-                        "localized-embedding-functors-fully-faithful-"
-                        "orthogonality-reflecting",
-                        "pass" if bad == 0 and total >= 10 else "fail",
-                        witness={"embeddings": total, "bad": bad},
-                        digest=ctx.digest())]
+    return [ctx.record("site.localized-embedding-functors",
+                       "pass" if bad == 0 and total >= 10 else "fail",
+                       {"embeddings": total, "bad": bad})]
 
 
 def _covers_for_site(ctx: RunContext, site: SiteCategory, localized: bool,
@@ -678,8 +757,7 @@ def _covers_for_site(ctx: RunContext, site: SiteCategory, localized: bool,
     """A deterministic family of covers suitable for the flavor."""
     M = ctx.M
     out = []
-    explicit = [r for r in site.objects if not r.is_full]
-    candidates = sorted(explicit, key=lambda r: -len(r.pts))
+    candidates = largest_first(site)
     if not localized:
         for U in candidates[: 3 * count]:
             out.extend(band_covers(M, U))
@@ -728,6 +806,11 @@ def _diamond_cover_of_diamond(M, U: Region):
     return Cover(U, tuple(pieces))
 
 
+@register("site.precostack-instances",
+          "cover-functors-fully-faithful-and-orthogonality-reflecting",
+          companions={"site.localized-refusal":
+                      "localized-cover-categories-refuse-non-d-stable-"
+                      "covers"})
 def check_precostack_instances(ctx: RunContext, opts):
     """Cover functors are fully faithful and reflect orthogonality, plain
     flavor with arbitrary causally convex covers and localized flavor with
@@ -768,53 +851,35 @@ def check_precostack_instances(ctx: RunContext, opts):
             CoverCategory(site, bad_cover)
         except SiteError:
             refused = True
-    return [CheckRecord("site.precostack-instances",
-                        "cover-functors-fully-faithful-and-orthogonality-"
-                        "reflecting",
-                        "pass" if bad == 0 and min(results.values()) > 0
-                        else "fail",
-                        witness={**results, "bad": bad},
-                        digest=ctx.digest()),
-            CheckRecord("site.localized-refusal",
-                        "localized-cover-categories-refuse-non-d-stable-"
-                        "covers",
-                        "pass" if refused else (
-                            "skip" if bad_cover is None else "fail"),
-                        digest=ctx.digest())]
+    return [ctx.record("site.precostack-instances",
+                       "pass" if bad == 0 and min(results.values()) > 0
+                       else "fail", {**results, "bad": bad}),
+            ctx.record("site.localized-refusal",
+                       "pass" if refused else (
+                           "skip" if bad_cover is None else "fail"))]
 
 
+@register("site.refinement-functors", "refinement-functors-fully-faithful")
 def check_refinements(ctx: RunContext, opts):
-    M = ctx.M
     site = ctx.site(localized=False)
     bad, total = 0, 0
     for cov in _covers_for_site(ctx, site, False, int(opts.get("count", 6))):
-        U = cov.base
-        t0, t1 = U.t_range()
+        t0, t1 = cov.base.t_range()
         if t1 - t0 < 3:
             continue
-        fine_pieces = []
-        alpha = {}
-        for i, piece in enumerate(cov.pieces):
-            a, b = piece.t_range()
-            mid = (a + b) // 2
-            lo = region_points(M, [p for p in piece.pts if p[0] <= mid + 1])
-            hi = region_points(M, [p for p in piece.pts if p[0] >= mid - 1])
-            for sub in (lo, hi):
-                alpha[len(fine_pieces)] = i
-                fine_pieces.append(sub)
-        fine = Cover(U, tuple(fine_pieces), zone=cov.zone)
+        fine, alpha = refine_by_halves(ctx.M, cov)
         F = refinement_functor(site, fine, cov, alpha)
         total += 1
         if not (F.is_functor() and F.fully_faithful()
                 and F.reflects_orthogonality()):
             bad += 1
-    return [CheckRecord("site.refinement-functors",
-                        "refinement-functors-fully-faithful",
-                        "pass" if bad == 0 and total else "fail",
-                        witness={"instances": total, "bad": bad},
-                        digest=ctx.digest())]
+    return [ctx.record("site.refinement-functors",
+                       "pass" if bad == 0 and total else "fail",
+                       {"instances": total, "bad": bad})]
 
 
+@register("site.extend-cover",
+          "extended-covers-satisfy-the-restriction-property")
 def check_cover_extension(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("extend")
@@ -829,34 +894,30 @@ def check_cover_extension(ctx: RunContext, opts):
         zone = region_diamond(M, (tr[0] - (xr[1] - xr[0]), xc),
                               (tr[0] - (xr[1] - xr[0]) + h, xc))
         xs = range(xr[0], xr[1] + 1)
+    covers = {"plain": Cover(region_full(M),
+                             halves(M, zone.pts, (tr[0] + tr[1]) // 2, 1),
+                             zone=zone)}
+    if M.kind == "cylinder":
+        covers["D_stable"] = column_cover(M, zone, step=1)
+    else:
+        pieces = []
+        covered = set()
+        for p in sorted(zone.pts):
+            if p in covered:
+                continue
+            up = (p[0] + 1, p[1])
+            pc = [p, up] if up in zone.pts else [p]
+            pieces.append(region_points(M, pc))
+            covered.update(pc)
+        covers["D_stable"] = Cover(region_full(M), tuple(pieces), zone=zone)
     count = int(opts.get("count", 10))
     done = {"plain": 0, "D_stable": 0}
     bad = 0
     embeddings = [LatticeEmbedding(M, M, 0, 0),
                   LatticeEmbedding(M, M, 1, 2)]
-    for mode in ("plain", "D_stable"):
+    for mode, cov in covers.items():
         for f in embeddings:
             for _ in range(count):
-                if mode == "plain":
-                    mid = (tr[0] + tr[1]) // 2
-                    p1 = region_points(M, [p for p in zone.pts
-                                           if p[0] <= mid + 1])
-                    p2 = region_points(M, [p for p in zone.pts
-                                           if p[0] >= mid - 1])
-                    cov = Cover(region_full(M), (p1, p2), zone=zone)
-                elif M.kind == "cylinder":
-                    cov = column_cover(M, zone, step=1)
-                else:
-                    pieces = []
-                    covered = set()
-                    for p in sorted(zone.pts):
-                        if p in covered:
-                            continue
-                        up = (p[0] + 1, p[1])
-                        pc = [p, up] if up in zone.pts else [p]
-                        pieces.append(region_points(M, pc))
-                        covered.update(pc)
-                    cov = Cover(region_full(M), tuple(pieces), zone=zone)
                 t = rng.randint(tr[0], tr[1] - 2)
                 x = rng.choice(list(xs))
                 U = region_points(M, [(t, x), (t + 1, x)])
@@ -865,23 +926,24 @@ def check_cover_extension(ctx: RunContext, opts):
                     done[mode] += 1
                 except SiteError:
                     bad += 1
-    return [CheckRecord("site.extend-cover",
-                        "extended-covers-satisfy-the-restriction-property",
-                        "pass" if bad == 0 and all(done.values()) else "fail",
-                        witness={**done, "bad": bad},
-                        digest=ctx.digest())]
+    return [ctx.record("site.extend-cover",
+                       "pass" if bad == 0 and all(done.values()) else "fail",
+                       {**done, "bad": bad})]
 
 
+@register("site.cover-intersections",
+          "overlaps-inherit-convexity-and-d-stability")
 def check_cover_intersection_props(ctx: RunContext, opts):
     site = ctx.site(localized=False)
     covers = _covers_for_site(ctx, site, False, 4)
     if ctx.M.kind == "cylinder":
         tr = ctx.universe_cfg.get("t_range", ctx.M.window)
         covers.append(column_cover(ctx.M, region_slab(ctx.M, tr[0], tr[1])))
+    if not covers:
+        return [ctx.record("site.cover-intersections", "skip",
+                           {"reason": "no cover built", "covers": 0})]
     ok = all(check_cover_intersections(c) for c in covers)
-    return [CheckRecord("site.cover-intersections",
-                        "overlaps-inherit-convexity-and-d-stability",
-                        "pass" if ok else "fail", digest=ctx.digest())]
+    return [ctx.record("site.cover-intersections", "pass" if ok else "fail")]
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +951,7 @@ def check_cover_intersection_props(ctx: RunContext, opts):
 # ---------------------------------------------------------------------------
 
 
+@register("algebra.hom-counts", "split-table-hom-counts")
 def check_hom_counts(ctx: RunContext, opts):
     from .algebra import INITIAL
     got = (count_homs(INITIAL, INITIAL),
@@ -896,13 +959,12 @@ def check_hom_counts(ctx: RunContext, opts):
            count_homs(QPower(2), QPower(1)),
            count_homs(QPower(3), QPower(2)))
     ok = got == (1, 4, 2, 9)
-    return [CheckRecord("algebra.hom-counts",
-                        "split-table-hom-counts",
-                        "pass" if ok else "fail",
-                        witness={"counts": list(got)},
-                        digest=ctx.digest())]
+    return [ctx.record("algebra.hom-counts", "pass" if ok else "fail",
+                       {"counts": list(got)})]
 
 
+@register("algebra.two-valued-colimit",
+          "two-valued-colimits-satisfy-the-universal-property")
 def check_two_valued_colimit(ctx: RunContext, opts):
     from .algebra import INITIAL
     A = QPower(2)
@@ -923,13 +985,13 @@ def check_two_valued_colimit(ctx: RunContext, opts):
             got = count_homs_from_value(colim, T)
             if want != got:
                 bad += 1
-    return [CheckRecord("algebra.two-valued-colimit",
-                        "two-valued-colimits-satisfy-the-universal-property",
-                        "pass" if bad == 0 else "fail",
-                        witness={"diagrams": len(diagrams), "bad": bad},
-                        digest=ctx.digest())]
+    return [ctx.record("algebra.two-valued-colimit",
+                       "pass" if bad == 0 else "fail",
+                       {"diagrams": len(diagrams), "bad": bad})]
 
 
+@register("algebra.degree2-ideal-principle",
+          "degree-two-ideal-membership-equals-span-membership")
 def check_degree2_ideal_principle(ctx: RunContext, opts):
     """Span membership in the wedge+scalar calculus equals membership in the
     brute-force truncated two-sided ideal (degree 4 closure, n <= 3) for
@@ -964,13 +1026,10 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
                 if in_span != in_ideal:
                     bad += 1
     verdict = "skip" if trials == 0 else "pass" if bad == 0 else "fail"
-    return [CheckRecord("algebra.degree2-ideal-principle",
-                        "degree-two-ideal-membership-equals-span-membership",
-                        verdict,
-                        witness={"trials": trials, "bad": bad,
-                                 "inconsistent": inconsistent,
-                                 "note": "oracle-validated assumption"},
-                        digest=ctx.digest())]
+    return [ctx.record("algebra.degree2-ideal-principle", verdict,
+                       {"trials": trials, "bad": bad,
+                        "inconsistent": inconsistent,
+                        "note": "oracle-validated assumption"})]
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +1046,8 @@ def _algebra_from_cfg(cfg: dict) -> QPower:
     raise KeyError(f"unknown algebra literal {lit!r}")
 
 
+@register("net.indicator-time-slice",
+          "cauchy-stable-predicates-satisfy-time-slice")
 def check_indicator_time_slice(ctx: RunContext, opts):
     site = ctx.site(localized=False)
     pred_name = "contains_cauchy_surface"
@@ -1013,25 +1074,19 @@ def check_indicator_time_slice(ctx: RunContext, opts):
                                                  data=target),
                             QPower(2), check_functorial=False)
         negative_ok = not check_time_slice(B)
-    return [CheckRecord("net.indicator-time-slice",
-                        "cauchy-stable-predicates-satisfy-time-slice",
-                        "pass" if ok and negative_ok else "fail",
-                        digest=ctx.digest())]
+    return [ctx.record("net.indicator-time-slice",
+                       "pass" if ok and negative_ok else "fail")]
 
 
 def _prop310_setup(ctx: RunContext):
     """The additivity-violation instance: a bounded diamond source included
     in the ambient spacetime, with the image-detecting indicator."""
     N = ctx.M
+    Msrc = _diamond_source(N)
+    f = LatticeEmbedding(Msrc, N, 0, 0)
     if N.kind == "cylinder":
-        dia = region_diamond(N, (0, 0), (3, 1))
-        Msrc = bounded_spacetime(N.unbounded(), dia.pts)
-        f = LatticeEmbedding(Msrc, N, 0, 0)
         uniN = ctx.universe("copen")
     else:
-        dia = region_diamond(N, (0, 0), (4, 0))
-        Msrc = bounded_spacetime(N.unbounded(), dia.pts)
-        f = LatticeEmbedding(Msrc, N, 0, 0)
         uniN = ctx.universe("copen", x_range=ctx.universe_cfg.get(
             "x_range", (-2, 4)))
     img = f.image()
@@ -1041,6 +1096,8 @@ def _prop310_setup(ctx: RunContext):
     return f, siteM, siteN, img
 
 
+@register("net.epsilon-iso-violation",
+          "additivity-counit-not-stable-under-pullback")
 def check_epsilon_iso(ctx: RunContext, opts):
     f, siteM, siteN, img = _prop310_setup(ctx)
     A = build_indicator(siteN, make_predicate("contains_image", siteN,
@@ -1060,15 +1117,13 @@ def check_epsilon_iso(ctx: RunContext, opts):
     const_ok = all(epsilon_iso_check(const_A, k)
                    for k in siteN.object_keys())
     ok = pass_on_N and viol and expl_ok and const_ok
-    return [CheckRecord("net.epsilon-iso-violation",
-                        "additivity-counit-not-stable-under-pullback",
-                        "pass" if ok else "fail",
-                        witness={"passes_on_ambient": pass_on_N,
-                                 "pullback_fails_at_full": viol,
-                                 "explicit_values_initial": expl_ok},
-                        digest=ctx.digest())]
+    return [ctx.record("net.epsilon-iso-violation", "pass" if ok else "fail",
+                       {"passes_on_ambient": pass_on_N,
+                        "pullback_fails_at_full": viol,
+                        "explicit_values_initial": expl_ok})]
 
 
+@register("net.nat-transform-counts", "hom-counts-of-indicator-theories")
 def check_nat_transform_counts(ctx: RunContext, opts):
     site = ctx.site(compactness="copen", localized=False)
     A = build_indicator(site, make_predicate("equals_full", site), QPower(2))
@@ -1079,13 +1134,11 @@ def check_nat_transform_counts(ctx: RunContext, opts):
     Cinit = build_indicator(site, lambda U: False, QPower(2))
     c3 = count_nat_transforms(Cinit, Cinit)
     ok = (c1, c2, c3) == (4, 2, 1)
-    return [CheckRecord("net.nat-transform-counts",
-                        "hom-counts-of-indicator-theories",
-                        "pass" if ok else "fail",
-                        witness={"counts": [c1, c2, c3]},
-                        digest=ctx.digest())]
+    return [ctx.record("net.nat-transform-counts", "pass" if ok else "fail",
+                       {"counts": [c1, c2, c3]})]
 
 
+@register("net.pullback-functorial", "pullbacks-compose-on-the-nose")
 def check_pullback_functorial(ctx: RunContext, opts):
     """(g after f)^* equals f^* after g^* on the nose, over the universe
     S0 and its images S1 = f(S0) and S2 = g(S1)."""
@@ -1104,11 +1157,10 @@ def check_pullback_functorial(ctx: RunContext, opts):
     rhs = pullback_indicator(Ff, pullback_indicator(Fg, A))
     ok = Fgf.omap == {k: Fg.omap[j] for k, j in Ff.omap.items()} and \
         all(lhs.values[k] == rhs.values[k] for k in s0.object_keys())
-    return [CheckRecord("net.pullback-functorial",
-                        "pullbacks-compose-on-the-nose",
-                        "pass" if ok else "fail", digest=ctx.digest())]
+    return [ctx.record("net.pullback-functorial", "pass" if ok else "fail")]
 
 
+@register("net.point-family", "natural-families-cohere-and-reconstruct")
 def check_point_family(ctx: RunContext, opts):
     """A natural field-assignment family over bounded sub-lattices with
     inclusion and translation arrows; coherence and the terminal-evaluation
@@ -1122,13 +1174,10 @@ def check_point_family(ctx: RunContext, opts):
     and 2; the check skips there."""
     N = ctx.M.unbounded() if ctx.M.extent else ctx.M
     if N.kind != "cylinder":
-        return [CheckRecord("net.point-family",
-                            "natural-families-cohere-and-reconstruct", "skip",
-                            witness={"reason": "members must be cylinder "
-                                     "slabs; bounded plane diamonds funnel "
-                                     "maximal paths at their vertices"},
-                            digest=ctx.digest())]
-    m2 = QQ(str(ctx.aqft_cfg.get("mass2", "0")))
+        return [ctx.record("net.point-family", "skip",
+                           {"reason": "members must be cylinder slabs; "
+                            "bounded plane diamonds funnel maximal paths at "
+                            "their vertices"})]
     ext1 = region_slab(N, 0, 3).pts
     ext2 = region_slab(N, 1, 4).pts
     M1 = bounded_spacetime(N, ext1)
@@ -1136,7 +1185,7 @@ def check_point_family(ctx: RunContext, opts):
     i1 = LatticeEmbedding(M1, N, 0, 0)
     i2 = LatticeEmbedding(M2, N, 0, 0)
     g = LatticeEmbedding(M1, M2, 1, 1)
-    ctx1, ctx2, ctxN = KgContext(M1, m2), KgContext(M2, m2), KgContext(N, m2)
+    ctx1, ctx2, ctxN = ctx.kg(M1), ctx.kg(M2), ctx.kg(N)
     uni1 = enumerate_universe(M1, compactness="copen", cap=2000,
                               strict_diamonds=False)
     uni2 = enumerate_universe(M2, compactness="copen", cap=2000,
@@ -1189,13 +1238,10 @@ def check_point_family(ctx: RunContext, opts):
         compositions=(("g", "i2", "i2g"),))
     bad_verdicts = verify_point(fam_bad)
     neg_ok = not all(bad_verdicts.values())
-    return [CheckRecord("net.point-family",
-                        "natural-families-cohere-and-reconstruct",
-                        "pass" if ok and rt_ok and neg_ok else "fail",
-                        witness={"verdicts": verdicts,
-                                 "round_trip_iso": rt_ok,
-                                 "negative_control": neg_ok},
-                        digest=ctx.digest())]
+    return [ctx.record("net.point-family",
+                       "pass" if ok and rt_ok and neg_ok else "fail",
+                       {"verdicts": verdicts, "round_trip_iso": rt_ok,
+                        "negative_control": neg_ok})]
 
 
 # ---------------------------------------------------------------------------
@@ -1203,28 +1249,27 @@ def check_point_family(ctx: RunContext, opts):
 # ---------------------------------------------------------------------------
 
 
-def _kg_ctx(ctx: RunContext) -> KgContext:
-    m2 = QQ(str(ctx.aqft_cfg.get("mass2", "1/4")))
-    return KgContext(ctx.M, m2)
-
-
+@register("kg.field-identities",
+          "green-operators-invert-the-field-operator-with-causal-supports")
 def check_kg_field_identities(ctx: RunContext, opts):
     """P after G is the identity inside the horizon, supports stay in the
     cones, and the pairing is antisymmetric, degenerate on stencil images
     and zero on causally disjoint supports."""
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     rng = ctx.rng("kgfields")
     zone = ctx.zone_points()
     count = int(opts.get("count", 40))
     bad = {"green": 0, "support": 0, "antisym": 0, "degenerate": 0,
            "causal": 0}
+    fields = 0
     for _ in range(count):
         pts = rng.sample(zone, rng.randint(1, 3))
         phi = {p: QQ(rng.randint(-3, 3)) for p in pts}
         phi = field_clean(phi)
         if not phi:
             continue
+        fields += 1
         top = max(t for (t, _) in phi)
         stop = min(M.window[1], top + 6)
         gp = green(kg.cfg, phi, "retarded", t_stop=stop)
@@ -1248,17 +1293,18 @@ def check_kg_field_identities(ctx: RunContext, opts):
                                  region_points(M, psi)):
             if pairing(kg.cfg, phi, psi) != 0:
                 bad["causal"] += 1
-    ok = not any(bad.values())
-    return [CheckRecord("kg.field-identities",
-                        "green-operators-invert-the-field-operator-with-"
-                        "causal-supports",
-                        "pass" if ok else "fail",
-                        witness={"count": count, **bad},
-                        digest=ctx.digest())]
+    if not fields:
+        return [ctx.record("kg.field-identities", "skip",
+                           {"reason": "no nonzero field drawn",
+                            "count": count})]
+    return [ctx.record("kg.field-identities",
+                       "fail" if any(bad.values()) else "pass",
+                       {"count": count, **bad})]
 
 
+@register("kg.generator-spaces", "generator-quotients-carry-cauchy-data")
 def check_kg_generator_spaces(ctx: RunContext, opts):
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     ok = kg.space(region_points(M, [(0, 0)])).dim == 1
     if M.kind == "cylinder":
@@ -1269,21 +1315,20 @@ def check_kg_generator_spaces(ctx: RunContext, opts):
         ext = kg.extension(region_slab(M, 0, 1).pts,
                            region_slab(M, 0, 3).pts)
         ok = ok and ext.rank() == 2 * c
-    return [CheckRecord("kg.generator-spaces",
-                        "generator-quotients-carry-cauchy-data",
-                        "pass" if ok else "fail", digest=ctx.digest())]
+    return [ctx.record("kg.generator-spaces", "pass" if ok else "fail")]
 
 
+@register("kg.time-slice", "cauchy-inclusions-induce-isomorphisms")
 def check_kg_time_slice(ctx: RunContext, opts):
     """Extensions along Cauchy inclusions are isomorphisms; flat-cut maps
-    agree with extension-by-zero on plain inclusions; the two half-cuts sum
-    to zero as fields.
+    agree with extension-by-zero on plain inclusions; the two half-cuts of
+    a propagated field are the cut-row formula and its negative.
 
     A cylinder row is causally a Cauchy band but carries only half the
     leapfrog Cauchy data, so a universe holding one-row slabs is a
     configuration error (``KgError``); ``min_slab_height: 2`` excludes them.
     With no Cauchy pair in the universe (the plane) the check skips."""
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     site = ctx.site(compactness="rc", localized=False)
     if M.kind == "cylinder" and any(
@@ -1303,11 +1348,9 @@ def check_kg_time_slice(ctx: RunContext, opts):
             if ext.nrows != ext.ncols or ext.rank() != ext.nrows:
                 bad_iso += 1
     if n_iso == 0:
-        return [CheckRecord("kg.time-slice",
-                            "cauchy-inclusions-induce-isomorphisms", "skip",
-                            witness={"reason": "no Cauchy pair in the "
-                                     "universe", "cauchy_pairs": 0},
-                            digest=ctx.digest())]
+        return [ctx.record("kg.time-slice", "skip",
+                           {"reason": "no Cauchy pair in the universe",
+                            "cauchy_pairs": 0})]
     # flat-cut reduction on a plain localized pair
     bad_cut = 0
     if M.kind == "cylinder":
@@ -1320,51 +1363,51 @@ def check_kg_time_slice(ctx: RunContext, opts):
                 bad_cut += 1
         except Exception:
             bad_cut += 1
-        # the two half-cut images cancel as fields: P(chi+ G) + P(chi- G) = 0
-        phi = {(1, 0): Q1}
-        g = propagator(kg.cfg, phi, 2, 3)
-        w_plus = {}
-        for ((t, x), v) in g.items():
-            if t == 3:
-                w_plus[(2, x)] = -v
-            if t == 2:
-                w_plus[(3, x)] = v
-        g2 = propagator(kg.cfg, phi, 2, 3)
-        w_minus = {}
-        for ((t, x), v) in g2.items():
-            if t == 3:
-                w_minus[(2, x)] = v
-            if t == 2:
-                w_minus[(3, x)] = -v
-        from .kleingordon import field_add
-        if field_clean(field_add(w_plus, w_minus)):
+        # cut G phi between rows t* and t*+1: P(chi+ G phi) is the cut-row
+        # formula of timeslice_map, and P(chi- G phi) cancels it near the cut
+        # (G phi is truncated to rows 0..6, so both also act at those edges)
+        tstar = 2
+        g = propagator(kg.cfg, {(1, 0): Q1}, 0, 6)
+        plus = apply_P(kg.cfg, {p: v for p, v in g.items() if p[0] > tstar})
+        minus = apply_P(kg.cfg, {p: v for p, v in g.items()
+                                 if p[0] <= tstar})
+        formula = field_clean(
+            {**{(tstar, x): -v for (t, x), v in g.items() if t == tstar + 1},
+             **{(tstar + 1, x): v for (t, x), v in g.items() if t == tstar}})
+
+        def near(w):
+            return {p: v for p, v in w.items()
+                    if tstar - 1 <= p[0] <= tstar + 2}
+
+        if near(plus) != formula or near(field_add(plus, minus)):
             bad_cut += 1
     ok = bad_iso == 0 and bad_cut == 0
-    return [CheckRecord("kg.time-slice",
-                        "cauchy-inclusions-induce-isomorphisms",
-                        "pass" if ok else "fail",
-                        witness={"cauchy_pairs": n_iso, "bad": bad_iso,
-                                 "cut_bad": bad_cut},
-                        digest=ctx.digest())]
+    return [ctx.record("kg.time-slice", "pass" if ok else "fail",
+                       {"cauchy_pairs": n_iso, "bad": bad_iso,
+                        "cut_bad": bad_cut})]
 
 
+@register("kg.pullback-identification",
+          "generator-spaces-identify-along-embeddings")
 def check_kg_pullback(ctx: RunContext, opts):
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     f = LatticeEmbedding(M, M, 1, 1)
-    kg2 = kg  # same configuration on the target
     rng = ctx.rng("kgpull")
     zone = ctx.zone_points()
+    count = int(opts.get("count", 8))
+    if not count:
+        return [ctx.record("kg.pullback-identification", "skip",
+                           {"reason": "no region drawn", "count": 0})]
     bad = 0
-    for _ in range(int(opts.get("count", 8))):
+    for _ in range(count):
         U = hull(M, region_points(M, rng.sample(zone, rng.randint(1, 3))))
-        m = pushforward_matrix(kg, kg2, f, U)
+        # the target carries the same configuration
+        m = pushforward_matrix(kg, kg, f, U)
         if m.nrows != m.ncols or m.rank() != m.nrows:
             bad += 1
-    return [CheckRecord("kg.pullback-identification",
-                        "generator-spaces-identify-along-embeddings",
-                        "pass" if bad == 0 else "fail",
-                        digest=ctx.digest())]
+    return [ctx.record("kg.pullback-identification",
+                       "pass" if bad == 0 else "fail")]
 
 
 # ---------------------------------------------------------------------------
@@ -1401,11 +1444,7 @@ def _descent_instances(ctx: RunContext, localized: bool, count: int):
     rng = ctx.rng("descent-instances")
     out = []
     if not localized:
-        site = ctx.site(compactness="rc", localized=False)
-        regions = [r for r in site.objects
-                   if not r.is_full and r.t_range()[1] - r.t_range()[0] >= 2]
-        regions.sort(key=lambda r: -len(r.pts))
-        for U in regions:
+        for U in largest_first(ctx.site(compactness="rc"), 2):
             covers = band_covers(M, U, overlap=1) + \
                 band_covers(M, U, overlap=2)
             nb = _null_band_cover(M, U)
@@ -1419,9 +1458,7 @@ def _descent_instances(ctx: RunContext, localized: bool, count: int):
         tr = ctx.universe_cfg.get("t_range", M.window)
         if M.kind == "cylinder":
             zone = region_slab(M, tr[0], tr[1])
-            covers = [tall_diamond_cover(M, zone, height=2),
-                      tall_diamond_cover(M, zone, height=4),
-                      small_diamond_cover(M, zone)]
+            covers = [tall_diamond_cover(M, zone, height=h) for h in (2, 4)]
             targets = []
             for t in range(tr[0], tr[1] - 1):
                 for x in range(M.circumference):
@@ -1437,9 +1474,7 @@ def _descent_instances(ctx: RunContext, localized: bool, count: int):
                     if len(out) >= count:
                         return out
         else:
-            site = ctx.site(compactness="rc", localized=False)
-            for U in sorted([r for r in site.objects if not r.is_full],
-                            key=lambda r: -len(r.pts)):
+            for U in largest_first(ctx.site(compactness="rc")):
                 cov = _diamond_cover_of_diamond(M, U)
                 if cov is None:
                     continue
@@ -1449,10 +1484,15 @@ def _descent_instances(ctx: RunContext, localized: bool, count: int):
     return out
 
 
+@register("descent.kg-counit",
+          "field-assignments-satisfy-both-counit-conditions",
+          flavors=("plain", "localized"),
+          companions={"descent.single-piece-trivial":
+                      "the-coarsest-cover-always-descends"})
 def check_kg_descent(ctx: RunContext, opts):
     """Generator and relation counit checks over seeded instances, plus the
     coarsest-cover triviality."""
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     count = int(opts.get("count", 8))
     recs = []
@@ -1476,33 +1516,29 @@ def check_kg_descent(ctx: RunContext, opts):
                 strategies[info2["strategy"]] += 1
             done += 1
         flavor = "localized" if localized else "plain"
-        recs.append(CheckRecord(
+        recs.append(ctx.record(
             f"descent.kg-counit-{flavor}",
-            "field-assignments-satisfy-both-counit-conditions",
             "pass" if done and gen_bad == 0 and rel_bad == 0 else "fail",
-            witness={"instances": done, "skipped": skipped,
-                     "generator_failures": gen_bad,
-                     "relation_failures": rel_bad,
-                     "strategies": strategies},
-            digest=ctx.digest({"flavor": flavor, "count": count})))
+            {"instances": done, "skipped": skipped,
+             "generator_failures": gen_bad, "relation_failures": rel_bad,
+             "strategies": strategies},
+            {"flavor": flavor, "count": count}))
     # coarsest cover: trivial descent
-    site = ctx.site(compactness="rc", localized=False)
-    U = max((r for r in site.objects if not r.is_full),
-            key=lambda r: len(r.pts))
+    U = largest_first(ctx.site(compactness="rc"))[0]
     cov = Cover(U, (U,))
     v, _ = generator_counit_check(kg, cov, U)
     v2, _ = relation_counit_check(kg, cov, U)
-    recs.append(CheckRecord("descent.single-piece-trivial",
-                            "the-coarsest-cover-always-descends",
-                            "pass" if v == v2 == "pass" else "fail",
-                            digest=ctx.digest()))
+    recs.append(ctx.record("descent.single-piece-trivial",
+                           "pass" if v == v2 == "pass" else "fail"))
     return recs
 
 
+@register("descent.kg-negative-control",
+          "withheld-commutation-relations-leave-a-strict-inclusion")
 def check_kg_negative_control(ctx: RunContext, opts):
     """Withhold the vanishing-pairing relations on a cover with causally
     disjoint pieces: a strict inclusion witness must appear."""
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     if M.kind == "cylinder":
         p1 = region_points(M, [(0, 0), (1, 0)])
@@ -1517,42 +1553,26 @@ def check_kg_negative_control(ctx: RunContext, opts):
                                     allow_adapted=False)
     ok = ok_cc and v == "fail" and info.get("witness") is not None
     v2, _ = relation_counit_check(kg, cov, U, include_perp=True)
-    return [CheckRecord("descent.kg-negative-control",
-                        "withheld-commutation-relations-leave-a-strict-"
-                        "inclusion",
-                        "pass" if ok and v2 == "pass" else "fail",
-                        witness={"without_perp": v, "with_perp": v2},
-                        digest=ctx.digest())]
+    return [ctx.record("descent.kg-negative-control",
+                       "pass" if ok and v2 == "pass" else "fail",
+                       {"without_perp": v, "with_perp": v2})]
 
 
+@register("descent.finer-implies-coarser",
+          "descent-on-finer-covers-implies-coarser")
 def check_finer_coarser(ctx: RunContext, opts):
     """Across refinement pairs: a counit check passing on the finer cover
     must pass on the coarser one."""
-    kg = _kg_ctx(ctx)
+    kg = ctx.kg()
     M = ctx.M
     results = []
-    site = ctx.site(compactness="rc", localized=False)
-    regions = sorted([r for r in site.objects
-                      if not r.is_full
-                      and r.t_range()[1] - r.t_range()[0] >= 3],
-                     key=lambda r: -len(r.pts))
+    regions = largest_first(ctx.site(compactness="rc"), 3)
     for U in regions[: int(opts.get("count", 6))]:
         coarse_list = band_covers(M, U, overlap=2)
         if not coarse_list:
             continue
         coarse = coarse_list[0]
-        fine_pieces = []
-        for piece in coarse.pieces:
-            a, b = piece.t_range()
-            if b - a < 2:
-                fine_pieces.append(piece)
-                continue
-            mid = (a + b) // 2
-            fine_pieces.append(region_points(
-                M, [p for p in piece.pts if p[0] <= mid + 1]))
-            fine_pieces.append(region_points(
-                M, [p for p in piece.pts if p[0] >= mid - 1]))
-        fine = Cover(U, tuple(fine_pieces))
+        fine, _ = refine_by_halves(M, coarse)
         vf, _ = generator_counit_check(kg, fine, U)
         vc, _ = generator_counit_check(kg, coarse, U)
         results.append({"fine": vf, "coarse": vc, "check": "generator"})
@@ -1560,14 +1580,15 @@ def check_finer_coarser(ctx: RunContext, opts):
         rc = relation_counit_check(kg, coarse, U)[0]
         results.append({"fine": rf, "coarse": rc, "check": "relation"})
     summary = finer_coarser_check(results)
-    return [CheckRecord("descent.finer-implies-coarser",
-                        "descent-on-finer-covers-implies-coarser",
-                        "pass" if summary["ok"] and results else "fail",
-                        witness={"instances": summary["instances"],
-                                 "violations": len(summary["violations"])},
-                        digest=ctx.digest())]
+    return [ctx.record("descent.finer-implies-coarser",
+                       "pass" if summary["ok"] and results else "fail",
+                       {"instances": summary["instances"],
+                        "violations": len(summary["violations"])})]
 
 
+@register("descent.prestack-failure",
+          "hk-style-assignments-are-not-a-prestack",
+          flavors=("plain", "time-sliced", "rc", "rc-time-sliced"))
 def check_prestack_demos(ctx: RunContext, opts):
     """The four no-prestack demonstrations with counts (4, 1)."""
     recs = []
@@ -1579,21 +1600,16 @@ def check_prestack_demos(ctx: RunContext, opts):
         xr = ctx.universe_cfg.get("x_range", (0, 3))
         zone = region_points(M, [(t, x) for t in range(tr[0], tr[1] + 1)
                                  for x in range(xr[0], xr[1] + 1)])
-        pieces = tuple(region_points(M, [p]) for p in sorted(zone.pts))
-        cov = Cover(region_full(M), pieces, zone=zone)
-        r = prestack_failure_demo(site, cov, "equals_full", A, B,
-                                  lambda: make_predicate("equals_full",
-                                                         site))
-        recs.append(CheckRecord(
+        r = prestack_failure_demo(site, point_cover(M, zone), "equals_full",
+                                  A, B, lambda: make_predicate("equals_full",
+                                                               site))
+        recs.append(ctx.record(
             "descent.prestack-failure-plain",
-            "hk-style-assignments-are-not-a-prestack",
             "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
-            else "fail", witness=r, digest=ctx.digest()))
+            else "fail", r))
     else:
         tr = ctx.universe_cfg.get("t_range", (0, 4))
-        zone = region_slab(M, tr[0], tr[1])
-        pieces = tuple(region_points(M, [p]) for p in sorted(zone.pts))
-        cov = Cover(region_full(M), pieces, zone=zone)
+        cov = point_cover(M, region_slab(M, tr[0], tr[1]))
         uni = ctx.universe("copen")
         variants = [
             ("time-sliced", "copen", True),
@@ -1608,14 +1624,15 @@ def check_prestack_demos(ctx: RunContext, opts):
                 site, cov, "contains_cauchy_surface", A, B,
                 lambda site=site: make_predicate("contains_cauchy_surface",
                                                  site))
-            recs.append(CheckRecord(
+            recs.append(ctx.record(
                 f"descent.prestack-failure-{name}",
-                "hk-style-assignments-are-not-a-prestack",
                 "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
-                else "fail", witness=r, digest=ctx.digest({"v": name})))
+                else "fail", r, {"v": name}))
     return recs
 
 
+@register("descent.indicator-datum-trivial",
+          "full-supported-indicators-restrict-to-the-trivial-datum")
 def check_indicator_datum(ctx: RunContext, opts):
     """An indicator theory supported at the full region restricts to the
     constant-initial datum on any proper cover, and identity cocycles are
@@ -1630,136 +1647,17 @@ def check_indicator_datum(ctx: RunContext, opts):
         xr = ctx.universe_cfg.get("x_range", (0, 3))
         zone = region_points(M, [(t, x) for t in range(tr[0], tr[1] + 1)
                                  for x in range(xr[0], xr[1] + 1)])
-    pieces = tuple(region_points(M, [p]) for p in sorted(zone.pts))
-    cov = Cover(region_full(M), pieces, zone=zone)
-    datum = restrict_to_cover(A, site, cov)
+    datum = restrict_to_cover(A, site, point_cover(M, zone))
     ok = not datum.assignment.support()
-    return [CheckRecord("descent.indicator-datum-trivial",
-                        "full-supported-indicators-restrict-to-the-trivial-"
-                        "datum",
-                        "pass" if ok else "fail", digest=ctx.digest())]
+    return [ctx.record("descent.indicator-datum-trivial",
+                       "pass" if ok else "fail")]
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-# check id -> (runner, claim label, expected verdict class)
-REGISTRY: dict[str, tuple[Callable, str, str]] = {
-    "causality.cone-lightcone": (
-        check_cone_examples, "unit-slope-lattice-lightcones", "pass"),
-    "causality.development-vs-double-complement": (
-        check_development_vs_double_complement,
-        "development-equals-double-complement-for-rc-causally-convex",
-        "pass"),
-    "causality.development-props": (
-        check_development_properties,
-        "development-idempotent-monotone-hull-stable", "pass"),
-    "causality.strict-diamonds-d-stable": (
-        check_strict_diamonds,
-        "strict-diamonds-are-d-stable-causally-convex", "pass"),
-    "causality.disjointness-hereditary": (
-        check_disjointness_hereditary,
-        "causal-disjointness-passes-to-subregions", "pass"),
-    "causality.cauchy-union-property": (
-        check_cauchy_union_property,
-        "cauchy-extension-unions-stay-causally-convex", "pass"),
-    "causality.d-stable-neighborhood-sweep": (
-        check_d_stable_neighborhoods,
-        "d-stable-neighborhoods-exist-inside-any-region", "pass"),
-    "causality.embedding-development-lemmas": (
-        check_embedding_lemmas,
-        "development-commutes-with-embeddings-and-stays-in-d-stable-images",
-        "pass"),
-    "causality.stabilization": (
-        check_stabilization,
-        "window-doubling-leaves-stable-results-unchanged", "pass"),
-    "causality.cauchy-morphism-equivalence": (
-        check_cauchy_morphism_equivalence,
-        "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces", "pass"),
-    "site.localization-oracle": (
-        check_localization_oracle,
-        "localized-homs-match-zigzag-saturation", "pass"),
-    "site.localized-embedding-functors": (
-        check_localized_embedding_functors,
-        "localized-embedding-functors-fully-faithful-orthogonality-"
-        "reflecting", "pass"),
-    "site.precostack-instances": (
-        check_precostack_instances,
-        "cover-functors-fully-faithful-and-orthogonality-reflecting",
-        "pass"),
-    "site.refinement-functors": (
-        check_refinements, "refinement-functors-fully-faithful", "pass"),
-    "site.extend-cover": (
-        check_cover_extension,
-        "extended-covers-satisfy-the-restriction-property", "pass"),
-    "site.cover-intersections": (
-        check_cover_intersection_props,
-        "overlaps-inherit-convexity-and-d-stability", "pass"),
-    "algebra.hom-counts": (
-        check_hom_counts, "split-table-hom-counts", "pass"),
-    "algebra.two-valued-colimit": (
-        check_two_valued_colimit,
-        "two-valued-colimits-satisfy-the-universal-property", "pass"),
-    "algebra.degree2-ideal-principle": (
-        check_degree2_ideal_principle,
-        "degree-two-ideal-membership-equals-span-membership", "pass"),
-    "net.indicator-time-slice": (
-        check_indicator_time_slice,
-        "cauchy-stable-predicates-satisfy-time-slice", "pass"),
-    "net.epsilon-iso-violation": (
-        check_epsilon_iso,
-        "additivity-counit-not-stable-under-pullback", "pass"),
-    "net.nat-transform-counts": (
-        check_nat_transform_counts,
-        "hom-counts-of-indicator-theories", "pass"),
-    "net.pullback-functorial": (
-        check_pullback_functorial, "pullbacks-compose-on-the-nose", "pass"),
-    "net.point-family": (
-        check_point_family, "natural-families-cohere-and-reconstruct",
-        "pass"),
-    "kg.field-identities": (
-        check_kg_field_identities,
-        "green-operators-invert-the-field-operator-with-causal-supports",
-        "pass"),
-    "kg.generator-spaces": (
-        check_kg_generator_spaces,
-        "generator-quotients-carry-cauchy-data", "pass"),
-    "kg.time-slice": (
-        check_kg_time_slice, "cauchy-inclusions-induce-isomorphisms",
-        "pass"),
-    "kg.pullback-identification": (
-        check_kg_pullback, "generator-spaces-identify-along-embeddings",
-        "pass"),
-    "descent.kg-counit": (
-        check_kg_descent,
-        "field-assignments-satisfy-both-counit-conditions", "pass"),
-    "descent.kg-negative-control": (
-        check_kg_negative_control,
-        "withheld-commutation-relations-leave-a-strict-inclusion", "pass"),
-    "descent.finer-implies-coarser": (
-        check_finer_coarser, "descent-on-finer-covers-implies-coarser",
-        "pass"),
-    "descent.prestack-failure": (
-        check_prestack_demos, "hk-style-assignments-are-not-a-prestack",
-        "pass"),
-    "descent.indicator-datum-trivial": (
-        check_indicator_datum,
-        "full-supported-indicators-restrict-to-the-trivial-datum", "pass"),
-}
-
-
-# every claim label a record may carry; some runners emit companion records
-CLAIMS = frozenset(c for (_, c, _) in REGISTRY.values()) | {
-    "development-inside-double-complement",
-    "double-complement-divergences-confirmed-by-path-enumeration",
-    "localized-cover-categories-refuse-non-d-stable-covers",
-    "the-coarsest-cover-always-descends",
-}
+# every claim label a record may carry
+CLAIMS = frozenset(CLAIM_OF.values())
 
 
 def run_check(check_id: str, ctx: RunContext, opts: Optional[dict] = None):
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}")
-    runner, _, _ = REGISTRY[check_id]
-    return runner(ctx, opts or {})
+    return REGISTRY[check_id](ctx, opts or {})

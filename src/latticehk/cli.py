@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .checks import REGISTRY
+from .checks import CLAIM_OF, EXPECTED, REGISTRY
 from .geometry import GeometryError
 from .kleingordon import KgError
 from .nets import AqftError
@@ -80,8 +80,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.cmd == "list-checks":
-        for cid, (_, claim, expected) in sorted(REGISTRY.items()):
-            print(f"{cid:45} expected={expected:5} claim={claim}")
+        for cid in sorted(REGISTRY):
+            print(f"{cid:45} expected={EXPECTED:5} claim={CLAIM_OF[cid]}")
         return 0
 
     try:

@@ -13,7 +13,8 @@ import datetime
 import json
 import jsonschema
 
-from .checks import REGISTRY, UNIVERSE_KEYS, RunContext, run_check
+from .checks import (EXPECTED, REGISTRY, UNIVERSE_KEYS, RunContext,
+                     run_check)
 from .descent import CheckRecord
 from .geometry import (GeometryError, LatticeSpacetime, Region, hull,
                        region_diamond, region_full, region_points,
@@ -102,24 +103,22 @@ def validate_scenario(config: dict):
 
 def build_context(config: dict) -> RunContext:
     M = parse_spacetime(config["spacetime"])
-    ctx = RunContext(
-        M=M,
-        seed=int(config.get("seed", 0)),
-        universe_cfg=dict(config.get("universe", {})),
-        aqft_cfg=dict(config.get("aqft", {})),
-    )
+    # no check reads the region and cover literals; they are parsed so that
+    # a malformed one is a configuration error
     try:
-        ctx.regions = {name: parse_region(M, lit)
-                       for name, lit in config.get("regions", {}).items()}
-        ctx.covers = [parse_cover(M, c) for c in config.get("covers", [])]
+        for lit in config.get("regions", {}).values():
+            parse_region(M, lit)
+        for lit in config.get("covers", []):
+            parse_cover(M, lit)
     except (GeometryError, SiteError) as e:
         raise ScenarioError(str(e))
-    return ctx
+    return RunContext(M=M, seed=int(config.get("seed", 0)),
+                      universe_cfg=dict(config.get("universe", {})),
+                      aqft_cfg=dict(config.get("aqft", {})))
 
 
 def _is_unexpected(rec: CheckRecord, expect: dict) -> bool:
-    expected = expect.get(rec.id, REGISTRY.get(rec.id, (None, None,
-                                                        "pass"))[2])
+    expected = expect.get(rec.id, EXPECTED)
     acceptable = {expected, "skip"} if expected == "pass" else {expected}
     return rec.verdict not in acceptable
 

@@ -84,6 +84,17 @@ def test_cli_run_and_exit_codes(tmp_path):
         "checks": ["algebra.hom-counts"],
     }))
     assert main(["run", str(typo)]) == 2
+    # a cover literal whose piece is not causally convex
+    bad_cover = tmp_path / "bad_cover.json"
+    bad_cover.write_text(json.dumps({
+        "schema": "latticehk-scenario/1",
+        "spacetime": {"kind": "plane", "window": [-14, 16]},
+        "covers": [{"base": {"kind": "points", "pts": [[0, 0], [2, 0]]},
+                    "pieces": [{"kind": "points",
+                                "pts": [[0, 0], [2, 0]]}]}],
+        "checks": ["algebra.hom-counts"],
+    }))
+    assert main(["run", str(bad_cover)]) == 2
     # kg.time-slice on a cylinder universe with one-row slabs
     one_row = tmp_path / "one_row.json"
     one_row.write_text(json.dumps({
