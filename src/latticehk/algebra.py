@@ -160,8 +160,26 @@ class ThinDiagram:
     n: int
     homs: frozenset[tuple[int, int]]
 
-    def hom(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.homs
+
+def weak_components(nodes: Sequence, edges: Iterable[tuple]) -> list[list]:
+    """The weakly connected components of a directed graph on ``nodes``,
+    each listed in the order of ``nodes`` and ordered by its first node."""
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (a, b) in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    comps: dict = {}
+    for v in nodes:
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
 
 
 def two_valued_colimit(D: ThinDiagram, values: Sequence):
@@ -182,21 +200,9 @@ def two_valued_colimit(D: ThinDiagram, values: Sequence):
                                "Initial is unsupported")
     if not a_objs:
         return INITIAL
-    # weakly connected components over homs among A-objects
-    parent = {i: i for i in a_objs}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (a, b) in D.homs:
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    k = len({find(i) for i in a_objs})
+    inside = set(a_objs)
+    k = len(weak_components(a_objs, [(a, b) for (a, b) in D.homs
+                                     if a in inside and b in inside]))
     A = values[a_objs[0]]
     return A if k == 1 else FreeProduct(A, k)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 from . import geometry as geo
@@ -115,6 +116,12 @@ class RunContext:
         by ``extra``."""
         return CheckRecord(rec_id, CLAIM_OF[rec_id], verdict, witness,
                            self.digest(extra))
+
+    def skip(self, rec_id: str, reason: str, extra=None,
+             **witness) -> CheckRecord:
+        """A skipped record whose witness opens with the reason."""
+        return self.record(rec_id, "skip", {"reason": reason, **witness},
+                           extra)
 
     def universe(self, compactness: str, M: Optional[LatticeSpacetime] = None,
                  **overrides) -> tuple[Region, ...]:
@@ -401,8 +408,8 @@ def check_development_properties(ctx: RunContext, opts):
     rng = ctx.rng("devprops")
     corpus = seeded_hulls(M, zone, rng, int(opts.get("count", 30)))
     if not corpus:
-        return [ctx.record("causality.development-props", "skip",
-                           {"reason": "no hull drawn", "count": 0})]
+        return [ctx.skip("causality.development-props", "no hull drawn",
+                         count=0)]
     ok_idem = ok_mono = ok_hull = True
     for U in corpus:
         D = cauchy_development(M, U)
@@ -467,9 +474,11 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
                                          max(1, len(U2.pts) // 2)))
         if not are_causally_disjoint(M, s1, s2):
             ok = False
+    if not found:
+        return [ctx.skip("causality.disjointness-hereditary",
+                         "no disjoint pair drawn", instances=0)]
     return [ctx.record("causality.disjointness-hereditary",
-                       "pass" if ok and found else "fail",
-                       {"instances": found})]
+                       "pass" if ok else "fail", {"instances": found})]
 
 
 @register("causality.cauchy-union-property",
@@ -500,9 +509,11 @@ def check_cauchy_union_property(ctx: RunContext, opts):
             continue
         if not is_cauchy_morphism(M, V, union):
             bad += 1
+    if not found:
+        return [ctx.skip("causality.cauchy-union-property",
+                         "no Cauchy inclusion drawn", instances=0, bad=0)]
     return [ctx.record("causality.cauchy-union-property",
-                       "pass" if found and bad == 0 else
-                       ("skip" if not found else "fail"),
+                       "pass" if bad == 0 else "fail",
                        {"instances": found, "bad": bad})]
 
 
@@ -683,10 +694,14 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
                 rhs = contains_cauchy_surface_of(M, U, full)
                 if lhs != rhs:
                     full_ok = False
+    witness = {"instances": found, "bad": bad,
+               "intrinsic_only": converse_gap}
+    if not found and full_ok:
+        return [ctx.skip("causality.cauchy-morphism-equivalence",
+                         "no nested pair drawn", **witness)]
     return [ctx.record("causality.cauchy-morphism-equivalence",
                        "pass" if found and bad == 0 and full_ok else "fail",
-                       {"instances": found, "bad": bad,
-                        "intrinsic_only": converse_gap})]
+                       witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +720,8 @@ def check_localization_oracle(ctx: RunContext, opts):
     rounds = int(opts.get("universes", 5))
     per = int(opts.get("regions", 12))
     if not rounds:
-        return [ctx.record("site.localization-oracle", "skip",
-                           {"reason": "no universe drawn", "universes": 0},
-                           {"universes": 0})]
+        return [ctx.skip("site.localization-oracle", "no universe drawn",
+                         {"universes": 0}, universes=0)]
     mismatches = 0
     sizes = []
     for _ in range(rounds):
@@ -747,6 +761,9 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
         if not (F.fully_faithful() and F.preserves_orthogonality()
                 and F.reflects_orthogonality()):
             bad += 1
+    if not total:
+        return [ctx.skip("site.localized-embedding-functors",
+                         "no embedding drawn", embeddings=0, bad=0)]
     return [ctx.record("site.localized-embedding-functors",
                        "pass" if bad == 0 and total >= 10 else "fail",
                        {"embeddings": total, "bad": bad})]
@@ -851,9 +868,14 @@ def check_precostack_instances(ctx: RunContext, opts):
             CoverCategory(site, bad_cover)
         except SiteError:
             refused = True
-    return [ctx.record("site.precostack-instances",
-                       "pass" if bad == 0 and min(results.values()) > 0
-                       else "fail", {**results, "bad": bad}),
+    if not (bad or any(results.values())):
+        instances = ctx.skip("site.precostack-instances", "no cover drawn",
+                             **results, bad=0)
+    else:
+        instances = ctx.record("site.precostack-instances",
+                               "pass" if bad == 0 and min(results.values())
+                               else "fail", {**results, "bad": bad})
+    return [instances,
             ctx.record("site.localized-refusal",
                        "pass" if refused else (
                            "skip" if bad_cover is None else "fail"))]
@@ -873,8 +895,11 @@ def check_refinements(ctx: RunContext, opts):
         if not (F.is_functor() and F.fully_faithful()
                 and F.reflects_orthogonality()):
             bad += 1
+    if not total:
+        return [ctx.skip("site.refinement-functors", "no cover to refine",
+                         instances=0, bad=0)]
     return [ctx.record("site.refinement-functors",
-                       "pass" if bad == 0 and total else "fail",
+                       "pass" if bad == 0 else "fail",
                        {"instances": total, "bad": bad})]
 
 
@@ -926,6 +951,9 @@ def check_cover_extension(ctx: RunContext, opts):
                     done[mode] += 1
                 except SiteError:
                     bad += 1
+    if not (bad or any(done.values())):
+        return [ctx.skip("site.extend-cover", "no region drawn", **done,
+                         bad=0)]
     return [ctx.record("site.extend-cover",
                        "pass" if bad == 0 and all(done.values()) else "fail",
                        {**done, "bad": bad})]
@@ -940,8 +968,8 @@ def check_cover_intersection_props(ctx: RunContext, opts):
         tr = ctx.universe_cfg.get("t_range", ctx.M.window)
         covers.append(column_cover(ctx.M, region_slab(ctx.M, tr[0], tr[1])))
     if not covers:
-        return [ctx.record("site.cover-intersections", "skip",
-                           {"reason": "no cover built", "covers": 0})]
+        return [ctx.skip("site.cover-intersections", "no cover built",
+                         covers=0)]
     ok = all(check_cover_intersections(c) for c in covers)
     return [ctx.record("site.cover-intersections", "pass" if ok else "fail")]
 
@@ -1058,17 +1086,11 @@ def check_indicator_time_slice(ctx: RunContext, opts):
     ok = check_time_slice(A)
     # negative control: a predicate pinned to one region is not stable
     negative_ok = True
-    target = None
-    for k in site.object_keys():
-        r = site.region_of(k)
-        if r.is_full:
-            continue
-        for j in set_bits(site.cauchy[k]):
-            if j != k:
-                target = site.region_of(k) if site.hom_k(k, j) else None
-                break
-        if target is not None:
-            break
+    # the first proper object with a Cauchy partner (on the plain site
+    # every Cauchy pair is a morphism)
+    target = next((site.region_of(k) for k in site.object_keys()
+                   if not site.region_of(k).is_full
+                   and site.cauchy[k] & ~(1 << k)), None)
     if target is not None:
         B = build_indicator(site, make_predicate("equals_region", site,
                                                  data=target),
@@ -1174,10 +1196,9 @@ def check_point_family(ctx: RunContext, opts):
     and 2; the check skips there."""
     N = ctx.M.unbounded() if ctx.M.extent else ctx.M
     if N.kind != "cylinder":
-        return [ctx.record("net.point-family", "skip",
-                           {"reason": "members must be cylinder slabs; "
-                            "bounded plane diamonds funnel maximal paths at "
-                            "their vertices"})]
+        return [ctx.skip("net.point-family",
+                         "members must be cylinder slabs; bounded plane "
+                         "diamonds funnel maximal paths at their vertices")]
     ext1 = region_slab(N, 0, 3).pts
     ext2 = region_slab(N, 1, 4).pts
     M1 = bounded_spacetime(N, ext1)
@@ -1294,9 +1315,8 @@ def check_kg_field_identities(ctx: RunContext, opts):
             if pairing(kg.cfg, phi, psi) != 0:
                 bad["causal"] += 1
     if not fields:
-        return [ctx.record("kg.field-identities", "skip",
-                           {"reason": "no nonzero field drawn",
-                            "count": count})]
+        return [ctx.skip("kg.field-identities", "no nonzero field drawn",
+                         count=count)]
     return [ctx.record("kg.field-identities",
                        "fail" if any(bad.values()) else "pass",
                        {"count": count, **bad})]
@@ -1348,9 +1368,8 @@ def check_kg_time_slice(ctx: RunContext, opts):
             if ext.nrows != ext.ncols or ext.rank() != ext.nrows:
                 bad_iso += 1
     if n_iso == 0:
-        return [ctx.record("kg.time-slice", "skip",
-                           {"reason": "no Cauchy pair in the universe",
-                            "cauchy_pairs": 0})]
+        return [ctx.skip("kg.time-slice", "no Cauchy pair in the universe",
+                         cauchy_pairs=0)]
     # flat-cut reduction on a plain localized pair
     bad_cut = 0
     if M.kind == "cylinder":
@@ -1397,8 +1416,8 @@ def check_kg_pullback(ctx: RunContext, opts):
     zone = ctx.zone_points()
     count = int(opts.get("count", 8))
     if not count:
-        return [ctx.record("kg.pullback-identification", "skip",
-                           {"reason": "no region drawn", "count": 0})]
+        return [ctx.skip("kg.pullback-identification", "no region drawn",
+                         count=0)]
     bad = 0
     for _ in range(count):
         U = hull(M, region_points(M, rng.sample(zone, rng.randint(1, 3))))
@@ -1433,7 +1452,12 @@ def _null_band_cover(M, U: Region):
 
 
 def _descent_instances(ctx: RunContext, localized: bool, count: int):
-    """(cover, U) instances for the counit checks.
+    """The first ``count`` (cover, U) instances for the counit checks."""
+    return list(islice(_descent_candidates(ctx, localized), max(count, 0)))
+
+
+def _descent_candidates(ctx: RunContext, localized: bool):
+    """(cover, U) candidates for the counit checks, in a fixed order.
 
     Covers are chosen with overlaps at least as thick as the field stencil,
     the lattice counterpart of honest open covers; coarser families with
@@ -1441,8 +1465,6 @@ def _descent_instances(ctx: RunContext, localized: bool, count: int):
     exercised separately as documented divergences.
     """
     M = ctx.M
-    rng = ctx.rng("descent-instances")
-    out = []
     if not localized:
         for U in largest_first(ctx.site(compactness="rc"), 2):
             covers = band_covers(M, U, overlap=1) + \
@@ -1451,37 +1473,26 @@ def _descent_instances(ctx: RunContext, localized: bool, count: int):
             if nb is not None:
                 covers.append(nb)
             for cov in covers:
-                out.append((cov, U))
-                if len(out) >= count:
-                    return out
-    else:
+                yield cov, U
+    elif M.kind == "cylinder":
         tr = ctx.universe_cfg.get("t_range", M.window)
-        if M.kind == "cylinder":
-            zone = region_slab(M, tr[0], tr[1])
-            covers = [tall_diamond_cover(M, zone, height=h) for h in (2, 4)]
-            targets = []
-            for t in range(tr[0], tr[1] - 1):
-                for x in range(M.circumference):
-                    targets.append(region_points(M, [(t, x), (t + 1, x)]))
-                    targets.append(region_diamond(M, (t, x), (t + 2, x)))
-            rng.shuffle(targets)
-            for cov in covers:
-                for U in targets:
-                    D = cauchy_development(M, U)
-                    if D.is_full:
-                        continue
-                    out.append((cov, U))
-                    if len(out) >= count:
-                        return out
-        else:
-            for U in largest_first(ctx.site(compactness="rc")):
-                cov = _diamond_cover_of_diamond(M, U)
-                if cov is None:
-                    continue
-                out.append((cov, U))
-                if len(out) >= count:
-                    return out
-    return out
+        zone = region_slab(M, tr[0], tr[1])
+        covers = [tall_diamond_cover(M, zone, height=h) for h in (2, 4)]
+        targets = []
+        for t in range(tr[0], tr[1] - 1):
+            for x in range(M.circumference):
+                targets.append(region_points(M, [(t, x), (t + 1, x)]))
+                targets.append(region_diamond(M, (t, x), (t + 2, x)))
+        ctx.rng("descent-instances").shuffle(targets)
+        for cov in covers:
+            for U in targets:
+                if not cauchy_development(M, U).is_full:
+                    yield cov, U
+    else:
+        for U in largest_first(ctx.site(compactness="rc")):
+            cov = _diamond_cover_of_diamond(M, U)
+            if cov is not None:
+                yield cov, U
 
 
 @register("descent.kg-counit",
@@ -1497,7 +1508,14 @@ def check_kg_descent(ctx: RunContext, opts):
     count = int(opts.get("count", 8))
     recs = []
     for localized in (False, True):
+        flavor = "localized" if localized else "plain"
         instances = _descent_instances(ctx, localized, count)
+        if not instances:
+            recs.append(ctx.skip(f"descent.kg-counit-{flavor}",
+                                 "no instance drawn",
+                                 {"flavor": flavor, "count": count},
+                                 instances=0))
+            continue
         gen_bad, rel_bad, done, skipped = 0, 0, 0, 0
         strategies = {"direct": 0, "adapted": 0}
         for cov, U in instances:
@@ -1515,7 +1533,6 @@ def check_kg_descent(ctx: RunContext, opts):
             elif v2 == "pass":
                 strategies[info2["strategy"]] += 1
             done += 1
-        flavor = "localized" if localized else "plain"
         recs.append(ctx.record(
             f"descent.kg-counit-{flavor}",
             "pass" if done and gen_bad == 0 and rel_bad == 0 else "fail",
@@ -1579,9 +1596,13 @@ def check_finer_coarser(ctx: RunContext, opts):
         rf, _ = relation_counit_check(kg, fine, U)
         rc = relation_counit_check(kg, coarse, U)[0]
         results.append({"fine": rf, "coarse": rc, "check": "relation"})
+    if not results:
+        return [ctx.skip("descent.finer-implies-coarser",
+                         "no refinement pair built", instances=0,
+                         violations=0)]
     summary = finer_coarser_check(results)
     return [ctx.record("descent.finer-implies-coarser",
-                       "pass" if summary["ok"] and results else "fail",
+                       "pass" if summary["ok"] else "fail",
                        {"instances": summary["instances"],
                         "violations": len(summary["violations"])})]
 

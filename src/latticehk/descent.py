@@ -28,7 +28,7 @@ from typing import Optional
 
 from .algebra import WedgeSpace
 from .geometry import (LatticeSpacetime, Region, are_causally_disjoint,
-                       cauchy_development, region_points)
+                       cauchy_development, region_points, set_bits)
 from .kleingordon import KgContext
 from .nets import (AqftError, CcrAqft, IndicatorAqft, count_nat_transforms)
 from .rational import (IntegerEchelon, Mat, Q0, is_exact_coequalizer,
@@ -90,11 +90,10 @@ def restrict_to_cover(A, site: SiteCategory, cover: Cover,
         spaces = {n: A.spaces[cc.objects[n][1]] for n in cc.object_keys()}
         transitions = {}
         for a in cc.object_keys():
-            for b in cc.object_keys():
-                if cc.hom_k(a, b):
-                    key = (cc.objects[a][1], cc.objects[b][1])
-                    if key in A.transitions:
-                        transitions[(a, b)] = A.transitions[key]
+            for b in set_bits(cc.hom[a]):
+                key = (cc.objects[a][1], cc.objects[b][1])
+                if key in A.transitions:
+                    transitions[(a, b)] = A.transitions[key]
         restricted = CcrAqft(cc, A.ctx, spaces, transitions,
                              label=f"{A.label}|cover")
     else:

@@ -209,9 +209,10 @@ class KgSpace:
             sig = Mat.from_cols(cols, n)
             if sig.transpose() != -sig:
                 raise KgError("pairing failed antisymmetry (internal error)")
-            for row in self.quotient.sub_rref.data:
-                if any(v != 0 for v in sig.apply(row)):
-                    raise KgError("pairing does not descend to the quotient")
+            # by antisymmetry, r @ sig vanishes iff sig applied to r does
+            if any(v for row in (self.quotient.sub_rref @ sig).data
+                   for v in row):
+                raise KgError("pairing does not descend to the quotient")
             self._sigma = sig
         return self._sigma
 

@@ -45,10 +45,13 @@ SCENARIO_SCHEMA = {
                                                 *UNIVERSE_KEYS]}},
         "covers": {"type": "array"},
         "regions": {"type": "object"},
-        "aqft": {"type": "object"},
+        "aqft": {"type": "object",
+                 "propertyNames": {"enum": ["family", "mass2", "predicate",
+                                            "algebra"]}},
         "checks": {"type": "array", "items": {"type": "string"},
                    "minItems": 1},
-        "options": {"type": "object"},
+        "options": {"type": "object",
+                    "propertyNames": {"enum": sorted(REGISTRY)}},
         "expect": {"type": "object"},
     },
     "additionalProperties": False,

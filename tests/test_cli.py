@@ -31,6 +31,21 @@ def test_validate_rejects_bad_configs():
                            "checks": ["algebra.hom-counts"]})
 
 
+@pytest.mark.parametrize("block", [
+    {"aqft": {"family": "klein-gordon", "mas2": "1/4"}},
+    {"options": {"site.extend-covr": {"count": 5}}},
+], ids=["aqft", "options"])
+def test_cli_rejects_a_typo_in_the_aqft_and_options_keys(tmp_path, block):
+    scn = tmp_path / "typo.json"
+    scn.write_text(json.dumps({
+        "schema": "latticehk-scenario/1",
+        "spacetime": {"kind": "cylinder", "circumference": 6,
+                      "window": [-14, 16]},
+        "checks": ["algebra.hom-counts"], **block,
+    }))
+    assert main(["run", str(scn)]) == 2
+
+
 def test_run_scenario_report_shape():
     config = {
         "schema": "latticehk-scenario/1",

@@ -5,7 +5,7 @@ import pytest
 from latticehk.checks import RunContext, check_kg_time_slice
 from latticehk.geometry import (LatticeEmbedding, apply_embedding, cone, hull,
                                 region_diamond, region_points, region_slab)
-from latticehk.kleingordon import (KgConfig, KgContext, KgError,
+from latticehk.kleingordon import (KgConfig, KgContext, KgError, KgSpace,
                                    TimesliceSkip, apply_P, field_add,
                                    field_clean, green, pairing, propagator,
                                    pushforward_matrix)
@@ -129,6 +129,21 @@ def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
             assert sel == ref
             assert [[type(v) for v in r] for r in sel.data] == \
                 [[type(v) for v in r] for r in ref.data]
+
+
+def test_sigma_ambient_refuses_a_non_degenerate_relation(kg_cyl, cyl):
+    pts = region_slab(cyl, 0, 2).points()
+    sig = KgSpace(kg_cyl.cfg, pts).sigma_ambient()
+    space = KgSpace(kg_cyl.cfg, pts)
+    q = space.quotient
+    assert q.sub_rref.nrows > 0
+    # add a unit vector the pairing does not annihilate to one relation row
+    i = next(i for i, row in enumerate(sig.data) if any(row))
+    rows = [list(r) for r in q.sub_rref.data]
+    rows[0][i] += Q1
+    q.sub_rref = Mat(rows, q.ambient_dim)
+    with pytest.raises(KgError, match="does not descend"):
+        space.sigma_ambient()
 
 
 def test_timeslice_flat_cut(kg_cyl, cyl):

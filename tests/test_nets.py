@@ -1,18 +1,23 @@
+import random
+from itertools import product
+
 import pytest
 
-from latticehk.algebra import Initial, QPower
+from latticehk import nets
+from latticehk.algebra import INITIAL, Initial, QPower, enumerate_homs
 from latticehk.checks import check_point_family, check_pullback_functorial
 from latticehk.geometry import (LatticeEmbedding, bounded_spacetime,
                                 region_diamond, region_points,
-                                region_slab)
-from latticehk.kleingordon import KgContext
-from latticehk.nets import (AqftError, build_indicator, build_kg_aqft,
-                            check_kg_axioms, check_time_slice,
-                            count_nat_transforms, epsilon_iso_check,
-                            make_predicate, pullback_indicator)
-from latticehk.rational import QQ
-from latticehk.sites import (SiteCategory, embedding_site_functor,
-                             enumerate_universe)
+                                region_slab, set_bits)
+from latticehk.kleingordon import KgContext, KgSpace
+from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
+                            build_kg_aqft, check_kg_axioms,
+                            check_time_slice, count_nat_transforms,
+                            epsilon_iso_check, make_predicate,
+                            pullback_indicator)
+from latticehk.rational import Mat, Q1, QQ
+from latticehk.sites import (Cover, CoverCategory, SiteCategory,
+                             embedding_site_functor, enumerate_universe)
 
 
 def _copen_site(cyl):
@@ -153,3 +158,194 @@ def test_nat_transform_count_multiplicative_over_blocks(cyl):
     A = build_indicator(site, lambda U: True, QPower(2))
     B = build_indicator(site, lambda U: True, QPower(2))
     assert count_nat_transforms(A, B) == 16
+
+
+# ---------------------------------------------------------------------------
+# the row-wise nets against their pairwise definitions
+# ---------------------------------------------------------------------------
+
+
+def _small_site(M, localized, seed):
+    """Twelve seeded regions and the full region, on a few rows."""
+    uni = enumerate_universe(M, compactness="copen", t_range=(0, 3),
+                             x_range=(-1, 2) if M.kind == "plane" else None,
+                             max_height=2, cap=3000)
+    full = [r for r in uni if r.is_full]
+    rest = random.Random(seed).sample([r for r in uni if not r.is_full], 12)
+    return SiteCategory(M, rest + full, "copen", localized=localized)
+
+
+def _small_cover_category(cyl):
+    uni = enumerate_universe(cyl, compactness="rc", t_range=(0, 4),
+                             max_height=1, cap=3000)
+    site = SiteCategory(cyl, uni, "rc", localized=False)
+    U = region_slab(cyl, 0, 4)
+    return CoverCategory(site, Cover(U, (region_slab(cyl, 0, 2),
+                                         region_slab(cyl, 2, 4))))
+
+
+@pytest.fixture(scope="module", params=[
+    ("plane", False), ("plane", True), ("cyl", False), ("cyl", True),
+    ("cyl", "cover")], ids=lambda p: f"{p[0]}-{p[1]}")
+def small_structure(request):
+    name, flavor = request.param
+    M = request.getfixturevalue(name)
+    if flavor == "cover":
+        return _small_cover_category(M)
+    return _small_site(M, flavor, seed=len(name) + 2 * flavor)
+
+
+def _up_closure(site, seeds):
+    return {b for a in seeds for b in site.object_keys() if site.hom_k(a, b)}
+
+
+def _support_sets(site, rng, n):
+    """Random object sets (mostly not upward closed) and upward closures of
+    one or two random objects."""
+    keys = list(site.object_keys())
+    out = []
+    for _ in range(n):
+        out.append(set(rng.sample(keys, rng.randint(1, 4))))
+        out.append(_up_closure(site, rng.sample(keys, rng.randint(1, 2))))
+    return out
+
+
+def _pairwise_refusal(site, S):
+    keys = list(site.object_keys())
+    for a in keys:
+        for b in keys:
+            if site.hom_k(a, b) and a in S and b not in S:
+                return (f"predicate not monotone along {site.region_of(a)} "
+                        f"-> {site.region_of(b)}; no indicator functor")
+    if any(a < b and site.disjoint_k(a, b) for a in S for b in S):
+        return "predicate holds on two causally disjoint regions"
+    return None
+
+
+def test_build_indicator_refusals_match_pairwise(small_structure):
+    site = small_structure
+    rng = random.Random(5)
+    seen = set()
+    for S in _support_sets(site, rng, 15):
+        held = {site.region_of(k) for k in S}
+        S = {k for k in site.object_keys() if site.region_of(k) in held}
+        expected = _pairwise_refusal(site, S)
+        seen.add(expected is None or expected[:9])
+        try:
+            A = build_indicator(site, lambda U: U in held, QPower(2))
+            got = None
+        except AqftError as e:
+            got = str(e)
+        assert got == expected
+        if got is None:
+            assert set(A.support()) == S
+    assert {True, "predicate"} <= seen  # both outcomes were exercised
+
+
+def _indicator(site, S, alg=QPower(2)):
+    return IndicatorAqft(site, alg, {k: alg if k in S else INITIAL
+                                     for k in site.object_keys()})
+
+
+def _brute_nat_count(A, B):
+    """All component families on the support of A, each kept when every
+    naturality square of a morphism a -> b (from hom_k) commutes."""
+    site = A.site
+    S = A.support()
+
+    def b_map(a, b):
+        va, vb = B.values[a], B.values[b]
+        if isinstance(va, Initial):
+            return Mat([[Q1]] * (1 if isinstance(vb, Initial) else vb.k), 1)
+        return Mat.identity(vb.k)
+
+    homs = {k: enumerate_homs(A.algebra, B.values[k]) for k in S}
+    # per square, B(a -> b) after each candidate component at a
+    squares = [(a, b, [b_map(a, b) @ h for h in homs[a]])
+               for a in S for b in S if a != b and site.hom_k(a, b)]
+    count = 0
+    for pick in product(*[range(len(homs[k])) for k in S]):
+        eta = dict(zip(S, pick))
+        count += all(pushed[eta[a]] == homs[b][eta[b]]
+                     for a, b, pushed in squares)
+    return count
+
+
+def test_count_nat_transforms_matches_brute_force(small_structure):
+    site = small_structure
+    rng = random.Random(11)
+    keys = list(site.object_keys())
+    counted = 0
+    for S in _support_sets(site, rng, 10):
+        if len(S) > 4:
+            continue
+        A = _indicator(site, S)
+        if any(site.hom_k(a, b) and b not in S for a in S for b in keys):
+            with pytest.raises(AqftError, match="not upward closed"):
+                count_nat_transforms(A, A)
+            continue
+        T = S | _up_closure(site, rng.sample(keys, 1))
+        for B in (A, _indicator(site, T), _indicator(site, set()),
+                  _indicator(site, S, QPower(3))):
+            assert count_nat_transforms(A, B) == _brute_nat_count(A, B)
+            counted += 1
+    assert counted >= 12
+
+
+@pytest.mark.parametrize("name", ["plane", "cyl"])
+def test_epsilon_iso_diagram_matches_containment(name, request,
+                                                 monkeypatch):
+    site = _small_site(request.getfixturevalue(name), False, seed=3)
+    keys = list(site.object_keys())
+    A = _indicator(site, _up_closure(site, random.Random(4).sample(keys, 2)))
+    diagrams = []
+    colimit = nets.two_valued_colimit
+    monkeypatch.setattr(nets, "two_valued_colimit",
+                        lambda D, vals: diagrams.append((D, vals))
+                        or colimit(D, vals))
+    for k in keys:
+        diagrams.clear()
+        epsilon_iso_check(A, k)
+        [(D, vals)] = diagrams
+        U = site.region_of(k)
+        below = [j for j in keys if site.region_of(j).is_relatively_compact
+                 and U.contains(site.region_of(j))]
+        assert D.n == len(below)
+        assert vals == [A.values[j] for j in below]
+        assert D.homs == frozenset(
+            (i, j) for i in range(D.n) for j in range(D.n)
+            if i != j and site.hom_k(below[i], below[j]))
+
+
+def _cauchy_slabs_net(cyl):
+    """Three mutually Cauchy slabs and two causally disjoint columns inside
+    the lowest one."""
+    regions = [region_slab(cyl, 0, 1), region_slab(cyl, 2, 3),
+               region_slab(cyl, 0, 3),
+               region_points(cyl, [(0, 0), (1, 0)]),
+               region_points(cyl, [(0, 3), (1, 3)])]
+    site = SiteCategory(cyl, regions, "rc", localized=True)
+    return build_kg_aqft(KgContext(cyl, QQ(1, 4)), site)
+
+
+def test_kg_time_slice_reads_no_pairing(cyl, monkeypatch):
+    A = _cauchy_slabs_net(cyl)
+    calls = []
+    pairing = KgSpace.sigma_reduced
+    monkeypatch.setattr(KgSpace, "sigma_reduced",
+                        lambda self: calls.append(self) or pairing(self))
+    assert not check_kg_axioms(A) and calls  # the disjoint pair is paired
+    calls.clear()
+    assert check_time_slice(A)
+    assert not calls
+
+
+def test_kg_time_slice_catches_a_tampered_cauchy_transition(cyl):
+    A = _cauchy_slabs_net(cyl)
+    a, b = next((a, b) for a in A.site.object_keys()
+                for b in set_bits(A.site.cauchy[a]) if a != b)
+    t = A.transitions[(a, b)]
+    A.transitions[(a, b)] = Mat.zeros(t.nrows, t.ncols)
+    assert not check_time_slice(A)
+    assert check_kg_axioms(A)[-1] == \
+        f"Cauchy morphism {a}->{b} not invertible"
