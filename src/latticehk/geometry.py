@@ -16,7 +16,7 @@ that keeps changing indicates that the materialization window is too small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 Point = tuple[int, int]
@@ -51,12 +51,20 @@ class LatticeSpacetime:
     sub-lattice: the points of ``extent`` are the whole spacetime, inextendible
     causal paths are maximal paths inside it, and the symbolic full region
     denotes exactly this point set.
+
+    ``_developments`` memoizes :func:`cauchy_development` on an unbounded
+    spacetime by point set: ``None`` for the full result, else the points.
+    It holds no :class:`Region` (a region holds its spacetime), takes no part
+    in equality or hashing, and starts empty on every new spacetime, so a
+    changed window never sees an old result.
     """
 
     kind: str  # "plane" | "cylinder"
     window: tuple[int, int]
     circumference: Optional[int] = None
     extent: Optional[frozenset[Point]] = None
+    _developments: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in ("plane", "cylinder"):
@@ -258,17 +266,31 @@ class _Grid:
 
     # -- cones ------------------------------------------------------------
 
+    def _order(self, up: bool) -> range:
+        """Row indices in sweep order: upward, or downward."""
+        return range(self.nrows) if up else range(self.nrows - 1, -1, -1)
+
     def cone(self, seed_rows: list[int], up: bool,
              strict: bool = False) -> list[int]:
         """Rows of J+ (``up``) or J- of the seed rows; I+ or I- when
-        ``strict``."""
+        ``strict``.
+
+        The sweep starts at the first seed row (the rows before it are
+        empty) and stops at the first full row: ``spread(full) == full``,
+        so every row after it is full whatever the seeds hold."""
         if strict:
             # I+(S) = J+ of the seeds shifted one step up (I- one step down)
             seed_rows = [0] + seed_rows[:-1] if up else seed_rows[1:] + [0]
         out = [0] * self.nrows
+        order = self._order(up)
         prev = 0
-        for r in range(self.nrows) if up else range(self.nrows - 1, -1, -1):
-            prev = out[r] = seed_rows[r] | self.spread(prev)
+        for k, r in enumerate(order):
+            if prev or seed_rows[r]:
+                prev = out[r] = seed_rows[r] | self.spread(prev)
+                if prev == self.full:
+                    for r in order[k + 1:]:
+                        out[r] = self.full
+                    break
         return out
 
     def both(self, seed_rows: list[int]) -> list[int]:
@@ -284,17 +306,33 @@ class _Grid:
         causal path avoiding ``blocker``.  With ``inside`` the path must stay
         in ``inside`` and is maximal there; otherwise paths are unbounded and
         escape past the last row in that direction (which must lie beyond
-        the blocker)."""
-        out = [0] * self.nrows
-        nxt = self.full if inside is None else 0
-        nxt_inside = 0
-        for r in range(self.nrows - 1, -1, -1) if up else range(self.nrows):
-            ok = self.spread(nxt)
-            if inside is not None:
+        the blocker).
+
+        The sweep runs against the path direction.  Without ``inside``, the
+        rows before the first blocker row are full, and after the last
+        blocker row the sweep stops at the first full row, since
+        ``spread(full) == full``."""
+        order = self._order(not up)
+        if inside is not None:
+            out = [0] * self.nrows
+            nxt = nxt_inside = 0
+            for r in order:
                 # a path inside may also end here: no step stays inside
-                ok = inside[r] & (ok | (self.full & ~self.spread(nxt_inside)))
+                ok = inside[r] & (self.spread(nxt) |
+                                  (self.full & ~self.spread(nxt_inside)))
                 nxt_inside = inside[r]
-            nxt = out[r] = ok & ~blocker[r]
+                nxt = out[r] = ok & ~blocker[r]
+            return out
+        out = [self.full] * self.nrows
+        hit = [k for k, r in enumerate(order) if blocker[r]]
+        if not hit:
+            return out
+        nxt = self.full
+        for k in range(hit[0], self.nrows):
+            if k > hit[-1] and nxt == self.full:
+                break
+            r = order[k]
+            nxt = out[r] = self.spread(nxt) & ~blocker[r]
         return out
 
 
@@ -447,15 +485,22 @@ def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
     if M.extent is not None:
         return region_development(M, U, region_full(M))
     pts = U.pts
+    memo = M._developments
+    if pts in memo:
+        dev = memo[pts]
+        return region_full(M) if dev is None else Region(M, "points", dev)
     t_lo, t_hi = M.window
 
     def run(extra):
         # one extra row so the blocked probe below U's band is in range
         return _development_raw(M, pts, t_lo - extra - 1, t_hi + extra + 1)
 
-    return _windowed(M, _doubling_probe(
+    D = _windowed(M, _doubling_probe(
         M, pts, run, "cauchy_development unstable under window doubling; "
         f"enlarge the window {M.window}"), "development exceeds")
+    # a D-stable result keeps the key itself rather than a second copy
+    memo[pts] = None if D.is_full else pts if D.pts == pts else D.pts
+    return D
 
 
 def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:

@@ -231,6 +231,7 @@ class KgContext:
     def __init__(self, ambient: LatticeSpacetime, mass2=Q0):
         self.cfg = KgConfig(ambient, QQ(mass2))
         self._spaces: dict[frozenset, KgSpace] = {}
+        self._extensions: dict[tuple[frozenset, frozenset], Mat] = {}
 
     @property
     def ambient(self):
@@ -245,12 +246,17 @@ class KgContext:
     def extension(self, U, V) -> Mat:
         """Extension-by-zero on classes; injective for causally convex
         nested regions.  Each point keeps its label, so each column is read
-        off the target's reduced relations."""
+        off the target's reduced relations.  Cached by the two point sets;
+        a ``Mat`` has tuple rows, so a shared map cannot be changed."""
         src, dst = self.space(U), self.space(V)
-        if not src.index.keys() <= dst.index.keys():
-            raise KgError("extension needs nested regions")
-        return induced_quotient_map(src.quotient, dst.quotient,
-                                    [{dst.index[p]: Q1} for p in src.pts])
+        key = (src.pts, dst.pts)
+        if key not in self._extensions:
+            if not src.index.keys() <= dst.index.keys():
+                raise KgError("extension needs nested regions")
+            self._extensions[key] = induced_quotient_map(
+                src.quotient, dst.quotient,
+                [{dst.index[p]: Q1} for p in src.pts])
+        return self._extensions[key]
 
     # -- time-slice maps ----------------------------------------------------
 

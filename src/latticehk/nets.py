@@ -136,6 +136,44 @@ def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
     return colim == val
 
 
+def _b_transition(B: IndicatorAqft, a, b) -> Mat:
+    """B's forced transition along a -> b."""
+    va, vb = B.values[a], B.values[b]
+    if isinstance(va, Initial):
+        kb = 1 if isinstance(vb, Initial) else vb.k
+        return Mat([[Q1] for _ in range(kb)], 1)
+    if isinstance(vb, Initial):
+        raise AqftError("B support not upward closed")
+    return Mat.identity(vb.k)
+
+
+def _count_assignments(A: IndicatorAqft, B: IndicatorAqft, nodes: list,
+                       edges: list, assigned: dict) -> int:
+    """Number of component families on ``nodes`` that extend ``assigned``
+    and commute with every (a, b, B-transition) of ``edges``: forced values
+    propagate along the edges, then the first open node branches over its
+    homs."""
+    assigned = dict(assigned)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b, t) in edges:
+            if a in assigned:
+                forced = t @ assigned[a]
+                if b in assigned:
+                    if assigned[b] != forced:
+                        return 0
+                else:
+                    assigned[b] = forced
+                    changed = True
+    rest = [n for n in nodes if n not in assigned]
+    if not rest:
+        return 1
+    n0 = rest[0]
+    return sum(_count_assignments(A, B, nodes, edges, {**assigned, n0: h})
+               for h in enumerate_homs(A.algebra, B.values[n0]))
+
+
 def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
     """Exact number of natural transformations A => B over the shared
     structure.  Components at initial-algebra objects are forced; on the
@@ -152,45 +190,13 @@ def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
     if any(site.hom[a] & ~support for a in sup):
         raise AqftError("support of A not upward closed")
     edges = [(a, b) for a in sup for b in set_bits(site.hom[a]) if b != a]
-
-    def b_transition(a, b) -> Mat:
-        va, vb = B.values[a], B.values[b]
-        if isinstance(va, Initial):
-            kb = 1 if isinstance(vb, Initial) else vb.k
-            return Mat([[Q1] for _ in range(kb)], 1)
-        if isinstance(vb, Initial):
-            raise AqftError("B support not upward closed")
-        return Mat.identity(vb.k)
-
     total = 1
     for nodes in weak_components(sup, edges):
         members = set(nodes)
         # a component holds both ends of each of its edges
-        cedges = [(a, b) for (a, b) in edges if a in members]
-
-        def count_assignments(assigned):
-            # propagate forced values
-            assigned = dict(assigned)
-            changed = True
-            while changed:
-                changed = False
-                for (a, b) in cedges:
-                    if a in assigned:
-                        forced = b_transition(a, b) @ assigned[a]
-                        if b in assigned:
-                            if assigned[b] != forced:
-                                return 0
-                        else:
-                            assigned[b] = forced
-                            changed = True
-            rest = [n for n in nodes if n not in assigned]
-            if not rest:
-                return 1
-            n0 = rest[0]
-            return sum(count_assignments({**assigned, n0: h})
-                       for h in enumerate_homs(A.algebra, B.values[n0]))
-
-        total *= count_assignments({})
+        cedges = [(a, b, _b_transition(B, a, b)) for (a, b) in edges
+                  if a in members]
+        total *= _count_assignments(A, B, nodes, cedges, {})
     return total
 
 

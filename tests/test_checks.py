@@ -58,3 +58,10 @@ def test_zero_instances_skip(ctx_name, universe, cid, opts, request):
     assert recs
     for rec in recs:
         assert rec.verdict == "skip" and rec.witness["reason"], rec.id
+
+
+def test_embedding_functors_pass_below_ten_embeddings(cyl_ctx):
+    recs = run_check("site.localized-embedding-functors", cyl_ctx,
+                     {"count": 5})
+    assert [(r.verdict, r.witness["embeddings"]) for r in recs] == \
+        [("pass", 5)]

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -153,3 +154,18 @@ def test_run_scenario_accepts_only_one_job():
     config = json.loads(json.dumps(DEMOS["counterexamples"]))
     with pytest.raises(ValueError, match="jobs must be 1"):
         run_scenario(config, jobs=2)
+
+
+@pytest.mark.parametrize("name", ["counterexamples", "appendix-geometry",
+                                  "cover-extension"])
+def test_run_scenario_leaves_no_reference_cycles(name):
+    """A run's spacetime, sites and nets are freed by reference counting,
+    so nothing waits for the cycle collector."""
+    config = json.loads(json.dumps(DEMOS[name]))
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
-                                LatticeSpacetime, Region,
+                                LatticeSpacetime, Region, _Grid,
                                 WindowTooSmallError, apply_embedding,
                                 are_causally_disjoint, bounded_spacetime,
                                 cauchy_development, check_D_stable_image,
@@ -302,3 +302,134 @@ def test_region_literals_guardrails(plane, cyl):
     full = region_full(cyl)
     assert not full.is_relatively_compact
     assert region_slab(cyl, 0, 1).is_relatively_compact
+
+
+# -- the saturating sweeps against the full-window loops ----------------------
+
+
+def _ref_cone(g, seed_rows, up, strict=False):
+    """Every row of the window, in sweep order."""
+    if strict:
+        seed_rows = [0] + seed_rows[:-1] if up else seed_rows[1:] + [0]
+    out = [0] * g.nrows
+    prev = 0
+    for r in range(g.nrows) if up else range(g.nrows - 1, -1, -1):
+        prev = out[r] = seed_rows[r] | g.spread(prev)
+    return out
+
+
+def _ref_escapes(g, blocker, up, inside=None):
+    out = [0] * g.nrows
+    nxt = g.full if inside is None else 0
+    nxt_inside = 0
+    for r in range(g.nrows - 1, -1, -1) if up else range(g.nrows):
+        ok = g.spread(nxt)
+        if inside is not None:
+            ok = inside[r] & (ok | (g.full & ~g.spread(nxt_inside)))
+            nxt_inside = inside[r]
+        nxt = out[r] = ok & ~blocker[r]
+    return out
+
+
+def _rows(rng, g, shape):
+    """Row masks of one shape: empty, all ones, a few middle rows, the
+    edge rows and edge bits, or scattered random rows."""
+    n, top = g.nrows, g.width - 1
+    if shape == "empty":
+        return [0] * n
+    if shape == "ones":
+        return [g.full] * n
+    rows = [0] * n
+    if shape == "middle":
+        mid = range(n // 3, max(n - n // 3, n // 3 + 1))
+        for r in rng.sample(mid, min(len(mid), rng.randint(1, 3))):
+            rows[r] = rng.randint(1, g.full)
+    elif shape == "edge":
+        for r in {0, n - 1}:
+            rows[r] = rng.choice([1, 1 << top, 1 | 1 << top, g.full])
+    else:
+        for r in range(n):
+            if rng.random() < 0.3:
+                rows[r] = rng.randint(0, g.full)
+    return rows
+
+
+SHAPES = ("empty", "ones", "middle", "edge", "random")
+
+
+def _grids(rng):
+    """Cylinders of circumference 2-8 and planes, over random row ranges."""
+    for c in [None] + list(range(2, 9)):
+        M = LatticeSpacetime("plane", (-20, 20)) if c is None else \
+            LatticeSpacetime("cylinder", (-20, 20), c)
+        for _ in range(6):
+            t0 = rng.randint(-4, 2)
+            t1 = t0 + rng.randint(0, 12)
+            seeds = [(rng.randint(t0, t1), rng.randint(-3, 3))
+                     for _ in range(rng.randint(1, 3))]
+            yield _Grid(M, t0, t1, seeds)
+
+
+def test_saturating_cone_matches_full_sweep():
+    rng = random.Random("cone-oracle")
+    checked = 0
+    for g in _grids(rng):
+        for shape in SHAPES:
+            seeds = _rows(rng, g, shape)
+            for up in (True, False):
+                for strict in (False, True):
+                    assert g.cone(list(seeds), up, strict) == \
+                        _ref_cone(g, list(seeds), up, strict)
+                    checked += 1
+    assert checked == 8 * 6 * len(SHAPES) * 4
+
+
+def test_saturating_escapes_match_full_sweep():
+    rng = random.Random("escape-oracle")
+    checked = 0
+    for g in _grids(rng):
+        for shape in SHAPES:
+            blocker = _rows(rng, g, shape)
+            for inside in (None, _rows(rng, g, rng.choice(SHAPES)),
+                           [g.full] * g.nrows):
+                for up in (True, False):
+                    assert g.escapes(blocker, up, inside) == \
+                        _ref_escapes(g, blocker, up, inside)
+                    checked += 1
+    assert checked == 8 * 6 * len(SHAPES) * 6
+
+
+# -- the development memo -----------------------------------------------------
+
+
+def test_development_memo_returns_fresh_equal_regions():
+    M = LatticeSpacetime("cylinder", (-14, 16), 6)
+    stable = region_points(M, [(0, 0), (1, 0)])
+    grows = region_points(M, [(0, x) for x in (0, 1, 2)] +
+                          [(1, x) for x in (0, 1, 2)])
+    slab = region_slab(M, 0, 0)
+    for U in (stable, grows, slab):
+        first = cauchy_development(M, U)
+        again = cauchy_development(M, U)
+        assert again == first and again.ambient is M
+    # point sets only: the key itself for a D-stable region, None for full
+    assert M._developments[stable.pts] is stable.pts
+    assert M._developments[slab.pts] is None
+    assert M._developments[grows.pts] == cauchy_development(M, grows).pts
+    assert not any(isinstance(v, Region) for v in M._developments.values())
+
+
+def test_development_memo_keeps_failures_and_identity():
+    M = LatticeSpacetime("cylinder", (0, 1), 6)
+    wide = region_points(M, [(t, x) for t in (0, 1) for x in (0, 1, 2)])
+    for _ in range(2):
+        with pytest.raises(WindowTooSmallError):
+            cauchy_development(M, wide)
+    assert not M._developments
+    M1 = LatticeSpacetime("cylinder", (-14, 16), 6)
+    M2 = LatticeSpacetime("cylinder", (-14, 16), 6)
+    cauchy_development(M1, region_points(M1, [(0, 0)]))
+    assert M1._developments and not M2._developments
+    assert M1 == M2 and hash(M1) == hash(M2)
+    assert not M1.with_window(-14, 16)._developments
+    assert not M1.enlarged(2)._developments

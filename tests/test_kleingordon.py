@@ -102,6 +102,17 @@ def test_extension_injective_and_cauchy_iso(kg_cyl, cyl):
     assert ext2.rank() == kg_cyl.space(dia_small.points()).dim
 
 
+def test_extension_cache(cyl):
+    kg = KgContext(cyl, QQ(1, 4))
+    small = region_diamond(cyl, (1, 0), (3, 0)).points()
+    big = region_diamond(cyl, (0, 0), (4, 0)).points()
+    ext = kg.extension(small, big)
+    assert kg.extension(region_points(cyl, small), big) is ext
+    for _ in range(2):  # a refusal is never cached
+        with pytest.raises(KgError, match="extension needs nested regions"):
+            kg.extension(big, small)
+
+
 def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
     s = kg_cyl.space(region_slab(cyl, 0, 2))
     sig = s.sigma_reduced()
