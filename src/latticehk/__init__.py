@@ -14,6 +14,6 @@ from .sites import (SiteCategory, Cover, CoverCategory, SiteFunctor,
 from .kleingordon import KgContext, KgConfig
 from .nets import IndicatorAqft, CcrAqft, build_indicator, build_kg_aqft
 from .descent import (generator_counit_check, relation_counit_check,
-                      restrict_to_cover, prestack_failure_demo)
+                      prestack_failure_demo)
 
 __version__ = "0.1.0"

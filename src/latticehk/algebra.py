@@ -47,12 +47,6 @@ class QPower:
         if self.k < 1:
             raise AlgebraError("QPower needs k >= 1")
 
-    def structure_constant(self, i: int, j: int, l: int) -> "QQ":
-        return Q1 if i == j == l else Q0
-
-    def unit_vector(self) -> tuple:
-        return tuple(Q1 for _ in range(self.k))
-
     def __repr__(self):
         return f"QPower({self.k})"
 
@@ -67,29 +61,6 @@ class FreeProduct:
 
     def __repr__(self):
         return f"FreeProduct({self.base!r}, {self.copies})"
-
-
-def table_check(alg: QPower) -> bool:
-    """Associativity and unit laws for the split table (construction check)."""
-    k = alg.k
-    for i, j, l in product(range(k), repeat=3):
-        for q in range(k):
-            lhs_q = sum((alg.structure_constant(i, j, m) *
-                         alg.structure_constant(m, l, q) for m in range(k)),
-                        Q0)
-            rhs_q = sum((alg.structure_constant(j, l, m) *
-                         alg.structure_constant(i, m, q) for m in range(k)),
-                        Q0)
-            if lhs_q != rhs_q:
-                return False
-    unit = alg.unit_vector()
-    for i in range(k):
-        for q in range(k):
-            s = sum((unit[j] * alg.structure_constant(j, i, q)
-                     for j in range(k)), Q0)
-            if s != (Q1 if q == i else Q0):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Descent data over covers, counit checks, and the no-prestack demos.
+"""Counit checks over covers and the no-prestack demos.
+
+A theory restricted to a cover is its pullback along the cover functor
+(``nets.pullback_indicator`` along ``sites.j_functor``); its overlap copies of
+one region carry one value by construction, so no cocycle needs checking.
 
 The two counit checks reduce descent for field assignments to exact linear
 algebra:
@@ -28,12 +32,14 @@ from typing import Optional
 
 from .algebra import WedgeSpace
 from .geometry import (LatticeSpacetime, Region, are_causally_disjoint,
-                       cauchy_development, region_points, set_bits)
+                       cauchy_development, region_points)
 from .kleingordon import KgContext
-from .nets import (AqftError, CcrAqft, IndicatorAqft, count_nat_transforms)
+from .nets import (AqftError, build_indicator, count_nat_transforms,
+                   pullback_indicator)
 from .rational import (IntegerEchelon, Mat, Q0, is_exact_coequalizer,
                        primitive_integer)
-from .sites import Cover, CoverCategory, SiteCategory, SiteError
+from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
+                    j_functor)
 
 
 @dataclass
@@ -59,67 +65,6 @@ class CheckRecord:
 def make_digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# descent data
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DescentDatum:
-    """Per-piece restriction of an assignment with identity cocycles."""
-
-    cover: Cover
-    category: CoverCategory
-    assignment: object  # IndicatorAqft or CcrAqft over the cover category
-
-
-def restrict_to_cover(A, site: SiteCategory, cover: Cover,
-                      category: Optional[CoverCategory] = None
-                      ) -> DescentDatum:
-    """Restrict an assignment along the canonical cover functor; the cocycle
-    identities are verified on the nose (values agree across overlap copies
-    and the overlap transitions are identities)."""
-    cc = category if category is not None else CoverCategory(site, cover)
-    if isinstance(A, IndicatorAqft):
-        values = {n: A.values[cc.objects[n][1]] for n in cc.object_keys()}
-        restricted = IndicatorAqft(cc, A.algebra, values,
-                                   label=f"{A.label}|cover")
-    elif isinstance(A, CcrAqft):
-        spaces = {n: A.spaces[cc.objects[n][1]] for n in cc.object_keys()}
-        transitions = {}
-        for a in cc.object_keys():
-            for b in set_bits(cc.hom[a]):
-                key = (cc.objects[a][1], cc.objects[b][1])
-                if key in A.transitions:
-                    transitions[(a, b)] = A.transitions[key]
-        restricted = CcrAqft(cc, A.ctx, spaces, transitions,
-                             label=f"{A.label}|cover")
-    else:
-        raise AqftError(f"cannot restrict {A!r}")
-    _verify_identity_cocycles(restricted, cc)
-    return DescentDatum(cover, cc, restricted)
-
-
-def _verify_identity_cocycles(A, cc: CoverCategory):
-    by_region: dict = {}
-    for n, (i, k) in enumerate(cc.objects):
-        by_region.setdefault(k, []).append(n)
-    for k, copies in by_region.items():
-        for a in copies:
-            for b in copies:
-                if a == b:
-                    continue
-                if isinstance(A, IndicatorAqft):
-                    if A.values[a] != A.values[b]:
-                        raise AqftError("cocycle values differ across "
-                                        "overlap copies")
-                else:
-                    t = A.transitions.get((a, b))
-                    if t is not None and t != Mat.identity(t.nrows):
-                        raise AqftError("overlap transition is not the "
-                                        "identity cocycle")
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +277,7 @@ def _segment(M: LatticeSpacetime, tstar: int, x: int, halfwidth: int,
 
 def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
                           localized: bool = False,
-                          include_perp: bool = True,
-                          allow_adapted: bool = True):
+                          include_perp: bool = True):
     """Span equality between the piece-wise relations and the full pairing
     graph on the target generator space.
 
@@ -392,7 +336,7 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     if include_perp:
         add_perp(combinations(parts, 2))
     strategy = "direct"
-    if span.rank < graph.nrows and allow_adapted and include_perp:
+    if span.rank < graph.nrows and include_perp:
         segments, ad_info = build_adapted_cover(ctx, target_pts, parts)
         info["adapted"] = ad_info
         if segments is not None:
@@ -415,25 +359,20 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
 # ---------------------------------------------------------------------------
 
 
-def prestack_failure_demo(site: SiteCategory, cover: Cover,
-                          predicate_name: str, A, B,
-                          make_pred) -> dict:
-    """Counts |Hom(A-theory, B-theory)| on the site versus in the descent
-    datum; a mismatch exhibits failure of fullness for the cover functor."""
-    from .nets import build_indicator
-    predA = make_pred()
-    predB = make_pred()
-    thA = build_indicator(site, predA, A, label=f"{predicate_name}/A")
-    thB = build_indicator(site, predB, B, label=f"{predicate_name}/B")
+def prestack_failure_demo(site: SiteCategory, cover: Cover, predicate,
+                          A, B) -> dict:
+    """Counts |Hom(A-theory, B-theory)| on the site versus on the cover
+    category, where both theories are pulled back along the cover functor;
+    a mismatch exhibits failure of fullness for that functor."""
+    thA = build_indicator(site, predicate, A)
+    thB = build_indicator(site, predicate, B)
     global_count = count_nat_transforms(thA, thB)
-    cc = CoverCategory(site, cover)
-    datumA = restrict_to_cover(thA, site, cover, category=cc)
-    datumB = restrict_to_cover(thB, site, cover, category=cc)
-    local_count = count_nat_transforms(datumA.assignment, datumB.assignment)
-    support_vanishes = not datumA.assignment.support() and \
-        not datumB.assignment.support()
+    jf = j_functor(CoverCategory(site, cover))
+    localA = pullback_indicator(jf, thA)
+    localB = pullback_indicator(jf, thB)
+    local_count = count_nat_transforms(localA, localB)
     return {"global_count": global_count, "datum_count": local_count,
-            "datum_trivial": support_vanishes,
+            "datum_trivial": not localA.support() and not localB.support(),
             "exhibits_failure": global_count != local_count}
 
 

@@ -190,12 +190,6 @@ class KgSpace:
             raise KgError("field leaves the region")
         return {self.index[p]: v for p, v in field.items()}
 
-    def reduce_field(self, field: dict) -> tuple:
-        return self.quotient.reduce_sparse(self.coordinates(field))
-
-    def basis_fields(self) -> list[dict]:
-        return [{self.pts[c]: Q1} for c in self.quotient.free]
-
     def sigma_ambient(self) -> Mat:
         """Pairing on the point basis of C_c(U); the quotient relations are
         verified to be sigma-degenerate before any use."""

@@ -57,7 +57,6 @@ class IndicatorAqft:
     site: object  # SiteCategory or CoverCategory
     algebra: QPower
     values: dict
-    label: str = "indicator"
 
     def support(self):
         return [k for k in self.site.object_keys()
@@ -65,7 +64,6 @@ class IndicatorAqft:
 
 
 def build_indicator(site, predicate, A: QPower,
-                    label: str = "indicator",
                     check_functorial: bool = True) -> IndicatorAqft:
     """Indicator assignment with forced transitions.
 
@@ -92,15 +90,14 @@ def build_indicator(site, predicate, A: QPower,
         if any(site.disjoint[a] & support for a in set_bits(support)):
             raise AqftError("predicate holds on two causally "
                             "disjoint regions")
-    return IndicatorAqft(site, A, values, label)
+    return IndicatorAqft(site, A, values)
 
 
-def pullback_indicator(F, A: IndicatorAqft,
-                       label: Optional[str] = None) -> IndicatorAqft:
-    """Precompose with a site functor (e.g. the one an embedding induces)."""
+def pullback_indicator(F, A: IndicatorAqft) -> IndicatorAqft:
+    """Precompose with a site functor: the one an embedding induces, or the
+    cover functor, which restricts a theory to a cover."""
     values = {k: A.values[F.omap[k]] for k in F.source.object_keys()}
-    return IndicatorAqft(F.source, A.algebra, values,
-                         label or f"pullback({A.label})")
+    return IndicatorAqft(F.source, A.algebra, values)
 
 
 def check_time_slice_indicator(A: IndicatorAqft) -> bool:
@@ -214,7 +211,6 @@ class CcrAqft:
     spaces: dict
     transitions: dict  # (a, b) -> Mat
     skipped: tuple = ()
-    label: str = "ccr"
 
 
 def build_kg_aqft(ctx, site: SiteCategory, check: bool = True) -> CcrAqft:

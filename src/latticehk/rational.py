@@ -43,10 +43,6 @@ class Mat:
             self.ncols = 0 if ncols is None else ncols
 
     @staticmethod
-    def zeros(nrows: int, ncols: int) -> "Mat":
-        return Mat([[Q0] * ncols for _ in range(nrows)], ncols)
-
-    @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[Q1 if i == j else Q0 for j in range(n)]
                     for i in range(n)], n)
@@ -216,20 +212,13 @@ def row_space(rows: Iterable[Sequence], ncols: int) -> Mat:
     return m.rref()[0]
 
 
-def same_row_space(a: Mat, b: Mat) -> bool:
-    if a.ncols != b.ncols:
-        return False
-    ra = a.rref()[0]
-    rb = b.rref()[0]
-    return ra.data == rb.data
-
-
 class QuotientSpace:
     """ambient Q^n modulo the row space of a subspace matrix.
 
     The chosen complement basis is the set of pivot-free coordinates of the
-    reduced subspace; ``reduce`` rewrites a vector in those coordinates and
-    ``section`` embeds quotient coordinates back as ambient representatives.
+    reduced subspace; ``reduce_sparse`` rewrites a vector in those
+    coordinates, and the section sends quotient coordinate j to the unit
+    vector of ambient coordinate ``free[j]``.
     """
 
     def __init__(self, ambient_dim: int, subspace_rows: Iterable[Sequence]):
@@ -259,18 +248,6 @@ class QuotientSpace:
                 if r:
                     out[k] -= v * r
         return tuple(out)
-
-    def reduce(self, vec: Sequence) -> tuple:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        return self.reduce_sparse({i: v for i, v in enumerate(map(QQ, vec))
-                                   if v})
-
-    def section(self, coords: Sequence) -> tuple:
-        v = [Q0] * self.ambient_dim
-        for c, val in zip(self.free, coords):
-            v[c] = QQ(val)
-        return tuple(v)
 
 
 def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,

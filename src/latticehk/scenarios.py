@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import datetime
 import json
-import jsonschema
+
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .checks import (EXPECTED, REGISTRY, UNIVERSE_KEYS, RunContext,
                      run_check)
@@ -37,9 +39,8 @@ SCENARIO_SCHEMA = {
                            "items": {"type": "integer"}},
             },
         },
-        # propertyNames, not additionalProperties: jsonschema re-checks the
-        # schema on every validation, and one enum costs less than a
-        # sub-schema per key
+        # propertyNames, not additionalProperties: one enum names every
+        # allowed key, with no sub-schema per key
         "universe": {"type": "object",
                      "propertyNames": {"enum": ["compactness",
                                                 *UNIVERSE_KEYS]}},
@@ -56,6 +57,8 @@ SCENARIO_SCHEMA = {
     },
     "additionalProperties": False,
 }
+# built once: jsonschema.validate would check the schema itself on every call
+_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
 class ScenarioError(Exception):
@@ -94,9 +97,8 @@ def parse_cover(M: LatticeSpacetime, literal: dict) -> Cover:
 
 
 def validate_scenario(config: dict):
-    try:
-        jsonschema.validate(config, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = best_match(_VALIDATOR.iter_errors(config))
+    if e is not None:
         raise ScenarioError(f"invalid scenario: {e.message} at "
                             f"{'/'.join(str(p) for p in e.path)}")
     for cid in config["checks"]:

@@ -191,9 +191,6 @@ class SiteCategory:
 
     # -- region-level helpers ------------------------------------------------
 
-    def hom_exists(self, U: Region, V: Region) -> bool:
-        return self.hom_k(self.index[U], self.index[V])
-
     def within(self, region: Region) -> int:
         """Mask of the objects that ``region`` contains."""
         n = len(self.objects)
@@ -205,15 +202,6 @@ class SiteCategory:
             if b is not None and not b & ~held:
                 out |= 1 << k
         return out
-
-    def orthogonal(self, m1: tuple[Region, Region],
-                   m2: tuple[Region, Region]) -> bool:
-        """Morphisms are (source, target) pairs sharing the target."""
-        (u1, v1), (u2, v2) = m1, m2
-        if v1 != v2 or not self.hom_exists(u1, v1) or \
-                not self.hom_exists(u2, v2):
-            raise SiteError("orthogonality needs two morphisms to one target")
-        return self.disjoint_k(self.index[u1], self.index[u2])
 
     def relocalized(self, localized: bool) -> "SiteCategory":
         """The same objects under the ``localized`` rule.  The other rule's
@@ -311,26 +299,6 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
     return sorted(out, key=lambda r: r.sort_key())
 
 
-def check_orthogonality_composition_stable(site: SiteCategory) -> bool:
-    """Orthogonality is keyed to sources, so composition stability says:
-    morphism sources mapping into causally disjoint regions are themselves
-    causally disjoint.  Definitional for the plain rule; for the localized
-    rule it is a property of developments, verified here exhaustively."""
-    n = len(site.objects)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not site.disjoint_k(i, j):
-                continue
-            for a in range(n):
-                if not site.hom_k(a, i):
-                    continue
-                for b in range(n):
-                    if a != b and site.hom_k(b, j) and \
-                            not site.disjoint_k(a, b):
-                        return False
-    return True
-
-
 def saturation_hom(plain_site: SiteCategory) -> list[int]:
     """Localization oracle: reachability over plain morphisms together with
     formal inverses of Cauchy morphisms (zigzag closure)."""
@@ -393,8 +361,7 @@ class Cover:
     """A finite family of causally convex regions covering a base.
 
     For a full base the pieces must cover a declared finite zone (the
-    materialized part of the spacetime); the cover is then window-complete by
-    declaration.
+    materialized part of the spacetime).
     """
 
     base: Region
@@ -429,10 +396,6 @@ class Cover:
     @property
     def ambient(self) -> LatticeSpacetime:
         return self.base.ambient
-
-    @property
-    def window_complete(self) -> bool:
-        return self.base.is_full
 
     def is_D_stable(self) -> bool:
         M = self.ambient
@@ -693,7 +656,7 @@ def embedding_site_functor(f: LatticeEmbedding, src_site: SiteCategory,
 
 
 # ---------------------------------------------------------------------------
-# refinements, pullbacks, cover extension
+# refinements, cover extension
 # ---------------------------------------------------------------------------
 
 
@@ -711,25 +674,6 @@ def refinement_functor(site: SiteCategory, fine: Cover, coarse: Cover,
     for n, (i, k) in enumerate(cc_fine.objects):
         omap[n] = cc_coarse.index[(alpha[i], k)]
     return SiteFunctor(cc_fine, cc_coarse, omap)
-
-
-def pullback_cover(f: LatticeEmbedding, cov: Cover) -> Cover:
-    """Preimage cover, empty preimages discarded."""
-    pieces = []
-    for p in cov.pieces:
-        pre = preimage_region(f, p)
-        if pre is not None:
-            pieces.append(pre)
-    if not pieces:
-        raise SiteError("pullback cover is empty")
-    base = preimage_region(f, cov.base)
-    if base is None:
-        raise SiteError("pullback base is empty")
-    zone = None
-    if base.is_full and f.source.extent is None:
-        union = frozenset().union(*[p.pts for p in pieces])
-        zone = region_points(f.source, union)
-    return Cover(base, tuple(pieces), zone)
 
 
 def _cover_restriction(pieces: Iterable[Region], X: Region):

@@ -7,15 +7,10 @@ from latticehk.algebra import (AlgebraError, FreeProduct, INITIAL, Initial,
                                QPower, ThinDiagram, TruncatedFreeAlgebra,
                                WedgeSpace, consistency_check, count_cocones,
                                count_homs, count_homs_from_value,
-                               enumerate_homs, relation_span, table_check,
+                               enumerate_homs, relation_span,
                                two_valued_colimit)
 from latticehk.checks import check_degree2_ideal_principle
 from latticehk.rational import Mat, QQ, Q0, Q1
-
-
-def test_table_laws():
-    assert table_check(QPower(1))
-    assert table_check(QPower(3))
 
 
 def test_hom_counts_and_brute_force():

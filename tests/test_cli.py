@@ -2,10 +2,18 @@ import gc
 import json
 
 import pytest
+from jsonschema.validators import validator_for
 
+from latticehk.checks import UNIVERSE_KEYS
 from latticehk.cli import main
-from latticehk.scenarios import (DEMOS, ScenarioError, report_bytes,
-                                 run_scenario, validate_scenario)
+from latticehk.scenarios import (DEMOS, SCENARIO_SCHEMA, ScenarioError,
+                                 report_bytes, run_scenario,
+                                 validate_scenario)
+
+
+def test_scenario_schema_is_a_valid_schema():
+    # validate_scenario does not check the schema itself; this test does
+    validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
 
 def test_validate_rejects_bad_configs():
@@ -73,7 +81,7 @@ def test_determinism_modulo_timestamp():
         report_bytes(r2, drop_timestamp=True)
 
 
-def test_cli_run_and_exit_codes(tmp_path):
+def test_cli_run_and_exit_codes(tmp_path, capsys):
     scn = tmp_path / "s.json"
     scn.write_text(json.dumps({
         "schema": "latticehk-scenario/1",
@@ -99,7 +107,22 @@ def test_cli_run_and_exit_codes(tmp_path):
         "universe": {"compactness": "rc", "t_rang": [0, 3]},
         "checks": ["algebra.hom-counts"],
     }))
+    capsys.readouterr()
     assert main(["run", str(typo)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: invalid scenario: 't_rang' is not one of " \
+        f"{['compactness', *UNIVERSE_KEYS]} at universe\n"
+    no_checks = tmp_path / "no_checks.json"
+    no_checks.write_text(json.dumps({
+        "schema": "latticehk-scenario/1",
+        "spacetime": {"kind": "cylinder", "circumference": 6,
+                      "window": [-14, 16]},
+        "checks": [],
+    }))
+    assert main(["run", str(no_checks)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: invalid scenario: [] should be non-empty " \
+        "at checks\n"
     # a cover literal whose piece is not causally convex
     bad_cover = tmp_path / "bad_cover.json"
     bad_cover.write_text(json.dumps({

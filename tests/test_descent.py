@@ -1,20 +1,22 @@
 import pytest
 
 from latticehk.algebra import QPower, WedgeSpace, consistency_check
-from latticehk.checks import (RunContext, _descent_instances, column_cover,
+from latticehk.checks import (RunContext, _descent_candidates,
+                              _descent_instances, column_cover,
                               tall_diamond_cover)
 from latticehk.descent import (_piece_parts, build_adapted_cover,
                                finer_coarser_check, generator_counit_check,
                                make_digest, prestack_failure_demo,
-                               relation_counit_check, restrict_to_cover)
+                               relation_counit_check)
 from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
                                 cauchy_development, is_causally_convex,
                                 region_diamond, region_full, region_points,
                                 region_slab)
-from latticehk.nets import build_indicator, make_predicate
-from latticehk.rational import Mat, Q0, Q1, row_space, same_row_space
-from latticehk.sites import (Cover, SiteCategory, SiteError,
-                             enumerate_universe)
+from latticehk.nets import (build_indicator, make_predicate,
+                            pullback_indicator)
+from latticehk.rational import Mat, Q0, Q1, row_space
+from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
+                             enumerate_universe, j_functor)
 
 
 def _band_cover(M, U, overlap=1):
@@ -64,6 +66,21 @@ def test_localized_requires_d_stable_cover(kg_cyl, cyl):
                                localized=True)
 
 
+@pytest.mark.parametrize("c", [4, 5])
+def test_localized_candidates_are_d_stable_on_narrow_cylinders(c):
+    """On circumference 4 and 5 the height-4 tall diamond cover wraps
+    around the circle and is not D-stable; the localized candidates leave
+    it out instead of handing it to a check that raises."""
+    M = LatticeSpacetime("cylinder", (-14, 16), c)
+    ctx = RunContext(M=M, seed=3, universe_cfg={"compactness": "rc",
+                                                "t_range": [0, 3]})
+    assert not tall_diamond_cover(M, region_slab(M, 0, 3),
+                                  height=4).is_D_stable()
+    instances = list(_descent_candidates(ctx, True))
+    assert instances
+    assert all(cov.is_D_stable() for cov, _ in instances)
+
+
 def test_localized_skips_full_developments(kg_cyl, cyl):
     zone = region_slab(cyl, 0, 4)
     cov = column_cover(cyl, zone)
@@ -92,20 +109,23 @@ def test_negative_control_strict_inclusion(kg_cyl, cyl):
     U = region_points(cyl, p1.pts | p2.pts)
     assert is_causally_convex(cyl, U)
     cov = Cover(U, (p1, p2))
-    v, info = relation_counit_check(kg_cyl, cov, U, include_perp=False,
-                                    allow_adapted=False)
+    v, info = relation_counit_check(kg_cyl, cov, U, include_perp=False)
     assert v == "fail" and info["witness"] is not None
     assert info["span_dim"] < info["graph_dim"]
     v2, _ = relation_counit_check(kg_cyl, cov, U, include_perp=True)
     assert v2 == "pass"
 
 
+def _same_row_space(a: Mat, b: Mat) -> bool:
+    return a.ncols == b.ncols and a.rref()[0].data == b.rref()[0].data
+
+
 def _fraction_relation_check(kg, cover, U, localized=False,
-                             include_perp=True, allow_adapted=True):
+                             include_perp=True):
     """The relation counit check in its first, Fraction formulation: every
     relation row (u wedge v, -sigma(u, v)) built with the Fraction pairing,
     the span and the graph reduced by ``row_space``, compared by
-    ``same_row_space`` and ``consistency_check``.  Kept as the oracle of the
+    ``_same_row_space`` and ``consistency_check``.  Kept as the oracle of the
     integer rank check."""
     M = kg.ambient
     info = {"flavor": "localized" if localized else "plain"}
@@ -124,7 +144,10 @@ def _fraction_relation_check(kg, cover, U, localized=False,
         return sum((a * b for a, b in zip(u, sigma.apply(v))), Q0)
 
     def basis(pts):
-        return [T.reduce_field(f) for f in kg.space(pts).basis_fields()]
+        # the unit fields at the free points of L(pts), reduced in L(T)
+        S = kg.space(pts)
+        return [T.quotient.reduce_sparse(T.coordinates({S.pts[c]: Q1}))
+                for c in S.quotient.free]
 
     def perp(a, b):
         if not are_causally_disjoint(M, region_points(M, a),
@@ -154,7 +177,7 @@ def _fraction_relation_check(kg, cover, U, localized=False,
     rows = relations_for(parts)
     span = row_space(rows, wedge.dim) if rows else Mat([], wedge.dim)
     strategy = "direct"
-    if not same_row_space(span, graph) and allow_adapted and include_perp:
+    if not _same_row_space(span, graph) and include_perp:
         segments, ad_info = build_adapted_cover(kg, target, parts)
         info["adapted"] = ad_info
         if segments is not None:
@@ -166,7 +189,7 @@ def _fraction_relation_check(kg, cover, U, localized=False,
             strategy = "adapted"
     info.update(strategy=strategy, span_dim=span.nrows,
                 graph_dim=graph.nrows, consistent=consistency_check(span))
-    if same_row_space(span, graph) and info["consistent"]:
+    if _same_row_space(span, graph) and info["consistent"]:
         return "pass", info
     witness = None
     for row in graph.data:
@@ -197,7 +220,7 @@ def _relation_oracle_inputs(plane_ctx, cyl_ctx, kg_plane, kg_cyl, plane,
     p2 = region_points(cyl, [(0, 3), (1, 3)])
     U = region_points(cyl, p1.pts | p2.pts)
     out.append((kg_cyl, Cover(U, (p1, p2)), U,
-                {"include_perp": False, "allow_adapted": False}))
+                {"include_perp": False}))
     T = region_diamond(plane, (0, 0), (6, 0))
     n1 = region_points(plane, [p for p in T.pts if p[0] - p[1] <= 4])
     n2 = region_points(plane, [p for p in T.pts if p[0] - p[1] >= 2])
@@ -262,7 +285,19 @@ def test_thin_cover_divergence_is_documented(kg_cyl, cyl):
     assert info["witness"]["kind"] == "kernel"
 
 
-def test_restrict_to_cover_and_cocycles(cyl):
+def _restricted(A, site, cover):
+    """A restricted to the cover: pulled back along its cover functor.
+    Every object (piece i, region k) must carry the value of region k, the
+    same on every overlap copy."""
+    cc = CoverCategory(site, cover)
+    R = pullback_indicator(j_functor(cc), A)
+    assert R.site is cc
+    assert all(R.values[n] == A.values[k]
+               for n, (_, k) in enumerate(cc.objects))
+    return R
+
+
+def test_restriction_to_a_cover_is_the_pullback(cyl):
     uni = enumerate_universe(cyl, compactness="copen", t_range=(0, 4),
                              max_height=4, cap=1600)
     site = SiteCategory(cyl, uni, "copen", localized=False)
@@ -271,16 +306,15 @@ def test_restrict_to_cover_and_cocycles(cyl):
     zone = region_slab(cyl, 0, 4)
     pieces = tuple(region_points(cyl, [p]) for p in sorted(zone.pts))
     cov = Cover(region_full(cyl), pieces, zone=zone)
-    datum = restrict_to_cover(A, site, cov)
-    assert not datum.assignment.support()
+    assert not _restricted(A, site, cov).support()
     # the coarsest cover reproduces the assignment
     s03 = region_slab(cyl, 0, 3)
     sub = [r for r in uni if not r.is_full and s03.contains(r)]
     site2 = SiteCategory(cyl, sub, "rc", localized=False)
     A2 = build_indicator(site2, make_predicate("contains_cauchy_surface",
                                                site2), QPower(2))
-    datum2 = restrict_to_cover(A2, site2, Cover(s03, (s03,)))
-    assert len(datum2.assignment.support()) == len(A2.support())
+    R2 = _restricted(A2, site2, Cover(s03, (s03,)))
+    assert len(R2.support()) == len(A2.support())
 
 
 def test_prestack_failure_counts(cyl):
@@ -295,9 +329,8 @@ def test_prestack_failure_counts(cyl):
         site = SiteCategory(cyl, objs, comp, loc)
         pred = "equals_full" if (comp, loc) == ("copen", False) else \
             "contains_cauchy_surface"
-        r = prestack_failure_demo(
-            site, cov, pred, QPower(2), QPower(2),
-            lambda site=site, pred=pred: make_predicate(pred, site))
+        r = prestack_failure_demo(site, cov, make_predicate(pred, site),
+                                  QPower(2), QPower(2))
         assert (r["global_count"], r["datum_count"]) == (4, 1)
         assert r["exhibits_failure"] and r["datum_trivial"]
 

@@ -113,6 +113,15 @@ def test_extension_cache(cyl):
             kg.extension(big, small)
 
 
+def _section(q, coords) -> tuple:
+    """The ambient representative of quotient coordinates: coordinate j
+    sits at the free column ``q.free[j]``."""
+    v = [Q0] * q.ambient_dim
+    for c, val in zip(q.free, coords):
+        v[c] = val
+    return tuple(v)
+
+
 def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
     s = kg_cyl.space(region_slab(cyl, 0, 2))
     sig = s.sigma_reduced()
@@ -132,8 +141,8 @@ def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
             space = kg.space(U.points())
             q = space.quotient
             assert 0 < q.dim < q.ambient_dim  # S selects a proper subset
-            S = Mat.from_cols([q.section([Q1 if i == j else Q0
-                                          for i in range(q.dim)])
+            S = Mat.from_cols([_section(q, [Q1 if i == j else Q0
+                                            for i in range(q.dim)])
                                for j in range(q.dim)], q.ambient_dim)
             ref = S.transpose() @ space.sigma_ambient() @ S
             sel = space.sigma_reduced()
@@ -282,8 +291,8 @@ def _dense_induced(src, dst, amb: Mat) -> Mat:
             raise ValueError("map not defined on quotient")
     cols = []
     for j in range(src.dim):
-        e = src.quotient.section([Q1 if i == j else Q0
-                                  for i in range(src.dim)])
+        e = _section(src.quotient, [Q1 if i == j else Q0
+                                    for i in range(src.dim)])
         cols.append(_dense_reduce(dst.quotient, amb.apply(e)))
     return Mat.from_cols(cols, dst.dim)
 

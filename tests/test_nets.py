@@ -345,7 +345,7 @@ def test_kg_time_slice_catches_a_tampered_cauchy_transition(cyl):
     a, b = next((a, b) for a in A.site.object_keys()
                 for b in set_bits(A.site.cauchy[a]) if a != b)
     t = A.transitions[(a, b)]
-    A.transitions[(a, b)] = Mat.zeros(t.nrows, t.ncols)
+    A.transitions[(a, b)] = Mat([[0] * t.ncols] * t.nrows, t.ncols)
     assert not check_time_slice(A)
     assert check_kg_axioms(A)[-1] == \
         f"Cauchy morphism {a}->{b} not invertible"
