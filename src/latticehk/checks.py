@@ -37,10 +37,10 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
 from .kleingordon import (KgContext, KgError, apply_P, field_add,
                           field_clean, green, pairing, propagator,
                           pushforward_matrix)
-from .nets import (build_indicator, build_kg_aqft, check_time_slice,
-                   count_nat_transforms, epsilon_iso_check, make_predicate,
-                   pullback_indicator, PointFamily, verify_point,
-                   reconstruct_global)
+from .nets import (AqftError, build_indicator, build_kg_aqft,
+                   check_time_slice, count_nat_transforms, epsilon_iso_check,
+                   make_predicate, pullback_indicator, PointFamily,
+                   verify_point, reconstruct_global)
 from .rational import Mat, Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     check_cover_intersections, check_localization_functor,
@@ -84,7 +84,9 @@ def register(check_id: str, claim: str, flavors: tuple = (),
 
 @dataclass
 class RunContext:
-    """Resolved scenario inputs shared by the check runners."""
+    """Resolved scenario inputs shared by the check runners.  Each input
+    has one reader: ``t_range``, ``x_range`` and ``zone`` for the rows and
+    columns, ``mass2`` and ``algebra`` for the assignment family."""
 
     M: LatticeSpacetime
     seed: int = 0
@@ -163,21 +165,51 @@ class RunContext:
         """The Klein-Gordon context over ``M`` (the scenario's spacetime by
         default) at the configured mass squared, built once per run so that
         the checks share its generator spaces."""
-        M = self.M if M is None else M
-        key = (M, QQ(str(self.aqft_cfg.get("mass2", "1/4"))))
+        key = (self.M if M is None else M, self.mass2)
         if key not in self.kgs:
             self.kgs[key] = KgContext(*key)
         return self.kgs[key]
 
-    def zone_points(self):
-        cfg = self.universe_cfg
-        tr = tuple(cfg.get("t_range", self.M.window))
+    @property
+    def t_range(self) -> tuple[int, int]:
+        """The configured rows, the whole window by default."""
+        return tuple(self.universe_cfg.get("t_range", self.M.window))
+
+    @property
+    def x_range(self) -> tuple[int, int]:
+        """The configured columns; every column of a cylinder."""
         if self.M.kind == "cylinder":
-            return [(t, x) for t in range(tr[0], tr[1] + 1)
-                    for x in range(self.M.circumference)]
-        xr = tuple(cfg["x_range"])
-        return [(t, x) for t in range(tr[0], tr[1] + 1)
-                for x in range(xr[0], xr[1] + 1)]
+            return (0, self.M.circumference - 1)
+        if "x_range" not in self.universe_cfg:
+            raise SiteError("plane enumeration needs an explicit x_range")
+        return tuple(self.universe_cfg["x_range"])
+
+    def zone(self) -> Region:
+        """The region the configured rows and columns span."""
+        (t0, t1), (x0, x1) = self.t_range, self.x_range
+        return region_points(self.M, [(t, x) for t in range(t0, t1 + 1)
+                                      for x in range(x0, x1 + 1)])
+
+    @property
+    def mass2(self) -> QQ:
+        """The configured mass squared, 1/4 by default."""
+        literal = self.aqft_cfg.get("mass2", "1/4")
+        try:
+            return QQ(str(literal))
+        except (ValueError, ZeroDivisionError):
+            raise KgError(f"mass2 must be a rational, not {literal!r}")
+
+    @property
+    def algebra(self) -> QPower:
+        """The configured indicator algebra, Q^2 by default."""
+        literal = self.aqft_cfg.get("algebra", {"kind": "qpower", "k": 2})
+        kind = literal.get("kind") if isinstance(literal, dict) else None
+        if kind == "initial":
+            return QPower(1)
+        k = literal.get("k", 2) if kind == "qpower" else None
+        if not (isinstance(k, int) and k >= 1):
+            raise AqftError(f"unknown algebra literal {literal!r}")
+        return QPower(k)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +386,7 @@ def _brute_development(M, upts: frozenset, box) -> frozenset:
                   "enumeration"})
 def check_development_vs_double_complement(ctx: RunContext, opts):
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     corpus = exhaustive_diamonds(M, zone)
     corpus += seeded_hulls(M, zone, ctx.rng("hulls"),
                            int(opts.get("hulls", 50)))
@@ -418,7 +450,7 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
           "development-idempotent-monotone-hull-stable")
 def check_development_properties(ctx: RunContext, opts):
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     rng = ctx.rng("devprops")
     corpus = seeded_hulls(M, zone, rng, int(opts.get("count", 30)))
     if not corpus:
@@ -446,7 +478,7 @@ def check_development_properties(ctx: RunContext, opts):
           "strict-diamonds-are-d-stable-causally-convex")
 def check_strict_diamonds(ctx: RunContext, opts):
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     bad = 0
     total = 0
     for p in zone:
@@ -470,7 +502,7 @@ def check_strict_diamonds(ctx: RunContext, opts):
           "causal-disjointness-passes-to-subregions")
 def check_disjointness_hereditary(ctx: RunContext, opts):
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     rng = ctx.rng("disj")
     ok = True
     found = 0
@@ -501,7 +533,7 @@ def check_cauchy_union_property(ctx: RunContext, opts):
     """For a Cauchy inclusion U <= U' and any U <= V (all causally convex),
     the union U' | V is causally convex and V <= U' | V is Cauchy."""
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     rng = ctx.rng("s3")
     found, bad = 0, 0
     attempts = 0
@@ -535,8 +567,7 @@ def check_cauchy_union_property(ctx: RunContext, opts):
           "d-stable-neighborhoods-exist-inside-any-region")
 def check_d_stable_neighborhoods(ctx: RunContext, opts):
     M = ctx.M
-    zone = ctx.zone_points()
-    U = hull(M, region_points(M, zone))
+    U = hull(M, ctx.zone())
     ok = True
     for p in sorted(U.pts):
         V = find_D_stable_neighborhood(M, p, U)
@@ -554,8 +585,7 @@ def _translation_embeddings(ctx: RunContext, count: int = 12):
     M = ctx.M
     shifts = [(0, 0), (1, 0), (0, 1), (2, -1), (1, 2), (3, 1), (-1, 1),
               (2, 2), (-2, 0), (1, -2), (4, 0), (0, -1), (3, -2), (2, 1)]
-    return [(f"translate{dt},{dx}", LatticeEmbedding(M, M, dt, dx))
-            for (dt, dx) in shifts[:count]]
+    return [LatticeEmbedding(M, M, dt, dx) for (dt, dx) in shifts[:count]]
 
 
 def _diamond_source(M: LatticeSpacetime) -> LatticeSpacetime:
@@ -573,15 +603,15 @@ def _bounded_embeddings(ctx: RunContext):
     M = ctx.M
     sub = _diamond_source(M)
     if M.kind == "plane":
-        return [("restrict-diamond", LatticeEmbedding(sub, M, 0, 0)),
-                ("restrict-translate", LatticeEmbedding(sub, M, 1, 2))]
+        # the diamond itself and a translate of it
+        return [LatticeEmbedding(sub, M, 0, 0), LatticeEmbedding(sub, M, 1, 2)]
     P = LatticeSpacetime("plane", M.window)
     strip = hull(P, region_points(
         P, [(t, x) for t in range(0, 3)
             for x in range(0, max(2, M.circumference - 3))]))
-    return [("wrap-strip",
-             LatticeEmbedding(bounded_spacetime(P, strip.pts), M, 0, 1)),
-            ("restrict-diamond", LatticeEmbedding(sub, M, 1, 0))]
+    # a plane strip wrapped onto the cylinder, and the diamond
+    return [LatticeEmbedding(bounded_spacetime(P, strip.pts), M, 0, 1),
+            LatticeEmbedding(sub, M, 1, 0)]
 
 
 @register("causality.embedding-development-lemmas",
@@ -595,19 +625,20 @@ def check_embedding_lemmas(ctx: RunContext, opts):
     rng = ctx.rng("emb")
     bad_eq, bad_incl, bad_d2, n_eq, n_incl, n_d2 = 0, 0, 0, 0, 0, 0
     per = int(opts.get("per_embedding", 6))
-    for label, f in _translation_embeddings(ctx, 6):
+    # every translation maps ctx.M to itself
+    t0, t1 = ctx.t_range
+    zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]
+    for f in _translation_embeddings(ctx, 6):
         if not check_loc_morphism(f):
             bad_eq += 1
             continue
-        tr = ctx.universe_cfg.get("t_range", f.source.window)
-        zone = [(t, x) for t in range(tr[0], tr[1] + 1) for x in range(0, 3)]
         for _ in range(per):
             U = hull(f.source, region_points(
                 f.source, rng.sample(zone, rng.randint(1, 3))))
             n_eq += 1
             if not verify_development_restriction(f, U):
                 bad_eq += 1
-    for label, f in _bounded_embeddings(ctx):
+    for f in _bounded_embeddings(ctx):
         if not check_loc_morphism(f):
             bad_incl += 1
             continue
@@ -680,7 +711,7 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     vertex can meet all of them; the count of such instances is recorded.)
     """
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     rng = ctx.rng("cauchyeq")
     found, bad, converse_gap = 0, 0, 0
     for _ in range(int(opts.get("count", 40))):
@@ -699,8 +730,8 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     full_ok = True
     if M.kind == "cylinder":
         full = region_full(M)
-        tr = ctx.universe_cfg.get("t_range", M.window)
-        for a in range(tr[0], tr[1]):
+        t0, t1 = ctx.t_range
+        for a in range(t0, t1):
             slab = region_slab(M, a, a + 1)
             dia = region_diamond(M, (a, 0), (a + 2, 0))
             for U in (slab, dia):
@@ -729,7 +760,7 @@ def check_localization_oracle(ctx: RunContext, opts):
     """Closed-form localized morphisms against the zigzag-saturation oracle
     on seeded witness-closed universes."""
     M = ctx.M
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     rng = ctx.rng("locoracle")
     rounds = int(opts.get("universes", 5))
     per = int(opts.get("regions", 12))
@@ -763,8 +794,7 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
     bad, total = 0, 0
     # every translation maps ctx.M to itself
     src_uni = ctx.universe("rc")
-    for label, f in _translation_embeddings(ctx,
-                                            int(opts.get("count", 12))):
+    for f in _translation_embeddings(ctx, int(opts.get("count", 12))):
         if not check_loc_morphism(f):
             continue
         imgs = [apply_embedding(f, U) for U in src_uni]
@@ -795,8 +825,7 @@ def _covers_for_site(ctx: RunContext, site: SiteCategory, localized: bool,
             if len(out) >= count:
                 break
     elif M.kind == "cylinder":
-        tr = ctx.universe_cfg.get("t_range", M.window)
-        zone = region_slab(M, tr[0], tr[1])
+        zone = ctx.zone()
         for step in (1, 2):
             out.append(column_cover(M, zone, step))
         out.append(tall_diamond_cover(M, zone))
@@ -869,8 +898,7 @@ def check_precostack_instances(ctx: RunContext, opts):
     # D-stable (its development grows caps); the localized build must refuse
     refused = False
     site = ctx.site(localized=True)
-    tr = ctx.universe_cfg.get("t_range", ctx.M.window)
-    t0 = tr[0]
+    t0 = ctx.t_range[0]
     rect = region_points(ctx.M, [(t, x) for t in (t0, t0 + 1)
                                  for x in (0, 1, 2)])
     if is_D_stable(ctx.M, rect):
@@ -922,17 +950,15 @@ def check_refinements(ctx: RunContext, opts):
 def check_cover_extension(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("extend")
-    tr = ctx.universe_cfg.get("t_range", (M.window[0] + 4, M.window[1] - 4))
+    tr, xr = ctx.t_range, ctx.x_range
+    xs = range(xr[0], xr[1] + 1)
     if M.kind == "cylinder":
-        zone = region_slab(M, tr[0], tr[1])
-        xs = range(M.circumference)
+        zone = ctx.zone()
     else:
-        xr = ctx.universe_cfg.get("x_range", (-2, 4))
         xc = (xr[0] + xr[1]) // 2
         h = tr[1] - tr[0] + 2 * (xr[1] - xr[0])
         zone = region_diamond(M, (tr[0] - (xr[1] - xr[0]), xc),
                               (tr[0] - (xr[1] - xr[0]) + h, xc))
-        xs = range(xr[0], xr[1] + 1)
     covers = {"plain": Cover(region_full(M),
                              halves(M, zone.pts, (tr[0] + tr[1]) // 2, 1),
                              zone=zone)}
@@ -979,8 +1005,7 @@ def check_cover_intersection_props(ctx: RunContext, opts):
     site = ctx.site(localized=False)
     covers = _covers_for_site(ctx, site, False, 4)
     if ctx.M.kind == "cylinder":
-        tr = ctx.universe_cfg.get("t_range", ctx.M.window)
-        covers.append(column_cover(ctx.M, region_slab(ctx.M, tr[0], tr[1])))
+        covers.append(column_cover(ctx.M, ctx.zone()))
     if not covers:
         return [ctx.skip("site.cover-intersections", "no cover built",
                          covers=0)]
@@ -1079,15 +1104,6 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
 # ---------------------------------------------------------------------------
 
 
-def _algebra_from_cfg(cfg: dict) -> QPower:
-    lit = cfg.get("algebra", {"kind": "qpower", "k": 2})
-    if lit.get("kind") == "initial":
-        return QPower(1)
-    if lit.get("kind") == "qpower":
-        return QPower(int(lit.get("k", 2)))
-    raise KeyError(f"unknown algebra literal {lit!r}")
-
-
 @register("net.indicator-time-slice",
           "cauchy-stable-predicates-satisfy-time-slice")
 def check_indicator_time_slice(ctx: RunContext, opts):
@@ -1095,8 +1111,7 @@ def check_indicator_time_slice(ctx: RunContext, opts):
     pred_name = "contains_cauchy_surface"
     if ctx.aqft_cfg.get("family") == "indicator":
         pred_name = ctx.aqft_cfg.get("predicate", pred_name)
-    A = build_indicator(site, make_predicate(pred_name, site),
-                        _algebra_from_cfg(ctx.aqft_cfg))
+    A = build_indicator(site, make_predicate(pred_name, site), ctx.algebra)
     ok = check_time_slice(A)
     # negative control: a predicate pinned to one region is not stable
     negative_ok = True
@@ -1120,11 +1135,7 @@ def _prop310_setup(ctx: RunContext):
     N = ctx.M
     Msrc = _diamond_source(N)
     f = LatticeEmbedding(Msrc, N, 0, 0)
-    if N.kind == "cylinder":
-        uniN = ctx.universe("copen")
-    else:
-        uniN = ctx.universe("copen", x_range=ctx.universe_cfg.get(
-            "x_range", (-2, 4)))
+    uniN = ctx.universe("copen")
     img = f.image()
     siteN = ctx.site_over(set(uniN) | {img}, "copen")
     uniM = enumerate_universe(Msrc, compactness="copen", cap=2000)
@@ -1291,7 +1302,7 @@ def check_kg_field_identities(ctx: RunContext, opts):
     kg = ctx.kg()
     M = ctx.M
     rng = ctx.rng("kgfields")
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     count = int(opts.get("count", 40))
     bad = {"green": 0, "support": 0, "antisym": 0, "degenerate": 0,
            "causal": 0}
@@ -1425,7 +1436,7 @@ def check_kg_pullback(ctx: RunContext, opts):
     M = ctx.M
     f = LatticeEmbedding(M, M, 1, 1)
     rng = ctx.rng("kgpull")
-    zone = ctx.zone_points()
+    zone = sorted(ctx.zone().pts)
     count = int(opts.get("count", 8))
     if not count:
         return [ctx.skip("kg.pullback-identification", "no region drawn",
@@ -1487,10 +1498,10 @@ def _descent_candidates(ctx: RunContext, localized: bool):
             for cov in covers:
                 yield cov, U
     elif M.kind == "cylinder":
-        tr = ctx.universe_cfg.get("t_range", M.window)
-        zone = region_slab(M, tr[0], tr[1])
+        zone = ctx.zone()
+        t0, t1 = ctx.t_range
         targets = []
-        for t in range(tr[0], tr[1] - 1):
+        for t in range(t0, t1 - 1):
             for x in range(M.circumference):
                 targets.append(region_points(M, [(t, x), (t + 1, x)]))
                 targets.append(region_diamond(M, (t, x), (t + 2, x)))
@@ -1630,21 +1641,16 @@ def check_prestack_demos(ctx: RunContext, opts):
     recs = []
     A, B = QPower(2), QPower(2)
     M = ctx.M
+    cov = point_cover(M, ctx.zone())
     if M.kind == "plane":
         site = ctx.site("copen")
-        tr = ctx.universe_cfg.get("t_range", (0, 3))
-        xr = ctx.universe_cfg.get("x_range", (0, 3))
-        zone = region_points(M, [(t, x) for t in range(tr[0], tr[1] + 1)
-                                 for x in range(xr[0], xr[1] + 1)])
-        r = prestack_failure_demo(site, point_cover(M, zone),
+        r = prestack_failure_demo(site, cov,
                                   make_predicate("equals_full", site), A, B)
         recs.append(ctx.record(
             "descent.prestack-failure-plain",
             "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
             else "fail", r))
     else:
-        tr = ctx.universe_cfg.get("t_range", (0, 4))
-        cov = point_cover(M, region_slab(M, tr[0], tr[1]))
         uni = ctx.universe("copen")
         variants = [
             ("time-sliced", "copen", True),
@@ -1673,14 +1679,7 @@ def check_indicator_datum(ctx: RunContext, opts):
     M = ctx.M
     site = ctx.site("copen")
     A = build_indicator(site, make_predicate("equals_full", site), QPower(2))
-    tr = ctx.universe_cfg.get("t_range", (0, 3))
-    if M.kind == "cylinder":
-        zone = region_slab(M, tr[0], tr[1])
-    else:
-        xr = ctx.universe_cfg.get("x_range", (0, 3))
-        zone = region_points(M, [(t, x) for t in range(tr[0], tr[1] + 1)
-                                 for x in range(xr[0], xr[1] + 1)])
-    cc = CoverCategory(site, point_cover(M, zone))
+    cc = CoverCategory(site, point_cover(M, ctx.zone()))
     ok = not pullback_indicator(j_functor(cc), A).support()
     return [ctx.record("descent.indicator-datum-trivial",
                        "pass" if ok else "fail")]

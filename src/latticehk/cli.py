@@ -44,19 +44,29 @@ def _apply_overrides(config: dict, args) -> dict:
     if args.seed is not None:
         config["seed"] = args.seed
     if args.window:
-        lo, hi = args.window.split("..")
-        config.setdefault("spacetime", {})["window"] = [int(lo), int(hi)]
+        config.setdefault("spacetime", {})["window"] = args.window
     if args.max_universe is not None:
         config.setdefault("universe", {})["cap"] = args.max_universe
     return config
 
 
+def _window(text: str) -> list[int]:
+    try:
+        lo, hi = text.split("..")
+        return [int(lo), int(hi)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"window must read LO..HI, e.g. -12..14, not {text!r}")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="latticehk",
+    # a malformed option value raises ArgumentError: a configuration error
+    ap = argparse.ArgumentParser(prog="latticehk", exit_on_error=False,
                                  description=__doc__.split("\n")[0])
     ap.add_argument("--report", help="write the JSON report here")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--window", help="override window, e.g. -12..14")
+    ap.add_argument("--window", type=_window,
+                    help="override window, e.g. -12..14")
     ap.add_argument("--max-universe", type=int, default=None)
     ap.add_argument("--fail-fast", action="store_true")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -77,51 +87,36 @@ def main(argv=None) -> int:
     sit.add_argument("--backend", choices=["plane", "cylinder"],
                      default="cylinder")
 
-    args = ap.parse_args(argv)
-
-    if args.cmd == "list-checks":
-        for cid in sorted(REGISTRY):
-            print(f"{cid:45} expected={EXPECTED:5} claim={CLAIM_OF[cid]}")
-        return 0
-
     try:
+        args = ap.parse_args(argv)
+        if args.cmd == "list-checks":
+            for cid in sorted(REGISTRY):
+                print(f"{cid:45} expected={EXPECTED:5} "
+                      f"claim={CLAIM_OF[cid]}")
+            return 0
         if args.cmd == "run":
             with open(args.scenario) as fh:
                 config = json.load(fh)
         elif args.cmd == "demo":
             config = DEMOS[args.name]
-        elif args.cmd in ("check-causality", "check-site"):
+        else:  # check-causality or check-site
             group = "causality." if args.cmd == "check-causality" else "site."
-            checks = [cid for cid in sorted(REGISTRY) if
-                      cid.startswith(group)]
+            # the spacetime and universe of the backend's curated bundle
+            base = DEMOS["kg-descent" if args.backend == "cylinder"
+                         else "appendix-geometry"]
+            config = {k: base[k]
+                      for k in ("schema", "seed", "spacetime", "universe")}
+            config["checks"] = [cid for cid in sorted(REGISTRY)
+                                if cid.startswith(group)]
             # the double-complement equality is expected to diverge on these
             # corpora (see the report's companion records)
-            expect = {"causality.development-vs-double-complement": "fail"}
-            if args.backend == "cylinder":
-                config = {
-                    "schema": "latticehk-scenario/1", "seed": 7,
-                    "spacetime": {"kind": "cylinder", "circumference": 6,
-                                  "window": [-14, 16]},
-                    "universe": {"compactness": "rc", "t_range": [0, 4],
-                                 "max_height": 4, "cap": 1600},
-                    "checks": checks, "expect": expect,
-                }
-            else:
-                config = {
-                    "schema": "latticehk-scenario/1", "seed": 7,
-                    "spacetime": {"kind": "plane", "window": [-14, 16]},
-                    "universe": {"compactness": "rc", "t_range": [0, 4],
-                                 "x_range": [-2, 4], "max_height": 4,
-                                 "cap": 1600},
-                    "checks": checks, "expect": expect,
-                }
-        else:  # pragma: no cover
-            ap.error("unknown command")
-            return 2
+            config["expect"] = {
+                "causality.development-vs-double-complement": "fail"}
         report = run_scenario(_apply_overrides(config, args),
                               fail_fast=args.fail_fast)
-    except (ScenarioError, GeometryError, SiteError, KgError, AqftError,
-            FileNotFoundError, json.JSONDecodeError) as e:
+    except (argparse.ArgumentError, ScenarioError, GeometryError, SiteError,
+            KgError, AqftError, FileNotFoundError,
+            json.JSONDecodeError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     return _emit(report, args.report)

@@ -732,20 +732,10 @@ class LatticeEmbedding:
     def map_point(self, p: Point) -> Point:
         return self.target.norm_point((p[0] + self.dt, p[1] + self.dx))
 
-    def unmap_point(self, q: Point) -> Optional[Point]:
-        """Inverse on the image; None when q is not hit."""
-        cand = (q[0] - self.dt, q[1] - self.dx)
-        if self.source.kind == "cylinder":
-            cand = self.source.norm_point(cand)
-            return cand
-        if self.source.kind == "plane" and self.target.kind == "cylinder":
-            if self.source.extent is None:
-                return None
-            for (t, x) in self.source.extent:
-                if t == q[0] and self.target.norm_x(x + self.dx) == q[1]:
-                    return (t, x)
-            return None
-        return cand
+    def unmap_point(self, q: Point) -> Point:
+        """The inverse translation; the inverse of ``map_point`` on the image
+        of an unbounded source."""
+        return self.source.norm_point((q[0] - self.dt, q[1] - self.dx))
 
     def image(self) -> Region:
         if self.source.extent is None:
@@ -782,7 +772,7 @@ def preimage_region(f: LatticeEmbedding, V: Region) -> Optional[Region]:
     else:
         for q in V.pts:
             p = f.unmap_point(q)
-            if p is not None and f.source.in_window(p):
+            if f.source.in_window(p):
                 pts.append(p)
     if not pts:
         return None
@@ -846,7 +836,7 @@ def verify_development_confined(f: LatticeEmbedding, U: Region) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def stabilization_check(M: LatticeSpacetime, op, margin: Optional[int] = None,
+def stabilization_check(M: LatticeSpacetime, op,
                         regions: Iterable[Region] = ()) -> bool:
     """Recompute ``op(spacetime)`` with doubled window margins.
 
@@ -856,7 +846,7 @@ def stabilization_check(M: LatticeSpacetime, op, margin: Optional[int] = None,
     """
     pts = frozenset().union(*[r.points() for r in regions]) or \
         frozenset([(M.window[0], 0), (M.window[1], 0)])
-    m = margin if margin is not None else _margin_for(M, pts)
+    m = _margin_for(M, pts)
     r0 = op(M)
     r1 = op(M.enlarged(m))
     if r0 == r1:

@@ -58,55 +58,44 @@ def field_add(f: dict, g: dict, scale=Q1) -> dict:
     return field_clean(out)
 
 
+def _stencil(m2) -> tuple:
+    """P as ``(dt, dx, coefficient)`` entries: m^2 at the centre, -1 at the
+    two time neighbours and +1 at the two space neighbours."""
+    return ((0, 0, m2), (1, 0, -Q1), (-1, 0, -Q1), (0, 1, Q1), (0, -1, Q1))
+
+
 def apply_P(cfg: KgConfig, phi: dict) -> dict:
     """The Klein-Gordon stencil; support may grow by one step."""
     M = cfg.ambient
-    m2 = QQ(cfg.mass2)
     t_lo, t_hi = M.window
     phi = field_clean(phi)
     for (t, _) in phi:
         if not (t_lo < t < t_hi):
             raise WindowTooSmallError("field touches the window margin")
-
-    def g(t, x):
-        return phi.get(_norm(M, t, x), Q0)
-
-    carrier = set()
-    for (t, x) in phi:
-        for dt, dx in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-            carrier.add(_norm(M, t + dt, x + dx))
-    out = {}
-    for (t, x) in carrier:
-        v = -(g(t + 1, x) - 2 * g(t, x) + g(t - 1, x)) \
-            + (g(t, x + 1) - 2 * g(t, x) + g(t, x - 1)) + m2 * g(t, x)
-        if v != 0:
-            out[(t, x)] = v
-    return out
+    stencil = _stencil(QQ(cfg.mass2))
+    out: dict = {}
+    for (t, x), v in phi.items():
+        for dt, dx, c in stencil:
+            q = _norm(M, t + dt, x + dx)
+            out[q] = out.get(q, Q0) + c * v
+    return field_clean(out)
 
 
 def green(cfg: KgConfig, phi: dict, direction: str,
           t_stop: Optional[int] = None) -> dict:
     """Retarded or advanced solve of ``P psi = phi``.
 
-    The leapfrog recursion marches one row at a time from the quiet side, so
-    the answer is exact and supported in the corresponding causal cone of the
-    source.  ``t_stop`` bounds the marched rows (the window edge by default).
+    The leapfrog recursion marches one row at a time from the quiet side,
+    solving the stencil for its entry on the next row, so the answer is
+    exact and supported in the corresponding causal cone of the source.
+    ``t_stop`` bounds the marched rows (the window edge by default).
     """
     M = cfg.ambient
-    m2 = QQ(cfg.mass2)
     phi = field_clean(phi)
     if not phi:
         return {}
     ts = [t for (t, _) in phi]
     t_lo, t_hi = M.window
-    out: dict = {}
-
-    def psi(t, x):
-        return out.get(_norm(M, t, x), Q0)
-
-    def src(t, x):
-        return phi.get(_norm(M, t, x), Q0)
-
     if direction == "retarded":
         step, start = 1, min(ts)
         stop = t_hi if t_stop is None else t_stop
@@ -119,21 +108,24 @@ def green(cfg: KgConfig, phi: dict, direction: str,
             raise WindowTooSmallError("green horizon below the window")
     else:
         raise KgError("direction must be 'retarded' or 'advanced'")
+    # phi and psi by row, {t: {x: value}}, nonzero values only
+    src: dict = {}
+    for (t, x), v in phi.items():
+        src.setdefault(t, {})[M.norm_x(x)] = v
+    rows: dict = {}
+    stencil = _stencil(QQ(cfg.mass2))
+    c_next = next(c for dt, dx, c in stencil if (dt, dx) == (step, 0))
+    known = [e for e in stencil if e[:2] != (step, 0)]
     for t in range(start, stop, step):
-        xs = set()
-        for (tt, x) in out:
-            if tt == t:
-                xs.update({x - 1, x, x + 1})
-        for (tt, x) in phi:
-            if tt == t:
-                xs.add(x)
-        for x in xs:
-            v = 2 * psi(t, x) - psi(t - step, x) \
-                + (psi(t, x + 1) - 2 * psi(t, x) + psi(t, x - 1)) \
-                + m2 * psi(t, x) - src(t, x)
-            if v != 0:
-                out[_norm(M, t + step, x)] = v
-    return field_clean(out)
+        # c_next psi(t + step, x) = phi(t, x) - sum of the known entries
+        # c psi(t + dt, x + dx), scattered from each nonzero psi
+        acc = dict(src.get(t, {}))
+        for dt, dx, c in known:
+            for y, v in rows.get(t + dt, {}).items():
+                x = M.norm_x(y - dx)
+                acc[x] = acc.get(x, Q0) - c * v
+        rows[t + step] = {x: v / c_next for x, v in acc.items() if v != 0}
+    return {(t, x): v for t, row in rows.items() for x, v in row.items()}
 
 
 def propagator(cfg: KgConfig, phi: dict, t_lo: int, t_hi: int) -> dict:

@@ -118,8 +118,9 @@ def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
     site = A.site
     if not isinstance(site, SiteCategory) or site.localized:
         raise AqftError("the counit probe runs on a plain site")
-    rc = sum(1 << k for k in site.object_keys()
-             if site.region_of(k).is_relatively_compact)
+    # every object but the full one
+    full = site.index.get(region_full(site.M))
+    rc = ((1 << len(site.objects)) - 1) & ~(0 if full is None else 1 << full)
     below_mask = site.within(site.region_of(U_key)) & rc
     below = list(set_bits(below_mask))
     pos = {k: i for i, k in enumerate(below)}

@@ -170,7 +170,7 @@ def test_criterion_2_localization_model(plane_ctx, cyl_ctx):
     mismatches = 0
     universes = 0
     for ctx in (plane_ctx, cyl_ctx):
-        zone = ctx.zone_points()
+        zone = sorted(ctx.zone().pts)
         rng = ctx.rng("acc2")
         for _ in range(10):
             seeds = C.seeded_hulls(ctx.M, zone, rng, 10)

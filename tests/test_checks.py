@@ -3,8 +3,13 @@ and checks that find no instance."""
 
 import pytest
 
+from latticehk.algebra import QPower
 from latticehk.checks import CLAIMS, REGISTRY, RunContext, run_check
+from latticehk.geometry import region_slab
 from latticehk.kleingordon import KgError
+from latticehk.nets import AqftError
+from latticehk.rational import QQ
+from latticehk.sites import SiteError
 
 # the documented lattice divergence of criterion 1 (docs/decisions.md)
 EXPECTED_FAIL = {"causality.development-vs-double-complement"}
@@ -65,3 +70,35 @@ def test_embedding_functors_pass_below_ten_embeddings(cyl_ctx):
                      {"count": 5})
     assert [(r.verdict, r.witness["embeddings"]) for r in recs] == \
         [("pass", 5)]
+
+
+def test_run_context_reads_each_input_once(plane_ctx, cyl_ctx):
+    """The readers' defaults and refusals: rows default to the window, a
+    cylinder spans every column, and a plane without columns, a mass squared
+    that is no rational and an unknown algebra are configuration errors."""
+    assert plane_ctx.t_range == (0, 4) and plane_ctx.x_range == (-2, 4)
+    assert cyl_ctx.x_range == (0, 5)
+    assert cyl_ctx.zone() == region_slab(cyl_ctx.M, 0, 4)
+    assert len(plane_ctx.zone().pts) == 5 * 7
+    bare = RunContext(M=plane_ctx.M)
+    assert bare.t_range == plane_ctx.M.window
+    with pytest.raises(SiteError, match="explicit x_range"):
+        bare.zone()
+    assert bare.mass2 == QQ(1, 4) and bare.algebra == QPower(2)
+    assert RunContext(M=bare.M, aqft_cfg={"algebra": {"kind": "initial"}}
+                      ).algebra == QPower(1)
+    with pytest.raises(KgError, match="mass2"):
+        RunContext(M=bare.M, aqft_cfg={"mass2": "1/0"}).mass2
+    with pytest.raises(AqftError, match="algebra"):
+        RunContext(M=bare.M, aqft_cfg={"algebra": {"kind": "qpower",
+                                                   "k": 0}}).algebra
+
+
+def test_digest_hashes_the_raw_universe_block(cyl_ctx):
+    """Record digests hash the universe block as written, so a range left to
+    its default and the same range written out give different digests."""
+    written = RunContext(M=cyl_ctx.M, seed=cyl_ctx.seed,
+                         universe_cfg={"t_range": list(cyl_ctx.M.window)})
+    default = RunContext(M=cyl_ctx.M, seed=cyl_ctx.seed)
+    assert written.t_range == default.t_range
+    assert written.digest() != default.digest()

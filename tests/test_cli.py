@@ -123,17 +123,6 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "configuration error: invalid scenario: [] should be non-empty " \
         "at checks\n"
-    # a cover literal whose piece is not causally convex
-    bad_cover = tmp_path / "bad_cover.json"
-    bad_cover.write_text(json.dumps({
-        "schema": "latticehk-scenario/1",
-        "spacetime": {"kind": "plane", "window": [-14, 16]},
-        "covers": [{"base": {"kind": "points", "pts": [[0, 0], [2, 0]]},
-                    "pieces": [{"kind": "points",
-                                "pts": [[0, 0], [2, 0]]}]}],
-        "checks": ["algebra.hom-counts"],
-    }))
-    assert main(["run", str(bad_cover)]) == 2
     # kg.time-slice on a cylinder universe with one-row slabs
     one_row = tmp_path / "one_row.json"
     one_row.write_text(json.dumps({
@@ -146,6 +135,53 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         "checks": ["kg.time-slice"],
     }))
     assert main(["run", str(one_row)]) == 2
+
+
+_CYLINDER = {"kind": "cylinder", "circumference": 6, "window": [-14, 16]}
+_ROWS = {"compactness": "rc", "t_range": [0, 1], "max_height": 1}
+
+
+@pytest.mark.parametrize("flags,scenario,message", [
+    ([], {"checks": ["descent.kg-counit"],
+          "options": {"descent.kg-counit": {"count": "x"}}},
+     "invalid scenario: 'x' is not of type 'integer' at "
+     "options/descent.kg-counit/count"),
+    (["--window", "5"], {"checks": ["algebra.hom-counts"]},
+     "argument --window: window must read LO..HI, e.g. -12..14, not '5'"),
+    (["--window", "a..b"], {"checks": ["algebra.hom-counts"]},
+     "argument --window: window must read LO..HI, e.g. -12..14, not "
+     "'a..b'"),
+    ([], {"universe": _ROWS, "aqft": {"algebra": {"kind": "matrix"}},
+          "checks": ["net.indicator-time-slice"]},
+     "unknown algebra literal {'kind': 'matrix'}"),
+    ([], {"aqft": {"mass2": "a quarter"}, "checks": ["kg.generator-spaces"]},
+     "mass2 must be a rational, not 'a quarter'"),
+    ([], {"spacetime": {"kind": "plane", "window": [-14, 16]},
+          "universe": {"t_range": [0, 4]},
+          "checks": ["causality.development-props"]},
+     "plane enumeration needs an explicit x_range"),
+    ([], {"covers": [], "checks": ["algebra.hom-counts"]},
+     "invalid scenario: Additional properties are not allowed ('covers' "
+     "was unexpected) at "),
+    ([], {"spacetime": {"kind": "cylinder", "window": [-14, 16]},
+          "checks": ["algebra.hom-counts"]},
+     "cylinder needs circumference >= 2"),
+    ([], {"universe": {"t_range": "0..4"},
+          "checks": ["causality.development-props"]},
+     "invalid scenario: '0..4' is not of type 'array' at universe/t_range"),
+], ids=["option-value", "window-number", "window-words", "algebra-kind",
+        "mass2", "plane-x-range", "covers-key", "no-circumference",
+        "t-range-type"])
+def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
+                                      message):
+    """A misconfigured scenario or flag exits 2 with one line, never with a
+    traceback."""
+    scn = tmp_path / "s.json"
+    scn.write_text(json.dumps({"schema": "latticehk-scenario/1",
+                               "spacetime": _CYLINDER, **scenario}))
+    capsys.readouterr()
+    assert main([*flags, "run", str(scn)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_cli_demo_and_overrides(tmp_path):

@@ -50,6 +50,21 @@ def test_green_inverse_and_uniqueness(kg_plane):
         {p: v for p, v in phi.items() if p[0] < 11}
 
 
+@pytest.mark.parametrize("backend", ["kg_plane", "kg_cyl"])
+def test_green_marches_past_a_quiet_row(backend, request):
+    """P delta_(1,0) + delta_(2,0) makes G+ vanish on row 2 around x = 0 and
+    not on row 1, so row 3 is read off the row before the quiet one."""
+    cfg = request.getfixturevalue(backend).cfg
+    phi = field_add(apply_P(cfg, {(1, 0): Q1}), {(2, 0): Q1})
+    gp = green(cfg, phi, "retarded", t_stop=8)
+    assert gp[(1, 0)] == 1 and gp[(3, 0)] == -1
+    back = field_clean(apply_P(cfg, gp))
+    assert {p: v for p, v in back.items() if p[0] < 8} == phi
+    gm = green(cfg, phi, "advanced", t_stop=-6)
+    back = field_clean(apply_P(cfg, gm))
+    assert {p: v for p, v in back.items() if p[0] > -6} == phi
+
+
 def test_green_support_in_cone(kg_plane, plane):
     gp = green(kg_plane.cfg, {(0, 0): Q1}, "retarded", t_stop=10)
     assert all(abs(x) <= t for (t, x) in gp)

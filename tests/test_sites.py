@@ -79,7 +79,7 @@ def test_full_region_homs(cyl):
 
 
 def test_saturation_oracle_and_functor(cyl, cyl_ctx):
-    zone = cyl_ctx.zone_points()
+    zone = sorted(cyl_ctx.zone().pts)
     rng = cyl_ctx.rng("test-sat")
     from latticehk.checks import seeded_hulls
     seeds = seeded_hulls(cyl, zone, rng, 14)
@@ -495,9 +495,14 @@ def test_localized_embedding_functors_build_each_site_once(monkeypatch):
 
 def test_each_run_starts_with_an_empty_site_cache(monkeypatch):
     import latticehk.scenarios as scen
-    config = scen._cylinder_scenario(
-        ["site.precostack-instances", "site.cover-intersections"],
-        t_range=(0, 3), max_height=3)
+    config = {
+        "schema": "latticehk-scenario/1", "seed": 7,
+        "spacetime": {"kind": "cylinder", "circumference": 6,
+                      "window": [-14, 16]},
+        "universe": {"compactness": "rc", "t_range": [0, 3],
+                     "max_height": 3, "cap": 1600},
+        "checks": ["site.precostack-instances", "site.cover-intersections"],
+    }
     contexts = []
     build = scen.build_context
 
