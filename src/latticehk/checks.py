@@ -52,9 +52,7 @@ from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
 
 # the enumerate_universe keywords a scenario's "universe" block may set,
 # besides "compactness"
-UNIVERSE_KEYS = ("x_range", "t_range", "max_height", "diamonds",
-                 "strict_diamonds", "slabs", "min_slab_height", "hull_count",
-                 "max_hull_seed", "seed", "cap")
+UNIVERSE_KEYS = ("x_range", "t_range", "max_height", "min_slab_height", "cap")
 
 # the verdict every record is expected to carry unless a scenario's "expect"
 # block says otherwise; a skip is accepted in its place
@@ -95,7 +93,7 @@ class RunContext:
     # sites built in this run, keyed by (M, compactness, frozenset(objects))
     sites: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-    # universes enumerated in this run, keyed by (M, compactness, keywords)
+    # universes enumerated in this run, keyed by compactness
     universes: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
     # Klein-Gordon contexts of this run, keyed by (M, mass2)
@@ -124,23 +122,15 @@ class RunContext:
         return self.record(rec_id, "skip", {"reason": reason, **witness},
                            extra)
 
-    def universe(self, compactness: str, M: Optional[LatticeSpacetime] = None,
-                 **overrides) -> tuple[Region, ...]:
-        """The configured universe over ``M`` (the scenario's spacetime by
-        default), enumerated once per run; ``overrides`` replace configured
-        enumeration keys."""
-        cfg = {k: self.universe_cfg[k] for k in UNIVERSE_KEYS
-               if k in self.universe_cfg}
-        cfg.update(overrides)
-        for k in ("x_range", "t_range"):
-            if cfg.get(k) is not None:
-                cfg[k] = tuple(cfg[k])
-        M = self.M if M is None else M
-        key = (M, compactness, tuple(sorted(cfg.items())))
-        if key not in self.universes:
-            self.universes[key] = tuple(enumerate_universe(
-                M, compactness=compactness, **cfg))
-        return self.universes[key]
+    def universe(self, compactness: str) -> tuple[Region, ...]:
+        """The configured universe, enumerated once per run and
+        compactness."""
+        if compactness not in self.universes:
+            cfg = {k: self.universe_cfg[k] for k in UNIVERSE_KEYS
+                   if k in self.universe_cfg}
+            self.universes[compactness] = tuple(enumerate_universe(
+                self.M, compactness=compactness, **cfg))
+        return self.universes[compactness]
 
     def site(self, compactness=None, localized=False) -> SiteCategory:
         """The site over the configured universe."""
@@ -230,10 +220,10 @@ def exhaustive_diamonds(M: LatticeSpacetime, zone) -> list[Region]:
     return out
 
 
-def seeded_hulls(M: LatticeSpacetime, zone, rng, count, max_seed=4):
+def seeded_hulls(M: LatticeSpacetime, zone, rng, count):
     out = []
     for _ in range(count):
-        k = rng.randint(1, max_seed)
+        k = rng.randint(1, 4)
         out.append(hull(M, region_points(M, rng.sample(zone, k))))
     return out
 

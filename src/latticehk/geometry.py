@@ -507,10 +507,7 @@ def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:
     """D_V(U): development of U inside the sub-lattice V.
 
     Inextendible paths are paths in V that cannot be extended within V.
-    ``V`` full on an unbounded spacetime delegates to the global development.
     """
-    if V.is_full and V.ambient.extent is None and M.extent is None:
-        return cauchy_development(M, U)
     vpts = V.points()
     upts = U.points() & vpts
     if not upts:
@@ -837,15 +834,15 @@ def verify_development_confined(f: LatticeEmbedding, U: Region) -> bool:
 
 
 def stabilization_check(M: LatticeSpacetime, op,
-                        regions: Iterable[Region] = ()) -> bool:
-    """Recompute ``op(spacetime)`` with doubled window margins.
+                        regions: Iterable[Region]) -> bool:
+    """Recompute ``op(spacetime)`` with doubled window margins, the margin
+    sized to the points of ``regions``.
 
     Returns True iff the first enlargement leaves the result unchanged.  A
     result still changing after the second doubling indicates a modeling bug
     and raises :class:`ModelError`.
     """
-    pts = frozenset().union(*[r.points() for r in regions]) or \
-        frozenset([(M.window[0], 0), (M.window[1], 0)])
+    pts = frozenset().union(*[r.points() for r in regions])
     m = _margin_for(M, pts)
     r0 = op(M)
     r1 = op(M.enlarged(m))

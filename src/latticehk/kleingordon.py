@@ -182,9 +182,12 @@ class KgSpace:
             raise KgError("field leaves the region")
         return {self.index[p]: v for p, v in field.items()}
 
-    def sigma_ambient(self) -> Mat:
-        """Pairing on the point basis of C_c(U); the quotient relations are
-        verified to be sigma-degenerate before any use."""
+    def sigma_reduced(self) -> Mat:
+        """The pairing on quotient coordinates, computed once per space.
+        The section sends them to the free coordinates of the point basis,
+        so it is the pairing of the free points.  Before that, the pairing
+        on the whole point basis is verified to be antisymmetric and to
+        vanish on the quotient relations."""
         if self._sigma is None:
             n = len(self.pts)
             ts = [t for (t, _) in self.pts]
@@ -199,16 +202,10 @@ class KgSpace:
             if any(v for row in (self.quotient.sub_rref @ sig).data
                    for v in row):
                 raise KgError("pairing does not descend to the quotient")
-            self._sigma = sig
+            free = self.quotient.free
+            self._sigma = Mat([[sig.data[i][j] for j in free] for i in free],
+                              len(free))
         return self._sigma
-
-    def sigma_reduced(self) -> Mat:
-        """The pairing on quotient coordinates.  The section sends them to
-        the free coordinates of the point basis, so the pairing is the
-        submatrix of ``sigma_ambient`` on those rows and columns."""
-        sig = self.sigma_ambient().data
-        free = self.quotient.free
-        return Mat([[sig[i][j] for j in free] for i in free], len(free))
 
 
 class KgContext:

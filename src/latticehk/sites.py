@@ -15,7 +15,7 @@ Relations are bitset rows: bit ``j`` of row ``i`` relates object ``i`` to
 object ``j``.  A site indexes the points of its objects once; the hom rows
 are ANDs of per-point column masks (the objects, or the developments, that
 hold each point), and the disjoint rows are one AND per pair of flattened
-causal-cone rows.  Functor properties pull target rows back along the
+causal-cone rows; the same cone rows decide causal convexity.  Functor properties pull target rows back along the
 object map and compare whole ints.  The frozenset rules above (``contains``
 on regions and developments, ``are_causally_disjoint``) stay the definition
 and are the test oracle for the rows.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -58,7 +57,33 @@ def _closure(masks: list[int]) -> list[int]:
     return out
 
 
-class SiteCategory:
+class _Thin:
+    """What a site and a cover category share: objects keyed ``0..n-1``
+    and the bitset rows ``hom`` and ``disjoint``."""
+
+    def object_keys(self):
+        return range(len(self.objects))
+
+    @functools.cached_property
+    def cospans(self) -> tuple[int, ...]:
+        """Row ``a`` holds the ``b`` that share a target with ``a``, the
+        pairs whose morphisms into that target orthogonality speaks of.
+        Disjointness is symmetric, so each pair may be read from both
+        ends, and no object is disjoint from itself."""
+        into: dict[int, int] = {}
+        for a, row in enumerate(self.hom):
+            for c in set_bits(row):
+                into[c] = into.get(c, 0) | 1 << a
+        out = []
+        for row in self.hom:
+            acc = 0
+            for c in set_bits(row):
+                acc |= into[c]
+            out.append(acc)
+        return tuple(out)
+
+
+class SiteCategory(_Thin):
     """A finite thin orthogonal category of regions.
 
     flavor: ``compactness`` in {"rc", "copen"} (whether the symbolic full
@@ -67,7 +92,8 @@ class SiteCategory:
     Rows are bitsets over the object indices: bit ``j`` of ``hom[i]`` is the
     morphism ``i -> j``.  ``plain_hom``, ``local_hom``, ``cauchy`` and
     ``disjoint`` do not depend on the morphism rule and are shared, as
-    tuples, with the :meth:`relocalized` twin.
+    tuples, with the :meth:`relocalized` twin; ``cospans`` does, and each
+    twin computes its own.
     """
 
     def __init__(self, M: LatticeSpacetime, universe: Iterable[Region],
@@ -82,13 +108,13 @@ class SiteCategory:
                 raise SiteError("universe region with foreign ambient")
             if r.is_full and compactness == "rc":
                 raise SiteError("full region is not relatively compact")
-            if not is_causally_convex(M, r):
-                raise SiteError(f"universe region not causally convex: {r}")
         self.M = M
         self.compactness = compactness
         self.localized = localized
         self.objects: tuple[Region, ...] = tuple(objs)
         self.index = {r: k for k, r in enumerate(self.objects)}
+        # first, so that no region is developed before its convexity holds
+        self.disjoint = self._disjoint_rows()
         # the point set of each object: the extent for a bounded full region,
         # None for the full region of an unbounded spacetime
         own = [r.pts if not r.is_full else M.extent for r in objs]
@@ -106,7 +132,6 @@ class SiteCategory:
         self.cauchy = tuple(row & same_dev[d]
                             for row, d in zip(self.plain_hom, dev))
         self.hom = self.local_hom if localized else self.plain_hom
-        self.disjoint = self._disjoint_rows()
         self._twin: Optional[SiteCategory] = None
 
     def _point_mask(self, pts: Iterable[Point]) -> int:
@@ -147,7 +172,10 @@ class SiteCategory:
     def _disjoint_rows(self) -> tuple[int, ...]:
         """Row ``i`` holds the ``j`` causally disjoint from object ``i``.
         Each region's rows and the rows of its causal cone are flattened
-        into one int over a shared grid, so one AND settles a pair."""
+        into one int over a shared grid, so one AND settles a pair.  The
+        same cones decide causal convexity: a region is convex iff its
+        future and past cones meet in the region itself (the grid pads
+        every region's own rows, see docs/decisions.md)."""
         objs = self.objects
         out = [0] * len(objs)
         expl = [k for k, r in enumerate(objs) if not r.is_full]
@@ -166,7 +194,11 @@ class SiteCategory:
             for k in expl:
                 rows = g.mask_rows(objs[k].pts)
                 masks[k] = flat(rows)
-                cones[k] = flat(g.both(rows))
+                fut, past = flat(g.cone(rows, True)), flat(g.cone(rows, False))
+                if fut & past != masks[k]:
+                    raise SiteError(
+                        f"universe region not causally convex: {objs[k]}")
+                cones[k] = fut | past
             for a, i in enumerate(expl):
                 ci = cones[i]
                 for j in expl[a + 1:]:
@@ -175,21 +207,8 @@ class SiteCategory:
                         out[j] |= 1 << i
         return tuple(out)
 
-    # -- protocol shared with CoverCategory ---------------------------------
-
-    def object_keys(self):
-        return range(len(self.objects))
-
     def region_of(self, k) -> Region:
         return self.objects[k]
-
-    def hom_k(self, a, b) -> bool:
-        return bool(self.hom[a] >> b & 1)
-
-    def disjoint_k(self, a, b) -> bool:
-        return bool(self.disjoint[a] >> b & 1)
-
-    # -- region-level helpers ------------------------------------------------
 
     def within(self, region: Region) -> int:
         """Mask of the objects that ``region`` contains."""
@@ -205,15 +224,16 @@ class SiteCategory:
 
     def relocalized(self, localized: bool) -> "SiteCategory":
         """The same objects under the ``localized`` rule.  The other rule's
-        site is made once and shares every row with this one.  It keeps no
-        reference back: a cycle would hold both sites until the cyclic
-        garbage collector runs."""
+        site is made once and shares every rule-free row with this one.  It
+        keeps no reference back: a cycle would hold both sites until the
+        cyclic garbage collector runs."""
         if bool(localized) == bool(self.localized):
             return self
         if self._twin is None:
             twin = copy.copy(self)
             twin.localized = localized
             twin.hom = self.local_hom if localized else self.plain_hom
+            vars(twin).pop("cospans", None)  # read off the other rule's hom
             self._twin = twin
         return self._twin
 
@@ -245,9 +265,7 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
                        t_range: Optional[tuple[int, int]] = None,
                        max_height: Optional[int] = None,
                        diamonds: bool = True, strict_diamonds: bool = True,
-                       slabs: bool = True, min_slab_height: int = 1,
-                       hull_count: int = 0,
-                       max_hull_seed: int = 3, seed: int = 0,
+                       min_slab_height: int = 1,
                        cap: int = 500) -> list[Region]:
     """Deterministic deduplicated universe of causally convex regions."""
     pts = base_points(M, x_range, t_range)
@@ -279,7 +297,7 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
                             admit(region_strict_diamond(M, (t0, x0), q))
                         except GeometryError:
                             pass
-    if slabs and M.kind == "cylinder" and M.extent is None:
+    if M.kind == "cylinder" and M.extent is None:
         t_lo, t_hi = t_range if t_range is not None else M.window
         for a in range(t_lo, t_hi + 1):
             # a slab of time thickness one is causally a Cauchy band but
@@ -288,12 +306,6 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
             for b in range(a + min_slab_height - 1,
                            min(a + hmax, t_hi) + 1):
                 admit(region_slab(M, a, b))
-    if hull_count:
-        rng = random.Random(seed)
-        for _ in range(hull_count):
-            k = rng.randint(2, max(2, max_hull_seed))
-            sample = rng.sample(pts, min(k, len(pts)))
-            admit(hull(M, region_points(M, sample)))
     if compactness == "copen":
         out.add(region_full(M))
     return sorted(out, key=lambda r: r.sort_key())
@@ -442,7 +454,7 @@ def check_cover_intersections(cover: Cover):
 # ---------------------------------------------------------------------------
 
 
-class CoverCategory:
+class CoverCategory(_Thin):
     """The thin orthogonal category presented by a cover.
 
     Objects are pairs (piece index, region admitted by that piece).  The hom
@@ -473,13 +485,13 @@ class CoverCategory:
             raise SiteError("empty cover category; universe too coarse")
         self.objects: tuple[tuple[int, int], ...] = tuple(objs)
         self.index = {o: n for n, o in enumerate(objs)}
-        self._over = _preimage({a: k for a, (_, k) in enumerate(objs)})
+        self._image = tuple(k for (_, k) in objs)
         piece_rows = [0] * len(cover.pieces)
         for a, (i, _) in enumerate(objs):
             piece_rows[i] |= 1 << a
         # the simplified description: row a holds b iff the site has the
         # morphism between their underlying regions
-        self._described = self._pulled(site.hom)
+        self._described = _pullback(site.hom, self._image)
         gen = [self._described[a] & piece_rows[i]
                for a, (i, _) in enumerate(objs)]
         for (i, j), overlap in cover.intersections().items():
@@ -490,31 +502,12 @@ class CoverCategory:
         self.hom = _closure(gen)
         self.check_explicit_description()
 
-    def _pulled(self, site_rows) -> tuple[int, ...]:
-        """Per object (i, k), the site row of ``k`` pulled back to objects."""
-        memo: dict[int, int] = {}
-        out = []
-        for (_, k) in self.objects:
-            if k not in memo:
-                memo[k] = _pull(site_rows[k], self._over)
-            out.append(memo[k])
-        return tuple(out)
-
     @functools.cached_property
     def disjoint(self) -> tuple[int, ...]:
-        return self._pulled(self.site.disjoint)
-
-    def object_keys(self):
-        return range(len(self.objects))
+        return _pullback(self.site.disjoint, self._image)
 
     def region_of(self, n) -> Region:
-        return self.site.objects[self.objects[n][1]]
-
-    def hom_k(self, a, b) -> bool:
-        return bool(self.hom[a] >> b & 1)
-
-    def disjoint_k(self, a, b) -> bool:
-        return self.site.disjoint_k(self.objects[a][1], self.objects[b][1])
+        return self.site.objects[self._image[n]]
 
     def check_explicit_description(self) -> None:
         """Generated homs coincide with ambient homs between the underlying
@@ -529,20 +522,20 @@ class CoverCategory:
 # ---------------------------------------------------------------------------
 
 
-def _preimage(omap: dict) -> dict[int, int]:
-    """Per target key, the mask of the source keys mapped onto it."""
-    pre: dict[int, int] = {}
-    for a, y in omap.items():
-        pre[y] = pre.get(y, 0) | 1 << a
-    return pre
-
-
-def _pull(row: int, pre: dict[int, int]) -> int:
-    """The source keys whose image is a bit of the target ``row``."""
-    out = 0
-    for y in set_bits(row):
-        out |= pre.get(y, 0)
-    return out
+def _pullback(rows, image) -> tuple[int, ...]:
+    """``rows`` pulled back along the object map ``a |-> image[a]``: bit
+    ``b`` of row ``a`` is set iff ``rows[image[a]]`` holds ``image[b]``.
+    The map need not be injective; each image row is pulled once."""
+    over: dict[int, int] = {}
+    for a, y in enumerate(image):
+        over[y] = over.get(y, 0) | 1 << a
+    back = {}
+    for y in over:
+        row = 0
+        for z in set_bits(rows[y]):
+            row |= over.get(z, 0)
+        back[y] = row
+    return tuple(back[y] for y in image)
 
 
 class SiteFunctor:
@@ -551,8 +544,8 @@ class SiteFunctor:
     Both ends expose object_keys and the bitset rows ``hom`` and
     ``disjoint``; thinness makes the action on morphisms implicit.  Every
     property is checked over the materialized objects, one row at a time:
-    the target's rows are pulled back along the object map (which need not
-    be injective) and compared with the source's rows as whole ints.
+    the target's rows are pulled back along the object map, once each, and
+    compared with the source's rows as whole ints.
     """
 
     def __init__(self, source, target, omap: dict):
@@ -560,57 +553,37 @@ class SiteFunctor:
         for k in source.object_keys():
             if k not in omap:
                 raise SiteError(f"object map misses {k}")
-        self._pre = _preimage({k: omap[k] for k in source.object_keys()})
-
-    def _pulled(self, target_rows) -> dict[int, int]:
-        """Target rows of the image objects, pulled back to source keys."""
-        return {y: _pull(target_rows[y], self._pre) for y in self._pre}
-
-    def is_functor(self) -> bool:
-        s, m = self.source, self.omap
-        back = self._pulled(self.target.hom)
-        return all(not s.hom[a] & ~back[m[a]] for a in s.object_keys())
-
-    def fully_faithful(self) -> bool:
-        s, m = self.source, self.omap
-        back = self._pulled(self.target.hom)
-        return all(s.hom[a] == back[m[a]] for a in s.object_keys())
+        self._image = tuple(omap[k] for k in source.object_keys())
 
     @functools.cached_property
-    def _orth_rows(self) -> tuple[int, ...]:
-        """Row ``a`` holds the ``b`` that share a target with ``a``, the
-        pairs whose morphisms into that target orthogonality speaks of.
-        Disjointness is symmetric, so each pair may be read from both
-        ends, and no object is disjoint from itself."""
-        s = self.source
-        into: dict[int, int] = {}
-        for a in s.object_keys():
-            for c in set_bits(s.hom[a]):
-                into[c] = into.get(c, 0) | 1 << a
-        out = []
-        for a in s.object_keys():
-            row = 0
-            for c in set_bits(s.hom[a]):
-                row |= into[c]
-            out.append(row)
-        return tuple(out)
+    def _hom_back(self) -> tuple[int, ...]:
+        return _pullback(self.target.hom, self._image)
+
+    @functools.cached_property
+    def _disjoint_back(self) -> tuple[int, ...]:
+        return _pullback(self.target.disjoint, self._image)
+
+    def is_functor(self) -> bool:
+        return all(not h & ~b
+                   for h, b in zip(self.source.hom, self._hom_back))
+
+    def fully_faithful(self) -> bool:
+        return tuple(self.source.hom) == self._hom_back
 
     def preserves_orthogonality(self) -> bool:
-        s, m = self.source, self.omap
-        back = self._pulled(self.target.disjoint)
-        return all(not pairs & s.disjoint[a] & ~back[m[a]]
-                   for a, pairs in enumerate(self._orth_rows))
+        s = self.source
+        return all(not pairs & d & ~b for pairs, d, b in
+                   zip(s.cospans, s.disjoint, self._disjoint_back))
 
     def reflects_orthogonality(self) -> bool:
-        s, m = self.source, self.omap
-        back = self._pulled(self.target.disjoint)
-        return all(not pairs & back[m[a]] & ~s.disjoint[a]
-                   for a, pairs in enumerate(self._orth_rows))
+        s = self.source
+        return all(not pairs & b & ~d for pairs, d, b in
+                   zip(s.cospans, s.disjoint, self._disjoint_back))
 
 
 def j_functor(cc: CoverCategory) -> SiteFunctor:
-    omap = {n: cc.objects[n][1] for n in cc.object_keys()}
-    return SiteFunctor(cc, cc.site, omap)
+    return SiteFunctor(cc, cc.site,
+                       {n: k for n, (_, k) in enumerate(cc.objects)})
 
 
 def localization_functor(plain_site: SiteCategory) -> SiteFunctor:
@@ -624,14 +597,12 @@ def check_localization_functor(plain_site: SiteCategory) -> bool:
     """The localization functor preserves orthogonality and turns Cauchy
     morphisms into invertible pairs."""
     L = localization_functor(plain_site)
-    loc = L.target
+    hom = L.target.hom
     if not L.is_functor() or not L.preserves_orthogonality():
         return False
-    for a in plain_site.object_keys():
-        for b in set_bits(plain_site.cauchy[a]):
-            if not (loc.hom_k(a, b) and loc.hom_k(b, a)):
-                return False
-    return True
+    return all(hom[a] >> b & 1 and hom[b] >> a & 1
+               for a in plain_site.object_keys()
+               for b in set_bits(plain_site.cauchy[a]))
 
 
 def embedding_site_functor(f: LatticeEmbedding, src_site: SiteCategory,
@@ -685,9 +656,8 @@ def _cover_restriction(pieces: Iterable[Region], X: Region):
     return out
 
 
-def extend_cover(f: LatticeEmbedding, cov: Cover, U: Region,
-                 mode: str = "plain",
-                 zone: Optional[Region] = None) -> Cover:
+def extend_cover(f: LatticeEmbedding, cov: Cover, U: Region, zone: Region,
+                 mode: str = "plain") -> Cover:
     """Extend the pushforward of a cover of the source to a cover of the
     target whose pullback restricts over ``U`` (plain mode) or over the
     development of ``U`` (D-stable mode) to the original cover.
@@ -712,11 +682,6 @@ def extend_cover(f: LatticeEmbedding, cov: Cover, U: Region,
         protected = apply_embedding(f, U)
         restrict_to = U
     pushed = [apply_embedding(f, p) for p in cov.pieces]
-    if zone is None:
-        if N.kind == "cylinder" and N.extent is None:
-            zone = region_slab(N, N.window[0], N.window[1])
-        else:
-            raise SiteError("plane targets need an explicit zone")
     leftover = sorted(zone.points() - protected.points())
     filler: list[Region] = []
     covered: set = set()

@@ -1,6 +1,9 @@
 """The check registry as a whole: every registered check on both backends,
 and checks that find no instance."""
 
+import hashlib
+import json
+
 import pytest
 
 from latticehk.algebra import QPower
@@ -15,6 +18,141 @@ from latticehk.sites import SiteError
 EXPECTED_FAIL = {"causality.development-vs-double-complement"}
 # configuration errors: the cylinder fixture's universe holds one-row slabs
 RAISES = {("cyl_ctx", "kg.time-slice"): KgError}
+
+# sha256 of each check's record list, as JSON, on each fixture context; a
+# change that moves a verdict, a witness or a digest moves one of these
+PINNED_RECORDS = {
+    ("cyl_ctx", "algebra.degree2-ideal-principle"):
+        "7c7fa0220b295da5fa2c9eb92194712da32f72d88ec34ad681cc1bdad419eff2",
+    ("plane_ctx", "algebra.degree2-ideal-principle"):
+        "da9c10ff6885cb0316aeb48731bec1802db01ef8e09d3342616fccb18364da25",
+    ("cyl_ctx", "algebra.hom-counts"):
+        "2ae45499077828ac8f70e92242cd8fbcfcbeb869dfb3592243564a16b70d50ed",
+    ("plane_ctx", "algebra.hom-counts"):
+        "a10e6197ab58ae1a3d5fc1dc5700419f124c6fc7fe9c94bd0bdcd5992cfa24be",
+    ("cyl_ctx", "algebra.two-valued-colimit"):
+        "c3c727a84132caae2b8a2786cca0b5353c0d60c37dd2f5daca33bc7f3133ffeb",
+    ("plane_ctx", "algebra.two-valued-colimit"):
+        "52698b2deb6bfad133d5309b0183cf1b1d3162dc8d345909f767f97f237a1a28",
+    ("cyl_ctx", "causality.cauchy-morphism-equivalence"):
+        "168be6fdb9aaa19a621105599383997bb45bf80e478eafaba856d2b09c9506fe",
+    ("plane_ctx", "causality.cauchy-morphism-equivalence"):
+        "d2ba5f0559115377494641b8603171603ae6d6b45dbb09bb5191ac4e866db177",
+    ("cyl_ctx", "causality.cauchy-union-property"):
+        "4ca0f709bffd41cf85cf282a6dffb2e51aac641cce6abeca38da8a8a75663fe2",
+    ("plane_ctx", "causality.cauchy-union-property"):
+        "bea00db36d61f0353634089226d24ad65a3fc183fc02a372e7cd7b70aa8870f4",
+    ("cyl_ctx", "causality.cone-lightcone"):
+        "8093c21d7035f6e14ca81f41d9be863daa625f37ad0fa765fd9ebbfbd10d29ab",
+    ("plane_ctx", "causality.cone-lightcone"):
+        "3ecd5b9186bca8ab23ef81f51f8c738f78ab991aa8945311ebf116c7540f6cb5",
+    ("cyl_ctx", "causality.d-stable-neighborhood-sweep"):
+        "00981795d3574eb72c0e8528e8f40547b996beacb5e4b559662c5ada73267a32",
+    ("plane_ctx", "causality.d-stable-neighborhood-sweep"):
+        "113154f91884298a0565b9f15ffd7242fd24ef1d0486541820fb143274cda47e",
+    ("cyl_ctx", "causality.development-props"):
+        "e7ef9de68f96cf54fd35b2a81c980acbef908a0afc9b8ec0519d2d55c84e8e20",
+    ("plane_ctx", "causality.development-props"):
+        "c085dfb8ad3b8db972fd09a947a56d073cf4eb2093fad3ba57b62edb6d147a64",
+    ("cyl_ctx", "causality.development-vs-double-complement"):
+        "65c6e05d4e6377710aa13d668e440ef692845c84e4d45d5d71d33dfbfaaadcf4",
+    ("plane_ctx", "causality.development-vs-double-complement"):
+        "01068844f5da828ea89b7953698ff914944ca471a77d803cfbaf3b6a68f873ff",
+    ("cyl_ctx", "causality.disjointness-hereditary"):
+        "dea0c59e3c90109047958aa74195f48eed57b1c64660578e1b8ffe9e5fef1357",
+    ("plane_ctx", "causality.disjointness-hereditary"):
+        "92ba3e75013d85a4ae844531226315284b12c2dea472efbae1fbf89c2aed0e6c",
+    ("cyl_ctx", "causality.embedding-development-lemmas"):
+        "1665d71da1502accb34f28863c46fa3c319a6de6e4be69e4d1ac0ec89661e3ee",
+    ("plane_ctx", "causality.embedding-development-lemmas"):
+        "20b339938d456ce2589f762a3f77e661d51f84a1341b2e38a3bb6ae2cfb387e6",
+    ("cyl_ctx", "causality.stabilization"):
+        "3a0eeed941c9e0cbb98f4882d6c28c395605ade0ba475f12dae17f210e7c133f",
+    ("plane_ctx", "causality.stabilization"):
+        "bebe368eed5f7df86f11214b72297ba8aab8a101a96402732bc64c19d8fe37fe",
+    ("cyl_ctx", "causality.strict-diamonds-d-stable"):
+        "19c4ec50598335a25b0f009c3fbe388ed59a4c216bc6aaae0fcac999cf649b65",
+    ("plane_ctx", "causality.strict-diamonds-d-stable"):
+        "0493c0bc33458459ee5292688885496449cff83539b90cdf8bb485c2a7ce0b57",
+    ("cyl_ctx", "descent.finer-implies-coarser"):
+        "90e78fabe090bc36990d832be12eec7ac12c3fa926d1c010eb8225b3eb5be59b",
+    ("plane_ctx", "descent.finer-implies-coarser"):
+        "33de818e107daaaf65e7725d0dfd0e69e0e4247846f26b9f9dd26b5ff9b58bf4",
+    ("cyl_ctx", "descent.indicator-datum-trivial"):
+        "efee8a0c1c4cf08ab2da6293a249144c158b5135b78882bd24945980a5dc630f",
+    ("plane_ctx", "descent.indicator-datum-trivial"):
+        "a8aa643a3743dbdf41241a011534200b3945cb36528847af77e1a002062c103c",
+    ("cyl_ctx", "descent.kg-counit"):
+        "802cbaa517b78519725bc480a686f2b1ce66129956991052a07fb60598e8a58a",
+    ("plane_ctx", "descent.kg-counit"):
+        "3ba04993d8eb0f4f39155dd7548e76a22fc9e702c8c529c7be9d517f64b57615",
+    ("cyl_ctx", "descent.kg-negative-control"):
+        "a3212e5a33cbc3c3b0a7096b8d068f634e6c00d4096f52412afdd28b0200c723",
+    ("plane_ctx", "descent.kg-negative-control"):
+        "72aafdf18f951beb007043843a824a5698989dc2e28e9c6547b4685295de5fad",
+    ("cyl_ctx", "descent.prestack-failure"):
+        "7be7171cbca349c35d4610536c79816bbb373e54647b85c510eafaa928940d23",
+    ("plane_ctx", "descent.prestack-failure"):
+        "89c2d7f3bde619b3926c37cc1eb3af30dab5a603dedd9dc6ef004eb7b070d75f",
+    ("cyl_ctx", "kg.field-identities"):
+        "5f6eb6ff86e1f112f79599d792d4c4240c77a458f0661405fbd048ccfd1fe1a6",
+    ("plane_ctx", "kg.field-identities"):
+        "ea4155cb95a7936e80da488db8ce28019b10c90258317e4f062a718fd9fa332f",
+    ("cyl_ctx", "kg.generator-spaces"):
+        "483b781716c7a7c88a4786df8f9d0c5b03cc50b06dc2bbec6abdd21b8ddd2991",
+    ("plane_ctx", "kg.generator-spaces"):
+        "9408551d0197d70d950aec1eb5a8f32e22f9c9d068788b7dff7d76ff1fc4424c",
+    ("cyl_ctx", "kg.pullback-identification"):
+        "5e161eeb7944d281748337b93e43d3ea835239378064584d23b183cbd55b833c",
+    ("plane_ctx", "kg.pullback-identification"):
+        "51fcd6546c6267b1d8c61a2285b2e6552089ae2ab721dc5f55dbf7d3e4961fa3",
+    ("plane_ctx", "kg.time-slice"):
+        "a7f5ba2d01e1221d1081e65e74d662db436cdb102fc734d904e0787026b8c8b7",
+    ("cyl_ctx", "net.epsilon-iso-violation"):
+        "a31567db1194974d825a5bef32885861420a2c88426d84b6b66bec1e2414e93a",
+    ("plane_ctx", "net.epsilon-iso-violation"):
+        "f65561ed524a7f356345d14046c39ceb53831d952c4bb0f743ed815fd92af930",
+    ("cyl_ctx", "net.indicator-time-slice"):
+        "6c2f6eeb65bbd253999e7051c7fa1e06f700de817edfe2aea6847dec52f87240",
+    ("plane_ctx", "net.indicator-time-slice"):
+        "4ec8f75f64bfb2b93b6ffd8b94ef35e39939e03e2cfccb35bb768e4caa819e23",
+    ("cyl_ctx", "net.nat-transform-counts"):
+        "69fce9be938c8d0af30a3b943e35abefafb3528a3c8b0c50e2d778aaceaa5e65",
+    ("plane_ctx", "net.nat-transform-counts"):
+        "a25e93cf5c6582b9687306c967f4ec6e2df1b85351e8aad1ac7cba0211c9411d",
+    ("cyl_ctx", "net.point-family"):
+        "59cc2ace514e3a8b4294a179d8840db6580bff1b1dbe79ebe3c9162aef3102df",
+    ("plane_ctx", "net.point-family"):
+        "9ba932866a1439348920b284be8fa2ed0974c530a3f8371ab3f734a844f228c4",
+    ("cyl_ctx", "net.pullback-functorial"):
+        "fbc75805ca98eceae56614fb79b6e5589280120d75251d6e776e6cc4a9922f9b",
+    ("plane_ctx", "net.pullback-functorial"):
+        "8b0c16daea57ec295cd9724b7103ff6c51f7b516042ad233ac438ea68910cac9",
+    ("cyl_ctx", "site.cover-intersections"):
+        "d2fa492a79b605a730938a2ba3815eaa5e1973681f80f5e7d07b7829f796119e",
+    ("plane_ctx", "site.cover-intersections"):
+        "e6fa52beced23577b3d236147e9c3e84db97e18b6d0200a33e8bac9c9bece781",
+    ("cyl_ctx", "site.extend-cover"):
+        "705c632822f5f321840e95a1830385b26358509d2f19f8d9abd9ed7071d321a4",
+    ("plane_ctx", "site.extend-cover"):
+        "1f981bda4340e65101eedbda11889782ceb1fd1fa54e53b4c25e3f36e27cad03",
+    ("cyl_ctx", "site.localization-oracle"):
+        "ba6d96ff85c796390930f8b672ca78d1aad31a23c9d513507f581f18e5f6a066",
+    ("plane_ctx", "site.localization-oracle"):
+        "f7c764a3bf114205104fc8563c2219451c4c76534aea4d14ff670f05af6cc5cf",
+    ("cyl_ctx", "site.localized-embedding-functors"):
+        "31adcf1f023dd7f3fdd3003ad699aba32f8cf6871ff15d53a6270863654355b5",
+    ("plane_ctx", "site.localized-embedding-functors"):
+        "006b2ddf923b27b64a1aa44afa60502a4ff7087f3f84589ac0822d46caa1b645",
+    ("cyl_ctx", "site.precostack-instances"):
+        "01c87307a7e8e590a0ed495ee60ceb0d23a8aae6da968d601dc5bf63c2e1e566",
+    ("plane_ctx", "site.precostack-instances"):
+        "7ef719b8c9ae1cb759033bc90e3aa241822410b07d689db37dc094962ead2a8d",
+    ("cyl_ctx", "site.refinement-functors"):
+        "605270d3291e549b30007ecb4fd9b6c6cca1c8724063fdc24fb31f1df7d11d41",
+    ("plane_ctx", "site.refinement-functors"):
+        "e37b499fc876284780b13cd79f762107bd33532fe1263d96f37ea6bcd4370de2",
+}
 
 
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
@@ -31,6 +169,8 @@ def test_every_check_runs_on_both_backends(ctx_name, cid, request):
         assert rec["paper_ref"] in CLAIMS
         assert rec["verdict"] in ("pass", "skip") or \
             (rec["id"] in EXPECTED_FAIL and rec["verdict"] == "fail")
+    digest = hashlib.sha256(json.dumps(records, default=str).encode())
+    assert digest.hexdigest() == PINNED_RECORDS[ctx_name, cid]
 
 
 @pytest.mark.parametrize("ctx_name,universe,cid,opts", [

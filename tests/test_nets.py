@@ -195,8 +195,14 @@ def small_structure(request):
     return _small_site(M, flavor, seed=len(name) + 2 * flavor)
 
 
+def _bit(rows, a, b) -> bool:
+    """Whether row ``a`` of a relation holds ``b``."""
+    return bool(rows[a] >> b & 1)
+
+
 def _up_closure(site, seeds):
-    return {b for a in seeds for b in site.object_keys() if site.hom_k(a, b)}
+    return {b for a in seeds for b in site.object_keys()
+            if _bit(site.hom, a, b)}
 
 
 def _support_sets(site, rng, n):
@@ -214,10 +220,10 @@ def _pairwise_refusal(site, S):
     keys = list(site.object_keys())
     for a in keys:
         for b in keys:
-            if site.hom_k(a, b) and a in S and b not in S:
+            if _bit(site.hom, a, b) and a in S and b not in S:
                 return (f"predicate not monotone along {site.region_of(a)} "
                         f"-> {site.region_of(b)}; no indicator functor")
-    if any(a < b and site.disjoint_k(a, b) for a in S for b in S):
+    if any(a < b and _bit(site.disjoint, a, b) for a in S for b in S):
         return "predicate holds on two causally disjoint regions"
     return None
 
@@ -249,7 +255,7 @@ def _indicator(site, S, alg=QPower(2)):
 
 def _brute_nat_count(A, B):
     """All component families on the support of A, each kept when every
-    naturality square of a morphism a -> b (from hom_k) commutes."""
+    naturality square of a morphism a -> b (a bit of hom) commutes."""
     site = A.site
     S = A.support()
 
@@ -262,7 +268,7 @@ def _brute_nat_count(A, B):
     homs = {k: enumerate_homs(A.algebra, B.values[k]) for k in S}
     # per square, B(a -> b) after each candidate component at a
     squares = [(a, b, [b_map(a, b) @ h for h in homs[a]])
-               for a in S for b in S if a != b and site.hom_k(a, b)]
+               for a in S for b in S if a != b and _bit(site.hom, a, b)]
     count = 0
     for pick in product(*[range(len(homs[k])) for k in S]):
         eta = dict(zip(S, pick))
@@ -280,7 +286,8 @@ def test_count_nat_transforms_matches_brute_force(small_structure):
         if len(S) > 4:
             continue
         A = _indicator(site, S)
-        if any(site.hom_k(a, b) and b not in S for a in S for b in keys):
+        if any(_bit(site.hom, a, b) and b not in S
+               for a in S for b in keys):
             with pytest.raises(AqftError, match="not upward closed"):
                 count_nat_transforms(A, A)
             continue
@@ -314,7 +321,7 @@ def test_epsilon_iso_diagram_matches_containment(name, request,
         assert vals == [A.values[j] for j in below]
         assert D.homs == frozenset(
             (i, j) for i in range(D.n) for j in range(D.n)
-            if i != j and site.hom_k(below[i], below[j]))
+            if i != j and _bit(site.hom, below[i], below[j]))
 
 
 def _cauchy_slabs_net(cyl):

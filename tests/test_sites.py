@@ -1,7 +1,7 @@
 import pytest
 
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
-                                cauchy_development, is_D_stable,
+                                cauchy_development, hull, is_D_stable,
                                 region_diamond, region_full, region_points,
                                 region_slab)
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
@@ -35,8 +35,13 @@ def test_enumerate_universe_slabs_and_cap(cyl):
         enumerate_universe(cyl, compactness="rc", t_range=(0, 4), cap=5)
 
 
+def _bit(rows, a, b) -> bool:
+    """Whether row ``a`` of a relation holds ``b``."""
+    return bool(rows[a] >> b & 1)
+
+
 def _hom(site, U, V) -> bool:
-    return site.hom_k(site.index[U], site.index[V])
+    return _bit(site.hom, site.index[U], site.index[V])
 
 
 def test_site_hom_rules(cyl):
@@ -62,9 +67,9 @@ def test_site_orthogonality(plane):
     k1, k2, kb = (site.index[r] for r in (u1, u2, big))
     # two morphisms into one target are orthogonal iff their sources are
     # causally disjoint
-    assert site.hom_k(k1, kb) and site.hom_k(k2, kb)
-    assert site.disjoint_k(k1, k2) and site.disjoint_k(k2, k1)
-    assert not site.disjoint_k(k1, kb)
+    assert _bit(site.hom, k1, kb) and _bit(site.hom, k2, kb)
+    assert _bit(site.disjoint, k1, k2) and _bit(site.disjoint, k2, k1)
+    assert not _bit(site.disjoint, k1, kb)
 
 
 def test_full_region_homs(cyl):
@@ -103,7 +108,7 @@ def test_saturation_is_sound_without_closure(plane):
     for i in range(3):
         for j in range(3):
             if sat[i] >> j & 1:
-                assert loc.hom_k(i, j)
+                assert _bit(loc.hom, i, j)
 
 
 def test_cover_validation(cyl):
@@ -149,7 +154,7 @@ def test_cover_category_and_j(cyl):
     assert j_functor(cc1).fully_faithful()
     # a generated hom the ambient site lacks breaks the simplified description
     a, b = next((a, b) for a in cc1.object_keys() for b in cc1.object_keys()
-                if not cc1.hom_k(a, b))
+                if not _bit(cc1.hom, a, b))
     cc1.hom[a] |= 1 << b
     with pytest.raises(SiteError):
         cc1.check_explicit_description()
@@ -212,7 +217,8 @@ def test_extend_cover_restriction_property(cyl):
     cov = Cover(region_full(cyl), (p1, p2), zone=zone)
     f = LatticeEmbedding(cyl, cyl, 1, 2)
     U = region_diamond(cyl, (0, 0), (3, 1))
-    ext = extend_cover(f, cov, U, mode="plain")
+    window = region_slab(cyl, *cyl.window)
+    ext = extend_cover(f, cov, U, window, mode="plain")
     assert ext.base.is_full
     # pieces meeting f(U) are exactly the pushed-forward ones
     img = apply_embedding(f, U)
@@ -224,15 +230,15 @@ def test_extend_cover_restriction_property(cyl):
     from latticehk.checks import column_cover
     covD = column_cover(cyl, zone)
     U2 = region_points(cyl, [(1, 0), (2, 0)])
-    extD = extend_cover(f, covD, U2, mode="D_stable")
+    extD = extend_cover(f, covD, U2, window, mode="D_stable")
     assert extD.is_D_stable()
     with pytest.raises(SiteError):
-        extend_cover(f, cov, U2, mode="D_stable")  # cover not D-stable
+        extend_cover(f, cov, U2, window, mode="D_stable")  # not D-stable
 
 
 def test_enumerate_universe_tiny_plane_diamonds(plane):
     uni = enumerate_universe(plane, compactness="rc", x_range=(0, 2),
-                             t_range=(0, 2), max_height=2, slabs=False,
+                             t_range=(0, 2), max_height=2,
                              strict_diamonds=False, cap=200)
     singles = [r for r in uni if len(r.pts) == 1]
     assert len(singles) == 9  # every window site
@@ -255,14 +261,14 @@ def _orthogonality_composition_stable(site) -> bool:
     n = len(site.objects)
     for i in range(n):
         for j in range(i + 1, n):
-            if not site.disjoint_k(i, j):
+            if not _bit(site.disjoint, i, j):
                 continue
             for a in range(n):
-                if not site.hom_k(a, i):
+                if not _bit(site.hom, a, i):
                     continue
                 for b in range(n):
-                    if a != b and site.hom_k(b, j) and \
-                            not site.disjoint_k(a, b):
+                    if a != b and _bit(site.hom, b, j) and \
+                            not _bit(site.disjoint, a, b):
                         return False
     return True
 
@@ -280,22 +286,33 @@ def test_localized_orthogonality_composition_stable(cyl):
 # ---------------------------------------------------------------------------
 
 
+def _seeded_hulls(M, pts, seed):
+    """Twenty hulls of two or three points of ``pts``, drawn by ``seed``."""
+    import random
+    rng = random.Random(seed)
+    return [hull(M, region_points(M, rng.sample(pts, rng.randint(2, 3))))
+            for _ in range(20)]
+
+
 def _oracle_universes(M, seed):
-    """An rc and a copen universe of ``M`` (seeded samples) and a copen
-    universe of a bounded sub-lattice of ``M``."""
+    """An rc and a copen universe of ``M`` (seeded samples, seeded hulls
+    included) and a copen universe of a bounded sub-lattice of ``M``."""
     import random
     from latticehk.geometry import bounded_spacetime
+    from latticehk.sites import base_points
     rng = random.Random(seed)
-    kw = {"t_range": (0, 3), "max_height": 3, "hull_count": 20,
-          "seed": seed, "cap": 900}
+    kw = {"t_range": (0, 3), "max_height": 3, "cap": 900}
     if M.kind == "plane":
         kw["x_range"] = (-1, 2)
         extent = region_diamond(M, (0, 0), (4, 0)).pts
     else:
         extent = region_slab(M, 0, 2).pts
-    rc = enumerate_universe(M, compactness="rc", **kw)
-    copen = [r for r in enumerate_universe(M, compactness="copen", **kw)
-             if not r.is_full]
+    hulls = set(_seeded_hulls(M, base_points(M, kw.get("x_range"), (0, 3)),
+                              seed))
+    rc, copen = (sorted(set(enumerate_universe(M, compactness=comp, **kw))
+                        | hulls, key=lambda r: r.sort_key())
+                 for comp in ("rc", "copen"))
+    copen = [r for r in copen if not r.is_full]
     B = bounded_spacetime(M, extent)
     bounded = enumerate_universe(B, compactness="copen", cap=900)
     return [(M, "rc", rng.sample(rc, 50)),
@@ -344,15 +361,15 @@ def _pairwise_properties(F):
     s, t, m = F.source, F.target, F.omap
     keys = list(s.object_keys())
     pairs = [(a, b) for a in keys for b in keys if a < b and
-             any(s.hom_k(a, c) and s.hom_k(b, c) for c in keys)]
-    return (all(t.hom_k(m[a], m[b])
-                for a in keys for b in keys if s.hom_k(a, b)),
-            all(s.hom_k(a, b) == t.hom_k(m[a], m[b])
+             any(_bit(s.hom, a, c) and _bit(s.hom, b, c) for c in keys)]
+    return (all(_bit(t.hom, m[a], m[b])
+                for a in keys for b in keys if _bit(s.hom, a, b)),
+            all(_bit(s.hom, a, b) == _bit(t.hom, m[a], m[b])
                 for a in keys for b in keys),
-            all(t.disjoint_k(m[a], m[b])
-                for a, b in pairs if s.disjoint_k(a, b)),
-            all(s.disjoint_k(a, b)
-                for a, b in pairs if t.disjoint_k(m[a], m[b])))
+            all(_bit(t.disjoint, m[a], m[b])
+                for a, b in pairs if _bit(s.disjoint, a, b)),
+            all(_bit(s.disjoint, a, b)
+                for a, b in pairs if _bit(t.disjoint, m[a], m[b])))
 
 
 def _row_properties(F):
@@ -417,7 +434,7 @@ def _pairwise_cover_category(site, cover):
     gen = [0] * len(objs)
     for a, (i, k1) in enumerate(objs):
         for b, (j, k2) in enumerate(objs):
-            if i == j and site.hom_k(k1, k2):
+            if i == j and _bit(site.hom, k1, k2):
                 gen[a] |= 1 << b
             elif k1 == k2:
                 key = (min(i, j), max(i, j))
@@ -443,10 +460,10 @@ def test_cover_category_rows_match_pairwise_definitions(cyl):
         objs, hom = _pairwise_cover_category(st, cov)
         assert cc.objects == objs
         assert cc.hom == hom
-        assert [cc.disjoint_k(a, b) for a in cc.object_keys()
+        assert [_bit(cc.disjoint, a, b) for a in cc.object_keys()
                 for b in cc.object_keys()] == \
-            [bool(cc.disjoint[a] >> b & 1) for a in cc.object_keys()
-             for b in cc.object_keys()]
+            [_bit(st.disjoint, k1, k2) for (_, k1) in objs
+             for (_, k2) in objs]
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +592,107 @@ def test_universe_is_enumerated_once_per_key(monkeypatch, cyl):
     assert ctx.universe("rc") is uni
     assert ctx.site().objects == ctx.site(localized=True).objects
     assert len(calls) == 1
-    # another compactness or another override is another enumeration
-    assert ctx.universe("rc", t_range=[0, 1]) is not uni
-    assert ctx.universe("copen") is not uni
-    assert len(calls) == 3
-    assert ctx.universe("rc", t_range=(0, 1)) is \
-        ctx.universe("rc", t_range=[0, 1])
-    assert len(calls) == 3
+    # another compactness is another enumeration, also made once
+    copen = ctx.universe("copen")
+    assert copen is not uni and ctx.universe("copen") is copen
+    assert len(calls) == 2
     assert uni == tuple(real(cyl, compactness="rc", t_range=(0, 2),
                              max_height=2))
+
+
+# ---------------------------------------------------------------------------
+# relations read off the rows the site already holds
+# ---------------------------------------------------------------------------
+
+
+def _convexity_spacetimes(plane, cyl):
+    """The plane, the cylinder and a bounded sub-lattice of the plane, each
+    with the points that seeded regions are drawn from."""
+    from latticehk.geometry import bounded_spacetime
+    zone = [(t, x) for t in range(4) for x in range(-1, 3)]
+    B = bounded_spacetime(plane, region_diamond(plane, (0, 0), (6, 0)).pts)
+    return {"plane": (plane, zone),
+            "cyl": (cyl, [(t, x) for t in range(4) for x in range(6)]),
+            "bounded": (B, sorted(B.extent))}
+
+
+@pytest.mark.parametrize("backend", ["plane", "cyl", "bounded"])
+def test_site_convexity_agrees_with_is_causally_convex(backend, plane, cyl):
+    """Seeded universes of hulls and raw point samples: the site builds iff
+    every object is causally convex, and otherwise names the first object
+    in sort order that is not."""
+    import random
+    from latticehk.geometry import is_causally_convex
+    M, pts = _convexity_spacetimes(plane, cyl)[backend]
+    rng = random.Random(backend)
+    verdicts = set()
+    for _ in range(25):
+        objs = [hull(M, region_points(M, rng.sample(pts, rng.randint(1, 3))))
+                for _ in range(6)]
+        objs += [region_points(M, rng.sample(pts, rng.randint(2, 3)))
+                 for _ in range(rng.randint(0, 2))]
+        objs = sorted(set(objs), key=lambda r: r.sort_key())
+        bad = [r for r in objs if not is_causally_convex(M, r)]
+        verdicts.add(bool(bad))
+        if not bad:
+            assert SiteCategory(M, objs, "rc").objects == tuple(objs)
+            continue
+        with pytest.raises(SiteError) as err:
+            SiteCategory(M, objs[::-1], "rc")
+        assert str(err.value) == \
+            f"universe region not causally convex: {bad[0]}"
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("backend", ["plane", "cyl", "bounded"])
+def test_site_names_the_first_non_convex_object(backend, plane, cyl):
+    """Two non-convex objects with different descriptions, listed in the
+    reverse of sort order: the message names the one sorted first."""
+    M, _ = _convexity_spacetimes(plane, cyl)[backend]
+    first = region_points(M, [(0, 0), (2, 0)])
+    second = region_points(M, [(1, 0), (2, 0), (4, 0)])
+    ok = region_diamond(M, (0, 0), (2, 0))
+    with pytest.raises(SiteError,
+                       match=r"^universe region not causally convex: "
+                             r"Region\(2 pts, t in \[0,2\]\)$"):
+        SiteCategory(M, [second, ok, first], "rc")
+
+
+def _cospans_by_definition(hom) -> tuple:
+    n = len(hom)
+    return tuple(sum(1 << b for b in range(n)
+                     if any(_bit(hom, a, c) and _bit(hom, b, c)
+                            for c in range(n)))
+                 for a in range(n))
+
+
+@pytest.mark.parametrize("localized", [False, True])
+def test_relocalized_twin_has_its_own_cospans(cyl, localized):
+    """The twin is a copy of the site; cospans read before it was made
+    belong to the other rule and must not carry over.  The points share
+    no plain target, but all develop into the row, whose development is
+    everything."""
+    uni = [region_slab(cyl, 0, 0)] + [region_points(cyl, [p]) for p in
+                                      ((1, 0), (2, 1), (3, 3))]
+    site = SiteCategory(cyl, uni, "rc", localized=localized)
+    before = site.cospans
+    twin = site.relocalized(not localized)
+    assert before == _cospans_by_definition(site.hom)
+    assert twin.cospans == _cospans_by_definition(twin.hom) != before
+    assert site.cospans is before
+
+
+def test_functor_pulls_each_target_relation_back_once(cyl, monkeypatch):
+    import latticehk.sites as sites_mod
+    pulled = []
+    pullback = sites_mod._pullback
+    monkeypatch.setattr(sites_mod, "_pullback", lambda rows, image:
+                        pulled.append(rows) or pullback(rows, image))
+    uni = enumerate_universe(cyl, compactness="rc", t_range=(0, 2),
+                             max_height=2)
+    site = SiteCategory(cyl, uni, "rc")
+    loc = site.relocalized(True)
+    F = localization_functor(site)
+    for _ in range(2):
+        _row_properties(F)
+    assert [id(rows) for rows in pulled] == [id(loc.hom), id(loc.disjoint)]
