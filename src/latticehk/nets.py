@@ -146,29 +146,28 @@ def _b_transition(B: IndicatorAqft, a, b) -> Mat:
 
 
 def _count_assignments(A: IndicatorAqft, B: IndicatorAqft, nodes: list,
-                       edges: list, assigned: dict) -> int:
+                       out_edges: dict, assigned: dict, new: list) -> int:
     """Number of component families on ``nodes`` that extend ``assigned``
-    and commute with every (a, b, B-transition) of ``edges``: forced values
-    propagate along the edges, then the first open node branches over its
-    homs."""
-    assigned = dict(assigned)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b, t) in edges:
-            if a in assigned:
-                forced = t @ assigned[a]
-                if b in assigned:
-                    if assigned[b] != forced:
-                        return 0
-                else:
-                    assigned[b] = forced
-                    changed = True
-    rest = [n for n in nodes if n not in assigned]
-    if not rest:
+    and commute with every (b, B-transition) of ``out_edges[a]``: values
+    forced by the newly assigned nodes ``new`` propagate along their edges
+    from a worklist, then the first open node branches over its homs.  Each
+    edge is checked once, when its source is assigned, so the count does
+    not depend on the order of propagation."""
+    todo = list(new)
+    while todo:
+        a = todo.pop()
+        for b, t in out_edges.get(a, ()):
+            forced = t @ assigned[a]
+            if b not in assigned:
+                assigned[b] = forced
+                todo.append(b)
+            elif assigned[b] != forced:
+                return 0
+    n0 = next((n for n in nodes if n not in assigned), None)
+    if n0 is None:
         return 1
-    n0 = rest[0]
-    return sum(_count_assignments(A, B, nodes, edges, {**assigned, n0: h})
+    return sum(_count_assignments(A, B, nodes, out_edges,
+                                  {**assigned, n0: h}, [n0])
                for h in enumerate_homs(A.algebra, B.values[n0]))
 
 
@@ -192,9 +191,12 @@ def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
     for nodes in weak_components(sup, edges):
         members = set(nodes)
         # a component holds both ends of each of its edges
-        cedges = [(a, b, _b_transition(B, a, b)) for (a, b) in edges
-                  if a in members]
-        total *= _count_assignments(A, B, nodes, cedges, {})
+        out_edges: dict = {}
+        for (a, b) in edges:
+            if a in members:
+                out_edges.setdefault(a, []).append(
+                    (b, _b_transition(B, a, b)))
+        total *= _count_assignments(A, B, nodes, out_edges, {}, [])
     return total
 
 
@@ -257,18 +259,21 @@ def functoriality_errors(A: CcrAqft) -> list[str]:
 
 def commutativity_errors(A: CcrAqft) -> list[str]:
     """Causally disjoint pairs whose images do not commute: the pairing of
-    the common target must vanish between them."""
+    the common target must vanish between them.  T_ac^T sigma_c is formed
+    once per (a, c) and paired with each T_bc through T_bc's sparse
+    columns."""
     site, T = A.site, A.transitions
+    paired: dict = {}   # (a, c) -> T_ac^T sigma_c
     errs = []
     for a in site.object_keys():
         for b in set_bits(site.disjoint[a] & ~((2 << a) - 1)):  # b > a
             for c in set_bits(site.hom[a] & site.hom[b]):
                 if (a, c) not in T or (b, c) not in T:
                     continue
-                sig = A.spaces[c].sigma_reduced()
-                if any(v != 0 for row in
-                       (T[(a, c)].transpose() @ sig @ T[(b, c)]).data
-                       for v in row):
+                if (a, c) not in paired:
+                    paired[(a, c)] = T[(a, c)].transpose() @ \
+                        A.spaces[c].sigma_reduced()
+                if not paired[(a, c)].annihilates(T[(b, c)]):
                     errs.append(f"pairing does not vanish on the disjoint "
                                 f"pair {a}, {b} inside {c}")
     return errs

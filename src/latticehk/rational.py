@@ -24,15 +24,22 @@ class ForkError(ValueError):
 
 
 class Mat:
-    """Dense exact-rational matrix; rows of tuples, immutable by convention."""
+    """Exact-rational matrix, immutable by convention.
 
-    __slots__ = ("data", "nrows", "ncols")
+    ``data`` holds the rows as tuples: the canonical dense form, which
+    equality, hashing and elimination read.  ``columns()`` holds each
+    column's nonzero entries as ``{row: value}``; it is filled once per
+    matrix, which is safe because the rows are tuples, and products read it.
+    """
+
+    __slots__ = ("data", "nrows", "ncols", "_cols")
 
     def __init__(self, rows: Iterable[Sequence], ncols: Optional[int] = None):
         data = tuple(tuple(v if type(v) is QQ else QQ(v) for v in row)
                      for row in rows)
         self.data = data
         self.nrows = len(data)
+        self._cols = None
         if data:
             self.ncols = len(data[0])
             if any(len(r) != self.ncols for r in data):
@@ -52,27 +59,60 @@ class Mat:
         return Mat([[col[i] for col in cols] for i in range(nrows)],
                    len(cols))
 
+    @staticmethod
+    def _from_columns(cols: list[dict], nrows: int) -> "Mat":
+        """The matrix whose column j has the nonzero entries ``cols[j]``.
+        Its values are Fractions already, so none is normalised again."""
+        rows = [[Q0] * len(cols) for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        m = Mat.__new__(Mat)
+        m.data = tuple(map(tuple, rows))
+        m.nrows, m.ncols, m._cols = nrows, len(cols), tuple(cols)
+        return m
+
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
     def cols(self) -> list[tuple]:
         return [self.col(j) for j in range(self.ncols)]
 
+    def columns(self) -> tuple[dict, ...]:
+        """Each column's nonzero entries as ``{row: value}``, computed once.
+        The dicts are shared: callers read them and never change them."""
+        if self._cols is None:
+            cols = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(self.data):
+                for j, v in enumerate(row):
+                    if v:
+                        cols[j][i] = v
+            self._cols = tuple(cols)
+        return self._cols
+
     def transpose(self) -> "Mat":
         return Mat([[self.data[i][j] for i in range(self.nrows)]
                     for j in range(self.ncols)], self.nrows)
 
-    def __matmul__(self, other: "Mat") -> "Mat":
+    def _product_columns(self, other: "Mat"):
+        """The columns of ``self @ other`` as ``{row: value}``, one at a
+        time: column j combines this matrix's columns by the nonzero entries
+        of ``other``'s column j, so a unit column is a selection and a zero
+        column costs nothing."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        cols = other.cols()
-        out = []
-        for row in self.data:
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            out.append([sum((a * col[k] for k, a in nonzero if col[k]), Q0)
-                        for col in cols])
-        return Mat(out, other.ncols)
+        left = self.columns()
+        return (_combine(left, col) for col in other.columns())
+
+    def __matmul__(self, other: "Mat") -> "Mat":
+        return Mat._from_columns(list(self._product_columns(other)),
+                                 self.nrows)
+
+    def annihilates(self, other: "Mat") -> bool:
+        """Whether ``self @ other`` is zero, read column by column without
+        forming the product; the first nonzero column settles it."""
+        return not any(self._product_columns(other))
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -144,6 +184,22 @@ class Mat:
         aug = Mat([row + (v,) for row, v in zip(self.data, vec)],
                   self.ncols + 1)
         return aug.rank() == self.rank()
+
+
+def _combine(cols: Sequence[dict], coeffs: dict) -> dict:
+    """The sum of ``v * cols[k]`` over ``{k: v}`` in ``coeffs``, as
+    ``{row: value}`` without zeros.  One unit coefficient selects a column,
+    which is copied with no Fraction arithmetic."""
+    if len(coeffs) == 1:
+        (k, v), = coeffs.items()
+        if v == 1:
+            return dict(cols[k])
+        return {i: a * v for i, a in cols[k].items()}
+    acc: dict = {}
+    for k, v in coeffs.items():
+        for i, a in cols[k].items():
+            acc[i] = acc[i] + a * v if i in acc else a * v
+    return {i: x for i, x in acc.items() if x}
 
 
 def primitive_integer(vec: Sequence) -> list[int]:

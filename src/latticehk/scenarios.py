@@ -11,11 +11,9 @@ are byte-identical up to the timestamp.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 from pathlib import Path
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .checks import (EXPECTED, REGISTRY, UNIVERSE_KEYS, RunContext,
                      run_check)
@@ -61,8 +59,15 @@ SCENARIO_SCHEMA = {
     },
     "additionalProperties": False,
 }
-# built once: jsonschema.validate would check the schema itself on every call
-_VALIDATOR = validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+
+@functools.cache
+def _validator():
+    """The scenario validator, built once at the first validation:
+    jsonschema.validate would check the schema itself on every call, and
+    importing jsonschema is left to the runs that validate a scenario."""
+    from jsonschema.validators import validator_for
+    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
 
 
 class ScenarioError(Exception):
@@ -70,7 +75,8 @@ class ScenarioError(Exception):
 
 
 def validate_scenario(config: dict):
-    e = best_match(_VALIDATOR.iter_errors(config))
+    from jsonschema.exceptions import best_match
+    e = best_match(_validator().iter_errors(config))
     if e is not None:
         raise ScenarioError(f"invalid scenario: {e.message} at "
                             f"{'/'.join(str(p) for p in e.path)}")

@@ -3,7 +3,7 @@ import pytest
 from latticehk.checks import RunContext
 from latticehk.geometry import LatticeSpacetime
 from latticehk.kleingordon import KgContext
-from latticehk.rational import QQ
+from latticehk.rational import Mat, Q0, QQ
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +41,19 @@ def kg_plane(plane):
 @pytest.fixture(scope="session")
 def kg_cyl(cyl):
     return KgContext(cyl, QQ(1, 4))
+
+
+def _dense_matmul(a: Mat, b: Mat) -> Mat:
+    """The row-by-column product over the dense rows: the reference that
+    the sparse column product ``Mat.__matmul__`` must reproduce."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    cols = b.cols()
+    return Mat([[sum((x * col[k] for k, x in enumerate(row)
+                      if x and col[k]), Q0) for col in cols]
+                for row in a.data], b.ncols)
+
+
+@pytest.fixture(scope="session")
+def dense_matmul():
+    return _dense_matmul

@@ -192,6 +192,11 @@ def test_every_check_runs_on_both_backends(ctx_name, cid, request):
     ("cyl_ctx", {}, "causality.cauchy-union-property", {"count": 0}),
     # both flavor records; the coarsest-cover record still runs
     ("cyl_ctx", {}, "descent.kg-counit", {"count": 0}),
+    # a strict diamond spans at least three rows
+    ("plane_ctx", {"t_range": [0, 1]}, "causality.strict-diamonds-d-stable",
+     {}),
+    ("cyl_ctx", {"t_range": [0, 1]}, "causality.strict-diamonds-d-stable",
+     {}),
 ])
 def test_zero_instances_skip(ctx_name, universe, cid, opts, request):
     base = request.getfixturevalue(ctx_name)

@@ -1,9 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from jsonschema.validators import validator_for
 
+import latticehk
 from latticehk.checks import UNIVERSE_KEYS
 from latticehk.cli import main
 from latticehk.scenarios import (DEMOS, SCENARIO_SCHEMA, ScenarioError,
@@ -182,6 +187,60 @@ def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
     capsys.readouterr()
     assert main([*flags, "run", str(scn)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+_PLANE = {"kind": "plane", "window": [-14, 16]}
+# two points: fewer than any draw of these checks may take
+_TWO_POINTS = {"compactness": "rc", "t_range": [0, 0], "x_range": [0, 1],
+               "max_height": 4, "cap": 1600}
+
+
+# check id -> the most points one of its draws takes
+_DRAWS = {"causality.cauchy-morphism-equivalence": 4,
+          "causality.cauchy-union-property": 3,
+          "causality.development-props": 4,
+          "causality.development-vs-double-complement": 4,
+          "causality.disjointness-hereditary": 3,
+          "kg.field-identities": 3,
+          "kg.pullback-identification": 3,
+          "site.localization-oracle": 4}
+
+
+@pytest.mark.parametrize("spacetime,check,message", [
+    *(pytest.param(_PLANE, cid, f"a draw takes up to {hi} points of the "
+                   f"zone, which holds 2; widen t_range or x_range",
+                   id=f"plane-{cid}") for cid, hi in _DRAWS.items()),
+    *(pytest.param(st, "site.extend-cover", "site.extend-cover draws "
+                   "two-row regions below the top row of the zone, so it "
+                   "needs 3 rows, not 1; widen t_range",
+                   id=f"{st['kind']}-site.extend-cover")
+      for st in (_PLANE, _CYLINDER)),
+])
+def test_cli_zone_too_small_to_draw_from_exits_2(tmp_path, capsys,
+                                                 spacetime, check, message):
+    """A check that draws more distinct points than the zone holds is a
+    configuration error, not a traceback."""
+    scn = tmp_path / "s.json"
+    scn.write_text(json.dumps({"schema": "latticehk-scenario/1",
+                               "spacetime": spacetime,
+                               "universe": _TWO_POINTS,
+                               "checks": [check]}))
+    capsys.readouterr()
+    assert main(["run", str(scn)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_cli_import_leaves_jsonschema_out():
+    """jsonschema is imported at the first validation, not with the CLI."""
+    src = Path(latticehk.__file__).resolve().parent.parent
+    code = ("import sys, latticehk.cli; "
+            "print('jsonschema' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_cli_demo_and_overrides(tmp_path):

@@ -15,7 +15,7 @@ from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             check_time_slice, count_nat_transforms,
                             epsilon_iso_check, make_predicate,
                             pullback_indicator)
-from latticehk.rational import Mat, Q1, QQ
+from latticehk.rational import Mat, Q0, Q1, QQ
 from latticehk.sites import (Cover, CoverCategory, SiteCategory,
                              embedding_site_functor, enumerate_universe)
 
@@ -356,3 +356,72 @@ def test_kg_time_slice_catches_a_tampered_cauchy_transition(cyl):
     assert not check_time_slice(A)
     assert check_kg_axioms(A)[-1] == \
         f"Cauchy morphism {a}->{b} not invertible"
+
+
+def _kg_net(cyl):
+    """The localized Klein-Gordon net over the first 18 small regions of
+    rows 0-3, where every transition column is a unit column."""
+    uni = enumerate_universe(cyl, compactness="rc", t_range=(0, 3),
+                             max_height=3, diamonds=True,
+                             strict_diamonds=False, min_slab_height=2,
+                             cap=900)
+    site = SiteCategory(cyl, [r for r in uni if len(r.pts) <= 20][:18],
+                        "rc", localized=True)
+    return build_kg_aqft(KgContext(cyl, QQ(1, 4)), site)
+
+
+def _commutativity_oracle(A, dense_matmul):
+    """T_ac^T sigma_c T_bc formed densely for every disjoint triple."""
+    site, T = A.site, A.transitions
+    errs, triples = [], 0
+    for a in site.object_keys():
+        for b in set_bits(site.disjoint[a]):
+            for c in set_bits(site.hom[a] & site.hom[b]):
+                if b <= a or (a, c) not in T or (b, c) not in T:
+                    continue
+                triples += 1
+                pairing = dense_matmul(dense_matmul(
+                    T[(a, c)].transpose(), A.spaces[c].sigma_reduced()),
+                    T[(b, c)])
+                if any(v for row in pairing.data for v in row):
+                    errs.append(f"pairing does not vanish on the disjoint "
+                                f"pair {a}, {b} inside {c}")
+    return errs, triples
+
+
+def test_commutativity_matches_the_dense_pairing(cyl, dense_matmul):
+    A = _kg_net(cyl)
+    errs, triples = _commutativity_oracle(A, dense_matmul)
+    assert triples and errs == [] == nets.commutativity_errors(A)
+    # transitions with a random column each: some pairings stop vanishing
+    rng = random.Random(3)
+    tampered = dict(A.transitions)
+    for key in rng.sample(sorted(tampered), 30):
+        t = tampered[key]
+        if t.ncols:
+            j = rng.randrange(t.ncols)
+            tampered[key] = Mat([[rng.randint(-2, 2) if k == j else v
+                                  for k, v in enumerate(row)]
+                                 for row in t.data], t.ncols)
+    B = nets.CcrAqft(A.site, A.ctx, A.spaces, tampered)
+    errs, _ = _commutativity_oracle(B, dense_matmul)
+    assert errs and nets.commutativity_errors(B) == errs
+
+
+def test_commutativity_names_a_tampered_pair(cyl):
+    """A transition column that is not orthogonal to the disjoint image
+    gives the error message of the pair."""
+    A = _kg_net(cyl)
+    T = A.transitions
+    a, b, c = next((a, b, c) for a in A.site.object_keys()
+                   for b in set_bits(A.site.disjoint[a]) if b > a
+                   for c in set_bits(A.site.hom[a] & A.site.hom[b])
+                   if (a, c) in T and (b, c) in T)
+    lhs = T[(a, c)].transpose() @ A.spaces[c].sigma_reduced()
+    k = next(k for k in range(lhs.ncols) if any(r[k] for r in lhs.data))
+    t = T[(b, c)]
+    # column 0 of T_bc becomes the unit vector e_k
+    T[(b, c)] = Mat([[Q1 if i == k else Q0, *row[1:]]
+                     for i, row in enumerate(t.data)], t.ncols)
+    assert f"pairing does not vanish on the disjoint pair {a}, {b} " \
+        f"inside {c}" in nets.commutativity_errors(A)

@@ -122,6 +122,81 @@ def test_fractions_exact():
     assert m.rank() == 1
 
 
+def _product_factors():
+    """Seeded factor pairs: 0xn and nx0 shapes, all-zero columns, unit
+    columns (selections), negative and fractional entries, and columns
+    that cancel; the last pairs use one matrix as both factors."""
+    rng = random.Random(5)
+
+    def draw(nrows, ncols, kind):
+        if kind == "unit":   # each column zero or a unit vector
+            rows = [[Q0] * ncols for _ in range(nrows)]
+            for j in range(ncols):
+                if nrows and rng.random() < 0.8:
+                    rows[rng.randrange(nrows)][j] = Q1
+            return Mat(rows, ncols)
+        zero_cols = {j for j in range(ncols) if rng.random() < 0.3}
+        return Mat([[Q0 if j in zero_cols or rng.random() < 0.4 else
+                     QQ(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                     for j in range(ncols)] for _ in range(nrows)], ncols)
+
+    pairs = [(Mat([], 3), Mat([[1, 2]] * 3)), (Mat([[], []]), Mat([], 4)),
+             (Mat([[1, 2]] * 3), Mat([[], []])),
+             (Mat([[1], [2]]), Mat([[]], 0)),
+             # the two columns cancel: the product is zero
+             (Mat([[1, "1/2"], [2, 1]]), Mat([[1, 0], [-2, 0]]))]
+    for _ in range(40):
+        m, k, n = (rng.randint(0, 5) for _ in range(3))
+        pairs.append((draw(m, k, rng.choice(("unit", "dense"))),
+                      draw(k, n, rng.choice(("unit", "dense")))))
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        sq = draw(n, n, rng.choice(("unit", "dense")))
+        pairs.append((sq, sq))
+    return pairs
+
+
+def _snapshot(m: Mat):
+    return [dict(col) for col in m.columns()]
+
+
+def test_sparse_product_matches_the_dense_oracle(dense_matmul):
+    kinds = set()
+    for a, b in _product_factors():
+        ref = dense_matmul(a, b)
+        got = a @ b
+        assert got == ref and (got.nrows, got.ncols) == (ref.nrows,
+                                                         ref.ncols)
+        assert all(type(v) is QQ for row in got.data for v in row)
+        # the product's column cache is what its rows give
+        assert _snapshot(got) == _snapshot(Mat(got.data, got.ncols))
+        assert a.annihilates(b) == (not any(v for row in ref.data
+                                            for v in row))
+        kinds.add("empty" if not (a.nrows * a.ncols * b.ncols) else
+                  "same" if a is b else
+                  "unit" if all(len(c) <= 1 and all(v == 1 for v in
+                                                     c.values())
+                                for c in b.columns()) else "general")
+    assert kinds == {"empty", "same", "unit", "general"}
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.identity(2) @ Mat.identity(3)
+
+
+def test_products_leave_the_factor_caches_alone():
+    """A unit column of the product is a copy of the left factor's column:
+    changing the product's cache, or forming more products, leaves both
+    factors' caches as they were."""
+    for a, b in _product_factors():
+        before = (_snapshot(a), _snapshot(b))
+        prod = a @ b
+        prod2 = b @ a if b.ncols == a.nrows else prod
+        a.annihilates(b)
+        for col in prod.columns() + prod2.columns():
+            col.clear()
+        assert (_snapshot(a), _snapshot(b)) == before
+        assert _snapshot(a) == _snapshot(Mat(a.data, a.ncols))
+
+
 def _reduce(q: QuotientSpace, vec) -> tuple:
     return q.reduce_sparse({i: QQ(v) for i, v in enumerate(vec) if v})
 
