@@ -47,7 +47,7 @@ from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     close_universe_for_localization,
                     compare_localization_models, embedding_site_functor,
                     enumerate_universe, j_functor, refinement_functor,
-                    extend_cover)
+                    extend_cover, base_points)
 
 
 # the enumerate_universe keywords a scenario's "universe" block may set,
@@ -83,8 +83,8 @@ def register(check_id: str, claim: str, flavors: tuple = (),
 @dataclass
 class RunContext:
     """Resolved scenario inputs shared by the check runners.  Each input
-    has one reader: ``t_range``, ``x_range`` and ``zone`` for the rows and
-    columns, ``mass2`` and ``algebra`` for the assignment family."""
+    has one reader: ``t_range`` and ``zone`` for the rows and columns,
+    ``mass2`` and ``algebra`` for the assignment family."""
 
     M: LatticeSpacetime
     seed: int = 0
@@ -121,6 +121,14 @@ class RunContext:
         """A skipped record whose witness opens with the reason."""
         return self.record(rec_id, "skip", {"reason": reason, **witness},
                            extra)
+
+    def tally(self, rec_id: str, found: int, ok: bool, reason: str,
+              witness: dict) -> CheckRecord:
+        """The verdict of a check over drawn instances: ``skip`` with
+        ``reason`` when it found none, else ``pass`` iff all were ``ok``."""
+        if not found:
+            return self.skip(rec_id, reason, **witness)
+        return self.record(rec_id, "pass" if ok else "fail", witness)
 
     def universe(self, compactness: str) -> tuple[Region, ...]:
         """The configured universe, enumerated once per run and
@@ -165,20 +173,11 @@ class RunContext:
         """The configured rows, the whole window by default."""
         return tuple(self.universe_cfg.get("t_range", self.M.window))
 
-    @property
-    def x_range(self) -> tuple[int, int]:
-        """The configured columns; every column of a cylinder."""
-        if self.M.kind == "cylinder":
-            return (0, self.M.circumference - 1)
-        if "x_range" not in self.universe_cfg:
-            raise SiteError("plane enumeration needs an explicit x_range")
-        return tuple(self.universe_cfg["x_range"])
-
     def zone(self) -> Region:
-        """The region the configured rows and columns span."""
-        (t0, t1), (x0, x1) = self.t_range, self.x_range
-        return region_points(self.M, [(t, x) for t in range(t0, t1 + 1)
-                                      for x in range(x0, x1 + 1)])
+        """The region the configured rows and columns span; every column of
+        a cylinder."""
+        return region_points(self.M, base_points(
+            self.M, self.universe_cfg.get("x_range"), self.t_range))
 
     @property
     def mass2(self) -> QQ:
@@ -232,9 +231,13 @@ def draw_points(rng, zone: list, lo: int, hi: int) -> list:
     return rng.sample(zone, rng.randint(lo, hi))
 
 
+def draw_hull(M: LatticeSpacetime, rng, zone: list, lo: int, hi: int):
+    """The hull of ``draw_points(rng, zone, lo, hi)``."""
+    return hull(M, region_points(M, draw_points(rng, zone, lo, hi)))
+
+
 def seeded_hulls(M: LatticeSpacetime, zone, rng, count):
-    return [hull(M, region_points(M, draw_points(rng, zone, 1, 4)))
-            for _ in range(count)]
+    return [draw_hull(M, rng, zone, 1, 4) for _ in range(count)]
 
 
 def largest_first(site: SiteCategory, min_height: int = 0) -> list[Region]:
@@ -492,12 +495,9 @@ def check_strict_diamonds(ctx: RunContext, opts):
             if not (is_causally_convex(M, V) and V.is_relatively_compact
                     and is_D_stable(M, V)):
                 bad += 1
-    if not total:
-        return [ctx.skip("causality.strict-diamonds-d-stable",
-                         "no strict diamond in the zone", total=0, bad=0)]
-    return [ctx.record("causality.strict-diamonds-d-stable",
-                       "pass" if bad == 0 else "fail",
-                       {"total": total, "bad": bad})]
+    return [ctx.tally("causality.strict-diamonds-d-stable", total, bad == 0,
+                      "no strict diamond in the zone",
+                      {"total": total, "bad": bad})]
 
 
 @register("causality.disjointness-hereditary",
@@ -511,8 +511,8 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
     attempts = 0
     while found < int(opts.get("count", 20)) and attempts < 400:
         attempts += 1
-        U1 = hull(M, region_points(M, draw_points(rng, zone, 1, 3)))
-        U2 = hull(M, region_points(M, draw_points(rng, zone, 1, 3)))
+        U1 = draw_hull(M, rng, zone, 1, 3)
+        U2 = draw_hull(M, rng, zone, 1, 3)
         if not are_causally_disjoint(M, U1, U2):
             continue
         found += 1
@@ -522,11 +522,8 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
                                          max(1, len(U2.pts) // 2)))
         if not are_causally_disjoint(M, s1, s2):
             ok = False
-    if not found:
-        return [ctx.skip("causality.disjointness-hereditary",
-                         "no disjoint pair drawn", instances=0)]
-    return [ctx.record("causality.disjointness-hereditary",
-                       "pass" if ok else "fail", {"instances": found})]
+    return [ctx.tally("causality.disjointness-hereditary", found, ok,
+                      "no disjoint pair drawn", {"instances": found})]
 
 
 @register("causality.cauchy-union-property",
@@ -541,7 +538,7 @@ def check_cauchy_union_property(ctx: RunContext, opts):
     attempts = 0
     while found < int(opts.get("count", 15)) and attempts < 600:
         attempts += 1
-        U = hull(M, region_points(M, draw_points(rng, zone, 1, 3)))
+        U = draw_hull(M, rng, zone, 1, 3)
         Up = hull(M, region_points(
             M, sorted(U.pts) + draw_points(rng, zone, 1, 2)))
         if not is_cauchy_morphism(M, U, Up):
@@ -557,12 +554,9 @@ def check_cauchy_union_property(ctx: RunContext, opts):
             continue
         if not is_cauchy_morphism(M, V, union):
             bad += 1
-    if not found:
-        return [ctx.skip("causality.cauchy-union-property",
-                         "no Cauchy inclusion drawn", instances=0, bad=0)]
-    return [ctx.record("causality.cauchy-union-property",
-                       "pass" if bad == 0 else "fail",
-                       {"instances": found, "bad": bad})]
+    return [ctx.tally("causality.cauchy-union-property", found, bad == 0,
+                      "no Cauchy inclusion drawn",
+                      {"instances": found, "bad": bad})]
 
 
 @register("causality.d-stable-neighborhood-sweep",
@@ -635,8 +629,7 @@ def check_embedding_lemmas(ctx: RunContext, opts):
             bad_eq += 1
             continue
         for _ in range(per):
-            U = hull(f.source, region_points(
-                f.source, draw_points(rng, zone, 1, 3)))
+            U = draw_hull(f.source, rng, zone, 1, 3)
             n_eq += 1
             if not verify_development_restriction(f, U):
                 bad_eq += 1
@@ -647,8 +640,7 @@ def check_embedding_lemmas(ctx: RunContext, opts):
         src = f.source
         zone = sorted(src.extent)
         for _ in range(per):
-            U = hull(src, region_points(src,
-                                        draw_points(rng, zone, 1, 3)))
+            U = draw_hull(src, rng, zone, 1, 3)
             n_incl += 1
             DU = cauchy_development(src, U)
             lhs = apply_embedding(f, DU)
@@ -717,7 +709,7 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     rng = ctx.rng("cauchyeq")
     found, bad, converse_gap = 0, 0, 0
     for _ in range(int(opts.get("count", 40))):
-        V = hull(M, region_points(M, draw_points(rng, zone, 2, 4)))
+        V = draw_hull(M, rng, zone, 2, 4)
         sub = rng.sample(sorted(V.pts), max(1, len(V.pts) // 2))
         U = hull(M, region_points(M, sub))
         if not V.contains(U):
@@ -743,12 +735,10 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
                     full_ok = False
     witness = {"instances": found, "bad": bad,
                "intrinsic_only": converse_gap}
-    if not found and full_ok:
-        return [ctx.skip("causality.cauchy-morphism-equivalence",
-                         "no nested pair drawn", **witness)]
-    return [ctx.record("causality.cauchy-morphism-equivalence",
-                       "pass" if found and bad == 0 and full_ok else "fail",
-                       witness)]
+    # a failed whole-spacetime comparison is a verdict without nested pairs
+    return [ctx.tally("causality.cauchy-morphism-equivalence",
+                      found or not full_ok, bad == 0 and full_ok,
+                      "no nested pair drawn", witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -807,12 +797,8 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
         if not (F.fully_faithful() and F.preserves_orthogonality()
                 and F.reflects_orthogonality()):
             bad += 1
-    if not total:
-        return [ctx.skip("site.localized-embedding-functors",
-                         "no embedding drawn", embeddings=0, bad=0)]
-    return [ctx.record("site.localized-embedding-functors",
-                       "pass" if bad == 0 else "fail",
-                       {"embeddings": total, "bad": bad})]
+    return [ctx.tally("site.localized-embedding-functors", total, bad == 0,
+                      "no embedding drawn", {"embeddings": total, "bad": bad})]
 
 
 def _covers_for_site(ctx: RunContext, site: SiteCategory, localized: bool,
@@ -912,14 +898,9 @@ def check_precostack_instances(ctx: RunContext, opts):
             CoverCategory(site, bad_cover)
         except SiteError:
             refused = True
-    if not (bad or any(results.values())):
-        instances = ctx.skip("site.precostack-instances", "no cover drawn",
-                             **results, bad=0)
-    else:
-        instances = ctx.record("site.precostack-instances",
-                               "pass" if bad == 0 and min(results.values())
-                               else "fail", {**results, "bad": bad})
-    return [instances,
+    return [ctx.tally("site.precostack-instances",
+                      sum(results.values()) + bad, bad == 0, "no cover drawn",
+                      {**results, "bad": bad}),
             ctx.record("site.localized-refusal",
                        "pass" if refused else (
                            "skip" if bad_cover is None else "fail"))]
@@ -939,12 +920,8 @@ def check_refinements(ctx: RunContext, opts):
         if not (F.is_functor() and F.fully_faithful()
                 and F.reflects_orthogonality()):
             bad += 1
-    if not total:
-        return [ctx.skip("site.refinement-functors", "no cover to refine",
-                         instances=0, bad=0)]
-    return [ctx.record("site.refinement-functors",
-                       "pass" if bad == 0 else "fail",
-                       {"instances": total, "bad": bad})]
+    return [ctx.tally("site.refinement-functors", total, bad == 0,
+                      "no cover to refine", {"instances": total, "bad": bad})]
 
 
 @register("site.extend-cover",
@@ -952,21 +929,19 @@ def check_refinements(ctx: RunContext, opts):
 def check_cover_extension(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("extend")
-    tr, xr = ctx.t_range, ctx.x_range
-    xs = range(xr[0], xr[1] + 1)
+    tr = ctx.t_range
+    count = int(opts.get("count", 10))
+    if count and tr[1] - tr[0] < 2:
+        raise SiteError(f"site.extend-cover draws two-row regions below the "
+                        f"top row of the zone, so it needs 3 rows, not "
+                        f"{tr[1] - tr[0] + 1}; widen t_range")
+    zone = ctx.zone()
+    xs = sorted({x for (_, x) in zone.pts})
     if M.kind == "cylinder":
-        zone = ctx.zone()
+        stable = column_cover(M, zone, step=1)
     else:
-        xc = (xr[0] + xr[1]) // 2
-        h = tr[1] - tr[0] + 2 * (xr[1] - xr[0])
-        zone = region_diamond(M, (tr[0] - (xr[1] - xr[0]), xc),
-                              (tr[0] - (xr[1] - xr[0]) + h, xc))
-    covers = {"plain": Cover(region_full(M),
-                             halves(M, zone.pts, (tr[0] + tr[1]) // 2, 1),
-                             zone=zone)}
-    if M.kind == "cylinder":
-        covers["D_stable"] = column_cover(M, zone, step=1)
-    else:
+        w, xc = xs[-1] - xs[0], (xs[0] + xs[-1]) // 2
+        zone = region_diamond(M, (tr[0] - w, xc), (tr[1] + w, xc))
         pieces = []
         covered = set()
         for p in sorted(zone.pts):
@@ -976,33 +951,29 @@ def check_cover_extension(ctx: RunContext, opts):
             pc = [p, up] if up in zone.pts else [p]
             pieces.append(region_points(M, pc))
             covered.update(pc)
-        covers["D_stable"] = Cover(region_full(M), tuple(pieces), zone=zone)
-    count = int(opts.get("count", 10))
+        stable = Cover(region_full(M), tuple(pieces), zone=zone)
+    covers = {"plain": Cover(region_full(M),
+                             halves(M, zone.pts, (tr[0] + tr[1]) // 2, 1),
+                             zone=zone),
+              "D_stable": stable}
     done = {"plain": 0, "D_stable": 0}
     bad = 0
     embeddings = [LatticeEmbedding(M, M, 0, 0),
                   LatticeEmbedding(M, M, 1, 2)]
-    if count and tr[1] - tr[0] < 2:
-        raise SiteError(f"site.extend-cover draws two-row regions below the "
-                        f"top row of the zone, so it needs 3 rows, not "
-                        f"{tr[1] - tr[0] + 1}; widen t_range")
     for mode, cov in covers.items():
         for f in embeddings:
             for _ in range(count):
                 t = rng.randint(tr[0], tr[1] - 2)
-                x = rng.choice(list(xs))
+                x = rng.choice(xs)
                 U = region_points(M, [(t, x), (t + 1, x)])
                 try:
                     extend_cover(f, cov, U, mode=mode, zone=zone)
                     done[mode] += 1
                 except SiteError:
                     bad += 1
-    if not (bad or any(done.values())):
-        return [ctx.skip("site.extend-cover", "no region drawn", **done,
-                         bad=0)]
-    return [ctx.record("site.extend-cover",
-                       "pass" if bad == 0 and all(done.values()) else "fail",
-                       {**done, "bad": bad})]
+    # both modes make the same attempts, so no bad one means none is short
+    return [ctx.tally("site.extend-cover", sum(done.values()) + bad,
+                      bad == 0, "no region drawn", {**done, "bad": bad})]
 
 
 @register("site.cover-intersections",
@@ -1449,7 +1420,7 @@ def check_kg_pullback(ctx: RunContext, opts):
                          count=0)]
     bad = 0
     for _ in range(count):
-        U = hull(M, region_points(M, draw_points(rng, zone, 1, 3)))
+        U = draw_hull(M, rng, zone, 1, 3)
         # the target carries the same configuration
         m = pushforward_matrix(kg, kg, f, U)
         if m.nrows != m.ncols or m.rank() != m.nrows:

@@ -36,7 +36,7 @@ from .geometry import (LatticeSpacetime, Region, are_causally_disjoint,
 from .kleingordon import KgContext
 from .nets import (AqftError, build_indicator, count_nat_transforms,
                    pullback_indicator)
-from .rational import (IntegerEchelon, Mat, Q0, is_exact_coequalizer,
+from .rational import (IntegerEchelon, Mat, is_exact_coequalizer,
                        primitive_integer)
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     j_functor)
@@ -127,34 +127,27 @@ def generator_counit_check(ctx: KgContext, cover: Cover, U: Region,
     if verdict:
         return verdict, info
     T = ctx.space(target_pts)
-    blocks = [ctx.extension(p, target_pts).cols() for p in parts]
-    offsets = list(accumulate((len(b) for b in blocks), initial=0))
+    exts = [ctx.extension(p, target_pts) for p in parts]
+    offsets = list(accumulate((e.ncols for e in exts), initial=0))
     total = offsets.pop()
-    qcols = [c for b in blocks for c in b]
-    q = Mat.from_cols(qcols, T.dim) if qcols else Mat([], 0)
-    r1_cols, r2_cols = [], []
+    q = Mat.from_columns([dict(c) for e in exts for c in e.columns()],
+                         T.dim)
+    # d = r1 - r2: each overlap class, placed in part i minus in part j
+    dcols = []
     for i, j in combinations(range(len(parts)), 2):
         inter = parts[i] & parts[j]
         if not inter:
             continue
-        for c1, c2 in zip(ctx.extension(inter, parts[i]).cols(),
-                          ctx.extension(inter, parts[j]).cols()):
-            r1_cols.append(_placed(c1, offsets[i], total))
-            r2_cols.append(_placed(c2, offsets[j], total))
-    r1 = Mat.from_cols(r1_cols, total)
-    r2 = Mat.from_cols(r2_cols, total)
-    ok, witness = is_exact_coequalizer(r1, r2, q)
+        for c1, c2 in zip(ctx.extension(inter, parts[i]).columns(),
+                          ctx.extension(inter, parts[j]).columns()):
+            col = {offsets[i] + r: v for r, v in c1.items()}
+            col.update((offsets[j] + r, -v) for r, v in c2.items())
+            dcols.append(col)
+    ok, witness = is_exact_coequalizer(Mat.from_columns(dcols, total), q)
     info.update(pieces=len(parts), target_dim=T.dim, sum_dim=total)
     if ok:
         return "pass", info
     return "fail", {**info, "witness": _jsonable_witness(witness)}
-
-
-def _placed(col: tuple, offset: int, total: int) -> list:
-    """``col`` as the block at ``offset`` of a column of length ``total``."""
-    out = [Q0] * total
-    out[offset:offset + len(col)] = col
-    return out
 
 
 def _jsonable_witness(w):
@@ -242,11 +235,11 @@ def build_adapted_cover(ctx: KgContext, target_pts: frozenset,
             best_reason = "union property failed"
             continue
         T = ctx.space(target_pts)
-        image_cols = [c for seg in segments
-                      for c in ctx.extension(seg, target_pts).cols()]
-        span_rank = Mat.from_cols(image_cols, T.dim).rank() \
-            if image_cols else 0
-        if span_rank != T.dim:
+        # the rank of the segment classes' images, one row per class
+        image = Mat([c for seg in segments
+                     for c in ctx.extension(seg, target_pts).transpose().data],
+                    T.dim)
+        if image.rank() != T.dim:
             best_reason = "band classes do not span the target"
             continue
         return segments, {"band_row": tstar, "segments": len(segments)}
@@ -309,7 +302,7 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     def image_basis(pts):
         if pts not in bases:
             bases[pts] = [primitive_integer(c) for c in
-                          ctx.extension(pts, target_pts).cols()]
+                          ctx.extension(pts, target_pts).transpose().data]
         return bases[pts]
 
     def add_same_piece(regions):

@@ -189,13 +189,14 @@ class KgSpace:
         on the whole point basis is verified to be antisymmetric and to
         vanish on the quotient relations."""
         if self._sigma is None:
-            n = len(self.pts)
             ts = [t for (t, _) in self.pts]
+            index = self.index
             cols = []
             for q in self.pts:
                 g = propagator(self.cfg, {q: Q1}, min(ts), max(ts))
-                cols.append([g.get(p, Q0) for p in self.pts])
-            sig = Mat.from_cols(cols, n)
+                cols.append({index[p]: v for p, v in g.items()
+                             if p in index})
+            sig = Mat.from_columns(cols, len(self.pts))
             if sig.transpose() != -sig:
                 raise KgError("pairing failed antisymmetry (internal error)")
             # by antisymmetry, r @ sig vanishes iff sig applied to r does
@@ -203,8 +204,10 @@ class KgSpace:
                    for v in row):
                 raise KgError("pairing does not descend to the quotient")
             free = self.quotient.free
-            self._sigma = Mat([[sig.data[i][j] for j in free] for i in free],
-                              len(free))
+            pos = {i: k for k, i in enumerate(free)}
+            self._sigma = Mat.from_columns(
+                [{pos[i]: v for i, v in cols[j].items() if i in pos}
+                 for j in free], len(free))
         return self._sigma
 
 

@@ -30,6 +30,8 @@ class Mat:
     equality, hashing and elimination read.  ``columns()`` holds each
     column's nonzero entries as ``{row: value}``; it is filled once per
     matrix, which is safe because the rows are tuples, and products read it.
+    A map built column by column comes from ``from_columns``, which keeps
+    the given columns as that cache.
     """
 
     __slots__ = ("data", "nrows", "ncols", "_cols")
@@ -55,14 +57,11 @@ class Mat:
                     for i in range(n)], n)
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence], nrows: int) -> "Mat":
-        return Mat([[col[i] for col in cols] for i in range(nrows)],
-                   len(cols))
-
-    @staticmethod
-    def _from_columns(cols: list[dict], nrows: int) -> "Mat":
-        """The matrix whose column j has the nonzero entries ``cols[j]``.
-        Its values are Fractions already, so none is normalised again."""
+    def from_columns(cols: Sequence[dict], nrows: int) -> "Mat":
+        """The matrix whose column j has the nonzero entries ``cols[j]``
+        (``{row: Fraction}``), which it keeps as its column cache; so the
+        dicts must be new ones, owned by no other matrix.  Its values are
+        Fractions already, so none is normalised again."""
         rows = [[Q0] * len(cols) for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i, v in col.items():
@@ -71,12 +70,6 @@ class Mat:
         m.data = tuple(map(tuple, rows))
         m.nrows, m.ncols, m._cols = nrows, len(cols), tuple(cols)
         return m
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
-    def cols(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def columns(self) -> tuple[dict, ...]:
         """Each column's nonzero entries as ``{row: value}``, computed once.
@@ -106,8 +99,8 @@ class Mat:
         return (_combine(left, col) for col in other.columns())
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        return Mat._from_columns(list(self._product_columns(other)),
-                                 self.nrows)
+        return Mat.from_columns(list(self._product_columns(other)),
+                                self.nrows)
 
     def annihilates(self, other: "Mat") -> bool:
         """Whether ``self @ other`` is zero, read column by column without
@@ -119,14 +112,6 @@ class Mat:
             raise ValueError("vector length mismatch")
         return tuple(sum((a * b for a, b in zip(row, vec)), Q0)
                      for row in self.data)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return Mat([[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)], self.ncols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return Mat([[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)], self.ncols)
 
     def __neg__(self) -> "Mat":
         return Mat([[-a for a in r] for r in self.data], self.ncols)
@@ -285,25 +270,25 @@ class QuotientSpace:
                           if c not in self.pivots)
         self.dim = len(self.free)
         self._free_pos = {c: j for j, c in enumerate(self.free)}
-        # pivot column -> its relation row on the free columns
-        self._relations = {pc: [row[c] for c in self.free]
+        # pivot column -> its relation row on the free columns, sparse
+        self._relations = {pc: {j: row[c] for j, c in enumerate(self.free)
+                                if row[c]}
                            for row, pc in zip(self.sub_rref.data,
                                               self.pivots)}
 
-    def reduce_sparse(self, vec: dict) -> tuple:
-        """Quotient coordinates of the vector ``{ambient index: value}``:
-        a free coordinate is its own class, and a pivot coordinate is minus
-        its relation row on the free columns."""
-        out = [Q0] * self.dim
+    def reduce_sparse(self, vec: dict) -> dict:
+        """Quotient coordinates ``{j: value}``, without zeros, of the vector
+        ``{ambient index: value}``: a free coordinate is its own class, and
+        a pivot coordinate is minus its relation row on the free columns."""
+        out: dict = {}
         for i, v in vec.items():
             j = self._free_pos.get(i)
             if j is not None:
-                out[j] += v
+                out[j] = out.get(j, Q0) + v
                 continue
-            for k, r in enumerate(self._relations[i]):
-                if r:
-                    out[k] -= v * r
-        return tuple(out)
+            for k, r in self._relations[i].items():
+                out[k] = out.get(k, Q0) - v * r
+        return {j: x for j, x in out.items() if x}
 
 
 def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,
@@ -323,38 +308,32 @@ def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,
             if a:
                 for k, v in image.items():
                     img[k] = img.get(k, Q0) + a * v
-        if any(dst.reduce_sparse(img)):
+        if dst.reduce_sparse(img):
             raise ValueError(f"map not defined on quotient; witness {row}")
-    return Mat.from_cols([dst.reduce_sparse(images[c]) for c in src.free],
-                         dst.dim)
+    return Mat.from_columns([dst.reduce_sparse(images[c]) for c in src.free],
+                            dst.dim)
 
 
-def is_exact_coequalizer(r1: Mat, r2: Mat, q: Mat):
-    """Check that ``q`` coequalizes ``r1, r2 : A -> B`` exactly.
+def is_exact_coequalizer(d: Mat, q: Mat):
+    """Check that ``q`` coequalizes ``r1, r2 : A -> B`` exactly, given their
+    difference ``d = r1 - r2``.
 
-    Returns ``(True, None)`` when q is surjective and ker(q) = im(r1 - r2);
+    Returns ``(True, None)`` when q is surjective and ker(q) = im(d);
     otherwise ``(False, witness)`` where the witness names either a cokernel
     functional or a kernel vector missed by the image.
-    Raises :class:`ForkError` when q.r1 != q.r2.
+    Raises :class:`ForkError` when q.d != 0.
     """
-    if r1.nrows != r2.nrows or r1.ncols != r2.ncols:
-        raise ValueError("parallel maps must share shape")
-    if q.ncols != r1.nrows:
+    if q.ncols != d.nrows:
         raise ValueError("q domain mismatch")
-    d = r1 - r2
-    if any(v for row in (q @ d).data for v in row):
+    if not q.annihilates(d):
         raise ForkError("q does not coequalize the pair")
-    kernel = q.nullspace()
-    ker_dim = len(kernel)
-    if q.ncols - ker_dim != q.nrows:   # the rank of q: q is not onto
-        for y in q.transpose().nullspace():
-            if any(v != 0 for v in y):
-                return False, {"kind": "cokernel", "functional": y}
-        return False, {"kind": "cokernel", "functional": None}
-    im_rank = d.rank()
-    if im_rank == ker_dim:
+    rank = q.rank()
+    if rank != q.nrows:   # q is not onto; a cokernel vector is nonzero
+        return False, {"kind": "cokernel",
+                       "functional": q.transpose().nullspace()[0]}
+    if d.rank() == q.ncols - rank:   # im(d) lies in ker(q): equal dims
         return True, None
-    for k in kernel:
-        if not d.column_space_contains(k):
-            return False, {"kind": "kernel", "vector": k}
-    return False, {"kind": "kernel", "vector": None}
+    # im(d) is a proper subspace of ker(q), so a basis vector lies outside
+    return False, {"kind": "kernel",
+                   "vector": next(k for k in q.nullspace()
+                                  if not d.column_space_contains(k))}

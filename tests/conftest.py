@@ -43,12 +43,33 @@ def kg_cyl(cyl):
     return KgContext(cyl, QQ(1, 4))
 
 
+def dense_columns(m: Mat) -> list[tuple]:
+    """The columns of ``m`` as dense tuples."""
+    return [tuple(row[j] for row in m.data) for j in range(m.ncols)]
+
+
+def from_dense_columns(cols, nrows: int) -> Mat:
+    """The matrix whose columns are the dense sequences ``cols``."""
+    return Mat([[col[i] for col in cols] for i in range(nrows)], len(cols))
+
+
+def dense_reduce(q, vec) -> tuple:
+    """The quotient coordinates of the dense vector ``vec``, reduced
+    against the relation rows of ``q`` one pivot at a time."""
+    v = [QQ(a) for a in vec]
+    for row, pc in zip(q.sub_rref.data, q.pivots):
+        if v[pc]:
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v[c] for c in q.free)
+
+
 def _dense_matmul(a: Mat, b: Mat) -> Mat:
     """The row-by-column product over the dense rows: the reference that
     the sparse column product ``Mat.__matmul__`` must reproduce."""
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
-    cols = b.cols()
+    cols = dense_columns(b)
     return Mat([[sum((x * col[k] for k, x in enumerate(row)
                       if x and col[k]), Q0) for col in cols]
                 for row in a.data], b.ncols)

@@ -217,18 +217,35 @@ def test_embedding_functors_pass_below_ten_embeddings(cyl_ctx):
         [("pass", 5)]
 
 
+@pytest.mark.parametrize("t_range", [[0, 0], [0, 1]])
+def test_precostack_passes_when_one_flavor_finds_no_cover(cyl_ctx, t_range):
+    """On one or two rows of a cylinder no region is tall enough for a band
+    cover, so the plain flavor draws none; the localized covers still make
+    instances, and with none of them bad the check passes."""
+    ctx = RunContext(M=cyl_ctx.M, seed=cyl_ctx.seed,
+                     universe_cfg={**cyl_ctx.universe_cfg,
+                                   "t_range": t_range},
+                     aqft_cfg=cyl_ctx.aqft_cfg)
+    rec = run_check("site.precostack-instances", ctx)[0]
+    assert (rec.verdict, rec.witness) == \
+        ("pass", {"plain": 0, "localized": 3, "bad": 0})
+
+
 def test_run_context_reads_each_input_once(plane_ctx, cyl_ctx):
     """The readers' defaults and refusals: rows default to the window, a
-    cylinder spans every column, and a plane without columns, a mass squared
-    that is no rational and an unknown algebra are configuration errors."""
-    assert plane_ctx.t_range == (0, 4) and plane_ctx.x_range == (-2, 4)
-    assert cyl_ctx.x_range == (0, 5)
+    cylinder spans every column, and a plane without columns, rows outside
+    the window, a mass squared that is no rational and an unknown algebra
+    are configuration errors."""
+    assert plane_ctx.t_range == (0, 4)
+    assert {x for (_, x) in plane_ctx.zone().pts} == set(range(-2, 5))
     assert cyl_ctx.zone() == region_slab(cyl_ctx.M, 0, 4)
     assert len(plane_ctx.zone().pts) == 5 * 7
     bare = RunContext(M=plane_ctx.M)
     assert bare.t_range == plane_ctx.M.window
     with pytest.raises(SiteError, match="explicit x_range"):
         bare.zone()
+    with pytest.raises(SiteError, match="inside the window"):
+        RunContext(M=cyl_ctx.M, universe_cfg={"t_range": [0, 40]}).zone()
     assert bare.mass2 == QQ(1, 4) and bare.algebra == QPower(2)
     assert RunContext(M=bare.M, aqft_cfg={"algebra": {"kind": "initial"}}
                       ).algebra == QPower(1)

@@ -1,10 +1,13 @@
+from itertools import accumulate, combinations
+
 import pytest
 
 from latticehk.algebra import QPower, WedgeSpace, consistency_check
 from latticehk.checks import (RunContext, _descent_candidates,
                               _descent_instances, column_cover,
                               tall_diamond_cover)
-from latticehk.descent import (_piece_parts, build_adapted_cover,
+from latticehk.descent import (_counit_target, _jsonable_witness,
+                               _piece_parts, build_adapted_cover,
                                finer_coarser_check, generator_counit_check,
                                make_digest, prestack_failure_demo,
                                relation_counit_check)
@@ -14,9 +17,11 @@ from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
                                 region_slab)
 from latticehk.nets import (build_indicator, make_predicate,
                             pullback_indicator)
-from latticehk.rational import Mat, Q0, Q1, row_space
+from latticehk.rational import ForkError, Mat, Q0, Q1, row_space
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor)
+
+from conftest import dense_columns, from_dense_columns
 
 
 def _band_cover(M, U, overlap=1):
@@ -120,6 +125,10 @@ def _same_row_space(a: Mat, b: Mat) -> bool:
     return a.ncols == b.ncols and a.rref()[0].data == b.rref()[0].data
 
 
+def _dense(vec: dict, n: int) -> tuple:
+    return tuple(vec.get(j, Q0) for j in range(n))
+
+
 def _fraction_relation_check(kg, cover, U, localized=False,
                              include_perp=True):
     """The relation counit check in its first, Fraction formulation: every
@@ -146,7 +155,8 @@ def _fraction_relation_check(kg, cover, U, localized=False,
     def basis(pts):
         # the unit fields at the free points of L(pts), reduced in L(T)
         S = kg.space(pts)
-        return [T.quotient.reduce_sparse(T.coordinates({S.pts[c]: Q1}))
+        return [_dense(T.quotient.reduce_sparse(
+                    T.coordinates({S.pts[c]: Q1})), T.dim)
                 for c in S.quotient.free]
 
     def perp(a, b):
@@ -283,6 +293,91 @@ def test_thin_cover_divergence_is_documented(kg_cyl, cyl):
     v, info = generator_counit_check(kg_cyl, cov, U, localized=True)
     assert v == "fail"
     assert info["witness"]["kind"] == "kernel"
+
+
+def _dense_coequalizer(r1: Mat, r2: Mat, q: Mat):
+    """The exactness test in its first form: the dense difference r1 - r2,
+    the fork checked on the dense product, then the kernel of q."""
+    d = Mat([[a - b for a, b in zip(x, y)]
+              for x, y in zip(r1.data, r2.data)], r1.ncols)
+    if any(sum((a * b for a, b in zip(row, col)), Q0)
+           for row in q.data for col in dense_columns(d)):
+        raise ForkError("q does not coequalize the pair")
+    kernel = q.nullspace()
+    if q.ncols - len(kernel) != q.nrows:
+        for y in q.transpose().nullspace():
+            if any(v != 0 for v in y):
+                return False, {"kind": "cokernel", "functional": y}
+        return False, {"kind": "cokernel", "functional": None}
+    if d.rank() == len(kernel):
+        return True, None
+    for k in kernel:
+        if not d.column_space_contains(k):
+            return False, {"kind": "kernel", "vector": k}
+    return False, {"kind": "kernel", "vector": None}
+
+
+def _dense_generator_check(kg, cover, U, localized=False):
+    """The generator counit check in its first, dense formulation: q from
+    the dense extension columns, r1 and r2 as padded dense columns of the
+    piece sum, and ``_dense_coequalizer``.  Kept as the oracle of the
+    column-built check."""
+    verdict, info, target_pts, parts = _counit_target(
+        kg, cover, U, localized, check_iso=True)
+    if verdict:
+        return verdict, info
+    T = kg.space(target_pts)
+    blocks = [dense_columns(kg.extension(p, target_pts)) for p in parts]
+    offsets = list(accumulate((len(b) for b in blocks), initial=0))
+    total = offsets.pop()
+    q = from_dense_columns([c for b in blocks for c in b], T.dim)
+
+    def placed(col, offset):
+        out = [Q0] * total
+        out[offset:offset + len(col)] = col
+        return out
+
+    r1_cols, r2_cols = [], []
+    for i, j in combinations(range(len(parts)), 2):
+        inter = parts[i] & parts[j]
+        if not inter:
+            continue
+        for c1, c2 in zip(dense_columns(kg.extension(inter, parts[i])),
+                          dense_columns(kg.extension(inter, parts[j]))):
+            r1_cols.append(placed(c1, offsets[i]))
+            r2_cols.append(placed(c2, offsets[j]))
+    ok, witness = _dense_coequalizer(from_dense_columns(r1_cols, total),
+                                     from_dense_columns(r2_cols, total), q)
+    info.update(pieces=len(parts), target_dim=T.dim, sum_dim=total)
+    if ok:
+        return "pass", info
+    return "fail", {**info, "witness": _jsonable_witness(witness)}
+
+
+def test_generator_check_agrees_with_the_dense_oracle(plane_ctx, cyl_ctx,
+                                                      kg_plane, kg_cyl,
+                                                      plane, cyl):
+    inputs = []
+    for ctx, kg in ((plane_ctx, kg_plane), (cyl_ctx, kg_cyl)):
+        for localized in (False, True):
+            inputs += [(kg, cov, U, localized)
+                       for cov, U in _descent_instances(ctx, localized, 8)]
+    # the thin-cover divergence: a kernel witness
+    inputs.append((kg_cyl, column_cover(cyl, region_slab(cyl, 0, 4)),
+                   region_diamond(cyl, (2, 5), (4, 5)), True))
+    # the plane band covers: two halves, and the null band cover
+    U = region_diamond(plane, (0, 0), (6, 0))
+    for overlap in (1, 2):
+        inputs.append((kg_plane, _band_cover(plane, U, overlap), U, False))
+    n1 = region_points(plane, [p for p in U.pts if p[0] - p[1] <= 4])
+    n2 = region_points(plane, [p for p in U.pts if p[0] - p[1] >= 2])
+    inputs.append((kg_plane, Cover(U, (n1, n2)), U, False))
+    seen = set()
+    for kg, cov, U, localized in inputs:
+        got = generator_counit_check(kg, cov, U, localized=localized)
+        assert got == _dense_generator_check(kg, cov, U, localized)
+        seen.add((got[0], (got[1].get("witness") or {}).get("kind")))
+    assert {("pass", None), ("fail", "kernel")} <= seen
 
 
 def _restricted(A, site, cover):

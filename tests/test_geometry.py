@@ -211,6 +211,28 @@ def test_strict_diamonds(plane):
         region_strict_diamond(plane, (0, 0), (1, 0))
 
 
+@pytest.mark.parametrize("c", [4, 5, 6, 7])
+def test_tall_strict_diamonds_on_a_cylinder_are_not_d_stable(c):
+    """The divergence of causality.strict-diamonds-d-stable on cylinders
+    (docs/decisions.md): with tips s rows and d columns apart, a strict
+    diamond with a whole-circle row holds a Cauchy surface, and one without
+    is D-stable exactly when s + d < 2 * (c // 2) + 3.  Every failure has
+    s + d > c, where the open continuum diamond fails too."""
+    M = LatticeSpacetime("cylinder", (-3 * c, 3 * c + 4), c)
+    for s in range(2, c + 3):
+        for x in range(c):
+            d = M.xdist(x, 0)
+            if d > s - 2:
+                continue
+            V = region_strict_diamond(M, (0, 0), (s, x))
+            rows = {t for (t, _) in V.pts}
+            waist = any(len({y for (t, y) in V.pts if t == r}) == c
+                        for r in rows)
+            stable = is_D_stable(M, V)
+            assert stable == (not waist and s + d < 2 * (c // 2) + 3)
+            assert stable or s + d > c
+
+
 def test_find_d_stable_neighborhood_sweep(plane):
     U = hull(plane, region_points(plane, [(0, 0), (4, 0)]))
     V = find_D_stable_neighborhood(plane, (2, 0), U)

@@ -11,6 +11,8 @@ from latticehk.kleingordon import (KgConfig, KgContext, KgError, KgSpace,
                                    pushforward_matrix)
 from latticehk.rational import Mat, QQ, Q0, Q1
 
+from conftest import dense_reduce, from_dense_columns
+
 
 def test_stencil_values(plane):
     out = apply_P(KgConfig(plane, 0), {(0, 0): Q1})
@@ -143,8 +145,8 @@ def _sigma_ambient(space) -> Mat:
     ts = [t for (t, _) in space.pts]
     cols = [propagator(space.cfg, {q: Q1}, min(ts), max(ts))
             for q in space.pts]
-    return Mat.from_cols([[g.get(p, Q0) for p in space.pts] for g in cols],
-                         len(space.pts))
+    return from_dense_columns([[g.get(p, Q0) for p in space.pts]
+                               for g in cols], len(space.pts))
 
 
 def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
@@ -166,9 +168,9 @@ def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
             space = kg.space(U.points())
             q = space.quotient
             assert 0 < q.dim < q.ambient_dim  # S selects a proper subset
-            S = Mat.from_cols([_section(q, [Q1 if i == j else Q0
-                                            for i in range(q.dim)])
-                               for j in range(q.dim)], q.ambient_dim)
+            S = from_dense_columns([_section(q, [Q1 if i == j else Q0
+                                                 for i in range(q.dim)])
+                                    for j in range(q.dim)], q.ambient_dim)
             ref = S.transpose() @ _sigma_ambient(space) @ S
             sel = space.sigma_reduced()
             assert sel == ref
@@ -298,28 +300,18 @@ def test_time_slice_check_skips_without_cauchy_pairs(plane_ctx):
 # -- the maps against their dense-product definition --------------------------
 
 
-def _dense_reduce(q, vec):
-    """Reduction against the relation rows one pivot at a time."""
-    v = list(vec)
-    for row, pc in zip(q.sub_rref.data, q.pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v[c] for c in q.free)
-
-
 def _dense_induced(src, dst, amb: Mat) -> Mat:
     """The induced map as a product: the section of each quotient unit
     vector, the ambient matrix, then the target reduction."""
     for row in src.quotient.sub_rref.data:
-        if any(_dense_reduce(dst.quotient, amb.apply(row))):
+        if any(dense_reduce(dst.quotient, amb.apply(row))):
             raise ValueError("map not defined on quotient")
     cols = []
     for j in range(src.dim):
         e = _section(src.quotient, [Q1 if i == j else Q0
                                     for i in range(src.dim)])
-        cols.append(_dense_reduce(dst.quotient, amb.apply(e)))
-    return Mat.from_cols(cols, dst.dim)
+        cols.append(dense_reduce(dst.quotient, amb.apply(e)))
+    return from_dense_columns(cols, dst.dim)
 
 
 def _relabel(src, dst, f) -> Mat:
@@ -344,7 +336,7 @@ def _dense_timeslice(kg, src, dst) -> Mat:
             if t == tstar:
                 w[(tstar + 1, x)] = w.get((tstar + 1, x), Q0) + v
         cols.append([w.get(q, Q0) for q in dst.pts])
-    return _dense_induced(src, dst, Mat.from_cols(cols, len(dst.pts)))
+    return _dense_induced(src, dst, from_dense_columns(cols, len(dst.pts)))
 
 
 def _nested_pairs(M, seed):
@@ -395,3 +387,20 @@ def test_maps_match_the_dense_product(backend, request):
             _dense_induced(dst, img, _relabel(dst, img, f.map_point))
         checked["pushforward"] += 1
     assert all(checked.values()), checked
+
+
+def test_built_maps_keep_the_columns_of_their_rows(cyl):
+    """An extension, a time-slice map and the reduced pairing are built from
+    their sparse columns and keep them as their column cache: the cache is
+    what their dense rows give, with no zero entry."""
+    kg = KgContext(cyl, QQ(1, 4))
+    small = region_slab(cyl, 1, 2).points()
+    big = region_slab(cyl, 0, 3).points()
+    maps = (kg.extension(small, big), kg.timeslice_map(big, small),
+            kg.space(big).sigma_reduced())
+    for m in maps:
+        assert m._cols is not None   # filled while the map was built
+        cache = [dict(c) for c in m.columns()]
+        assert cache == [dict(c) for c in Mat(m.data, m.ncols).columns()]
+        assert all(type(v) is QQ and v for c in cache for v in c.values())
+    assert any(v not in (0, 1) for m in maps for row in m.data for v in row)
