@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .rational import Mat, Q0, Q1, QQ, row_space
+from .rational import IntegerEchelon, Mat, Q0, Q1, QQ, row_space
 
 
 class AlgebraError(Exception):
@@ -240,27 +240,24 @@ class WedgeSpace:
     def graph_of(self, sigma: Mat) -> Mat:
         """Span of all relations [e_i, e_j] = sigma(i,j) * 1.  Its rows
         (e_k, -sigma_k), one per pair k = (i, j), are already reduced."""
-        size = len(self.pairs)
-        return Mat([[Q1 if t == k else Q0 for t in range(size)] +
-                    [-sigma.data[i][j]]
-                    for k, (i, j) in enumerate(self.pairs)], self.dim)
+        cols = sigma.columns()
+        scalar = {k: -cols[j][i] for k, (i, j) in enumerate(self.pairs)
+                  if i in cols[j]}
+        return Mat.from_columns([{k: Q1} for k in range(len(self.pairs))] +
+                                [scalar], len(self.pairs))
 
 
 def relation_span(n: int, triples: Iterable[tuple]) -> Mat:
     """Row space of the relation vectors of ``(u, v, c)`` triples."""
     w = WedgeSpace(n)
-    rows = [w.relation_vector(u, v, c) for (u, v, c) in triples]
-    if not rows:
-        return Mat([], w.dim)
-    return row_space(rows, w.dim)
+    return row_space([w.relation_vector(u, v, c) for (u, v, c) in triples],
+                     w.dim)
 
 
 def consistency_check(span: Mat) -> bool:
     """True iff the span contains no (0, c) with c nonzero, i.e. the
     relations do not force 1 = 0."""
-    if span.nrows == 0:
-        return True
-    wedge_part = Mat([r[:-1] for r in span.data], span.ncols - 1)
+    wedge_part = Mat.from_columns(span.columns()[:-1], span.nrows)
     return wedge_part.rank() == span.rank()
 
 
@@ -334,7 +331,8 @@ class TruncatedFreeAlgebra:
 
     def ideal_span(self, triples):
         """Span of x * rho * y over monomial sandwiches within the
-        truncation, for the relation elements rho of the given triples."""
+        truncation, for the relation elements rho of the given triples, as
+        the echelon that ``ideal_contains`` queries."""
         rows = []
         rhos = [self.element_of_relation(u, v, c) for (u, v, c) in triples]
         sandwiches = [w for w in self.words if len(w) <= self.d - 2]
@@ -348,13 +346,7 @@ class TruncatedFreeAlgebra:
                     vr = self.zero()
                     vr[self.index[wr]] = Q1
                     rows.append(self.mul(self.mul(vl, rho), vr))
-        if not rows:
-            return Mat([], self.dim)
-        return row_space(rows, self.dim)
+        return Mat(rows, self.dim).echelon()
 
-    def ideal_contains(self, span: Mat, u, v, c) -> bool:
-        cand = self.element_of_relation(u, v, c)
-        if span.nrows == 0:
-            return all(x == 0 for x in cand)
-        aug = Mat(list(span.data) + [cand], self.dim)
-        return aug.rank() == span.rank()
+    def ideal_contains(self, span: IntegerEchelon, u, v, c) -> bool:
+        return span.contains(self.element_of_relation(u, v, c))

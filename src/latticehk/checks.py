@@ -41,7 +41,7 @@ from .nets import (AqftError, build_indicator, build_kg_aqft,
                    check_time_slice, count_nat_transforms, epsilon_iso_check,
                    make_predicate, pullback_indicator, PointFamily,
                    verify_point, reconstruct_global)
-from .rational import Mat, Q1, QQ
+from .rational import Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     check_cover_intersections, check_localization_functor,
                     close_universe_for_localization,
@@ -62,17 +62,21 @@ EXPECTED = "pass"
 REGISTRY: dict[str, Callable] = {}
 # record id -> claim label, for every record a runner may emit
 CLAIM_OF: dict[str, str] = {}
+# check id -> the names of the integer options its runner reads
+OPTIONS: dict[str, tuple] = {}
 
 
 def register(check_id: str, claim: str, flavors: tuple = (),
-             companions: Optional[dict] = None):
+             companions: Optional[dict] = None, options: tuple = ()):
     """Register the decorated runner under ``check_id`` and return it
     unchanged.  The records ``check_id`` and ``check_id-<flavor>`` carry
     ``claim``; ``companions`` maps the ids of further records the runner
-    emits to their own claims."""
+    emits to their own claims; ``options`` names the integer options the
+    runner reads, the only ones a scenario may set for it."""
     def deco(runner: Callable) -> Callable:
         REGISTRY[check_id] = runner
         CLAIM_OF[check_id] = claim
+        OPTIONS[check_id] = options
         for flavor in flavors:
             CLAIM_OF[f"{check_id}-{flavor}"] = claim
         CLAIM_OF.update(companions or {})
@@ -335,13 +339,13 @@ def _brute_causal(M, p, q) -> bool:
     return M.xdist(q[1], p[1]) <= dt
 
 
-def _brute_double_complement(M, upts: frozenset, box) -> frozenset:
+def _brute_double_complement(M, upts: frozenset, box, points) -> frozenset:
+    """The ``points`` that lie in U'' within ``box``: every q of the box
+    causally related to p is causally related to some point of U."""
     related = {q for q in box if any(_brute_causal(M, q, u) for u in upts)}
-    out = set()
-    for p in box:
-        if all((q in related) for q in box if _brute_causal(M, p, q)):
-            out.add(p)
-    return frozenset(out)
+    return frozenset(p for p in points
+                     if all(q in related for q in box
+                            if _brute_causal(M, p, q)))
 
 
 def _brute_escapes(M, upts: frozenset, t_lo: int, t_hi: int, p, up: bool,
@@ -385,13 +389,13 @@ def _brute_development(M, upts: frozenset, box) -> frozenset:
                   "development-inside-double-complement",
               "causality.divergence-brute-confirmed":
                   "double-complement-divergences-confirmed-by-path-"
-                  "enumeration"})
+                  "enumeration"}, options=("hulls", "brute"))
 def check_development_vs_double_complement(ctx: RunContext, opts):
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     corpus = exhaustive_diamonds(M, zone)
     corpus += seeded_hulls(M, zone, ctx.rng("hulls"),
-                           int(opts.get("hulls", 50)))
+                           opts.get("hulls", 50))
     mism = []
     incl_bad = 0
     for U in corpus:
@@ -417,7 +421,7 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
     # brute-force confirmation on a few divergent instances: the divergence
     # is a property of the lattice, not of the mask engine
     confirmed = True
-    for (U, D, DC) in mism[: int(opts.get("brute", 2))]:
+    for (U, D, DC) in mism[: opts.get("brute", 2)]:
         ts = [t for (t, _) in U.pts]
         pad = (max(ts) - min(ts)) + (len(set(x for (_, x) in U.pts)) + 4)
         if M.kind == "cylinder":
@@ -428,33 +432,32 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
             box = [(t, x) for t in range(min(ts) - pad, max(ts) + pad + 1)
                    for x in range(min(xs) - pad, max(xs) + pad + 1)]
         bd = _brute_development(M, U.pts, box)
-        bdc = _brute_double_complement(M, U.pts, box)
         window_box = [p for p in box if M.in_window(p)]
         got_d = (D.points() if not D.is_full else frozenset(window_box))
         got_dc = (DC.points() if not DC.is_full else frozenset(window_box))
         inner = [p for p in window_box
                  if min(ts) - 2 <= p[0] <= max(ts) + 2]
+        bdc = _brute_double_complement(M, U.pts, box, inner)
         if {p for p in inner if p in bd} != {p for p in inner
                                              if p in got_d}:
             confirmed = False
-        if {p for p in inner if p in bdc} != {p for p in inner
-                                              if p in got_dc}:
+        if bdc != {p for p in inner if p in got_dc}:
             confirmed = False
     recs.append(ctx.record(
         "causality.divergence-brute-confirmed",
         "pass" if confirmed else "fail",
         {"divergent": len(mism),
-         "brute_checked": min(len(mism), int(opts.get("brute", 2)))}))
+         "brute_checked": min(len(mism), opts.get("brute", 2))}))
     return recs
 
 
 @register("causality.development-props",
-          "development-idempotent-monotone-hull-stable")
+          "development-idempotent-monotone-hull-stable", options=("count",))
 def check_development_properties(ctx: RunContext, opts):
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("devprops")
-    corpus = seeded_hulls(M, zone, rng, int(opts.get("count", 30)))
+    corpus = seeded_hulls(M, zone, rng, opts.get("count", 30))
     if not corpus:
         return [ctx.skip("causality.development-props", "no hull drawn",
                          count=0)]
@@ -501,7 +504,7 @@ def check_strict_diamonds(ctx: RunContext, opts):
 
 
 @register("causality.disjointness-hereditary",
-          "causal-disjointness-passes-to-subregions")
+          "causal-disjointness-passes-to-subregions", options=("count",))
 def check_disjointness_hereditary(ctx: RunContext, opts):
     M = ctx.M
     zone = sorted(ctx.zone().pts)
@@ -509,7 +512,7 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
     ok = True
     found = 0
     attempts = 0
-    while found < int(opts.get("count", 20)) and attempts < 400:
+    while found < opts.get("count", 20) and attempts < 400:
         attempts += 1
         U1 = draw_hull(M, rng, zone, 1, 3)
         U2 = draw_hull(M, rng, zone, 1, 3)
@@ -527,7 +530,7 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
 
 
 @register("causality.cauchy-union-property",
-          "cauchy-extension-unions-stay-causally-convex")
+          "cauchy-extension-unions-stay-causally-convex", options=("count",))
 def check_cauchy_union_property(ctx: RunContext, opts):
     """For a Cauchy inclusion U <= U' and any U <= V (all causally convex),
     the union U' | V is causally convex and V <= U' | V is Cauchy."""
@@ -536,7 +539,7 @@ def check_cauchy_union_property(ctx: RunContext, opts):
     rng = ctx.rng("s3")
     found, bad = 0, 0
     attempts = 0
-    while found < int(opts.get("count", 15)) and attempts < 600:
+    while found < opts.get("count", 15) and attempts < 600:
         attempts += 1
         U = draw_hull(M, rng, zone, 1, 3)
         Up = hull(M, region_points(
@@ -612,7 +615,7 @@ def _bounded_embeddings(ctx: RunContext):
 
 @register("causality.embedding-development-lemmas",
           "development-commutes-with-embeddings-and-stays-in-d-stable-"
-          "images")
+          "images", options=("per_embedding",))
 def check_embedding_lemmas(ctx: RunContext, opts):
     """Development commutes with faithful (translation) embeddings exactly;
     for bounded sub-lattice sources only the outer bound survives (their
@@ -620,7 +623,7 @@ def check_embedding_lemmas(ctx: RunContext, opts):
     in D-stable images holds throughout."""
     rng = ctx.rng("emb")
     bad_eq, bad_incl, bad_d2, n_eq, n_incl, n_d2 = 0, 0, 0, 0, 0, 0
-    per = int(opts.get("per_embedding", 6))
+    per = opts.get("per_embedding", 6)
     # every translation maps ctx.M to itself
     t0, t1 = ctx.t_range
     zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]
@@ -696,7 +699,8 @@ def check_stabilization(ctx: RunContext, opts):
 
 
 @register("causality.cauchy-morphism-equivalence",
-          "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces")
+          "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces",
+          options=("count",))
 def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     """Ambient Cauchy morphisms always contain an intrinsic Cauchy surface
     of their codomain, and for the whole spacetime as codomain the two
@@ -708,7 +712,7 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("cauchyeq")
     found, bad, converse_gap = 0, 0, 0
-    for _ in range(int(opts.get("count", 40))):
+    for _ in range(opts.get("count", 40)):
         V = draw_hull(M, rng, zone, 2, 4)
         sub = rng.sample(sorted(V.pts), max(1, len(V.pts) // 2))
         U = hull(M, region_points(M, sub))
@@ -747,15 +751,16 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
 
 
 @register("site.localization-oracle",
-          "localized-homs-match-zigzag-saturation")
+          "localized-homs-match-zigzag-saturation",
+          options=("universes", "regions"))
 def check_localization_oracle(ctx: RunContext, opts):
     """Closed-form localized morphisms against the zigzag-saturation oracle
     on seeded witness-closed universes."""
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("locoracle")
-    rounds = int(opts.get("universes", 5))
-    per = int(opts.get("regions", 12))
+    rounds = opts.get("universes", 5)
+    per = opts.get("regions", 12)
     if not rounds:
         return [ctx.skip("site.localization-oracle", "no universe drawn",
                          {"universes": 0}, universes=0)]
@@ -779,14 +784,14 @@ def check_localization_oracle(ctx: RunContext, opts):
 
 @register("site.localized-embedding-functors",
           "localized-embedding-functors-fully-faithful-orthogonality-"
-          "reflecting")
+          "reflecting", options=("count",))
 def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
     bad, total = 0, 0
     # every translation maps ctx.M to itself
     src_uni = ctx.universe("rc")
-    for f in _translation_embeddings(ctx, int(opts.get("count", 12))):
+    for f in _translation_embeddings(ctx, opts.get("count", 12)):
         if not check_loc_morphism(f):
             continue
         imgs = [apply_embedding(f, U) for U in src_uni]
@@ -858,14 +863,14 @@ def _diamond_cover_of_diamond(M, U: Region):
           "cover-functors-fully-faithful-and-orthogonality-reflecting",
           companions={"site.localized-refusal":
                       "localized-cover-categories-refuse-non-d-stable-"
-                      "covers"})
+                      "covers"}, options=("count",))
 def check_precostack_instances(ctx: RunContext, opts):
     """Cover functors are fully faithful and reflect orthogonality, plain
     flavor with arbitrary causally convex covers and localized flavor with
     D-stable covers."""
     results = {"plain": 0, "localized": 0}
     bad = 0
-    count = int(opts.get("count", 12))
+    count = opts.get("count", 12)
     for localized in (False, True):
         site = ctx.site(localized=localized)
         covers = _covers_for_site(ctx, site, localized, count)
@@ -906,11 +911,12 @@ def check_precostack_instances(ctx: RunContext, opts):
                            "skip" if bad_cover is None else "fail"))]
 
 
-@register("site.refinement-functors", "refinement-functors-fully-faithful")
+@register("site.refinement-functors", "refinement-functors-fully-faithful",
+          options=("count",))
 def check_refinements(ctx: RunContext, opts):
     site = ctx.site(localized=False)
     bad, total = 0, 0
-    for cov in _covers_for_site(ctx, site, False, int(opts.get("count", 6))):
+    for cov in _covers_for_site(ctx, site, False, opts.get("count", 6)):
         t0, t1 = cov.base.t_range()
         if t1 - t0 < 3:
             continue
@@ -925,12 +931,13 @@ def check_refinements(ctx: RunContext, opts):
 
 
 @register("site.extend-cover",
-          "extended-covers-satisfy-the-restriction-property")
+          "extended-covers-satisfy-the-restriction-property",
+          options=("count",))
 def check_cover_extension(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("extend")
     tr = ctx.t_range
-    count = int(opts.get("count", 10))
+    count = opts.get("count", 10)
     if count and tr[1] - tr[0] < 2:
         raise SiteError(f"site.extend-cover draws two-row regions below the "
                         f"top row of the zone, so it needs 3 rows, not "
@@ -1035,7 +1042,8 @@ def check_two_valued_colimit(ctx: RunContext, opts):
 
 
 @register("algebra.degree2-ideal-principle",
-          "degree-two-ideal-membership-equals-span-membership")
+          "degree-two-ideal-membership-equals-span-membership",
+          options=("trials",))
 def check_degree2_ideal_principle(ctx: RunContext, opts):
     """Span membership in the wedge+scalar calculus equals membership in the
     brute-force truncated two-sided ideal (degree 4 closure, n <= 3) for
@@ -1053,7 +1061,7 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
     for n in (2, 3):
         free = TruncatedFreeAlgebra(n, 4)
         w = WedgeSpace(n)
-        for _ in range(int(opts.get("trials", 6))):
+        for _ in range(opts.get("trials", 6)):
             triples = [draw(n) for _ in range(rng.randint(1, 3))]
             candidates = [draw(n) for _ in range(4)]
             span = relation_span(n, triples)
@@ -1061,11 +1069,10 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
                 inconsistent += 1
                 continue
             ideal = free.ideal_span(triples)
+            span_ech = span.echelon()
             for (u, v, c) in candidates:
                 trials += 1
-                cand = w.relation_vector(u, v, c)
-                in_span = Mat(list(span.data) + [cand], w.dim).rank() == \
-                    span.rank() if span.nrows else all(x == 0 for x in cand)
+                in_span = span_ech.contains(w.relation_vector(u, v, c))
                 in_ideal = free.ideal_contains(ideal, u, v, c)
                 if in_span != in_ideal:
                     bad += 1
@@ -1248,7 +1255,7 @@ def check_point_family(ctx: RunContext, opts):
         arrows={"g": arrows["g"]}, compositions=())
     rt = reconstruct_global(fam_sub, ["M1", "M2"])
     gmap = rt["maps"]["g"]
-    rt_ok = gmap.nrows == gmap.ncols and gmap.rank() == gmap.nrows
+    rt_ok = gmap.is_iso()
     # negative control: flip one component's sign
     bad_alpha = dict(arrows["g"][3])
     some = sorted(bad_alpha)[0]
@@ -1271,7 +1278,8 @@ def check_point_family(ctx: RunContext, opts):
 
 
 @register("kg.field-identities",
-          "green-operators-invert-the-field-operator-with-causal-supports")
+          "green-operators-invert-the-field-operator-with-causal-supports",
+          options=("count",))
 def check_kg_field_identities(ctx: RunContext, opts):
     """P after G is the identity inside the horizon, supports stay in the
     cones, and the pairing is antisymmetric, degenerate on stencil images
@@ -1280,7 +1288,7 @@ def check_kg_field_identities(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("kgfields")
     zone = sorted(ctx.zone().pts)
-    count = int(opts.get("count", 40))
+    count = opts.get("count", 40)
     bad = {"green": 0, "support": 0, "antisym": 0, "degenerate": 0,
            "causal": 0}
     fields = 0
@@ -1365,7 +1373,7 @@ def check_kg_time_slice(ctx: RunContext, opts):
             Ua, Ub = site.region_of(a), site.region_of(b)
             ext = kg.extension(Ua.points(), Ub.points())
             n_iso += 1
-            if ext.nrows != ext.ncols or ext.rank() != ext.nrows:
+            if not ext.is_iso():
                 bad_iso += 1
     if n_iso == 0:
         return [ctx.skip("kg.time-slice", "no Cauchy pair in the universe",
@@ -1407,14 +1415,14 @@ def check_kg_time_slice(ctx: RunContext, opts):
 
 
 @register("kg.pullback-identification",
-          "generator-spaces-identify-along-embeddings")
+          "generator-spaces-identify-along-embeddings", options=("count",))
 def check_kg_pullback(ctx: RunContext, opts):
     kg = ctx.kg()
     M = ctx.M
     f = LatticeEmbedding(M, M, 1, 1)
     rng = ctx.rng("kgpull")
     zone = sorted(ctx.zone().pts)
-    count = int(opts.get("count", 8))
+    count = opts.get("count", 8)
     if not count:
         return [ctx.skip("kg.pullback-identification", "no region drawn",
                          count=0)]
@@ -1423,7 +1431,7 @@ def check_kg_pullback(ctx: RunContext, opts):
         U = draw_hull(M, rng, zone, 1, 3)
         # the target carries the same configuration
         m = pushforward_matrix(kg, kg, f, U)
-        if m.nrows != m.ncols or m.rank() != m.nrows:
+        if not m.is_iso():
             bad += 1
     return [ctx.record("kg.pullback-identification",
                        "pass" if bad == 0 else "fail")]
@@ -1503,13 +1511,14 @@ def _descent_candidates(ctx: RunContext, localized: bool):
           "field-assignments-satisfy-both-counit-conditions",
           flavors=("plain", "localized"),
           companions={"descent.single-piece-trivial":
-                      "the-coarsest-cover-always-descends"})
+                      "the-coarsest-cover-always-descends"},
+          options=("count",))
 def check_kg_descent(ctx: RunContext, opts):
     """Generator and relation counit checks over seeded instances, plus the
     coarsest-cover triviality."""
     kg = ctx.kg()
     M = ctx.M
-    count = int(opts.get("count", 8))
+    count = opts.get("count", 8)
     recs = []
     for localized in (False, True):
         flavor = "localized" if localized else "plain"
@@ -1558,12 +1567,21 @@ def check_kg_descent(ctx: RunContext, opts):
           "withheld-commutation-relations-leave-a-strict-inclusion")
 def check_kg_negative_control(ctx: RunContext, opts):
     """Withhold the vanishing-pairing relations on a cover with causally
-    disjoint pieces: a strict inclusion witness must appear."""
+    disjoint pieces: a strict inclusion witness must appear.  On a cylinder
+    the pieces are two-row columns 0 and 3, or 0 and c // 2 where 3 is too
+    close to 0; on c <= 3 no two such columns are causally disjoint."""
     kg = ctx.kg()
     M = ctx.M
     if M.kind == "cylinder":
         p1 = region_points(M, [(0, 0), (1, 0)])
-        p2 = region_points(M, [(0, 3), (1, 3)])
+        pieces = [region_points(M, [(0, x), (1, x)])
+                  for x in (3, M.circumference // 2)]
+        p2 = next((p for p in pieces if are_causally_disjoint(M, p1, p)),
+                  None)
+        if p2 is None:
+            return [ctx.skip("descent.kg-negative-control",
+                             "no two causally disjoint two-row pieces",
+                             circumference=M.circumference)]
     else:
         p1 = region_points(M, [(0, -2), (1, -2)])
         p2 = region_points(M, [(0, 2), (1, 2)])
@@ -1579,7 +1597,7 @@ def check_kg_negative_control(ctx: RunContext, opts):
 
 
 @register("descent.finer-implies-coarser",
-          "descent-on-finer-covers-implies-coarser")
+          "descent-on-finer-covers-implies-coarser", options=("count",))
 def check_finer_coarser(ctx: RunContext, opts):
     """Across refinement pairs: a counit check passing on the finer cover
     must pass on the coarser one."""
@@ -1587,7 +1605,7 @@ def check_finer_coarser(ctx: RunContext, opts):
     M = ctx.M
     results = []
     regions = largest_first(ctx.site(compactness="rc"), 3)
-    for U in regions[: int(opts.get("count", 6))]:
+    for U in regions[: opts.get("count", 6)]:
         coarse_list = band_covers(M, U, overlap=2)
         if not coarse_list:
             continue

@@ -99,7 +99,7 @@ def _counit_target(ctx: KgContext, cover: Cover, U: Region, localized: bool,
         target_pts = D.points()
         if check_iso:
             ext = ctx.extension(U.points(), target_pts)
-            iso = ext.nrows == ext.ncols and ext.rank() == ext.nrows
+            iso = ext.is_iso()
             info["target_iso"] = iso
             if not iso:
                 return "fail", {**info,
@@ -236,9 +236,9 @@ def build_adapted_cover(ctx: KgContext, target_pts: frozenset,
             continue
         T = ctx.space(target_pts)
         # the rank of the segment classes' images, one row per class
-        image = Mat([c for seg in segments
-                     for c in ctx.extension(seg, target_pts).transpose().data],
-                    T.dim)
+        image = Mat.from_columns([c for seg in segments for c in
+                                  ctx.extension(seg, target_pts).columns()],
+                                 T.dim).transpose()
         if image.rank() != T.dim:
             best_reason = "band classes do not span the target"
             continue
@@ -295,14 +295,14 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     T = ctx.space(target_pts)
     wedge = WedgeSpace(T.dim)
     graph = wedge.graph_of(T.sigma_reduced())
-    sigma = primitive_integer([-row[-1] for row in graph.data])
+    sigma = [-x for x in primitive_integer(graph.columns()[-1], graph.nrows)]
     span = IntegerEchelon(graph.nrows)
     bases: dict = {}
 
     def image_basis(pts):
         if pts not in bases:
-            bases[pts] = [primitive_integer(c) for c in
-                          ctx.extension(pts, target_pts).transpose().data]
+            bases[pts] = [primitive_integer(c, T.dim) for c in
+                          ctx.extension(pts, target_pts).columns()]
         return bases[pts]
 
     def add_same_piece(regions):

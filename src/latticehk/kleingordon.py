@@ -200,8 +200,7 @@ class KgSpace:
             if sig.transpose() != -sig:
                 raise KgError("pairing failed antisymmetry (internal error)")
             # by antisymmetry, r @ sig vanishes iff sig applied to r does
-            if any(v for row in (self.quotient.sub_rref @ sig).data
-                   for v in row):
+            if not self.quotient.sub_rref.annihilates(sig):
                 raise KgError("pairing does not descend to the quotient")
             free = self.quotient.free
             pos = {i: k for k, i in enumerate(free)}

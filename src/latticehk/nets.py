@@ -285,8 +285,7 @@ def time_slice_errors(A: CcrAqft) -> list[str]:
     for a in A.site.object_keys():
         for b in set_bits(A.site.cauchy[a]):
             t = A.transitions.get((a, b))
-            if t is not None and (t.nrows != t.ncols or
-                                  t.rank() != t.nrows):
+            if t is not None and not t.is_iso():
                 errs.append(f"Cauchy morphism {a}->{b} not invertible")
     return errs
 
@@ -346,8 +345,7 @@ def verify_point(P: PointFamily) -> dict:
         for a in ssite.object_keys():
             _object_image(f, ssite, tsite, a)  # refuses a missing image
             comp = alpha.get(a)
-            if comp is None or comp.nrows != comp.ncols or \
-                    comp.rank() != comp.nrows:
+            if comp is None or not comp.is_iso():
                 out["natural_iso"] = False
         for (a, b) in sA.transitions:
             fa = _object_image(f, ssite, tsite, a)

@@ -1,7 +1,8 @@
 """Exact rational matrices, quotient spaces, and the coequalizer test.
 
-Entries are exact rationals, ``fractions.Fraction`` (exported as ``QQ``).
-There is one elimination routine: rows are cleared of denominators
+Entries are exact rationals, ``fractions.Fraction`` (exported as ``QQ``), and
+a matrix keeps them in one form, its sparse columns.  There is one
+elimination routine: sparse rows are cleared of denominators
 (:func:`primitive_integer`) and eliminated over the integers by the
 fraction-free step of :class:`IntegerEchelon`; ``Mat.rref`` adds a
 back-substitution with the same step and divides each pivot row by its
@@ -26,66 +27,59 @@ class ForkError(ValueError):
 class Mat:
     """Exact-rational matrix, immutable by convention.
 
-    ``data`` holds the rows as tuples: the canonical dense form, which
-    equality, hashing and elimination read.  ``columns()`` holds each
-    column's nonzero entries as ``{row: value}``; it is filled once per
-    matrix, which is safe because the rows are tuples, and products read it.
-    A map built column by column comes from ``from_columns``, which keeps
-    the given columns as that cache.
+    A matrix keeps one form, its columns: column j holds its nonzero entries
+    as ``{row: Fraction}``.  Products, equality and elimination read them.
+    ``data``, the dense rows as tuples, is derived on each read, for the
+    boundary: witness strings, digests and tests.
     """
 
-    __slots__ = ("data", "nrows", "ncols", "_cols")
+    __slots__ = ("_columns", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Sequence], ncols: Optional[int] = None):
-        data = tuple(tuple(v if type(v) is QQ else QQ(v) for v in row)
-                     for row in rows)
-        self.data = data
-        self.nrows = len(data)
-        self._cols = None
-        if data:
-            self.ncols = len(data[0])
-            if any(len(r) != self.ncols for r in data):
-                raise ValueError("ragged matrix")
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols mismatch")
-        else:
-            self.ncols = 0 if ncols is None else ncols
+        rows = [[v if type(v) is QQ else QQ(v) for v in r] for r in rows]
+        width = len(rows[0]) if rows else ncols or 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        if ncols is not None and ncols != width:
+            raise ValueError("ncols mismatch")
+        self._columns = tuple({i: r[j] for i, r in enumerate(rows) if r[j]}
+                              for j in range(width))
+        self.nrows, self.ncols = len(rows), width
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[Q1 if i == j else Q0 for j in range(n)]
-                    for i in range(n)], n)
+        return Mat.from_columns([{j: Q1} for j in range(n)], n)
 
     @staticmethod
     def from_columns(cols: Sequence[dict], nrows: int) -> "Mat":
         """The matrix whose column j has the nonzero entries ``cols[j]``
-        (``{row: Fraction}``), which it keeps as its column cache; so the
-        dicts must be new ones, owned by no other matrix.  Its values are
-        Fractions already, so none is normalised again."""
-        rows = [[Q0] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows[i][j] = v
+        (``{row: Fraction}``, no zeros), which it keeps as they are: from
+        then on nothing may change those dicts."""
         m = Mat.__new__(Mat)
-        m.data = tuple(map(tuple, rows))
-        m.nrows, m.ncols, m._cols = nrows, len(cols), tuple(cols)
+        m._columns, m.nrows, m.ncols = tuple(cols), nrows, len(cols)
         return m
 
     def columns(self) -> tuple[dict, ...]:
-        """Each column's nonzero entries as ``{row: value}``, computed once.
-        The dicts are shared: callers read them and never change them."""
-        if self._cols is None:
-            cols = [{} for _ in range(self.ncols)]
-            for i, row in enumerate(self.data):
-                for j, v in enumerate(row):
-                    if v:
-                        cols[j][i] = v
-            self._cols = tuple(cols)
-        return self._cols
+        """Each column's nonzero entries as ``{row: value}``.  The dicts are
+        the matrix itself: callers read them and never change them."""
+        return self._columns
+
+    def _rows(self) -> list[dict]:
+        """Each row's nonzero entries as ``{column: value}``."""
+        rows: list[dict] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
+
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """The dense rows as tuples of Fractions, derived on each read."""
+        return tuple(tuple(row.get(j, Q0) for j in range(self.ncols))
+                     for row in self._rows())
 
     def transpose(self) -> "Mat":
-        return Mat([[self.data[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)], self.nrows)
+        return Mat.from_columns(self._rows(), self.ncols)
 
     def _product_columns(self, other: "Mat"):
         """The columns of ``self @ other`` as ``{row: value}``, one at a
@@ -95,8 +89,7 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        left = self.columns()
-        return (_combine(left, col) for col in other.columns())
+        return (_combine(self._columns, col) for col in other._columns)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return Mat.from_columns(list(self._product_columns(other)),
@@ -110,65 +103,67 @@ class Mat:
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vec)), Q0)
-                     for row in self.data)
+        return tuple(sum((a * vec[j] for j, a in row.items()), Q0)
+                     for row in self._rows())
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.data], self.ncols)
+        return Mat.from_columns([{i: -v for i, v in col.items()}
+                                 for col in self._columns], self.nrows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.ncols == other.ncols and \
-            self.data == other.data
-
-    def __hash__(self):
-        return hash((self.ncols, self.data))
+        """Same shape and entries.  No zero is stored, so equal matrices
+        have equal column dicts, and as many of them as columns."""
+        return isinstance(other, Mat) and self.nrows == other.nrows and \
+            self._columns == other._columns
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
 
     # -- elimination -------------------------------------------------------
 
-    def _echelon(self) -> "IntegerEchelon":
+    def echelon(self) -> "IntegerEchelon":
+        """The integer echelon of the row space, built from the sparse rows'
+        primitive integer multiples."""
         ech = IntegerEchelon(self.ncols)
-        for row in self.data:
-            ech.add(primitive_integer(row))
+        for row in self._rows():
+            ech.add(primitive_integer(row, self.ncols))
         return ech
 
     def rref(self) -> tuple["Mat", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns: the integer echelon,
         back-substitution with the same step, then one division per row."""
-        rows = self._echelon().rows
+        rows = self.echelon().rows
         pivots = sorted(rows)
         for k in range(len(pivots) - 1, 0, -1):
             c = pivots[k]
             for d in pivots[:k]:
                 if rows[d][c]:
                     rows[d] = _eliminate(rows[d], rows[c], c)
-        return Mat([[QQ(x, rows[c][c]) for x in rows[c]] for c in pivots],
-                   self.ncols), tuple(pivots)
+        # the reduced rows are the columns of the transpose
+        return Mat.from_columns(
+            [{j: QQ(x, rows[c][c]) for j, x in enumerate(rows[c]) if x}
+             for c in pivots], self.ncols).transpose(), tuple(pivots)
 
     def rank(self) -> int:
-        return self._echelon().rank
+        return self.echelon().rank
+
+    def is_iso(self) -> bool:
+        """Whether the matrix is square and invertible."""
+        return self.nrows == self.ncols and self.rank() == self.nrows
 
     def nullspace(self) -> list[tuple]:
         """Basis of the right kernel, one vector per free column."""
         red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
         basis = []
-        for fc in free:
+        for fc, col in enumerate(red.columns()):
+            if fc in pivots:
+                continue
             v = [Q0] * self.ncols
             v[fc] = Q1
-            for row, pc in zip(red.data, pivots):
-                v[pc] = -row[fc]
+            for r, a in col.items():
+                v[pivots[r]] = -a
             basis.append(tuple(v))
         return basis
-
-    def column_space_contains(self, vec: Sequence) -> bool:
-        if len(vec) != self.nrows:
-            raise ValueError("vector length mismatch")
-        aug = Mat([row + (v,) for row, v in zip(self.data, vec)],
-                  self.ncols + 1)
-        return aug.rank() == self.rank()
 
 
 def _combine(cols: Sequence[dict], coeffs: dict) -> dict:
@@ -187,13 +182,17 @@ def _combine(cols: Sequence[dict], coeffs: dict) -> dict:
     return {i: x for i, x in acc.items() if x}
 
 
-def primitive_integer(vec: Sequence) -> list[int]:
-    """The integer multiple of a vector of ints or Fractions whose entries
-    are coprime; it spans the same line.  The zero vector stays zero."""
-    den = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g else ints
+def primitive_integer(vec: dict, n: int) -> list[int]:
+    """The dense integer vector of length n on the line of the sparse vector
+    ``{index: value}`` (nonzero ints or Fractions), with coprime entries.
+    The empty vector gives the zero vector."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    ints = {i: v.numerator * (den // v.denominator) for i, v in vec.items()}
+    g = gcd(*ints.values()) or 1
+    out = [0] * n
+    for i, x in ints.items():
+        out[i] = x // g
+    return out
 
 
 def _eliminate(row: list[int], b: list[int], c: int) -> list[int]:
@@ -210,9 +209,11 @@ def _eliminate(row: list[int], b: list[int], c: int) -> list[int]:
 class IntegerEchelon:
     """Echelon basis over the integers of a span that grows row by row.
 
-    ``add`` reduces a row against the basis with :func:`_eliminate` and
-    keeps what is left when it is nonzero.  Once the rank equals the number
-    of columns every row lies in the span, so ``add`` returns at once.
+    ``add`` reduces an integer row against the basis with
+    :func:`_eliminate` and keeps what is left when it is nonzero.  Once the
+    rank equals the number of columns every row lies in the span, so
+    ``add`` returns at once.  A span is eliminated once and then queried
+    by ``contains``.
     """
 
     def __init__(self, ncols: int):
@@ -243,7 +244,10 @@ class IntegerEchelon:
         if c is not None:
             self.rows[c] = reduced
 
-    def contains(self, row: Sequence[int]) -> bool:
+    def contains(self, vec: Sequence) -> bool:
+        """Whether the vector of ints or Fractions lies in the span."""
+        row = primitive_integer({i: v for i, v in enumerate(vec) if v},
+                                self.ncols)
         return self._reduce(row)[0] is None
 
 
@@ -271,10 +275,11 @@ class QuotientSpace:
         self.dim = len(self.free)
         self._free_pos = {c: j for j, c in enumerate(self.free)}
         # pivot column -> its relation row on the free columns, sparse
-        self._relations = {pc: {j: row[c] for j, c in enumerate(self.free)
-                                if row[c]}
-                           for row, pc in zip(self.sub_rref.data,
-                                              self.pivots)}
+        self._relations = {pc: {} for pc in self.pivots}
+        cols = self.sub_rref.columns()
+        for j, c in enumerate(self.free):
+            for r, v in cols[c].items():
+                self._relations[self.pivots[r]][j] = v
 
     def reduce_sparse(self, vec: dict) -> dict:
         """Quotient coordinates ``{j: value}``, without zeros, of the vector
@@ -302,14 +307,14 @@ def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,
     """
     if len(images) != src.ambient_dim:
         raise ValueError("one image per source coordinate is needed")
-    for row in src.sub_rref.data:
+    for r, row in enumerate(src.sub_rref._rows()):
         img: dict = {}
-        for a, image in zip(row, images):
-            if a:
-                for k, v in image.items():
-                    img[k] = img.get(k, Q0) + a * v
+        for i, a in row.items():
+            for k, v in images[i].items():
+                img[k] = img.get(k, Q0) + a * v
         if dst.reduce_sparse(img):
-            raise ValueError(f"map not defined on quotient; witness {row}")
+            raise ValueError("map not defined on quotient; witness "
+                             f"{src.sub_rref.data[r]}")
     return Mat.from_columns([dst.reduce_sparse(images[c]) for c in src.free],
                             dst.dim)
 
@@ -331,9 +336,10 @@ def is_exact_coequalizer(d: Mat, q: Mat):
     if rank != q.nrows:   # q is not onto; a cokernel vector is nonzero
         return False, {"kind": "cokernel",
                        "functional": q.transpose().nullspace()[0]}
-    if d.rank() == q.ncols - rank:   # im(d) lies in ker(q): equal dims
+    image = d.transpose().echelon()   # im(d), eliminated once
+    if image.rank == q.ncols - rank:   # im(d) lies in ker(q): equal dims
         return True, None
     # im(d) is a proper subspace of ker(q), so a basis vector lies outside
     return False, {"kind": "kernel",
                    "vector": next(k for k in q.nullspace()
-                                  if not d.column_space_contains(k))}
+                                  if not image.contains(k))}

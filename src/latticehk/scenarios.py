@@ -15,7 +15,7 @@ import functools
 import json
 from pathlib import Path
 
-from .checks import (EXPECTED, REGISTRY, UNIVERSE_KEYS, RunContext,
+from .checks import (EXPECTED, OPTIONS, REGISTRY, UNIVERSE_KEYS, RunContext,
                      run_check)
 from .descent import CheckRecord
 from .geometry import LatticeSpacetime
@@ -49,12 +49,14 @@ SCENARIO_SCHEMA = {
                                             "algebra"]}},
         "checks": {"type": "array", "items": {"type": "string"},
                    "minItems": 1},
-        # check id -> {option name: integer}
+        # check id -> {option name: integer}, over the names it reads
         "options": {"type": "object",
                     "propertyNames": {"enum": sorted(REGISTRY)},
-                    "additionalProperties": {
-                        "type": "object",
-                        "additionalProperties": {"type": "integer"}}},
+                    "properties": {
+                        cid: {"type": "object",
+                              "propertyNames": {"enum": list(names)},
+                              "additionalProperties": {"type": "integer"}}
+                        for cid, names in OPTIONS.items()}},
         "expect": {"type": "object"},
     },
     "additionalProperties": False,

@@ -53,6 +53,24 @@ def from_dense_columns(cols, nrows: int) -> Mat:
     return Mat([[col[i] for col in cols] for i in range(nrows)], len(cols))
 
 
+def dense_rank(rows, ncols: int) -> int:
+    """The rank of the dense rows of length ``ncols``, by Gaussian
+    elimination over Fractions: the reference for the integer elimination
+    behind ``Mat.rank``."""
+    rows = [[QQ(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def dense_reduce(q, vec) -> tuple:
     """The quotient coordinates of the dense vector ``vec``, reduced
     against the relation rows of ``q`` one pivot at a time."""

@@ -97,7 +97,7 @@ def _brute_force_agrees(M, U, D, DC):
 
     return (on(D, box) == C._brute_development(M, U.pts, box)
             and on(DC, band) ==
-            C._brute_double_complement(M, U.pts, box) & band)
+            C._brute_double_complement(M, U.pts, box, band))
 
 
 def test_criterion_1_causality_oracle_agreement():

@@ -2,12 +2,15 @@
 and checks that find no instance."""
 
 import hashlib
+import inspect
 import json
+import re
 
 import pytest
 
 from latticehk.algebra import QPower
-from latticehk.checks import CLAIMS, REGISTRY, RunContext, run_check
+from latticehk.checks import (CLAIMS, OPTIONS, REGISTRY, RunContext,
+                              run_check)
 from latticehk.geometry import region_slab
 from latticehk.kleingordon import KgError
 from latticehk.nets import AqftError
@@ -229,6 +232,14 @@ def test_precostack_passes_when_one_flavor_finds_no_cover(cyl_ctx, t_range):
     rec = run_check("site.precostack-instances", ctx)[0]
     assert (rec.verdict, rec.witness) == \
         ("pass", {"plain": 0, "localized": 3, "bad": 0})
+
+
+def test_each_runner_declares_the_options_it_reads():
+    """A scenario may set exactly the options a runner reads: the names its
+    ``opts.get`` calls use are the ones its ``@register`` declares."""
+    for cid, runner in REGISTRY.items():
+        read = re.findall(r'opts\.get\("(\w+)"', inspect.getsource(runner))
+        assert set(read) == set(OPTIONS[cid]), cid
 
 
 def test_run_context_reads_each_input_once(plane_ctx, cyl_ctx):

@@ -151,6 +151,10 @@ _ROWS = {"compactness": "rc", "t_range": [0, 1], "max_height": 1}
           "options": {"descent.kg-counit": {"count": "x"}}},
      "invalid scenario: 'x' is not of type 'integer' at "
      "options/descent.kg-counit/count"),
+    ([], {"checks": ["causality.development-props"],
+          "options": {"causality.development-props": {"cuont": 1}}},
+     "invalid scenario: 'cuont' is not one of ['count'] at "
+     "options/causality.development-props"),
     (["--window", "5"], {"checks": ["algebra.hom-counts"]},
      "argument --window: window must read LO..HI, e.g. -12..14, not '5'"),
     (["--window", "a..b"], {"checks": ["algebra.hom-counts"]},
@@ -174,9 +178,9 @@ _ROWS = {"compactness": "rc", "t_range": [0, 1], "max_height": 1}
     ([], {"universe": {"t_range": "0..4"},
           "checks": ["causality.development-props"]},
      "invalid scenario: '0..4' is not of type 'array' at universe/t_range"),
-], ids=["option-value", "window-number", "window-words", "algebra-kind",
-        "mass2", "plane-x-range", "covers-key", "no-circumference",
-        "t-range-type"])
+], ids=["option-value", "option-name", "window-number", "window-words",
+        "algebra-kind", "mass2", "plane-x-range", "covers-key",
+        "no-circumference", "t-range-type"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a

@@ -4,8 +4,8 @@ import pytest
 
 from latticehk.algebra import QPower, WedgeSpace, consistency_check
 from latticehk.checks import (RunContext, _descent_candidates,
-                              _descent_instances, column_cover,
-                              tall_diamond_cover)
+                              _descent_instances, check_kg_negative_control,
+                              column_cover, tall_diamond_cover)
 from latticehk.descent import (_counit_target, _jsonable_witness,
                                _piece_parts, build_adapted_cover,
                                finer_coarser_check, generator_counit_check,
@@ -21,7 +21,7 @@ from latticehk.rational import ForkError, Mat, Q0, Q1, row_space
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor)
 
-from conftest import dense_columns, from_dense_columns
+from conftest import dense_columns, dense_rank, from_dense_columns
 
 
 def _band_cover(M, U, overlap=1):
@@ -119,6 +119,19 @@ def test_negative_control_strict_inclusion(kg_cyl, cyl):
     assert info["span_dim"] < info["graph_dim"]
     v2, _ = relation_counit_check(kg_cyl, cov, U, include_perp=True)
     assert v2 == "pass"
+
+
+def test_negative_control_runner_on_narrow_cylinders():
+    """The runner's two-row pieces sit at columns 0 and 3, or at 0 and
+    c // 2 where 3 is not causally disjoint from 0: a pass on c = 4..7.  On
+    c = 3 no two-row pieces are disjoint, so there is no instance."""
+    got = {}
+    for c in range(3, 8):
+        ctx = RunContext(M=LatticeSpacetime("cylinder", (-14, 16), c),
+                         seed=3, universe_cfg={"t_range": [0, 3]})
+        (rec,) = check_kg_negative_control(ctx, {})
+        got[c] = rec.verdict
+    assert got == {3: "skip", 4: "pass", 5: "pass", 6: "pass", 7: "pass"}
 
 
 def _same_row_space(a: Mat, b: Mat) -> bool:
@@ -295,6 +308,13 @@ def test_thin_cover_divergence_is_documented(kg_cyl, cyl):
     assert info["witness"]["kind"] == "kernel"
 
 
+def _in_column_space(d: Mat, vec) -> bool:
+    """Whether ``vec`` is a combination of the columns of ``d``: adding it
+    to them leaves their rank as it is."""
+    cols = dense_columns(d)
+    return dense_rank(cols + [vec], d.nrows) == dense_rank(cols, d.nrows)
+
+
 def _dense_coequalizer(r1: Mat, r2: Mat, q: Mat):
     """The exactness test in its first form: the dense difference r1 - r2,
     the fork checked on the dense product, then the kernel of q."""
@@ -312,7 +332,7 @@ def _dense_coequalizer(r1: Mat, r2: Mat, q: Mat):
     if d.rank() == len(kernel):
         return True, None
     for k in kernel:
-        if not d.column_space_contains(k):
+        if not _in_column_space(d, k):
             return False, {"kind": "kernel", "vector": k}
     return False, {"kind": "kernel", "vector": None}
 

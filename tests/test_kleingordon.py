@@ -391,16 +391,15 @@ def test_maps_match_the_dense_product(backend, request):
 
 def test_built_maps_keep_the_columns_of_their_rows(cyl):
     """An extension, a time-slice map and the reduced pairing are built from
-    their sparse columns and keep them as their column cache: the cache is
-    what their dense rows give, with no zero entry."""
+    their sparse columns and keep them as they are: the columns are what
+    their dense rows give, with no zero entry."""
     kg = KgContext(cyl, QQ(1, 4))
     small = region_slab(cyl, 1, 2).points()
     big = region_slab(cyl, 0, 3).points()
     maps = (kg.extension(small, big), kg.timeslice_map(big, small),
             kg.space(big).sigma_reduced())
     for m in maps:
-        assert m._cols is not None   # filled while the map was built
-        cache = [dict(c) for c in m.columns()]
-        assert cache == [dict(c) for c in Mat(m.data, m.ncols).columns()]
-        assert all(type(v) is QQ and v for c in cache for v in c.values())
+        cols = [dict(c) for c in m.columns()]
+        assert cols == [dict(c) for c in Mat(m.data, m.ncols).columns()]
+        assert all(type(v) is QQ and v for c in cols for v in c.values())
     assert any(v not in (0, 1) for m in maps for row in m.data for v in row)

@@ -7,7 +7,7 @@ from latticehk.rational import (ForkError, Mat, QQ, Q0, Q1, QuotientSpace,
                                 induced_quotient_map, is_exact_coequalizer,
                                 row_space)
 
-from conftest import dense_reduce, from_dense_columns
+from conftest import dense_rank, dense_reduce, from_dense_columns
 
 
 def fraction_rref(m: Mat):
@@ -86,6 +86,61 @@ def test_rref_rank_nullspace_match_fraction_elimination():
                   "zero" if rank == 0 else
                   "full" if rank == min(m.nrows, m.ncols) else "deficient")
     assert kinds == {"empty", "zero", "full", "deficient"}
+
+
+def test_a_matrix_keeps_only_its_sparse_columns():
+    """Built from rows or from columns, a matrix stores its columns without
+    zeros and nothing else; its dense rows, transpose, negation, action
+    and equality are those of the dense oracle."""
+    assert Mat.__slots__ == ("_columns", "nrows", "ncols")
+    cases = [([], 3), ([[], []], 0), ([[0, 0, 0], [0, 0, 0]], 3),
+             ([[1, 0, 0], [0, 0, 1]], 3),
+             ([["1/2", 0], [0, "-2/3"], [3, "4/6"]], 2),
+             # entries that cancel to zero, and a fraction not in lowest
+             # terms
+             ([[QQ(1, 3) - QQ(1, 3), 2], [QQ(2, 4), QQ(1, 2) - QQ(2, 4)]], 2)]
+    for rows, ncols in cases:
+        dense = tuple(tuple(QQ(v) for v in r) for r in rows)
+        cols = [{i: r[j] for i, r in enumerate(dense) if r[j]}
+                for j in range(ncols)]
+        vec = [QQ(j + 1, 2) for j in range(ncols)]
+        for m in (Mat(rows, ncols), Mat.from_columns(cols, len(rows))):
+            assert (m.nrows, m.ncols) == (len(rows), ncols)
+            assert m.columns() == tuple(cols)
+            assert m.data == dense
+            assert all(type(v) is QQ for r in m.data for v in r)
+            assert m.transpose().data == tuple(
+                tuple(r[j] for r in dense) for j in range(ncols))
+            assert (-m).data == tuple(tuple(-v for v in r) for r in dense)
+            assert m.apply(vec) == tuple(
+                sum((a * b for a, b in zip(r, vec)), Q0) for r in dense)
+        assert Mat(rows, ncols) == Mat.from_columns(cols, len(rows))
+    assert Mat([[1, 0]]) != Mat([[1, 0], [0, 0]])
+    assert Mat([], 2) != Mat([], 3)
+
+
+def test_echelon_contains_and_is_iso_match_the_rank_oracle():
+    """A span eliminated once answers membership of Fraction vectors as
+    the rank oracle does, and ``is_iso`` is square with full rank."""
+    rng = random.Random(8)
+    seen = set()
+    for m in _oracle_matrices():
+        rows, n = [list(r) for r in m.data], m.ncols
+        ech = m.echelon()
+        rank = dense_rank(rows, n)
+        assert ech.rank == rank
+        combo = [sum((QQ(rng.randint(-2, 2), 3) * r[c] for r in rows), Q0)
+                 for c in range(n)]
+        drawn = [[QQ(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                  for _ in range(n)] for _ in range(3)]
+        for vec in [[Q0] * n, combo] + rows[:2] + drawn:
+            want = dense_rank(rows + [vec], n) == rank
+            assert ech.contains(vec) == want
+            seen.add(want)
+        iso = m.nrows == m.ncols and rank == m.nrows
+        assert m.is_iso() == iso
+        seen.add(("iso", iso))
+    assert seen == {True, False, ("iso", True), ("iso", False)}
 
 
 def test_basic_ops():
