@@ -130,8 +130,7 @@ def generator_counit_check(ctx: KgContext, cover: Cover, U: Region,
     exts = [ctx.extension(p, target_pts) for p in parts]
     offsets = list(accumulate((e.ncols for e in exts), initial=0))
     total = offsets.pop()
-    q = Mat.from_columns([dict(c) for e in exts for c in e.columns()],
-                         T.dim)
+    q = Mat.from_columns([c for e in exts for c in e.columns()], T.dim)
     # d = r1 - r2: each overlap class, placed in part i minus in part j
     dcols = []
     for i, j in combinations(range(len(parts)), 2):
