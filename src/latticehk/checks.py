@@ -382,6 +382,34 @@ def _brute_development(M, upts: frozenset, box) -> frozenset:
                      if p in upts or not (esc(p, True) and esc(p, False)))
 
 
+def _brute_confirms(M, U: Region, D: Region, DC: Region) -> bool:
+    """Whether the engines' D = D(U) and DC = U'' agree with the
+    enumerators above at the window's points of a box around U: D on the
+    whole box, DC on U's rows +-2, every row on the cylinder.  The box
+    reaches U's row span + 3 beyond U's rows, and as many columns beyond
+    U's columns on the plane; docs/decisions.md ("Neither engine is at
+    fault") proves each enumerator exact where it is compared."""
+    ts = [t for (t, _) in U.pts]
+    lo, hi = min(ts), max(ts)
+    pad = hi - lo + 3
+    if M.kind == "cylinder":
+        cols = range(M.circumference)
+    else:
+        xs = [x for (_, x) in U.pts]
+        cols = range(min(xs) - pad, max(xs) + pad + 1)
+    box = [(t, x) for t in range(lo - pad, hi + pad + 1) for x in cols]
+    seen = frozenset(p for p in box if M.in_window(p))
+    band = seen if M.kind == "cylinder" else \
+        frozenset(p for p in seen if lo - 2 <= p[0] <= hi + 2)
+
+    def on(R, pts):
+        return pts if R.is_full else R.pts & pts
+
+    return (on(D, seen) == _brute_development(M, U.pts, box) & seen
+            and on(DC, band) ==
+            _brute_double_complement(M, U.pts, box, band))
+
+
 @register("causality.development-vs-double-complement",
           "development-equals-double-complement-for-rc-causally-convex",
           companions={
@@ -401,10 +429,7 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
     for U in corpus:
         D = cauchy_development(M, U)
         DC = double_complement(M, U)
-        dp = None if D.is_full else D.points()
-        cp = None if DC.is_full else DC.points()
-        if (dp is None and cp is not None) or \
-                (dp is not None and cp is not None and not dp <= cp):
+        if not DC.contains(D):
             incl_bad += 1
         if D != DC:
             mism.append((U, D, DC))
@@ -420,29 +445,8 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
                    None if not incl_bad else {"violations": incl_bad})]
     # brute-force confirmation on a few divergent instances: the divergence
     # is a property of the lattice, not of the mask engine
-    confirmed = True
-    for (U, D, DC) in mism[: opts.get("brute", 2)]:
-        ts = [t for (t, _) in U.pts]
-        pad = (max(ts) - min(ts)) + (len(set(x for (_, x) in U.pts)) + 4)
-        if M.kind == "cylinder":
-            box = [(t, x) for t in range(min(ts) - pad, max(ts) + pad + 1)
-                   for x in range(M.circumference)]
-        else:
-            xs = [x for (_, x) in U.pts]
-            box = [(t, x) for t in range(min(ts) - pad, max(ts) + pad + 1)
-                   for x in range(min(xs) - pad, max(xs) + pad + 1)]
-        bd = _brute_development(M, U.pts, box)
-        window_box = [p for p in box if M.in_window(p)]
-        got_d = (D.points() if not D.is_full else frozenset(window_box))
-        got_dc = (DC.points() if not DC.is_full else frozenset(window_box))
-        inner = [p for p in window_box
-                 if min(ts) - 2 <= p[0] <= max(ts) + 2]
-        bdc = _brute_double_complement(M, U.pts, box, inner)
-        if {p for p in inner if p in bd} != {p for p in inner
-                                             if p in got_d}:
-            confirmed = False
-        if bdc != {p for p in inner if p in got_dc}:
-            confirmed = False
+    confirmed = all(_brute_confirms(M, U, D, DC)
+                    for (U, D, DC) in mism[: opts.get("brute", 2)])
     recs.append(ctx.record(
         "causality.divergence-brute-confirmed",
         "pass" if confirmed else "fail",
@@ -622,56 +626,45 @@ def check_embedding_lemmas(ctx: RunContext, opts):
     reflecting boundary can enlarge intrinsic developments), and confinement
     in D-stable images holds throughout."""
     rng = ctx.rng("emb")
-    bad_eq, bad_incl, bad_d2, n_eq, n_incl, n_d2 = 0, 0, 0, 0, 0, 0
+    bad = n_eq = n_incl = n_d2 = 0
     per = opts.get("per_embedding", 6)
     # every translation maps ctx.M to itself
     t0, t1 = ctx.t_range
     zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]
     for f in _translation_embeddings(ctx, 6):
         if not check_loc_morphism(f):
-            bad_eq += 1
+            bad += 1
             continue
         for _ in range(per):
             U = draw_hull(f.source, rng, zone, 1, 3)
             n_eq += 1
             if not verify_development_restriction(f, U):
-                bad_eq += 1
+                bad += 1
     for f in _bounded_embeddings(ctx):
         if not check_loc_morphism(f):
-            bad_incl += 1
+            bad += 1
             continue
         src = f.source
         zone = sorted(src.extent)
         for _ in range(per):
             U = draw_hull(src, rng, zone, 1, 3)
             n_incl += 1
-            DU = cauchy_development(src, U)
-            lhs = apply_embedding(f, DU)
+            lhs = apply_embedding(f, cauchy_development(src, U))
             DV = cauchy_development(f.target, apply_embedding(f, U))
-            img = f.image()
-            rhs_pts = (DV.points() if not DV.is_full else None)
-            if rhs_pts is None:
-                inner = img.points()
-            else:
-                inner = rhs_pts & img.points()
+            img = f.image().points()
+            inner = img if DV.is_full else DV.pts & img
             if not inner <= lhs.points():
-                bad_incl += 1
+                bad += 1
             if check_D_stable_image(f):
                 n_d2 += 1
                 if not verify_development_confined(f, U):
-                    bad_d2 += 1
-    witness = {"equality_instances": n_eq,
-               "bounded_inclusion_instances": n_incl,
-               "confinement_instances": n_d2,
-               "bad": bad_eq + bad_incl + bad_d2}
-    if witness["bad"]:
-        verdict = "fail"
-    elif n_eq + n_incl:
-        verdict = "pass"
-    else:
-        verdict, witness = "skip", {"reason": "no region drawn", **witness}
-    return [ctx.record("causality.embedding-development-lemmas", verdict,
-                       witness)]
+                    bad += 1
+    # a failed morphism check counts as found
+    return [ctx.tally("causality.embedding-development-lemmas",
+                      n_eq + n_incl + bad, bad == 0, "no region drawn",
+                      {"equality_instances": n_eq,
+                       "bounded_inclusion_instances": n_incl,
+                       "confinement_instances": n_d2, "bad": bad})]
 
 
 @register("causality.stabilization",
@@ -1253,9 +1246,7 @@ def check_point_family(ctx: RunContext, opts):
     fam_sub = PointFamily(
         members={"M1": (site1, A1), "M2": (site2, A2)},
         arrows={"g": arrows["g"]}, compositions=())
-    rt = reconstruct_global(fam_sub, ["M1", "M2"])
-    gmap = rt["maps"]["g"]
-    rt_ok = gmap.is_iso()
+    rt_ok = reconstruct_global(fam_sub)["g"].is_iso()
     # negative control: flip one component's sign
     bad_alpha = dict(arrows["g"][3])
     some = sorted(bad_alpha)[0]

@@ -525,9 +525,16 @@ def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:
 
 def _double_complement_raw(M: LatticeSpacetime, pts: frozenset[Point],
                            t0: int, t1: int):
+    """U'' of an explicit set, materialized on rows t0..t1.  The set must
+    be causally convex, J+(U) & J-(U) = U; the two cones of J(U) test it."""
     g = _Grid(M, t0, t1, pts)
-    ju = g.both(g.mask_rows(pts))
-    comp = [g.full & ~m for m in ju]
+    umask = g.mask_rows(pts)
+    fut = g.cone(umask, True)
+    pas = g.cone(umask, False)
+    if any((a & b) != u for a, b, u in zip(fut, pas, umask)):
+        raise GeometryError("double_complement expects a causally convex "
+                            "region")
+    comp = [g.full & ~(a | b) for a, b in zip(fut, pas)]
     if all(m == 0 for m in comp):
         # J(U) covers the whole grid; top and bottom rows full means the
         # causal complement is globally empty, hence U'' is everything.
@@ -551,9 +558,6 @@ def double_complement(M: LatticeSpacetime, U: Region) -> Region:
         raise GeometryError("double_complement is defined on unbounded "
                             "spacetimes; bounded models use developments")
     pts = U.pts
-    if not is_causally_convex(M, U):
-        raise GeometryError("double_complement expects a causally convex "
-                            "region")
     t_lo, t_hi = M.window
 
     def run(extra):

@@ -11,7 +11,7 @@ carry a generator quotient space per region and a linear map per morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .algebra import (INITIAL, Initial, QPower, ThinDiagram,
                       enumerate_homs, two_valued_colimit, weak_components)
@@ -380,26 +380,19 @@ def verify_point(P: PointFamily) -> dict:
     return out
 
 
-def reconstruct_global(P: PointFamily, label_order: Iterable[str]) -> dict:
+def reconstruct_global(P: PointFamily) -> dict:
     """The terminal-evaluation round trip for members carrying the full
-    region: values at full, and per-arrow maps
-    ``A(f) = transition(f(full) -> full) after alpha_f``; functoriality over
-    the declared composition triples is returned per triple."""
-    values = {}
-    for name in label_order:
-        site, A = P.members[name]
-        full = region_full(site.M)
-        if full not in site.index:
+    region: per-arrow maps ``A(f) = transition(f(full) -> full) after
+    alpha_f``."""
+    full = {}
+    for name, (site, _) in P.members.items():
+        key = site.index.get(region_full(site.M))
+        if key is None:
             raise AqftError(f"member {name} has no full object")
-        values[name] = site.index[full]
+        full[name] = key
     maps = {}
     for label, (sname, tname, f, alpha) in P.arrows.items():
-        ssite, sA = P.members[sname]
-        tsite, tA = P.members[tname]
-        kfull = values[sname]
-        img = _object_image(f, ssite, tsite, kfull)
-        ext = tA.transitions[(img, values[tname])]
-        maps[label] = ext @ alpha[kfull]
-    verdicts = {(lf, lg, lgf): maps[lg] @ maps[lf] == maps[lgf]
-                for (lf, lg, lgf) in P.compositions}
-    return {"values": values, "maps": maps, "functorial": verdicts}
+        (ssite, _), (tsite, tA) = P.members[sname], P.members[tname]
+        img = _object_image(f, ssite, tsite, full[sname])
+        maps[label] = tA.transitions[(img, full[tname])] @ alpha[full[sname]]
+    return maps

@@ -23,7 +23,7 @@ from latticehk.checks import RunContext
 from latticehk.descent import (generator_counit_check,
                                relation_counit_check)
 from latticehk.geometry import (LatticeSpacetime, cauchy_development,
-                                double_complement, hull, region_points)
+                                double_complement)
 from latticehk.kleingordon import KgContext
 from latticehk.rational import QQ
 from latticehk.scenarios import DEMOS, report_bytes, run_scenario
@@ -53,51 +53,6 @@ def cyl_ctx():
                                     "max_height": 4, "min_slab_height": 2,
                                     "cap": 1600},
                       aqft_cfg={"mass2": "1/4"})
-
-
-def _brute_force_agrees(M, U, D, DC):
-    """Both engines against the enumerators of ``checks.py`` on a box of
-    rows ``pad`` beyond U's rows (and, on the plane, columns ``pad`` beyond
-    U's columns), with ``pad`` = U's row span + 3.
-
-    The path enumerator follows causal steps with no lateral bound up to
-    the box's top row and down to its bottom row.  Both lie outside U's
-    rows, so a path that reaches them can go on forever without meeting U,
-    and the enumerator is exact on the whole box.
-
-    The cone enumerator keeps p iff every point of J(p) inside the box lies
-    in J(U).  That gives J(p) within J(U) once every causal path from p
-    stays in J(U) after it leaves the box.  Let b be the last box point of
-    a future-directed such path.  b is in J(p) and in the box, so b is in
-    J(U); if b lies in J+(U), so does the rest of the path.  b lies on the
-    top row, which is above U, or on an edge
-    column, which is at least ``pad`` sites from U.  Either way b in J(U)
-    means b in J+(U), except on an edge column at or below row
-    max(t) - pad, which the path never reaches when p's row is above it.
-    Past-directed paths likewise need p's row below min(t) + pad.  On the
-    plane the rows strictly between those two are U's rows +-2, and the
-    enumerator is exact there.  The cylinder box spans the whole circle, so
-    it has no edge column and is exact on every row.
-    """
-    ts = [t for (t, _) in U.pts]
-    lo, hi = min(ts), max(ts)
-    pad = hi - lo + 3
-    if M.kind == "cylinder":
-        cols = range(M.circumference)
-    else:
-        xs = [x for (_, x) in U.pts]
-        cols = range(min(xs) - pad, max(xs) + pad + 1)
-    box = frozenset((t, x) for t in range(lo - pad, hi + pad + 1)
-                    for x in cols)
-    band = box if M.kind == "cylinder" else \
-        frozenset(p for p in box if lo - 2 <= p[0] <= hi + 2)
-
-    def on(R, pts):
-        return pts if R.is_full else R.pts & pts
-
-    return (on(D, box) == C._brute_development(M, U.pts, box)
-            and on(DC, band) ==
-            C._brute_double_complement(M, U.pts, box, band))
 
 
 def test_criterion_1_causality_oracle_agreement():
@@ -147,7 +102,7 @@ def test_criterion_1_causality_oracle_agreement():
             if name.endswith("-diamonds") and \
                     (M.kind == "plane" or not DC.is_full):
                 equality_bad.append(example)
-            if not _brute_force_agrees(M, U, D, DC):
+            if not C._brute_confirms(M, U, D, DC):
                 brute_bad.append(example)
         counts[name] = (len(corpus), mism)
     ok = not (inclusion_bad or equality_bad or brute_bad)

@@ -140,6 +140,17 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         "checks": ["kg.time-slice"],
     }))
     assert main(["run", str(one_row)]) == 2
+    # with no expect the divergence record is unexpected: --fail-fast stops
+    # after its check, a full run goes on to the next one
+    ff = tmp_path / "ff.json"
+    ff.write_text(json.dumps({
+        **DEMOS["appendix-geometry"], "expect": {},
+        "checks": ["causality.development-vs-double-complement",
+                   "causality.cone-lightcone"]}))
+    for flags, records in ((["--fail-fast"], 3), ([], 4)):
+        capsys.readouterr()
+        assert main([*flags, "run", str(ff)]) == 1
+        assert capsys.readouterr().out.count("] causality.") == records
 
 
 _CYLINDER = {"kind": "cylinder", "circumference": 6, "window": [-14, 16]}
@@ -178,9 +189,12 @@ _ROWS = {"compactness": "rc", "t_range": [0, 1], "max_height": 1}
     ([], {"universe": {"t_range": "0..4"},
           "checks": ["causality.development-props"]},
      "invalid scenario: '0..4' is not of type 'array' at universe/t_range"),
+    (["--max-universe", "5"],
+     {"universe": _ROWS, "checks": ["site.refinement-functors"]},
+     "universe exceeds cap 5; tighten the config"),
 ], ids=["option-value", "option-name", "window-number", "window-words",
         "algebra-kind", "mass2", "plane-x-range", "covers-key",
-        "no-circumference", "t-range-type"])
+        "no-circumference", "t-range-type", "max-universe"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a
@@ -249,11 +263,12 @@ def test_cli_import_leaves_jsonschema_out():
 
 def test_cli_demo_and_overrides(tmp_path):
     out = tmp_path / "demo.json"
-    code = main(["--report", str(out), "--seed", "11",
+    code = main(["--report", str(out), "--seed", "11", "--window=-12..14",
                  "demo", "localization-oracle"])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 11
+    assert doc["config"]["spacetime"]["window"] == [-12, 14]
 
 
 def test_cli_list_checks(capsys):

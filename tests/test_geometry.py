@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from latticehk.checks import _brute_confirms
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 LatticeSpacetime, Region, _Grid,
                                 WindowTooSmallError, apply_embedding,
@@ -146,10 +147,17 @@ def test_double_complement_examples(plane, cyl):
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)),
                 min_size=1, max_size=4),
        st.booleans())
+@example([(0, 0), (2, 0)], True)
+@example([(0, 0), (2, 0)], False)
 def test_development_inside_double_complement(pts, cylinder):
     M = LatticeSpacetime("cylinder", (-14, 16), 6) if cylinder \
         else LatticeSpacetime("plane", (-14, 16))
-    U = hull(M, region_points(M, pts))
+    S = region_points(M, pts)
+    if not is_causally_convex(M, S):
+        with pytest.raises(GeometryError, match="^double_complement expects "
+                           "a causally convex region$"):
+            double_complement(M, S)
+    U = hull(M, S)  # S itself when S is convex
     D = cauchy_development(M, U)
     DC = double_complement(M, U)
     if DC.is_full:
@@ -158,15 +166,40 @@ def test_development_inside_double_complement(pts, cylinder):
     assert D.pts <= DC.pts
 
 
-def test_double_complement_divergence_is_genuine(cyl):
+def test_double_complement_divergence_is_genuine(cyl, plane):
     """The staircase diamond has empty causal complement but a dodging
     path: the continuum identity with the development fails on compact
-    slices, and both engines agree about each side."""
+    slices, and both engines agree about each side.  The enumerators
+    confirm it and the spacelike pair of docs/decisions.md, also in windows
+    that cut their box, and refuse one point off in the compared rows."""
     U = region_diamond(cyl, (0, 0), (3, 2))
     D = cauchy_development(cyl, U)
     DC = double_complement(cyl, U)
     assert DC.is_full and not D.is_full
     assert D.pts == U.pts
+    # the full U'' on the diamond's box, rows -6..9
+    box = Region(cyl, "points", frozenset(
+        (t, x) for t in range(-6, 10) for x in range(6)))
+    pair = region_points(plane, [(2, 1), (7, 7)])
+    for U, DC, d_off, dc_off in [
+            (U, box, [(1, 4), (0, 0), (-6, 0), (9, 5)],
+             [(1, 4), (-6, 0), (9, 5)]),
+            (pair, double_complement(plane, pair),
+             [(3, 2), (7, 7), (-6, -7), (15, 15)],
+             [(4, 3), (2, 1), (0, -7), (9, 15)])]:
+        M, D = U.ambient, cauchy_development(U.ambient, U)
+        assert D != DC and _brute_confirms(M, U, D, DC)
+        for p in d_off:
+            assert not _brute_confirms(M, U, Region(M, "points", D.pts ^ {p}),
+                                       DC), p
+        for p in dc_off:
+            assert not _brute_confirms(M, U, D,
+                                       Region(M, "points", DC.pts ^ {p})), p
+    for M, pts in [(cyl.with_window(0, 3), [(0, 0), (3, 2)]),
+                   (plane.with_window(2, 7), [(2, 1), (7, 7)])]:
+        U = hull(M, region_points(M, pts))
+        assert _brute_confirms(M, U, cauchy_development(M, U),
+                               double_complement(M, U))
 
 
 def test_plane_diamonds_satisfy_the_complement_identity(plane):
