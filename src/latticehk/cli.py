@@ -21,7 +21,8 @@ from .checks import CLAIM_OF, EXPECTED, REGISTRY
 from .geometry import GeometryError
 from .kleingordon import KgError
 from .nets import AqftError
-from .scenarios import (DEMOS, ScenarioError, report_bytes, run_scenario)
+from .scenarios import (DEMOS, ScenarioError, report_bytes, run_scenario,
+                        validate_scenario)
 from .sites import SiteError
 
 
@@ -59,6 +60,17 @@ def _window(text: str) -> list[int]:
             f"window must read LO..HI, e.g. -12..14, not {text!r}")
 
 
+def _join_window(argv: list[str]) -> list[str]:
+    """argparse reads the spaced form ``--window -12..14`` as a flag with no
+    value, since its value starts with '-', so join each ``--window`` with
+    its next token as ``--window=-12..14``."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        nxt = next(tokens, None) if tok == "--window" else None
+        out.append(tok if nxt is None else f"{tok}={nxt}")
+    return out
+
+
 def main(argv=None) -> int:
     # a malformed option value raises ArgumentError: a configuration error
     ap = argparse.ArgumentParser(prog="latticehk", exit_on_error=False,
@@ -88,7 +100,8 @@ def main(argv=None) -> int:
                      default="cylinder")
 
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_window(sys.argv[1:] if argv is None
+                                          else argv))
         if args.cmd == "list-checks":
             for cid in sorted(REGISTRY):
                 print(f"{cid:45} expected={EXPECTED:5} "
@@ -97,6 +110,8 @@ def main(argv=None) -> int:
         if args.cmd == "run":
             with open(args.scenario) as fh:
                 config = json.load(fh)
+            # the overrides assume the file's blocks are objects
+            validate_scenario(config)
         elif args.cmd == "demo":
             config = DEMOS[args.name]
         else:  # check-causality or check-site

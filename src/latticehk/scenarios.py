@@ -11,8 +11,8 @@ are byte-identical up to the timestamp.
 from __future__ import annotations
 
 import datetime
-import functools
 import json
+import numbers
 from pathlib import Path
 
 from .checks import (EXPECTED, OPTIONS, REGISTRY, UNIVERSE_KEYS, RunContext,
@@ -63,13 +63,70 @@ SCENARIO_SCHEMA = {
 }
 
 
-@functools.cache
-def _validator():
-    """The scenario validator, built once at the first validation:
-    jsonschema.validate would check the schema itself on every call, and
-    importing jsonschema is left to the runs that validate a scenario."""
-    from jsonschema.validators import validator_for
-    return validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+# JSON types by name; a bool is neither an integer nor a number, and unlike
+# JSON Schema an integral float such as 2.0 is no integer either, because a
+# check would pass it on to range()
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": numbers.Number}
+
+
+def _is_type(instance, name: str) -> bool:
+    return isinstance(instance, _TYPES[name]) and \
+        not isinstance(instance, bool)
+
+
+def _errors(schema: dict, instance, path: tuple = ()):
+    """Yield (path, message, misfit) for each way ``instance`` fails
+    ``schema``, in jsonschema's order and with its messages: the schema's
+    keywords in dict order, each sub-schema depth first.  ``misfit`` says
+    whether the instance fails the type of the schema that raised the error
+    (or that schema names no type).  Only the keywords of SCENARIO_SCHEMA
+    are read, with the messages of the values it gives them; every const
+    and enum value there is a string, so equality is plain ``==``."""
+    misfit = "type" not in schema or not _is_type(instance, schema["type"])
+    obj, arr = _is_type(instance, "object"), _is_type(instance, "array")
+    for key, value in schema.items():
+        if key == "type" and misfit:
+            yield path, f"{instance!r} is not of type {value!r}", misfit
+        elif key == "required" and obj:
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property", misfit
+        elif key == "properties" and obj:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _errors(sub, instance[name], (*path, name))
+        elif key == "const" and instance != value:
+            yield path, f"{value!r} was expected", misfit
+        elif key == "enum" and instance not in value:
+            yield path, f"{instance!r} is not one of {value!r}", misfit
+        elif key == "minimum" and _is_type(instance, "number") \
+                and instance < value:
+            yield (path, f"{instance!r} is less than the minimum of "
+                   f"{value!r}", misfit)
+        elif key == "minItems" and arr and len(instance) < value:
+            word = "should be non-empty" if value == 1 else "is too short"
+            yield path, f"{instance!r} {word}", misfit
+        elif key == "maxItems" and arr and len(instance) > value:
+            yield path, f"{instance!r} is too long", misfit
+        elif key == "items" and arr:
+            for i, item in enumerate(instance):
+                yield from _errors(value, item, (*path, i))
+        elif key == "propertyNames" and obj:
+            # a key is checked at the path of the object that holds it
+            for name in instance:
+                yield from _errors(value, name, path)
+        elif key == "additionalProperties" and obj:
+            extras = [k for k in instance
+                      if k not in schema.get("properties", {})]
+            if value is False and extras:
+                names = ", ".join(repr(k) for k in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                yield (path, f"Additional properties are not allowed "
+                       f"({names} {verb} unexpected)", misfit)
+            elif isinstance(value, dict):
+                for k in extras:
+                    yield from _errors(value, instance[k], (*path, k))
 
 
 class ScenarioError(Exception):
@@ -77,11 +134,15 @@ class ScenarioError(Exception):
 
 
 def validate_scenario(config: dict):
-    from jsonschema.exceptions import best_match
-    e = best_match(_validator().iter_errors(config))
+    # the error jsonschema's best_match picks: the shallowest, then the
+    # greatest path, then one whose instance misfits its schema's type; the
+    # first of equals wins (the schema has no anyOf or oneOf to weaken one)
+    e = max(_errors(SCENARIO_SCHEMA, config),
+            key=lambda e: (-len(e[0]), e[0], e[2]), default=None)
     if e is not None:
-        raise ScenarioError(f"invalid scenario: {e.message} at "
-                            f"{'/'.join(str(p) for p in e.path)}")
+        path, message, _ = e
+        raise ScenarioError(f"invalid scenario: {message} at "
+                            f"{'/'.join(str(p) for p in path)}")
     for cid in config["checks"]:
         if cid not in REGISTRY:
             raise ScenarioError(f"unknown check id {cid!r}")

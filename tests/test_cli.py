@@ -6,9 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import validators
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 import latticehk
+from latticehk import scenarios
 from latticehk.checks import UNIVERSE_KEYS
 from latticehk.cli import main
 from latticehk.scenarios import (DEMOS, SCENARIO_SCHEMA, ScenarioError,
@@ -16,47 +21,54 @@ from latticehk.scenarios import (DEMOS, SCENARIO_SCHEMA, ScenarioError,
                                  validate_scenario)
 
 
+_CYLINDER = {"kind": "cylinder", "circumference": 6, "window": [-14, 16]}
+
+
+def _scenario_file(scenario):
+    """A scenario document: a list stands for itself, a dict gets the schema
+    tag and, unless it names its own, the cylinder."""
+    if isinstance(scenario, list):
+        return scenario
+    return {"schema": "latticehk-scenario/1", "spacetime": _CYLINDER,
+            **scenario}
+
+
 def test_scenario_schema_is_a_valid_schema():
     # validate_scenario does not check the schema itself; this test does
     validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
 
-def test_validate_rejects_bad_configs():
-    with pytest.raises(ScenarioError):
-        validate_scenario({"schema": "nope", "spacetime": {}, "checks": []})
-    with pytest.raises(ScenarioError):
-        validate_scenario({"schema": "latticehk-scenario/1",
-                           "spacetime": {"kind": "plane",
-                                         "window": [0, 4]},
-                           "checks": ["no.such.check"]})
-    with pytest.raises(ScenarioError):
-        validate_scenario({"schema": "latticehk-scenario/1",
-                           "spacetime": {"kind": "plane",
-                                         "window": [0, 4]},
-                           "checks": ["algebra.hom-counts"],
-                           "bogus_key": 1})
+_BAD_CONFIGS = [
+    {"schema": "nope", "spacetime": {}, "checks": []},
+    {"schema": "latticehk-scenario/1",
+     "spacetime": {"kind": "plane", "window": [0, 4]},
+     "checks": ["no.such.check"]},
+    {"schema": "latticehk-scenario/1",
+     "spacetime": {"kind": "plane", "window": [0, 4]},
+     "checks": ["algebra.hom-counts"], "bogus_key": 1},
     # a typo in the universe block is rejected, not dropped
-    with pytest.raises(ScenarioError):
-        validate_scenario({"schema": "latticehk-scenario/1",
-                           "spacetime": {"kind": "plane",
-                                         "window": [0, 4]},
-                           "universe": {"compactness": "rc",
-                                        "t_rang": [0, 3]},
-                           "checks": ["algebra.hom-counts"]})
+    {"schema": "latticehk-scenario/1",
+     "spacetime": {"kind": "plane", "window": [0, 4]},
+     "universe": {"compactness": "rc", "t_rang": [0, 3]},
+     "checks": ["algebra.hom-counts"]},
+]
 
 
-@pytest.mark.parametrize("block", [
-    {"aqft": {"family": "klein-gordon", "mas2": "1/4"}},
-    {"options": {"site.extend-covr": {"count": 5}}},
-], ids=["aqft", "options"])
+def test_validate_rejects_bad_configs():
+    for config in _BAD_CONFIGS:
+        with pytest.raises(ScenarioError):
+            validate_scenario(config)
+
+
+_TYPO_BLOCKS = [{"aqft": {"family": "klein-gordon", "mas2": "1/4"}},
+                {"options": {"site.extend-covr": {"count": 5}}}]
+
+
+@pytest.mark.parametrize("block", _TYPO_BLOCKS, ids=["aqft", "options"])
 def test_cli_rejects_a_typo_in_the_aqft_and_options_keys(tmp_path, block):
     scn = tmp_path / "typo.json"
-    scn.write_text(json.dumps({
-        "schema": "latticehk-scenario/1",
-        "spacetime": {"kind": "cylinder", "circumference": 6,
-                      "window": [-14, 16]},
-        "checks": ["algebra.hom-counts"], **block,
-    }))
+    scn.write_text(json.dumps(_scenario_file(
+        {"checks": ["algebra.hom-counts"], **block})))
     assert main(["run", str(scn)]) == 2
 
 
@@ -86,6 +98,12 @@ def test_determinism_modulo_timestamp():
         report_bytes(r2, drop_timestamp=True)
 
 
+_UNIVERSE_TYPO = _scenario_file({
+    "universe": {"compactness": "rc", "t_rang": [0, 3]},
+    "checks": ["algebra.hom-counts"]})
+_NO_CHECKS = _scenario_file({"checks": []})
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     scn = tmp_path / "s.json"
     scn.write_text(json.dumps({
@@ -105,25 +123,14 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     typo = tmp_path / "typo.json"
-    typo.write_text(json.dumps({
-        "schema": "latticehk-scenario/1",
-        "spacetime": {"kind": "cylinder", "circumference": 6,
-                      "window": [-14, 16]},
-        "universe": {"compactness": "rc", "t_rang": [0, 3]},
-        "checks": ["algebra.hom-counts"],
-    }))
+    typo.write_text(json.dumps(_UNIVERSE_TYPO))
     capsys.readouterr()
     assert main(["run", str(typo)]) == 2
     assert capsys.readouterr().err == \
         "configuration error: invalid scenario: 't_rang' is not one of " \
         f"{['compactness', *UNIVERSE_KEYS]} at universe\n"
     no_checks = tmp_path / "no_checks.json"
-    no_checks.write_text(json.dumps({
-        "schema": "latticehk-scenario/1",
-        "spacetime": {"kind": "cylinder", "circumference": 6,
-                      "window": [-14, 16]},
-        "checks": [],
-    }))
+    no_checks.write_text(json.dumps(_NO_CHECKS))
     assert main(["run", str(no_checks)]) == 2
     assert capsys.readouterr().err == \
         "configuration error: invalid scenario: [] should be non-empty " \
@@ -153,11 +160,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().out.count("] causality.") == records
 
 
-_CYLINDER = {"kind": "cylinder", "circumference": 6, "window": [-14, 16]}
 _ROWS = {"compactness": "rc", "t_range": [0, 1], "max_height": 1}
 
 
-@pytest.mark.parametrize("flags,scenario,message", [
+_MISCONFIGURED = [
     ([], {"checks": ["descent.kg-counit"],
           "options": {"descent.kg-counit": {"count": "x"}}},
      "invalid scenario: 'x' is not of type 'integer' at "
@@ -192,19 +198,181 @@ _ROWS = {"compactness": "rc", "t_range": [0, 1], "max_height": 1}
     (["--max-universe", "5"],
      {"universe": _ROWS, "checks": ["site.refinement-functors"]},
      "universe exceeds cap 5; tighten the config"),
-], ids=["option-value", "option-name", "window-number", "window-words",
-        "algebra-kind", "mass2", "plane-x-range", "covers-key",
-        "no-circumference", "t-range-type", "max-universe"])
+    # an integral float is no integer: range() would refuse it
+    ([], {"checks": ["causality.development-props"],
+          "options": {"causality.development-props": {"count": 2.0}}},
+     "invalid scenario: 2.0 is not of type 'integer' at "
+     "options/causality.development-props/count"),
+    ([], {"universe": {"t_range": [0, 1.0]},
+          "checks": ["causality.development-props"]},
+     "invalid scenario: 1.0 is not of type 'integer' at universe/t_range/1"),
+    ([], {"seed": 3.0, "checks": ["algebra.hom-counts"]},
+     "invalid scenario: 3.0 is not of type 'integer' at seed"),
+    # an override on a block that is not an object
+    (["--seed", "3"], [],
+     "invalid scenario: [] is not of type 'object' at "),
+    (["--window=-12..14"], {"spacetime": "cylinder",
+                            "checks": ["algebra.hom-counts"]},
+     "invalid scenario: 'cylinder' is not of type 'object' at spacetime"),
+]
+
+
+@pytest.mark.parametrize("flags,scenario,message", _MISCONFIGURED, ids=[
+    "option-value", "option-name", "window-number", "window-words",
+    "algebra-kind", "mass2", "plane-x-range", "covers-key",
+    "no-circumference", "t-range-type", "max-universe", "option-float",
+    "t-range-float", "seed-float", "seed-on-a-list", "window-on-a-string"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a
     traceback."""
     scn = tmp_path / "s.json"
-    scn.write_text(json.dumps({"schema": "latticehk-scenario/1",
-                               "spacetime": _CYLINDER, **scenario}))
+    scn.write_text(json.dumps(_scenario_file(scenario)))
     capsys.readouterr()
     assert main([*flags, "run", str(scn)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+# jsonschema is the oracle of validate_scenario, with one difference kept on
+# purpose: an integer is an int that is no bool, never an integral float
+_ORACLE_TYPE = validator_for(SCENARIO_SCHEMA)
+_ORACLE = validators.extend(
+    _ORACLE_TYPE, type_checker=_ORACLE_TYPE.TYPE_CHECKER.redefine(
+        "integer",
+        lambda _, x: isinstance(x, int) and not isinstance(x, bool)),
+)(SCENARIO_SCHEMA)
+
+
+def _agrees_with_the_oracle(config):
+    """validate_scenario reports the message and path of the error that
+    best_match picks, and passes what the oracle passes (up to the check
+    ids, which no schema lists)."""
+    e = best_match(_ORACLE.iter_errors(config))
+    try:
+        validate_scenario(config)
+    except ScenarioError as err:
+        got = str(err)
+    else:
+        got = None
+    if e is None:
+        assert got is None or got.startswith("unknown check id")
+    else:
+        assert got == (f"invalid scenario: {e.message} at "
+                       f"{'/'.join(str(p) for p in e.path)}")
+
+
+def test_validation_agrees_with_jsonschema_on_the_malformed_configs():
+    configs = [*_BAD_CONFIGS, _UNIVERSE_TYPO, _NO_CHECKS,
+               *(_scenario_file({"checks": ["algebra.hom-counts"], **block})
+                 for block in _TYPO_BLOCKS),
+               *(_scenario_file(case[1]) for case in _MISCONFIGURED)]
+    for config in configs:
+        _agrees_with_the_oracle(config)
+
+
+@pytest.mark.parametrize("config", [None, True, 0, 2.0, "x", [],
+                                    [DEMOS["kg-descent"]]])
+def test_validation_agrees_with_jsonschema_on_non_objects(config):
+    _agrees_with_the_oracle(config)
+
+
+def _schema_words(schema):
+    """Every property name, required name and enum or const value."""
+    for key, value in schema.items():
+        if key == "properties":
+            yield from value
+            for sub in value.values():
+                yield from _schema_words(sub)
+        elif key in ("required", "enum"):
+            yield from value
+        elif key == "const":
+            yield value
+        elif isinstance(value, dict):
+            yield from _schema_words(value)
+
+
+_WORDS = sorted(set(_schema_words(SCENARIO_SCHEMA)))
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40)
+           | st.integers(-3, 40).map(float) | st.floats(allow_nan=False)
+           | st.text(max_size=3) | st.sampled_from(_WORDS))
+_KEYS = st.sampled_from(_WORDS) | st.text(max_size=3)
+_VALUES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(_KEYS, kids, max_size=3), max_leaves=5)
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(child)
+
+
+@st.composite
+def _mutated_demos(draw):
+    """A demo with one to three keys replaced, deleted or added, each in
+    any object or array of it."""
+    config = json.loads(json.dumps(DEMOS[draw(st.sampled_from(
+        sorted(DEMOS)))]))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_containers(config))
+        node = nodes[draw(st.integers(0, len(nodes) - 1))]
+        keys = list(node) if isinstance(node, dict) else \
+            list(range(len(node)))
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(_KEYS)] = draw(_VALUES)
+            else:
+                node.append(draw(_VALUES))
+        elif op == "replace":
+            node[draw(st.sampled_from(keys))] = draw(_VALUES)
+        else:
+            del node[draw(st.sampled_from(keys))]
+    return config
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_demos())
+def test_validation_agrees_with_jsonschema_on_mutated_demos(config):
+    _agrees_with_the_oracle(config)
+
+
+def test_validation_prefers_the_error_that_misfits_its_type(monkeypatch):
+    """Of two errors at one path, best_match takes one whose instance fails
+    its schema's type (a key checked by propertyNames, whose schema names no
+    type) over an earlier one.  SCENARIO_SCHEMA has no such pair today."""
+    schema = {"type": "object", "required": ["a"],
+              "propertyNames": {"enum": ["b"]}}
+    expected = best_match(validator_for(schema)(schema).iter_errors({"c": 1}))
+    assert expected.message == "'c' is not one of ['b']"
+    monkeypatch.setattr(scenarios, "SCENARIO_SCHEMA", schema)
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario({"c": 1})
+    assert str(err.value) == f"invalid scenario: {expected.message} at "
+
+
+_SUPPORTED = {"type", "required", "properties", "const", "enum", "minimum",
+              "minItems", "maxItems", "items", "propertyNames",
+              "additionalProperties"}
+
+
+def test_scenario_schema_uses_only_the_supported_keywords():
+    """validate_scenario reads eleven keywords and compares const and enum
+    values with ==, so a new keyword or a non-string value would be
+    silently misread."""
+    def walk(schema):
+        assert set(schema) <= _SUPPORTED, set(schema) - _SUPPORTED
+        for key, value in schema.items():
+            if key == "properties":
+                for sub in value.values():
+                    walk(sub)
+            elif isinstance(value, dict):
+                walk(value)
+            elif key in ("const", "enum"):
+                assert all(isinstance(v, str)
+                           for v in ([value] if key == "const" else value))
+    walk(SCENARIO_SCHEMA)
 
 
 _PLANE = {"kind": "plane", "window": [-14, 16]}
@@ -249,9 +417,16 @@ def test_cli_zone_too_small_to_draw_from_exits_2(tmp_path, capsys,
 
 
 def test_cli_import_leaves_jsonschema_out():
-    """jsonschema is imported at the first validation, not with the CLI."""
+    """A process that imports the CLI, validates a demo and runs a scenario
+    never loads jsonschema."""
     src = Path(latticehk.__file__).resolve().parent.parent
-    code = ("import sys, latticehk.cli; "
+    code = ("import sys, latticehk.cli\n"
+            "from latticehk.scenarios import (DEMOS, run_scenario, "
+            "validate_scenario)\n"
+            "validate_scenario(DEMOS['kg-descent'])\n"
+            "run_scenario({'schema': 'latticehk-scenario/1', 'spacetime': "
+            "{'kind': 'plane', 'window': [0, 4]}, "
+            "'checks': ['algebra.hom-counts']})\n"
             "print('jsonschema' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True,
@@ -269,6 +444,18 @@ def test_cli_demo_and_overrides(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 11
     assert doc["config"]["spacetime"]["window"] == [-12, 14]
+
+
+def test_cli_window_with_a_space(tmp_path):
+    """``--window -12..14`` reads like ``--window=-12..14``."""
+    scn = tmp_path / "s.json"
+    scn.write_text(json.dumps(_scenario_file(
+        {"checks": ["algebra.hom-counts"]})))
+    out = tmp_path / "report.json"
+    assert main(["--window", "-12..14", "--report", str(out),
+                 "run", str(scn)]) == 0
+    assert json.loads(out.read_text())["config"]["spacetime"]["window"] \
+        == [-12, 14]
 
 
 def test_cli_list_checks(capsys):
