@@ -304,16 +304,6 @@ class TruncatedFreeAlgebra:
                     out[self.index[w]] += a * b
         return out
 
-    def gen(self, i):
-        v = self.zero()
-        v[self.index[(i,)]] = Q1
-        return v
-
-    def unit(self):
-        v = self.zero()
-        v[self.index[()]] = Q1
-        return v
-
     def element_of_relation(self, u, v, c):
         """u v - v u - c * 1 as a coordinate vector."""
         vu = self.vec_of_linear(u)

@@ -39,7 +39,7 @@ from .nets import (AqftError, build_indicator, count_nat_transforms,
 from .rational import (IntegerEchelon, Mat, is_exact_coequalizer,
                        primitive_integer)
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
-                    j_functor)
+                    j_functor, restrict_pieces)
 
 
 @dataclass
@@ -72,15 +72,6 @@ def make_digest(payload) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _piece_parts(cover: Cover, target_pts: frozenset):
-    parts = []
-    for p in cover.pieces:
-        inter = p.pts & target_pts
-        if inter:
-            parts.append(inter)
-    return parts
-
-
 def _counit_target(ctx: KgContext, cover: Cover, U: Region, localized: bool,
                    check_iso: bool = False):
     """The target T = U (plain) or T = D(U) (localized) of a counit check
@@ -107,7 +98,7 @@ def _counit_target(ctx: KgContext, cover: Cover, U: Region, localized: bool,
                                           "is not an isomorphism"}, None, None
     else:
         target_pts = U.points()
-    parts = _piece_parts(cover, target_pts)
+    parts = restrict_pieces(cover.pieces, target_pts)
     if not parts:
         return "skip", {**info, "reason": "no piece meets the region"}, \
             None, None
@@ -367,11 +358,3 @@ def prestack_failure_demo(site: SiteCategory, cover: Cover, predicate,
             "datum_trivial": not localA.support() and not localB.support(),
             "exhibits_failure": global_count != local_count}
 
-
-def finer_coarser_check(results: list[dict]) -> dict:
-    """No instance may pass a counit check on the finer cover and fail it on
-    the coarser one.  ``results`` rows carry fine/coarse verdicts."""
-    violations = [r for r in results
-                  if r["fine"] == "pass" and r["coarse"] == "fail"]
-    return {"instances": len(results), "violations": violations,
-            "ok": not violations}

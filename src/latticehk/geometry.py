@@ -719,16 +719,13 @@ class LatticeEmbedding:
                                     "preservation")
         else:
             raise GeometryError(f"no embeddings {s.kind} -> {t.kind}")
-        for p in self.source_points_probe():
+        # windows are computation horizons; only physical extents get checked
+        for p in s.extent or ():
             q = self.map_point(p)
             if not t.in_window(q):
                 raise GeometryError(f"image point {q} outside target window")
             if t.extent is not None and q not in t.extent:
                 raise GeometryError(f"image point {q} outside target extent")
-
-    def source_points_probe(self):
-        # windows are computation horizons; only physical extents get checked
-        return self.source.extent if self.source.extent is not None else ()
 
     def map_point(self, p: Point) -> Point:
         return self.target.norm_point((p[0] + self.dt, p[1] + self.dx))
@@ -793,29 +790,17 @@ def check_loc_morphism(f: LatticeEmbedding) -> bool:
     return is_causally_convex(f.target, img)
 
 
-def check_D_stable_image(f: LatticeEmbedding) -> bool:
-    return is_D_stable(f.target, f.image())
+def development_restriction(f: LatticeEmbedding, U: Region) -> tuple[
+        Optional[frozenset[Point]], Optional[frozenset[Point]]]:
+    """The two sides of f(D_src(U)) = D_tgt(f(U)) & f(source), as point
+    sets; ``None`` stands for the full region of an unbounded target."""
+    def pts(R: Region):
+        return None if R.is_full and R.ambient.extent is None else R.points()
 
-
-def verify_development_restriction(f: LatticeEmbedding, U: Region) -> bool:
-    """f(D_src(U)) = D_tgt(f(U)) & f(source)."""
-    DU = cauchy_development(f.source, U)
-    lhs = apply_embedding(f, DU)
-    DV = cauchy_development(f.target, apply_embedding(f, U))
-    img = f.image()
-    if DV.is_full:
-        rhs = img
-    elif img.is_full:
-        rhs = DV
-    else:
-        inter = DV.pts & img.pts
-        rhs = region_points(f.target, inter) if inter else None
-    if rhs is None:
-        return False
-    if lhs.is_full or rhs.is_full:
-        return lhs.points() == rhs.points() if (
-            lhs.ambient.extent or rhs.ambient.extent) else lhs.is_full == rhs.is_full
-    return lhs.pts == rhs.pts
+    lhs = pts(apply_embedding(f, cauchy_development(f.source, U)))
+    DV = pts(cauchy_development(f.target, apply_embedding(f, U)))
+    img = pts(f.image())
+    return lhs, img if DV is None else DV if img is None else DV & img
 
 
 def verify_development_confined(f: LatticeEmbedding, U: Region) -> bool:
@@ -823,7 +808,7 @@ def verify_development_confined(f: LatticeEmbedding, U: Region) -> bool:
     D_tgt(f(U)) stays inside f(source).  Closure is the identity here."""
     if not U.is_relatively_compact:
         raise GeometryError("U must be relatively compact")
-    if not check_D_stable_image(f):
+    if not is_D_stable(f.target, f.image()):
         raise GeometryError("embedding image is not D-stable")
     DV = cauchy_development(f.target, apply_embedding(f, U))
     img = f.image()

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import (LatticeSpacetime, Region, WindowTooSmallError)
+from .geometry import (LatticeSpacetime, Region, WindowTooSmallError,
+                       apply_embedding)
 from .rational import (Mat, Q0, Q1, QQ, QuotientSpace, induced_quotient_map)
 
 
@@ -232,7 +233,7 @@ class KgContext:
         """Extension-by-zero on classes; injective for causally convex
         nested regions.  Each point keeps its label, so each column is read
         off the target's reduced relations.  Cached by the two point sets;
-        a ``Mat`` has tuple rows, so a shared map cannot be changed."""
+        callers share the map and never change its column dicts."""
         src, dst = self.space(U), self.space(V)
         key = (src.pts, dst.pts)
         if key not in self._extensions:
@@ -308,7 +309,6 @@ class KgContext:
 def pushforward_matrix(ctx_src: KgContext, ctx_tgt: KgContext, f,
                        U: Region) -> Mat:
     """Generator-space identification along an embedding: relabel points."""
-    from .geometry import apply_embedding
     src = ctx_src.space(U)
     dst = ctx_tgt.space(apply_embedding(f, U))
     return induced_quotient_map(

@@ -15,10 +15,11 @@ from typing import Callable, Optional
 
 from .algebra import (INITIAL, Initial, QPower, ThinDiagram,
                       enumerate_homs, two_valued_colimit, weak_components)
-from .geometry import (LatticeEmbedding, Region, apply_embedding,
-                       contains_cauchy_surface_of, region_full, set_bits)
+from .geometry import (Region, contains_cauchy_surface_of, region_full,
+                       set_bits)
+from .kleingordon import TimesliceSkip
 from .rational import Mat, Q1
-from .sites import SiteCategory
+from .sites import SiteCategory, embedding_object_map
 
 
 class AqftError(Exception):
@@ -223,7 +224,6 @@ def build_kg_aqft(ctx, site: SiteCategory, check: bool = True) -> CcrAqft:
     flat-cut maps per flavor.  Commutativity on orthogonal pairs and the
     time-slice property on Cauchy pairs are verified at construction.
     """
-    from .kleingordon import TimesliceSkip
     if site.compactness == "copen" and site.M.extent is None:
         raise AqftError("field assignments need materializable regions; "
                         "use an rc site or a bounded spacetime")
@@ -323,11 +323,10 @@ class PointFamily:
     compositions: tuple = ()
 
 
-def _object_image(f: LatticeEmbedding, src_site, tgt_site, k):
-    img = apply_embedding(f, src_site.region_of(k))
-    if img not in tgt_site.index:
-        raise AqftError("universe extension request: image region missing")
-    return tgt_site.index[img]
+def _object_maps(P: PointFamily) -> dict:
+    """Each arrow's embedding on the object keys of its members' sites."""
+    return {label: embedding_object_map(f, P.members[s][0], P.members[t][0])
+            for label, (s, t, f, _) in P.arrows.items()}
 
 
 def verify_point(P: PointFamily) -> dict:
@@ -339,17 +338,18 @@ def verify_point(P: PointFamily) -> dict:
     Returns a dict of named boolean verdicts.
     """
     out = {"natural_iso": True, "composition": True, "identity": True}
-    for label, (sname, tname, f, alpha) in P.arrows.items():
+    omaps = _object_maps(P)
+    for label, (sname, tname, _, alpha) in P.arrows.items():
         ssite, sA = P.members[sname]
-        tsite, tA = P.members[tname]
+        tA = P.members[tname][1]
+        omap = omaps[label]
         for a in ssite.object_keys():
-            _object_image(f, ssite, tsite, a)  # refuses a missing image
             comp = alpha.get(a)
             if comp is None or not comp.is_iso():
                 out["natural_iso"] = False
         for (a, b) in sA.transitions:
-            fa = _object_image(f, ssite, tsite, a)
-            fb = _object_image(f, ssite, tsite, b)
+            fa = omap[a]
+            fb = omap[b]
             if (fa, fb) not in tA.transitions:
                 continue
             lhs = alpha[b] @ sA.transitions[(a, b)]
@@ -357,16 +357,13 @@ def verify_point(P: PointFamily) -> dict:
             if lhs != rhs:
                 out["natural_iso"] = False
     for (lf, lg, lgf) in P.compositions:
-        sf, tf, f, alpha_f = P.arrows[lf]
-        sg, tg, g, alpha_g = P.arrows[lg]
-        sgf, tgf, gf, alpha_gf = P.arrows[lgf]
+        sf, tf, _, alpha_f = P.arrows[lf]
+        sg, tg, _, alpha_g = P.arrows[lg]
+        sgf, tgf, _, alpha_gf = P.arrows[lgf]
         if sf != sgf or tg != tgf or tf != sg:
             raise AqftError("ill-typed composition triple")
-        ssite = P.members[sf][0]
-        msite = P.members[tf][0]
         if alpha_f and alpha_g and alpha_gf:
-            for a in ssite.object_keys():
-                fa = _object_image(f, ssite, msite, a)
+            for a, fa in omaps[lf].items():
                 lhs = alpha_g[fa] @ alpha_f[a]
                 if lhs != alpha_gf[a]:
                     out["composition"] = False
@@ -391,8 +388,9 @@ def reconstruct_global(P: PointFamily) -> dict:
             raise AqftError(f"member {name} has no full object")
         full[name] = key
     maps = {}
-    for label, (sname, tname, f, alpha) in P.arrows.items():
-        (ssite, _), (tsite, tA) = P.members[sname], P.members[tname]
-        img = _object_image(f, ssite, tsite, full[sname])
+    omaps = _object_maps(P)
+    for label, (sname, tname, _, alpha) in P.arrows.items():
+        img = omaps[label][full[sname]]
+        tA = P.members[tname][1]
         maps[label] = tA.transitions[(img, full[tname])] @ alpha[full[sname]]
     return maps

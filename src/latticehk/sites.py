@@ -15,10 +15,11 @@ Relations are bitset rows: bit ``j`` of row ``i`` relates object ``i`` to
 object ``j``.  A site indexes the points of its objects once; the hom rows
 are ANDs of per-point column masks (the objects, or the developments, that
 hold each point), and the disjoint rows are one AND per pair of flattened
-causal-cone rows; the same cone rows decide causal convexity.  Functor properties pull target rows back along the
-object map and compare whole ints.  The frozenset rules above (``contains``
-on regions and developments, ``are_causally_disjoint``) stay the definition
-and are the test oracle for the rows.
+causal-cone rows; the same cone rows decide causal convexity.  Functor
+properties pull target rows back along the object map and compare whole
+ints.  The frozenset rules above (``contains`` on regions and developments,
+``are_causally_disjoint``) stay the definition and are the test oracle for
+the rows.
 """
 
 from __future__ import annotations
@@ -605,25 +606,32 @@ def check_localization_functor(plain_site: SiteCategory) -> bool:
                for b in set_bits(plain_site.cauchy[a]))
 
 
+def embedding_object_map(f: LatticeEmbedding, src_site: SiteCategory,
+                         tgt_site: SiteCategory) -> dict[int, int]:
+    """An embedding's action on objects, U |-> f(U), as source key |->
+    target key; every image must be materialized in the target universe."""
+    omap = {}
+    missing = 0
+    for k in src_site.object_keys():
+        img = tgt_site.index.get(apply_embedding(f, src_site.objects[k]))
+        if img is None:
+            missing += 1
+        else:
+            omap[k] = img
+    if missing:
+        raise SiteError(f"universe extension request: {missing} images "
+                        "missing from the target universe")
+    return omap
+
+
 def embedding_site_functor(f: LatticeEmbedding, src_site: SiteCategory,
                            tgt_site: SiteCategory) -> SiteFunctor:
-    """The functor induced by an embedding, U |-> f(U); every image must be
-    materialized in the target universe."""
+    """The functor induced by an embedding between sites of one flavor."""
     if src_site.localized != tgt_site.localized or \
             src_site.compactness != tgt_site.compactness:
         raise SiteError("flavor mismatch between embedding sites")
-    omap = {}
-    missing = []
-    for k in src_site.object_keys():
-        img = apply_embedding(f, src_site.objects[k])
-        if img in tgt_site.index:
-            omap[k] = tgt_site.index[img]
-        else:
-            missing.append(img)
-    if missing:
-        raise SiteError(f"universe extension request: {len(missing)} images "
-                        "missing from the target universe")
-    return SiteFunctor(src_site, tgt_site, omap)
+    return SiteFunctor(src_site, tgt_site,
+                       embedding_object_map(f, src_site, tgt_site))
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +655,11 @@ def refinement_functor(site: SiteCategory, fine: Cover, coarse: Cover,
     return SiteFunctor(cc_fine, cc_coarse, omap)
 
 
-def _cover_restriction(pieces: Iterable[Region], X: Region):
-    out = set()
-    for p in pieces:
-        inter = p.pts & X.points()
-        if inter:
-            out.add(inter)
-    return out
+def restrict_pieces(pieces: Iterable[Region],
+                    pts: frozenset[Point]) -> list[frozenset[Point]]:
+    """The nonempty intersections of the pieces with ``pts``, in piece
+    order."""
+    return [inter for p in pieces if (inter := p.pts & pts)]
 
 
 def extend_cover(f: LatticeEmbedding, cov: Cover, U: Region, zone: Region,
@@ -696,11 +702,9 @@ def extend_cover(f: LatticeEmbedding, cov: Cover, U: Region, zone: Region,
     out = Cover(region_full(N), tuple(pushed + filler),
                 zone=region_points(N, zone.points() | protected.points()))
     # restriction property, re-verified before returning
-    back = [preimage_region(f, p) for p in out.pieces]
-    back_restr = _cover_restriction([b for b in back if b is not None],
-                                    restrict_to)
-    orig_restr = _cover_restriction(cov.pieces, restrict_to)
-    if back_restr != orig_restr:
+    back = [b for p in out.pieces if (b := preimage_region(f, p))]
+    X = restrict_to.points()
+    if set(restrict_pieces(back, X)) != set(restrict_pieces(cov.pieces, X)):
         raise SiteError("restriction property violated by extend_cover "
                         "(construction bug)")
     if mode == "D_stable" and not out.is_D_stable():

@@ -118,7 +118,7 @@ PINNED_RECORDS = {
     ("cyl_ctx", "net.indicator-time-slice"):
         "6c2f6eeb65bbd253999e7051c7fa1e06f700de817edfe2aea6847dec52f87240",
     ("plane_ctx", "net.indicator-time-slice"):
-        "4ec8f75f64bfb2b93b6ffd8b94ef35e39939e03e2cfccb35bb768e4caa819e23",
+        "2f3372ade3cca1426881d44c6a78ef414a6b42722fe7b04e476a42abe218b440",
     ("cyl_ctx", "net.nat-transform-counts"):
         "69fce9be938c8d0af30a3b943e35abefafb3528a3c8b0c50e2d778aaceaa5e65",
     ("plane_ctx", "net.nat-transform-counts"):
@@ -211,6 +211,38 @@ def test_zero_instances_skip(ctx_name, universe, cid, opts, request):
     assert recs
     for rec in recs:
         assert rec.verdict == "skip" and rec.witness["reason"], rec.id
+
+
+def test_indicator_time_slice_skips_without_cauchy_pairs(plane_ctx):
+    """No object of the plane universe has a Cauchy partner besides itself;
+    an unknown algebra literal is refused before the check skips."""
+    rec, = run_check("net.indicator-time-slice", plane_ctx)
+    assert (rec.verdict, rec.witness) == \
+        ("skip", {"reason": "no Cauchy pair in the universe",
+                  "cauchy_pairs": 0})
+    ctx = RunContext(M=plane_ctx.M, universe_cfg=plane_ctx.universe_cfg,
+                     aqft_cfg={"algebra": {"kind": "matrix"}})
+    with pytest.raises(AqftError, match="unknown algebra literal"):
+        run_check("net.indicator-time-slice", ctx)
+
+
+@pytest.mark.parametrize("ctx_name,t_range,opts,divergent", [
+    ("plane_ctx", None, {"hulls": 5, "brute": 0}, 2),
+    # one cylinder row: every development equals its double complement
+    ("cyl_ctx", [0, 0], {}, 0),
+])
+def test_divergence_check_skips_when_it_checks_none(ctx_name, t_range, opts,
+                                                    divergent, request):
+    base = request.getfixturevalue(ctx_name)
+    ctx = base if t_range is None else RunContext(
+        M=base.M, seed=base.seed,
+        universe_cfg={**base.universe_cfg, "t_range": t_range})
+    rec, = [r for r in run_check("causality.development-vs-double-complement",
+                                 ctx, opts)
+            if r.id == "causality.divergence-brute-confirmed"]
+    assert (rec.verdict, rec.witness) == \
+        ("skip", {"reason": "no divergent instance brute-checked",
+                  "divergent": divergent, "brute_checked": 0})
 
 
 def test_embedding_functors_pass_below_ten_embeddings(cyl_ctx):

@@ -8,18 +8,16 @@ from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 LatticeSpacetime, Region, _Grid,
                                 WindowTooSmallError, apply_embedding,
                                 are_causally_disjoint, bounded_spacetime,
-                                cauchy_development, check_D_stable_image,
-                                check_loc_morphism, cone,
+                                cauchy_development, check_loc_morphism, cone,
                                 contains_cauchy_surface_of,
-                                double_complement,
+                                development_restriction, double_complement,
                                 find_D_stable_neighborhood, hull,
                                 is_causally_convex, is_cauchy_morphism,
                                 is_D_stable, preimage_region,
                                 region_development, region_diamond,
                                 region_full, region_points, region_slab,
                                 region_strict_diamond, stabilization_check,
-                                verify_development_confined,
-                                verify_development_restriction)
+                                verify_development_confined)
 
 
 def test_cone_plane_lightcone(plane):
@@ -282,9 +280,10 @@ def test_find_d_stable_neighborhood_sweep(plane):
 def test_embeddings_translation(cyl):
     f = LatticeEmbedding(cyl, cyl, 1, 2)
     assert check_loc_morphism(f)
-    assert check_D_stable_image(f)
+    assert is_D_stable(cyl, f.image())
     U = region_diamond(cyl, (0, 0), (3, 1))
-    assert verify_development_restriction(f, U)
+    lhs, rhs = development_restriction(f, U)
+    assert lhs == rhs == cauchy_development(cyl, apply_embedding(f, U)).pts
     assert verify_development_confined(f, U)
     pre = preimage_region(f, apply_embedding(f, U))
     assert pre.pts == U.pts
@@ -301,7 +300,9 @@ def test_embeddings_bounded(plane):
     # ambient development restricted to the image stays below the intrinsic
     DU = cauchy_development(sub, U)
     DV = cauchy_development(plane, apply_embedding(f, U))
-    assert DV.pts & img.pts <= apply_embedding(f, DU).pts
+    lhs, rhs = development_restriction(f, U)
+    assert (lhs, rhs) == (apply_embedding(f, DU).pts, DV.pts & img.pts)
+    assert rhs <= lhs
     assert verify_development_confined(f, U)
 
 

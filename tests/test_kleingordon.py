@@ -291,6 +291,21 @@ def test_time_slice_check_needs_two_row_slabs(cyl_ctx, cyl):
     assert rec.verdict == "pass" and rec.witness["cauchy_pairs"] == 31
 
 
+def test_time_slice_check_lets_a_bug_propagate(cyl, cyl_ctx, monkeypatch):
+    """Only the flat-cut construction's own refusals count as a bad cut; any
+    other exception is a bug and leaves the check."""
+    def broken(self, U, V):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(KgContext, "timeslice_map", broken)
+    ctx = RunContext(M=cyl, seed=7,
+                     universe_cfg={**cyl_ctx.universe_cfg,
+                                   "min_slab_height": 2},
+                     aqft_cfg=cyl_ctx.aqft_cfg)
+    with pytest.raises(RuntimeError, match="not a refusal"):
+        check_kg_time_slice(ctx, {})
+
+
 def test_time_slice_check_skips_without_cauchy_pairs(plane_ctx):
     rec = check_kg_time_slice(plane_ctx, {})[0]
     assert rec.verdict == "skip" and rec.witness["cauchy_pairs"] == 0

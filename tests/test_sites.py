@@ -1,9 +1,12 @@
+import re
+
 import pytest
 
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
                                 cauchy_development, hull, is_D_stable,
                                 region_diamond, region_full, region_points,
                                 region_slab)
+from latticehk.nets import PointFamily, verify_point
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              check_cover_intersections,
                              check_localization_functor,
@@ -206,8 +209,15 @@ def test_embedding_site_functor_missing_images(cyl):
     s01 = region_slab(cyl, 0, 1)
     site = SiteCategory(cyl, [s01], "rc", localized=False)
     f = LatticeEmbedding(cyl, cyl, 5, 0)
-    with pytest.raises(SiteError):
+    line = re.escape("universe extension request: 1 images missing from "
+                     "the target universe")
+    with pytest.raises(SiteError, match=line):
         embedding_site_functor(f, site, site)
+    # a natural family's arrow maps its objects the same way
+    family = PointFamily(members={"M": (site, None)},
+                         arrows={"f": ("M", "M", f, {})})
+    with pytest.raises(SiteError, match=line):
+        verify_point(family)
 
 
 def test_extend_cover_restriction_property(cyl):

@@ -1,15 +1,18 @@
 """The library keeps only what the program reaches.
 
 Every top-level function and class of ``src/latticehk``, and every method
-of those classes, must be named somewhere in ``src/latticehk`` or
-``perfbench`` besides its own definition; ``__init__.py`` re-exports do not
-count.  A helper that only a test calls belongs in that test.  Dunders and
-the ``@register`` check runners, which the registry calls by id, are exempt.
+of those classes, must be referenced somewhere in ``src/latticehk`` or
+``perfbench``; ``__init__.py`` re-exports do not count.  A helper that only
+a test calls belongs in that test.  References are read off the syntax
+tree, so a docstring, a comment or a local variable of the same name does
+not count: a function or class is referenced by a loaded name, an attribute
+or an imported name, a method by an attribute, and both by the dotted
+paths of ``perfbench/spans.py``'s ``TRACED``, which the tracer looks up.
+Dunders and the ``@register`` check runners, which the registry calls by
+id, are exempt.
 """
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,39 +25,63 @@ def _is_runner(node) -> bool:
 
 
 def _definitions(tree):
-    """(qualified name, node) of each top-level function and class and
-    of each method of a top-level class."""
+    """(qualified name, node, is a method) of each top-level function and
+    class and of each method of a top-level class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, defs):
             continue
-        yield node.name, node
+        yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, defs):
-                    yield f"{node.name}.{sub.name}", sub
+                    yield f"{node.name}.{sub.name}", sub, True
+
+
+def _traced_names(tree) -> set:
+    """Every component of the attribute paths in ``TRACED``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            for entry in node.value.elts:
+                out.update(entry.elts[2].value.split("."))
+    return out
+
+
+def _references(trees):
+    """(names, attributes) referenced in ``trees``: loaded names and
+    imported names, and attribute names."""
+    names, attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def _unused():
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
-    named = Counter()
-    for p in modules + sorted((ROOT / "perfbench").glob("*.py")):
-        named.update(re.findall(r"\w+", p.read_text()))
     trees = {p.name: ast.parse(p.read_text()) for p in modules}
-    # a name defined n times is named n times by its own definitions
-    defined = Counter(n.name for tree in trees.values()
-                      for n in ast.walk(tree)
-                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                        ast.ClassDef)))
+    bench = [ast.parse(p.read_text())
+             for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    names, attrs = _references([*trees.values(), *bench])
+    traced = set().union(*map(_traced_names, bench))
     out = []
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree):
+        for qualname, node, method in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__") or \
                     _is_runner(node):
                 continue
-            if named[name] <= defined[name]:
+            used = attrs | traced if method else names | attrs | traced
+            if name not in used:
                 out.append(f"{module}:{node.lineno} {qualname}")
     return out
 
