@@ -9,9 +9,12 @@ Sets of points are handled internally as per-row bitmasks so that cones,
 Cauchy developments and causal complements reduce to a handful of integer
 operations per row.  The public API deals in :class:`Region` values.
 
-Every window-sensitive operation is recomputed on an enlarged window and must
-return an identical result before it is reported ("stabilization"); a result
-that keeps changing indicates that the materialization window is too small.
+A development, double complement or Cauchy-surface test is decided on a band
+of rows around its region that provably holds the answer, and a result that
+leaves the materialization window raises :class:`WindowTooSmallError`.
+:func:`stabilization_check` recomputes a window-sensitive operation on
+enlarged windows; a result that keeps changing indicates that the window is
+too small.
 """
 
 from __future__ import annotations
@@ -426,6 +429,12 @@ def _margin_for(M: LatticeSpacetime, pts: frozenset[Point]) -> int:
     return span + sdiam + 2
 
 
+def _band(pts: frozenset[Point], pad: int) -> tuple[int, int]:
+    """The rows of ``pts``, widened by ``pad`` on both sides."""
+    ts = [t for (t, _) in pts]
+    return min(ts) - pad, max(ts) + pad
+
+
 def _blocks_every_path(g: _Grid, up: list[int], tmin: int) -> bool:
     """True iff every inextendible causal path meets the blocker whose
     upward escapes are ``up``: no site of the row below it escapes."""
@@ -433,17 +442,6 @@ def _blocks_every_path(g: _Grid, up: list[int], tmin: int) -> bool:
     if r < 0:
         raise ModelError("grid does not pad below the blocker")
     return up[r] == 0
-
-
-def _doubling_probe(M: LatticeSpacetime, pts: frozenset[Point], run,
-                    unstable: str):
-    """``run(0)``, verified equal to ``run(m)`` for the window margin ``m``
-    of ``pts``; ``unstable`` is the error text when they differ."""
-    m = _margin_for(M, pts)
-    r0 = run(0)
-    if r0 != run(m):
-        raise WindowTooSmallError(unstable)
-    return r0
 
 
 def _windowed(M: LatticeSpacetime, result, exceeds: str) -> Region:
@@ -489,15 +487,10 @@ def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
     if pts in memo:
         dev = memo[pts]
         return region_full(M) if dev is None else Region(M, "points", dev)
-    t_lo, t_hi = M.window
-
-    def run(extra):
-        # one extra row so the blocked probe below U's band is in range
-        return _development_raw(M, pts, t_lo - extra - 1, t_hi + extra + 1)
-
-    D = _windowed(M, _doubling_probe(
-        M, pts, run, "cauchy_development unstable under window doubling; "
-        f"enlarge the window {M.window}"), "development exceeds")
+    # the band holds D(U) and the row below U, so its result is exact
+    # (docs/decisions.md, "Each probe sweeps its own band")
+    dev = _development_raw(M, pts, *_band(pts, _margin_for(M, pts) + 1))
+    D = _windowed(M, dev, "development exceeds")
     # a D-stable result keeps the key itself rather than a second copy
     memo[pts] = None if D.is_full else pts if D.pts == pts else D.pts
     return D
@@ -558,14 +551,10 @@ def double_complement(M: LatticeSpacetime, U: Region) -> Region:
         raise GeometryError("double_complement is defined on unbounded "
                             "spacetimes; bounded models use developments")
     pts = U.pts
-    t_lo, t_hi = M.window
-
-    def run(extra):
-        return _double_complement_raw(M, pts, t_lo - extra, t_hi + extra)
-
-    return _windowed(M, _doubling_probe(
-        M, pts, run, "double_complement unstable under window doubling; "
-        f"enlarge the window {M.window}"), "double complement exceeds")
+    # the band holds U'' and a complement point in the cone of each other
+    # point, so its result is exact (docs/decisions.md, as above)
+    dc = _double_complement_raw(M, pts, *_band(pts, _margin_for(M, pts)))
+    return _windowed(M, dc, "double complement exceeds")
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +584,12 @@ def contains_cauchy_surface_of(M: LatticeSpacetime, U: Region,
     if U.is_full:
         return True
     if V.is_full and V.ambient.extent is None and M.extent is None:
-        # finite path segments spanning U's time band decide the full case
+        # the rows above U are full, so U's rows +-1 decide the full case
         pts = U.pts
-        t_lo, t_hi = M.window
-
-        def run(extra):
-            g = _Grid(M, t_lo - extra - 1, t_hi + extra + 1, pts)
-            return _blocks_every_path(g, g.escapes(g.mask_rows(pts), True),
-                                      min(t for (t, _) in pts))
-
-        return _doubling_probe(M, pts, run, "contains_cauchy_surface_of "
-                               "unstable under window doubling")
+        lo, hi = _band(pts, 1)
+        g = _Grid(M, lo, hi, pts)
+        return _blocks_every_path(g, g.escapes(g.mask_rows(pts), True),
+                                  lo + 1)
     dev = region_development(M, U, V)
     return dev.pts == V.points()
 

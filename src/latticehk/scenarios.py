@@ -39,23 +39,30 @@ SCENARIO_SCHEMA = {
             },
         },
         # propertyNames, not additionalProperties: one enum names every
-        # allowed key, with no sub-schema per key
+        # allowed key, and properties types those that need a type
         "universe": {"type": "object",
                      "propertyNames": {"enum": ["compactness",
                                                 *UNIVERSE_KEYS]},
-                     "properties": {"t_range": _PAIR, "x_range": _PAIR}},
+                     "properties": {
+                         "compactness": {"enum": ["rc", "copen"]},
+                         "t_range": _PAIR, "x_range": _PAIR,
+                         "max_height": {"type": "integer", "minimum": 0},
+                         "min_slab_height": {"type": "integer",
+                                             "minimum": 1},
+                         "cap": {"type": "integer", "minimum": 0}}},
         "aqft": {"type": "object",
                  "propertyNames": {"enum": ["family", "mass2", "predicate",
                                             "algebra"]}},
         "checks": {"type": "array", "items": {"type": "string"},
                    "minItems": 1},
-        # check id -> {option name: integer}, over the names it reads
+        # check id -> {option name: count >= 0}, over the names it reads
         "options": {"type": "object",
                     "propertyNames": {"enum": sorted(REGISTRY)},
                     "properties": {
                         cid: {"type": "object",
                               "propertyNames": {"enum": list(names)},
-                              "additionalProperties": {"type": "integer"}}
+                              "additionalProperties": {"type": "integer",
+                                                       "minimum": 0}}
                         for cid, names in OPTIONS.items()}},
         "expect": {"type": "object"},
     },

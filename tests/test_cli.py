@@ -214,6 +214,29 @@ _MISCONFIGURED = [
     (["--window=-12..14"], {"spacetime": "cylinder",
                             "checks": ["algebra.hom-counts"]},
      "invalid scenario: 'cylinder' is not of type 'object' at spacetime"),
+    # a negative count would slice from the end or skip the check
+    ([], {"checks": ["causality.development-vs-double-complement"],
+          "options": {"causality.development-vs-double-complement":
+                      {"hulls": 5, "brute": -1}}},
+     "invalid scenario: -1 is less than the minimum of 0 at "
+     "options/causality.development-vs-double-complement/brute"),
+    ([], {"checks": ["causality.development-props"],
+          "options": {"causality.development-props": {"count": -3}}},
+     "invalid scenario: -3 is less than the minimum of 0 at "
+     "options/causality.development-props/count"),
+    # the universe keys of the counterexamples demo, each mistyped or out
+    # of range: a negative height or cap would empty the universe quietly
+    *(([], {**DEMOS["counterexamples"],
+            "universe": {**DEMOS["counterexamples"]["universe"], key: value}},
+       f"invalid scenario: {message} at universe/{key}")
+      for key, value, message in [
+          ("max_height", "x", "'x' is not of type 'integer'"),
+          ("min_slab_height", 1.5, "1.5 is not of type 'integer'"),
+          ("cap", None, "None is not of type 'integer'"),
+          ("compactness", "open", "'open' is not one of ['rc', 'copen']"),
+          ("max_height", -1, "-1 is less than the minimum of 0"),
+          ("min_slab_height", 0, "0 is less than the minimum of 1"),
+          ("cap", -1, "-1 is less than the minimum of 0")]),
 ]
 
 
@@ -221,7 +244,10 @@ _MISCONFIGURED = [
     "option-value", "option-name", "window-number", "window-words",
     "algebra-kind", "mass2", "plane-x-range", "covers-key",
     "no-circumference", "t-range-type", "max-universe", "option-float",
-    "t-range-float", "seed-float", "seed-on-a-list", "window-on-a-string"])
+    "t-range-float", "seed-float", "seed-on-a-list", "window-on-a-string",
+    "negative-brute", "negative-count", "max-height-type",
+    "min-slab-height-type", "cap-type", "compactness-enum",
+    "negative-max-height", "zero-min-slab-height", "negative-cap"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from latticehk.checks import _brute_confirms
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 LatticeSpacetime, Region, _Grid,
-                                WindowTooSmallError, apply_embedding,
+                                WindowTooSmallError, _blocks_every_path,
+                                _development_raw, _double_complement_raw,
+                                _margin_for, _windowed, apply_embedding,
                                 are_causally_disjoint, bounded_spacetime,
                                 cauchy_development, check_loc_morphism, cone,
                                 contains_cauchy_surface_of,
@@ -489,3 +491,104 @@ def test_development_memo_keeps_failures_and_identity():
     assert M1 == M2 and hash(M1) == hash(M2)
     assert not M1.with_window(-14, 16)._developments
     assert not M1.enlarged(2)._developments
+
+
+# -- each probe's band against the whole-window doubling probe ----------------
+
+
+def _doubling(M, pts, run, unstable):
+    """``run(0)``, checked against ``run(margin)``: the probe that every
+    development and double complement ran on the whole window before."""
+    r0 = run(0)
+    if r0 != run(_margin_for(M, pts)):
+        raise WindowTooSmallError(unstable)
+    return r0
+
+
+def _window_development(M, U):
+    t_lo, t_hi = M.window
+    return _windowed(M, _doubling(
+        M, U.pts, lambda e: _development_raw(M, U.pts, t_lo - e - 1,
+                                             t_hi + e + 1),
+        "cauchy_development unstable"), "development exceeds")
+
+
+def _window_double_complement(M, U):
+    t_lo, t_hi = M.window
+    return _windowed(M, _doubling(
+        M, U.pts, lambda e: _double_complement_raw(M, U.pts, t_lo - e,
+                                                   t_hi + e),
+        "double_complement unstable"), "double complement exceeds")
+
+
+def _window_cauchy_surface(M, U):
+    t_lo, t_hi = M.window
+
+    def run(e):
+        g = _Grid(M, t_lo - e - 1, t_hi + e + 1, U.pts)
+        return _blocks_every_path(g, g.escapes(g.mask_rows(U.pts), True),
+                                  min(t for (t, _) in U.pts))
+
+    return _doubling(M, U.pts, run, "contains_cauchy_surface_of unstable")
+
+
+def _outcome(op, M, U):
+    """The result of ``op(M, U)``, or its error."""
+    try:
+        return op(M, U)
+    except GeometryError as e:
+        return e
+
+
+def _band_cases(rng):
+    """Seeded regions on planes and cylinders of circumference 2-8: hulls,
+    raw point sets, regions on the window's edge rows and whole rows, in
+    wide windows and in windows a few rows tall."""
+    for c in (None, 2, 3, 4, 5, 6, 7, 8):
+        for _ in range(40):
+            lo = rng.choice([-14, rng.randint(-4, 2)])
+            hi = 16 if lo == -14 else lo + rng.randint(0, 10)
+            M = LatticeSpacetime("plane", (lo, hi)) if c is None else \
+                LatticeSpacetime("cylinder", (lo, hi), c)
+            rows = range(max(lo, -2), min(hi, 6) + 1) or [lo]
+            shape = rng.choice(["hull", "points", "edge", "row"])
+            if shape == "edge":
+                rows = [rng.choice([lo, hi])]
+            pts = [(rng.choice(rows), rng.randint(-3, 3))
+                   for _ in range(rng.randint(1, 4))]
+            if shape == "row":
+                t = rng.choice(rows)
+                pts += [(t, x) for x in range(rng.randint(2, 8))]
+            U = region_points(M, pts)
+            yield M, (hull(M, U) if shape in ("hull", "edge") else U).pts
+
+
+def test_band_results_match_the_whole_window_probe(cyl, plane):
+    """Every development, double complement and Cauchy-surface test gives
+    the whole-window probe's result, or an error of the same type."""
+    ops = [(cauchy_development, _window_development),
+           (double_complement, _window_double_complement),
+           (lambda M, U: contains_cauchy_surface_of(M, U, region_full(M)),
+            _window_cauchy_surface)]
+    wide = [(t, x) for t in (0, 1) for x in range(3)]
+    cases = [*_band_cases(random.Random("band-oracle")),
+             (cyl.with_window(0, 1), wide), (plane.with_window(0, 1), wide)]
+    expected = []
+    for M, pts in cases:
+        for op, oracle in ops:
+            # a fresh spacetime each time, so no memo answers for the band
+            fresh = M.with_window(*M.window)
+            U = region_points(fresh, pts)
+            got, want = _outcome(op, fresh, U), _outcome(oracle, fresh, U)
+            if isinstance(want, GeometryError):
+                assert type(got) is type(want), (M, sorted(U.pts), got)
+            else:
+                assert got == want, (M, sorted(U.pts))
+            expected.append(want)
+    # the cases reach every error of the probe and both kinds of result
+    errors = [str(e) for e in expected if isinstance(e, GeometryError)]
+    for start in ("cauchy_development unstable", "development exceeds",
+                  "double_complement unstable", "double_complement expects"):
+        assert any(e.startswith(start) for e in errors), start
+    regions = [R for R in expected if isinstance(R, Region)]
+    assert {R.is_full for R in regions} == {True, False}
