@@ -41,11 +41,12 @@ from .nets import (AqftError, build_indicator, build_kg_aqft,
                    verify_point, reconstruct_global)
 from .rational import Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
-                    check_cover_intersections, check_localization_functor,
+                    SiteFunctor, check_cover_intersections,
+                    check_localization_functor,
                     close_universe_for_localization,
                     compare_localization_models, embedding_site_functor,
-                    enumerate_universe, j_functor, refinement_functor,
-                    extend_cover, base_points)
+                    enumerate_universe, image_object_map, j_functor,
+                    refinement_functor, extend_cover, base_points)
 
 
 # the enumerate_universe keywords a scenario's "universe" block may set,
@@ -160,6 +161,16 @@ class RunContext:
             site = self.sites[key] = SiteCategory(M, key[2], compactness,
                                                   localized)
         return site.relocalized(localized)
+
+    def embedded(self, f: LatticeEmbedding, site: SiteCategory
+                 ) -> SiteFunctor:
+        """The functor ``f`` induces from ``site`` into the site over the
+        images of its objects, of the same flavor.  Each object is moved
+        once: the target and the object map read one list of images."""
+        images = [apply_embedding(f, U) for U in site.objects]
+        target = self.site_over(images, site.compactness, site.localized,
+                                M=f.target)
+        return SiteFunctor(site, target, image_object_map(images, target))
 
     def kg(self, M: Optional[LatticeSpacetime] = None) -> KgContext:
         """The Klein-Gordon context over ``M`` (the scenario's spacetime by
@@ -338,12 +349,12 @@ def _brute_causal(M, p, q) -> bool:
 
 
 def _brute_double_complement(M, upts: frozenset, box, points) -> frozenset:
-    """The ``points`` that lie in U'' within ``box``: every q of the box
-    causally related to p is causally related to some point of U."""
-    related = {q for q in box if any(_brute_causal(M, q, u) for u in upts)}
+    """The ``points`` that lie in U'' within ``box``: no q of the box
+    causally related to p is causally related to no point of U."""
+    unrelated = [q for q in box
+                 if not any(_brute_causal(M, q, u) for u in upts)]
     return frozenset(p for p in points
-                     if all(q in related for q in box
-                            if _brute_causal(M, p, q)))
+                     if not any(_brute_causal(M, p, q) for q in unrelated))
 
 
 def _brute_escapes(M, upts: frozenset, t_lo: int, t_hi: int, p, up: bool,
@@ -777,15 +788,11 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
     bad, total = 0, 0
-    # every translation maps ctx.M to itself
-    src_uni = ctx.universe("rc")
+    src_site = ctx.site("rc", localized=True)
     for f in _translation_embeddings(ctx, opts.get("count", 12)):
         if not check_loc_morphism(f):
             continue
-        imgs = [apply_embedding(f, U) for U in src_uni]
-        src_site = ctx.site_over(src_uni, "rc", localized=True)
-        tgt_site = ctx.site_over(imgs, "rc", localized=True, M=f.target)
-        F = embedding_site_functor(f, src_site, tgt_site)
+        F = ctx.embedded(f, src_site)
         total += 1
         if not (F.fully_faithful() and F.preserves_orthogonality()
                 and F.reflects_orthogonality()):
@@ -1166,10 +1173,10 @@ def check_pullback_functorial(ctx: RunContext, opts):
     g = LatticeEmbedding(M, M, 1, -1)
     gf = LatticeEmbedding(M, M, 2, 0)
     s0 = ctx.site("copen")
-    s1 = ctx.site_over([apply_embedding(f, U) for U in s0.objects], "copen")
-    s2 = ctx.site_over([apply_embedding(g, U) for U in s1.objects], "copen")
-    Ff = embedding_site_functor(f, s0, s1)
-    Fg = embedding_site_functor(g, s1, s2)
+    Ff = ctx.embedded(f, s0)
+    Fg = ctx.embedded(g, Ff.target)
+    s2 = Fg.target
+    # its own object map, the one the test compares
     Fgf = embedding_site_functor(gf, s0, s2)
     A = build_indicator(s2, make_predicate("equals_full", s2), QPower(2))
     lhs = pullback_indicator(Fgf, A)

@@ -17,7 +17,8 @@ are ANDs of per-point column masks (the objects, or the developments, that
 hold each point), and the disjoint rows are one AND per pair of flattened
 causal-cone rows; the same cone rows decide causal convexity.  Functor
 properties pull target rows back along the object map and compare whole
-ints.  The frozenset rules above (``contains`` on regions and developments,
+ints; orthogonality is read only where the two disjoint rows differ.  The
+frozenset rules above (``contains`` on regions and developments,
 ``are_causally_disjoint``) stay the definition and are the test oracle for
 the rows.
 """
@@ -65,24 +66,6 @@ class _Thin:
     def object_keys(self):
         return range(len(self.objects))
 
-    @functools.cached_property
-    def cospans(self) -> tuple[int, ...]:
-        """Row ``a`` holds the ``b`` that share a target with ``a``, the
-        pairs whose morphisms into that target orthogonality speaks of.
-        Disjointness is symmetric, so each pair may be read from both
-        ends, and no object is disjoint from itself."""
-        into: dict[int, int] = {}
-        for a, row in enumerate(self.hom):
-            for c in set_bits(row):
-                into[c] = into.get(c, 0) | 1 << a
-        out = []
-        for row in self.hom:
-            acc = 0
-            for c in set_bits(row):
-                acc |= into[c]
-            out.append(acc)
-        return tuple(out)
-
 
 class SiteCategory(_Thin):
     """A finite thin orthogonal category of regions.
@@ -93,8 +76,7 @@ class SiteCategory(_Thin):
     Rows are bitsets over the object indices: bit ``j`` of ``hom[i]`` is the
     morphism ``i -> j``.  ``plain_hom``, ``local_hom``, ``cauchy`` and
     ``disjoint`` do not depend on the morphism rule and are shared, as
-    tuples, with the :meth:`relocalized` twin; ``cospans`` does, and each
-    twin computes its own.
+    tuples, with the :meth:`relocalized` twin.
     """
 
     def __init__(self, M: LatticeSpacetime, universe: Iterable[Region],
@@ -234,7 +216,6 @@ class SiteCategory(_Thin):
             twin = copy.copy(self)
             twin.localized = localized
             twin.hom = self.local_hom if localized else self.plain_hom
-            vars(twin).pop("cospans", None)  # read off the other rule's hom
             self._twin = twin
         return self._twin
 
@@ -467,7 +448,8 @@ class CoverCategory(_Thin):
     larger near its caps, where the piece's boundary funnels maximal paths.
 
     Rows are bitsets over the object indices, read off the site's rows
-    pulled back along the projection (i, k) |-> k.
+    pulled back along the projection (i, k) |-> k, the cover functor
+    ``j_functor`` returns; that functor reads these rows back.
     """
 
     def __init__(self, site: SiteCategory, cover: Cover):
@@ -526,15 +508,20 @@ class CoverCategory(_Thin):
 def _pullback(rows, image) -> tuple[int, ...]:
     """``rows`` pulled back along the object map ``a |-> image[a]``: bit
     ``b`` of row ``a`` is set iff ``rows[image[a]]`` holds ``image[b]``.
-    The map need not be injective; each image row is pulled once."""
+    The map need not be injective; each image row is pulled once, and only
+    its bits inside the image are walked.  The identity map keeps the rows.
+    """
+    if image == tuple(range(len(rows))):
+        return tuple(rows)
     over: dict[int, int] = {}
     for a, y in enumerate(image):
         over[y] = over.get(y, 0) | 1 << a
+    inside = sum(1 << y for y in over)
     back = {}
     for y in over:
         row = 0
-        for z in set_bits(rows[y]):
-            row |= over.get(z, 0)
+        for z in set_bits(rows[y] & inside):
+            row |= over[z]
         back[y] = row
     return tuple(back[y] for y in image)
 
@@ -546,7 +533,10 @@ class SiteFunctor:
     ``disjoint``; thinness makes the action on morphisms implicit.  Every
     property is checked over the materialized objects, one row at a time:
     the target's rows are pulled back along the object map, once each, and
-    compared with the source's rows as whole ints.
+    compared with the source's rows as whole ints.  Orthogonality speaks of
+    the pairs that share a target, and ``a`` and ``b`` share one iff their
+    hom rows meet; so it asks that only of the pairs whose disjointness the
+    map changes, and a map that changes none walks no bits.
     """
 
     def __init__(self, source, target, omap: dict):
@@ -557,34 +547,52 @@ class SiteFunctor:
         self._image = tuple(omap[k] for k in source.object_keys())
 
     @functools.cached_property
-    def _hom_back(self) -> tuple[int, ...]:
+    def hom_back(self) -> tuple[int, ...]:
         return _pullback(self.target.hom, self._image)
 
     @functools.cached_property
-    def _disjoint_back(self) -> tuple[int, ...]:
+    def disjoint_back(self) -> tuple[int, ...]:
         return _pullback(self.target.disjoint, self._image)
 
     def is_functor(self) -> bool:
         return all(not h & ~b
-                   for h, b in zip(self.source.hom, self._hom_back))
+                   for h, b in zip(self.source.hom, self.hom_back))
 
     def fully_faithful(self) -> bool:
-        return tuple(self.source.hom) == self._hom_back
+        return tuple(self.source.hom) == self.hom_back
 
     def preserves_orthogonality(self) -> bool:
-        s = self.source
-        return all(not pairs & d & ~b for pairs, d, b in
-                   zip(s.cospans, s.disjoint, self._disjoint_back))
+        return self._no_target_shared(self.source.disjoint, self.disjoint_back)
 
     def reflects_orthogonality(self) -> bool:
-        s = self.source
-        return all(not pairs & b & ~d for pairs, d, b in
-                   zip(s.cospans, s.disjoint, self._disjoint_back))
+        return self._no_target_shared(self.disjoint_back, self.source.disjoint)
+
+    def _no_target_shared(self, held, kept) -> bool:
+        """Whether no ``b`` in ``held[a]`` but not in ``kept[a]`` shares a
+        target with ``a``."""
+        hom = self.source.hom
+        return not any(hom[a] & hom[b]
+                       for a, (h, k) in enumerate(zip(held, kept))
+                       for b in set_bits(h & ~k))
+
+
+class _CoverFunctor(SiteFunctor):
+    """The functor from a cover category into its site.  The category's
+    rows are the site's rows pulled back along it, so it reads them rather
+    than pulling them back again.  The category does not keep it: a
+    reference back would make a cycle."""
+
+    @property
+    def hom_back(self) -> tuple[int, ...]:
+        return self.source._described
+
+    @property
+    def disjoint_back(self) -> tuple[int, ...]:
+        return self.source.disjoint
 
 
 def j_functor(cc: CoverCategory) -> SiteFunctor:
-    return SiteFunctor(cc, cc.site,
-                       {n: k for n, (_, k) in enumerate(cc.objects)})
+    return _CoverFunctor(cc, cc.site, dict(enumerate(cc._image)))
 
 
 def localization_functor(plain_site: SiteCategory) -> SiteFunctor:
@@ -606,14 +614,13 @@ def check_localization_functor(plain_site: SiteCategory) -> bool:
                for b in set_bits(plain_site.cauchy[a]))
 
 
-def embedding_object_map(f: LatticeEmbedding, src_site: SiteCategory,
-                         tgt_site: SiteCategory) -> dict[int, int]:
-    """An embedding's action on objects, U |-> f(U), as source key |->
-    target key; every image must be materialized in the target universe."""
+def image_object_map(images, tgt_site: SiteCategory) -> dict[int, int]:
+    """Source key |-> target key, given the source objects' ``images`` in
+    key order; every image must be materialized in the target universe."""
     omap = {}
     missing = 0
-    for k in src_site.object_keys():
-        img = tgt_site.index.get(apply_embedding(f, src_site.objects[k]))
+    for k, U in enumerate(images):
+        img = tgt_site.index.get(U)
         if img is None:
             missing += 1
         else:
@@ -622,6 +629,14 @@ def embedding_object_map(f: LatticeEmbedding, src_site: SiteCategory,
         raise SiteError(f"universe extension request: {missing} images "
                         "missing from the target universe")
     return omap
+
+
+def embedding_object_map(f: LatticeEmbedding, src_site: SiteCategory,
+                         tgt_site: SiteCategory) -> dict[int, int]:
+    """An embedding's action on objects, U |-> f(U), as source key |->
+    target key."""
+    return image_object_map([apply_embedding(f, U) for U in src_site.objects],
+                            tgt_site)
 
 
 def embedding_site_functor(f: LatticeEmbedding, src_site: SiteCategory,

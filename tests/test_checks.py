@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -250,6 +251,23 @@ def test_embedding_functors_pass_below_ten_embeddings(cyl_ctx):
                      {"count": 5})
     assert [(r.verdict, r.witness["embeddings"]) for r in recs] == \
         [("pass", 5)]
+
+
+def test_embedding_functors_move_each_object_once(cyl_ctx, monkeypatch):
+    """Each translation moves each object of the source universe once: the
+    target site and the object map read the same images."""
+    import latticehk.checks as checks_mod
+    import latticehk.sites as sites_mod
+    moved = []
+    for mod in (checks_mod, sites_mod):
+        monkeypatch.setattr(mod, "apply_embedding",
+                            lambda f, U, move=mod.apply_embedding:
+                            moved.append((f.dt, f.dx)) or move(f, U))
+    rec, = run_check("site.localized-embedding-functors", cyl_ctx,
+                     {"count": 5})
+    n = len(cyl_ctx.universe("rc"))
+    assert rec.witness["embeddings"] == 5
+    assert list(Counter(moved).values()) == [n] * 5
 
 
 @pytest.mark.parametrize("t_range", [[0, 0], [0, 1]])

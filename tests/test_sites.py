@@ -415,6 +415,11 @@ def test_row_functor_checks_match_pairwise_definitions(plane, cyl):
     tgt = SiteCategory(cyl, [apply_embedding(f, r) for r in uni], "rc",
                        localized=True)
     functors.append(embedding_site_functor(f, src, tgt))
+    # a rotation: an automorphism of the localized site, not the identity
+    rot = embedding_site_functor(LatticeEmbedding(cyl, cyl, 0, 2), src, src)
+    assert sorted(rot.omap.values()) == list(src.object_keys()) and \
+        any(k != v for k, v in rot.omap.items())
+    functors.append(rot)
     # seeded non-injective maps of a small site into itself
     rng = random.Random(5)
     small = SiteCategory(cyl, rng.sample(uni, 30), "rc")
@@ -425,6 +430,18 @@ def test_row_functor_checks_match_pairwise_definitions(plane, cyl):
         functors.append(SiteFunctor(small, small, {
             k: k if rng.random() < 0.8 else rng.choice(keys)
             for k in keys}))
+    # the identity map, plain into itself and into the localization
+    functors.append(SiteFunctor(small, small, {k: k for k in keys}))
+    functors.append(localization_functor(small))
+    # maps whose image covers few objects of the large localized site: the
+    # inclusion of the small universe, and seeded maps onto five objects
+    inside = {k: src.index[U] for k, U in enumerate(small.objects)}
+    functors.append(SiteFunctor(small.relocalized(True), src, inside))
+    few = rng.sample(list(src.object_keys()), 5)
+    for _ in range(4):
+        omap = {k: rng.choice(few) for k in keys}
+        functors.append(SiteFunctor(small, src, omap))
+        functors.append(SiteFunctor(small.relocalized(True), src, omap))
     seen = set()
     for F in functors:
         expected = _pairwise_properties(F)
@@ -668,28 +685,33 @@ def test_site_names_the_first_non_convex_object(backend, plane, cyl):
         SiteCategory(M, [second, ok, first], "rc")
 
 
-def _cospans_by_definition(hom) -> tuple:
-    n = len(hom)
-    return tuple(sum(1 << b for b in range(n)
-                     if any(_bit(hom, a, c) and _bit(hom, b, c)
-                            for c in range(n)))
-                 for a in range(n))
-
-
 @pytest.mark.parametrize("localized", [False, True])
-def test_relocalized_twin_has_its_own_cospans(cyl, localized):
-    """The twin is a copy of the site; cospans read before it was made
-    belong to the other rule and must not carry over.  The points share
-    no plain target, but all develop into the row, whose development is
-    everything."""
-    uni = [region_slab(cyl, 0, 0)] + [region_points(cyl, [p]) for p in
-                                      ((1, 0), (2, 1), (3, 3))]
-    site = SiteCategory(cyl, uni, "rc", localized=localized)
-    before = site.cospans
-    twin = site.relocalized(not localized)
-    assert before == _cospans_by_definition(site.hom)
-    assert twin.cospans == _cospans_by_definition(twin.hom) != before
-    assert site.cospans is before
+def test_functors_out_of_both_twins_match_pairwise_definitions(cyl,
+                                                               localized):
+    """The twin is a copy of the site, and the two rules pair different
+    objects through a common target: the points share no plain target, but
+    all develop into the row, whose development is everything.  Sending r
+    onto q maps the disjoint pair (p, r) onto the related pair (p, q), so
+    it preserves orthogonality under the plain rule only.  Functors out of
+    either twin, into either, give the pairwise verdicts, whichever twin
+    was made first."""
+    from latticehk.sites import SiteFunctor
+    row, p, q, r = [region_slab(cyl, 0, 0)] + [
+        region_points(cyl, [pt]) for pt in ((1, 0), (2, 1), (3, 3))]
+    site = SiteCategory(cyl, [row, p, q, r], "rc", localized=localized)
+    twins = {localized: site, not localized: site.relocalized(not localized)}
+    k = site.index
+    squeeze = {k[row]: k[row], k[p]: k[p], k[q]: k[q], k[r]: k[q]}
+    maps = [squeeze, {a: a for a in k.values()},
+            {a: k[row] for a in k.values()}]
+    for source in twins.values():
+        for target in twins.values():
+            for omap in maps:
+                F = SiteFunctor(source, target, omap)
+                assert _row_properties(F) == _pairwise_properties(F)
+    assert [SiteFunctor(twins[loc], twins[loc], squeeze)
+            .preserves_orthogonality() for loc in (False, True)] == \
+        [True, False]
 
 
 def test_functor_pulls_each_target_relation_back_once(cyl, monkeypatch):
