@@ -775,30 +775,19 @@ def check_loc_morphism(f: LatticeEmbedding) -> bool:
 
 
 def development_restriction(f: LatticeEmbedding, U: Region) -> tuple[
-        Optional[frozenset[Point]], Optional[frozenset[Point]]]:
-    """The two sides of f(D_src(U)) = D_tgt(f(U)) & f(source), as point
-    sets; ``None`` stands for the full region of an unbounded target."""
+        Optional[frozenset[Point]], Optional[frozenset[Point]],
+        Optional[frozenset[Point]]]:
+    """The two sides of f(D_src(U)) = D_tgt(f(U)) & f(source), and
+    D_tgt(f(U)) itself, as point sets; ``None`` stands for the full region
+    of an unbounded target.  The development is confined to the image,
+    D_tgt(f(U)) inside f(source), iff the last two are equal."""
     def pts(R: Region):
         return None if R.is_full and R.ambient.extent is None else R.points()
 
     lhs = pts(apply_embedding(f, cauchy_development(f.source, U)))
     DV = pts(cauchy_development(f.target, apply_embedding(f, U)))
     img = pts(f.image())
-    return lhs, img if DV is None else DV if img is None else DV & img
-
-
-def verify_development_confined(f: LatticeEmbedding, U: Region) -> bool:
-    """With a D-stable image and relatively compact U:
-    D_tgt(f(U)) stays inside f(source).  Closure is the identity here."""
-    if not U.is_relatively_compact:
-        raise GeometryError("U must be relatively compact")
-    if not is_D_stable(f.target, f.image()):
-        raise GeometryError("embedding image is not D-stable")
-    DV = cauchy_development(f.target, apply_embedding(f, U))
-    img = f.image()
-    if DV.is_full:
-        return img.is_full
-    return img.contains(DV)
+    return lhs, img if DV is None else DV if img is None else DV & img, DV
 
 
 # ---------------------------------------------------------------------------

@@ -248,20 +248,11 @@ class KgContext:
 
     def _band_ok(self, p, tstar: int, vpts: set) -> bool:
         (tp, xp) = p
-        for (row, reach) in ((tstar, abs(tstar + 1 - tp)),
-                             (tstar + 1, abs(tstar - tp))):
-            xs = self._cone_row(xp, reach)
-            for x in xs:
-                if (row, x) not in vpts:
-                    return False
-        return True
-
-    def _cone_row(self, xp: int, reach: int):
-        M = self.ambient
-        if M.kind == "cylinder":
-            return {x for x in range(M.circumference)
-                    if M.xdist(x, xp) <= reach}
-        return set(range(xp - reach, xp + reach + 1))
+        norm = self.ambient.norm_point
+        return all(norm((row, xp + dx)) in vpts
+                   for (row, reach) in ((tstar, abs(tstar + 1 - tp)),
+                                        (tstar + 1, abs(tstar - tp)))
+                   for dx in range(-reach, reach + 1))
 
     def timeslice_map(self, U, V) -> Mat:
         """[phi] -> [P(chi_+ G phi)] for a localized morphism U -> D(V)-side.

@@ -19,7 +19,7 @@ from .geometry import (Region, contains_cauchy_surface_of, region_full,
                        set_bits)
 from .kleingordon import TimesliceSkip
 from .rational import Mat, Q1
-from .sites import SiteCategory, embedding_object_map
+from .sites import SiteCategory
 
 
 class AqftError(Exception):
@@ -313,9 +313,10 @@ class PointFamily:
     isomorphism datum per embedding.
 
     ``members`` maps a label to (site, CCR assignment); ``arrows`` maps a
-    label to (src, tgt, embedding, alpha) where alpha maps source object keys
-    to matrices; ``compositions`` lists (f, g, gf) label triples with
-    gf = g after f.
+    label to (src, tgt, F, alpha) where F is the site functor the embedding
+    induces from the src member's site into the tgt member's site and alpha
+    maps source object keys to matrices; ``compositions`` lists (f, g, gf)
+    label triples with gf = g after f.
     """
 
     members: dict
@@ -323,33 +324,29 @@ class PointFamily:
     compositions: tuple = ()
 
 
-def _object_maps(P: PointFamily) -> dict:
-    """Each arrow's embedding on the object keys of its members' sites."""
-    return {label: embedding_object_map(f, P.members[s][0], P.members[t][0])
-            for label, (s, t, f, _) in P.arrows.items()}
-
-
 def verify_point(P: PointFamily) -> dict:
     """Coherence of a natural family.
 
     Checks, per arrow, that alpha is a natural isomorphism onto the pulled
     back assignment; per composition triple, that the pasting square
-    commutes; and for identity arrows, that alpha is the identity.
-    Returns a dict of named boolean verdicts.
+    commutes; and for identity arrows (the identity object map on one
+    site), that alpha is the identity.  Returns a dict of named boolean
+    verdicts.
     """
     out = {"natural_iso": True, "composition": True, "identity": True}
-    omaps = _object_maps(P)
-    for label, (sname, tname, _, alpha) in P.arrows.items():
+    for label, (sname, tname, F, alpha) in P.arrows.items():
         ssite, sA = P.members[sname]
-        tA = P.members[tname][1]
-        omap = omaps[label]
+        tsite, tA = P.members[tname]
+        if F.source is not ssite or F.target is not tsite:
+            raise AqftError(f"arrow {label} does not run from the site of "
+                            f"{sname} to the site of {tname}")
         for a in ssite.object_keys():
             comp = alpha.get(a)
             if comp is None or not comp.is_iso():
                 out["natural_iso"] = False
         for (a, b) in sA.transitions:
-            fa = omap[a]
-            fb = omap[b]
+            fa = F.omap[a]
+            fb = F.omap[b]
             if (fa, fb) not in tA.transitions:
                 continue
             lhs = alpha[b] @ sA.transitions[(a, b)]
@@ -357,23 +354,21 @@ def verify_point(P: PointFamily) -> dict:
             if lhs != rhs:
                 out["natural_iso"] = False
     for (lf, lg, lgf) in P.compositions:
-        sf, tf, _, alpha_f = P.arrows[lf]
+        sf, tf, Ff, alpha_f = P.arrows[lf]
         sg, tg, _, alpha_g = P.arrows[lg]
         sgf, tgf, _, alpha_gf = P.arrows[lgf]
         if sf != sgf or tg != tgf or tf != sg:
             raise AqftError("ill-typed composition triple")
         if alpha_f and alpha_g and alpha_gf:
-            for a, fa in omaps[lf].items():
+            for a, fa in Ff.omap.items():
                 lhs = alpha_g[fa] @ alpha_f[a]
                 if lhs != alpha_gf[a]:
                     out["composition"] = False
-    for label, (sname, tname, f, alpha) in P.arrows.items():
-        if sname == tname and f.dt == 0 and f.dx == 0 and \
-                f.source == f.target:
-            if alpha:
-                for a, m in alpha.items():
-                    if m != Mat.identity(m.nrows):
-                        out["identity"] = False
+    for (_, _, F, alpha) in P.arrows.values():
+        if F.source is F.target and all(k == v for k, v in F.omap.items()):
+            for m in alpha.values():
+                if m != Mat.identity(m.nrows):
+                    out["identity"] = False
     return out
 
 
@@ -388,9 +383,8 @@ def reconstruct_global(P: PointFamily) -> dict:
             raise AqftError(f"member {name} has no full object")
         full[name] = key
     maps = {}
-    omaps = _object_maps(P)
-    for label, (sname, tname, _, alpha) in P.arrows.items():
-        img = omaps[label][full[sname]]
+    for label, (sname, tname, F, alpha) in P.arrows.items():
+        img = F.omap[full[sname]]
         tA = P.members[tname][1]
         maps[label] = tA.transitions[(img, full[tname])] @ alpha[full[sname]]
     return maps

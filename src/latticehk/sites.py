@@ -261,7 +261,9 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
             return  # no relatively compact region equals the whole spacetime
         out.add(r)
         if len(out) > cap:
-            raise SiteError(f"universe exceeds cap {cap}; tighten the config")
+            raise SiteError(f"universe exceeds cap {cap}; raise universe.cap "
+                            "or narrow universe.t_range, universe.x_range "
+                            "or universe.max_height")
 
     if diamonds:
         for (t0, x0) in pts:
@@ -612,41 +614,6 @@ def check_localization_functor(plain_site: SiteCategory) -> bool:
     return all(hom[a] >> b & 1 and hom[b] >> a & 1
                for a in plain_site.object_keys()
                for b in set_bits(plain_site.cauchy[a]))
-
-
-def image_object_map(images, tgt_site: SiteCategory) -> dict[int, int]:
-    """Source key |-> target key, given the source objects' ``images`` in
-    key order; every image must be materialized in the target universe."""
-    omap = {}
-    missing = 0
-    for k, U in enumerate(images):
-        img = tgt_site.index.get(U)
-        if img is None:
-            missing += 1
-        else:
-            omap[k] = img
-    if missing:
-        raise SiteError(f"universe extension request: {missing} images "
-                        "missing from the target universe")
-    return omap
-
-
-def embedding_object_map(f: LatticeEmbedding, src_site: SiteCategory,
-                         tgt_site: SiteCategory) -> dict[int, int]:
-    """An embedding's action on objects, U |-> f(U), as source key |->
-    target key."""
-    return image_object_map([apply_embedding(f, U) for U in src_site.objects],
-                            tgt_site)
-
-
-def embedding_site_functor(f: LatticeEmbedding, src_site: SiteCategory,
-                           tgt_site: SiteCategory) -> SiteFunctor:
-    """The functor induced by an embedding between sites of one flavor."""
-    if src_site.localized != tgt_site.localized or \
-            src_site.compactness != tgt_site.compactness:
-        raise SiteError("flavor mismatch between embedding sites")
-    return SiteFunctor(src_site, tgt_site,
-                       embedding_object_map(f, src_site, tgt_site))
 
 
 # ---------------------------------------------------------------------------

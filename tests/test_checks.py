@@ -12,7 +12,8 @@ import pytest
 from latticehk.algebra import QPower
 from latticehk.checks import (CLAIMS, OPTIONS, REGISTRY, RunContext,
                               run_check)
-from latticehk.geometry import region_slab
+from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
+                                apply_embedding, region_slab)
 from latticehk.kleingordon import KgError
 from latticehk.nets import AqftError
 from latticehk.rational import QQ
@@ -268,6 +269,53 @@ def test_embedding_functors_move_each_object_once(cyl_ctx, monkeypatch):
     n = len(cyl_ctx.universe("rc"))
     assert rec.witness["embeddings"] == 5
     assert list(Counter(moved).values()) == [n] * 5
+
+
+def test_embedded_target_holds_images_and_around(cyl):
+    """An embedding functor's target is the site over ``around`` and the
+    images, under the source's rule; ``around`` equal to a built site's
+    objects, with images inside it, returns that site."""
+    M = cyl
+    ctx = RunContext(M=M, universe_cfg={"t_range": [0, 1]})
+    site = ctx.site("rc", localized=True)
+    f = LatticeEmbedding(M, M, 1, 2)
+    extra = region_slab(M, 4, 4)
+    F = ctx.embedded(f, site, around=[extra])
+    images = [apply_embedding(f, U) for U in site.objects]
+    assert set(F.target.objects) == {*images, extra}
+    assert (F.target.compactness, F.target.localized) == ("rc", True)
+    assert [F.target.objects[F.omap[k]] for k in site.object_keys()] == \
+        images
+    turn = LatticeEmbedding(M, M, 0, 2)
+    for s in (site, ctx.site("copen")):
+        assert ctx.embedded(turn, s, around=s.objects).target is s
+        assert ctx.embedded(f, s, around=s.objects).target is not s
+
+
+# small universes; all but the c=4 cylinder's miss images of the diamond
+# that net.epsilon-iso-violation embeds
+_SMALL_SHAPES = {
+    "cyl6-rows-0-0": ("cylinder", 6, {"t_range": [0, 0]}),
+    "cyl6-rows-0-1": ("cylinder", 6, {"t_range": [0, 1]}),
+    "cyl4-rows-0-3": ("cylinder", 4, {"t_range": [0, 3]}),
+    "plane-rows-0-0": ("plane", None, {"t_range": [0, 0], "x_range": [0, 2]}),
+    "plane-rows-0-3": ("plane", None,
+                       {"t_range": [0, 3], "x_range": [-2, 2]}),
+}
+
+
+@pytest.mark.parametrize("cid", ["net.epsilon-iso-violation",
+                                 "net.pullback-functorial"])
+@pytest.mark.parametrize("shape", sorted(_SMALL_SHAPES))
+def test_embedding_checks_pass_on_small_shapes(shape, cid):
+    """The embedding functor's target holds the images, so the embedded
+    diamond and the composite translation need no universe that holds
+    them."""
+    kind, c, universe = _SMALL_SHAPES[shape]
+    ctx = RunContext(M=LatticeSpacetime(kind, (-14, 16), c), seed=3,
+                     universe_cfg={"compactness": "rc", "max_height": 2,
+                                   **universe})
+    assert [r.verdict for r in run_check(cid, ctx)] == ["pass"]
 
 
 @pytest.mark.parametrize("t_range", [[0, 0], [0, 1]])

@@ -197,7 +197,8 @@ _MISCONFIGURED = [
      "invalid scenario: '0..4' is not of type 'array' at universe/t_range"),
     (["--max-universe", "5"],
      {"universe": _ROWS, "checks": ["site.refinement-functors"]},
-     "universe exceeds cap 5; tighten the config"),
+     "universe exceeds cap 5; raise universe.cap or narrow "
+     "universe.t_range, universe.x_range or universe.max_height"),
     # an integral float is no integer: range() would refuse it
     ([], {"checks": ["causality.development-props"],
           "options": {"causality.development-props": {"count": 2.0}}},

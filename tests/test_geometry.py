@@ -18,8 +18,7 @@ from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 is_D_stable, preimage_region,
                                 region_development, region_diamond,
                                 region_full, region_points, region_slab,
-                                region_strict_diamond, stabilization_check,
-                                verify_development_confined)
+                                region_strict_diamond, stabilization_check)
 
 
 def test_cone_plane_lightcone(plane):
@@ -284,9 +283,9 @@ def test_embeddings_translation(cyl):
     assert check_loc_morphism(f)
     assert is_D_stable(cyl, f.image())
     U = region_diamond(cyl, (0, 0), (3, 1))
-    lhs, rhs = development_restriction(f, U)
-    assert lhs == rhs == cauchy_development(cyl, apply_embedding(f, U)).pts
-    assert verify_development_confined(f, U)
+    lhs, rhs, DV = development_restriction(f, U)
+    assert lhs == rhs == DV == \
+        cauchy_development(cyl, apply_embedding(f, U)).pts
     pre = preimage_region(f, apply_embedding(f, U))
     assert pre.pts == U.pts
 
@@ -302,10 +301,12 @@ def test_embeddings_bounded(plane):
     # ambient development restricted to the image stays below the intrinsic
     DU = cauchy_development(sub, U)
     DV = cauchy_development(plane, apply_embedding(f, U))
-    lhs, rhs = development_restriction(f, U)
-    assert (lhs, rhs) == (apply_embedding(f, DU).pts, DV.pts & img.pts)
+    lhs, rhs, dv = development_restriction(f, U)
+    assert (lhs, rhs, dv) == \
+        (apply_embedding(f, DU).pts, DV.pts & img.pts, DV.pts)
     assert rhs <= lhs
-    assert verify_development_confined(f, U)
+    # the image is D-stable, so the development stays inside it
+    assert is_D_stable(plane, img) and rhs == dv
 
 
 def test_wrap_embedding(plane, cyl):

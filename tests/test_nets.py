@@ -6,9 +6,9 @@ import pytest
 from latticehk import nets
 from latticehk.algebra import INITIAL, Initial, QPower, enumerate_homs
 from latticehk.checks import check_point_family, check_pullback_functorial
-from latticehk.geometry import (LatticeEmbedding, bounded_spacetime,
-                                region_diamond, region_points,
-                                region_slab, set_bits)
+from latticehk.geometry import (LatticeEmbedding, apply_embedding,
+                                bounded_spacetime, region_diamond,
+                                region_points, region_slab, set_bits)
 from latticehk.kleingordon import KgContext, KgSpace
 from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             build_kg_aqft, check_kg_axioms,
@@ -17,7 +17,7 @@ from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             pullback_indicator)
 from latticehk.rational import Mat, Q0, Q1, QQ
 from latticehk.sites import (Cover, CoverCategory, SiteCategory,
-                             embedding_site_functor, enumerate_universe)
+                             SiteFunctor, enumerate_universe)
 
 
 def _copen_site(cyl):
@@ -77,7 +77,8 @@ def test_epsilon_iso_violation_mechanism(plane):
     siteM = SiteCategory(src, enumerate_universe(src, compactness="copen",
                                                  cap=3000),
                          "copen", localized=False)
-    F = embedding_site_functor(f, siteM, siteN)
+    F = SiteFunctor(siteM, siteN, {k: siteN.index[apply_embedding(f, U)]
+                                   for k, U in enumerate(siteM.objects)})
     pb = pullback_indicator(F, A)
     kfull = next(k for k in siteM.object_keys()
                  if siteM.region_of(k).is_full)
@@ -140,6 +141,30 @@ def test_point_family_check(ctx_name, verdict, request):
     assert [r.verdict for r in recs] == [verdict], recs[0].witness
     if verdict == "skip":
         assert recs[0].witness["reason"]
+
+
+def test_point_family_identity_arrow_and_foreign_sites(cyl_ctx, monkeypatch):
+    """The family's identity arrow is checked: negating one of its
+    components breaks identity and naturality.  An arrow whose functor does
+    not run between its members' sites is refused."""
+    import latticehk.checks as checks_mod
+    families = []
+    monkeypatch.setattr(checks_mod, "verify_point",
+                        lambda P: families.append(P) or nets.verify_point(P))
+    rec, = check_point_family(cyl_ctx, {})
+    assert rec.verdict == "pass" and rec.witness["verdicts"]["identity"]
+    fam = families[0]
+    s, t, F, alpha = fam.arrows["id"]
+    assert F.source is F.target and \
+        all(k == v for k, v in F.omap.items())
+    k = min(alpha)
+    flipped = {**fam.arrows, "id": (s, t, F, {**alpha, k: -alpha[k]})}
+    assert nets.verify_point(nets.PointFamily(
+        fam.members, flipped, fam.compositions)) == \
+        {"natural_iso": False, "composition": True, "identity": False}
+    foreign = {**fam.arrows, "g": ("M1", "N", *fam.arrows["g"][2:])}
+    with pytest.raises(AqftError, match="arrow g does not run"):
+        nets.verify_point(nets.PointFamily(fam.members, foreign))
 
 
 @pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])

@@ -1,18 +1,14 @@
-import re
-
 import pytest
 
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
                                 cauchy_development, hull, is_D_stable,
                                 region_diamond, region_full, region_points,
                                 region_slab)
-from latticehk.nets import PointFamily, verify_point
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              check_cover_intersections,
                              check_localization_functor,
                              close_universe_for_localization,
-                             compare_localization_models,
-                             embedding_site_functor, enumerate_universe,
+                             compare_localization_models, enumerate_universe,
                              extend_cover, j_functor, localization_functor,
                              refinement_functor, saturation_hom)
 
@@ -203,21 +199,6 @@ def test_refinement_functor(cyl):
     assert F.reflects_orthogonality()
     with pytest.raises(SiteError):
         refinement_functor(site, fine, coarse, {0: 1, 1: 0, 2: 1, 3: 1})
-
-
-def test_embedding_site_functor_missing_images(cyl):
-    s01 = region_slab(cyl, 0, 1)
-    site = SiteCategory(cyl, [s01], "rc", localized=False)
-    f = LatticeEmbedding(cyl, cyl, 5, 0)
-    line = re.escape("universe extension request: 1 images missing from "
-                     "the target universe")
-    with pytest.raises(SiteError, match=line):
-        embedding_site_functor(f, site, site)
-    # a natural family's arrow maps its objects the same way
-    family = PointFamily(members={"M": (site, None)},
-                         arrows={"f": ("M", "M", f, {})})
-    with pytest.raises(SiteError, match=line):
-        verify_point(family)
 
 
 def test_extend_cover_restriction_property(cyl):
@@ -414,9 +395,13 @@ def test_row_functor_checks_match_pairwise_definitions(plane, cyl):
     f = LatticeEmbedding(cyl, cyl, 1, 2)
     tgt = SiteCategory(cyl, [apply_embedding(f, r) for r in uni], "rc",
                        localized=True)
-    functors.append(embedding_site_functor(f, src, tgt))
+    functors.append(SiteFunctor(src, tgt, {
+        k: tgt.index[apply_embedding(f, r)]
+        for k, r in enumerate(src.objects)}))
     # a rotation: an automorphism of the localized site, not the identity
-    rot = embedding_site_functor(LatticeEmbedding(cyl, cyl, 0, 2), src, src)
+    turn = LatticeEmbedding(cyl, cyl, 0, 2)
+    rot = SiteFunctor(src, src, {k: src.index[apply_embedding(turn, r)]
+                                 for k, r in enumerate(src.objects)})
     assert sorted(rot.omap.values()) == list(src.object_keys()) and \
         any(k != v for k, v in rot.omap.items())
     functors.append(rot)
