@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .rational import IntegerEchelon, Mat, Q0, Q1, QQ, row_space
+from .rational import IntegerEchelon, Mat, Q0, Q1, QQ
 
 
 class AlgebraError(Exception):
@@ -247,18 +247,19 @@ class WedgeSpace:
                                 [scalar], len(self.pairs))
 
 
-def relation_span(n: int, triples: Iterable[tuple]) -> Mat:
-    """Row space of the relation vectors of ``(u, v, c)`` triples."""
+def relation_span(n: int, triples: Iterable[tuple]) -> IntegerEchelon:
+    """The relation vectors of ``(u, v, c)`` triples, eliminated once: the
+    echelon that ``consistency_check`` reads and ``contains`` queries."""
     w = WedgeSpace(n)
-    return row_space([w.relation_vector(u, v, c) for (u, v, c) in triples],
-                     w.dim)
+    return Mat([w.relation_vector(u, v, c) for (u, v, c) in triples],
+               w.dim).echelon()
 
 
-def consistency_check(span: Mat) -> bool:
+def consistency_check(span: IntegerEchelon) -> bool:
     """True iff the span contains no (0, c) with c nonzero, i.e. the
-    relations do not force 1 = 0."""
-    wedge_part = Mat.from_columns(span.columns()[:-1], span.nrows)
-    return wedge_part.rank() == span.rank()
+    relations do not force 1 = 0: no basis row pivots on the scalar (last)
+    column."""
+    return span.ncols - 1 not in span.rows
 
 
 # ---------------------------------------------------------------------------

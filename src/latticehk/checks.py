@@ -887,28 +887,23 @@ def check_precostack_instances(ctx: RunContext, opts):
                     and jf.preserves_orthogonality()):
                 bad += 1
             results["localized" if localized else "plain"] += 1
-    # engineered refusal: a two-row rectangle is causally convex but not
-    # D-stable (its development grows caps); the localized build must refuse
+    # engineered refusal: the localized build must refuse a causally convex
+    # two-row, three-column rectangle
     refused = False
     site = ctx.site(localized=True)
     t0 = ctx.t_range[0]
     rect = region_points(ctx.M, [(t, x) for t in (t0, t0 + 1)
                                  for x in (0, 1, 2)])
-    if is_D_stable(ctx.M, rect):
-        bad_cover = None
-    else:
-        bad_cover = Cover(rect, (rect,))
-    if bad_cover is not None:
-        try:
-            CoverCategory(site, bad_cover)
-        except SiteError:
-            refused = True
+    # never D-stable: every past path from (t0 + 2, 1) enters the rectangle
+    try:
+        CoverCategory(site, Cover(rect, (rect,)))
+    except SiteError:
+        refused = True
     return [ctx.tally("site.precostack-instances",
                       sum(results.values()) + bad, bad == 0, "no cover drawn",
                       {**results, "bad": bad}),
             ctx.record("site.localized-refusal",
-                       "pass" if refused else (
-                           "skip" if bad_cover is None else "fail"))]
+                       "pass" if refused else "fail")]
 
 
 @register("site.refinement-functors", "refinement-functors-fully-faithful",
@@ -1067,18 +1062,17 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
                 inconsistent += 1
                 continue
             ideal = free.ideal_span(triples)
-            span_ech = span.echelon()
             for (u, v, c) in candidates:
                 trials += 1
-                in_span = span_ech.contains(w.relation_vector(u, v, c))
+                in_span = span.contains(w.relation_vector(u, v, c))
                 in_ideal = free.ideal_contains(ideal, u, v, c)
                 if in_span != in_ideal:
                     bad += 1
-    verdict = "skip" if trials == 0 else "pass" if bad == 0 else "fail"
-    return [ctx.record("algebra.degree2-ideal-principle", verdict,
-                       {"trials": trials, "bad": bad,
-                        "inconsistent": inconsistent,
-                        "note": "oracle-validated assumption"})]
+    return [ctx.tally("algebra.degree2-ideal-principle", trials, bad == 0,
+                      "no consistent presentation drawn",
+                      {"trials": trials, "bad": bad,
+                       "inconsistent": inconsistent,
+                       "note": "oracle-validated assumption"})]
 
 
 # ---------------------------------------------------------------------------
@@ -1226,10 +1220,10 @@ def check_point_family(ctx: RunContext, opts):
                for name, site in sites.items()}
     arrows = {}
     for label, (s, t, f) in legs.items():
-        alpha = {k: pushforward_matrix(ctx.kg(spaces[s]), ctx.kg(spaces[t]),
-                                       f, U)
-                 for k, U in enumerate(sites[s].objects)}
         F = ctx.embedded(f, sites[s], around=sites[t].objects)
+        alpha = {k: pushforward_matrix(ctx.kg(spaces[s]), ctx.kg(spaces[t]),
+                                       f, U, F.target.objects[F.omap[k]])
+                 for k, U in enumerate(sites[s].objects)}
         arrows[label] = (s, t, F, alpha)
     fam = PointFamily(members, arrows, compositions=(("g", "i2", "i2g"),))
     verdicts = verify_point(fam)
@@ -1414,7 +1408,7 @@ def check_kg_pullback(ctx: RunContext, opts):
     for _ in range(count):
         U = draw_hull(M, rng, zone, 1, 3)
         # the target carries the same configuration
-        m = pushforward_matrix(kg, kg, f, U)
+        m = pushforward_matrix(kg, kg, f, U, apply_embedding(f, U))
         if not m.is_iso():
             bad += 1
     return [ctx.record("kg.pullback-identification",

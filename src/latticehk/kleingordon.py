@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import (LatticeSpacetime, Region, WindowTooSmallError,
-                       apply_embedding)
+from .geometry import LatticeSpacetime, Region, WindowTooSmallError
 from .rational import (Mat, Q0, Q1, QQ, QuotientSpace, induced_quotient_map)
 
 
@@ -157,22 +156,28 @@ class KgSpace:
     """L(U) = C_c(U) / {P chi : chi in C_c(U), supp(P chi) in U}."""
 
     def __init__(self, cfg: KgConfig, pts: frozenset):
+        """One elimination: the rows P(e_p), one per point, with the
+        outside coordinates as the leading columns.  The reduced rows that
+        pivot inside have no outside entry; they are the reduced relations
+        (docs/decisions.md, "A generator space is one elimination")."""
         self.cfg = cfg
         self.pts = tuple(sorted(pts))
         self.index = {p: i for i, p in enumerate(self.pts)}
         n = len(self.pts)
         images = [apply_P(cfg, {p: Q1}) for p in self.pts]
         outside = sorted({q for img in images for q in img} - set(self.pts))
-        constraint = Mat([[images[j].get(q, Q0) for j in range(n)]
-                          for q in outside], n)
-        rel_rows = []
-        for chi in constraint.nullspace():
-            chi_field = {p: c for p, c in zip(self.pts, chi) if c != 0}
-            img = apply_P(cfg, chi_field)
-            if not set(img) <= set(self.pts):
-                raise KgError("relation escapes the region (internal error)")
-            rel_rows.append([img.get(p, Q0) for p in self.pts])
-        self.quotient = QuotientSpace(n, rel_rows)
+        m = len(outside)
+        column = {q: j for j, q in enumerate(outside + list(self.pts))}
+        cols: list[dict] = [{} for _ in column]
+        for i, img in enumerate(images):
+            for q, v in img.items():
+                cols[column[q]][i] = v
+        red, pivots = Mat.from_columns(cols, n).rref()
+        k = sum(1 for c in pivots if c < m)   # rows pivoting outside
+        sub = Mat.from_columns(
+            [{r - k: v for r, v in col.items() if r >= k}
+             for col in red.columns()[m:]], len(pivots) - k)
+        self.quotient = QuotientSpace(sub, tuple(c - m for c in pivots[k:]))
         self.dim = self.quotient.dim
         self._sigma = None
 
@@ -298,10 +303,12 @@ class KgContext:
 
 
 def pushforward_matrix(ctx_src: KgContext, ctx_tgt: KgContext, f,
-                       U: Region) -> Mat:
-    """Generator-space identification along an embedding: relabel points."""
+                       U: Region, fU: Region) -> Mat:
+    """Generator-space identification along an embedding: relabel the
+    points of U into those of its image ``fU``, which the caller has
+    already moved."""
     src = ctx_src.space(U)
-    dst = ctx_tgt.space(apply_embedding(f, U))
+    dst = ctx_tgt.space(fU)
     return induced_quotient_map(
         src.quotient, dst.quotient,
         [{dst.index[f.map_point(p)]: Q1} for p in src.pts])

@@ -251,14 +251,10 @@ class IntegerEchelon:
         return self._reduce(row)[0] is None
 
 
-def row_space(rows: Iterable[Sequence], ncols: int) -> Mat:
-    """Reduced row basis of the span of the given vectors."""
-    m = Mat(list(rows), ncols)
-    return m.rref()[0]
-
-
 class QuotientSpace:
-    """ambient Q^n modulo the row space of a subspace matrix.
+    """ambient Q^n modulo the row space of a subspace, given as its reduced
+    row echelon form and pivot columns (what ``Mat.rref`` returns), which
+    it keeps as they are and never eliminates again.
 
     The chosen complement basis is the set of pivot-free coordinates of the
     reduced subspace; ``reduce_sparse`` rewrites a vector in those
@@ -266,10 +262,9 @@ class QuotientSpace:
     vector of ambient coordinate ``free[j]``.
     """
 
-    def __init__(self, ambient_dim: int, subspace_rows: Iterable[Sequence]):
-        self.ambient_dim = ambient_dim
-        sub = Mat(list(subspace_rows), ambient_dim)
-        self.sub_rref, self.pivots = sub.rref()
+    def __init__(self, sub_rref: Mat, pivots: Sequence[int]):
+        self.ambient_dim = ambient_dim = sub_rref.ncols
+        self.sub_rref, self.pivots = sub_rref, tuple(pivots)
         self.free = tuple(c for c in range(ambient_dim)
                           if c not in self.pivots)
         self.dim = len(self.free)

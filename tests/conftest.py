@@ -2,8 +2,8 @@ import pytest
 
 from latticehk.checks import RunContext
 from latticehk.geometry import LatticeSpacetime
-from latticehk.kleingordon import KgContext
-from latticehk.rational import Mat, Q0, QQ
+from latticehk.kleingordon import KgContext, apply_P
+from latticehk.rational import Mat, Q0, Q1, QQ
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +71,19 @@ def dense_rank(rows, ncols: int) -> int:
     return rank
 
 
+def row_space(rows, ncols: int) -> Mat:
+    """Reduced row basis of the span of the given vectors."""
+    return Mat(list(rows), ncols).rref()[0]
+
+
+def span_consistent(span: Mat) -> bool:
+    """Whether the row space holds no (0, c) with c nonzero: dropping the
+    scalar (last) column keeps the rank.  The reference for
+    ``algebra.consistency_check``, which reads the echelon's pivots."""
+    wedge_part = Mat.from_columns(span.columns()[:-1], span.nrows)
+    return wedge_part.rank() == span.rank()
+
+
 def dense_reduce(q, vec) -> tuple:
     """The quotient coordinates of the dense vector ``vec``, reduced
     against the relation rows of ``q`` one pivot at a time."""
@@ -80,6 +93,27 @@ def dense_reduce(q, vec) -> tuple:
             f = v[pc]
             v = [a - f * b for a, b in zip(v, row)]
     return tuple(v[c] for c in q.free)
+
+
+def two_elimination_relations(cfg, pts) -> tuple[Mat, tuple[int, ...]]:
+    """The reduced relations of the generator space L(pts) and their pivots,
+    by two eliminations: the kernel of the outside constraint (each chi
+    whose P chi has no entry outside the points), P applied again to each
+    kernel vector, and the reduced row echelon form of those images.  The
+    reference that the one-elimination build of ``KgSpace`` must
+    reproduce."""
+    pts = tuple(sorted(pts))
+    n = len(pts)
+    images = [apply_P(cfg, {p: Q1}) for p in pts]
+    outside = sorted({q for img in images for q in img} - set(pts))
+    constraint = Mat([[img.get(q, Q0) for img in images] for q in outside],
+                     n)
+    rows = []
+    for chi in constraint.nullspace():
+        img = apply_P(cfg, {p: c for p, c in zip(pts, chi) if c})
+        assert set(img) <= set(pts), "a relation escapes the region"
+        rows.append([img.get(p, Q0) for p in pts])
+    return Mat(rows, n).rref()
 
 
 def _dense_matmul(a: Mat, b: Mat) -> Mat:

@@ -10,7 +10,9 @@ from latticehk.algebra import (AlgebraError, FreeProduct, INITIAL, Initial,
                                enumerate_homs, relation_span,
                                two_valued_colimit)
 from latticehk.checks import check_degree2_ideal_principle
-from latticehk.rational import Mat, QQ, Q0, Q1
+from latticehk.rational import IntegerEchelon, Mat, QQ, Q0, Q1
+
+from conftest import row_space, span_consistent
 
 
 def test_hom_counts_and_brute_force():
@@ -71,20 +73,25 @@ def test_two_valued_colimit_universal_property():
                 count_homs_from_value(colim, T)
 
 
+def _in_span(span: Mat, vec) -> bool:
+    """Whether ``vec`` lies in the row space: adding it keeps the rank."""
+    return Mat(list(span.data) + [vec], span.ncols).rank() == span.rank()
+
+
 def test_relation_span_properties():
     w = WedgeSpace(3)
-    assert relation_span(3, []).nrows == 0
+    assert relation_span(3, []).rank == 0
     sigma = Mat([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     graph = w.graph_of(sigma)
     assert graph.nrows == len(w.pairs)
-    assert consistency_check(graph)
+    assert consistency_check(graph.echelon())
     # a relation forcing 1 = 0: [e1, e2] = 1 and [e1, e2] = 0 together
     bad = relation_span(3, [([1, 0, 0], [0, 1, 0], 1),
                             ([1, 0, 0], [0, 1, 0], 0)])
     assert not consistency_check(bad)
     # monotone in the input
     small = relation_span(3, [([1, 0, 0], [0, 1, 0], 1)])
-    assert small.nrows <= bad.nrows
+    assert small.rank <= bad.rank
 
 
 def test_relation_span_basis_independent():
@@ -104,7 +111,37 @@ def test_relation_span_basis_independent():
             s2 = (a * d - b * c) * QQ(s)
             changed.append((u2, v2, s2))
         got = relation_span(3, changed)
-        assert got.rref()[0].data == base.rref()[0].data
+        assert got.rank == base.rank
+        assert all(base.contains(row) for row in got.rows.values())
+        assert all(got.contains(row) for row in base.rows.values())
+
+
+def _draw(rng, n):
+    u = [QQ(rng.randint(-2, 2)) for _ in range(n)]
+    v = [QQ(rng.randint(-2, 2)) for _ in range(n)]
+    return u, v, QQ(rng.randint(-2, 2))
+
+
+def test_relation_span_echelon_matches_the_reduced_row_space():
+    """The consistency verdict read off the echelon's scalar pivot, and
+    membership queried on the echelon, agree with the ranks of the reduced
+    row space, on consistent and inconsistent presentations alike."""
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        w = WedgeSpace(n)
+        triples = [_draw(rng, n) for _ in range(rng.randint(1, 4))]
+        span = relation_span(n, triples)
+        dense = row_space([w.relation_vector(*t) for t in triples], w.dim)
+        assert span.rank == dense.nrows
+        consistent = consistency_check(span)
+        assert consistent == span_consistent(dense)
+        seen[consistent] += 1
+        for (u, v, c) in [_draw(rng, n) for _ in range(3)] + triples[:1]:
+            cand = w.relation_vector(u, v, c)
+            assert span.contains(cand) == _in_span(dense, cand)
+    assert min(seen.values()) > 30, seen
 
 
 def test_degree2_ideal_principle_oracle():
@@ -118,7 +155,8 @@ def test_degree2_ideal_principle_oracle():
                 u = [QQ(rng.randint(-2, 2)) for _ in range(n)]
                 v = [QQ(rng.randint(-2, 2)) for _ in range(n)]
                 triples.append((u, v, QQ(rng.randint(-2, 2))))
-            span = relation_span(n, triples)
+            span = row_space([w.relation_vector(*t) for t in triples],
+                             w.dim)
             ideal = free.ideal_span(triples)
             for _ in range(4):
                 u = [QQ(rng.randint(-2, 2)) for _ in range(n)]
@@ -126,8 +164,7 @@ def test_degree2_ideal_principle_oracle():
                 c = QQ(rng.randint(-2, 2))
                 cand = w.relation_vector(u, v, c)
                 if span.nrows:
-                    in_span = Mat(list(span.data) + [cand],
-                                  w.dim).rank() == span.rank()
+                    in_span = _in_span(span, cand)
                 else:
                     in_span = all(x == 0 for x in cand)
                 assert in_span == free.ideal_contains(ideal, u, v, c)
@@ -141,3 +178,30 @@ def test_degree2_check_compares_consistent_presentations(plane_ctx):
     assert rec.witness["inconsistent"] > 0 and rec.witness["trials"] > 0
     rec, = check_degree2_ideal_principle(plane_ctx, {"trials": 0})
     assert rec.verdict == "skip"
+    assert rec.witness["reason"] == "no consistent presentation drawn"
+
+
+def test_degree2_trial_eliminates_its_span_once(plane_ctx, monkeypatch):
+    """Each drawn presentation's relation span is one echelon, read for
+    consistency and queried for membership; the truncated ideal is the only
+    other elimination, one per consistent presentation."""
+    import latticehk.checks as checks_mod
+    count = {"echelon": 0, "span": 0, "ideal": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            count[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(IntegerEchelon, "__init__",
+                        counted("echelon", IntegerEchelon.__init__))
+    monkeypatch.setattr(checks_mod, "relation_span",
+                        counted("span", checks_mod.relation_span))
+    monkeypatch.setattr(TruncatedFreeAlgebra, "ideal_span",
+                        counted("ideal", TruncatedFreeAlgebra.ideal_span))
+    monkeypatch.setattr(Mat, "rref", None)
+    rec, = check_degree2_ideal_principle(plane_ctx, {})
+    assert rec.verdict == "pass"
+    assert count["span"] == rec.witness["inconsistent"] + count["ideal"] > 0
+    assert count["echelon"] == count["span"] + count["ideal"]

@@ -2,7 +2,7 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from latticehk.algebra import QPower, WedgeSpace, consistency_check
+from latticehk.algebra import QPower, WedgeSpace
 from latticehk.checks import (RunContext, _descent_candidates,
                               _descent_instances, check_kg_negative_control,
                               column_cover, tall_diamond_cover)
@@ -16,11 +16,12 @@ from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
                                 region_slab)
 from latticehk.nets import (build_indicator, make_predicate,
                             pullback_indicator)
-from latticehk.rational import ForkError, Mat, Q0, Q1, row_space
+from latticehk.rational import ForkError, Mat, Q0, Q1
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor, restrict_pieces)
 
-from conftest import dense_columns, dense_rank, from_dense_columns
+from conftest import (dense_columns, dense_rank, from_dense_columns,
+                      row_space, span_consistent)
 
 
 def _band_cover(M, U, overlap=1):
@@ -146,7 +147,7 @@ def _fraction_relation_check(kg, cover, U, localized=False,
     """The relation counit check in its first, Fraction formulation: every
     relation row (u wedge v, -sigma(u, v)) built with the Fraction pairing,
     the span and the graph reduced by ``row_space``, compared by
-    ``_same_row_space`` and ``consistency_check``.  Kept as the oracle of the
+    ``_same_row_space`` and ``span_consistent``.  Kept as the oracle of the
     integer rank check."""
     M = kg.ambient
     info = {"flavor": "localized" if localized else "plain"}
@@ -210,7 +211,7 @@ def _fraction_relation_check(kg, cover, U, localized=False,
             span = row_space(rows, wedge.dim)
             strategy = "adapted"
     info.update(strategy=strategy, span_dim=span.nrows,
-                graph_dim=graph.nrows, consistent=consistency_check(span))
+                graph_dim=graph.nrows, consistent=span_consistent(span))
     if _same_row_space(span, graph) and info["consistent"]:
         return "pass", info
     witness = None

@@ -3,15 +3,19 @@ import random
 import pytest
 
 from latticehk.checks import RunContext, check_kg_time_slice
-from latticehk.geometry import (LatticeEmbedding, apply_embedding, cone, hull,
-                                region_diamond, region_points, region_slab)
+from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
+                                WindowTooSmallError, apply_embedding,
+                                bounded_spacetime, cone, hull, region_diamond,
+                                region_points, region_slab)
 from latticehk.kleingordon import (KgConfig, KgContext, KgError, KgSpace,
                                    TimesliceSkip, apply_P, field_add,
                                    field_clean, green, pairing, propagator,
                                    pushforward_matrix)
 from latticehk.rational import Mat, QQ, Q0, Q1
+from latticehk.sites import enumerate_universe
 
-from conftest import dense_reduce, from_dense_columns
+from conftest import (dense_reduce, from_dense_columns,
+                      two_elimination_relations)
 
 
 def test_stencil_values(plane):
@@ -238,16 +242,77 @@ def test_half_cuts_cancel(kg_cyl):
 def test_pushforward_identification(kg_plane, plane):
     f = LatticeEmbedding(plane, plane, 2, -1)
     U = region_diamond(plane, (0, 0), (4, 0))
-    m = pushforward_matrix(kg_plane, kg_plane, f, U)
+    m = pushforward_matrix(kg_plane, kg_plane, f, U, apply_embedding(f, U))
     assert m.nrows == m.ncols and m.rank() == m.nrows
     # naturality with extensions
     V = region_diamond(plane, (0, 0), (6, 0))
-    mV = pushforward_matrix(kg_plane, kg_plane, f, V)
-    from latticehk.geometry import apply_embedding
+    mV = pushforward_matrix(kg_plane, kg_plane, f, V, apply_embedding(f, V))
     lhs = mV @ kg_plane.extension(U.points(), V.points())
     rhs = kg_plane.extension(apply_embedding(f, U).points(),
                              apply_embedding(f, V).points()) @ m
     assert lhs == rhs
+
+
+def _generator_space_cases():
+    """(spacetime, mass squared, point sets): seeded universe regions on the
+    plane and on cylinders of circumference 2 to 8, the bounded slabs of
+    the point family, and mass squared zero."""
+    rng = random.Random(23)
+    plane = LatticeSpacetime("plane", (-4, 8))
+    cases = []
+    for M in [plane] + [LatticeSpacetime("cylinder", (-4, 8), c)
+                        for c in range(2, 9)]:
+        uni = enumerate_universe(M, t_range=(0, 3), max_height=3,
+                                 x_range=(-2, 3) if M.kind == "plane"
+                                 else None, cap=2000)
+        for m2 in (QQ(1, 4), Q0):
+            cases.append((M, m2, [U.points() for U in
+                                  rng.sample(uni, min(len(uni), 12))]))
+    N = LatticeSpacetime("cylinder", (-4, 8), 6)
+    for t0, t1 in ((0, 3), (1, 4)):
+        B = bounded_spacetime(N, region_slab(N, t0, t1).pts)
+        uni = enumerate_universe(B, compactness="copen", cap=2000,
+                                 strict_diamonds=False)
+        cases.append((B, QQ(1, 4), [U.points() for U in
+                                    rng.sample(uni, 10)]))
+    return cases
+
+
+def test_generator_space_matches_two_eliminations():
+    """One elimination of the stencil images gives the reduced relations,
+    pivots and free coordinates that the constraint kernel, P applied again
+    and a second elimination give; on the window's edge rows both raise."""
+    built = 0
+    for M, m2, regions in _generator_space_cases():
+        kg = KgContext(M, m2)
+        for pts in regions:
+            q = kg.space(pts).quotient
+            sub, pivots = two_elimination_relations(kg.cfg, pts)
+            assert (q.sub_rref, q.pivots) == (sub, pivots), (M, pts)
+            assert q.free == tuple(c for c in range(len(pts))
+                                   if c not in pivots)
+            built += 1
+    assert built > 150
+    M = LatticeSpacetime("cylinder", (-4, 8), 3)
+    kg = KgContext(M, QQ(1, 4))
+    for pts in (region_slab(M, 7, 8).points(), region_slab(M, -4, -3).points(),
+                region_points(M, [(8, 0)]).points()):
+        with pytest.raises(WindowTooSmallError):
+            two_elimination_relations(kg.cfg, pts)
+        with pytest.raises(WindowTooSmallError):
+            kg.space(pts)
+
+
+def test_generator_space_is_one_elimination(cyl, monkeypatch):
+    calls = []
+    rref = Mat.rref
+    monkeypatch.setattr(Mat, "rref", lambda m: calls.append("rref") or
+                        rref(m))
+    monkeypatch.setattr(Mat, "nullspace",
+                        lambda m: calls.append("nullspace"))
+    KgSpace(KgConfig(cyl, QQ(1, 4)), region_diamond(cyl, (0, 0),
+                                                    (4, 0)).points())
+    assert calls == ["rref"]
 
 
 def test_mass_zero_cylinder_injectivity(cyl):
@@ -397,8 +462,9 @@ def test_maps_match_the_dense_product(backend, request):
             assert kg.timeslice_map(a.points(), b.points()) == ref
             checked["timeslice"] += 1
         f = LatticeEmbedding(M, M, 1, -2)
-        img = kg.space(apply_embedding(f, V).points())
-        assert pushforward_matrix(kg, kg, f, V) == \
+        fV = apply_embedding(f, V)
+        img = kg.space(fV.points())
+        assert pushforward_matrix(kg, kg, f, V, fV) == \
             _dense_induced(dst, img, _relabel(dst, img, f.map_point))
         checked["pushforward"] += 1
     assert all(checked.values()), checked

@@ -143,6 +143,19 @@ def test_point_family_check(ctx_name, verdict, request):
         assert recs[0].witness["reason"]
 
 
+def test_point_family_components_read_the_functors_images(cyl_ctx,
+                                                          monkeypatch):
+    """Each component's target region is read off its arrow's functor, so
+    the generator-space identification moves no object again."""
+    import latticehk.kleingordon as kg_mod
+    moved = []
+    monkeypatch.setattr(kg_mod, "apply_embedding",
+                        lambda f, U: moved.append(U) or
+                        apply_embedding(f, U), raising=False)
+    rec, = check_point_family(cyl_ctx, {})
+    assert rec.verdict == "pass" and moved == []
+
+
 def test_point_family_identity_arrow_and_foreign_sites(cyl_ctx, monkeypatch):
     """The family's identity arrow is checked: negating one of its
     components breaks identity and naturality.  An arrow whose functor does

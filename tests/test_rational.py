@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticehk.rational import (ForkError, Mat, QQ, Q0, Q1, QuotientSpace,
-                                induced_quotient_map, is_exact_coequalizer,
-                                row_space)
+                                induced_quotient_map, is_exact_coequalizer)
 
 from conftest import dense_rank, dense_reduce, from_dense_columns
 
@@ -265,23 +264,28 @@ def _section(q: QuotientSpace, coords: dict) -> tuple:
     return tuple(v)
 
 
+def _quotient(rows, n: int) -> QuotientSpace:
+    """Q^n modulo the span of ``rows``, reduced once."""
+    return QuotientSpace(*Mat(rows, n).rref())
+
+
 def test_quotient_space():
     # ambient Q^3 modulo span{(1,1,0)}
-    q = QuotientSpace(3, [[1, 1, 0]])
+    q = _quotient([[1, 1, 0]], 3)
     assert q.dim == 2
     assert _reduce(q, [1, 1, 0]) == {}
     assert _reduce(q, [1, 0, 0]) != {}
     v = _section(q, _reduce(q, [0, 1, 2]))
     assert _reduce(q, v) == _reduce(q, [0, 1, 2])
-    assert QuotientSpace(3, []).dim == 3
-    assert QuotientSpace(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]).dim == 0
+    assert _quotient([], 3).dim == 3
+    assert _quotient([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3).dim == 0
 
 
 def test_reduce_sparse_returns_no_zeros():
     """The reduction is the dense one without its zero entries; terms that
     cancel leave no entry behind."""
     rng = random.Random(4)
-    q = QuotientSpace(4, [[1, 1, 0, 0], [0, 0, 1, "1/2"]])
+    q = _quotient([[1, 1, 0, 0], [0, 0, 1, "1/2"]], 4)
     # (1, 1, 0, 0) and (0, 0, 2, 1) cancel entirely, (1, 1, 2, 0) in part
     cases = [[1, 1, 0, 0], [0, 0, 2, 1], [1, 1, 2, 0], [0, 0, 0, 0]]
     cases += [[rng.randint(-2, 2) for _ in range(4)] for _ in range(30)]
@@ -295,12 +299,12 @@ def test_reduce_sparse_returns_no_zeros():
 
 
 def test_induced_quotient_map():
-    src = QuotientSpace(2, [[1, -1]])
-    dst = QuotientSpace(2, [[1, -1]])
+    src = _quotient([[1, -1]], 2)
+    dst = _quotient([[1, -1]], 2)
     swap = [{1: 1}, {0: 1}]   # the images of the two source coordinates
     ind = induced_quotient_map(src, dst, swap)
     assert ind == Mat.identity(1)
-    bad_dst = QuotientSpace(2, [])
+    bad_dst = _quotient([], 2)
     with pytest.raises(ValueError):
         induced_quotient_map(src, bad_dst, swap)
 
@@ -370,12 +374,3 @@ def test_coequalizer_exactness_basis_invariant():
         ginv = from_dense_columns(ginv_cols, 3)
         ok2, _ = is_exact_coequalizer(_diff(g @ r1, g @ r2), q @ ginv)
         assert ok2
-
-
-def test_row_space_helpers():
-    a = row_space([[1, 0, 0], [0, 1, 0]], 3)
-    b = row_space([[1, 1, 0], [1, -1, 0]], 3)
-    # the reduced basis is canonical: equal spans give equal bases
-    assert a == b
-    c = row_space([[1, 0, 0]], 3)
-    assert a != c
