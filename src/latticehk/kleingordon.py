@@ -64,14 +64,23 @@ def _stencil(m2) -> tuple:
     return ((0, 0, m2), (1, 0, -Q1), (-1, 0, -Q1), (0, 1, Q1), (0, -1, Q1))
 
 
+def _inside_margin(M: LatticeSpacetime, rows) -> None:
+    """Refuse a field with a point on one of the window's edge rows, where
+    the stencil would reach past the window."""
+    t_lo, t_hi = M.window
+    for t in rows:
+        if not t_lo < t < t_hi:
+            raise WindowTooSmallError(
+                f"field touches the window margin at row {t}; widen "
+                f"spacetime.window [{t_lo}, {t_hi}] or narrow "
+                f"universe.t_range")
+
+
 def apply_P(cfg: KgConfig, phi: dict) -> dict:
     """The Klein-Gordon stencil; support may grow by one step."""
     M = cfg.ambient
-    t_lo, t_hi = M.window
     phi = field_clean(phi)
-    for (t, _) in phi:
-        if not (t_lo < t < t_hi):
-            raise WindowTooSmallError("field touches the window margin")
+    _inside_margin(M, (t for (t, _) in phi))
     stencil = _stencil(QQ(cfg.mass2))
     out: dict = {}
     for (t, x), v in phi.items():
@@ -152,27 +161,73 @@ def pairing(cfg: KgConfig, phi: dict, psi: dict):
 # ---------------------------------------------------------------------------
 
 
+class GreenKernel:
+    """K = G e_(0,0) on the relative rows -H..H, as ``{dt: {dx: value}}``
+    without zeros, shared by a context and its spaces.
+
+    P is the same stencil at every point and ``green`` commutes with shifts
+    in t and x (mod the circumference), so the propagator of the unit field
+    at q is K shifted by q: G e_q (t, x) = K(t - t_q, x - x_q).  One
+    ``propagator`` call on a spacetime of the same kind and circumference
+    whose window is -H..H solves it, and a request for more rows solves it
+    again at the new height (docs/decisions.md, "P and G are the same at
+    every point")."""
+
+    __slots__ = ("cfg", "height", "rows")
+
+    def __init__(self, cfg: KgConfig):
+        self.cfg, self.height, self.rows = cfg, -1, {}
+
+    def upto(self, height: int) -> dict:
+        """The kernel's rows, holding at least the relative rows
+        -height..height."""
+        if height > self.height:
+            M = self.cfg.ambient
+            horizon = KgConfig(LatticeSpacetime(M.kind, (-height, height),
+                                                M.circumference),
+                               self.cfg.mass2)
+            rows: dict = {}
+            for (t, x), v in propagator(horizon, {(0, 0): Q1}, -height,
+                                        height).items():
+                rows.setdefault(t, {})[x] = v
+            self.height, self.rows = height, rows
+        return self.rows
+
+
 class KgSpace:
     """L(U) = C_c(U) / {P chi : chi in C_c(U), supp(P chi) in U}."""
 
-    def __init__(self, cfg: KgConfig, pts: frozenset):
+    def __init__(self, kernel: GreenKernel, pts: frozenset):
         """One elimination: the rows P(e_p), one per point, with the
         outside coordinates as the leading columns.  The reduced rows that
         pivot inside have no outside entry; they are the reduced relations
-        (docs/decisions.md, "A generator space is one elimination")."""
-        self.cfg = cfg
-        self.pts = tuple(sorted(pts))
-        self.index = {p: i for i, p in enumerate(self.pts)}
-        n = len(self.pts)
-        images = [apply_P(cfg, {p: Q1}) for p in self.pts]
-        outside = sorted({q for img in images for q in img} - set(self.pts))
+        (docs/decisions.md, "A generator space is one elimination").  Each
+        row is scattered from the stencil times the denominator of m^2, in
+        integers, which leaves the reduced form as it is."""
+        self.cfg = cfg = kernel.cfg
+        self._kernel = kernel
+        self.pts = pts = tuple(sorted(pts))
+        self.index = index = {p: i for i, p in enumerate(pts)}
+        n = len(pts)
+        M = cfg.ambient
+        if pts:
+            _inside_margin(M, (pts[0][0], pts[-1][0]))
+        m2 = QQ(cfg.mass2)
+        den = m2.denominator
+        stencil = [(dt, dx, c.numerator * (den // c.denominator))
+                   for dt, dx, c in _stencil(m2) if c]
+        # point q -> {row i: the entry at q of den * P(e_p) for p = pts[i]};
+        # neighbours that coincide on a narrow cylinder add up
+        cols: dict = {}
+        for i, (t, x) in enumerate(pts):
+            for dt, dx, c in stencil:
+                col = cols.setdefault((t + dt, M.norm_x(x + dx)), {})
+                col[i] = col.get(i, 0) + c
+        outside = sorted(cols.keys() - index.keys())
         m = len(outside)
-        column = {q: j for j, q in enumerate(outside + list(self.pts))}
-        cols: list[dict] = [{} for _ in column]
-        for i, img in enumerate(images):
-            for q, v in img.items():
-                cols[column[q]][i] = v
-        red, pivots = Mat.from_columns(cols, n).rref()
+        red, pivots = Mat.from_columns(
+            [cols[q] for q in outside] + [cols.get(p, {}) for p in pts],
+            n).rref()
         k = sum(1 for c in pivots if c < m)   # rows pivoting outside
         sub = Mat.from_columns(
             [{r - k: v for r, v in col.items() if r >= k}
@@ -191,17 +246,29 @@ class KgSpace:
     def sigma_reduced(self) -> Mat:
         """The pairing on quotient coordinates, computed once per space.
         The section sends them to the free coordinates of the point basis,
-        so it is the pairing of the free points.  Before that, the pairing
-        on the whole point basis is verified to be antisymmetric and to
-        vanish on the quotient relations."""
+        so it is the pairing of the free points, read off the context's
+        Green kernel.  Before that, the pairing on the whole point basis is
+        verified to be antisymmetric and to vanish on the quotient
+        relations."""
         if self._sigma is None:
-            ts = [t for (t, _) in self.pts]
-            index = self.index
+            pts = self.pts
+            # column q is G e_q on the points: the kernel shifted by q
+            kernel = self._kernel.upto(pts[-1][0] - pts[0][0])
+            norm_x = self.cfg.ambient.norm_x
+            by_row: dict = {}
+            for i, (t, x) in enumerate(pts):
+                by_row.setdefault(t, []).append((i, x))
             cols = []
-            for q in self.pts:
-                g = propagator(self.cfg, {q: Q1}, min(ts), max(ts))
-                cols.append({index[p]: v for p, v in g.items()
-                             if p in index})
+            for (tq, xq) in pts:
+                col = {}
+                for t, row in by_row.items():
+                    k = kernel.get(t - tq)
+                    if k:
+                        for i, x in row:
+                            v = k.get(norm_x(x - xq))
+                            if v is not None:
+                                col[i] = v
+                cols.append(col)
             sig = Mat.from_columns(cols, len(self.pts))
             if sig.transpose() != -sig:
                 raise KgError("pairing failed antisymmetry (internal error)")
@@ -221,6 +288,7 @@ class KgContext:
 
     def __init__(self, ambient: LatticeSpacetime, mass2=Q0):
         self.cfg = KgConfig(ambient, QQ(mass2))
+        self.kernel = GreenKernel(self.cfg)
         self._spaces: dict[frozenset, KgSpace] = {}
         self._extensions: dict[tuple[frozenset, frozenset], Mat] = {}
 
@@ -231,7 +299,7 @@ class KgContext:
     def space(self, U) -> KgSpace:
         pts = U.points() if isinstance(U, Region) else frozenset(U)
         if pts not in self._spaces:
-            self._spaces[pts] = KgSpace(self.cfg, pts)
+            self._spaces[pts] = KgSpace(self.kernel, pts)
         return self._spaces[pts]
 
     def extension(self, U, V) -> Mat:
@@ -272,6 +340,10 @@ class KgContext:
         src, dst = self.space(U), self.space(V)
         vpts = set(dst.pts)
         vrows = sorted({t for (t, _) in dst.pts})
+        # the cut rows of V lie within this distance of each point of U
+        kernel = self.kernel.upto(max(vrows[-1] - src.pts[0][0],
+                                      src.pts[-1][0] - vrows[0]))
+        norm_x = self.ambient.norm_x
         images = []
         for p in src.pts:
             tstar = None
@@ -282,13 +354,12 @@ class KgContext:
             if tstar is None:
                 raise TimesliceSkip(f"no flat two-row cut inside the target "
                                     f"for generator at {p}")
-            g = propagator(self.cfg, {p: Q1}, tstar, tstar + 1)
-            w = {}
-            for ((t, x), v) in g.items():
-                if t == tstar + 1:
-                    w[(tstar, x)] = w.get((tstar, x), Q0) - v
-                if t == tstar:
-                    w[(tstar + 1, x)] = w.get((tstar + 1, x), Q0) + v
+            # the two cut rows of G e_p, from the kernel shifted by p
+            (tp, xp) = p
+            w = {(tstar, norm_x(xp + dx)): -v
+                 for dx, v in kernel.get(tstar + 1 - tp, {}).items()}
+            w.update({(tstar + 1, norm_x(xp + dx)): v
+                      for dx, v in kernel.get(tstar - tp, {}).items()})
             images.append(dst.coordinates(w))
         return induced_quotient_map(src.quotient, dst.quotient, images)
 

@@ -53,8 +53,9 @@ class Mat:
     @staticmethod
     def from_columns(cols: Sequence[dict], nrows: int) -> "Mat":
         """The matrix whose column j has the nonzero entries ``cols[j]``
-        (``{row: Fraction}``, no zeros), which it keeps as they are: from
-        then on nothing may change those dicts."""
+        (``{row: Fraction}``, no zeros; ints for a matrix that is only
+        eliminated), which it keeps as they are: from then on nothing may
+        change those dicts."""
         m = Mat.__new__(Mat)
         m._columns, m.nrows, m.ncols = tuple(cols), nrows, len(cols)
         return m
@@ -168,8 +169,9 @@ class Mat:
 
 def _combine(cols: Sequence[dict], coeffs: dict) -> dict:
     """The sum of ``v * cols[k]`` over ``{k: v}`` in ``coeffs``, as
-    ``{row: value}`` without zeros.  One unit coefficient selects a column,
-    which is copied with no Fraction arithmetic."""
+    ``{row: value}`` without zeros.  A unit coefficient selects its column
+    with no multiplication; alone, it is copied with no Fraction arithmetic
+    at all."""
     if len(coeffs) == 1:
         (k, v), = coeffs.items()
         if v == 1:
@@ -177,8 +179,11 @@ def _combine(cols: Sequence[dict], coeffs: dict) -> dict:
         return {i: a * v for i, a in cols[k].items()}
     acc: dict = {}
     for k, v in coeffs.items():
+        unit = v == 1
         for i, a in cols[k].items():
-            acc[i] = acc[i] + a * v if i in acc else a * v
+            if not unit:
+                a = a * v
+            acc[i] = acc[i] + a if i in acc else a
     return {i: x for i, x in acc.items() if x}
 
 
@@ -268,27 +273,21 @@ class QuotientSpace:
         self.free = tuple(c for c in range(ambient_dim)
                           if c not in self.pivots)
         self.dim = len(self.free)
-        self._free_pos = {c: j for j, c in enumerate(self.free)}
-        # pivot column -> its relation row on the free columns, sparse
-        self._relations = {pc: {} for pc in self.pivots}
-        cols = self.sub_rref.columns()
+        # the class of each ambient unit vector on the free columns, sparse:
+        # a free coordinate is its own class, a pivot coordinate is minus
+        # its relation row
+        self._classes: list[dict] = [{} for _ in range(ambient_dim)]
+        cols = sub_rref.columns()
         for j, c in enumerate(self.free):
+            self._classes[c][j] = Q1
             for r, v in cols[c].items():
-                self._relations[self.pivots[r]][j] = v
+                self._classes[self.pivots[r]][j] = -v
 
     def reduce_sparse(self, vec: dict) -> dict:
         """Quotient coordinates ``{j: value}``, without zeros, of the vector
-        ``{ambient index: value}``: a free coordinate is its own class, and
-        a pivot coordinate is minus its relation row on the free columns."""
-        out: dict = {}
-        for i, v in vec.items():
-            j = self._free_pos.get(i)
-            if j is not None:
-                out[j] = out.get(j, Q0) + v
-                continue
-            for k, r in self._relations[i].items():
-                out[k] = out.get(k, Q0) - v * r
-        return {j: x for j, x in out.items() if x}
+        ``{ambient index: value}``: the combination of the classes of its
+        coordinates.  A unit vector selects its class."""
+        return _combine(self._classes, vec)
 
 
 def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,
@@ -296,22 +295,21 @@ def induced_quotient_map(src: QuotientSpace, dst: QuotientSpace,
     """The map on quotients that sends source coordinate i to the sparse
     target vector ``images[i]`` (``{target index: value}``).
 
-    Column j is the reduction of the image of free coordinate j.  Raises
-    with a witness when a source relation does not land in the target
-    relations.
+    Column j is the reduction of the image of free coordinate j.  The map
+    is defined when every source relation lands in the target relations,
+    that is, when the reduced image of each pivot coordinate is the map
+    applied to that coordinate's class; otherwise it raises with the
+    relation row as witness.
     """
     if len(images) != src.ambient_dim:
         raise ValueError("one image per source coordinate is needed")
-    for r, row in enumerate(src.sub_rref._rows()):
-        img: dict = {}
-        for i, a in row.items():
-            for k, v in images[i].items():
-                img[k] = img.get(k, Q0) + a * v
-        if dst.reduce_sparse(img):
+    reduced = [dst.reduce_sparse(img) for img in images]
+    cols = [reduced[c] for c in src.free]
+    for r, pc in enumerate(src.pivots):
+        if reduced[pc] != _combine(cols, src._classes[pc]):
             raise ValueError("map not defined on quotient; witness "
                              f"{src.sub_rref.data[r]}")
-    return Mat.from_columns([dst.reduce_sparse(images[c]) for c in src.free],
-                            dst.dim)
+    return Mat.from_columns(cols, dst.dim)
 
 
 def is_exact_coequalizer(d: Mat, q: Mat):

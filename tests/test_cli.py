@@ -238,6 +238,11 @@ _MISCONFIGURED = [
           ("max_height", -1, "-1 is less than the minimum of 0"),
           ("min_slab_height", 0, "0 is less than the minimum of 1"),
           ("cap", -1, "-1 is less than the minimum of 0")]),
+    # with no t_range the zone is the whole window, so a field reaches its
+    # edge row
+    ([], {"checks": ["kg.field-identities"]},
+     "field touches the window margin at row 16; widen spacetime.window "
+     "[-14, 16] or narrow universe.t_range"),
 ]
 
 
@@ -248,7 +253,8 @@ _MISCONFIGURED = [
     "t-range-float", "seed-float", "seed-on-a-list", "window-on-a-string",
     "negative-brute", "negative-count", "max-height-type",
     "min-slab-height-type", "cap-type", "compactness-enum",
-    "negative-max-height", "zero-min-slab-height", "negative-cap"])
+    "negative-max-height", "zero-min-slab-height", "negative-cap",
+    "window-margin"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a
@@ -508,7 +514,7 @@ def test_run_scenario_accepts_only_one_job():
 
 
 @pytest.mark.parametrize("name", ["counterexamples", "appendix-geometry",
-                                  "cover-extension"])
+                                  "cover-extension", "kg-descent"])
 def test_run_scenario_leaves_no_reference_cycles(name):
     """A run's spacetime, sites and nets are freed by reference counting,
     so nothing waits for the cycle collector."""

@@ -7,8 +7,9 @@ from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
                                 WindowTooSmallError, apply_embedding,
                                 bounded_spacetime, cone, hull, region_diamond,
                                 region_points, region_slab)
-from latticehk.kleingordon import (KgConfig, KgContext, KgError, KgSpace,
-                                   TimesliceSkip, apply_P, field_add,
+from latticehk import kleingordon
+from latticehk.kleingordon import (GreenKernel, KgConfig, KgContext, KgError,
+                                   KgSpace, TimesliceSkip, apply_P, field_add,
                                    field_clean, green, pairing, propagator,
                                    pushforward_matrix)
 from latticehk.rational import Mat, QQ, Q0, Q1
@@ -184,7 +185,8 @@ def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
 
 def test_sigma_ambient_refuses_a_non_degenerate_relation(kg_cyl, cyl):
     pts = region_slab(cyl, 0, 2).points()
-    space = KgSpace(kg_cyl.cfg, pts)
+    # a space of its own, so that the context's cached one stays intact
+    space = KgSpace(GreenKernel(kg_cyl.cfg), pts)
     sig = _sigma_ambient(space)
     q = space.quotient
     assert q.sub_rref.nrows > 0
@@ -253,11 +255,13 @@ def test_pushforward_identification(kg_plane, plane):
     assert lhs == rhs
 
 
-def _generator_space_cases():
-    """(spacetime, mass squared, point sets): seeded universe regions on the
-    plane and on cylinders of circumference 2 to 8, the bounded slabs of
-    the point family, and mass squared zero."""
-    rng = random.Random(23)
+def _generator_space_cases(masses=(QQ(1, 4), Q0), per=12, bounded=10,
+                           seed=23):
+    """(spacetime, mass squared, point sets): ``per`` seeded universe
+    regions on the plane and on cylinders of circumference 2 to 8 at each
+    mass squared, and ``bounded`` of the bounded slabs of the point family
+    at mass squared 1/4."""
+    rng = random.Random(seed)
     plane = LatticeSpacetime("plane", (-4, 8))
     cases = []
     for M in [plane] + [LatticeSpacetime("cylinder", (-4, 8), c)
@@ -265,16 +269,16 @@ def _generator_space_cases():
         uni = enumerate_universe(M, t_range=(0, 3), max_height=3,
                                  x_range=(-2, 3) if M.kind == "plane"
                                  else None, cap=2000)
-        for m2 in (QQ(1, 4), Q0):
+        for m2 in masses:
             cases.append((M, m2, [U.points() for U in
-                                  rng.sample(uni, min(len(uni), 12))]))
+                                  rng.sample(uni, min(len(uni), per))]))
     N = LatticeSpacetime("cylinder", (-4, 8), 6)
     for t0, t1 in ((0, 3), (1, 4)):
         B = bounded_spacetime(N, region_slab(N, t0, t1).pts)
         uni = enumerate_universe(B, compactness="copen", cap=2000,
                                  strict_diamonds=False)
         cases.append((B, QQ(1, 4), [U.points() for U in
-                                    rng.sample(uni, 10)]))
+                                    rng.sample(uni, bounded)]))
     return cases
 
 
@@ -304,15 +308,119 @@ def test_generator_space_matches_two_eliminations():
 
 
 def test_generator_space_is_one_elimination(cyl, monkeypatch):
+    """A build eliminates once and scatters the stencil itself: it applies
+    no field operator and solves no propagator."""
     calls = []
     rref = Mat.rref
     monkeypatch.setattr(Mat, "rref", lambda m: calls.append("rref") or
                         rref(m))
     monkeypatch.setattr(Mat, "nullspace",
                         lambda m: calls.append("nullspace"))
-    KgSpace(KgConfig(cyl, QQ(1, 4)), region_diamond(cyl, (0, 0),
-                                                    (4, 0)).points())
+    for name in ("apply_P", "propagator"):
+        monkeypatch.setattr(kleingordon, name,
+                            lambda *a, name=name: calls.append(name))
+    KgSpace(GreenKernel(KgConfig(cyl, QQ(1, 4))),
+            region_diamond(cyl, (0, 0), (4, 0)).points())
     assert calls == ["rref"]
+
+
+def _free_block(space, sig: Mat) -> Mat:
+    """The rows and columns of the free points of the point-basis pairing
+    ``sig``: what the section reads on quotient coordinates."""
+    free = space.quotient.free
+    pos = {i: k for k, i in enumerate(free)}
+    return Mat.from_columns([{pos[i]: v for i, v in sig.columns()[j].items()
+                              if i in pos} for j in free], len(free))
+
+
+def test_sigma_reads_the_green_kernel():
+    """The pairing read off the context's Green kernel is the one of the
+    per-point propagator solves, on the plane, on cylinders of
+    circumference 2 to 8 at mass squared 0, 1/4 and 2, and on the bounded
+    slabs of the point family.  Each context takes its regions in seeded
+    order, so the kernel both grows and serves shorter spaces."""
+    built = 0
+    for M, m2, regions in _generator_space_cases(
+            masses=(Q0, QQ(1, 4), QQ(2)), per=5, bounded=6, seed=29):
+        kg = KgContext(M, m2)
+        for pts in regions:
+            space = kg.space(pts)
+            assert space.sigma_reduced() == \
+                _free_block(space, _sigma_ambient(space)), (M, m2, pts)
+            assert kg.kernel.height >= max(t for t, _ in pts) - \
+                min(t for t, _ in pts)
+            built += 1
+    assert built > 100
+
+
+@pytest.mark.parametrize("m2", [Q0, QQ(1, 4), QQ(2)])
+def test_green_kernel_grows_for_a_taller_space(cyl, m2):
+    """A short space sets the kernel's height, a taller one grows it, and
+    both pairings, and the short one's read again from the grown kernel,
+    are the per-point ones."""
+    kg = KgContext(cyl, m2)
+    short = kg.space(region_slab(cyl, 0, 1))
+    assert short.sigma_reduced() == _free_block(short, _sigma_ambient(short))
+    assert kg.kernel.height == 1
+    tall = kg.space(region_diamond(cyl, (0, 0), (6, 0)))
+    assert tall.sigma_reduced() == _free_block(tall, _sigma_ambient(tall))
+    assert kg.kernel.height == 6
+    again = KgSpace(kg.kernel, region_slab(cyl, 2, 3).points())
+    assert again.sigma_reduced() == short.sigma_reduced()
+    assert kg.kernel.height == 6
+
+
+def test_generator_space_scatters_the_integer_stencil():
+    """Coincident neighbours on a circumference-2 cylinder add up, at mass
+    squared 0 no centre entry is eliminated, and a numerator other than 1
+    scales the centre: the relations are the two-elimination ones, and so
+    is the pairing."""
+    M = LatticeSpacetime("cylinder", (-4, 8), 2)
+    for m2 in (Q0, QQ(1, 4), QQ(2), QQ(3, 7)):
+        kg = KgContext(M, m2)
+        for pts in (region_slab(M, 0, 0).points(),
+                    region_slab(M, 0, 2).points(),
+                    region_points(M, [(1, 0)]).points()):
+            space = kg.space(pts)
+            assert (space.quotient.sub_rref, space.quotient.pivots) == \
+                two_elimination_relations(kg.cfg, pts)
+            assert space.sigma_reduced() == \
+                _free_block(space, _sigma_ambient(space))
+
+
+def _timeslice_regions(M):
+    """The time-slice test regions: slabs, Cauchy pairs and the two-point
+    columns of a localized slab site."""
+    c = M.circumference
+    return [region_slab(M, 0, 1), region_slab(M, 2, 3), region_slab(M, 0, 3),
+            region_slab(M, 1, 2), region_slab(M, 2, 5),
+            region_points(M, [(0, 0), (1, 0)]),
+            region_points(M, [(1, 0), (2, 0)]),
+            region_points(M, [(0, c // 2), (1, c // 2)])]
+
+
+@pytest.mark.parametrize("c,m2", [(2, QQ(1, 4)), (3, QQ(1, 4)),
+                                  (6, QQ(1, 4)), (8, QQ(1, 4)), (6, Q0),
+                                  (6, QQ(2))])
+def test_timeslice_map_matches_the_per_point_propagator(c, m2):
+    """Every flat-cut map between the time-slice regions is the one of the
+    per-point propagator solves; a refusal is the oracle's."""
+    M = LatticeSpacetime("cylinder", (-4, 10), c)
+    kg = KgContext(M, m2)
+    regions = _timeslice_regions(M)
+    compared = 0
+    for U in regions:
+        for V in regions:
+            src, dst = kg.space(U.points()), kg.space(V.points())
+            try:
+                ref = _dense_timeslice(kg, src, dst)
+            except (TimesliceSkip, ValueError) as e:
+                with pytest.raises(type(e)):
+                    kg.timeslice_map(U.points(), V.points())
+                continue
+            assert kg.timeslice_map(U.points(), V.points()) == ref, (U, V)
+            compared += 1
+    assert compared >= 20
 
 
 def test_mass_zero_cylinder_injectivity(cyl):
