@@ -23,12 +23,8 @@ settled the verdict is recorded.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, product
 from operator import mul
-from typing import Optional
 
 from .algebra import WedgeSpace
 from .geometry import (LatticeSpacetime, Region, are_causally_disjoint,
@@ -40,31 +36,6 @@ from .rational import (IntegerEchelon, Mat, is_exact_coequalizer,
                        primitive_integer)
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     j_functor, restrict_pieces)
-
-
-@dataclass
-class CheckRecord:
-    """One verdict: a check id, the claim it instantiates, the inputs digest,
-    pass/fail/skip, and an optional witness."""
-
-    id: str
-    claim: str
-    verdict: str
-    witness: Optional[dict] = None
-    digest: str = ""
-
-    def to_json(self) -> dict:
-        out = {"id": self.id, "paper_ref": self.claim,
-               "verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        out["digest"] = self.digest
-        return out
-
-
-def make_digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +326,6 @@ def prestack_failure_demo(site: SiteCategory, cover: Cover, predicate,
     localB = pullback_indicator(jf, thB)
     local_count = count_nat_transforms(localA, localB)
     return {"global_count": global_count, "datum_count": local_count,
-            "datum_trivial": not localA.support() and not localB.support(),
+            "datum_trivial": not localA.support and not localB.support,
             "exhibits_failure": global_count != local_count}
 

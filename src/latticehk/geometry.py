@@ -197,7 +197,9 @@ def region_points(M: LatticeSpacetime, pts: Iterable[Point]) -> Region:
     norm = frozenset(M.norm_point(p) for p in pts)
     for p in norm:
         if not M.in_window(p):
-            raise GeometryError(f"point {p} outside window {M.window}")
+            raise GeometryError(
+                f"point {p} outside the window; widen spacetime.window "
+                f"[{M.window[0]}, {M.window[1]}] or narrow universe.t_range")
         if M.extent is not None and p not in M.extent:
             raise GeometryError(f"point {p} outside bounded extent")
     return Region(M, "points", norm)

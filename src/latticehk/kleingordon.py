@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import LatticeSpacetime, Region, WindowTooSmallError
+from .geometry import LatticeSpacetime, WindowTooSmallError
 from .rational import (Mat, Q0, Q1, QQ, QuotientSpace, induced_quotient_map)
 
 
@@ -145,17 +145,6 @@ def propagator(cfg: KgConfig, phi: dict, t_lo: int, t_hi: int) -> dict:
     return {p: v for p, v in out.items() if t_lo <= p[0] <= t_hi}
 
 
-def pairing(cfg: KgConfig, phi: dict, psi: dict):
-    """sigma(phi, psi) = sum phi * (G psi); antisymmetric, P-degenerate, and
-    zero on causally disjoint supports."""
-    phi, psi = field_clean(phi), field_clean(psi)
-    if not phi or not psi:
-        return Q0
-    ts = [t for (t, _) in phi]
-    g = propagator(cfg, psi, min(ts), max(ts))
-    return sum((v * g.get(p, Q0) for p, v in phi.items()), Q0)
-
-
 # ---------------------------------------------------------------------------
 # generator spaces
 # ---------------------------------------------------------------------------
@@ -192,6 +181,40 @@ class GreenKernel:
                 rows.setdefault(t, {})[x] = v
             self.height, self.rows = height, rows
         return self.rows
+
+
+def _green_columns(kernel: GreenKernel, pts: tuple, sources) -> list:
+    """G e_q read on the points ``pts`` for each point q of ``sources``,
+    as ``{index in pts: value}``: the kernel shifted by q."""
+    by_row: dict = {}
+    for i, (t, x) in enumerate(pts):
+        by_row.setdefault(t, []).append((i, x))
+    K = kernel.upto(max((abs(t - tq) for t in by_row for tq, _ in sources),
+                        default=0))
+    norm_x = kernel.cfg.ambient.norm_x
+    cols = []
+    for (tq, xq) in sources:
+        col = {}
+        for t, row in by_row.items():
+            k = K.get(t - tq)
+            if k:
+                for i, x in row:
+                    v = k.get(norm_x(x - xq))
+                    if v is not None:
+                        col[i] = v
+        cols.append(col)
+    return cols
+
+
+def pairing(kernel: GreenKernel, phi: dict, psi: dict):
+    """sigma(phi, psi) = sum phi(p) psi(q) K(p - q) over the Green kernel
+    K, which is sum phi * (G psi); antisymmetric, P-degenerate, and zero on
+    causally disjoint supports."""
+    phi, psi = field_clean(phi), field_clean(psi)
+    pts = tuple(phi)
+    cols = _green_columns(kernel, pts, psi)
+    return sum((v * phi[pts[i]] * g for v, col in zip(psi.values(), cols)
+                for i, g in col.items()), Q0)
 
 
 class KgSpace:
@@ -251,24 +274,8 @@ class KgSpace:
         verified to be antisymmetric and to vanish on the quotient
         relations."""
         if self._sigma is None:
-            pts = self.pts
-            # column q is G e_q on the points: the kernel shifted by q
-            kernel = self._kernel.upto(pts[-1][0] - pts[0][0])
-            norm_x = self.cfg.ambient.norm_x
-            by_row: dict = {}
-            for i, (t, x) in enumerate(pts):
-                by_row.setdefault(t, []).append((i, x))
-            cols = []
-            for (tq, xq) in pts:
-                col = {}
-                for t, row in by_row.items():
-                    k = kernel.get(t - tq)
-                    if k:
-                        for i, x in row:
-                            v = k.get(norm_x(x - xq))
-                            if v is not None:
-                                col[i] = v
-                cols.append(col)
+            # column q is G e_q on the points
+            cols = _green_columns(self._kernel, self.pts, self.pts)
             sig = Mat.from_columns(cols, len(self.pts))
             if sig.transpose() != -sig:
                 raise KgError("pairing failed antisymmetry (internal error)")
@@ -296,25 +303,24 @@ class KgContext:
     def ambient(self):
         return self.cfg.ambient
 
-    def space(self, U) -> KgSpace:
-        pts = U.points() if isinstance(U, Region) else frozenset(U)
+    def space(self, pts) -> KgSpace:
+        """The generator space of a point set, built once."""
+        pts = frozenset(pts)
         if pts not in self._spaces:
             self._spaces[pts] = KgSpace(self.kernel, pts)
         return self._spaces[pts]
 
     def extension(self, U, V) -> Mat:
-        """Extension-by-zero on classes; injective for causally convex
-        nested regions.  Each point keeps its label, so each column is read
-        off the target's reduced relations.  Cached by the two point sets;
-        callers share the map and never change its column dicts."""
+        """Extension-by-zero on classes: the relabelling map along the
+        identity, injective for causally convex nested point sets.  Cached
+        by the two point sets; callers share the map and never change its
+        column dicts."""
         src, dst = self.space(U), self.space(V)
         key = (src.pts, dst.pts)
         if key not in self._extensions:
             if not src.index.keys() <= dst.index.keys():
                 raise KgError("extension needs nested regions")
-            self._extensions[key] = induced_quotient_map(
-                src.quotient, dst.quotient,
-                [{dst.index[p]: Q1} for p in src.pts])
+            self._extensions[key] = relabelling_map(src, dst, lambda p: p)
         return self._extensions[key]
 
     # -- time-slice maps ----------------------------------------------------
@@ -363,23 +369,19 @@ class KgContext:
             images.append(dst.coordinates(w))
         return induced_quotient_map(src.quotient, dst.quotient, images)
 
-    def transition(self, U, V, localized: bool) -> Mat:
-        upts = U.points() if isinstance(U, Region) else frozenset(U)
-        vpts = V.points() if isinstance(V, Region) else frozenset(V)
-        if upts <= vpts:
-            return self.extension(upts, vpts)
+    def transition(self, U: frozenset, V: frozenset, localized: bool) -> Mat:
+        if U <= V:
+            return self.extension(U, V)
         if not localized:
             raise KgError("plain transitions need nested regions")
-        return self.timeslice_map(upts, vpts)
+        return self.timeslice_map(U, V)
 
 
-def pushforward_matrix(ctx_src: KgContext, ctx_tgt: KgContext, f,
-                       U: Region, fU: Region) -> Mat:
-    """Generator-space identification along an embedding: relabel the
-    points of U into those of its image ``fU``, which the caller has
-    already moved."""
-    src = ctx_src.space(U)
-    dst = ctx_tgt.space(fU)
+def relabelling_map(src: KgSpace, dst: KgSpace, move) -> Mat:
+    """The map L(U) -> L(V) that sends the class of each point p of U to
+    the class of the point ``move(p)`` of V, each column read off V's
+    reduced relations: extension-by-zero along the identity, the
+    generator-space identification along an embedding's ``map_point``."""
     return induced_quotient_map(
         src.quotient, dst.quotient,
-        [{dst.index[f.map_point(p)]: Q1} for p in src.pts])
+        [{dst.index[move(p)]: Q1} for p in src.pts])

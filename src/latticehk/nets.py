@@ -53,15 +53,16 @@ def make_predicate(name: str, site: SiteCategory,
 
 @dataclass
 class IndicatorAqft:
-    """U |-> A on predicate objects, the initial algebra elsewhere."""
+    """U |-> A on the objects of the support, the initial algebra
+    elsewhere."""
 
     site: object  # SiteCategory or CoverCategory
     algebra: QPower
-    values: dict
+    support: int  # bit k: object k carries the algebra
 
-    def support(self):
-        return [k for k in self.site.object_keys()
-                if not isinstance(self.values[k], Initial)]
+    def value(self, k):
+        """The algebra at object ``k``."""
+        return self.algebra if self.support >> k & 1 else INITIAL
 
 
 def build_indicator(site, predicate, A: QPower,
@@ -72,14 +73,10 @@ def build_indicator(site, predicate, A: QPower,
     (no functor) or holds on two causally disjoint regions (the guard the
     commutativity axiom asks for).
     """
-    values = {}
     support = 0
     for k in site.object_keys():
         if predicate(site.region_of(k)):
-            values[k] = A
             support |= 1 << k
-        else:
-            values[k] = INITIAL
     if check_functorial:
         for a in set_bits(support):
             escape = site.hom[a] & ~support
@@ -91,26 +88,15 @@ def build_indicator(site, predicate, A: QPower,
         if any(site.disjoint[a] & support for a in set_bits(support)):
             raise AqftError("predicate holds on two causally "
                             "disjoint regions")
-    return IndicatorAqft(site, A, values)
+    return IndicatorAqft(site, A, support)
 
 
 def pullback_indicator(F, A: IndicatorAqft) -> IndicatorAqft:
     """Precompose with a site functor: the one an embedding induces, or the
     cover functor, which restricts a theory to a cover."""
-    values = {k: A.values[F.omap[k]] for k in F.source.object_keys()}
-    return IndicatorAqft(F.source, A.algebra, values)
-
-
-def check_time_slice_indicator(A: IndicatorAqft) -> bool:
-    site = A.site
-    if not isinstance(site, SiteCategory):
-        raise AqftError("time-slice check runs on a site")
-    for a in site.object_keys():
-        for b in set_bits(site.cauchy[a]):
-            if type(A.values[a]) is not type(A.values[b]) or \
-                    A.values[a] != A.values[b]:
-                return False
-    return True
+    support = sum(1 << k for k in F.source.object_keys()
+                  if A.support >> F.omap[k] & 1)
+    return IndicatorAqft(F.source, A.algebra, support)
 
 
 def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
@@ -128,8 +114,8 @@ def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
     homs = frozenset((i, pos[j]) for i, k in enumerate(below)
                      for j in set_bits(site.hom[k] & below_mask) if j != k)
     diagram = ThinDiagram(len(below), homs)
-    colim = two_valued_colimit(diagram, [A.values[k] for k in below])
-    val = A.values[U_key]
+    colim = two_valued_colimit(diagram, [A.value(k) for k in below])
+    val = A.value(U_key)
     if isinstance(colim, Initial) and isinstance(val, Initial):
         return True
     return colim == val
@@ -137,7 +123,7 @@ def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
 
 def _b_transition(B: IndicatorAqft, a, b) -> Mat:
     """B's forced transition along a -> b."""
-    va, vb = B.values[a], B.values[b]
+    va, vb = B.value(a), B.value(b)
     if isinstance(va, Initial):
         kb = 1 if isinstance(vb, Initial) else vb.k
         return Mat([[Q1] for _ in range(kb)], 1)
@@ -169,7 +155,7 @@ def _count_assignments(A: IndicatorAqft, B: IndicatorAqft, nodes: list,
         return 1
     return sum(_count_assignments(A, B, nodes, out_edges,
                                   {**assigned, n0: h}, [n0])
-               for h in enumerate_homs(A.algebra, B.values[n0]))
+               for h in enumerate_homs(A.algebra, B.value(n0)))
 
 
 def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
@@ -181,10 +167,10 @@ def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
     site = A.site
     if B.site is not site and B.site != site:
         raise AqftError("assignments live on different structures")
-    sup = A.support()
-    if not sup:
+    support = A.support
+    if not support:
         return 1
-    support = sum(1 << k for k in sup)
+    sup = list(set_bits(support))
     if any(site.hom[a] & ~support for a in sup):
         raise AqftError("support of A not upward closed")
     edges = [(a, b) for a in sup for b in set_bits(site.hom[a]) if b != a]
@@ -211,7 +197,6 @@ class CcrAqft:
     """Generator quotient spaces per region with linear transitions."""
 
     site: SiteCategory
-    ctx: object  # KgContext
     spaces: dict
     transitions: dict  # (a, b) -> Mat
     skipped: tuple = ()
@@ -227,17 +212,18 @@ def build_kg_aqft(ctx, site: SiteCategory, check: bool = True) -> CcrAqft:
     if site.compactness == "copen" and site.M.extent is None:
         raise AqftError("field assignments need materializable regions; "
                         "use an rc site or a bounded spacetime")
-    spaces = {k: ctx.space(site.region_of(k)) for k in site.object_keys()}
+    pts = [site.region_of(k).points() for k in site.object_keys()]
+    spaces = {k: ctx.space(p) for k, p in enumerate(pts)}
     transitions = {}
     skipped = []
     for a in site.object_keys():
         for b in set_bits(site.hom[a]):
             try:
-                transitions[(a, b)] = ctx.transition(
-                    site.region_of(a), site.region_of(b), site.localized)
+                transitions[(a, b)] = ctx.transition(pts[a], pts[b],
+                                                     site.localized)
             except TimesliceSkip as e:
                 skipped.append(((a, b), str(e)))
-    out = CcrAqft(site, ctx, spaces, transitions, tuple(skipped))
+    out = CcrAqft(site, spaces, transitions, tuple(skipped))
     if check:
         errs = check_kg_axioms(out)
         if errs:
@@ -297,8 +283,13 @@ def check_kg_axioms(A: CcrAqft) -> list[str]:
 
 
 def check_time_slice(A) -> bool:
+    """An indicator net: whether each Cauchy row (which holds its own
+    object) lies wholly inside or wholly outside the support.  A field net:
+    whether every Cauchy transition is invertible."""
     if isinstance(A, IndicatorAqft):
-        return check_time_slice_indicator(A)
+        if not isinstance(A.site, SiteCategory):
+            raise AqftError("time-slice check runs on a site")
+        return all(row & A.support in (0, row) for row in A.site.cauchy)
     return not time_slice_errors(A)
 
 

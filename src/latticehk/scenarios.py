@@ -15,9 +15,8 @@ import json
 import numbers
 from pathlib import Path
 
-from .checks import (EXPECTED, OPTIONS, REGISTRY, UNIVERSE_KEYS, RunContext,
-                     run_check)
-from .descent import CheckRecord
+from .checks import (EXPECTED, OPTIONS, REGISTRY, UNIVERSE_KEYS, CheckRecord,
+                     RunContext, run_check)
 from .geometry import LatticeSpacetime
 
 # a window or a range of rows or columns: [first, last]

@@ -2,7 +2,7 @@ import pytest
 
 from latticehk.checks import RunContext
 from latticehk.geometry import LatticeSpacetime
-from latticehk.kleingordon import KgContext, apply_P
+from latticehk.kleingordon import KgContext, apply_P, field_clean, propagator
 from latticehk.rational import Mat, Q0, Q1, QQ
 
 
@@ -41,6 +41,18 @@ def kg_plane(plane):
 @pytest.fixture(scope="session")
 def kg_cyl(cyl):
     return KgContext(cyl, QQ(1, 4))
+
+
+def propagator_pairing(cfg, phi: dict, psi: dict):
+    """sigma(phi, psi) = sum phi * (G psi), with G psi solved by one
+    propagator call on the rows of phi: the reference for the pairing read
+    off the Green kernel."""
+    phi, psi = field_clean(phi), field_clean(psi)
+    if not phi or not psi:
+        return Q0
+    ts = [t for (t, _) in phi]
+    g = propagator(cfg, psi, min(ts), max(ts))
+    return sum((v * g.get(p, Q0) for p, v in phi.items()), Q0)
 
 
 def dense_columns(m: Mat) -> list[tuple]:

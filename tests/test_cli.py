@@ -243,6 +243,11 @@ _MISCONFIGURED = [
     ([], {"checks": ["kg.field-identities"]},
      "field touches the window margin at row 16; widen spacetime.window "
      "[-14, 16] or narrow universe.t_range"),
+    # there too, a translated region leaves the window
+    ([], {"universe": {"compactness": "rc", "max_height": 2, "cap": 5000},
+          "checks": ["causality.cauchy-morphism-equivalence"]},
+     "point (17, 0) outside the window; widen spacetime.window [-14, 16] "
+     "or narrow universe.t_range"),
 ]
 
 
@@ -254,7 +259,7 @@ _MISCONFIGURED = [
     "negative-brute", "negative-count", "max-height-type",
     "min-slab-height-type", "cap-type", "compactness-enum",
     "negative-max-height", "zero-min-slab-height", "negative-cap",
-    "window-margin"])
+    "window-margin", "outside-window"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a

@@ -11,11 +11,11 @@ from latticehk import kleingordon
 from latticehk.kleingordon import (GreenKernel, KgConfig, KgContext, KgError,
                                    KgSpace, TimesliceSkip, apply_P, field_add,
                                    field_clean, green, pairing, propagator,
-                                   pushforward_matrix)
-from latticehk.rational import Mat, QQ, Q0, Q1
+                                   relabelling_map)
+from latticehk.rational import Mat, QQ, Q0, Q1, induced_quotient_map
 from latticehk.sites import enumerate_universe
 
-from conftest import (dense_reduce, from_dense_columns,
+from conftest import (dense_reduce, from_dense_columns, propagator_pairing,
                       two_elimination_relations)
 
 
@@ -97,19 +97,45 @@ def test_pairing_properties(kg_cyl, cyl):
                          QQ(rng.randint(-3, 3)) for _ in range(3)})
         if not f or not g:
             continue
-        assert pairing(kg_cyl.cfg, f, f) == 0
-        assert pairing(kg_cyl.cfg, f, g) == -pairing(kg_cyl.cfg, g, f)
-        assert pairing(kg_cyl.cfg, apply_P(kg_cyl.cfg, f), g) == 0
+        assert pairing(kg_cyl.kernel, f, f) == 0
+        assert pairing(kg_cyl.kernel, f, g) == -pairing(kg_cyl.kernel, g, f)
+        assert pairing(kg_cyl.kernel, apply_P(kg_cyl.cfg, f), g) == 0
     # spacelike separated deltas pair to zero
-    assert pairing(kg_cyl.cfg, {(0, 0): Q1}, {(0, 3): Q1}) == 0
+    assert pairing(kg_cyl.kernel, {(0, 0): Q1}, {(0, 3): Q1}) == 0
+    # an empty or zero field pairs to zero
+    assert pairing(kg_cyl.kernel, {}, {(0, 0): Q1}) == 0
+    assert pairing(kg_cyl.kernel, {(0, 0): Q1}, {(1, 0): Q0}) == 0
+
+
+@pytest.mark.parametrize("m2", [Q0, QQ(1, 4), QQ(2)])
+def test_pairing_reads_the_green_kernel(m2):
+    """The pairing read off the context's Green kernel is the one of the
+    per-field propagator solves, on the plane and on cylinders of
+    circumference 2 to 8.  The last pair spans more rows than the kernel
+    holds, so the kernel grows."""
+    rng = random.Random(31)
+
+    def field(M, rows):
+        return {M.norm_point((rng.randint(*rows), rng.randint(-2, 4))):
+                QQ(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(3)}
+
+    for M in [LatticeSpacetime("plane", (-4, 12))] + \
+            [LatticeSpacetime("cylinder", (-4, 12), c) for c in range(2, 9)]:
+        kg = KgContext(M, m2)
+        for rows in [(0, 2)] * 6 + [(5, 7)]:
+            phi, psi = field(M, (0, 2)), field(M, rows)
+            assert pairing(kg.kernel, phi, psi) == \
+                propagator_pairing(kg.cfg, phi, psi), (M, m2, phi, psi)
+            assert kg.kernel.height <= 2 or rows == (5, 7)
+        assert kg.kernel.height >= 3
 
 
 def test_generator_space_dims(kg_plane, kg_cyl, plane, cyl):
-    assert kg_plane.space(region_points(plane, [(0, 0)])).dim == 1
-    s2 = kg_cyl.space(region_slab(cyl, 0, 1))
-    s4 = kg_cyl.space(region_slab(cyl, 0, 3))
+    assert kg_plane.space(region_points(plane, [(0, 0)]).points()).dim == 1
+    s2 = kg_cyl.space(region_slab(cyl, 0, 1).points())
+    s4 = kg_cyl.space(region_slab(cyl, 0, 3).points())
     assert s2.dim == 12 and s4.dim == 12  # two rows of Cauchy data
-    dia = kg_plane.space(region_diamond(plane, (0, 0), (6, 0)))
+    dia = kg_plane.space(region_diamond(plane, (0, 0), (6, 0)).points())
     assert dia.dim == 12
 
 
@@ -129,7 +155,7 @@ def test_extension_cache(cyl):
     small = region_diamond(cyl, (1, 0), (3, 0)).points()
     big = region_diamond(cyl, (0, 0), (4, 0)).points()
     ext = kg.extension(small, big)
-    assert kg.extension(region_points(cyl, small), big) is ext
+    assert kg.extension(set(small), big) is ext
     for _ in range(2):  # a refusal is never cached
         with pytest.raises(KgError, match="extension needs nested regions"):
             kg.extension(big, small)
@@ -155,7 +181,7 @@ def _sigma_ambient(space) -> Mat:
 
 
 def test_sigma_descends(kg_cyl, cyl, kg_plane, plane):
-    s = kg_cyl.space(region_slab(cyl, 0, 2))
+    s = kg_cyl.space(region_slab(cyl, 0, 2).points())
     sig = s.sigma_reduced()
     assert sig.transpose() == -sig
     assert any(v != 0 for row in sig.data for v in row)
@@ -243,12 +269,18 @@ def test_half_cuts_cancel(kg_cyl):
 
 def test_pushforward_identification(kg_plane, plane):
     f = LatticeEmbedding(plane, plane, 2, -1)
+
+    def moved(U):
+        return relabelling_map(kg_plane.space(U.points()),
+                               kg_plane.space(apply_embedding(f, U).points()),
+                               f.map_point)
+
     U = region_diamond(plane, (0, 0), (4, 0))
-    m = pushforward_matrix(kg_plane, kg_plane, f, U, apply_embedding(f, U))
+    m = moved(U)
     assert m.nrows == m.ncols and m.rank() == m.nrows
     # naturality with extensions
     V = region_diamond(plane, (0, 0), (6, 0))
-    mV = pushforward_matrix(kg_plane, kg_plane, f, V, apply_embedding(f, V))
+    mV = moved(V)
     lhs = mV @ kg_plane.extension(U.points(), V.points())
     rhs = kg_plane.extension(apply_embedding(f, U).points(),
                              apply_embedding(f, V).points()) @ m
@@ -359,10 +391,10 @@ def test_green_kernel_grows_for_a_taller_space(cyl, m2):
     both pairings, and the short one's read again from the grown kernel,
     are the per-point ones."""
     kg = KgContext(cyl, m2)
-    short = kg.space(region_slab(cyl, 0, 1))
+    short = kg.space(region_slab(cyl, 0, 1).points())
     assert short.sigma_reduced() == _free_block(short, _sigma_ambient(short))
     assert kg.kernel.height == 1
-    tall = kg.space(region_diamond(cyl, (0, 0), (6, 0)))
+    tall = kg.space(region_diamond(cyl, (0, 0), (6, 0)).points())
     assert tall.sigma_reduced() == _free_block(tall, _sigma_ambient(tall))
     assert kg.kernel.height == 6
     again = KgSpace(kg.kernel, region_slab(cyl, 2, 3).points())
@@ -425,7 +457,7 @@ def test_timeslice_map_matches_the_per_point_propagator(c, m2):
 
 def test_mass_zero_cylinder_injectivity(cyl):
     kg0 = KgContext(cyl, 0)
-    s = kg0.space(region_slab(cyl, 0, 2))
+    s = kg0.space(region_slab(cyl, 0, 2).points())
     assert s.dim == 12  # the operator stays injective at zero mass
 
 
@@ -572,10 +604,57 @@ def test_maps_match_the_dense_product(backend, request):
         f = LatticeEmbedding(M, M, 1, -2)
         fV = apply_embedding(f, V)
         img = kg.space(fV.points())
-        assert pushforward_matrix(kg, kg, f, V, fV) == \
+        assert relabelling_map(dst, img, f.map_point) == \
             _dense_induced(dst, img, _relabel(dst, img, f.map_point))
         checked["pushforward"] += 1
     assert all(checked.values()), checked
+
+
+def _old_extension(kg, U, V) -> Mat:
+    """Extension-by-zero with each point keeping its label, each column
+    read off the target's reduced relations."""
+    src, dst = kg.space(U), kg.space(V)
+    return induced_quotient_map(src.quotient, dst.quotient,
+                                [{dst.index[p]: Q1} for p in src.pts])
+
+
+def _old_pushforward(kg_src, kg_tgt, f, U, fU) -> Mat:
+    """The identification along an embedding f: each point of U relabelled
+    into its image fU."""
+    src, dst = kg_src.space(U.points()), kg_tgt.space(fU.points())
+    return induced_quotient_map(
+        src.quotient, dst.quotient,
+        [{dst.index[f.map_point(p)]: Q1} for p in src.pts])
+
+
+@pytest.mark.parametrize("backend", ["plane", "cyl"])
+def test_relabelling_map_is_the_extension_and_the_identification(backend,
+                                                                 request):
+    """Along the identity the relabelling map is extension-by-zero; along a
+    translation, within one context or from a bounded slab's context into
+    the cylinder's, it is the generator-space identification."""
+    M = request.getfixturevalue(backend)
+    kg = request.getfixturevalue(f"kg_{backend}")
+    f = LatticeEmbedding(M, M, 1, -2)
+    for U, V in _nested_pairs(M, 7):
+        src, dst = kg.space(U.points()), kg.space(V.points())
+        assert relabelling_map(src, dst, lambda p: p) == \
+            _old_extension(kg, U.points(), V.points()) == \
+            kg.extension(U.points(), V.points())
+        fV = apply_embedding(f, V)
+        assert relabelling_map(dst, kg.space(fV.points()), f.map_point) == \
+            _old_pushforward(kg, kg, f, V, fV)
+    if backend == "cyl":
+        B = bounded_spacetime(M, region_slab(M, 0, 3).pts)
+        g = LatticeEmbedding(B, M, 1, 1)
+        kgB = KgContext(B, QQ(1, 4))
+        uni = enumerate_universe(B, compactness="copen", cap=2000,
+                                 strict_diamonds=False)
+        for U in random.Random(8).sample(uni, 12):
+            gU = apply_embedding(g, U)
+            assert relabelling_map(kgB.space(U.points()),
+                                   kg.space(gU.points()), g.map_point) == \
+                _old_pushforward(kgB, kg, g, U, gU)
 
 
 def test_built_maps_keep_the_columns_of_their_rows(cyl):

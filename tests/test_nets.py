@@ -5,7 +5,8 @@ import pytest
 
 from latticehk import nets
 from latticehk.algebra import INITIAL, Initial, QPower, enumerate_homs
-from latticehk.checks import check_point_family, check_pullback_functorial
+from latticehk.checks import (check_point_family, check_pullback_functorial,
+                              point_cover)
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
                                 bounded_spacetime, region_diamond,
                                 region_points, region_slab, set_bits)
@@ -17,7 +18,7 @@ from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             pullback_indicator)
 from latticehk.rational import Mat, Q0, Q1, QQ
 from latticehk.sites import (Cover, CoverCategory, SiteCategory,
-                             SiteFunctor, enumerate_universe)
+                             SiteFunctor, enumerate_universe, j_functor)
 
 
 def _copen_site(cyl):
@@ -45,9 +46,8 @@ def test_indicator_time_slice(cyl):
     A = build_indicator(site, make_predicate("contains_cauchy_surface",
                                              site), QPower(2))
     assert check_time_slice(A)
-    slabs = [k for k in site.object_keys()
-             if not isinstance(A.values[k], Initial)
-             and not site.region_of(k).is_full]
+    slabs = [k for k in set_bits(A.support)
+             if not site.region_of(k).is_full]
     assert slabs  # slabs of the cylinder carry the distinguished value
 
 
@@ -82,10 +82,8 @@ def test_epsilon_iso_violation_mechanism(plane):
     pb = pullback_indicator(F, A)
     kfull = next(k for k in siteM.object_keys()
                  if siteM.region_of(k).is_full)
-    assert isinstance(pb.values[kfull], QPower)
+    assert pb.support == 1 << kfull  # the full object alone
     assert not epsilon_iso_check(pb, kfull)
-    assert all(isinstance(pb.values[k], Initial)
-               for k in siteM.object_keys() if k != kfull)
 
 
 def test_nat_transform_counts(cyl):
@@ -282,28 +280,33 @@ def test_build_indicator_refusals_match_pairwise(small_structure):
             got = str(e)
         assert got == expected
         if got is None:
-            assert set(A.support()) == S
+            assert set(set_bits(A.support)) == S
     assert {True, "predicate"} <= seen  # both outcomes were exercised
 
 
 def _indicator(site, S, alg=QPower(2)):
-    return IndicatorAqft(site, alg, {k: alg if k in S else INITIAL
-                                     for k in site.object_keys()})
+    return IndicatorAqft(site, alg, sum(1 << k for k in S))
 
 
-def _brute_nat_count(A, B):
-    """All component families on the support of A, each kept when every
-    naturality square of a morphism a -> b (a bit of hom) commutes."""
-    site = A.site
-    S = A.support()
+def _values(site, S, alg=QPower(2)) -> dict:
+    """The per-object algebras of the indicator net on the objects S: the
+    reference the support mask must reproduce."""
+    return {k: alg if k in S else INITIAL for k in site.object_keys()}
+
+
+def _brute_nat_count(site, va, vb):
+    """All component families on the support of the per-object values va,
+    each kept when every naturality square of a morphism a -> b (a bit of
+    hom) into the values vb commutes."""
+    S = [k for k in site.object_keys() if not isinstance(va[k], Initial)]
 
     def b_map(a, b):
-        va, vb = B.values[a], B.values[b]
-        if isinstance(va, Initial):
-            return Mat([[Q1]] * (1 if isinstance(vb, Initial) else vb.k), 1)
-        return Mat.identity(vb.k)
+        if isinstance(vb[a], Initial):
+            return Mat([[Q1]] * (1 if isinstance(vb[b], Initial)
+                                 else vb[b].k), 1)
+        return Mat.identity(vb[b].k)
 
-    homs = {k: enumerate_homs(A.algebra, B.values[k]) for k in S}
+    homs = {k: enumerate_homs(va[k], vb[k]) for k in S}
     # per square, B(a -> b) after each candidate component at a
     squares = [(a, b, [b_map(a, b) @ h for h in homs[a]])
                for a in S for b in S if a != b and _bit(site.hom, a, b)]
@@ -330,11 +333,59 @@ def test_count_nat_transforms_matches_brute_force(small_structure):
                 count_nat_transforms(A, A)
             continue
         T = S | _up_closure(site, rng.sample(keys, 1))
-        for B in (A, _indicator(site, T), _indicator(site, set()),
-                  _indicator(site, S, QPower(3))):
-            assert count_nat_transforms(A, B) == _brute_nat_count(A, B)
+        for Tb, alg in ((S, QPower(2)), (T, QPower(2)), (set(), QPower(2)),
+                        (S, QPower(3))):
+            assert count_nat_transforms(A, _indicator(site, Tb, alg)) == \
+                _brute_nat_count(site, _values(site, S),
+                                 _values(site, Tb, alg))
             counted += 1
     assert counted >= 12
+
+
+def _same_values(A, values) -> bool:
+    return all(type(A.value(k)) is type(v) and A.value(k) == v
+               for k, v in values.items())
+
+
+def _pulled(F, values) -> dict:
+    """The per-object values pulled back along F: each object takes the
+    value of its image."""
+    return {k: values[F.omap[k]] for k in F.source.object_keys()}
+
+
+def _time_slice_pairwise(site, values) -> bool:
+    """Every Cauchy pair carries one value."""
+    return all(type(values[a]) is type(values[b]) and values[a] == values[b]
+               for a in site.object_keys() for b in set_bits(site.cauchy[a]))
+
+
+@pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])
+def test_indicator_support_matches_the_per_object_values(ctx_name, request):
+    """On seeded supports, an indicator net's values, its time-slice verdict
+    and its pullbacks along an embedding functor and along a cover functor
+    are those of the per-object values."""
+    ctx = request.getfixturevalue(ctx_name)
+    M = ctx.M
+    site = ctx.site("copen")
+    F = ctx.embedded(LatticeEmbedding(M, M, 1, 1), site)
+    J = j_functor(CoverCategory(site, point_cover(M, ctx.zone())))
+    rng = random.Random(13)
+    verdicts = []
+    for G in (F, J):
+        target = G.target
+        for S in _support_sets(target, rng, 6):
+            A = build_indicator(target, lambda U: target.index[U] in S,
+                                QPower(2), check_functorial=False)
+            values = _values(target, S)
+            assert _same_values(A, values)
+            verdicts.append(check_time_slice(A))
+            assert verdicts[-1] == _time_slice_pairwise(target, values)
+            pb, pulled = pullback_indicator(G, A), _pulled(G, values)
+            assert _same_values(pb, pulled)
+            if isinstance(pb.site, SiteCategory):
+                assert check_time_slice(pb) == \
+                    _time_slice_pairwise(pb.site, pulled)
+    assert True in verdicts and (M.kind == "plane" or False in verdicts)
 
 
 @pytest.mark.parametrize("name", ["plane", "cyl"])
@@ -342,7 +393,8 @@ def test_epsilon_iso_diagram_matches_containment(name, request,
                                                  monkeypatch):
     site = _small_site(request.getfixturevalue(name), False, seed=3)
     keys = list(site.object_keys())
-    A = _indicator(site, _up_closure(site, random.Random(4).sample(keys, 2)))
+    S = _up_closure(site, random.Random(4).sample(keys, 2))
+    A, values = _indicator(site, S), _values(site, S)
     diagrams = []
     colimit = nets.two_valued_colimit
     monkeypatch.setattr(nets, "two_valued_colimit",
@@ -356,7 +408,7 @@ def test_epsilon_iso_diagram_matches_containment(name, request,
         below = [j for j in keys if site.region_of(j).is_relatively_compact
                  and U.contains(site.region_of(j))]
         assert D.n == len(below)
-        assert vals == [A.values[j] for j in below]
+        assert vals == [values[j] for j in below]
         assert D.homs == frozenset(
             (i, j) for i in range(D.n) for j in range(D.n)
             if i != j and _bit(site.hom, below[i], below[j]))
@@ -441,7 +493,7 @@ def test_commutativity_matches_the_dense_pairing(cyl, dense_matmul):
             tampered[key] = Mat([[rng.randint(-2, 2) if k == j else v
                                   for k, v in enumerate(row)]
                                  for row in t.data], t.ncols)
-    B = nets.CcrAqft(A.site, A.ctx, A.spaces, tampered)
+    B = nets.CcrAqft(A.site, A.spaces, tampered)
     errs, _ = _commutativity_oracle(B, dense_matmul)
     assert errs and nets.commutativity_errors(B) == errs
 

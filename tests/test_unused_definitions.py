@@ -10,6 +10,10 @@ or an imported name, a method by an attribute, and both by the dotted
 paths of ``perfbench/spans.py``'s ``TRACED``, which the tracer looks up.
 Dunders and the ``@register`` check runners, which the registry calls by
 id, are exempt.
+
+Every field of a top-level ``@dataclass`` must also be read as an
+attribute somewhere in ``src/latticehk`` or ``perfbench``: a field that is
+only set holds data nothing uses.
 """
 
 import ast
@@ -50,6 +54,26 @@ def _traced_names(tree) -> set:
     return out
 
 
+def _dataclass_fields(tree):
+    """(qualified name, line) of each field of a top-level ``@dataclass``,
+    whether the decorator is called or not."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass" for d in node.decorator_list):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and \
+                        isinstance(sub.target, ast.Name):
+                    yield f"{node.name}.{sub.target.id}", sub.lineno
+
+
+def _loaded_attributes(trees) -> set:
+    """The attribute names read (not set) in ``trees``."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def _references(trees):
     """(names, attributes) referenced in ``trees``: loaded names and
     imported names, and attribute names."""
@@ -65,12 +89,19 @@ def _references(trees):
     return names, attrs
 
 
-def _unused():
+def _trees():
+    """The syntax trees of the library modules, by file name, and of the
+    benchmark's modules."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
     trees = {p.name: ast.parse(p.read_text()) for p in modules}
     bench = [ast.parse(p.read_text())
              for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return trees, bench
+
+
+def _unused():
+    trees, bench = _trees()
     names, attrs = _references([*trees.values(), *bench])
     traced = set().union(*map(_traced_names, bench))
     out = []
@@ -88,3 +119,13 @@ def _unused():
 
 def test_every_library_definition_is_reached_outside_the_tests():
     assert _unused() == []
+
+
+def test_every_dataclass_field_is_read():
+    trees, bench = _trees()
+    read = _loaded_attributes([*trees.values(), *bench])
+    unread = [f"{module}:{line} {qualname}"
+              for module, tree in trees.items()
+              for qualname, line in _dataclass_fields(tree)
+              if qualname.split(".")[1] not in read]
+    assert unread == []
