@@ -81,36 +81,35 @@ def enumerate_homs(A, B) -> list[Mat]:
     """All unital algebra maps Q^a -> Q^b.
 
     A map is determined by a partition of the b primitive idempotents among
-    the a source idempotents; there are a^b of them.  Each candidate is
-    re-verified to be unital and multiplicative on the basis.
+    the a source idempotents; there are a^b of them.  Column c, the image
+    of the source idempotent e_c, is the unit vector of its part.  Each
+    candidate is re-verified to be unital and multiplicative on the basis.
     """
     a, b = _as_qpower(A).k, _as_qpower(B).k
     if max(a, b) > 6:
         raise AlgebraError("hom enumeration capped at dimension 6")
     out = []
     for assign in product(range(a), repeat=b):
-        m = Mat([[Q1 if assign[r] == c else Q0 for c in range(a)]
-                 for r in range(b)], a)
-        if not _is_unital_mult(m, a, b):
+        cols = [{r: Q1 for r in range(b) if assign[r] == c}
+                for c in range(a)]
+        if not _is_unital_mult(cols, b):
             raise AlgebraError("enumerated candidate fails verification")
-        out.append(m)
+        out.append(Mat.from_columns(cols, b))
     return out
 
 
-def _is_unital_mult(m: Mat, a: int, b: int) -> bool:
-    unit = m.apply([Q1] * a)
-    if any(v != Q1 for v in unit):
-        return False
-    for i in range(a):
-        for j in range(a):
-            ei = [Q1 if c == i else Q0 for c in range(a)]
-            ej = [Q1 if c == j else Q0 for c in range(a)]
-            prod_src = [x * y for x, y in zip(ei, ej)]
-            lhs = m.apply(prod_src)
-            rhs = tuple(x * y for x, y in zip(m.apply(ei), m.apply(ej)))
-            if tuple(lhs) != rhs:
-                return False
-    return True
+def _is_unital_mult(cols: Sequence[dict], b: int) -> bool:
+    """Whether the columns ``c_i = m(e_i)`` (``{row: value}``, no zeros)
+    give a unital multiplicative map into Q^b.  With e_i e_j = delta_ij e_i
+    and 1 = sum e_i, multiplicativity asks c_i c_j = delta_ij c_i
+    entrywise, so every entry is 1 and the supports are pairwise disjoint,
+    and unitality asks sum c_i = 1, so together they cover all b rows."""
+    covered: set = set()
+    for col in cols:
+        if any(v != 1 for v in col.values()) or not covered.isdisjoint(col):
+            return False
+        covered.update(col)
+    return covered == set(range(b))
 
 
 def count_homs(A, B) -> int:

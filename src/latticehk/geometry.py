@@ -699,10 +699,13 @@ class LatticeEmbedding:
                 raise GeometryError("plane-to-cylinder embedding needs a "
                                     "bounded source")
             xs = [x for (_, x) in s.extent]
-            if max(xs) - min(xs) > t.circumference - 2:
-                raise GeometryError("source strip too wide to embed "
-                                    "injectively with two-sided step "
-                                    "preservation")
+            width = max(xs) - min(xs)
+            if width > t.circumference - 2:
+                raise GeometryError(
+                    "source strip too wide to embed injectively with "
+                    "two-sided step preservation; raise "
+                    f"spacetime.circumference {t.circumference} to at "
+                    f"least {width + 2}")
         else:
             raise GeometryError(f"no embeddings {s.kind} -> {t.kind}")
         # windows are computation horizons; only physical extents get checked

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import (INITIAL, Initial, QPower, ThinDiagram,
-                      enumerate_homs, two_valued_colimit, weak_components)
+from .algebra import (INITIAL, AlgebraError, Initial, QPower,
+                      enumerate_homs, weak_components)
 from .geometry import (Region, contains_cauchy_surface_of, region_full,
                        set_bits)
 from .kleingordon import TimesliceSkip
@@ -101,24 +101,37 @@ def pullback_indicator(F, A: IndicatorAqft) -> IndicatorAqft:
 
 def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
     """Compare the value at U with the colimit of the assignment over the
-    relatively compact universe objects below U (the additivity counit)."""
+    relatively compact universe objects below U (the additivity counit).
+
+    The colimit is Initial when no supported object lies below U, A when
+    the supported ones below U form one weakly connected component, and the
+    free product of k copies of A for k components.  So only k is counted,
+    by flood fill over the plain rows and their transposes, masked to the
+    supported objects below U."""
     site = A.site
     if not isinstance(site, SiteCategory) or site.localized:
         raise AqftError("the counit probe runs on a plain site")
+    hom, inside, support = site.plain_hom, site.inside, A.support
     # every object but the full one
     full = site.index.get(region_full(site.M))
-    rc = ((1 << len(site.objects)) - 1) & ~(0 if full is None else 1 << full)
-    below_mask = site.within(site.region_of(U_key)) & rc
-    below = list(set_bits(below_mask))
-    pos = {k: i for i, k in enumerate(below)}
-    homs = frozenset((i, pos[j]) for i, k in enumerate(below)
-                     for j in set_bits(site.hom[k] & below_mask) if j != k)
-    diagram = ThinDiagram(len(below), homs)
-    colim = two_valued_colimit(diagram, [A.value(k) for k in below])
-    val = A.value(U_key)
-    if isinstance(colim, Initial) and isinstance(val, Initial):
-        return True
-    return colim == val
+    below = inside[U_key] & ~(0 if full is None else 1 << full)
+    rest = support & below
+    if any(hom[a] & below & ~support for a in set_bits(rest)):
+        raise AlgebraError("transition from the nontrivial value to "
+                           "Initial is unsupported")
+    k = 0
+    while rest:
+        k += 1
+        comp, frontier = 0, rest & -rest
+        while frontier:
+            comp |= frontier
+            reach = 0
+            for j in set_bits(frontier):
+                reach |= hom[j] | inside[j]
+            frontier = reach & rest & ~comp
+        rest &= ~comp
+    # Initial at U matches no component, A matches exactly one
+    return k == (support >> U_key & 1)
 
 
 def _b_transition(B: IndicatorAqft, a, b) -> Mat:

@@ -101,12 +101,6 @@ class Mat:
         forming the product; the first nonzero column settles it."""
         return not any(self._product_columns(other))
 
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((a * vec[j] for j, a in row.items()), Q0)
-                     for row in self._rows())
-
     def __neg__(self) -> "Mat":
         return Mat.from_columns([{i: -v for i, v in col.items()}
                                  for col in self._columns], self.nrows)

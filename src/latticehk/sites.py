@@ -193,6 +193,18 @@ class SiteCategory(_Thin):
     def region_of(self, k) -> Region:
         return self.objects[k]
 
+    @functools.cached_property
+    def inside(self) -> tuple[int, ...]:
+        """Row ``j`` holds the objects contained in object ``j``: the
+        transpose of ``plain_hom``, equal to ``within(region_of(j))``.  It
+        transposes ``plain_hom`` only, never ``hom``, because the
+        :meth:`relocalized` twin copies this site's attributes."""
+        out = [0] * len(self.objects)
+        for i, row in enumerate(self.plain_hom):
+            for j in set_bits(row):
+                out[j] |= 1 << i
+        return tuple(out)
+
     def within(self, region: Region) -> int:
         """Mask of the objects that ``region`` contains."""
         n = len(self.objects)

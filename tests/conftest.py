@@ -55,6 +55,15 @@ def propagator_pairing(cfg, phi: dict, psi: dict):
     return sum((v * g.get(p, Q0) for p, v in phi.items()), Q0)
 
 
+def dense_apply(m: Mat, vec) -> tuple:
+    """The image of the dense vector ``vec`` under ``m``, summed over the
+    dense rows: the reference for a map read off its sparse columns."""
+    if len(vec) != m.ncols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum((a * v for a, v in zip(row, vec)), Q0)
+                 for row in m.data)
+
+
 def dense_columns(m: Mat) -> list[tuple]:
     """The columns of ``m`` as dense tuples."""
     return [tuple(row[j] for row in m.data) for j in range(m.ncols)]

@@ -5,14 +5,32 @@ import pytest
 
 from latticehk.algebra import (AlgebraError, FreeProduct, INITIAL, Initial,
                                QPower, ThinDiagram, TruncatedFreeAlgebra,
-                               WedgeSpace, consistency_check, count_cocones,
-                               count_homs, count_homs_from_value,
-                               enumerate_homs, relation_span,
-                               two_valued_colimit)
+                               WedgeSpace, _is_unital_mult, consistency_check,
+                               count_cocones, count_homs,
+                               count_homs_from_value, enumerate_homs,
+                               relation_span, two_valued_colimit)
 from latticehk.checks import check_degree2_ideal_principle
 from latticehk.rational import IntegerEchelon, Mat, QQ, Q0, Q1
 
-from conftest import row_space, span_consistent
+from conftest import dense_apply, row_space, span_consistent
+
+
+def _dense_unital_mult(m: Mat, a: int, b: int) -> bool:
+    """Whether m sends 1 to 1 and e_i e_j to m(e_i) m(e_j), each side
+    applied as a dense vector: the reference for the column test of
+    ``enumerate_homs``."""
+    if dense_apply(m, [Q1] * a) != tuple([Q1] * b):
+        return False
+    for i in range(a):
+        for j in range(a):
+            ei = [Q1 if c == i else Q0 for c in range(a)]
+            ej = [Q1 if c == j else Q0 for c in range(a)]
+            lhs = dense_apply(m, [x * y for x, y in zip(ei, ej)])
+            rhs = tuple(x * y for x, y in zip(dense_apply(m, ei),
+                                               dense_apply(m, ej)))
+            if lhs != rhs:
+                return False
+    return True
 
 
 def test_hom_counts_and_brute_force():
@@ -22,22 +40,36 @@ def test_hom_counts_and_brute_force():
     assert count_homs(QPower(2), QPower(1)) == 2
     # brute force: all 0/1 matrices that are unital and multiplicative
     a, b = 2, 2
-    brute = 0
-    for bits in product([0, 1], repeat=a * b):
-        m = Mat([[bits[r * a + c] for c in range(a)] for r in range(b)])
-        unit_ok = m.apply([Q1] * a) == tuple([Q1] * b)
-        mult_ok = True
-        for i in range(a):
-            for j in range(a):
-                ei = [Q1 if k == i else Q0 for k in range(a)]
-                ej = [Q1 if k == j else Q0 for k in range(a)]
-                lhs = m.apply([x * y for x, y in zip(ei, ej)])
-                rhs = tuple(x * y for x, y in zip(m.apply(ei), m.apply(ej)))
-                if tuple(lhs) != rhs:
-                    mult_ok = False
-        if unit_ok and mult_ok:
-            brute += 1
+    brute = sum(_dense_unital_mult(
+        Mat([[bits[r * a + c] for c in range(a)] for r in range(b)]), a, b)
+        for bits in product([0, 1], repeat=a * b))
     assert brute == 4
+
+
+def test_enumerate_homs_match_the_dense_construction():
+    """The homs built from their unit columns are the dense 0/1 matrices
+    of the partitions, in the same order, and each passes the dense
+    check."""
+    for a in range(1, 5):
+        for b in range(1, 5):
+            dense = [Mat([[Q1 if assign[r] == c else Q0 for c in range(a)]
+                          for r in range(b)], a)
+                     for assign in product(range(a), repeat=b)]
+            homs = enumerate_homs(QPower(a), QPower(b))
+            assert homs == dense
+            assert all(_dense_unital_mult(m, a, b) for m in homs)
+
+
+def test_unital_mult_refuses_bad_columns():
+    good = [{0: Q1}, {1: Q1, 2: Q1}]
+    bad = [[{0: Q1, 1: Q1}, {1: Q1, 2: Q1}],   # row 1 covered twice
+           [{0: QQ(2)}, {1: Q1, 2: Q1}],       # an entry 2
+           [{0: Q1}, {2: Q1}]]                 # row 1 left uncovered
+    assert _is_unital_mult(good, 3)
+    assert _dense_unital_mult(Mat.from_columns(good, 3), 2, 3)
+    for cols in bad:
+        assert not _is_unital_mult(cols, 3)
+        assert not _dense_unital_mult(Mat.from_columns(cols, 3), 2, 3)
 
 
 def test_hom_enumeration_guardrails():

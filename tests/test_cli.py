@@ -248,6 +248,15 @@ _MISCONFIGURED = [
           "checks": ["causality.cauchy-morphism-equivalence"]},
      "point (17, 0) outside the window; widen spacetime.window [-14, 16] "
      "or narrow universe.t_range"),
+    # the plane strip wrapped onto a cylinder needs its width plus two
+    ([], {"spacetime": {"kind": "cylinder", "window": [-14, 16],
+                        "circumference": 4},
+          "seed": 3,
+          "universe": {"compactness": "rc", "t_range": [0, 3],
+                       "max_height": 2},
+          "checks": ["causality.embedding-development-lemmas"]},
+     "source strip too wide to embed injectively with two-sided step "
+     "preservation; raise spacetime.circumference 4 to at least 5"),
 ]
 
 
@@ -259,7 +268,7 @@ _MISCONFIGURED = [
     "negative-brute", "negative-count", "max-height-type",
     "min-slab-height-type", "cap-type", "compactness-enum",
     "negative-max-height", "zero-min-slab-height", "negative-cap",
-    "window-margin", "outside-window"])
+    "window-margin", "outside-window", "strip-too-wide"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a

@@ -19,8 +19,8 @@ from latticehk.rational import ForkError, Mat, Q0, Q1
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor, restrict_pieces)
 
-from conftest import (dense_columns, dense_rank, from_dense_columns,
-                      row_space, span_consistent)
+from conftest import (dense_apply, dense_columns, dense_rank,
+                      from_dense_columns, row_space, span_consistent)
 
 
 def _band_cover(M, U, overlap=1):
@@ -162,7 +162,7 @@ def _fraction_relation_check(kg, cover, U, localized=False,
                        for (i, j) in wedge.pairs], wedge.dim)
 
     def pair(u, v):
-        return sum((a * b for a, b in zip(u, sigma.apply(v))), Q0)
+        return sum((a * b for a, b in zip(u, dense_apply(sigma, v))), Q0)
 
     def basis(pts):
         # the unit fields at the free points of L(pts), reduced in L(T)

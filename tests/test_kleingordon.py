@@ -15,8 +15,8 @@ from latticehk.kleingordon import (GreenKernel, KgConfig, KgContext, KgError,
 from latticehk.rational import Mat, QQ, Q0, Q1, induced_quotient_map
 from latticehk.sites import enumerate_universe
 
-from conftest import (dense_reduce, from_dense_columns, propagator_pairing,
-                      two_elimination_relations)
+from conftest import (dense_apply, dense_reduce, from_dense_columns,
+                      propagator_pairing, two_elimination_relations)
 
 
 def test_stencil_values(plane):
@@ -524,13 +524,13 @@ def _dense_induced(src, dst, amb: Mat) -> Mat:
     """The induced map as a product: the section of each quotient unit
     vector, the ambient matrix, then the target reduction."""
     for row in src.quotient.sub_rref.data:
-        if any(dense_reduce(dst.quotient, amb.apply(row))):
+        if any(dense_reduce(dst.quotient, dense_apply(amb, row))):
             raise ValueError("map not defined on quotient")
     cols = []
     for j in range(src.dim):
         e = _section(src.quotient, [Q1 if i == j else Q0
                                     for i in range(src.dim)])
-        cols.append(dense_reduce(dst.quotient, amb.apply(e)))
+        cols.append(dense_reduce(dst.quotient, dense_apply(amb, e)))
     return from_dense_columns(cols, dst.dim)
 
 

@@ -4,12 +4,15 @@ from itertools import product
 import pytest
 
 from latticehk import nets
-from latticehk.algebra import INITIAL, Initial, QPower, enumerate_homs
-from latticehk.checks import (check_point_family, check_pullback_functorial,
-                              point_cover)
+from latticehk.algebra import (INITIAL, AlgebraError, Initial, QPower,
+                               ThinDiagram, count_homs, enumerate_homs,
+                               two_valued_colimit)
+from latticehk.checks import (check_epsilon_iso, check_point_family,
+                              check_pullback_functorial, point_cover)
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
                                 bounded_spacetime, region_diamond,
-                                region_points, region_slab, set_bits)
+                                region_full, region_points, region_slab,
+                                set_bits)
 from latticehk.kleingordon import KgContext, KgSpace
 from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             build_kg_aqft, check_kg_axioms,
@@ -318,28 +321,68 @@ def _brute_nat_count(site, va, vb):
     return count
 
 
-def test_count_nat_transforms_matches_brute_force(small_structure):
-    site = small_structure
+def _seeded_nat_pairs(site):
+    """The seeded supports of the count tests: ``(S, None, None)`` for a
+    support of A that is not upward closed, else ``(S, Tb, alg)`` for each
+    net B (support Tb, algebra alg) that A on S is counted against."""
     rng = random.Random(11)
     keys = list(site.object_keys())
-    counted = 0
     for S in _support_sets(site, rng, 10):
         if len(S) > 4:
             continue
-        A = _indicator(site, S)
         if any(_bit(site.hom, a, b) and b not in S
                for a in S for b in keys):
-            with pytest.raises(AqftError, match="not upward closed"):
-                count_nat_transforms(A, A)
+            yield S, None, None
             continue
         T = S | _up_closure(site, rng.sample(keys, 1))
         for Tb, alg in ((S, QPower(2)), (T, QPower(2)), (set(), QPower(2)),
                         (S, QPower(3))):
-            assert count_nat_transforms(A, _indicator(site, Tb, alg)) == \
-                _brute_nat_count(site, _values(site, S),
-                                 _values(site, Tb, alg))
-            counted += 1
+            yield S, Tb, alg
+
+
+def test_count_nat_transforms_matches_brute_force(small_structure):
+    site = small_structure
+    counted = 0
+    for S, Tb, alg in _seeded_nat_pairs(site):
+        A = _indicator(site, S)
+        if Tb is None:
+            with pytest.raises(AqftError, match="not upward closed"):
+                count_nat_transforms(A, A)
+            continue
+        assert count_nat_transforms(A, _indicator(site, Tb, alg)) == \
+            _brute_nat_count(site, _values(site, S), _values(site, Tb, alg))
+        counted += 1
     assert counted >= 12
+
+
+def _closed_nat_count(site, S, Tb, a_alg, b_alg) -> int:
+    """The product, over the weak components C of the support S, of
+    |Hom(A, B)| when C lies in Tb and |Hom(A, Q)| otherwise
+    (docs/decisions.md, "The closed count of natural transformations")."""
+    total, rest = 1, set(S)
+    while rest:
+        comp, todo = set(), [min(rest)]
+        while todo:
+            a = todo.pop()
+            if a not in comp:
+                comp.add(a)
+                todo += [b for b in rest if _bit(site.hom, a, b) or
+                         _bit(site.hom, b, a)]
+        rest -= comp
+        total *= count_homs(a_alg, b_alg if comp <= Tb else QPower(1))
+    return total
+
+
+def test_count_nat_transforms_matches_the_closed_count(small_structure):
+    site = small_structure
+    inside = set()
+    for S, Tb, alg in _seeded_nat_pairs(site):
+        if Tb is not None:
+            assert count_nat_transforms(_indicator(site, S),
+                                        _indicator(site, Tb, alg)) == \
+                _closed_nat_count(site, S, Tb, QPower(2), alg)
+            inside.add(bool(S) and S <= Tb)
+    assert inside == {True, False}
 
 
 def _same_values(A, values) -> bool:
@@ -388,30 +431,99 @@ def test_indicator_support_matches_the_per_object_values(ctx_name, request):
     assert True in verdicts and (M.kind == "plane" or False in verdicts)
 
 
-@pytest.mark.parametrize("name", ["plane", "cyl"])
-def test_epsilon_iso_diagram_matches_containment(name, request,
-                                                 monkeypatch):
-    site = _small_site(request.getfixturevalue(name), False, seed=3)
+def _epsilon_iso_oracle(A, U_key) -> bool:
+    """The counit by its diagram: the relatively compact objects that U's
+    region contains, their hom pairs as a ThinDiagram, and its two-valued
+    colimit compared with the value at U."""
+    site = A.site
+    full = site.index.get(region_full(site.M))
+    below = [j for j in set_bits(site.within(site.region_of(U_key)))
+             if j != full]
+    pos = {k: i for i, k in enumerate(below)}
+    homs = frozenset((pos[a], pos[b]) for a in below
+                     for b in set_bits(site.hom[a]) if b != a and b in pos)
+    colim = two_valued_colimit(ThinDiagram(len(below), homs),
+                               [A.value(k) for k in below])
+    val = A.value(U_key)
+    if isinstance(colim, Initial) and isinstance(val, Initial):
+        return True
+    return colim == val
+
+
+@pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"],
+                         ids=["plane", "cyl"])
+def test_epsilon_iso_matches_the_diagram_oracle(ctx_name, request):
+    """On seeded upward-closed supports of the fixture site, the flood-fill
+    counit agrees with the diagram's colimit at every object.  The full
+    object alone is the support whose counit fails at the full object."""
+    ctx = request.getfixturevalue(ctx_name)
+    site = ctx.site("copen")
+    rng = random.Random(4)
     keys = list(site.object_keys())
-    S = _up_closure(site, random.Random(4).sample(keys, 2))
-    A, values = _indicator(site, S), _values(site, S)
-    diagrams = []
-    colimit = nets.two_valued_colimit
-    monkeypatch.setattr(nets, "two_valued_colimit",
-                        lambda D, vals: diagrams.append((D, vals))
-                        or colimit(D, vals))
-    for k in keys:
-        diagrams.clear()
-        epsilon_iso_check(A, k)
-        [(D, vals)] = diagrams
-        U = site.region_of(k)
-        below = [j for j in keys if site.region_of(j).is_relatively_compact
-                 and U.contains(site.region_of(j))]
-        assert D.n == len(below)
-        assert vals == [values[j] for j in below]
-        assert D.homs == frozenset(
-            (i, j) for i in range(D.n) for j in range(D.n)
-            if i != j and _bit(site.hom, below[i], below[j]))
+    supports = [set(), {site.index[region_full(ctx.M)]}] + [
+        _up_closure(site, rng.sample(keys, n)) for n in (1, 1, 2, 2, 3)]
+    verdicts = set()
+    for S in supports:
+        A = _indicator(site, S)
+        for k in keys:
+            got = epsilon_iso_check(A, k)
+            assert got == _epsilon_iso_oracle(A, k)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])
+def test_epsilon_iso_check_nets_match_the_oracle(ctx_name, request,
+                                                 monkeypatch):
+    """Every counit that ``net.epsilon-iso-violation`` decides, on the net
+    of the image, its pullback and the constant initial net, agrees with
+    the diagram's colimit."""
+    import latticehk.checks as checks_mod
+    calls = []
+    monkeypatch.setattr(checks_mod, "epsilon_iso_check",
+                        lambda A, k: calls.append((A, k)) or
+                        epsilon_iso_check(A, k))
+    rec, = check_epsilon_iso(request.getfixturevalue(ctx_name), {})
+    assert rec.verdict == "pass"
+    assert len({id(A) for A, _ in calls}) == 3
+    assert all(epsilon_iso_check(A, k) == _epsilon_iso_oracle(A, k)
+               for A, k in calls)
+
+
+@pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])
+def test_inside_rows_are_the_within_masks(ctx_name, request):
+    """Row j of ``inside`` is ``within`` of object j's region, the full
+    object's included, and the localized twin reads the same rows."""
+    ctx = request.getfixturevalue(ctx_name)
+    for comp in ("rc", "copen"):
+        site = ctx.site(comp)
+        assert site.inside == tuple(site.within(site.region_of(j))
+                                    for j in site.object_keys())
+        assert ctx.site(comp, localized=True).inside == site.inside
+    copen = ctx.site("copen")
+    assert copen.inside[copen.index[region_full(ctx.M)]] == \
+        (1 << len(copen.objects)) - 1
+
+
+def test_epsilon_iso_refuses_a_support_that_is_not_upward_closed(cyl_ctx):
+    """A supported object below U with a hom to an unsupported one below U
+    is refused with the diagram colimit's message."""
+    site = cyl_ctx.site("copen")
+    U, a = next((U, a) for U in site.object_keys()
+                if not site.region_of(U).is_full
+                for a in set_bits(site.inside[U])
+                if site.hom[a] & site.inside[U] & ~(1 << a))
+    A = _indicator(site, {a})
+    with pytest.raises(AlgebraError) as want:
+        _epsilon_iso_oracle(A, U)
+    with pytest.raises(AlgebraError) as got:
+        epsilon_iso_check(A, U)
+    assert str(got.value) == str(want.value)
+
+
+def test_nets_build_no_diagram():
+    assert not hasattr(nets, "ThinDiagram")
+    assert not hasattr(nets, "two_valued_colimit")
 
 
 def _cauchy_slabs_net(cyl):
