@@ -36,10 +36,10 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
 from .kleingordon import (KgContext, KgError, apply_P, field_add,
                           field_clean, green, pairing, propagator,
                           relabelling_map)
-from .nets import (AqftError, build_indicator, build_kg_aqft,
+from .nets import (AqftError, IndicatorAqft, build_indicator, build_kg_aqft,
                    check_time_slice, count_nat_transforms, epsilon_iso_check,
-                   make_predicate, pullback_indicator, PointFamily,
-                   verify_point, reconstruct_global)
+                   pullback_indicator, PointFamily, verify_point,
+                   reconstruct_global)
 from .rational import Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     SiteFunctor, check_cover_intersections,
@@ -708,7 +708,19 @@ def check_embedding_lemmas(ctx: RunContext, opts):
 @register("causality.stabilization",
           "window-doubling-leaves-stable-results-unchanged")
 def check_stabilization(ctx: RunContext, opts):
+    """Window doubling leaves a stable development unchanged, and a
+    development truncated by a two-row window is refused.
+
+    The truncated control is a block three columns wide and two rows
+    high.  On a cylinder of circumference 3 or less it wraps into a slab,
+    which develops to everything and leaves no horizon to truncate, so
+    that shape is a configuration error."""
     M = ctx.M
+    if M.kind == "cylinder" and M.circumference < 4:
+        raise geo.GeometryError(
+            "the truncated-horizon control of causality.stabilization wraps "
+            "into a slab; raise spacetime.circumference "
+            f"{M.circumference} to at least 4")
 
     def dev_op(mx):
         d = cauchy_development(mx, region_points(mx, U.pts))
@@ -1110,29 +1122,30 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
 @register("net.indicator-time-slice",
           "cauchy-stable-predicates-satisfy-time-slice")
 def check_indicator_time_slice(ctx: RunContext, opts):
+    """The indicator net on the objects that contain a Cauchy surface of
+    the spacetime satisfies the time-slice axiom; the net on one object
+    with a Cauchy partner does not.
+
+    The support is decided object by object with the geometric test, not
+    read off the site's development rows: ``cauchy`` groups the objects by
+    equal development, so a support read from those rows would be
+    Cauchy-stable by construction and the verdict could not fail."""
     site = ctx.site(localized=False)
-    pred_name = "contains_cauchy_surface"
-    if ctx.aqft_cfg.get("family") == "indicator":
-        pred_name = ctx.aqft_cfg.get("predicate", pred_name)
-    predicate = make_predicate(pred_name, site)
     algebra = ctx.algebra  # read before the skip, so a bad literal exits 2
     if not any(site.cauchy[k] & ~(1 << k) for k in site.object_keys()):
         return [ctx.skip("net.indicator-time-slice",
                          "no Cauchy pair in the universe", cauchy_pairs=0)]
-    A = build_indicator(site, predicate, algebra)
-    ok = check_time_slice(A)
-    # negative control: a predicate pinned to one region is not stable
-    negative_ok = True
-    # the first proper object with a Cauchy partner (on the plain site
-    # every Cauchy pair is a morphism)
-    target = next((site.region_of(k) for k in site.object_keys()
-                   if not site.region_of(k).is_full
-                   and site.cauchy[k] & ~(1 << k)), None)
-    if target is not None:
-        B = build_indicator(site, make_predicate("equals_region", site,
-                                                 data=target),
-                            QPower(2), check_functorial=False)
-        negative_ok = not check_time_slice(B)
+    full = region_full(site.M)
+    support = sum(1 << k for k, U in enumerate(site.objects)
+                  if contains_cauchy_surface_of(site.M, U, full))
+    ok = check_time_slice(build_indicator(site, support, algebra))
+    # negative control: the net on the first proper object with a Cauchy
+    # partner (on the plain site every Cauchy pair is a morphism) is not
+    # upward closed, so it is built unchecked, and it is not stable
+    target = next((k for k in site.object_keys()
+                   if k != site.full and site.cauchy[k] & ~(1 << k)), None)
+    negative_ok = target is None or \
+        not check_time_slice(IndicatorAqft(site, QPower(2), 1 << target))
     return [ctx.record("net.indicator-time-slice",
                        "pass" if ok and negative_ok else "fail")]
 
@@ -1151,15 +1164,13 @@ def check_epsilon_iso(ctx: RunContext, opts):
     # the full source object carries the image itself into the target
     F = ctx.embedded(f, siteM, around=ctx.universe("copen"))
     siteN = F.target
-    A = build_indicator(siteN, make_predicate("contains_image", siteN,
-                                              data=img), QPower(2))
+    # the objects of siteN that contain the image
+    A = build_indicator(siteN, siteN.plain_hom[siteN.index[img]], QPower(2))
     pass_on_N = all(epsilon_iso_check(A, k) for k in siteN.object_keys())
     pb = pullback_indicator(F, A)
-    kfull = next(k for k in siteM.object_keys()
-                 if siteM.region_of(k).is_full)
-    viol = not epsilon_iso_check(pb, kfull)
-    expl_ok = not pb.support & ~(1 << kfull)
-    const_A = build_indicator(siteN, lambda U: False, QPower(2))
+    viol = not epsilon_iso_check(pb, siteM.full)
+    expl_ok = not pb.support & ~(1 << siteM.full)
+    const_A = build_indicator(siteN, 0, QPower(2))
     const_ok = all(epsilon_iso_check(const_A, k)
                    for k in siteN.object_keys())
     ok = pass_on_N and viol and expl_ok and const_ok
@@ -1172,12 +1183,11 @@ def check_epsilon_iso(ctx: RunContext, opts):
 @register("net.nat-transform-counts", "hom-counts-of-indicator-theories")
 def check_nat_transform_counts(ctx: RunContext, opts):
     site = ctx.site(compactness="copen", localized=False)
-    A = build_indicator(site, make_predicate("equals_full", site), QPower(2))
-    B = build_indicator(site, make_predicate("equals_full", site), QPower(2))
-    c1 = count_nat_transforms(A, B)
-    Binit = build_indicator(site, lambda U: False, QPower(1))
+    A = build_indicator(site, 1 << site.full, QPower(2))
+    c1 = count_nat_transforms(A, A)
+    Binit = build_indicator(site, 0, QPower(1))
     c2 = count_nat_transforms(A, Binit)
-    Cinit = build_indicator(site, lambda U: False, QPower(2))
+    Cinit = build_indicator(site, 0, QPower(2))
     c3 = count_nat_transforms(Cinit, Cinit)
     ok = (c1, c2, c3) == (4, 2, 1)
     return [ctx.record("net.nat-transform-counts", "pass" if ok else "fail",
@@ -1199,7 +1209,7 @@ def check_pullback_functorial(ctx: RunContext, opts):
     # its own object map, the one the test compares; images that leave S2
     # give it another target
     Fgf = ctx.embedded(gf, s0, around=s2.objects)
-    A = build_indicator(s2, make_predicate("equals_full", s2), QPower(2))
+    A = build_indicator(s2, 1 << s2.full, QPower(2))
     rhs = pullback_indicator(Ff, pullback_indicator(Fg, A))
     ok = Fgf.target is s2 and \
         Fgf.omap == {k: Fg.omap[j] for k, j in Ff.omap.items()} and \
@@ -1224,6 +1234,11 @@ def check_point_family(ctx: RunContext, opts):
         return [ctx.skip("net.point-family",
                          "members must be cylinder slabs; bounded plane "
                          "diamonds funnel maximal paths at their vertices")]
+    if N.circumference < 4:
+        raise AqftError(
+            "net.point-family: the waist of a height-2 diamond is a whole "
+            "circle, a one-row Cauchy surface; "
+            f"raise spacetime.circumference {N.circumference} to at least 4")
     M1 = bounded_spacetime(N, region_slab(N, 0, 3).pts)
     M2 = bounded_spacetime(N, region_slab(N, 1, 4).pts)
     spaces = {"M1": M1, "M2": M2, "N": N}
@@ -1368,8 +1383,8 @@ def check_kg_time_slice(ctx: RunContext, opts):
             len(r.pts) == M.circumference and len({t for t, _ in r.pts}) == 1
             for r in site.objects):
         raise KgError("kg.time-slice needs a universe without one-row "
-                      "slabs (min_slab_height: 2): a one-row slab carries "
-                      "half the leapfrog Cauchy data")
+                      "slabs: a one-row slab carries half the leapfrog "
+                      "Cauchy data; set universe.min_slab_height to 2")
     bad_iso, n_iso = 0, 0
     for a in site.object_keys():
         for b in set_bits(site.cauchy[a]):
@@ -1636,13 +1651,11 @@ def check_finer_coarser(ctx: RunContext, opts):
 def check_prestack_demos(ctx: RunContext, opts):
     """The four no-prestack demonstrations with counts (4, 1)."""
     recs = []
-    A, B = QPower(2), QPower(2)
     M = ctx.M
     cov = point_cover(M, ctx.zone())
     if M.kind == "plane":
         site = ctx.site("copen")
-        r = prestack_failure_demo(site, cov,
-                                  make_predicate("equals_full", site), A, B)
+        r = prestack_failure_demo(site, cov, 1 << site.full, QPower(2))
         recs.append(ctx.record(
             "descent.prestack-failure-plain",
             "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
@@ -1658,9 +1671,8 @@ def check_prestack_demos(ctx: RunContext, opts):
             objs = uni if comp == "copen" else \
                 [u for u in uni if not u.is_full]
             site = ctx.site_over(objs, comp, loc)
-            r = prestack_failure_demo(
-                site, cov, make_predicate("contains_cauchy_surface", site),
-                A, B)
+            # the objects that contain a Cauchy surface of the cylinder
+            r = prestack_failure_demo(site, cov, site.dev_full, QPower(2))
             recs.append(ctx.record(
                 f"descent.prestack-failure-{name}",
                 "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
@@ -1675,7 +1687,7 @@ def check_indicator_datum(ctx: RunContext, opts):
     constant-initial theory on the cover category of any proper cover."""
     M = ctx.M
     site = ctx.site("copen")
-    A = build_indicator(site, make_predicate("equals_full", site), QPower(2))
+    A = build_indicator(site, 1 << site.full, QPower(2))
     cc = CoverCategory(site, point_cover(M, ctx.zone()))
     ok = not pullback_indicator(j_functor(cc), A).support
     return [ctx.record("descent.indicator-datum-trivial",

@@ -313,19 +313,17 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
 # ---------------------------------------------------------------------------
 
 
-def prestack_failure_demo(site: SiteCategory, cover: Cover, predicate,
-                          A, B) -> dict:
-    """Counts |Hom(A-theory, B-theory)| on the site versus on the cover
-    category, where both theories are pulled back along the cover functor;
-    a mismatch exhibits failure of fullness for that functor."""
-    thA = build_indicator(site, predicate, A)
-    thB = build_indicator(site, predicate, B)
-    global_count = count_nat_transforms(thA, thB)
-    jf = j_functor(CoverCategory(site, cover))
-    localA = pullback_indicator(jf, thA)
-    localB = pullback_indicator(jf, thB)
-    local_count = count_nat_transforms(localA, localB)
+def prestack_failure_demo(site: SiteCategory, cover: Cover, support: int,
+                          A) -> dict:
+    """Counts the natural endomorphisms of the indicator theory on
+    ``support`` with algebra ``A``, on the site versus on the cover
+    category, where the theory is pulled back along the cover functor; a
+    mismatch exhibits failure of fullness for that functor."""
+    th = build_indicator(site, support, A)
+    global_count = count_nat_transforms(th, th)
+    local = pullback_indicator(j_functor(CoverCategory(site, cover)), th)
+    local_count = count_nat_transforms(local, local)
     return {"global_count": global_count, "datum_count": local_count,
-            "datum_trivial": not localA.support and not localB.support,
+            "datum_trivial": not local.support,
             "exhibits_failure": global_count != local_count}
 

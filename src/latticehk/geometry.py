@@ -483,7 +483,9 @@ def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
     if U.is_full:
         return U
     if M.extent is not None:
-        return region_development(M, U, region_full(M))
+        D = region_development(M, U, region_full(M))
+        # the whole bounded spacetime, as apply_embedding names it
+        return region_full(M) if D.pts == M.extent else D
     pts = U.pts
     memo = M._developments
     if pts in memo:

@@ -3,7 +3,7 @@ axiom checks, the additivity counit probe and natural-transformation counts.
 
 An assignment pairs every object of a materialized site (or cover category)
 with an algebra value and every morphism with transition data.  Indicator
-families take a distinguished algebra on the objects satisfying a predicate
+families take a distinguished algebra on the objects of a support mask
 and the initial algebra elsewhere, with all transitions forced.  CCR families
 carry a generator quotient space per region and a linear map per morphism.
 """
@@ -11,12 +11,10 @@ carry a generator quotient space per region and a linear map per morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .algebra import (INITIAL, AlgebraError, Initial, QPower,
                       enumerate_homs, weak_components)
-from .geometry import (Region, contains_cauchy_surface_of, region_full,
-                       set_bits)
+from .geometry import set_bits
 from .kleingordon import TimesliceSkip
 from .rational import Mat, Q1
 from .sites import SiteCategory
@@ -29,26 +27,6 @@ class AqftError(Exception):
 # ---------------------------------------------------------------------------
 # indicator families
 # ---------------------------------------------------------------------------
-
-
-def make_predicate(name: str, site: SiteCategory,
-                   data: Optional[Region] = None) -> Callable[[Region], bool]:
-    M = site.M
-    if name == "equals_full":
-        return lambda U: U.is_full
-    if name == "contains_cauchy_surface":
-        full = region_full(M)
-        return lambda U: contains_cauchy_surface_of(M, U, full)
-    if name == "contains_image":
-        if data is None:
-            raise AqftError("contains_image needs the image region")
-        return lambda U: U.contains(data)
-    if name == "equals_region":
-        # deliberately non-monotone negative control
-        if data is None:
-            raise AqftError("equals_region needs a region")
-        return lambda U: U == data
-    raise AqftError(f"unknown predicate {name!r}")
 
 
 @dataclass
@@ -65,29 +43,23 @@ class IndicatorAqft:
         return self.algebra if self.support >> k & 1 else INITIAL
 
 
-def build_indicator(site, predicate, A: QPower,
-                    check_functorial: bool = True) -> IndicatorAqft:
-    """Indicator assignment with forced transitions.
+def build_indicator(site, support: int, A: QPower) -> IndicatorAqft:
+    """Indicator assignment on the objects of ``support`` (bit k: object
+    k), with forced transitions.
 
-    Construction fails when the predicate is not monotone along morphisms
-    (no functor) or holds on two causally disjoint regions (the guard the
-    commutativity axiom asks for).
+    Construction fails when the support is not upward closed along
+    morphisms (no functor) or holds two causally disjoint objects (the
+    guard the commutativity axiom asks for).
     """
-    support = 0
-    for k in site.object_keys():
-        if predicate(site.region_of(k)):
-            support |= 1 << k
-    if check_functorial:
-        for a in set_bits(support):
-            escape = site.hom[a] & ~support
-            if escape:
-                b = next(set_bits(escape))
-                raise AqftError(
-                    f"predicate not monotone along {site.region_of(a)} -> "
-                    f"{site.region_of(b)}; no indicator functor")
-        if any(site.disjoint[a] & support for a in set_bits(support)):
-            raise AqftError("predicate holds on two causally "
-                            "disjoint regions")
+    for a in set_bits(support):
+        escape = site.hom[a] & ~support
+        if escape:
+            b = next(set_bits(escape))
+            raise AqftError(
+                f"support not upward closed along {site.region_of(a)} -> "
+                f"{site.region_of(b)}; no indicator functor")
+    if any(site.disjoint[a] & support for a in set_bits(support)):
+        raise AqftError("support holds two causally disjoint objects")
     return IndicatorAqft(site, A, support)
 
 
@@ -113,8 +85,7 @@ def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
         raise AqftError("the counit probe runs on a plain site")
     hom, inside, support = site.plain_hom, site.inside, A.support
     # every object but the full one
-    full = site.index.get(region_full(site.M))
-    below = inside[U_key] & ~(0 if full is None else 1 << full)
+    below = inside[U_key] & ~(0 if site.full is None else 1 << site.full)
     rest = support & below
     if any(hom[a] & below & ~support for a in set_bits(rest)):
         raise AlgebraError("transition from the nontrivial value to "
@@ -382,10 +353,9 @@ def reconstruct_global(P: PointFamily) -> dict:
     alpha_f``."""
     full = {}
     for name, (site, _) in P.members.items():
-        key = site.index.get(region_full(site.M))
-        if key is None:
+        if site.full is None:
             raise AqftError(f"member {name} has no full object")
-        full[name] = key
+        full[name] = site.full
     maps = {}
     for label, (sname, tname, F, alpha) in P.arrows.items():
         img = F.omap[full[sname]]

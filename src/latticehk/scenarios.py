@@ -50,8 +50,7 @@ SCENARIO_SCHEMA = {
                                              "minimum": 1},
                          "cap": {"type": "integer", "minimum": 0}}},
         "aqft": {"type": "object",
-                 "propertyNames": {"enum": ["family", "mass2", "predicate",
-                                            "algebra"]}},
+                 "propertyNames": {"enum": ["family", "mass2", "algebra"]}},
         "checks": {"type": "array", "items": {"type": "string"},
                    "minItems": 1},
         # check id -> {option name: count >= 0}, over the names it reads

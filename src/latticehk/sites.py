@@ -76,7 +76,10 @@ class SiteCategory(_Thin):
     Rows are bitsets over the object indices: bit ``j`` of ``hom[i]`` is the
     morphism ``i -> j``.  ``plain_hom``, ``local_hom``, ``cauchy`` and
     ``disjoint`` do not depend on the morphism rule and are shared, as
-    tuples, with the :meth:`relocalized` twin.
+    tuples, with the :meth:`relocalized` twin.  So are ``full``, the key
+    of the full object (``None`` when the site has none), and ``dev_full``,
+    the mask of the objects whose Cauchy development is the whole
+    spacetime.
     """
 
     def __init__(self, M: LatticeSpacetime, universe: Iterable[Region],
@@ -96,6 +99,7 @@ class SiteCategory(_Thin):
         self.localized = localized
         self.objects: tuple[Region, ...] = tuple(objs)
         self.index = {r: k for k, r in enumerate(self.objects)}
+        self.full = self.index.get(region_full(M))
         # first, so that no region is developed before its convexity holds
         self.disjoint = self._disjoint_rows()
         # the point set of each object: the extent for a bounded full region,
@@ -109,6 +113,7 @@ class SiteCategory(_Thin):
         # developments are needed only here, so the site does not keep them
         dev = [cauchy_development(M, r) for r in objs]
         self.local_hom = self._containing(dev, own)
+        self.dev_full = sum(1 << j for j, d in enumerate(dev) if d.is_full)
         same_dev: dict[Region, int] = {}
         for j, d in enumerate(dev):
             same_dev[d] = same_dev.get(d, 0) | 1 << j

@@ -257,6 +257,28 @@ _MISCONFIGURED = [
           "checks": ["causality.embedding-development-lemmas"]},
      "source strip too wide to embed injectively with two-sided step "
      "preservation; raise spacetime.circumference 4 to at least 5"),
+    # on a circle of three sites the truncated control is a slab, and a
+    # height-2 diamond's waist is a one-row Cauchy surface
+    ([], {"spacetime": {**_CYLINDER, "circumference": 3}, "universe": _ROWS,
+          "checks": ["causality.stabilization"]},
+     "the truncated-horizon control of causality.stabilization wraps into "
+     "a slab; raise spacetime.circumference 3 to at least 4"),
+    ([], {"spacetime": {**_CYLINDER, "circumference": 3}, "universe": _ROWS,
+          "checks": ["net.point-family"]},
+     "net.point-family: the waist of a height-2 diamond is a whole circle, "
+     "a one-row Cauchy surface; raise spacetime.circumference 3 to at "
+     "least 4"),
+    ([], {"universe": _ROWS, "checks": ["kg.time-slice"]},
+     "kg.time-slice needs a universe without one-row slabs: a one-row slab "
+     "carries half the leapfrog Cauchy data; set universe.min_slab_height "
+     "to 2"),
+    # an indicator net's support is read off the site, not chosen by name
+    ([], {"universe": _ROWS,
+          "aqft": {"family": "indicator",
+                   "predicate": "contains_cauchy_surface"},
+          "checks": ["net.indicator-time-slice"]},
+     "invalid scenario: 'predicate' is not one of ['family', 'mass2', "
+     "'algebra'] at aqft"),
 ]
 
 
@@ -268,7 +290,9 @@ _MISCONFIGURED = [
     "negative-brute", "negative-count", "max-height-type",
     "min-slab-height-type", "cap-type", "compactness-enum",
     "negative-max-height", "zero-min-slab-height", "negative-cap",
-    "window-margin", "outside-window", "strip-too-wide"])
+    "window-margin", "outside-window", "strip-too-wide",
+    "stabilization-narrow-cylinder", "point-family-narrow-cylinder",
+    "kg-one-row-slabs", "aqft-predicate"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a

@@ -13,8 +13,7 @@ from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
                                 cauchy_development, is_causally_convex,
                                 region_diamond, region_full, region_points,
                                 region_slab)
-from latticehk.nets import (build_indicator, make_predicate,
-                            pullback_indicator)
+from latticehk.nets import build_indicator, pullback_indicator
 from latticehk.rational import ForkError, Mat, Q0, Q1
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor, restrict_pieces)
@@ -415,8 +414,7 @@ def test_restriction_to_a_cover_is_the_pullback(cyl):
     uni = enumerate_universe(cyl, compactness="copen", t_range=(0, 4),
                              max_height=4, cap=1600)
     site = SiteCategory(cyl, uni, "copen", localized=False)
-    A = build_indicator(site, make_predicate("equals_full", site),
-                        QPower(2))
+    A = build_indicator(site, 1 << site.full, QPower(2))
     zone = region_slab(cyl, 0, 4)
     pieces = tuple(region_points(cyl, [p]) for p in sorted(zone.pts))
     cov = Cover(region_full(cyl), pieces, zone=zone)
@@ -425,8 +423,7 @@ def test_restriction_to_a_cover_is_the_pullback(cyl):
     s03 = region_slab(cyl, 0, 3)
     sub = [r for r in uni if not r.is_full and s03.contains(r)]
     site2 = SiteCategory(cyl, sub, "rc", localized=False)
-    A2 = build_indicator(site2, make_predicate("contains_cauchy_surface",
-                                               site2), QPower(2))
+    A2 = build_indicator(site2, site2.dev_full, QPower(2))
     R2 = _restricted(A2, site2, Cover(s03, (s03,)))
     assert R2.support.bit_count() == A2.support.bit_count()
 
@@ -441,10 +438,9 @@ def test_prestack_failure_counts(cyl):
                       ("rc", True)):
         objs = uni if comp == "copen" else [u for u in uni if not u.is_full]
         site = SiteCategory(cyl, objs, comp, loc)
-        pred = "equals_full" if (comp, loc) == ("copen", False) else \
-            "contains_cauchy_surface"
-        r = prestack_failure_demo(site, cov, make_predicate(pred, site),
-                                  QPower(2), QPower(2))
+        support = 1 << site.full if (comp, loc) == ("copen", False) else \
+            site.dev_full
+        r = prestack_failure_demo(site, cov, support, QPower(2))
         assert (r["global_count"], r["datum_count"]) == (4, 1)
         assert r["exhibits_failure"] and r["datum_trivial"]
 

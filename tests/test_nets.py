@@ -17,8 +17,7 @@ from latticehk.kleingordon import KgContext, KgSpace
 from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             build_kg_aqft, check_kg_axioms,
                             check_time_slice, count_nat_transforms,
-                            epsilon_iso_check, make_predicate,
-                            pullback_indicator)
+                            epsilon_iso_check, pullback_indicator)
 from latticehk.rational import Mat, Q0, Q1, QQ
 from latticehk.sites import (Cover, CoverCategory, SiteCategory,
                              SiteFunctor, enumerate_universe, j_functor)
@@ -32,22 +31,21 @@ def _copen_site(cyl):
 
 def test_indicator_guardrails(cyl):
     site = _copen_site(cyl)
-    # non-monotone predicate: no functor
-    target = next(r for r in site.objects
+    # a support that is not upward closed: no functor
+    target = next(k for k, r in enumerate(site.objects)
                   if not r.is_full and len(r.pts) == 1)
-    with pytest.raises(AqftError):
-        build_indicator(site, make_predicate("equals_region", site,
-                                             data=target), QPower(2))
-    # predicate holding on two causally disjoint regions is refused
-    with pytest.raises(AqftError):
-        build_indicator(site, lambda U: not U.is_full and len(U.pts) == 1,
-                        QPower(2))
+    with pytest.raises(AqftError, match="not upward closed"):
+        build_indicator(site, 1 << target, QPower(2))
+    # an upward closed support holding two causally disjoint objects
+    other = next(set_bits(site.disjoint[target]))
+    with pytest.raises(AqftError, match="causally disjoint"):
+        build_indicator(site, site.plain_hom[target] |
+                        site.plain_hom[other], QPower(2))
 
 
 def test_indicator_time_slice(cyl):
     site = _copen_site(cyl)
-    A = build_indicator(site, make_predicate("contains_cauchy_surface",
-                                             site), QPower(2))
+    A = build_indicator(site, site.dev_full, QPower(2))
     assert check_time_slice(A)
     slabs = [k for k in set_bits(A.support)
              if not site.region_of(k).is_full]
@@ -56,13 +54,10 @@ def test_indicator_time_slice(cyl):
 
 def test_epsilon_iso_constant_and_full(cyl):
     site = _copen_site(cyl)
-    const = build_indicator(site, lambda U: False, QPower(2))
+    const = build_indicator(site, 0, QPower(2))
     assert all(epsilon_iso_check(const, k) for k in site.object_keys())
-    at_full = build_indicator(site, make_predicate("equals_full", site),
-                              QPower(2))
-    kfull = next(k for k in site.object_keys()
-                 if site.region_of(k).is_full)
-    assert not epsilon_iso_check(at_full, kfull)
+    at_full = build_indicator(site, 1 << site.full, QPower(2))
+    assert not epsilon_iso_check(at_full, site.full)
 
 
 def test_epsilon_iso_violation_mechanism(plane):
@@ -74,8 +69,7 @@ def test_epsilon_iso_violation_mechanism(plane):
                              t_range=(-1, 5), max_height=5, cap=3000)
     uni = sorted(set(uni) | {img}, key=lambda r: r.sort_key())
     siteN = SiteCategory(plane, uni, "copen", localized=False)
-    A = build_indicator(siteN, make_predicate("contains_image", siteN,
-                                              data=img), QPower(2))
+    A = build_indicator(siteN, siteN.plain_hom[siteN.index[img]], QPower(2))
     assert all(epsilon_iso_check(A, k) for k in siteN.object_keys())
     siteM = SiteCategory(src, enumerate_universe(src, compactness="copen",
                                                  cap=3000),
@@ -83,28 +77,22 @@ def test_epsilon_iso_violation_mechanism(plane):
     F = SiteFunctor(siteM, siteN, {k: siteN.index[apply_embedding(f, U)]
                                    for k, U in enumerate(siteM.objects)})
     pb = pullback_indicator(F, A)
-    kfull = next(k for k in siteM.object_keys()
-                 if siteM.region_of(k).is_full)
-    assert pb.support == 1 << kfull  # the full object alone
-    assert not epsilon_iso_check(pb, kfull)
+    assert pb.support == 1 << siteM.full  # the full object alone
+    assert not epsilon_iso_check(pb, siteM.full)
 
 
 def test_nat_transform_counts(cyl):
     site = _copen_site(cyl)
-    A = build_indicator(site, make_predicate("equals_full", site),
-                        QPower(2))
-    B = build_indicator(site, make_predicate("equals_full", site),
-                        QPower(2))
+    A = build_indicator(site, 1 << site.full, QPower(2))
+    B = build_indicator(site, 1 << site.full, QPower(2))
     assert count_nat_transforms(A, B) == 4
-    Binit = build_indicator(site, lambda U: False, QPower(1))
+    Binit = build_indicator(site, 0, QPower(1))
     assert count_nat_transforms(A, Binit) == 2
-    Cinit = build_indicator(site, lambda U: False, QPower(2))
+    Cinit = build_indicator(site, 0, QPower(2))
     assert count_nat_transforms(Cinit, Cinit) == 1
     # a multi-object connected block still counts like a single hom set
-    AC = build_indicator(site, make_predicate("contains_cauchy_surface",
-                                              site), QPower(2))
-    BC = build_indicator(site, make_predicate("contains_cauchy_surface",
-                                              site), QPower(2))
+    AC = build_indicator(site, site.dev_full, QPower(2))
+    BC = build_indicator(site, site.dev_full, QPower(2))
     assert count_nat_transforms(AC, BC) == 4
 
 
@@ -194,8 +182,8 @@ def test_nat_transform_count_multiplicative_over_blocks(cyl):
     d2 = region_diamond(cyl, (1, 1), (5, 1))
     assert d1.pts & d2.pts
     site = SiteCategory(cyl, [d1, d2], "rc", localized=False)
-    A = build_indicator(site, lambda U: True, QPower(2))
-    B = build_indicator(site, lambda U: True, QPower(2))
+    A = build_indicator(site, 0b11, QPower(2))
+    B = build_indicator(site, 0b11, QPower(2))
     assert count_nat_transforms(A, B) == 16
 
 
@@ -260,10 +248,11 @@ def _pairwise_refusal(site, S):
     for a in keys:
         for b in keys:
             if _bit(site.hom, a, b) and a in S and b not in S:
-                return (f"predicate not monotone along {site.region_of(a)} "
-                        f"-> {site.region_of(b)}; no indicator functor")
+                return ("support not upward closed along "
+                        f"{site.region_of(a)} -> {site.region_of(b)}; no "
+                        "indicator functor")
     if any(a < b and _bit(site.disjoint, a, b) for a in S for b in S):
-        return "predicate holds on two causally disjoint regions"
+        return "support holds two causally disjoint objects"
     return None
 
 
@@ -272,19 +261,17 @@ def test_build_indicator_refusals_match_pairwise(small_structure):
     rng = random.Random(5)
     seen = set()
     for S in _support_sets(site, rng, 15):
-        held = {site.region_of(k) for k in S}
-        S = {k for k in site.object_keys() if site.region_of(k) in held}
         expected = _pairwise_refusal(site, S)
-        seen.add(expected is None or expected[:9])
+        seen.add(expected is None)
         try:
-            A = build_indicator(site, lambda U: U in held, QPower(2))
+            A = build_indicator(site, sum(1 << k for k in S), QPower(2))
             got = None
         except AqftError as e:
             got = str(e)
         assert got == expected
         if got is None:
             assert set(set_bits(A.support)) == S
-    assert {True, "predicate"} <= seen  # both outcomes were exercised
+    assert seen == {True, False}  # both outcomes were exercised
 
 
 def _indicator(site, S, alg=QPower(2)):
@@ -417,8 +404,7 @@ def test_indicator_support_matches_the_per_object_values(ctx_name, request):
     for G in (F, J):
         target = G.target
         for S in _support_sets(target, rng, 6):
-            A = build_indicator(target, lambda U: target.index[U] in S,
-                                QPower(2), check_functorial=False)
+            A = _indicator(target, S)  # unchecked: most S are not closed
             values = _values(target, S)
             assert _same_values(A, values)
             verdicts.append(check_time_slice(A))

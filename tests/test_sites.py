@@ -1,7 +1,10 @@
 import pytest
 
+from latticehk.checks import _diamond_source
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
-                                cauchy_development, hull, is_D_stable,
+                                cauchy_development,
+                                contains_cauchy_surface_of, hull,
+                                is_D_stable, region_development,
                                 region_diamond, region_full, region_points,
                                 region_slab)
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
@@ -496,6 +499,56 @@ def test_site_rows_are_shared_and_immutable(cyl_ctx):
     assert site.hom is site.plain_hom and loc.hom is site.local_hom
     with pytest.raises(TypeError):
         loc.hom[0] |= 1
+
+
+def _diamond_source_site(M, compactness):
+    src = _diamond_source(M)
+    return SiteCategory(src, enumerate_universe(src, compactness=compactness,
+                                                cap=2000), compactness)
+
+
+@pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])
+def test_full_key_and_development_mask_match_the_geometry(ctx_name,
+                                                          request):
+    """``full`` is the key of the full object, and bit k of ``dev_full`` is
+    whether object k contains a Cauchy surface of the whole spacetime, on
+    the fixture's rc and copen sites and on the sites over the bounded
+    diamond source, each with its localized twin."""
+    ctx = request.getfixturevalue(ctx_name)
+    sites = [site for comp in ("rc", "copen")
+             for site in (ctx.site(comp), _diamond_source_site(ctx.M, comp))]
+    proper = 0
+    for site in sites:
+        full = region_full(site.M)
+        dev_full = sum(1 << k for k, U in enumerate(site.objects)
+                       if contains_cauchy_surface_of(site.M, U, full))
+        for s in (site, site.relocalized(True)):
+            assert s.full == next((k for k, U in enumerate(s.objects)
+                                   if U.is_full), None)
+            assert s.dev_full == dev_full
+        proper += bool(dev_full & ~(0 if site.full is None
+                                    else 1 << site.full))
+    assert proper  # some proper object develops to the whole spacetime
+
+
+@pytest.mark.parametrize("backend", ["plane", "cyl"])
+def test_a_bounded_development_that_fills_the_extent_is_full(backend,
+                                                             request):
+    """On a bounded spacetime a proper region whose development is the
+    extent develops to the full region, so the site's Cauchy row of such
+    an object holds the full object, to which it is localized-isomorphic."""
+    site = _diamond_source_site(request.getfixturevalue(backend), "copen")
+    M, full = site.M, site.full
+    filling = [k for k, U in enumerate(site.objects) if k != full and
+               region_development(M, U, region_full(M)).pts == M.extent]
+    assert filling
+    for k in filling:
+        assert cauchy_development(M, site.objects[k]) == region_full(M)
+        assert site.local_hom[k] >> full & 1 and \
+            site.local_hom[full] >> k & 1
+        assert site.cauchy[k] >> full & 1
+    assert {k for k in site.object_keys()
+            if site.cauchy[k] >> full & 1} == {*filling, full}
 
 
 def _count_site_builds(monkeypatch):
