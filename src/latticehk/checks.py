@@ -250,16 +250,10 @@ class RunContext:
 
 
 def exhaustive_diamonds(M: LatticeSpacetime, zone) -> list[Region]:
-    seen, out = set(), []
-    for p in zone:
-        for q in zone:
-            if q[0] < p[0] or M.xdist(q[1], p[1]) > q[0] - p[0]:
-                continue
-            d = region_diamond(M, p, q)
-            if d.pts not in seen:
-                seen.add(d.pts)
-                out.append(d)
-    return out
+    """The distinct diamonds of pairs of ``zone``, first found first."""
+    return list(dict.fromkeys(
+        region_diamond(M, p, q) for p in zone for q in zone
+        if q[0] >= p[0] and M.xdist(q[1], p[1]) <= q[0] - p[0]))
 
 
 def draw_points(rng, zone: list, lo: int, hi: int) -> list:

@@ -5,9 +5,12 @@ Points are integer pairs ``(t, x)``.  A causal step goes from ``(t, x)`` to
 on cylinders).  Chronological reachability additionally requires the time
 offset to strictly exceed the spatial offset.
 
-Sets of points are handled internally as per-row bitmasks so that cones,
-Cauchy developments and causal complements reduce to a handful of integer
-operations per row.  The public API deals in :class:`Region` values.
+A :class:`Region` is its row masks: bit ``i`` of row ``k`` is the site
+``(t0 + k, x0 + i)``, in a normal form that makes equal point sets equal
+regions.  Cones, Cauchy developments and causal complements shift those rows
+into a padded grid, run a handful of integer operations per row and trim the
+grid rows back into a region; the point set is a derived view.
+:func:`flat_grid` lays a site's regions over one shared grid as single ints.
 
 A development, double complement or Cauchy-surface test is decided on a band
 of rows around its region that provably holds the answer, and a result that
@@ -19,6 +22,7 @@ too small.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -56,9 +60,10 @@ class LatticeSpacetime:
     denotes exactly this point set.
 
     ``_developments`` memoizes :func:`cauchy_development` on an unbounded
-    spacetime by point set: ``None`` for the full result, else the points.
-    It holds no :class:`Region` (a region holds its spacetime), takes no part
-    in equality or hashing, and starts empty on every new spacetime, so a
+    spacetime by a region's own data ``(t0, x0, rows)``: ``None`` for the
+    full result, else the data of the development.  It holds no
+    :class:`Region` (a region holds its spacetime), takes no part in
+    equality or hashing, and starts empty on every new spacetime, so a
     changed window never sees an old result.
     """
 
@@ -79,13 +84,21 @@ class LatticeSpacetime:
             raise GeometryError("plane takes no circumference")
         t_lo, t_hi = self.window
         if t_lo > t_hi:
-            raise GeometryError("empty window")
+            raise GeometryError(
+                f"spacetime.window [{t_lo}, {t_hi}] runs backwards; write "
+                f"it as [{t_hi}, {t_lo}]")
         if self.extent is not None:
             if not self.extent:
                 raise GeometryError("extent must be nonempty")
             for (t, x) in self.extent:
                 if not (t_lo <= t <= t_hi):
                     raise GeometryError("extent exceeds window")
+
+    @functools.cached_property
+    def _extent_rows(self) -> tuple[int, int, tuple[int, ...]]:
+        """The extent's ``(t0, x0, rows)``, held by the full region."""
+        R = region_points(self.unbounded(), self.extent)
+        return R.t0, R.x0, R.rows
 
     # -- coordinates ------------------------------------------------------
 
@@ -116,23 +129,37 @@ class LatticeSpacetime:
         return LatticeSpacetime(self.kind, self.window, self.circumference)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Region:
     """A finite explicit point set, or the symbolic full spacetime.
 
-    The full region is the only region that is not relatively compact.  On a
-    bounded spacetime it denotes the extent.
+    A region is its rows: bit ``i`` of ``rows[k]`` is the site
+    ``(t0 + k, x0 + i)``.  The normal form makes equal point sets equal
+    regions: the first and last rows are nonzero, ``x0`` is 0 on the
+    cylinder and the least x on the plane.  ``pts`` is the derived point
+    set.  The full region is the only region that is not relatively
+    compact; on a bounded spacetime it denotes the extent and holds its
+    rows, on an unbounded one it holds none.
     """
 
     ambient: LatticeSpacetime
     kind: str  # "points" | "full"
-    pts: frozenset[Point] = frozenset()
+    t0: int = 0
+    x0: int = 0
+    rows: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in ("points", "full"):
-            raise GeometryError(f"unknown region kind {self.kind!r}")
-        if self.kind == "points" and not self.pts:
+    def __init__(self, ambient: LatticeSpacetime, kind: str, t0: int = 0,
+                 x0: int = 0, rows: tuple[int, ...] = ()):
+        if kind not in ("points", "full"):
+            raise GeometryError(f"unknown region kind {kind!r}")
+        if kind == "points" and not rows:
             raise GeometryError("explicit region must be nonempty")
+        # frozen: set once, through the instance dict
+        self.__dict__.update(ambient=ambient, kind=kind, t0=t0, x0=x0,
+                             rows=rows)
+
+    def __hash__(self):
+        return hash((self.t0, self.x0, self.rows))
 
     @property
     def is_full(self) -> bool:
@@ -142,6 +169,10 @@ class Region:
     def is_relatively_compact(self) -> bool:
         return self.kind == "points"
 
+    @functools.cached_property
+    def pts(self) -> frozenset[Point]:
+        return frozenset(() if self.is_full else self._listed)
+
     def points(self) -> frozenset[Point]:
         if self.is_full:
             if self.ambient.extent is not None:
@@ -150,30 +181,46 @@ class Region:
                                 "materialized point set")
         return self.pts
 
+    @functools.cached_property
+    def _listed(self) -> tuple[Point, ...]:
+        """The points in (t, x) order, read off the rows."""
+        x0 = self.x0
+        return tuple((t, x0 + i) for t, m in enumerate(self.rows, self.t0)
+                     for i in range(m.bit_length()) if m >> i & 1)
+
+    def _xs(self) -> tuple[int, int]:
+        """The least and the greatest x of the rows."""
+        width = functools.reduce(int.__or__, self.rows).bit_length()
+        return self.x0, self.x0 + width - 1
+
     def t_range(self) -> tuple[int, int]:
-        ts = [t for (t, _) in self.points()]
-        return min(ts), max(ts)
+        if not self.rows:
+            self.points()  # refuses the full region of an unbounded M
+        return self.t0, self.t0 + len(self.rows) - 1
 
     def contains(self, other: "Region") -> bool:
-        if self.is_full:
-            return True
-        if other.is_full:
-            if other.ambient.extent is not None:
-                return other.ambient.extent <= self.pts
+        """Subset inclusion: the other rows, aligned to these, add no
+        bit."""
+        rows, mine = other.rows, self.rows
+        if not mine:
+            return True  # the full region of an unbounded spacetime
+        k, shift = other.t0 - self.t0, other.x0 - self.x0
+        if not rows or k < 0 or k + len(rows) > len(mine) or shift < 0:
             return False
-        return other.pts <= self.pts
+        return all(not m << shift & ~mine[k + j] for j, m in enumerate(rows))
 
     def sort_key(self):
         if self.is_full:
             return (1, 0, 0, ())
         ts = self.t_range()
-        return (0, ts[0], ts[1], tuple(sorted(self.pts)))
+        return (0, ts[0], ts[1], self._listed)
 
     def __repr__(self):
         if self.is_full:
             return "Region.full"
         ts = self.t_range()
-        return f"Region({len(self.pts)} pts, t in [{ts[0]},{ts[1]}])"
+        n = sum(m.bit_count() for m in self.rows)
+        return f"Region({n} pts, t in [{ts[0]},{ts[1]}])"
 
 
 def bounded_spacetime(M: LatticeSpacetime,
@@ -188,25 +235,42 @@ def bounded_spacetime(M: LatticeSpacetime,
         raise GeometryError("cannot bound an already bounded spacetime")
     pts = frozenset(M.norm_point(p) for p in extent)
     sub = LatticeSpacetime(M.kind, M.window, M.circumference, pts)
-    if not is_causally_convex(M, Region(M, "points", pts)):
+    if not is_causally_convex(M, region_points(M, pts)):
         raise GeometryError("extent must be causally convex")
     return sub
 
 
+def _checked(M: LatticeSpacetime, R: Region) -> Region:
+    """``R``, refused when it leaves ``M``'s window or extent; the refusal
+    names the least point outside."""
+    (a, b), (t_lo, t_hi) = R.t_range(), M.window
+    if a < t_lo or b > t_hi:
+        p = next(p for p in R._listed if not t_lo <= p[0] <= t_hi)
+        raise GeometryError(
+            f"point {p} outside the window; widen spacetime.window "
+            f"[{t_lo}, {t_hi}] or narrow universe.t_range")
+    if M.extent is not None and not region_full(M).contains(R):
+        p = next(p for p in R._listed if p not in M.extent)
+        raise GeometryError(f"point {p} outside bounded extent")
+    return R
+
+
 def region_points(M: LatticeSpacetime, pts: Iterable[Point]) -> Region:
-    norm = frozenset(M.norm_point(p) for p in pts)
-    for p in norm:
-        if not M.in_window(p):
-            raise GeometryError(
-                f"point {p} outside the window; widen spacetime.window "
-                f"[{M.window[0]}, {M.window[1]}] or narrow universe.t_range")
-        if M.extent is not None and p not in M.extent:
-            raise GeometryError(f"point {p} outside bounded extent")
-    return Region(M, "points", norm)
+    c = M.circumference
+    norm = [(t, x % c if c else x) for (t, x) in pts]
+    if not norm:
+        raise GeometryError("explicit region must be nonempty")
+    ts = [t for (t, _) in norm]
+    t0 = min(ts)
+    x0 = 0 if c else min([x for (_, x) in norm])
+    rows = [0] * (max(ts) - t0 + 1)
+    for (t, x) in norm:
+        rows[t - t0] |= 1 << x - x0
+    return _checked(M, Region(M, "points", t0, x0, tuple(rows)))
 
 
 def region_full(M: LatticeSpacetime) -> Region:
-    return Region(M, "full")
+    return Region(M, "full", *(() if M.extent is None else M._extent_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -218,48 +282,57 @@ class _Grid:
     """Per-row bitmask workspace over rows ``t0..t1`` (inclusive).
 
     On the plane, bit ``i`` of a row mask is the site ``x = x0 + i``; the
-    x-range is padded so that cones of the tracked seed set never reach the
-    lateral boundary inside the row range.  On the cylinder each row has
-    exactly ``circumference`` bits with wrap-around spreading.
+    x-range of ``regions`` and ``xs`` is padded so that their cones never
+    reach the lateral boundary inside the row range.  On the cylinder each
+    row has exactly ``circumference`` bits with wrap-around spreading.
     """
 
     def __init__(self, M: LatticeSpacetime, t0: int, t1: int,
-                 seeds: Iterable[Point] = ()):
+                 *regions: Region, xs: Iterable[int] = ()):
         self.M = M
-        self.t0, self.t1 = t0, t1
+        self.t0 = t0
         self.nrows = t1 - t0 + 1
         if M.kind == "cylinder":
             self.width = M.circumference
             self.x0 = 0
         else:
-            xs = [x for (_, x) in seeds] or [0]
+            xs = [*xs, *(x for R in regions for x in R._xs())] or [0]
             pad = (t1 - t0) + 2
             self.x0 = min(xs) - pad
             self.width = (max(xs) - min(xs)) + 2 * pad + 1
         self.full = (1 << self.width) - 1
 
-    def row_index(self, t: int) -> int:
-        return t - self.t0
+    def rows(self, R: Region) -> list[int]:
+        """The rows of ``R`` shifted into this grid, clipped to its rows
+        and columns."""
+        shift = R.x0 - self.x0
+        out = [0] * self.nrows
+        for k, m in enumerate(R.rows, R.t0 - self.t0):
+            if 0 <= k < self.nrows:
+                out[k] = (m << shift if shift >= 0 else m >> -shift) \
+                    & self.full
+        return out
 
-    def mask_rows(self, pts: Iterable[Point]) -> list[int]:
-        rows = [0] * self.nrows
-        for (t, x) in pts:
-            if self.t0 <= t <= self.t1:
-                x = self.M.norm_x(x)
-                i = x - self.x0
-                if not (0 <= i < self.width):
-                    raise ModelError("grid x-range too narrow for seed")
-                rows[t - self.t0] |= 1 << i
-        return rows
+    def trim(self, rows: list[int]) -> Optional[Region]:
+        """The region of these grid rows in normal form; None when they
+        are empty."""
+        held = [k for k, m in enumerate(rows) if m]
+        if not held:
+            return None
+        rows = rows[held[0]:held[-1] + 1]
+        x0 = self.x0  # 0 on the cylinder
+        if self.M.kind == "plane":
+            low = functools.reduce(int.__or__, rows)
+            shift = (low & -low).bit_length() - 1
+            rows, x0 = [m >> shift for m in rows], x0 + shift
+        return Region(self.M, "points", self.t0 + held[0], x0, tuple(rows))
 
-    def pts_of(self, rows: list[int]) -> frozenset[Point]:
-        out = []
-        for r, m in enumerate(rows):
-            if m:
-                t = self.t0 + r
-                for i in set_bits(m):
-                    out.append((t, self.M.norm_x(self.x0 + i)))
-        return frozenset(out)
+    def flat(self, rows: list[int]) -> int:
+        """The grid rows as one int, row ``k`` at bit ``k * width``."""
+        v = 0
+        for m in reversed(rows):
+            v = v << self.width | m
+        return v
 
     def spread(self, m: int) -> int:
         if self.M.kind == "cylinder":
@@ -346,6 +419,15 @@ class _Grid:
 # ---------------------------------------------------------------------------
 
 
+def _meet(a: list[int], b: list[int]) -> list[int]:
+    return [x & y for x, y in zip(a, b)]
+
+
+def _in_extent(M: LatticeSpacetime, g: _Grid, rows: list[int]) -> list[int]:
+    """The grid rows kept inside a bounded ``M``'s extent."""
+    return rows if M.extent is None else _meet(rows, g.rows(region_full(M)))
+
+
 def cone(M: LatticeSpacetime, S: Region, direction: str, strict: bool,
          horizon: int) -> Region:
     """J+/J-/I+/I- of ``S`` up to the time bound ``horizon``."""
@@ -353,27 +435,18 @@ def cone(M: LatticeSpacetime, S: Region, direction: str, strict: bool,
         raise GeometryError("direction must be 'future' or 'past'")
     if S.is_full and S.ambient.extent is None:
         return region_full(M)
-    pts = S.points()
-    tmin = min(t for (t, _) in pts)
-    tmax = max(t for (t, _) in pts)
+    tmin, tmax = S.t_range()
     t_lo, t_hi = M.window
     up = direction == "future"
-    if up:
-        if horizon > t_hi:
-            raise WindowTooSmallError(
-                f"horizon {horizon} beyond window top {t_hi}")
-        g = _Grid(M, tmin, horizon, pts)
-    else:
-        if horizon < t_lo:
-            raise WindowTooSmallError(
-                f"horizon {horizon} below window bottom {t_lo}")
-        g = _Grid(M, horizon, tmax, pts)
-    out = g.pts_of(g.cone(g.mask_rows(pts), up, strict))
-    if M.extent is not None:
-        out = out & M.extent
-    if not out:
+    if up and horizon > t_hi or not up and horizon < t_lo:
+        raise WindowTooSmallError(
+            f"horizon {horizon} beyond window top {t_hi}" if up else
+            f"horizon {horizon} below window bottom {t_lo}")
+    g = _Grid(M, tmin, horizon, S) if up else _Grid(M, horizon, tmax, S)
+    out = g.trim(_in_extent(M, g, g.cone(g.rows(S), up, strict)))
+    if out is None:
         raise GeometryError("empty cone (horizon excludes the seed set)")
-    return region_points(M, out)
+    return out
 
 
 def hull(M: LatticeSpacetime, S: Region) -> Region:
@@ -383,23 +456,17 @@ def hull(M: LatticeSpacetime, S: Region) -> Region:
     """
     if S.is_full:
         return S
-    pts = S.points()
-    tmin = min(t for (t, _) in pts)
-    tmax = max(t for (t, _) in pts)
-    g = _Grid(M, tmin, tmax, pts)
-    seed = g.mask_rows(pts)
-    fut = g.cone(seed, True)
-    pas = g.cone(seed, False)
-    out = g.pts_of([a & b for a, b in zip(fut, pas)])
-    if M.extent is not None:
-        out = out & M.extent  # convex extent: paths between its points stay in
-    return region_points(M, out)
+    g = _Grid(M, *S.t_range(), S)
+    seed = g.rows(S)
+    # a convex extent: paths between its points stay in it
+    return g.trim(_in_extent(M, g, _meet(g.cone(seed, True),
+                                         g.cone(seed, False))))
 
 
 def is_causally_convex(M: LatticeSpacetime, U: Region) -> bool:
     if U.is_full:
         return True
-    return hull(M, U).pts == U.pts
+    return hull(M, U) == U
 
 
 def are_causally_disjoint(M: LatticeSpacetime, U1: Region, U2: Region) -> bool:
@@ -407,12 +474,24 @@ def are_causally_disjoint(M: LatticeSpacetime, U1: Region, U2: Region) -> bool:
     if U1.is_full or U2.is_full:
         # the full region (the extent, when bounded) meets every cone
         return False
-    p1, p2 = U1.pts, U2.pts
-    ts = [t for (t, _) in p1 | p2]
-    g = _Grid(M, min(ts), max(ts), p1 | p2)
-    j1 = g.both(g.mask_rows(p1))
-    m2 = g.mask_rows(p2)
-    return all((a & b) == 0 for a, b in zip(j1, m2))
+    (a1, b1), (a2, b2) = U1.t_range(), U2.t_range()
+    g = _Grid(M, min(a1, a2), max(b1, b2), U1, U2)
+    return not any(_meet(g.both(g.rows(U1)), g.rows(U2)))
+
+
+def flat_grid(M: LatticeSpacetime, regions: list[Region]):
+    """One grid over the rows of ``regions``, row ``t`` laid at bit
+    ``(t - t0) * width`` of one int.  Returns ``flat``, the int of any
+    region clipped to the grid, and the ints of the future and past causal
+    cones of each explicit region (``None`` for a full one); the grid pads
+    every region's own rows, so the cones are exact there."""
+    boxed = [R for R in regions if R.rows]
+    g = _Grid(M, min((R.t0 for R in boxed), default=0),
+              max((R.t_range()[1] for R in boxed), default=0), *boxed)
+    cones = [None if R.is_full else tuple(g.flat(g.cone(g.rows(R), up))
+                                          for up in (True, False))
+             for R in regions]
+    return (lambda R: g.flat(g.rows(R))), cones
 
 
 # ---------------------------------------------------------------------------
@@ -420,62 +499,59 @@ def are_causally_disjoint(M: LatticeSpacetime, U1: Region, U2: Region) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _margin_for(M: LatticeSpacetime, pts: frozenset[Point]) -> int:
-    ts = [t for (t, _) in pts]
-    span = max(ts) - min(ts) + 1
+def _margin_for(M: LatticeSpacetime, *regions: Region) -> int:
+    """The time span plus the spatial diameter of ``regions``, plus 2."""
+    ts = [t for R in regions for t in R.t_range()]
     if M.kind == "cylinder":
         sdiam = M.circumference
     else:
-        xs = [x for (_, x) in pts]
+        xs = [x for R in regions for x in R._xs()]
         sdiam = max(xs) - min(xs) + 1
-    return span + sdiam + 2
+    return max(ts) - min(ts) + 1 + sdiam + 2
 
 
-def _band(pts: frozenset[Point], pad: int) -> tuple[int, int]:
-    """The rows of ``pts``, widened by ``pad`` on both sides."""
-    ts = [t for (t, _) in pts]
-    return min(ts) - pad, max(ts) + pad
+def _band(U: Region, pad: int) -> tuple[int, int]:
+    """The rows of ``U``, widened by ``pad`` on both sides."""
+    t0, t1 = U.t_range()
+    return t0 - pad, t1 + pad
 
 
 def _blocks_every_path(g: _Grid, up: list[int], tmin: int) -> bool:
     """True iff every inextendible causal path meets the blocker whose
     upward escapes are ``up``: no site of the row below it escapes."""
-    r = g.row_index(tmin) - 1
+    r = tmin - g.t0 - 1
     if r < 0:
         raise ModelError("grid does not pad below the blocker")
     return up[r] == 0
 
 
-def _windowed(M: LatticeSpacetime, result, exceeds: str) -> Region:
-    """The region of a stable ('full' | 'points', pts) result; ``exceeds``
-    is the error text when its points leave the window."""
-    kind, pts = result
-    if kind == "full":
-        return region_full(M)
+def _windowed(M: LatticeSpacetime, R: Region, exceeds: str) -> Region:
+    """``R``, a stable result; ``exceeds`` is the error text when it
+    leaves the window."""
     t_lo, t_hi = M.window
-    if any(not (t_lo <= t <= t_hi) for (t, _) in pts):
+    if not R.is_full and not t_lo <= R.t0 <= R.t_range()[1] <= t_hi:
         raise WindowTooSmallError(f"{exceeds} the window {M.window}; "
                                   "enlarge it")
-    return Region(M, "points", pts)
+    return R
 
 
-def _development_raw(M: LatticeSpacetime, pts: frozenset[Point],
-                     t0: int, t1: int):
+def _development_raw(M: LatticeSpacetime, U: Region, t0: int,
+                     t1: int) -> Region:
     """Cauchy development of an explicit set, materialized on rows t0..t1.
 
-    Returns ('full', None) when the set blocks every inextendible path
-    (possible on the cylinder only), else ('points', frozenset).
+    The full region when the set blocks every inextendible path (possible
+    on the cylinder only); the window is not checked.
     """
-    g = _Grid(M, t0, t1, pts)
-    umask = g.mask_rows(pts)
+    g = _Grid(M, t0, t1, U)
+    umask = g.rows(U)
     up = g.escapes(umask, True)
-    if _blocks_every_path(g, up, min(t for (t, _) in pts)):
+    if _blocks_every_path(g, up, U.t0):
         if M.kind == "plane":
             raise ModelError("finite set cannot block the plane")
-        return "full", None
+        return region_full(M)
     down = g.escapes(umask, False)
-    dev = [u | (g.full & ~(a & b)) for u, a, b in zip(umask, up, down)]
-    return "points", g.pts_of(dev)
+    return g.trim([u | (g.full & ~(a & b))
+                   for u, a, b in zip(umask, up, down)])
 
 
 def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
@@ -485,18 +561,20 @@ def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
     if M.extent is not None:
         D = region_development(M, U, region_full(M))
         # the whole bounded spacetime, as apply_embedding names it
-        return region_full(M) if D.pts == M.extent else D
-    pts = U.pts
-    memo = M._developments
-    if pts in memo:
-        dev = memo[pts]
-        return region_full(M) if dev is None else Region(M, "points", dev)
+        return region_full(M) if D.contains(region_full(M)) else D
+    key = U.t0, U.x0, U.rows
+    dev = M._developments.get(key, False)
+    if dev is None:
+        return region_full(M)
+    if dev:
+        return Region(M, "points", *dev)
     # the band holds D(U) and the row below U, so its result is exact
     # (docs/decisions.md, "Each probe sweeps its own band")
-    dev = _development_raw(M, pts, *_band(pts, _margin_for(M, pts) + 1))
-    D = _windowed(M, dev, "development exceeds")
+    D = _windowed(M, _development_raw(M, U, *_band(U, _margin_for(M, U) + 1)),
+                  "development exceeds")
     # a D-stable result keeps the key itself rather than a second copy
-    memo[pts] = None if D.is_full else pts if D.pts == pts else D.pts
+    M._developments[key] = None if D.is_full else key if D == U else \
+        (D.t0, D.x0, D.rows)
     return D
 
 
@@ -505,40 +583,34 @@ def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:
 
     Inextendible paths are paths in V that cannot be extended within V.
     """
-    vpts = V.points()
-    upts = U.points() & vpts
-    if not upts:
+    g = _Grid(M, *V.t_range(), V)
+    vmask = g.rows(V)
+    umask = _meet(g.rows(U), vmask)
+    if not any(umask):
         raise GeometryError("U must meet V")
-    ts = [t for (t, _) in vpts]
-    g = _Grid(M, min(ts), max(ts), vpts)
-    vmask = g.mask_rows(vpts)
-    umask = g.mask_rows(upts)
     up = g.escapes(umask, True, inside=vmask)
     down = g.escapes(umask, False, inside=vmask)
-    dev = [(u | (v & ~(a & b))) & v
-           for u, v, a, b in zip(umask, vmask, up, down)]
-    return region_points(M, g.pts_of(dev))
+    return g.trim([(u | (v & ~(a & b))) & v
+                   for u, v, a, b in zip(umask, vmask, up, down)])
 
 
-def _double_complement_raw(M: LatticeSpacetime, pts: frozenset[Point],
-                           t0: int, t1: int):
+def _double_complement_raw(M: LatticeSpacetime, U: Region, t0: int,
+                           t1: int) -> Region:
     """U'' of an explicit set, materialized on rows t0..t1.  The set must
     be causally convex, J+(U) & J-(U) = U; the two cones of J(U) test it."""
-    g = _Grid(M, t0, t1, pts)
-    umask = g.mask_rows(pts)
+    g = _Grid(M, t0, t1, U)
+    umask = g.rows(U)
     fut = g.cone(umask, True)
     pas = g.cone(umask, False)
-    if any((a & b) != u for a, b, u in zip(fut, pas, umask)):
+    if _meet(fut, pas) != umask:
         raise GeometryError("double_complement expects a causally convex "
                             "region")
     comp = [g.full & ~(a | b) for a, b in zip(fut, pas)]
-    if all(m == 0 for m in comp):
+    if not any(comp):
         # J(U) covers the whole grid; top and bottom rows full means the
         # causal complement is globally empty, hence U'' is everything.
-        return "full", None
-    jcomp = g.both(comp)
-    out = [g.full & ~m for m in jcomp]
-    return "points", g.pts_of(out)
+        return region_full(M)
+    return g.trim([g.full & ~m for m in g.both(comp)])
 
 
 def double_complement(M: LatticeSpacetime, U: Region) -> Region:
@@ -554,10 +626,9 @@ def double_complement(M: LatticeSpacetime, U: Region) -> Region:
     if M.extent is not None:
         raise GeometryError("double_complement is defined on unbounded "
                             "spacetimes; bounded models use developments")
-    pts = U.pts
     # the band holds U'' and a complement point in the cone of each other
     # point, so its result is exact (docs/decisions.md, as above)
-    dc = _double_complement_raw(M, pts, *_band(pts, _margin_for(M, pts)))
+    dc = _double_complement_raw(M, U, *_band(U, _margin_for(M, U)))
     return _windowed(M, dc, "double complement exceeds")
 
 
@@ -570,16 +641,13 @@ def is_D_stable(M: LatticeSpacetime, U: Region) -> bool:
     if U.is_full:
         return True
     D = cauchy_development(M, U)
-    return (not D.is_full) and D.pts == U.pts
+    return D == U
 
 
 def is_cauchy_morphism(M: LatticeSpacetime, U: Region, V: Region) -> bool:
     """U <= V and D(U) = D(V)."""
-    if not V.contains(U):
-        return False
-    DU = cauchy_development(M, U)
-    DV = cauchy_development(M, V)
-    return DU == DV
+    return V.contains(U) and \
+        cauchy_development(M, U) == cauchy_development(M, V)
 
 
 def contains_cauchy_surface_of(M: LatticeSpacetime, U: Region,
@@ -589,13 +657,10 @@ def contains_cauchy_surface_of(M: LatticeSpacetime, U: Region,
         return True
     if V.is_full and V.ambient.extent is None and M.extent is None:
         # the rows above U are full, so U's rows +-1 decide the full case
-        pts = U.pts
-        lo, hi = _band(pts, 1)
-        g = _Grid(M, lo, hi, pts)
-        return _blocks_every_path(g, g.escapes(g.mask_rows(pts), True),
-                                  lo + 1)
-    dev = region_development(M, U, V)
-    return dev.pts == V.points()
+        lo, hi = _band(U, 1)
+        g = _Grid(M, lo, hi, U)
+        return _blocks_every_path(g, g.escapes(g.rows(U), True), lo + 1)
+    return region_development(M, U, V).contains(V)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +669,7 @@ def contains_cauchy_surface_of(M: LatticeSpacetime, U: Region,
 
 
 def region_diamond(M: LatticeSpacetime, bottom: Point, top: Point) -> Region:
-    bottom, top = M.norm_point(bottom), M.norm_point(top)
-    base = region_points(M, [bottom, top])
-    h = hull(M, base)
-    return h
+    return hull(M, region_points(M, [bottom, top]))
 
 
 def region_strict_diamond(M: LatticeSpacetime, bottom: Point,
@@ -617,17 +679,18 @@ def region_strict_diamond(M: LatticeSpacetime, bottom: Point,
     t0, t1 = bottom[0], top[0]
     if t1 - t0 < 2:
         raise GeometryError("strict diamond needs time separation >= 2")
-    g = _Grid(M, t0, t1, [bottom, top])
-    fut = g.cone(g.mask_rows([bottom]), True, strict=True)
-    pas = g.cone(g.mask_rows([top]), False, strict=True)
-    pts = g.pts_of([a & b for a, b in zip(fut, pas)])
-    if not pts:
+    g = _Grid(M, t0, t1, xs=(bottom[1], top[1]))
+    # each strict cone shifts the other end off the grid
+    ends = [0] * g.nrows
+    ends[0], ends[-1] = 1 << bottom[1] - g.x0, 1 << top[1] - g.x0
+    rows = _meet(g.cone(ends, True, strict=True),
+                 g.cone(ends, False, strict=True))
+    if not any(rows):
         raise GeometryError("empty strict diamond")
-    if M.extent is not None:
-        pts = pts & M.extent
-        if not pts:
-            raise GeometryError("strict diamond misses the bounded extent")
-    return region_points(M, pts)
+    rows = _in_extent(M, g, rows)
+    if not any(rows):
+        raise GeometryError("strict diamond misses the bounded extent")
+    return _checked(M, g.trim(rows))
 
 
 def region_slab(M: LatticeSpacetime, t0: int, t1: int) -> Region:
@@ -636,13 +699,11 @@ def region_slab(M: LatticeSpacetime, t0: int, t1: int) -> Region:
         raise GeometryError("slabs are infinite on the plane")
     if t0 > t1:
         raise GeometryError("empty slab")
-    pts = [(t, x) for t in range(t0, t1 + 1)
-           for x in range(M.circumference)]
-    if M.extent is not None:
-        pts = [p for p in pts if p in M.extent]
-        if not pts:
-            raise GeometryError("slab misses the bounded extent")
-    return region_points(M, pts)
+    g = _Grid(M, t0, t1)
+    rows = _in_extent(M, g, [g.full] * g.nrows)
+    if not any(rows):
+        raise GeometryError("slab misses the bounded extent")
+    return _checked(M, g.trim(rows))
 
 
 def find_D_stable_neighborhood(M: LatticeSpacetime, p: Point,
@@ -711,12 +772,8 @@ class LatticeEmbedding:
         else:
             raise GeometryError(f"no embeddings {s.kind} -> {t.kind}")
         # windows are computation horizons; only physical extents get checked
-        for p in s.extent or ():
-            q = self.map_point(p)
-            if not t.in_window(q):
-                raise GeometryError(f"image point {q} outside target window")
-            if t.extent is not None and q not in t.extent:
-                raise GeometryError(f"image point {q} outside target extent")
+        if s.extent is not None:
+            _moved(self, region_full(s))
 
     def map_point(self, p: Point) -> Point:
         return self.target.norm_point((p[0] + self.dt, p[1] + self.dx))
@@ -732,40 +789,40 @@ class LatticeEmbedding:
                     self.target.extent is None:
                 return region_full(self.target)
             raise GeometryError("unbounded source into bounded target")
-        return region_points(self.target,
-                             [self.map_point(p) for p in self.source.extent])
+        return _moved(self, region_full(self.source))
+
+
+def _moved(f: LatticeEmbedding, U: Region) -> Region:
+    """The image of ``U``: its rows translated, rotated on a cylinder."""
+    T, t0 = f.target, U.t0 + f.dt
+    if T.kind == "plane":
+        return _checked(T, Region(T, "points", t0, U.x0 + f.dx, U.rows))
+    c, s = T.circumference, (U.x0 + f.dx) % T.circumference
+    rows = tuple((m << s | m << s >> c) & (1 << c) - 1 for m in U.rows)
+    return _checked(T, Region(T, "points", t0, 0, rows))
 
 
 def apply_embedding(f: LatticeEmbedding, U: Region) -> Region:
     if U.is_full:
         out = f.image()
+    elif not region_full(f.source).contains(U):
+        raise GeometryError("region leaves the embedding's domain")
     else:
-        if f.source.extent is not None and not (U.pts <= f.source.extent):
-            raise GeometryError("region leaves the embedding's domain")
-        out = region_points(f.target, [f.map_point(p) for p in U.pts])
-    if f.target.extent is not None and not out.is_full and \
-            out.pts == f.target.extent:
-        return region_full(f.target)  # the whole bounded target
-    return out
+        out = _moved(f, U)
+    full = region_full(f.target)
+    return full if out.contains(full) else out  # the whole bounded target
 
 
 def preimage_region(f: LatticeEmbedding, V: Region) -> Optional[Region]:
     """f^{-1}(V) as a region of the source; None when empty."""
     if V.is_full:
         return region_full(f.source)
-    pts = []
-    if f.source.extent is not None:
-        for p in f.source.extent:
-            if f.map_point(p) in V.pts:
-                pts.append(p)
+    S = f.source
+    if S.extent is not None:
+        pts = [p for p in S.extent if f.map_point(p) in V.pts]
     else:
-        for q in V.pts:
-            p = f.unmap_point(q)
-            if f.source.in_window(p):
-                pts.append(p)
-    if not pts:
-        return None
-    return region_points(f.source, pts)
+        pts = [p for q in V.pts if S.in_window(p := f.unmap_point(q))]
+    return region_points(S, pts) if pts else None
 
 
 def check_loc_morphism(f: LatticeEmbedding) -> bool:
@@ -811,8 +868,7 @@ def stabilization_check(M: LatticeSpacetime, op,
     result still changing after the second doubling indicates a modeling bug
     and raises :class:`ModelError`.
     """
-    pts = frozenset().union(*[r.points() for r in regions])
-    m = _margin_for(M, pts)
+    m = _margin_for(M, *regions)
     r0 = op(M)
     r1 = op(M.enlarged(m))
     if r0 == r1:

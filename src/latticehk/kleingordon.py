@@ -262,7 +262,7 @@ class KgSpace:
     def coordinates(self, field: dict) -> dict:
         """The field as a sparse ambient vector ``{point index: value}``."""
         field = field_clean(field)
-        if not set(field) <= set(self.pts):
+        if not all(p in self.index for p in field):
             raise KgError("field leaves the region")
         return {self.index[p]: v for p, v in field.items()}
 

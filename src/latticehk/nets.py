@@ -149,7 +149,7 @@ def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
     exhaustive branching with constraint propagation, one weakly connected
     component of the support at a time."""
     site = A.site
-    if B.site is not site and B.site != site:
+    if B.site is not site:
         raise AqftError("assignments live on different structures")
     support = A.support
     if not support:

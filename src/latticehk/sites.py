@@ -12,13 +12,14 @@ reachability closure, and the simplified one-morphism description is a
 verified property of the build, not an assumption.
 
 Relations are bitset rows: bit ``j`` of row ``i`` relates object ``i`` to
-object ``j``.  A site indexes the points of its objects once; the hom rows
-are ANDs of per-point column masks (the objects, or the developments, that
-hold each point), and the disjoint rows are one AND per pair of flattened
-causal-cone rows; the same cone rows decide causal convexity.  Functor
-properties pull target rows back along the object map and compare whole
-ints; orthogonality is read only where the two disjoint rows differ.  The
-frozenset rules above (``contains`` on regions and developments,
+object ``j``.  A site lays its objects over one grid
+(:func:`~latticehk.geometry.flat_grid`) and indexes their points by their
+place in it: the hom rows are ANDs of per-point column masks (the objects,
+or the developments, that hold each point), and the disjoint rows are one
+AND per pair of flattened causal-cone ints; the same cones decide causal
+convexity.  Functor properties pull target rows back along the object map
+and compare whole ints; orthogonality is read only where the two disjoint
+rows differ.  The rules above (``contains`` on regions and developments,
 ``are_causally_disjoint``) stay the definition and are the test oracle for
 the rows.
 """
@@ -27,15 +28,16 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .geometry import (GeometryError, LatticeSpacetime, Point, Region,
-                       cauchy_development, find_D_stable_neighborhood, hull,
-                       is_causally_convex, is_D_stable, region_diamond,
-                       region_full, region_points, region_slab,
-                       region_strict_diamond, set_bits, LatticeEmbedding,
-                       apply_embedding, preimage_region, _Grid)
+                       cauchy_development, find_D_stable_neighborhood,
+                       flat_grid, hull, is_causally_convex, is_D_stable,
+                       region_diamond, region_full, region_points,
+                       region_slab, region_strict_diamond, set_bits,
+                       LatticeEmbedding, apply_embedding, preimage_region)
 
 
 class SiteError(Exception):
@@ -100,19 +102,20 @@ class SiteCategory(_Thin):
         self.objects: tuple[Region, ...] = tuple(objs)
         self.index = {r: k for k, r in enumerate(self.objects)}
         self.full = self.index.get(region_full(M))
+        # object k's points are the bits of _masks[k] over one grid, None
+        # for the full region of an unbounded spacetime
+        self._flat, cones = flat_grid(M, objs)
+        self._masks = tuple(self._flat(r) if r.rows else None for r in objs)
         # first, so that no region is developed before its convexity holds
-        self.disjoint = self._disjoint_rows()
-        # the point set of each object: the extent for a bounded full region,
-        # None for the full region of an unbounded spacetime
-        own = [r.pts if not r.is_full else M.extent for r in objs]
-        self._points = {p: b for b, p in enumerate(
-            frozenset().union(*[s for s in own if s is not None]))}
-        self._bits = tuple(None if s is None else self._point_mask(s)
-                           for s in own)
-        self.plain_hom = self._containing(objs, own)
+        self.disjoint = self._disjoint_rows(cones)
+        own = [None if m is None else list(set_bits(m)) for m in self._masks]
+        self.plain_hom = self._containing(own, own)
         # developments are needed only here, so the site does not keep them
         dev = [cauchy_development(M, r) for r in objs]
-        self.local_hom = self._containing(dev, own)
+        self.local_hom = self._containing(
+            [p if d == r else None if d.is_full else
+             list(set_bits(self._flat(d))) for p, d, r in zip(own, dev, objs)],
+            own)
         self.dev_full = sum(1 << j for j, d in enumerate(dev) if d.is_full)
         same_dev: dict[Region, int] = {}
         for j, d in enumerate(dev):
@@ -122,77 +125,46 @@ class SiteCategory(_Thin):
         self.hom = self.local_hom if localized else self.plain_hom
         self._twin: Optional[SiteCategory] = None
 
-    def _point_mask(self, pts: Iterable[Point]) -> int:
-        """Bits of the indexed points among ``pts``."""
-        index = self._points
-        out = 0
-        for p in pts:
-            b = index.get(p)
-            if b is not None:
-                out |= 1 << b
-        return out
-
-    def _containing(self, holders, own) -> tuple[int, ...]:
-        """Row ``i`` holds the ``j`` whose ``holders[j]`` contains object
-        ``i``: the AND, over the points of object ``i``, of each point's
-        column mask (the holders that hold it)."""
+    @staticmethod
+    def _containing(holders, own) -> tuple[int, ...]:
+        """Row ``i`` holds the ``j`` whose holder contains object ``i``:
+        the AND, over the grid positions ``own[i]`` of object ``i``, of
+        each position's column mask (the holders that hold it).  A holder
+        is its grid positions, ``None`` for a full region; its points off
+        the grid belong to no object."""
         every = 0
-        cols = [0] * len(self._points)
-        for j, h in enumerate(holders):
-            if h.is_full:
+        cols: dict[int, int] = {}
+        for j, held in enumerate(holders):
+            if held is None:
                 every |= 1 << j
-                continue
-            for p in h.pts:
-                b = self._points.get(p)
-                if b is not None:
-                    cols[b] |= 1 << j
+            for b in held or ():
+                cols[b] = cols.get(b, 0) | 1 << j
         rows = []
-        for s in own:
-            if s is None:
-                rows.append(every)  # only a full region holds the full one
-                continue
-            row = -1
-            for p in s:
-                row &= cols[self._points[p]]
+        for pos in own:
+            # only a full region holds the full one, which has no positions
+            row = 0 if pos is None else -1
+            for b in pos or ():
+                row &= cols.get(b, 0)
             rows.append(row | every)
         return tuple(rows)
 
-    def _disjoint_rows(self) -> tuple[int, ...]:
-        """Row ``i`` holds the ``j`` causally disjoint from object ``i``.
-        Each region's rows and the rows of its causal cone are flattened
-        into one int over a shared grid, so one AND settles a pair.  The
-        same cones decide causal convexity: a region is convex iff its
-        future and past cones meet in the region itself (the grid pads
-        every region's own rows, see docs/decisions.md)."""
-        objs = self.objects
-        out = [0] * len(objs)
-        expl = [k for k, r in enumerate(objs) if not r.is_full]
-        if expl:
-            pts = frozenset().union(*[objs[k].pts for k in expl])
-            ts = [t for (t, _) in pts]
-            g = _Grid(self.M, min(ts), max(ts), pts)
-
-            def flat(rows):
-                v = 0
-                for m in reversed(rows):
-                    v = v << g.width | m
-                return v
-
-            masks, cones = {}, {}
-            for k in expl:
-                rows = g.mask_rows(objs[k].pts)
-                masks[k] = flat(rows)
-                fut, past = flat(g.cone(rows, True)), flat(g.cone(rows, False))
-                if fut & past != masks[k]:
-                    raise SiteError(
-                        f"universe region not causally convex: {objs[k]}")
-                cones[k] = fut | past
-            for a, i in enumerate(expl):
-                ci = cones[i]
-                for j in expl[a + 1:]:
-                    if not ci & masks[j]:
-                        out[i] |= 1 << j
-                        out[j] |= 1 << i
+    def _disjoint_rows(self, cones) -> tuple[int, ...]:
+        """Row ``i`` holds the ``j`` causally disjoint from object ``i``:
+        one AND of the cones of ``i`` and the mask of ``j`` settles a pair.
+        The same cones decide causal convexity: a region is convex iff its
+        future and past cones meet in the region itself."""
+        out = [0] * len(cones)
+        expl = [k for k, c in enumerate(cones) if c]
+        for a, i in enumerate(expl):
+            fut, past = cones[i]
+            if fut & past != self._masks[i]:
+                raise SiteError(f"universe region not causally convex: "
+                                f"{self.objects[i]}")
+            ci = fut | past
+            for j in expl[a + 1:]:
+                if not ci & self._masks[j]:
+                    out[i] |= 1 << j
+                    out[j] |= 1 << i
         return tuple(out)
 
     def region_of(self, k) -> Region:
@@ -212,15 +184,11 @@ class SiteCategory(_Thin):
 
     def within(self, region: Region) -> int:
         """Mask of the objects that ``region`` contains."""
-        n = len(self.objects)
         if region.is_full:
-            return (1 << n) - 1
-        held = self._point_mask(region.pts)
-        out = 0
-        for k, b in enumerate(self._bits):
-            if b is not None and not b & ~held:
-                out |= 1 << k
-        return out
+            return (1 << len(self.objects)) - 1
+        held = self._flat(region)
+        return sum(1 << k for k, m in enumerate(self._masks)
+                   if m is not None and not m & ~held)
 
     def relocalized(self, localized: bool) -> "SiteCategory":
         """The same objects under the ``localized`` rule.  The other rule's
@@ -248,8 +216,15 @@ def base_points(M: LatticeSpacetime,
     if M.extent is not None:
         return sorted(M.extent)
     t_lo, t_hi = t_range if t_range is not None else M.window
-    if not (M.window[0] <= t_lo and t_hi <= M.window[1]):
-        raise SiteError("t_range must sit inside the window")
+    w_lo, w_hi = M.window
+    for key, r in [("t_range", (t_lo, t_hi)), ("x_range", x_range)]:
+        if r is not None and r[0] > r[1]:
+            raise SiteError(f"universe.{key} [{r[0]}, {r[1]}] runs "
+                            f"backwards; write it as [{r[1]}, {r[0]}]")
+    if not (w_lo <= t_lo and t_hi <= w_hi):
+        raise SiteError(f"universe.t_range [{t_lo}, {t_hi}] leaves "
+                        f"spacetime.window [{w_lo}, {w_hi}]; narrow "
+                        "universe.t_range or widen spacetime.window")
     if M.kind == "cylinder":
         return [(t, x) for t in range(t_lo, t_hi + 1)
                 for x in range(M.circumference)]
@@ -274,7 +249,7 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
                                                       M.window[0])
 
     def admit(r: Region):
-        if M.extent is not None and r.pts == M.extent:
+        if M.extent is not None and r.contains(region_full(M)):
             return  # no relatively compact region equals the whole spacetime
         out.add(r)
         if len(out) > cap:
@@ -333,17 +308,10 @@ def close_universe_for_localization(M: LatticeSpacetime,
     causally convex hull of their union.  Zigzags through these witnesses
     realize every localized morphism inside the materialized universe."""
     objs = sorted(set(universe), key=lambda r: r.sort_key())
-    devs = {r: cauchy_development(M, r) for r in objs}
-    extra: set[Region] = set()
-    for u in objs:
-        if u.is_full:
-            continue
-        for v in objs:
-            if v.is_full or u == v:
-                continue
-            if devs[v].contains(u):
-                w = hull(M, region_points(M, u.pts | v.pts))
-                extra.add(w)
+    expl = [r for r in objs if not r.is_full]
+    devs = {r: cauchy_development(M, r) for r in expl}
+    extra = {hull(M, region_points(M, u.pts | v.pts))
+             for u in expl for v in expl if u != v and devs[v].contains(u)}
     out = sorted(set(objs) | extra, key=lambda r: r.sort_key())
     if len(out) > cap:
         raise SiteError(f"witness closure exceeds cap {cap}")
@@ -395,16 +363,13 @@ class Cover:
             if not self.base.contains(p):
                 raise SiteError("cover piece leaves the base")
         union = frozenset().union(*[p.pts for p in self.pieces])
-        if self.base.is_full and self.base.ambient.extent is None:
-            zone = self.zone
-            if zone is None:
+        if self.base.is_full and M.extent is None:
+            if self.zone is None:
                 raise SiteError("cover of the full spacetime needs a zone")
-            if not (zone.points() <= union):
+            if not self.zone.points() <= union:
                 raise SiteError("pieces do not cover the declared zone")
-        else:
-            target = self.base.points()
-            if union != target:
-                raise SiteError("pieces do not cover the base exactly")
+        elif union != self.base.points():
+            raise SiteError("pieces do not cover the base exactly")
 
     @property
     def ambient(self) -> LatticeSpacetime:
@@ -414,25 +379,14 @@ class Cover:
         M = self.ambient
         return all(is_D_stable(M, p) for p in self.pieces)
 
-    def intersections(self) -> dict[tuple[int, int], Region]:
+    def intersections(self, k: int = 2) -> dict[tuple[int, ...], Region]:
+        """The nonempty intersections of ``k`` pieces, keyed by their
+        indices in increasing order."""
         out = {}
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                inter = self.pieces[i].pts & self.pieces[j].pts
-                if inter:
-                    out[(i, j)] = region_points(self.ambient, inter)
-        return out
-
-    def triples(self) -> dict[tuple[int, int, int], Region]:
-        out = {}
-        n = len(self.pieces)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    inter = self.pieces[i].pts & self.pieces[j].pts \
-                        & self.pieces[k].pts
-                    if inter:
-                        out[(i, j, k)] = region_points(self.ambient, inter)
+        for idx in itertools.combinations(range(len(self.pieces)), k):
+            inter = frozenset.intersection(*[self.pieces[i].pts for i in idx])
+            if inter:
+                out[idx] = region_points(self.ambient, inter)
         return out
 
 
@@ -441,13 +395,9 @@ def check_cover_intersections(cover: Cover):
     and D-stability is inherited by double and triple overlaps."""
     M = cover.ambient
     stable = cover.is_D_stable()
-    for reg in list(cover.intersections().values()) + \
-            list(cover.triples().values()):
-        if not is_causally_convex(M, reg):
-            return False
-        if stable and not is_D_stable(M, reg):
-            return False
-    return True
+    return all(is_causally_convex(M, reg) and
+               (not stable or is_D_stable(M, reg))
+               for k in (2, 3) for reg in cover.intersections(k).values())
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +630,19 @@ def extend_cover(f: LatticeEmbedding, cov: Cover, U: Region, zone: Region,
             raise SiteError("D-stable extension needs a D-stable image")
         if not cov.is_D_stable():
             raise SiteError("D-stable extension needs a D-stable cover")
-        DU = cauchy_development(f.source, U)
-        protected = apply_embedding(f, DU)
-        restrict_to = DU
+        restrict_to = cauchy_development(f.source, U)
     else:
-        protected = apply_embedding(f, U)
         restrict_to = U
+    protected = apply_embedding(f, restrict_to)
     pushed = [apply_embedding(f, p) for p in cov.pieces]
-    leftover = sorted(zone.points() - protected.points())
+    allowed = zone.points() - protected.points()
+    room = region_points(N, allowed) if allowed else None
     filler: list[Region] = []
     covered: set = set()
-    allowed = zone.points() - protected.points()
-    for p in leftover:
+    for p in sorted(allowed):
         if p in covered:
             continue
-        W = find_D_stable_neighborhood(N, p, Region(N, "points",
-                                                    frozenset(allowed)))
+        W = find_D_stable_neighborhood(N, p, room)
         filler.append(W)
         covered |= W.pts
     out = Cover(region_full(N), tuple(pushed + filler),

@@ -353,7 +353,8 @@ def test_run_context_reads_each_input_once(plane_ctx, cyl_ctx):
     assert bare.t_range == plane_ctx.M.window
     with pytest.raises(SiteError, match="explicit x_range"):
         bare.zone()
-    with pytest.raises(SiteError, match="inside the window"):
+    with pytest.raises(SiteError, match=r"universe.t_range \[0, 40\] "
+                                        "leaves spacetime.window"):
         RunContext(M=cyl_ctx.M, universe_cfg={"t_range": [0, 40]}).zone()
     assert bare.mass2 == QQ(1, 4) and bare.algebra == QPower(2)
     assert RunContext(M=bare.M, aqft_cfg={"algebra": {"kind": "initial"}}

@@ -279,6 +279,20 @@ _MISCONFIGURED = [
           "checks": ["net.indicator-time-slice"]},
      "invalid scenario: 'predicate' is not one of ['family', 'mass2', "
      "'algebra'] at aqft"),
+    # a range that runs backwards or leaves the window names its key
+    ([], {"universe": {"t_range": [3, 1]},
+          "checks": ["causality.development-props"]},
+     "universe.t_range [3, 1] runs backwards; write it as [1, 3]"),
+    ([], {"spacetime": {"kind": "plane", "window": [-14, 16]},
+          "universe": {"t_range": [0, 2], "x_range": [2, 0]},
+          "checks": ["site.refinement-functors"]},
+     "universe.x_range [2, 0] runs backwards; write it as [0, 2]"),
+    ([], {"universe": {"t_range": [10, 20]},
+          "checks": ["causality.development-props"]},
+     "universe.t_range [10, 20] leaves spacetime.window [-14, 16]; narrow "
+     "universe.t_range or widen spacetime.window"),
+    (["--window", "5..3"], {"checks": ["algebra.hom-counts"]},
+     "spacetime.window [5, 3] runs backwards; write it as [3, 5]"),
 ]
 
 
@@ -292,7 +306,8 @@ _MISCONFIGURED = [
     "negative-max-height", "zero-min-slab-height", "negative-cap",
     "window-margin", "outside-window", "strip-too-wide",
     "stabilization-narrow-cylinder", "point-family-narrow-cylinder",
-    "kg-one-row-slabs", "aqft-predicate"])
+    "kg-one-row-slabs", "aqft-predicate", "t-range-backwards",
+    "x-range-backwards", "t-range-outside-window", "window-backwards"])
 def test_cli_misconfiguration_exits_2(tmp_path, capsys, flags, scenario,
                                       message):
     """A misconfigured scenario or flag exits 2 with one line, never with a

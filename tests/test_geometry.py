@@ -177,8 +177,8 @@ def test_double_complement_divergence_is_genuine(cyl, plane):
     assert DC.is_full and not D.is_full
     assert D.pts == U.pts
     # the full U'' on the diamond's box, rows -6..9
-    box = Region(cyl, "points", frozenset(
-        (t, x) for t in range(-6, 10) for x in range(6)))
+    box = region_points(cyl, [(t, x) for t in range(-6, 10)
+                              for x in range(6)])
     pair = region_points(plane, [(2, 1), (7, 7)])
     for U, DC, d_off, dc_off in [
             (U, box, [(1, 4), (0, 0), (-6, 0), (9, 5)],
@@ -189,11 +189,11 @@ def test_double_complement_divergence_is_genuine(cyl, plane):
         M, D = U.ambient, cauchy_development(U.ambient, U)
         assert D != DC and _brute_confirms(M, U, D, DC)
         for p in d_off:
-            assert not _brute_confirms(M, U, Region(M, "points", D.pts ^ {p}),
+            assert not _brute_confirms(M, U, region_points(M, D.pts ^ {p}),
                                        DC), p
         for p in dc_off:
             assert not _brute_confirms(M, U, D,
-                                       Region(M, "points", DC.pts ^ {p})), p
+                                       region_points(M, DC.pts ^ {p})), p
     for M, pts in [(cyl.with_window(0, 3), [(0, 0), (3, 2)]),
                    (plane.with_window(2, 7), [(2, 1), (7, 7)])]:
         U = hull(M, region_points(M, pts))
@@ -426,7 +426,7 @@ def _grids(rng):
             t1 = t0 + rng.randint(0, 12)
             seeds = [(rng.randint(t0, t1), rng.randint(-3, 3))
                      for _ in range(rng.randint(1, 3))]
-            yield _Grid(M, t0, t1, seeds)
+            yield _Grid(M, t0, t1, xs=[x for (_, x) in seeds])
 
 
 def test_saturating_cone_matches_full_sweep():
@@ -471,11 +471,15 @@ def test_development_memo_returns_fresh_equal_regions():
         first = cauchy_development(M, U)
         again = cauchy_development(M, U)
         assert again == first and again.ambient is M
-    # point sets only: the key itself for a D-stable region, None for full
-    assert M._developments[stable.pts] is stable.pts
-    assert M._developments[slab.pts] is None
-    assert M._developments[grows.pts] == cauchy_development(M, grows).pts
-    assert not any(isinstance(v, Region) for v in M._developments.values())
+    # each region's own data (t0, x0, rows): the key itself for a D-stable
+    # region, None for full
+    memo = M._developments
+    assert [v is k for k, v in memo.items()
+            if k == (stable.t0, stable.x0, stable.rows)] == [True]
+    assert memo[slab.t0, slab.x0, slab.rows] is None
+    D = cauchy_development(M, grows)
+    assert memo[grows.t0, grows.x0, grows.rows] == (D.t0, D.x0, D.rows)
+    assert not any(isinstance(v, Region) for v in memo.values())
 
 
 def test_development_memo_keeps_failures_and_identity():
@@ -497,11 +501,11 @@ def test_development_memo_keeps_failures_and_identity():
 # -- each probe's band against the whole-window doubling probe ----------------
 
 
-def _doubling(M, pts, run, unstable):
+def _doubling(M, U, run, unstable):
     """``run(0)``, checked against ``run(margin)``: the probe that every
     development and double complement ran on the whole window before."""
     r0 = run(0)
-    if r0 != run(_margin_for(M, pts)):
+    if r0 != run(_margin_for(M, U)):
         raise WindowTooSmallError(unstable)
     return r0
 
@@ -509,16 +513,14 @@ def _doubling(M, pts, run, unstable):
 def _window_development(M, U):
     t_lo, t_hi = M.window
     return _windowed(M, _doubling(
-        M, U.pts, lambda e: _development_raw(M, U.pts, t_lo - e - 1,
-                                             t_hi + e + 1),
+        M, U, lambda e: _development_raw(M, U, t_lo - e - 1, t_hi + e + 1),
         "cauchy_development unstable"), "development exceeds")
 
 
 def _window_double_complement(M, U):
     t_lo, t_hi = M.window
     return _windowed(M, _doubling(
-        M, U.pts, lambda e: _double_complement_raw(M, U.pts, t_lo - e,
-                                                   t_hi + e),
+        M, U, lambda e: _double_complement_raw(M, U, t_lo - e, t_hi + e),
         "double_complement unstable"), "double complement exceeds")
 
 
@@ -526,11 +528,11 @@ def _window_cauchy_surface(M, U):
     t_lo, t_hi = M.window
 
     def run(e):
-        g = _Grid(M, t_lo - e - 1, t_hi + e + 1, U.pts)
-        return _blocks_every_path(g, g.escapes(g.mask_rows(U.pts), True),
+        g = _Grid(M, t_lo - e - 1, t_hi + e + 1, xs=[x for (_, x) in U.pts])
+        return _blocks_every_path(g, g.escapes(g.rows(U), True),
                                   min(t for (t, _) in U.pts))
 
-    return _doubling(M, U.pts, run, "contains_cauchy_surface_of unstable")
+    return _doubling(M, U, run, "contains_cauchy_surface_of unstable")
 
 
 def _outcome(op, M, U):
@@ -593,3 +595,108 @@ def test_band_results_match_the_whole_window_probe(cyl, plane):
         assert any(e.startswith(start) for e in errors), start
     regions = [R for R in expected if isinstance(R, Region)]
     assert {R.is_full for R in regions} == {True, False}
+
+
+# -- the row form against the point-set oracle --------------------------------
+
+
+def _point_sets(rng):
+    """Seeded point sets, each with its spacetime and its normalized points:
+    planes (negative and wide x), cylinders of circumference 2-8 (x given
+    off the circle, so it wraps), the window's edge rows, and subsets of a
+    bounded extent on each."""
+    for c in (None, 2, 3, 4, 5, 6, 7, 8):
+        M = LatticeSpacetime("plane", (-6, 9)) if c is None else \
+            LatticeSpacetime("cylinder", (-6, 9), c)
+        ext = region_diamond(M, (0, 0), (4, 0)) if c is None else \
+            region_slab(M, 1, 3)
+        B = bounded_spacetime(M, ext.pts)
+        for _ in range(25):
+            rows = rng.choice([(-6, -4), (7, 9), (-2, 5), (0, 0), (-6, 9)])
+            span = rng.choice([3, 8, 40])
+            raw = [(rng.randint(*rows), rng.randint(-span, span))
+                   for _ in range(rng.randint(1, 9))]
+            yield M, raw, frozenset(M.norm_point(p) for p in raw)
+            sub = rng.sample(sorted(ext.pts), rng.randint(1, len(ext.pts)))
+            yield B, sub, frozenset(sub)
+
+
+def _oracle_contains(A, B):
+    """``B`` inside ``A`` by their point sets; a full region holds all."""
+    if A.is_full:
+        return True
+    if B.is_full:
+        return B.ambient.extent is not None and B.points() <= A.pts
+    return B.pts <= A.pts
+
+
+def test_row_form_matches_the_point_set_oracle():
+    """Regions built from seeded point sets are equal exactly when their
+    point sets are, contain one another exactly as the sets do, and keep
+    the point-set t_range and sort_key."""
+    cases = list(_point_sets(random.Random("row-form")))
+    by_space = {}
+    for M, raw, pts in cases:
+        R = region_points(M, raw)
+        assert R.pts == R.points() == pts
+        # the normal form: nonzero end rows, x0 = 0 on a cylinder and the
+        # least x on the plane, and the rows hold exactly the points
+        assert R.rows[0] and R.rows[-1]
+        assert R.x0 == (0 if M.circumference else min(x for _, x in pts))
+        assert {(t, R.x0 + i) for t, m in enumerate(R.rows, R.t0)
+                for i in range(m.bit_length()) if m >> i & 1} == pts
+        assert R.t_range() == (min(t for t, _ in pts), max(t for t, _ in pts))
+        assert R.sort_key() == (0, *R.t_range(), tuple(sorted(pts)))
+        # the same set given in another order and with repeats
+        again = region_points(M, sorted(raw, reverse=True) + raw[:1])
+        assert again == R and hash(again) == hash(R)
+        by_space.setdefault(M, []).append(R)
+    pairs = 0
+    for M, regions in by_space.items():
+        regions = regions + [region_full(M)]
+        for A in regions:
+            for B in regions:
+                # one spacetime: the kind and the point set decide
+                assert (A == B) == ((A.kind, A.pts) == (B.kind, B.pts))
+                assert A.contains(B) == _oracle_contains(A, B), (A, B)
+                pairs += 1
+    assert pairs > 5000
+    for M in by_space:
+        full = region_full(M)
+        assert full == region_full(M.with_window(*M.window))
+        assert full.sort_key() == (1, 0, 0, ())
+        if M.extent is not None:
+            assert full.points() == M.extent
+            assert full.t_range() == (min(t for t, _ in M.extent),
+                                      max(t for t, _ in M.extent))
+        else:
+            with pytest.raises(GeometryError, match="materialized"):
+                full.t_range()
+
+
+def test_equal_regions_from_other_routes_hash_alike(plane, cyl):
+    """A region reached by region_points, by hull, through the development
+    memo and by a round trip of embeddings is equal, and hashes equal, to
+    the region of the same points."""
+    rng = random.Random("routes")
+    checked = 0
+    for M in [plane, cyl, *(LatticeSpacetime("cylinder", (-14, 16), c)
+                            for c in (2, 3, 5, 8))]:
+        M = M.with_window(*M.window)  # an empty development memo
+        c = M.circumference or 0
+        there = LatticeEmbedding(M, M, 3, 2 * c - 5)
+        back = LatticeEmbedding(M, M, -3, 5)
+        for _ in range(30):
+            pts = [(rng.randint(0, 3), rng.randint(-9, 9)) for _ in range(3)]
+            H = hull(M, region_points(M, pts))
+            direct = region_points(M, sorted(H.pts))
+            routes = [hull(M, H), apply_embedding(back, apply_embedding(
+                there, H))]
+            if is_D_stable(M, H):  # the second call answers from the memo
+                assert M._developments[H.t0, H.x0, H.rows] == \
+                    (H.t0, H.x0, H.rows)
+                routes.append(cauchy_development(M, H))
+            for R in routes:
+                assert R == direct == H and hash(R) == hash(direct)
+                checked += 1
+    assert checked > 400

@@ -14,6 +14,10 @@ id, are exempt.
 Every field of a top-level ``@dataclass`` must also be read as an
 attribute somewhere in ``src/latticehk`` or ``perfbench``: a field that is
 only set holds data nothing uses.
+
+No library module reaches into another one's underscore names, by import or
+through an imported module: each module owns its private formats (the grid
+of ``geometry`` is read only through its public functions).
 """
 
 import ast
@@ -129,3 +133,34 @@ def test_every_dataclass_field_is_read():
               for qualname, line in _dataclass_fields(tree)
               if qualname.split(".")[1] not in read]
     assert unread == []
+
+
+def _private_reaches():
+    """``importer <- module.name`` for each underscore name that a library
+    module imports from another library module, or reads off one it
+    imported."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").startswith("latticehk")):
+                continue
+            source = (node.module or "").split(".")[-1]
+            for a in node.names:
+                if a.name.startswith("_"):
+                    out.append(f"{path.stem} <- "
+                               + (f"{source}." if source else "") + a.name)
+                elif not source:
+                    aliases[a.asname or a.name] = a.name
+        out += [f"{path.stem} <- {aliases[node.value.id]}.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")]
+    return out
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert _private_reaches() == []
