@@ -616,11 +616,14 @@ def check_d_stable_neighborhoods(ctx: RunContext, opts):
 def _translation_embeddings(ctx: RunContext, count: int = 12):
     """Unbounded translations/rotations: embeddings whose source causal
     structure is exactly the ambient one (the faithful lattice models of
-    spacetime morphisms)."""
+    spacetime morphisms).  Each targets a fresh twin of the spacetime, equal
+    to it but with an empty memo, so the image side of a covariance check
+    is swept at the image's own position, not moved there from the memo."""
     M = ctx.M
     shifts = [(0, 0), (1, 0), (0, 1), (2, -1), (1, 2), (3, 1), (-1, 1),
               (2, 2), (-2, 0), (1, -2), (4, 0), (0, -1), (3, -2), (2, 1)]
-    return [LatticeEmbedding(M, M, dt, dx) for (dt, dx) in shifts[:count]]
+    return [LatticeEmbedding(M, M.with_window(*M.window), dt, dx)
+            for (dt, dx) in shifts[:count]]
 
 
 def _diamond_source(M: LatticeSpacetime) -> LatticeSpacetime:

@@ -59,20 +59,24 @@ class LatticeSpacetime:
     causal paths are maximal paths inside it, and the symbolic full region
     denotes exactly this point set.
 
-    ``_developments`` memoizes :func:`cauchy_development` on an unbounded
-    spacetime by a region's own data ``(t0, x0, rows)``: ``None`` for the
-    full result, else the data of the development.  It holds no
-    :class:`Region` (a region holds its spacetime), takes no part in
-    equality or hashing, and starts empty on every new spacetime, so a
-    changed window never sees an old result.
+    ``_orbits`` memoizes the band sweeps of :func:`cauchy_development`,
+    :func:`double_complement` and :func:`hull` on an unbounded spacetime
+    by a region's shape: the key ``(op, rows)`` names the region's orbit
+    under time shifts, and under x shifts on the plane, and a translation
+    moves each sweep's result with its region.  The value is ``None`` for
+    the full result, else the result's offset from the region and its
+    rows, ``(dt, dx, rows)``.  It holds no :class:`Region` (a region holds
+    its spacetime), takes no part in equality or hashing, and starts empty
+    on every new spacetime.  The window is checked at the caller's
+    position on every call, hit or miss.
     """
 
     kind: str  # "plane" | "cylinder"
     window: tuple[int, int]
     circumference: Optional[int] = None
     extent: Optional[frozenset[Point]] = None
-    _developments: dict = field(default_factory=dict, init=False,
-                                repr=False, compare=False, hash=False)
+    _orbits: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False, hash=False)
 
     def __post_init__(self):
         if self.kind not in ("plane", "cylinder"):
@@ -278,6 +282,21 @@ def region_full(M: LatticeSpacetime) -> Region:
 # ---------------------------------------------------------------------------
 
 
+def _trimmed(M: LatticeSpacetime, t0: int, x0: int,
+             rows: list[int]) -> Optional[Region]:
+    """The region whose row ``k`` is ``rows[k]`` at time ``t0 + k``, bit
+    ``i`` at ``x0 + i``, in normal form; None when the rows are empty."""
+    held = [k for k, m in enumerate(rows) if m]
+    if not held:
+        return None
+    rows = rows[held[0]:held[-1] + 1]
+    if M.kind == "plane":
+        low = functools.reduce(int.__or__, rows)
+        shift = (low & -low).bit_length() - 1
+        rows, x0 = [m >> shift for m in rows], x0 + shift
+    return Region(M, "points", t0 + held[0], x0, tuple(rows))
+
+
 class _Grid:
     """Per-row bitmask workspace over rows ``t0..t1`` (inclusive).
 
@@ -316,16 +335,7 @@ class _Grid:
     def trim(self, rows: list[int]) -> Optional[Region]:
         """The region of these grid rows in normal form; None when they
         are empty."""
-        held = [k for k, m in enumerate(rows) if m]
-        if not held:
-            return None
-        rows = rows[held[0]:held[-1] + 1]
-        x0 = self.x0  # 0 on the cylinder
-        if self.M.kind == "plane":
-            low = functools.reduce(int.__or__, rows)
-            shift = (low & -low).bit_length() - 1
-            rows, x0 = [m >> shift for m in rows], x0 + shift
-        return Region(self.M, "points", self.t0 + held[0], x0, tuple(rows))
+        return _trimmed(self.M, self.t0, self.x0, rows)
 
     def flat(self, rows: list[int]) -> int:
         """The grid rows as one int, row ``k`` at bit ``k * width``."""
@@ -449,6 +459,24 @@ def cone(M: LatticeSpacetime, S: Region, direction: str, strict: bool,
     return out
 
 
+def _by_orbit(M: LatticeSpacetime, op: str, U: Region, sweep) -> Region:
+    """``sweep()``, the band sweep ``op`` of ``U``, run once per translation
+    orbit of ``U``: the sweep's grid is placed relative to U and reads no
+    window, so a translate's result is this one moved with it
+    (docs/decisions.md, "Local covariance as the cache key")."""
+    key = op, U.rows
+    hit = M._orbits.get(key, False)
+    if hit is None:
+        return region_full(M)
+    if hit:
+        dt, dx, rows = hit
+        return Region(M, "points", U.t0 + dt, U.x0 + dx, rows)
+    R = sweep()
+    M._orbits[key] = None if R.is_full else (R.t0 - U.t0, R.x0 - U.x0,
+                                              R.rows)
+    return R
+
+
 def hull(M: LatticeSpacetime, S: Region) -> Region:
     """Causally convex hull J+(S) & J-(S).
 
@@ -456,11 +484,16 @@ def hull(M: LatticeSpacetime, S: Region) -> Region:
     """
     if S.is_full:
         return S
-    g = _Grid(M, *S.t_range(), S)
-    seed = g.rows(S)
-    # a convex extent: paths between its points stay in it
-    return g.trim(_in_extent(M, g, _meet(g.cone(seed, True),
-                                         g.cone(seed, False))))
+
+    def sweep():
+        g = _Grid(M, *S.t_range(), S)
+        seed = g.rows(S)
+        # a convex extent: paths between its points stay in it
+        return g.trim(_in_extent(M, g, _meet(g.cone(seed, True),
+                                             g.cone(seed, False))))
+
+    # the extent is not translation invariant
+    return sweep() if M.extent is not None else _by_orbit(M, "hull", S, sweep)
 
 
 def is_causally_convex(M: LatticeSpacetime, U: Region) -> bool:
@@ -562,20 +595,11 @@ def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
         D = region_development(M, U, region_full(M))
         # the whole bounded spacetime, as apply_embedding names it
         return region_full(M) if D.contains(region_full(M)) else D
-    key = U.t0, U.x0, U.rows
-    dev = M._developments.get(key, False)
-    if dev is None:
-        return region_full(M)
-    if dev:
-        return Region(M, "points", *dev)
     # the band holds D(U) and the row below U, so its result is exact
     # (docs/decisions.md, "Each probe sweeps its own band")
-    D = _windowed(M, _development_raw(M, U, *_band(U, _margin_for(M, U) + 1)),
-                  "development exceeds")
-    # a D-stable result keeps the key itself rather than a second copy
-    M._developments[key] = None if D.is_full else key if D == U else \
-        (D.t0, D.x0, D.rows)
-    return D
+    D = _by_orbit(M, "dev", U, lambda: _development_raw(
+        M, U, *_band(U, _margin_for(M, U) + 1)))
+    return _windowed(M, D, "development exceeds")
 
 
 def region_development(M: LatticeSpacetime, U: Region, V: Region) -> Region:
@@ -628,7 +652,8 @@ def double_complement(M: LatticeSpacetime, U: Region) -> Region:
                             "spacetimes; bounded models use developments")
     # the band holds U'' and a complement point in the cone of each other
     # point, so its result is exact (docs/decisions.md, as above)
-    dc = _double_complement_raw(M, U, *_band(U, _margin_for(M, U)))
+    dc = _by_orbit(M, "dc", U, lambda: _double_complement_raw(
+        M, U, *_band(U, _margin_for(M, U))))
     return _windowed(M, dc, "double complement exceeds")
 
 
@@ -778,11 +803,6 @@ class LatticeEmbedding:
     def map_point(self, p: Point) -> Point:
         return self.target.norm_point((p[0] + self.dt, p[1] + self.dx))
 
-    def unmap_point(self, q: Point) -> Point:
-        """The inverse translation; the inverse of ``map_point`` on the image
-        of an unbounded source."""
-        return self.source.norm_point((q[0] - self.dt, q[1] - self.dx))
-
     def image(self) -> Region:
         if self.source.extent is None:
             if self.source.kind == self.target.kind and \
@@ -814,15 +834,33 @@ def apply_embedding(f: LatticeEmbedding, U: Region) -> Region:
 
 
 def preimage_region(f: LatticeEmbedding, V: Region) -> Optional[Region]:
-    """f^{-1}(V) as a region of the source; None when empty."""
+    """f^{-1}(V) as a region of the source; None when empty.
+
+    V's rows move back the way :func:`_moved` moves them forward, onto the
+    extent's rows, or onto the window's rows of an unbounded source.  On a
+    cylinder target a row is rotated so that bit ``i`` lands on the source
+    column ``x0 + i``; a wrapped plane strip is narrower than the circle, so
+    each of its columns has one cylinder column."""
     if V.is_full:
         return region_full(f.source)
-    S = f.source
+    S, c = f.source, f.target.circumference
     if S.extent is not None:
-        pts = [p for p in S.extent if f.map_point(p) in V.pts]
+        t0, x0, keep = S._extent_rows
     else:
-        pts = [p for q in V.pts if S.in_window(p := f.unmap_point(q))]
-    return region_points(S, pts) if pts else None
+        (t_lo, t_hi), (a, b) = S.window, V.t_range()
+        t0, x0 = max(t_lo, a - f.dt), 0 if c else V.x0 - f.dx
+        keep = [-1] * (min(t_hi, b - f.dt) - t0 + 1)
+    # a rotation on a cylinder target, a shift on a plane one
+    s = (x0 + f.dx) % c if c else V.x0 - f.dx - x0
+    rows = []
+    for k, e in enumerate(keep, t0 + f.dt - V.t0):
+        m = V.rows[k] if 0 <= k < len(V.rows) else 0
+        if c:
+            m = (m >> s | m << c - s) & (1 << c) - 1
+        else:
+            m = m << s if s >= 0 else m >> -s
+        rows.append(m & e)
+    return _trimmed(S, t0, x0, rows)
 
 
 def check_loc_morphism(f: LatticeEmbedding) -> bool:

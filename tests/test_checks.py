@@ -11,9 +11,11 @@ import pytest
 
 from latticehk.algebra import QPower
 from latticehk.checks import (CLAIMS, OPTIONS, REGISTRY, RunContext,
-                              run_check)
-from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
-                                apply_embedding, region_slab)
+                              _translation_embeddings, run_check)
+from latticehk import geometry
+from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime, Region,
+                                apply_embedding, development_restriction,
+                                region_points, region_slab)
 from latticehk.kleingordon import KgError
 from latticehk.nets import AqftError
 from latticehk.rational import QQ
@@ -269,6 +271,40 @@ def test_embedding_functors_move_each_object_once(cyl_ctx, monkeypatch):
     n = len(cyl_ctx.universe("rc"))
     assert rec.witness["embeddings"] == 5
     assert list(Counter(moved).values()) == [n] * 5
+
+
+def test_a_moved_memo_hit_fails_the_covariance_check(plane_ctx,
+                                                     monkeypatch):
+    """A memo hit moved one row up makes the development-lemma check fail.
+    Its translations target a fresh twin of the spacetime, so their image
+    side is swept at the image's own position even when the spacetime's
+    memo already holds the orbit: on the spacetime itself both sides would
+    read the same moved entry and agree."""
+    M = plane_ctx.M.with_window(*plane_ctx.M.window)  # an empty memo
+    ctx = RunContext(M=M, seed=plane_ctx.seed,
+                     universe_cfg=plane_ctx.universe_cfg,
+                     aqft_cfg=plane_ctx.aqft_cfg)
+    cid = "causality.embedding-development-lemmas"
+    sweep_once = geometry._by_orbit
+
+    def moved_up(M, op, U, sweep):
+        hit = (op, U.rows) in M._orbits
+        R = sweep_once(M, op, U, sweep)
+        if not hit or R.is_full:
+            return R
+        return Region(M, "points", R.t0 + 1, R.x0, R.rows)
+
+    monkeypatch.setattr(geometry, "_by_orbit", moved_up)
+    assert [r.verdict for r in run_check(cid, ctx)] == ["fail"]
+    U = region_points(M, [(1, 0), (2, 1)])
+    geometry.cauchy_development(M, U)  # the orbit's entry
+    for f in _translation_embeddings(ctx, 6)[1:]:
+        assert f.target == M and f.target is not M
+        lhs, rhs, _ = development_restriction(f, U)
+        assert lhs != rhs
+        lhs, rhs, _ = development_restriction(
+            LatticeEmbedding(M, M, f.dt, f.dx), U)
+        assert lhs == rhs
 
 
 def test_embedded_target_holds_images_and_around(cyl):

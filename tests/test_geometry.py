@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latticehk.checks import _brute_confirms
+from latticehk.checks import (RunContext, _bounded_embeddings,
+                              _brute_confirms)
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 LatticeSpacetime, Region, _Grid,
                                 WindowTooSmallError, _blocks_every_path,
@@ -309,6 +310,56 @@ def test_embeddings_bounded(plane):
     assert is_D_stable(plane, img) and rhs == dv
 
 
+def _preimage_oracle(f, V):
+    """f^{-1}(V) point by point: the source points whose image lies in V;
+    on an unbounded source, V's points moved back that stay in the
+    window."""
+    S = f.source
+    if S.extent is not None:
+        pts = {p for p in S.extent if f.map_point(p) in V.pts}
+    else:
+        pts = {p for (t, x) in V.pts
+               if S.in_window(p := S.norm_point((t - f.dt, x - f.dx)))}
+    return frozenset(pts) or None
+
+
+def test_preimage_matches_the_point_oracle():
+    """preimage_region moves V's rows back: it agrees with the point-wise
+    preimage on translations of planes and cylinders c=2..8, on sub-lattice
+    inclusions and on the wraps of plane strips onto cylinders, for V that
+    meet the image, leave the window or miss the image."""
+    rng = random.Random("preimage")
+    checked = {None: 0, "some": 0}
+    for c in (None, 2, 3, 4, 5, 6, 7, 8):
+        M = LatticeSpacetime("plane", (-6, 9)) if c is None else \
+            LatticeSpacetime("cylinder", (-6, 9), c)
+        shifts = [(0, 0), (1, 2), (3, -2), (-4, 5), (12, 1), (0, -7),
+                  (-2, 2 * (c or 4) + 1)]
+        embeddings = [LatticeEmbedding(M, M, dt, dx) for dt, dx in shifts]
+        if c is None or c >= 5:  # the wrapped strip needs c >= 5
+            embeddings += _bounded_embeddings(RunContext(M=M))
+        for f in embeddings:
+            S, T = f.source, f.target
+            for _ in range(12):
+                raw = [(rng.randint(-6, 9), rng.randint(-8, 8))
+                       for _ in range(rng.randint(1, 6))]
+                targets = [region_points(T, raw)]
+                if S.extent is not None:
+                    sub = rng.sample(sorted(S.extent),
+                                     rng.randint(1, len(S.extent)))
+                    targets.append(apply_embedding(
+                        f, region_points(S, sub)))
+                for V in targets:
+                    got, want = preimage_region(f, V), _preimage_oracle(f, V)
+                    if want is None:
+                        assert got is None, (f, sorted(V.pts))
+                    else:
+                        assert got == region_points(S, want), \
+                            (f, sorted(V.pts))
+                    checked[want and "some"] += 1
+    assert checked[None] > 50 and checked["some"] > 500
+
+
 def test_wrap_embedding(plane, cyl):
     strip = hull(plane, region_points(
         plane, [(t, x) for t in range(3) for x in range(3)]))
@@ -470,32 +521,102 @@ def test_development_memo_returns_fresh_equal_regions():
     for U in (stable, grows, slab):
         first = cauchy_development(M, U)
         again = cauchy_development(M, U)
-        assert again == first and again.ambient is M
-    # each region's own data (t0, x0, rows): the key itself for a D-stable
-    # region, None for full
-    memo = M._developments
-    assert [v is k for k, v in memo.items()
-            if k == (stable.t0, stable.x0, stable.rows)] == [True]
-    assert memo[slab.t0, slab.x0, slab.rows] is None
+        assert again == first and again is not first and again.ambient is M
+    # keyed by the shape: (op, rows), with the result's offset from the
+    # region and its rows, or None for full
+    memo = M._orbits
+    assert memo["dev", stable.rows] == (0, 0, stable.rows)
+    assert memo["dev", slab.rows] is None
     D = cauchy_development(M, grows)
-    assert memo[grows.t0, grows.x0, grows.rows] == (D.t0, D.x0, D.rows)
+    assert memo["dev", grows.rows] == (D.t0 - grows.t0, 0, D.rows)
     assert not any(isinstance(v, Region) for v in memo.values())
+    # a time shift of a region answers from its entry, moved with it
+    later = Region(M, "points", grows.t0 + 3, 0, grows.rows)
+    n = len(memo)
+    moved = cauchy_development(M, later)
+    assert len(memo) == n and moved.ambient is M
+    assert moved.pts == frozenset((t + 3, x) for (t, x) in D.pts)
 
 
 def test_development_memo_keeps_failures_and_identity():
-    M = LatticeSpacetime("cylinder", (0, 1), 6)
-    wide = region_points(M, [(t, x) for t in (0, 1) for x in (0, 1, 2)])
+    M = LatticeSpacetime("cylinder", (0, 5), 6)
+    wide = [(t, x) for t in (0, 1) for x in (0, 1, 2)]
+    # D(wide) holds a point of each row next to it, so only a translate
+    # with a free row on both sides fits the window
+    edges = [region_points(M, [(t + s, x) for (t, x) in wide])
+             for s in (0, 4)]
+    inside = region_points(M, [(t + 2, x) for (t, x) in wide])
     for _ in range(2):
-        with pytest.raises(WindowTooSmallError):
-            cauchy_development(M, wide)
-    assert not M._developments
+        for U in edges:
+            with pytest.raises(WindowTooSmallError):
+                cauchy_development(M, U)
+        assert cauchy_development(M, inside).t_range() == (1, 4)
+    # one entry, stored before the window check, serves all three
+    assert list(M._orbits) == [("dev", inside.rows)]
     M1 = LatticeSpacetime("cylinder", (-14, 16), 6)
     M2 = LatticeSpacetime("cylinder", (-14, 16), 6)
     cauchy_development(M1, region_points(M1, [(0, 0)]))
-    assert M1._developments and not M2._developments
+    assert M1._orbits and not M2._orbits
     assert M1 == M2 and hash(M1) == hash(M2)
-    assert not M1.with_window(-14, 16)._developments
-    assert not M1.enlarged(2)._developments
+    assert not M1.with_window(-14, 16)._orbits
+    assert not M1.enlarged(2)._orbits
+
+
+def _sweep_outcome(op, M, U):
+    """``op(M, U)``, or the class and message of its refusal."""
+    try:
+        return op(M, U)
+    except GeometryError as e:
+        return type(e), str(e)
+
+
+def test_memo_answers_as_a_fresh_spacetime():
+    """Developments, double complements and hulls of every time shift, and
+    plane x shift, of seeded regions give on one warm spacetime what a
+    fresh spacetime computes, refusals included."""
+    rng = random.Random("orbit-memo")
+    ops = (cauchy_development, double_complement, hull)
+    outcomes, offsets = [], []
+    for c in (None, 2, 3, 4, 5, 6, 7, 8):
+        M = LatticeSpacetime("plane", (-3, 8)) if c is None else \
+            LatticeSpacetime("cylinder", (-3, 8), c)
+        shapes = set()
+        for _ in range(10):
+            # drawn on a twin, so only the translates below reach M's memo
+            P = M.with_window(*M.window)
+            pts = [(rng.randint(0, 3), rng.randint(0, 4))
+                   for _ in range(rng.randint(1, 4))]
+            shape = rng.choice(["hull", "hull", "points", "block", "column"])
+            if shape == "block":  # grows a development on a cylinder
+                pts += [(t, x) for t in (0, 1) for x in range(3)]
+            if shape == "column":  # a hull that reaches left of its points
+                pts += [(0, -1), (2, -1)]
+            U = region_points(P, pts)
+            if shape == "hull":
+                U = hull(P, U)
+            shapes.add(U.rows)
+            a, b = U.t_range()
+            for dt in range(M.window[0] - a, M.window[1] - b + 1):
+                for dx in ((0,) if c else (-5, 0, 3)):
+                    fresh = M.with_window(*M.window)
+                    for op in ops:
+                        got, want = (_sweep_outcome(op, N, Region(
+                            N, "points", U.t0 + dt, U.x0 + dx, U.rows))
+                            for N in (M, fresh))
+                        assert got == want, (M, op, sorted(U.pts), dt, dx)
+                        outcomes.append(want)
+        # one entry per shape and operation served every translate
+        assert len(M._orbits) <= 3 * len(shapes)
+        offsets += [v[:2] for v in M._orbits.values() if v]
+    # some results reach below their regions, and some left of them
+    assert any(dt for dt, _ in offsets) and any(dx for _, dx in offsets)
+    assert len(outcomes) > 2000
+    refusals = {msg.split(" the window")[0] for o in outcomes
+                if isinstance(o, tuple) for msg in o[1:]}
+    assert refusals >= {"development exceeds", "double complement exceeds",
+                        "double_complement expects a causally convex region"}
+    assert {R.is_full for R in outcomes if isinstance(R, Region)} == \
+        {True, False}
 
 
 # -- each probe's band against the whole-window doubling probe ----------------
@@ -693,8 +814,7 @@ def test_equal_regions_from_other_routes_hash_alike(plane, cyl):
             routes = [hull(M, H), apply_embedding(back, apply_embedding(
                 there, H))]
             if is_D_stable(M, H):  # the second call answers from the memo
-                assert M._developments[H.t0, H.x0, H.rows] == \
-                    (H.t0, H.x0, H.rows)
+                assert M._orbits["dev", H.rows] == (0, 0, H.rows)
                 routes.append(cauchy_development(M, H))
             for R in routes:
                 assert R == direct == H and hash(R) == hash(direct)

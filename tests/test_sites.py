@@ -219,7 +219,8 @@ def test_extend_cover_restriction_property(cyl):
     for piece in ext.pieces:
         if piece.pts & img.pts:
             pre = {p.pts for p in cov.pieces}
-            back = frozenset(f.unmap_point(q) for q in piece.pts)
+            back = frozenset(cyl.norm_point((t - f.dt, x - f.dx))
+                             for (t, x) in piece.pts)
             assert back in pre
     from latticehk.checks import column_cover
     covD = column_cover(cyl, zone)

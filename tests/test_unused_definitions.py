@@ -18,6 +18,9 @@ only set holds data nothing uses.
 No library module reaches into another one's underscore names, by import or
 through an imported module: each module owns its private formats (the grid
 of ``geometry`` is read only through its public functions).
+
+Only ``geometry`` touches a spacetime's orbit memo, so that no caller reads
+a stored result past the window check the geometry operations make.
 """
 
 import ast
@@ -164,3 +167,19 @@ def _private_reaches():
 
 def test_no_module_reaches_into_another_modules_private_names():
     assert _private_reaches() == []
+
+
+def _memo_touches():
+    """``module:line`` of each attribute ``_orbits``, or string naming it,
+    in each library module."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "_orbits"
+            or isinstance(node, ast.Constant) and node.value == "_orbits"]
+
+
+def test_only_geometry_reads_the_orbit_memo():
+    touches = _memo_touches()
+    assert any(t.startswith("geometry.py:") for t in touches)
+    assert [t for t in touches if not t.startswith("geometry.py:")] == []
