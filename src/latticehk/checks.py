@@ -3,9 +3,12 @@ stable id and bound to a claim label.
 
 Each runner takes a resolved :class:`RunContext` plus per-check options and
 returns a list of :class:`CheckRecord`.  A runner is declared once, by
-:func:`register`, which also names the claim of each record it emits.
-Checks are pure; the CLI and the acceptance suite execute them through the
-same registry.
+:func:`register`, which also names the claim of each record it emits and
+the default of each option it reads.  A check over drawn instances hands
+them, with the test for one, to :meth:`RunContext.tally_over`; the drawers
+live in :mod:`latticehk.instances` and the brute-force oracles in
+:mod:`latticehk.oracles`.  Checks are pure; the CLI and the acceptance
+suite execute them through the same registry, :func:`run_check`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                        region_full, region_points, region_slab,
                        region_strict_diamond, set_bits, check_loc_morphism,
                        development_restriction, WindowTooSmallError)
+from .instances import (band_covers, bounded_embeddings, column_cover,
+                        covers_for_site, descent_instances, diamond_source,
+                        draw_half, draw_hull, draw_points, exhaustive_diamonds,
+                        halves, largest_first, point_cover, refine_by_halves,
+                        seeded_hulls, translation_embeddings)
 from .kleingordon import (KgContext, KgError, apply_P, field_add,
                           field_clean, green, pairing, propagator,
                           relabelling_map)
@@ -40,6 +48,7 @@ from .nets import (AqftError, IndicatorAqft, build_indicator, build_kg_aqft,
                    check_time_slice, count_nat_transforms, epsilon_iso_check,
                    pullback_indicator, PointFamily, verify_point,
                    reconstruct_global)
+from .oracles import brute_confirms
 from .rational import Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     SiteFunctor, check_cover_intersections,
@@ -61,21 +70,23 @@ EXPECTED = "pass"
 REGISTRY: dict[str, Callable] = {}
 # record id -> claim label, for every record a runner may emit
 CLAIM_OF: dict[str, str] = {}
-# check id -> the names of the integer options its runner reads
-OPTIONS: dict[str, tuple] = {}
+# check id -> {name: default} of the integer options its runner reads
+OPTIONS: dict[str, dict] = {}
 
 
 def register(check_id: str, claim: str, flavors: tuple = (),
-             companions: Optional[dict] = None, options: tuple = ()):
+             companions: Optional[dict] = None,
+             options: Optional[dict] = None):
     """Register the decorated runner under ``check_id`` and return it
     unchanged.  The records ``check_id`` and ``check_id-<flavor>`` carry
     ``claim``; ``companions`` maps the ids of further records the runner
-    emits to their own claims; ``options`` names the integer options the
-    runner reads, the only ones a scenario may set for it."""
+    emits to their own claims; ``options`` maps the integer options the
+    runner reads, the only ones a scenario may set for it, to their
+    defaults, which :func:`run_check` fills in."""
     def deco(runner: Callable) -> Callable:
         REGISTRY[check_id] = runner
         CLAIM_OF[check_id] = claim
-        OPTIONS[check_id] = options
+        OPTIONS[check_id] = options or {}
         for flavor in flavors:
             CLAIM_OF[f"{check_id}-{flavor}"] = claim
         CLAIM_OF.update(companions or {})
@@ -157,6 +168,20 @@ class RunContext:
         if not found:
             return self.skip(rec_id, reason, **witness)
         return self.record(rec_id, "pass" if ok else "fail", witness)
+
+    def tally_over(self, rec_id: str, instances, test: Callable, reason: str,
+                   witness: Optional[Callable] = None) -> CheckRecord:
+        """:meth:`tally` over ``instances``, drawn lazily if need be: each is
+        judged by ``test`` before the next is drawn.  ``witness(found, bad)``
+        gives the witness (a pass or fail may carry none), by default
+        ``{"instances": found, "bad": bad}``."""
+        found = bad = 0
+        for instance in instances:
+            found += 1
+            bad += not test(instance)
+        return self.tally(rec_id, found, not bad, reason,
+                          witness(found, bad) if witness else
+                          {"instances": found, "bad": bad})
 
     def universe(self, compactness: str) -> tuple[Region, ...]:
         """The configured universe, enumerated once per run and
@@ -245,107 +270,6 @@ class RunContext:
 
 
 # ---------------------------------------------------------------------------
-# corpora helpers
-# ---------------------------------------------------------------------------
-
-
-def exhaustive_diamonds(M: LatticeSpacetime, zone) -> list[Region]:
-    """The distinct diamonds of pairs of ``zone``, first found first."""
-    return list(dict.fromkeys(
-        region_diamond(M, p, q) for p in zone for q in zone
-        if q[0] >= p[0] and M.xdist(q[1], p[1]) <= q[0] - p[0]))
-
-
-def draw_points(rng, zone: list, lo: int, hi: int) -> list:
-    """``rng.sample(zone, rng.randint(lo, hi))``: between ``lo`` and ``hi``
-    distinct points of ``zone``.  A zone of fewer than ``hi`` points is a
-    configuration error whatever the count drawn, so that whether a scenario
-    runs does not depend on its seed (docs/decisions.md, "A zone too small
-    to draw from")."""
-    if len(zone) < hi:
-        raise SiteError(f"a draw takes up to {hi} points of the zone, which "
-                        f"holds {len(zone)}; widen t_range or x_range")
-    return rng.sample(zone, rng.randint(lo, hi))
-
-
-def draw_hull(M: LatticeSpacetime, rng, zone: list, lo: int, hi: int):
-    """The hull of ``draw_points(rng, zone, lo, hi)``."""
-    return hull(M, region_points(M, draw_points(rng, zone, lo, hi)))
-
-
-def seeded_hulls(M: LatticeSpacetime, zone, rng, count):
-    return [draw_hull(M, rng, zone, 1, 4) for _ in range(count)]
-
-
-def largest_first(site: SiteCategory, min_height: int = 0) -> list[Region]:
-    """The explicit objects of ``site`` whose last row is at least
-    ``min_height`` rows after their first, largest first."""
-    return sorted((r for r in site.objects if not r.is_full and
-                   r.t_range()[1] - r.t_range()[0] >= min_height),
-                  key=lambda r: -len(r.pts))
-
-
-def halves(M, pts, mid: int, overlap: int) -> tuple[Region, Region]:
-    """The points of ``pts`` at or below row ``mid + overlap`` and those at
-    or above row ``mid - overlap``."""
-    return (region_points(M, [p for p in pts if p[0] <= mid + overlap]),
-            region_points(M, [p for p in pts if p[0] >= mid - overlap]))
-
-
-def band_covers(M, U: Region, overlap=2):
-    """Time-band covers of an explicit region with the given overlap."""
-    t0, t1 = U.t_range()
-    if t1 - t0 < 2:
-        return []
-    return [Cover(U, halves(M, U.pts, (t0 + t1) // 2, overlap))]
-
-
-def refine_by_halves(M, cov: Cover) -> tuple[Cover, dict]:
-    """The cover whose pieces are the halves (overlap one) of the pieces of
-    ``cov`` spanning three rows or more, and the others unchanged, with the
-    map from its pieces to the pieces of ``cov`` they refine."""
-    pieces, alpha = [], {}
-    for i, piece in enumerate(cov.pieces):
-        a, b = piece.t_range()
-        for sub in ((piece,) if b - a < 2 else
-                    halves(M, piece.pts, (a + b) // 2, 1)):
-            alpha[len(pieces)] = i
-            pieces.append(sub)
-    return Cover(cov.base, tuple(pieces), zone=cov.zone), alpha
-
-
-def point_cover(M, zone: Region) -> Cover:
-    """The cover of the whole spacetime by the single points of ``zone``."""
-    return Cover(region_full(M),
-                 tuple(region_points(M, [p]) for p in sorted(zone.pts)),
-                 zone=zone)
-
-
-def column_cover(M, zone_slab: Region, step=1):
-    """D-stable cover of a cylinder zone by two-row columns."""
-    t0, t1 = zone_slab.t_range()
-    rows = sorted(set(range(t0, t1, max(1, step))) | {t1 - 1})
-    pieces = []
-    for t in rows:
-        for x in range(M.circumference):
-            pieces.append(region_points(M, [(t, x), (t + 1, x)]))
-    return Cover(region_full(M), tuple(pieces), zone=zone_slab)
-
-
-def tall_diamond_cover(M, zone_slab: Region, height=4):
-    """Cover of a cylinder zone by strict diamonds around every site, wide
-    enough at the waist for the adapted band construction.  It is D-stable
-    unless a waist closes around the circle."""
-    t0, t1 = zone_slab.t_range()
-    pieces = []
-    for t in range(t0, t1 + 1):
-        for x in range(M.circumference):
-            pieces.append(region_strict_diamond(
-                M, (t - height // 2 - 1, x), (t + height // 2 + 1, x)))
-    return Cover(region_full(M), tuple(pieces), zone=zone_slab)
-
-
-# ---------------------------------------------------------------------------
 # causality checks
 # ---------------------------------------------------------------------------
 
@@ -367,82 +291,6 @@ def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
     return [ctx.record("causality.cone-lightcone", "pass" if ok else "fail")]
 
 
-def _brute_causal(M, p, q) -> bool:
-    dt = abs(q[0] - p[0])
-    return M.xdist(q[1], p[1]) <= dt
-
-
-def _brute_double_complement(M, upts: frozenset, box, points) -> frozenset:
-    """The ``points`` that lie in U'' within ``box``: no q of the box
-    causally related to p is causally related to no point of U."""
-    unrelated = [q for q in box
-                 if not any(_brute_causal(M, q, u) for u in upts)]
-    return frozenset(p for p in points
-                     if not any(_brute_causal(M, p, q) for q in unrelated))
-
-
-def _brute_escapes(M, upts: frozenset, t_lo: int, t_hi: int, p, up: bool,
-                   memo: dict) -> bool:
-    """Whether a causal path from ``p`` leaves the box rows [t_lo, t_hi]
-    upward (``up``) or downward without meeting ``upts``; ``memo`` holds
-    the points already decided."""
-    key = (p, up)
-    if key not in memo:
-        if p in upts:
-            memo[key] = False
-        else:
-            t, x = p
-            if (up and t >= t_hi) or (not up and t <= t_lo):
-                memo[key] = True
-            else:
-                step = 1 if up else -1
-                memo[key] = any(
-                    _brute_escapes(M, upts, t_lo, t_hi,
-                                   M.norm_point((t + step, x + dx)), up, memo)
-                    for dx in (-1, 0, 1))
-    return memo[key]
-
-
-def _brute_development(M, upts: frozenset, box) -> frozenset:
-    t_hi = max(t for (t, _) in box)
-    t_lo = min(t for (t, _) in box)
-    memo: dict = {}
-
-    def esc(p, up):
-        return _brute_escapes(M, upts, t_lo, t_hi, p, up, memo)
-
-    return frozenset(p for p in box
-                     if p in upts or not (esc(p, True) and esc(p, False)))
-
-
-def _brute_confirms(M, U: Region, D: Region, DC: Region) -> bool:
-    """Whether the engines' D = D(U) and DC = U'' agree with the
-    enumerators above at the window's points of a box around U: D on the
-    whole box, DC on U's rows +-2, every row on the cylinder.  The box
-    reaches U's row span + 3 beyond U's rows, and as many columns beyond
-    U's columns on the plane; docs/decisions.md ("Neither engine is at
-    fault") proves each enumerator exact where it is compared."""
-    ts = [t for (t, _) in U.pts]
-    lo, hi = min(ts), max(ts)
-    pad = hi - lo + 3
-    if M.kind == "cylinder":
-        cols = range(M.circumference)
-    else:
-        xs = [x for (_, x) in U.pts]
-        cols = range(min(xs) - pad, max(xs) + pad + 1)
-    box = [(t, x) for t in range(lo - pad, hi + pad + 1) for x in cols]
-    seen = frozenset(p for p in box if M.in_window(p))
-    band = seen if M.kind == "cylinder" else \
-        frozenset(p for p in seen if lo - 2 <= p[0] <= hi + 2)
-
-    def on(R, pts):
-        return pts if R.is_full else R.pts & pts
-
-    return (on(D, seen) == _brute_development(M, U.pts, box) & seen
-            and on(DC, band) ==
-            _brute_double_complement(M, U.pts, box, band))
-
-
 @register("causality.development-vs-double-complement",
           "development-equals-double-complement-for-rc-causally-convex",
           companions={
@@ -450,13 +298,12 @@ def _brute_confirms(M, U: Region, D: Region, DC: Region) -> bool:
                   "development-inside-double-complement",
               "causality.divergence-brute-confirmed":
                   "double-complement-divergences-confirmed-by-path-"
-                  "enumeration"}, options=("hulls", "brute"))
+                  "enumeration"}, options={"hulls": 50, "brute": 2})
 def check_development_vs_double_complement(ctx: RunContext, opts):
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     corpus = exhaustive_diamonds(M, zone)
-    corpus += seeded_hulls(M, zone, ctx.rng("hulls"),
-                           opts.get("hulls", 50))
+    corpus += seeded_hulls(M, zone, ctx.rng("hulls"), opts["hulls"])
     mism = []
     incl_bad = 0
     for U in corpus:
@@ -478,41 +325,36 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
                    None if not incl_bad else {"violations": incl_bad})]
     # brute-force confirmation on a few divergent instances: the divergence
     # is a property of the lattice, not of the mask engine
-    checked = mism[: opts.get("brute", 2)]
-    recs.append(ctx.tally(
-        "causality.divergence-brute-confirmed", len(checked),
-        all(_brute_confirms(M, U, D, DC) for (U, D, DC) in checked),
+    recs.append(ctx.tally_over(
+        "causality.divergence-brute-confirmed", mism[: opts["brute"]],
+        lambda case: brute_confirms(M, *case),
         "no divergent instance brute-checked",
-        {"divergent": len(mism), "brute_checked": len(checked)}))
+        lambda n, bad: {"divergent": len(mism), "brute_checked": n}))
     return recs
 
 
 @register("causality.development-props",
-          "development-idempotent-monotone-hull-stable", options=("count",))
+          "development-idempotent-monotone-hull-stable",
+          options={"count": 30})
 def check_development_properties(ctx: RunContext, opts):
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
     rng = ctx.rng("devprops")
-    corpus = seeded_hulls(M, zone, rng, opts.get("count", 30))
-    if not corpus:
-        return [ctx.skip("causality.development-props", "no hull drawn",
-                         count=0)]
-    ok_idem = ok_mono = ok_hull = True
-    for U in corpus:
+
+    def holds(U):
         D = cauchy_development(M, U)
+        idem = mono = True
         if not D.is_full:
-            if cauchy_development(M, D) != D:
-                ok_idem = False
-            sub_pts = rng.sample(sorted(U.pts), max(1, len(U.pts) // 2))
-            sub = hull(M, region_points(M, sub_pts))
-            Ds = cauchy_development(M, sub)
-            if not Ds.is_full and not D.contains(Ds):
-                ok_mono = False
+            idem = cauchy_development(M, D) == D
+            Ds = cauchy_development(M, hull(M, draw_half(M, rng, U)))
+            mono = Ds.is_full or D.contains(Ds)
         H = hull(M, U)
-        if hull(M, H) != H or not H.is_relatively_compact:
-            ok_hull = False
-    return [ctx.record("causality.development-props",
-                       "pass" if ok_idem and ok_mono and ok_hull else "fail")]
+        return idem and mono and hull(M, H) == H and H.is_relatively_compact
+
+    # every hull is drawn before the first test draws its half
+    corpus = seeded_hulls(M, sorted(ctx.zone().pts), rng, opts["count"])
+    return [ctx.tally_over("causality.development-props", corpus, holds,
+                           "no hull drawn",
+                           lambda n, bad: None if n else {"count": 0})]
 
 
 @register("causality.strict-diamonds-d-stable",
@@ -520,82 +362,76 @@ def check_development_properties(ctx: RunContext, opts):
 def check_strict_diamonds(ctx: RunContext, opts):
     M = ctx.M
     zone = sorted(ctx.zone().pts)
-    bad = 0
-    total = 0
-    for p in zone:
-        for q in zone:
-            if q[0] - p[0] < 2 or M.xdist(q[1], p[1]) > q[0] - p[0] - 2:
-                continue
-            try:
-                V = region_strict_diamond(M, p, q)
-            except geo.GeometryError:
-                continue
-            total += 1
-            if not (is_causally_convex(M, V) and V.is_relatively_compact
-                    and is_D_stable(M, V)):
-                bad += 1
-    return [ctx.tally("causality.strict-diamonds-d-stable", total, bad == 0,
-                      "no strict diamond in the zone",
-                      {"total": total, "bad": bad})]
+
+    def diamonds():
+        for p in zone:
+            for q in zone:
+                if q[0] - p[0] < 2 or \
+                        M.xdist(q[1], p[1]) > q[0] - p[0] - 2:
+                    continue
+                try:
+                    V = region_strict_diamond(M, p, q)
+                except geo.GeometryError:
+                    continue
+                yield V
+
+    return [ctx.tally_over(
+        "causality.strict-diamonds-d-stable", diamonds(),
+        lambda V: is_causally_convex(M, V) and V.is_relatively_compact
+        and is_D_stable(M, V), "no strict diamond in the zone",
+        lambda n, bad: {"total": n, "bad": bad})]
 
 
 @register("causality.disjointness-hereditary",
-          "causal-disjointness-passes-to-subregions", options=("count",))
+          "causal-disjointness-passes-to-subregions", options={"count": 20})
 def check_disjointness_hereditary(ctx: RunContext, opts):
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("disj")
-    ok = True
-    found = 0
-    attempts = 0
-    while found < opts.get("count", 20) and attempts < 400:
-        attempts += 1
-        U1 = draw_hull(M, rng, zone, 1, 3)
-        U2 = draw_hull(M, rng, zone, 1, 3)
-        if not are_causally_disjoint(M, U1, U2):
-            continue
-        found += 1
-        s1 = region_points(M, rng.sample(sorted(U1.pts),
-                                         max(1, len(U1.pts) // 2)))
-        s2 = region_points(M, rng.sample(sorted(U2.pts),
-                                         max(1, len(U2.pts) // 2)))
-        if not are_causally_disjoint(M, s1, s2):
-            ok = False
-    return [ctx.tally("causality.disjointness-hereditary", found, ok,
-                      "no disjoint pair drawn", {"instances": found})]
+
+    def disjoint_pairs():
+        for _ in range(400):
+            U1 = draw_hull(M, rng, zone, 1, 3)
+            U2 = draw_hull(M, rng, zone, 1, 3)
+            if are_causally_disjoint(M, U1, U2):
+                yield U1, U2
+
+    return [ctx.tally_over(
+        "causality.disjointness-hereditary",
+        islice(disjoint_pairs(), opts["count"]),
+        lambda pair: are_causally_disjoint(
+            M, *[draw_half(M, rng, U) for U in pair]),
+        "no disjoint pair drawn", lambda n, bad: {"instances": n})]
 
 
 @register("causality.cauchy-union-property",
-          "cauchy-extension-unions-stay-causally-convex", options=("count",))
+          "cauchy-extension-unions-stay-causally-convex",
+          options={"count": 15})
 def check_cauchy_union_property(ctx: RunContext, opts):
     """For a Cauchy inclusion U <= U' and any U <= V (all causally convex),
     the union U' | V is causally convex and V <= U' | V is Cauchy."""
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("s3")
-    found, bad = 0, 0
-    attempts = 0
-    while found < opts.get("count", 15) and attempts < 600:
-        attempts += 1
-        U = draw_hull(M, rng, zone, 1, 3)
-        Up = hull(M, region_points(
-            M, sorted(U.pts) + draw_points(rng, zone, 1, 2)))
-        if not is_cauchy_morphism(M, U, Up):
-            continue
-        V = hull(M, region_points(
-            M, sorted(U.pts) + draw_points(rng, zone, 1, 2)))
-        if not V.contains(U):
-            continue
-        found += 1
-        union = region_points(M, Up.pts | V.pts)
-        if not is_causally_convex(M, union):
-            bad += 1
-            continue
-        if not is_cauchy_morphism(M, V, union):
-            bad += 1
-    return [ctx.tally("causality.cauchy-union-property", found, bad == 0,
-                      "no Cauchy inclusion drawn",
-                      {"instances": found, "bad": bad})]
+
+    def extensions():
+        for _ in range(600):
+            U = draw_hull(M, rng, zone, 1, 3)
+            Up = hull(M, region_points(
+                M, sorted(U.pts) + draw_points(rng, zone, 1, 2)))
+            if not is_cauchy_morphism(M, U, Up):
+                continue
+            V = hull(M, region_points(
+                M, sorted(U.pts) + draw_points(rng, zone, 1, 2)))
+            if V.contains(U):
+                yield V, region_points(M, Up.pts | V.pts)
+
+    # each instance is the inclusion V <= U' | V
+    return [ctx.tally_over(
+        "causality.cauchy-union-property",
+        islice(extensions(), opts["count"]),
+        lambda inclusion: is_causally_convex(M, inclusion[1])
+        and is_cauchy_morphism(M, *inclusion), "no Cauchy inclusion drawn")]
 
 
 @register("causality.d-stable-neighborhood-sweep",
@@ -613,93 +449,57 @@ def check_d_stable_neighborhoods(ctx: RunContext, opts):
                        "pass" if ok else "fail", {"points": len(U.pts)})]
 
 
-def _translation_embeddings(ctx: RunContext, count: int = 12):
-    """Unbounded translations/rotations: embeddings whose source causal
-    structure is exactly the ambient one (the faithful lattice models of
-    spacetime morphisms).  Each targets a fresh twin of the spacetime, equal
-    to it but with an empty memo, so the image side of a covariance check
-    is swept at the image's own position, not moved there from the memo."""
-    M = ctx.M
-    shifts = [(0, 0), (1, 0), (0, 1), (2, -1), (1, 2), (3, 1), (-1, 1),
-              (2, 2), (-2, 0), (1, -2), (4, 0), (0, -1), (3, -2), (2, 1)]
-    return [LatticeEmbedding(M, M.with_window(*M.window), dt, dx)
-            for (dt, dx) in shifts[:count]]
-
-
-def _diamond_source(M: LatticeSpacetime) -> LatticeSpacetime:
-    """The bounded sub-lattice over the diamond from (0, 0) to (4, 0) of the
-    plane, or to (3, 1) of a cylinder."""
-    top = (4, 0) if M.kind == "plane" else (3, 1)
-    return bounded_spacetime(M.unbounded(),
-                             region_diamond(M, (0, 0), top).pts)
-
-
-def _bounded_embeddings(ctx: RunContext):
-    """Sub-lattice inclusions and wraps.  Their intrinsic path structure has
-    a reflecting boundary, so developments computed inside them only bound
-    the ambient ones from above; the checks below assert exactly that."""
-    M = ctx.M
-    sub = _diamond_source(M)
-    if M.kind == "plane":
-        # the diamond itself and a translate of it
-        return [LatticeEmbedding(sub, M, 0, 0), LatticeEmbedding(sub, M, 1, 2)]
-    P = LatticeSpacetime("plane", M.window)
-    strip = hull(P, region_points(
-        P, [(t, x) for t in range(0, 3)
-            for x in range(0, max(2, M.circumference - 3))]))
-    # a plane strip wrapped onto the cylinder, and the diamond
-    return [LatticeEmbedding(bounded_spacetime(P, strip.pts), M, 0, 1),
-            LatticeEmbedding(sub, M, 1, 0)]
-
-
 @register("causality.embedding-development-lemmas",
           "development-commutes-with-embeddings-and-stays-in-d-stable-"
-          "images", options=("per_embedding",))
+          "images", options={"per_embedding": 6})
 def check_embedding_lemmas(ctx: RunContext, opts):
     """Development commutes with faithful (translation) embeddings exactly;
     for bounded sub-lattice sources only the outer bound survives (their
     reflecting boundary can enlarge intrinsic developments), and confinement
     in D-stable images holds throughout."""
     rng = ctx.rng("emb")
-    bad = n_eq = n_incl = n_d2 = 0
-    per = opts.get("per_embedding", 6)
-    # every translation maps ctx.M to itself
-    t0, t1 = ctx.t_range
-    zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]
-    for f in _translation_embeddings(ctx, 6):
-        if not check_loc_morphism(f):
-            bad += 1
-            continue
-        for _ in range(per):
-            U = draw_hull(f.source, rng, zone, 1, 3)
-            n_eq += 1
-            lhs, rhs, _ = development_restriction(f, U)
-            if lhs != rhs:
-                bad += 1
-    for f in _bounded_embeddings(ctx):
-        if not check_loc_morphism(f):
-            bad += 1
-            continue
-        src = f.source
-        zone = sorted(src.extent)
-        stable = is_D_stable(f.target, f.image())
-        for _ in range(per):
-            U = draw_hull(src, rng, zone, 1, 3)
-            n_incl += 1
-            lhs, rhs, DV = development_restriction(f, U)
-            if not rhs <= lhs:
-                bad += 1
-            if stable:
-                # confinement: D_tgt(f(U)) lies inside f(source)
-                n_d2 += 1
-                if rhs != DV:
-                    bad += 1
-    # a failed morphism check counts as found
-    return [ctx.tally("causality.embedding-development-lemmas",
-                      n_eq + n_incl + bad, bad == 0, "no region drawn",
-                      {"equality_instances": n_eq,
-                       "bounded_inclusion_instances": n_incl,
-                       "confinement_instances": n_d2, "bad": bad})]
+    n_eq = n_incl = n_d2 = 0
+    per = opts["per_embedding"]
+
+    def comparisons():
+        """Whether each comparison holds, in drawing order; a failed
+        morphism check counts as a found comparison that fails."""
+        nonlocal n_eq, n_incl, n_d2
+        # every translation maps ctx.M to itself
+        t0, t1 = ctx.t_range
+        zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]
+        for f in translation_embeddings(ctx, 6):
+            if not check_loc_morphism(f):
+                yield False
+                continue
+            for _ in range(per):
+                U = draw_hull(f.source, rng, zone, 1, 3)
+                n_eq += 1
+                lhs, rhs, _ = development_restriction(f, U)
+                yield lhs == rhs
+        for f in bounded_embeddings(ctx):
+            if not check_loc_morphism(f):
+                yield False
+                continue
+            src = f.source
+            zone = sorted(src.extent)
+            stable = is_D_stable(f.target, f.image())
+            for _ in range(per):
+                U = draw_hull(src, rng, zone, 1, 3)
+                n_incl += 1
+                lhs, rhs, DV = development_restriction(f, U)
+                yield rhs <= lhs
+                if stable:
+                    # confinement: D_tgt(f(U)) lies inside f(source)
+                    n_d2 += 1
+                    yield rhs == DV
+
+    return [ctx.tally_over(
+        "causality.embedding-development-lemmas", comparisons(), bool,
+        "no region drawn",
+        lambda n, bad: {"equality_instances": n_eq,
+                        "bounded_inclusion_instances": n_incl,
+                        "confinement_instances": n_d2, "bad": bad})]
 
 
 @register("causality.stabilization",
@@ -740,7 +540,7 @@ def check_stabilization(ctx: RunContext, opts):
 
 @register("causality.cauchy-morphism-equivalence",
           "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces",
-          options=("count",))
+          options={"count": 40})
 def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     """Ambient Cauchy morphisms always contain an intrinsic Cauchy surface
     of their codomain, and for the whole spacetime as codomain the two
@@ -752,10 +552,9 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("cauchyeq")
     found, bad, converse_gap = 0, 0, 0
-    for _ in range(opts.get("count", 40)):
+    for _ in range(opts["count"]):
         V = draw_hull(M, rng, zone, 2, 4)
-        sub = rng.sample(sorted(V.pts), max(1, len(V.pts) // 2))
-        U = hull(M, region_points(M, sub))
+        U = hull(M, draw_half(M, rng, V))
         if not V.contains(U):
             continue
         found += 1
@@ -792,16 +591,17 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
 
 @register("site.localization-oracle",
           "localized-homs-match-zigzag-saturation",
-          options=("universes", "regions"))
+          options={"universes": 5, "regions": 12})
 def check_localization_oracle(ctx: RunContext, opts):
     """Closed-form localized morphisms against the zigzag-saturation oracle
-    on seeded witness-closed universes."""
+    on seeded witness-closed universes.  With no universe to draw, or no
+    region to seed one with, it skips."""
     M = ctx.M
     zone = sorted(ctx.zone().pts)
     rng = ctx.rng("locoracle")
-    rounds = opts.get("universes", 5)
-    per = opts.get("regions", 12)
-    if not rounds:
+    rounds = opts["universes"]
+    per = opts["regions"]
+    if not (rounds and per):
         return [ctx.skip("site.localization-oracle", "no universe drawn",
                          {"universes": 0}, universes=0)]
     mismatches = 0
@@ -824,105 +624,55 @@ def check_localization_oracle(ctx: RunContext, opts):
 
 @register("site.localized-embedding-functors",
           "localized-embedding-functors-fully-faithful-orthogonality-"
-          "reflecting", options=("count",))
+          "reflecting", options={"count": 12})
 def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
-    bad, total = 0, 0
     src_site = ctx.site("rc", localized=True)
-    for f in _translation_embeddings(ctx, opts.get("count", 12)):
-        if not check_loc_morphism(f):
-            continue
-        F = ctx.embedded(f, src_site)
-        total += 1
-        if not (F.fully_faithful() and F.preserves_orthogonality()
-                and F.reflects_orthogonality()):
-            bad += 1
-    return [ctx.tally("site.localized-embedding-functors", total, bad == 0,
-                      "no embedding drawn", {"embeddings": total, "bad": bad})]
-
-
-def _covers_for_site(ctx: RunContext, site: SiteCategory, localized: bool,
-                     count: int):
-    """A deterministic family of covers suitable for the flavor."""
-    M = ctx.M
-    out = []
-    candidates = largest_first(site)
-    if not localized:
-        for U in candidates[: 3 * count]:
-            out.extend(band_covers(M, U))
-            if len(out) >= count:
-                break
-    elif M.kind == "cylinder":
-        zone = ctx.zone()
-        for step in (1, 2):
-            out.append(column_cover(M, zone, step))
-        out.append(tall_diamond_cover(M, zone))
-    else:
-        for U in candidates[: 2 * count]:
-            cov = _diamond_cover_of_diamond(M, U)
-            if cov is not None:
-                out.append(cov)
-            if len(out) >= count:
-                break
-    return out[:count]
-
-
-def _diamond_cover_of_diamond(M, U: Region):
-    """Cover a straight diamond by the maximal straight sub-diamonds over
-    each spatial offset; all pieces are D-stable and overlap thickly."""
-    t0, t1 = U.t_range()
-    if t1 - t0 < 3:
-        return None
-    bots = sorted(p for p in U.pts if p[0] == t0)
-    tops = sorted(p for p in U.pts if p[0] == t1)
-    if len(bots) != 1 or len(tops) != 1 or bots[0][1] != tops[0][1]:
-        return None
-    x0 = bots[0][1]
-    h = t1 - t0
-    pieces = []
-    for d in range(-(h // 2), h // 2 + 1):
-        a, b = t0 + abs(d), t1 - abs(d)
-        if b - a < 1:
-            continue
-        pieces.append(region_diamond(M, (a, x0 + d), (b, x0 + d)))
-    union = frozenset().union(*[p.pts for p in pieces])
-    if union != U.pts:
-        return None
-    for p in pieces:
-        if not is_D_stable(M, p):
-            return None
-    return Cover(U, tuple(pieces))
+    return [ctx.tally_over(
+        "site.localized-embedding-functors",
+        (ctx.embedded(f, src_site)
+         for f in translation_embeddings(ctx, opts["count"])
+         if check_loc_morphism(f)),
+        lambda F: F.fully_faithful() and F.preserves_orthogonality()
+        and F.reflects_orthogonality(), "no embedding drawn",
+        lambda n, bad: {"embeddings": n, "bad": bad})]
 
 
 @register("site.precostack-instances",
           "cover-functors-fully-faithful-and-orthogonality-reflecting",
           companions={"site.localized-refusal":
                       "localized-cover-categories-refuse-non-d-stable-"
-                      "covers"}, options=("count",))
+                      "covers"}, options={"count": 12})
 def check_precostack_instances(ctx: RunContext, opts):
     """Cover functors are fully faithful and reflect orthogonality, plain
     flavor with arbitrary causally convex covers and localized flavor with
     D-stable covers."""
     results = {"plain": 0, "localized": 0}
-    bad = 0
-    count = opts.get("count", 12)
-    for localized in (False, True):
-        site = ctx.site(localized=localized)
-        covers = _covers_for_site(ctx, site, localized, count)
-        for cov in covers:
-            if localized and not cov.is_D_stable():
-                continue
-            try:
-                cc = CoverCategory(site, cov)
-            except SiteError:
-                bad += 1
-                continue
-            jf = j_functor(cc)
-            if not (jf.fully_faithful() and jf.reflects_orthogonality()
-                    and jf.preserves_orthogonality()):
-                bad += 1
-            results["localized" if localized else "plain"] += 1
+
+    def covers():
+        for localized in (False, True):
+            site = ctx.site(localized=localized)
+            for cov in covers_for_site(ctx, site, localized, opts["count"]):
+                if localized and not cov.is_D_stable():
+                    continue
+                yield localized, site, cov
+
+    def holds(case):
+        # a refused build is bad, and counted in neither flavor
+        localized, site, cov = case
+        try:
+            cc = CoverCategory(site, cov)
+        except SiteError:
+            return False
+        jf = j_functor(cc)
+        results["localized" if localized else "plain"] += 1
+        return jf.fully_faithful() and jf.reflects_orthogonality() \
+            and jf.preserves_orthogonality()
+
+    rec = ctx.tally_over("site.precostack-instances", covers(), holds,
+                         "no cover drawn",
+                         lambda n, bad: {**results, "bad": bad})
     # engineered refusal: the localized build must refuse a causally convex
     # two-row, three-column rectangle
     refused = False
@@ -935,40 +685,36 @@ def check_precostack_instances(ctx: RunContext, opts):
         CoverCategory(site, Cover(rect, (rect,)))
     except SiteError:
         refused = True
-    return [ctx.tally("site.precostack-instances",
-                      sum(results.values()) + bad, bad == 0, "no cover drawn",
-                      {**results, "bad": bad}),
-            ctx.record("site.localized-refusal",
-                       "pass" if refused else "fail")]
+    return [rec, ctx.record("site.localized-refusal",
+                            "pass" if refused else "fail")]
 
 
 @register("site.refinement-functors", "refinement-functors-fully-faithful",
-          options=("count",))
+          options={"count": 6})
 def check_refinements(ctx: RunContext, opts):
     site = ctx.site(localized=False)
-    bad, total = 0, 0
-    for cov in _covers_for_site(ctx, site, False, opts.get("count", 6)):
-        t0, t1 = cov.base.t_range()
-        if t1 - t0 < 3:
-            continue
+
+    def refines(cov):
         fine, alpha = refine_by_halves(ctx.M, cov)
         F = refinement_functor(site, fine, cov, alpha)
-        total += 1
-        if not (F.is_functor() and F.fully_faithful()
-                and F.reflects_orthogonality()):
-            bad += 1
-    return [ctx.tally("site.refinement-functors", total, bad == 0,
-                      "no cover to refine", {"instances": total, "bad": bad})]
+        return F.is_functor() and F.fully_faithful() and \
+            F.reflects_orthogonality()
+
+    return [ctx.tally_over(
+        "site.refinement-functors",
+        (cov for cov in covers_for_site(ctx, site, False, opts["count"])
+         if cov.base.t_range()[1] - cov.base.t_range()[0] >= 3),
+        refines, "no cover to refine")]
 
 
 @register("site.extend-cover",
           "extended-covers-satisfy-the-restriction-property",
-          options=("count",))
+          options={"count": 10})
 def check_cover_extension(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("extend")
     tr = ctx.t_range
-    count = opts.get("count", 10)
+    count = opts["count"]
     if count and tr[1] - tr[0] < 2:
         raise SiteError(f"site.extend-cover draws two-row regions below the "
                         f"top row of the zone, so it needs 3 rows, not "
@@ -995,37 +741,43 @@ def check_cover_extension(ctx: RunContext, opts):
                              zone=zone),
               "D_stable": stable}
     done = {"plain": 0, "D_stable": 0}
-    bad = 0
     embeddings = [LatticeEmbedding(M, M, 0, 0),
                   LatticeEmbedding(M, M, 1, 2)]
-    for mode, cov in covers.items():
-        for f in embeddings:
-            for _ in range(count):
-                t = rng.randint(tr[0], tr[1] - 2)
-                x = rng.choice(xs)
-                U = region_points(M, [(t, x), (t + 1, x)])
-                try:
-                    extend_cover(f, cov, U, mode=mode, zone=zone)
-                    done[mode] += 1
-                except SiteError:
-                    bad += 1
+
+    def attempts():
+        for mode, cov in covers.items():
+            for f in embeddings:
+                for _ in range(count):
+                    t = rng.randint(tr[0], tr[1] - 2)
+                    x = rng.choice(xs)
+                    U = region_points(M, [(t, x), (t + 1, x)])
+                    yield mode, cov, f, U
+
+    def extends(attempt):
+        mode, cov, f, U = attempt
+        try:
+            extend_cover(f, cov, U, mode=mode, zone=zone)
+            done[mode] += 1
+        except SiteError:
+            return False
+        return True
+
     # both modes make the same attempts, so no bad one means none is short
-    return [ctx.tally("site.extend-cover", sum(done.values()) + bad,
-                      bad == 0, "no region drawn", {**done, "bad": bad})]
+    return [ctx.tally_over("site.extend-cover", attempts(), extends,
+                           "no region drawn",
+                           lambda n, bad: {**done, "bad": bad})]
 
 
 @register("site.cover-intersections",
           "overlaps-inherit-convexity-and-d-stability")
 def check_cover_intersection_props(ctx: RunContext, opts):
     site = ctx.site(localized=False)
-    covers = _covers_for_site(ctx, site, False, 4)
+    covers = covers_for_site(ctx, site, False, 4)
     if ctx.M.kind == "cylinder":
         covers.append(column_cover(ctx.M, ctx.zone()))
-    if not covers:
-        return [ctx.skip("site.cover-intersections", "no cover built",
-                         covers=0)]
-    ok = all(check_cover_intersections(c) for c in covers)
-    return [ctx.record("site.cover-intersections", "pass" if ok else "fail")]
+    return [ctx.tally_over("site.cover-intersections", covers,
+                           check_cover_intersections, "no cover built",
+                           lambda n, bad: None if n else {"covers": 0})]
 
 
 # ---------------------------------------------------------------------------
@@ -1072,7 +824,7 @@ def check_two_valued_colimit(ctx: RunContext, opts):
 
 @register("algebra.degree2-ideal-principle",
           "degree-two-ideal-membership-equals-span-membership",
-          options=("trials",))
+          options={"trials": 6})
 def check_degree2_ideal_principle(ctx: RunContext, opts):
     """Span membership in the wedge+scalar calculus equals membership in the
     brute-force truncated two-sided ideal (degree 4 closure, n <= 3) for
@@ -1080,35 +832,38 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
     An inconsistent one forces 1 = 0, so its truncated ideal holds every
     candidate while its span need not; those are counted, not compared."""
     rng = ctx.rng("pbw")
-    bad, trials, inconsistent = 0, 0, 0
+    inconsistent = 0
 
     def draw(n):
         u = [QQ(rng.randint(-2, 2)) for _ in range(n)]
         v = [QQ(rng.randint(-2, 2)) for _ in range(n)]
         return u, v, QQ(rng.randint(-2, 2))
 
-    for n in (2, 3):
-        free = TruncatedFreeAlgebra(n, 4)
-        w = WedgeSpace(n)
-        for _ in range(opts.get("trials", 6)):
-            triples = [draw(n) for _ in range(rng.randint(1, 3))]
-            candidates = [draw(n) for _ in range(4)]
-            span = relation_span(n, triples)
-            if not consistency_check(span):
-                inconsistent += 1
-                continue
-            ideal = free.ideal_span(triples)
-            for (u, v, c) in candidates:
-                trials += 1
-                in_span = span.contains(w.relation_vector(u, v, c))
-                in_ideal = free.ideal_contains(ideal, u, v, c)
-                if in_span != in_ideal:
-                    bad += 1
-    return [ctx.tally("algebra.degree2-ideal-principle", trials, bad == 0,
-                      "no consistent presentation drawn",
-                      {"trials": trials, "bad": bad,
-                       "inconsistent": inconsistent,
-                       "note": "oracle-validated assumption"})]
+    def memberships():
+        """(in span, in ideal) of each candidate of each consistent
+        presentation drawn."""
+        nonlocal inconsistent
+        for n in (2, 3):
+            free = TruncatedFreeAlgebra(n, 4)
+            w = WedgeSpace(n)
+            for _ in range(opts["trials"]):
+                triples = [draw(n) for _ in range(rng.randint(1, 3))]
+                candidates = [draw(n) for _ in range(4)]
+                span = relation_span(n, triples)
+                if not consistency_check(span):
+                    inconsistent += 1
+                    continue
+                ideal = free.ideal_span(triples)
+                for (u, v, c) in candidates:
+                    yield (span.contains(w.relation_vector(u, v, c)),
+                           free.ideal_contains(ideal, u, v, c))
+
+    return [ctx.tally_over(
+        "algebra.degree2-ideal-principle", memberships(),
+        lambda both: both[0] == both[1], "no consistent presentation drawn",
+        lambda n, bad: {"trials": n, "bad": bad,
+                        "inconsistent": inconsistent,
+                        "note": "oracle-validated assumption"})]
 
 
 # ---------------------------------------------------------------------------
@@ -1153,7 +908,7 @@ def check_epsilon_iso(ctx: RunContext, opts):
     """The additivity-violation instance: a bounded diamond source included
     in the ambient spacetime, with the image-detecting indicator, pulled
     back into the site over the configured universe and the images."""
-    Msrc = _diamond_source(ctx.M)
+    Msrc = diamond_source(ctx.M)
     f = LatticeEmbedding(Msrc, ctx.M, 0, 0)
     img = f.image()
     siteM = ctx.site_over(enumerate_universe(Msrc, compactness="copen",
@@ -1296,7 +1051,7 @@ def check_point_family(ctx: RunContext, opts):
 
 @register("kg.field-identities",
           "green-operators-invert-the-field-operator-with-causal-supports",
-          options=("count",))
+          options={"count": 40})
 def check_kg_field_identities(ctx: RunContext, opts):
     """P after G is the identity inside the horizon, supports stay in the
     cones, and the pairing is antisymmetric, degenerate on stencil images
@@ -1305,17 +1060,22 @@ def check_kg_field_identities(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("kgfields")
     zone = sorted(ctx.zone().pts)
-    count = opts.get("count", 40)
+    count = opts["count"]
     bad = {"green": 0, "support": 0, "antisym": 0, "degenerate": 0,
            "causal": 0}
-    fields = 0
-    for _ in range(count):
-        pts = draw_points(rng, zone, 1, 3)
-        phi = {p: QQ(rng.randint(-3, 3)) for p in pts}
-        phi = field_clean(phi)
-        if not phi:
-            continue
-        fields += 1
+
+    def fields():
+        for _ in range(count):
+            pts = draw_points(rng, zone, 1, 3)
+            phi = {p: QQ(rng.randint(-3, 3)) for p in pts}
+            phi = field_clean(phi)
+            if phi:
+                yield phi
+
+    def holds(phi):
+        """Counts each identity phi breaks into ``bad``, and whether it
+        broke none; psi is drawn here, after phi."""
+        before = sum(bad.values())
         top = max(t for (t, _) in phi)
         stop = min(M.window[1], top + 6)
         gp = green(kg.cfg, phi, "retarded", t_stop=stop)
@@ -1329,22 +1089,21 @@ def check_kg_field_identities(ctx: RunContext, opts):
             bad["support"] += 1
         psi = field_clean({p: QQ(rng.randint(-3, 3))
                            for p in draw_points(rng, zone, 1, 3)})
-        if not psi:
-            continue
-        if pairing(kg.kernel, phi, psi) != -pairing(kg.kernel, psi, phi):
-            bad["antisym"] += 1
-        if pairing(kg.kernel, apply_P(kg.cfg, phi), psi) != 0:
-            bad["degenerate"] += 1
-        if are_causally_disjoint(M, region_points(M, phi),
-                                 region_points(M, psi)):
-            if pairing(kg.kernel, phi, psi) != 0:
-                bad["causal"] += 1
-    if not fields:
-        return [ctx.skip("kg.field-identities", "no nonzero field drawn",
-                         count=count)]
-    return [ctx.record("kg.field-identities",
-                       "fail" if any(bad.values()) else "pass",
-                       {"count": count, **bad})]
+        if psi:
+            if pairing(kg.kernel, phi, psi) != \
+                    -pairing(kg.kernel, psi, phi):
+                bad["antisym"] += 1
+            if pairing(kg.kernel, apply_P(kg.cfg, phi), psi) != 0:
+                bad["degenerate"] += 1
+            if are_causally_disjoint(M, region_points(M, phi),
+                                     region_points(M, psi)):
+                if pairing(kg.kernel, phi, psi) != 0:
+                    bad["causal"] += 1
+        return sum(bad.values()) == before
+
+    return [ctx.tally_over(
+        "kg.field-identities", fields(), holds, "no nonzero field drawn",
+        lambda n, b: {"count": count, **bad} if n else {"count": count})]
 
 
 @register("kg.generator-spaces", "generator-quotients-carry-cauchy-data")
@@ -1434,28 +1193,26 @@ def check_kg_time_slice(ctx: RunContext, opts):
 
 
 @register("kg.pullback-identification",
-          "generator-spaces-identify-along-embeddings", options=("count",))
+          "generator-spaces-identify-along-embeddings",
+          options={"count": 8})
 def check_kg_pullback(ctx: RunContext, opts):
     kg = ctx.kg()
     M = ctx.M
     f = LatticeEmbedding(M, M, 1, 1)
     rng = ctx.rng("kgpull")
     zone = sorted(ctx.zone().pts)
-    count = opts.get("count", 8)
-    if not count:
-        return [ctx.skip("kg.pullback-identification", "no region drawn",
-                         count=0)]
-    bad = 0
-    for _ in range(count):
-        U = draw_hull(M, rng, zone, 1, 3)
+
+    def identified(U):
         # the target carries the same configuration
-        m = relabelling_map(kg.space(U.points()),
-                            kg.space(apply_embedding(f, U).points()),
-                            f.map_point)
-        if not m.is_iso():
-            bad += 1
-    return [ctx.record("kg.pullback-identification",
-                       "pass" if bad == 0 else "fail")]
+        return relabelling_map(kg.space(U.points()),
+                               kg.space(apply_embedding(f, U).points()),
+                               f.map_point).is_iso()
+
+    return [ctx.tally_over(
+        "kg.pullback-identification",
+        (draw_hull(M, rng, zone, 1, 3) for _ in range(opts["count"])),
+        identified, "no region drawn",
+        lambda n, bad: None if n else {"count": 0})]
 
 
 # ---------------------------------------------------------------------------
@@ -1463,87 +1220,22 @@ def check_kg_pullback(ctx: RunContext, opts):
 # ---------------------------------------------------------------------------
 
 
-def _null_band_cover(M, U: Region):
-    """Two causally convex null-band pieces of a plane region; their seams
-    exercise the adapted band strategy in the relation check."""
-    if M.kind != "plane":
-        return None
-    us = sorted(t - x for (t, x) in U.pts)
-    lo, hi = us[0], us[-1]
-    if hi - lo < 4:
-        return None
-    cut = (lo + hi) // 2
-    p1 = region_points(M, [p for p in U.pts if p[0] - p[1] <= cut + 1])
-    p2 = region_points(M, [p for p in U.pts if p[0] - p[1] >= cut - 1])
-    if not (is_causally_convex(M, p1) and is_causally_convex(M, p2)):
-        return None
-    return Cover(U, (p1, p2))
-
-
-def _descent_instances(ctx: RunContext, localized: bool, count: int):
-    """The first ``count`` (cover, U) instances for the counit checks."""
-    return list(islice(_descent_candidates(ctx, localized), max(count, 0)))
-
-
-def _descent_candidates(ctx: RunContext, localized: bool):
-    """(cover, U) candidates for the counit checks, in a fixed order.
-
-    Covers are chosen with overlaps at least as thick as the field stencil,
-    the lattice counterpart of honest open covers; coarser families with
-    point-thin overlaps genuinely violate descent on the lattice and are
-    exercised separately as documented divergences.
-    """
-    M = ctx.M
-    if not localized:
-        for U in largest_first(ctx.site(compactness="rc"), 2):
-            covers = band_covers(M, U, overlap=1) + \
-                band_covers(M, U, overlap=2)
-            nb = _null_band_cover(M, U)
-            if nb is not None:
-                covers.append(nb)
-            for cov in covers:
-                yield cov, U
-    elif M.kind == "cylinder":
-        zone = ctx.zone()
-        t0, t1 = ctx.t_range
-        targets = []
-        for t in range(t0, t1 - 1):
-            for x in range(M.circumference):
-                targets.append(region_points(M, [(t, x), (t + 1, x)]))
-                targets.append(region_diamond(M, (t, x), (t + 2, x)))
-        ctx.rng("descent-instances").shuffle(targets)
-        for h in (2, 4):
-            cov = tall_diamond_cover(M, zone, height=h)
-            # on a narrow cylinder a tall diamond's waist closes around the
-            # circle, so it develops to everything and is not D-stable
-            if not cov.is_D_stable():
-                continue
-            for U in targets:
-                if not cauchy_development(M, U).is_full:
-                    yield cov, U
-    else:
-        for U in largest_first(ctx.site(compactness="rc")):
-            cov = _diamond_cover_of_diamond(M, U)
-            if cov is not None:
-                yield cov, U
-
-
 @register("descent.kg-counit",
           "field-assignments-satisfy-both-counit-conditions",
           flavors=("plain", "localized"),
           companions={"descent.single-piece-trivial":
                       "the-coarsest-cover-always-descends"},
-          options=("count",))
+          options={"count": 8})
 def check_kg_descent(ctx: RunContext, opts):
     """Generator and relation counit checks over seeded instances, plus the
     coarsest-cover triviality."""
     kg = ctx.kg()
     M = ctx.M
-    count = opts.get("count", 8)
+    count = opts["count"]
     recs = []
     for localized in (False, True):
         flavor = "localized" if localized else "plain"
-        instances = _descent_instances(ctx, localized, count)
+        instances = descent_instances(ctx, localized, count)
         if not instances:
             recs.append(ctx.skip(f"descent.kg-counit-{flavor}",
                                  "no instance drawn",
@@ -1618,28 +1310,33 @@ def check_kg_negative_control(ctx: RunContext, opts):
 
 
 @register("descent.finer-implies-coarser",
-          "descent-on-finer-covers-implies-coarser", options=("count",))
+          "descent-on-finer-covers-implies-coarser", options={"count": 6})
 def check_finer_coarser(ctx: RunContext, opts):
     """Across refinement pairs: a counit check passing on the finer cover
     must pass on the coarser one."""
     kg = ctx.kg()
     M = ctx.M
-    instances = violations = 0
     regions = largest_first(ctx.site(compactness="rc"), 3)
-    for U in regions[: opts.get("count", 6)]:
-        coarse_list = band_covers(M, U, overlap=2)
-        if not coarse_list:
-            continue
-        coarse = coarse_list[0]
-        fine, _ = refine_by_halves(M, coarse)
-        for check in (generator_counit_check, relation_counit_check):
-            fine_verdict = check(kg, fine, U)[0]
-            coarse_verdict = check(kg, coarse, U)[0]
-            instances += 1
-            violations += fine_verdict == "pass" and coarse_verdict == "fail"
-    return [ctx.tally("descent.finer-implies-coarser", instances,
-                      not violations, "no refinement pair built",
-                      {"instances": instances, "violations": violations})]
+
+    def comparisons():
+        for U in regions[: opts["count"]]:
+            coarse_list = band_covers(M, U, overlap=2)
+            if not coarse_list:
+                continue
+            coarse = coarse_list[0]
+            fine, _ = refine_by_halves(M, coarse)
+            for check in (generator_counit_check, relation_counit_check):
+                yield check, fine, coarse, U
+
+    def holds(case):
+        check, fine, coarse, U = case
+        return (check(kg, fine, U)[0], check(kg, coarse, U)[0]) != \
+            ("pass", "fail")
+
+    return [ctx.tally_over(
+        "descent.finer-implies-coarser", comparisons(), holds,
+        "no refinement pair built",
+        lambda n, bad: {"instances": n, "violations": bad})]
 
 
 @register("descent.prestack-failure",
@@ -1696,6 +1393,8 @@ CLAIMS = frozenset(CLAIM_OF.values())
 
 
 def run_check(check_id: str, ctx: RunContext, opts: Optional[dict] = None):
+    """The records of ``check_id`` on ``ctx``, with the options it leaves
+    out at their declared defaults."""
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}")
-    return REGISTRY[check_id](ctx, opts or {})
+    return REGISTRY[check_id](ctx, {**OPTIONS[check_id], **(opts or {})})

@@ -19,6 +19,7 @@ import json
 import pytest
 
 import latticehk.checks as C
+from latticehk import instances, oracles
 from latticehk.checks import RunContext
 from latticehk.descent import (generator_counit_check,
                                relation_counit_check)
@@ -73,16 +74,16 @@ def test_criterion_1_causality_oracle_agreement():
     plane = LatticeSpacetime("plane", (-40, 44))
     cylm = LatticeSpacetime("cylinder", (-40, 44), 6)
     corpora = []
-    corpora.append(("plane-diamonds", plane, C.exhaustive_diamonds(
+    corpora.append(("plane-diamonds", plane, instances.exhaustive_diamonds(
         plane, [(t, x) for t in range(9) for x in range(9)])))
-    corpora.append(("cylinder-diamonds", cylm, C.exhaustive_diamonds(
+    corpora.append(("cylinder-diamonds", cylm, instances.exhaustive_diamonds(
         cylm, [(t, x) for t in range(8) for x in range(6)])))
     ctxp = RunContext(M=plane, seed=7)
     ctxc = RunContext(M=cylm, seed=7)
-    corpora.append(("plane-hulls", plane, C.seeded_hulls(
+    corpora.append(("plane-hulls", plane, instances.seeded_hulls(
         plane, [(t, x) for t in range(9) for x in range(9)],
         ctxp.rng("acc1"), 100)))
-    corpora.append(("cylinder-hulls", cylm, C.seeded_hulls(
+    corpora.append(("cylinder-hulls", cylm, instances.seeded_hulls(
         cylm, [(t, x) for t in range(8) for x in range(6)],
         ctxc.rng("acc1"), 100)))
     counts = {}
@@ -102,7 +103,7 @@ def test_criterion_1_causality_oracle_agreement():
             if name.endswith("-diamonds") and \
                     (M.kind == "plane" or not DC.is_full):
                 equality_bad.append(example)
-            if not C._brute_confirms(M, U, D, DC):
+            if not oracles.brute_confirms(M, U, D, DC):
                 brute_bad.append(example)
         counts[name] = (len(corpus), mism)
     ok = not (inclusion_bad or equality_bad or brute_bad)
@@ -128,13 +129,14 @@ def test_criterion_2_localization_model(plane_ctx, cyl_ctx):
         zone = sorted(ctx.zone().pts)
         rng = ctx.rng("acc2")
         for _ in range(10):
-            seeds = C.seeded_hulls(ctx.M, zone, rng, 10)
+            seeds = instances.seeded_hulls(ctx.M, zone, rng, 10)
             closed = close_universe_for_localization(ctx.M, seeds, cap=40)
             universes += 1
             site = SiteCategory(ctx.M, closed, "rc", localized=False)
             ok, mism = compare_localization_models(site)
             mismatches += len(mism)
-    recs = C.check_localized_embedding_functors(cyl_ctx, {"count": 12})
+    recs = C.run_check("site.localized-embedding-functors", cyl_ctx,
+                       {"count": 12})
     fw = recs[0]
     embeddings = fw.witness["embeddings"]
     ok = mismatches == 0 and fw.verdict == "pass" and \
@@ -148,7 +150,7 @@ def test_criterion_2_localization_model(plane_ctx, cyl_ctx):
 def test_criterion_3_precostack_instances(plane_ctx, cyl_ctx):
     total, bad, refusals = 0, 0, 0
     for ctx in (plane_ctx, cyl_ctx):
-        recs = C.check_precostack_instances(ctx, {"count": 20})
+        recs = C.run_check("site.precostack-instances", ctx, {"count": 20})
         by_id = {r.id: r for r in recs}
         pre = by_id["site.precostack-instances"]
         total += pre.witness["plain"] + pre.witness["localized"]
@@ -162,8 +164,8 @@ def test_criterion_3_precostack_instances(plane_ctx, cyl_ctx):
 
 
 def test_criterion_4_prestack_failure_demos(plane_ctx, cyl_ctx):
-    recs = C.check_prestack_demos(plane_ctx, {}) + \
-        C.check_prestack_demos(cyl_ctx, {})
+    recs = C.run_check("descent.prestack-failure", plane_ctx) + \
+        C.run_check("descent.prestack-failure", cyl_ctx)
     counts = [(r.witness["global_count"], r.witness["datum_count"])
               for r in recs]
     ok = len(recs) == 4 and all(c == (4, 1) for c in counts) and \
@@ -173,7 +175,7 @@ def test_criterion_4_prestack_failure_demos(plane_ctx, cyl_ctx):
 
 
 def test_criterion_5_epsilon_iso_violation(plane_ctx):
-    recs = C.check_epsilon_iso(plane_ctx, {})
+    recs = C.run_check("net.epsilon-iso-violation", plane_ctx)
     r = recs[0]
     ok = r.verdict == "pass"
     _line(5, ok, str(r.witness))
@@ -182,12 +184,12 @@ def test_criterion_5_epsilon_iso_violation(plane_ctx):
 
 def test_criterion_6_klein_gordon_suite(plane_ctx, cyl_ctx):
     # (a) field identities on 100 seeded fields per backend
-    ra = [C.check_kg_field_identities(ctx, {"count": 100})[0]
+    ra = [C.run_check("kg.field-identities", ctx, {"count": 100})[0]
           for ctx in (plane_ctx, cyl_ctx)]
     a_ok = all(r.verdict == "pass" for r in ra)
     # (b) time-slice isomorphism for every Cauchy pair of the cylinder
     # universe; the plane universe has none, so its record is a skip
-    rb_plane, rb_cyl = [C.check_kg_time_slice(ctx, {})[0]
+    rb_plane, rb_cyl = [C.run_check("kg.time-slice", ctx)[0]
                         for ctx in (plane_ctx, cyl_ctx)]
     pairs = rb_cyl.witness["cauchy_pairs"]
     b_ok = rb_cyl.verdict == "pass" and pairs > 0 and \
@@ -202,7 +204,7 @@ def test_criterion_6_klein_gordon_suite(plane_ctx, cyl_ctx):
             need = want - done["localized" if localized else "plain"]
             if need <= 0:
                 break
-            for cov, U in C._descent_instances(ctx, localized, need):
+            for cov, U in instances.descent_instances(ctx, localized, need):
                 v, _ = generator_counit_check(kg, cov, U,
                                               localized=localized)
                 if v == "skip":
@@ -215,7 +217,7 @@ def test_criterion_6_klein_gordon_suite(plane_ctx, cyl_ctx):
                 done["localized" if localized else "plain"] += 1
     c_ok = failures == 0 and all(v >= 30 for v in done.values())
     # (d) engineered negative control
-    rd = C.check_kg_negative_control(cyl_ctx, {})[0]
+    rd = C.run_check("descent.kg-negative-control", cyl_ctx)[0]
     d_ok = rd.verdict == "pass"
     ok = a_ok and b_ok and c_ok and d_ok
     _line(6, ok, f"fields ok={a_ok}; {pairs} Cauchy pairs iso={b_ok}; "
@@ -228,7 +230,7 @@ def test_criterion_7_cover_extension(plane_ctx, cyl_ctx):
     total = {"plain": 0, "D_stable": 0}
     bad = 0
     for ctx in (cyl_ctx, plane_ctx):
-        r = C.check_cover_extension(ctx, {"count": 10})[0]
+        r = C.run_check("site.extend-cover", ctx, {"count": 10})[0]
         if r.verdict == "skip":
             continue
         bad += r.witness["bad"]
@@ -240,7 +242,8 @@ def test_criterion_7_cover_extension(plane_ctx, cyl_ctx):
 
 
 def test_criterion_8_finer_implies_coarser(plane_ctx, cyl_ctx):
-    recs = [C.check_finer_coarser(ctx, {"count": 6})[0]
+    recs = [C.run_check("descent.finer-implies-coarser", ctx,
+                        {"count": 6})[0]
             for ctx in (plane_ctx, cyl_ctx)]
     violations = sum(r.witness["violations"] for r in recs)
     instances = sum(r.witness["instances"] for r in recs)

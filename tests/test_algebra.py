@@ -9,7 +9,7 @@ from latticehk.algebra import (AlgebraError, FreeProduct, INITIAL, Initial,
                                count_cocones, count_homs,
                                count_homs_from_value, enumerate_homs,
                                relation_span, two_valued_colimit)
-from latticehk.checks import check_degree2_ideal_principle
+from latticehk.checks import run_check
 from latticehk.rational import IntegerEchelon, Mat, QQ, Q0, Q1
 
 from conftest import dense_apply, row_space, span_consistent
@@ -205,10 +205,11 @@ def test_degree2_ideal_principle_oracle():
 def test_degree2_check_compares_consistent_presentations(plane_ctx):
     # seed 7 draws inconsistent presentations (1 = 0), where the truncated
     # ideal holds every candidate and the span does not
-    rec, = check_degree2_ideal_principle(plane_ctx, {})
+    rec, = run_check("algebra.degree2-ideal-principle", plane_ctx)
     assert rec.verdict == "pass", rec.witness
     assert rec.witness["inconsistent"] > 0 and rec.witness["trials"] > 0
-    rec, = check_degree2_ideal_principle(plane_ctx, {"trials": 0})
+    rec, = run_check("algebra.degree2-ideal-principle", plane_ctx,
+                     {"trials": 0})
     assert rec.verdict == "skip"
     assert rec.witness["reason"] == "no consistent presentation drawn"
 
@@ -233,7 +234,7 @@ def test_degree2_trial_eliminates_its_span_once(plane_ctx, monkeypatch):
     monkeypatch.setattr(TruncatedFreeAlgebra, "ideal_span",
                         counted("ideal", TruncatedFreeAlgebra.ideal_span))
     monkeypatch.setattr(Mat, "rref", None)
-    rec, = check_degree2_ideal_principle(plane_ctx, {})
+    rec, = run_check("algebra.degree2-ideal-principle", plane_ctx)
     assert rec.verdict == "pass"
     assert count["span"] == rec.witness["inconsistent"] + count["ideal"] > 0
     assert count["echelon"] == count["span"] + count["ideal"]

@@ -11,11 +11,12 @@ import pytest
 
 from latticehk.algebra import QPower
 from latticehk.checks import (CLAIMS, OPTIONS, REGISTRY, RunContext,
-                              _translation_embeddings, run_check)
+                              run_check)
 from latticehk import geometry
 from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                                 apply_embedding, development_restriction,
                                 region_points, region_slab)
+from latticehk.instances import translation_embeddings
 from latticehk.kleingordon import KgError
 from latticehk.nets import AqftError
 from latticehk.rational import QQ
@@ -204,6 +205,9 @@ def test_every_check_runs_on_both_backends(ctx_name, cid, request):
      {}),
     ("cyl_ctx", {"t_range": [0, 1]}, "causality.strict-diamonds-d-stable",
      {}),
+    # no region to seed a universe with
+    ("cyl_ctx", {}, "site.localization-oracle", {"regions": 0}),
+    ("plane_ctx", {}, "site.localization-oracle", {"regions": 0}),
 ])
 def test_zero_instances_skip(ctx_name, universe, cid, opts, request):
     base = request.getfixturevalue(ctx_name)
@@ -298,7 +302,7 @@ def test_a_moved_memo_hit_fails_the_covariance_check(plane_ctx,
     assert [r.verdict for r in run_check(cid, ctx)] == ["fail"]
     U = region_points(M, [(1, 0), (2, 1)])
     geometry.cauchy_development(M, U)  # the orbit's entry
-    for f in _translation_embeddings(ctx, 6)[1:]:
+    for f in translation_embeddings(ctx, 6)[1:]:
         assert f.target == M and f.target is not M
         lhs, rhs, _ = development_restriction(f, U)
         assert lhs != rhs
@@ -369,11 +373,14 @@ def test_precostack_passes_when_one_flavor_finds_no_cover(cyl_ctx, t_range):
 
 
 def test_each_runner_declares_the_options_it_reads():
-    """A scenario may set exactly the options a runner reads: the names its
-    ``opts.get`` calls use are the ones its ``@register`` declares."""
+    """A scenario may set exactly the options a runner reads: the names it
+    reads as ``opts["..."]`` are the ones its ``@register`` declares, with
+    their defaults, and it reads no option any other way."""
     for cid, runner in REGISTRY.items():
-        read = re.findall(r'opts\.get\("(\w+)"', inspect.getsource(runner))
+        source = inspect.getsource(runner)
+        read = re.findall(r'opts\["(\w+)"\]', source)
         assert set(read) == set(OPTIONS[cid]), cid
+        assert source.count("opts") == len(read) + 1, cid
 
 
 def test_run_context_reads_each_input_once(plane_ctx, cyl_ctx):

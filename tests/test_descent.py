@@ -3,9 +3,7 @@ from itertools import accumulate, combinations
 import pytest
 
 from latticehk.algebra import QPower, WedgeSpace
-from latticehk.checks import (RunContext, _descent_candidates,
-                              _descent_instances, check_kg_negative_control,
-                              column_cover, make_digest, tall_diamond_cover)
+from latticehk.checks import RunContext, make_digest, run_check
 from latticehk.descent import (_counit_target, _jsonable_witness,
                                build_adapted_cover, generator_counit_check,
                                prestack_failure_demo, relation_counit_check)
@@ -13,6 +11,8 @@ from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
                                 cauchy_development, is_causally_convex,
                                 region_diamond, region_full, region_points,
                                 region_slab)
+from latticehk.instances import (column_cover, descent_candidates,
+                                 descent_instances, tall_diamond_cover)
 from latticehk.nets import build_indicator, pullback_indicator
 from latticehk.rational import ForkError, Mat, Q0, Q1
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
@@ -79,7 +79,7 @@ def test_localized_candidates_are_d_stable_on_narrow_cylinders(c):
                                                 "t_range": [0, 3]})
     assert not tall_diamond_cover(M, region_slab(M, 0, 3),
                                   height=4).is_D_stable()
-    instances = list(_descent_candidates(ctx, True))
+    instances = list(descent_candidates(ctx, True))
     assert instances
     assert all(cov.is_D_stable() for cov, _ in instances)
 
@@ -127,7 +127,7 @@ def test_negative_control_runner_on_narrow_cylinders():
     for c in range(3, 8):
         ctx = RunContext(M=LatticeSpacetime("cylinder", (-14, 16), c),
                          seed=3, universe_cfg={"t_range": [0, 3]})
-        (rec,) = check_kg_negative_control(ctx, {})
+        (rec,) = run_check("descent.kg-negative-control", ctx)
         got[c] = rec.verdict
     assert got == {3: "skip", 4: "pass", 5: "pass", 6: "pass", 7: "pass"}
 
@@ -236,7 +236,7 @@ def _relation_oracle_inputs(plane_ctx, cyl_ctx, kg_plane, kg_cyl, plane,
     for ctx, kg in ((plane_ctx, kg_plane), (cyl_ctx, kg_cyl)):
         for localized in (False, True):
             out += [(kg, cov, U, {"localized": localized})
-                    for cov, U in _descent_instances(ctx, localized, 4)]
+                    for cov, U in descent_instances(ctx, localized, 4)]
     p1 = region_points(cyl, [(0, 0), (1, 0)])
     p2 = region_points(cyl, [(0, 3), (1, 3)])
     U = region_points(cyl, p1.pts | p2.pts)
@@ -246,7 +246,7 @@ def _relation_oracle_inputs(plane_ctx, cyl_ctx, kg_plane, kg_cyl, plane,
     n1 = region_points(plane, [p for p in T.pts if p[0] - p[1] <= 4])
     n2 = region_points(plane, [p for p in T.pts if p[0] - p[1] >= 2])
     out.append((kg_plane, Cover(T, (n1, n2)), T, {}))
-    cov, U = _descent_instances(_plane_strip_ctx(), False, 10)[6]
+    cov, U = descent_instances(_plane_strip_ctx(), False, 10)[6]
     out.append((kg_plane, cov, U, {}))
     return out
 
@@ -269,7 +269,7 @@ def test_plane_strip_relation_failure_diagnosis(kg_plane, plane):
     """The one plain relation failure of kg-counit on the plane strip: two
     pieces, causally related as wholes, leave out the vanishing relation of
     a spacelike pair split across them (docs/decisions.md)."""
-    cov, U = _descent_instances(_plane_strip_ctx(), False, 10)[6]
+    cov, U = descent_instances(_plane_strip_ctx(), False, 10)[6]
     assert sorted(U.pts) == [(0, -1), (1, -2), (1, -1), (1, 0), (2, -3),
                              (2, -2), (2, -1), (3, -2)]
     p1, p2 = cov.pieces
@@ -379,7 +379,7 @@ def test_generator_check_agrees_with_the_dense_oracle(plane_ctx, cyl_ctx,
     for ctx, kg in ((plane_ctx, kg_plane), (cyl_ctx, kg_cyl)):
         for localized in (False, True):
             inputs += [(kg, cov, U, localized)
-                       for cov, U in _descent_instances(ctx, localized, 8)]
+                       for cov, U in descent_instances(ctx, localized, 8)]
     # the thin-cover divergence: a kernel witness
     inputs.append((kg_cyl, column_cover(cyl, region_slab(cyl, 0, 4)),
                    region_diamond(cyl, (2, 5), (4, 5)), True))

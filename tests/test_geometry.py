@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latticehk.checks import (RunContext, _bounded_embeddings,
-                              _brute_confirms)
+from latticehk.checks import RunContext
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 LatticeSpacetime, Region, _Grid,
                                 WindowTooSmallError, _blocks_every_path,
@@ -20,6 +19,8 @@ from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 region_development, region_diamond,
                                 region_full, region_points, region_slab,
                                 region_strict_diamond, stabilization_check)
+from latticehk.instances import bounded_embeddings
+from latticehk.oracles import brute_confirms
 
 
 def test_cone_plane_lightcone(plane):
@@ -188,17 +189,17 @@ def test_double_complement_divergence_is_genuine(cyl, plane):
              [(3, 2), (7, 7), (-6, -7), (15, 15)],
              [(4, 3), (2, 1), (0, -7), (9, 15)])]:
         M, D = U.ambient, cauchy_development(U.ambient, U)
-        assert D != DC and _brute_confirms(M, U, D, DC)
+        assert D != DC and brute_confirms(M, U, D, DC)
         for p in d_off:
-            assert not _brute_confirms(M, U, region_points(M, D.pts ^ {p}),
+            assert not brute_confirms(M, U, region_points(M, D.pts ^ {p}),
                                        DC), p
         for p in dc_off:
-            assert not _brute_confirms(M, U, D,
+            assert not brute_confirms(M, U, D,
                                        region_points(M, DC.pts ^ {p})), p
     for M, pts in [(cyl.with_window(0, 3), [(0, 0), (3, 2)]),
                    (plane.with_window(2, 7), [(2, 1), (7, 7)])]:
         U = hull(M, region_points(M, pts))
-        assert _brute_confirms(M, U, cauchy_development(M, U),
+        assert brute_confirms(M, U, cauchy_development(M, U),
                                double_complement(M, U))
 
 
@@ -337,7 +338,7 @@ def test_preimage_matches_the_point_oracle():
                   (-2, 2 * (c or 4) + 1)]
         embeddings = [LatticeEmbedding(M, M, dt, dx) for dt, dx in shifts]
         if c is None or c >= 5:  # the wrapped strip needs c >= 5
-            embeddings += _bounded_embeddings(RunContext(M=M))
+            embeddings += bounded_embeddings(RunContext(M=M))
         for f in embeddings:
             S, T = f.source, f.target
             for _ in range(12):

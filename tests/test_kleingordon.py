@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latticehk.checks import RunContext, check_kg_time_slice
+from latticehk.checks import RunContext, run_check
 from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
                                 WindowTooSmallError, apply_embedding,
                                 bounded_spacetime, cone, hull, region_diamond,
@@ -487,12 +487,12 @@ def test_time_slice_check_needs_two_row_slabs(cyl_ctx, cyl):
     the default min_slab_height the check refuses the universe; with two-row
     slabs every Cauchy pair gives an isomorphism."""
     with pytest.raises(KgError, match="min_slab_height"):
-        check_kg_time_slice(cyl_ctx, {})
+        run_check("kg.time-slice", cyl_ctx)
     ctx = RunContext(M=cyl, seed=7,
                      universe_cfg={**cyl_ctx.universe_cfg,
                                    "min_slab_height": 2},
                      aqft_cfg=cyl_ctx.aqft_cfg)
-    rec = check_kg_time_slice(ctx, {})[0]
+    rec = run_check("kg.time-slice", ctx)[0]
     assert rec.verdict == "pass" and rec.witness["cauchy_pairs"] == 31
 
 
@@ -508,11 +508,11 @@ def test_time_slice_check_lets_a_bug_propagate(cyl, cyl_ctx, monkeypatch):
                                    "min_slab_height": 2},
                      aqft_cfg=cyl_ctx.aqft_cfg)
     with pytest.raises(RuntimeError, match="not a refusal"):
-        check_kg_time_slice(ctx, {})
+        run_check("kg.time-slice", ctx)
 
 
 def test_time_slice_check_skips_without_cauchy_pairs(plane_ctx):
-    rec = check_kg_time_slice(plane_ctx, {})[0]
+    rec = run_check("kg.time-slice", plane_ctx)[0]
     assert rec.verdict == "skip" and rec.witness["cauchy_pairs"] == 0
     assert rec.witness["reason"]
 

@@ -7,12 +7,12 @@ from latticehk import nets
 from latticehk.algebra import (INITIAL, AlgebraError, Initial, QPower,
                                ThinDiagram, count_homs, enumerate_homs,
                                two_valued_colimit)
-from latticehk.checks import (check_epsilon_iso, check_point_family,
-                              check_pullback_functorial, point_cover)
+from latticehk.checks import run_check
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
                                 bounded_spacetime, region_diamond,
                                 region_full, region_points, region_slab,
                                 set_bits)
+from latticehk.instances import point_cover
 from latticehk.kleingordon import KgContext, KgSpace
 from latticehk.nets import (AqftError, IndicatorAqft, build_indicator,
                             build_kg_aqft, check_kg_axioms,
@@ -126,7 +126,7 @@ def test_kg_aqft_localized(cyl):
                          [("plane_ctx", "skip"), ("cyl_ctx", "pass")],
                          ids=["plane_ctx", "cyl_ctx"])
 def test_point_family_check(ctx_name, verdict, request):
-    recs = check_point_family(request.getfixturevalue(ctx_name), {})
+    recs = run_check("net.point-family", request.getfixturevalue(ctx_name))
     assert [r.verdict for r in recs] == [verdict], recs[0].witness
     if verdict == "skip":
         assert recs[0].witness["reason"]
@@ -141,7 +141,7 @@ def test_point_family_components_read_the_functors_images(cyl_ctx,
     monkeypatch.setattr(kg_mod, "apply_embedding",
                         lambda f, U: moved.append(U) or
                         apply_embedding(f, U), raising=False)
-    rec, = check_point_family(cyl_ctx, {})
+    rec, = run_check("net.point-family", cyl_ctx)
     assert rec.verdict == "pass" and moved == []
 
 
@@ -153,7 +153,7 @@ def test_point_family_identity_arrow_and_foreign_sites(cyl_ctx, monkeypatch):
     families = []
     monkeypatch.setattr(checks_mod, "verify_point",
                         lambda P: families.append(P) or nets.verify_point(P))
-    rec, = check_point_family(cyl_ctx, {})
+    rec, = run_check("net.point-family", cyl_ctx)
     assert rec.verdict == "pass" and rec.witness["verdicts"]["identity"]
     fam = families[0]
     s, t, F, alpha = fam.arrows["id"]
@@ -171,7 +171,8 @@ def test_point_family_identity_arrow_and_foreign_sites(cyl_ctx, monkeypatch):
 
 @pytest.mark.parametrize("ctx_name", ["plane_ctx", "cyl_ctx"])
 def test_pullback_functorial_check(ctx_name, request):
-    recs = check_pullback_functorial(request.getfixturevalue(ctx_name), {})
+    recs = run_check("net.pullback-functorial",
+                     request.getfixturevalue(ctx_name))
     assert [r.verdict for r in recs] == ["pass"]
 
 
@@ -469,7 +470,8 @@ def test_epsilon_iso_check_nets_match_the_oracle(ctx_name, request,
     monkeypatch.setattr(checks_mod, "epsilon_iso_check",
                         lambda A, k: calls.append((A, k)) or
                         epsilon_iso_check(A, k))
-    rec, = check_epsilon_iso(request.getfixturevalue(ctx_name), {})
+    rec, = run_check("net.epsilon-iso-violation",
+                     request.getfixturevalue(ctx_name))
     assert rec.verdict == "pass"
     assert len({id(A) for A, _ in calls}) == 3
     assert all(epsilon_iso_check(A, k) == _epsilon_iso_oracle(A, k)

@@ -1,12 +1,12 @@
 import pytest
 
-from latticehk.checks import _diamond_source
 from latticehk.geometry import (LatticeEmbedding, apply_embedding,
                                 cauchy_development,
                                 contains_cauchy_surface_of, hull,
                                 is_D_stable, region_development,
                                 region_diamond, region_full, region_points,
-                                region_slab)
+                                region_slab, set_bits)
+from latticehk.instances import diamond_source
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              check_cover_intersections,
                              check_localization_functor,
@@ -88,7 +88,7 @@ def test_full_region_homs(cyl):
 def test_saturation_oracle_and_functor(cyl, cyl_ctx):
     zone = sorted(cyl_ctx.zone().pts)
     rng = cyl_ctx.rng("test-sat")
-    from latticehk.checks import seeded_hulls
+    from latticehk.instances import seeded_hulls
     seeds = seeded_hulls(cyl, zone, rng, 14)
     closed = close_universe_for_localization(cyl, seeds)
     site = SiteCategory(cyl, closed, "rc", localized=False)
@@ -131,7 +131,7 @@ def test_cover_validation(cyl):
 
 def test_d_stable_cover_intersections(cyl):
     zone = region_slab(cyl, 0, 3)
-    from latticehk.checks import column_cover
+    from latticehk.instances import column_cover
     cov = column_cover(cyl, zone)
     assert cov.is_D_stable()
     assert check_cover_intersections(cov)
@@ -160,6 +160,65 @@ def test_cover_category_and_j(cyl):
     cc1.hom[a] |= 1 << b
     with pytest.raises(SiteError):
         cc1.check_explicit_description()
+
+
+def _broken_description(monkeypatch, site, break_row):
+    """Make the cover category's simplified description, the site's rows
+    pulled back, pass through ``break_row(rows)`` before the build reads
+    it."""
+    import latticehk.sites as sites_mod
+    pull = sites_mod._pullback
+
+    def broken(rows, image):
+        out = list(pull(rows, image))
+        if rows is site.hom:
+            break_row(out)
+        return tuple(out)
+
+    monkeypatch.setattr(sites_mod, "_pullback", broken)
+
+
+def test_a_description_with_an_extra_morphism_raises(cyl, monkeypatch):
+    """A description holding a morphism between two pieces that no
+    generator makes is never reached by the closure, and the build
+    refuses."""
+    s03 = region_slab(cyl, 0, 3)
+    site = SiteCategory(cyl, enumerate_universe(
+        cyl, compactness="rc", t_range=(0, 3), max_height=3, cap=900), "rc")
+    cover = Cover(s03, (region_slab(cyl, 0, 2), region_slab(cyl, 1, 3)))
+    cc = CoverCategory(site, cover)
+    a, b = next((a, b) for a in cc.object_keys() for b in cc.object_keys()
+                if cc.objects[a][0] != cc.objects[b][0]
+                and not _bit(cc.hom, a, b))
+
+    def add(out):
+        out[a] |= 1 << b
+
+    _broken_description(monkeypatch, site, add)
+    with pytest.raises(SiteError, match="simplified description"):
+        CoverCategory(site, cover)
+
+
+def test_a_description_missing_a_composite_raises(cyl, monkeypatch):
+    """A description that drops the composite a -> c of a -> b -> c is not
+    closed under composition.  On a one-piece cover the generators are the
+    whole description, so only the closure's last pass, which adds the
+    composite back, tells them apart; the build must still refuse."""
+    s03 = region_slab(cyl, 0, 3)
+    site = SiteCategory(cyl, enumerate_universe(
+        cyl, compactness="rc", t_range=(0, 3), max_height=3, cap=900), "rc")
+    cover = Cover(s03, (s03,))
+    hom = CoverCategory(site, cover).hom
+    a, c = next((a, c) for a in range(len(hom))
+                for b in set_bits(hom[a] & ~(1 << a))
+                for c in set_bits(hom[b] & ~(1 << b) & ~(1 << a)))
+
+    def drop(out):
+        out[a] &= ~(1 << c)
+
+    _broken_description(monkeypatch, site, drop)
+    with pytest.raises(SiteError, match="simplified description"):
+        CoverCategory(site, cover)
 
 
 def test_localized_cover_requires_d_stable(cyl):
@@ -222,7 +281,7 @@ def test_extend_cover_restriction_property(cyl):
             back = frozenset(cyl.norm_point((t - f.dt, x - f.dx))
                              for (t, x) in piece.pts)
             assert back in pre
-    from latticehk.checks import column_cover
+    from latticehk.instances import column_cover
     covD = column_cover(cyl, zone)
     U2 = region_points(cyl, [(1, 0), (2, 0)])
     extD = extend_cover(f, covD, U2, window, mode="D_stable")
@@ -391,7 +450,7 @@ def _row_properties(F):
 
 def test_row_functor_checks_match_pairwise_definitions(plane, cyl):
     import random
-    from latticehk.checks import column_cover
+    from latticehk.instances import column_cover
     from latticehk.sites import SiteFunctor
     functors = []
     # the non-injective map of test_deliberately_broken_functor
@@ -478,7 +537,7 @@ def _pairwise_cover_category(site, cover):
 
 
 def test_cover_category_rows_match_pairwise_definitions(cyl):
-    from latticehk.checks import column_cover, tall_diamond_cover
+    from latticehk.instances import column_cover, tall_diamond_cover
     uni = enumerate_universe(cyl, compactness="rc", t_range=(0, 3),
                              max_height=3, cap=900)
     s03 = region_slab(cyl, 0, 3)
@@ -520,7 +579,7 @@ def test_site_rows_are_shared_and_immutable(cyl_ctx):
 
 
 def _diamond_source_site(M, compactness):
-    src = _diamond_source(M)
+    src = diamond_source(M)
     return SiteCategory(src, enumerate_universe(src, compactness=compactness,
                                                 cap=2000), compactness)
 
@@ -583,11 +642,11 @@ def _count_site_builds(monkeypatch):
 
 
 def test_localized_embedding_functors_build_each_site_once(monkeypatch):
-    from latticehk.checks import check_localized_embedding_functors
+    from latticehk.checks import run_check
     from latticehk.scenarios import DEMOS, build_context
     ctx = build_context(DEMOS["localization-oracle"])
     builds = _count_site_builds(monkeypatch)
-    recs = check_localized_embedding_functors(ctx, {})
+    recs = run_check("site.localized-embedding-functors", ctx)
     assert recs[0].verdict == "pass"
     assert len(builds) <= 7
     assert len(ctx.sites) == len(builds)

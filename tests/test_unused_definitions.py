@@ -21,6 +21,9 @@ of ``geometry`` is read only through its public functions).
 
 Only ``geometry`` touches a spacetime's orbit memo, so that no caller reads
 a stored result past the window check the geometry operations make.
+
+No test imports or reads an underscore name of ``checks``, ``instances`` or
+``oracles``: what a test draws, builds or confirms with is public there.
 """
 
 import ast
@@ -183,3 +186,40 @@ def test_only_geometry_reads_the_orbit_memo():
     touches = _memo_touches()
     assert any(t.startswith("geometry.py:") for t in touches)
     assert [t for t in touches if not t.startswith("geometry.py:")] == []
+
+
+# the modules whose underscore names no test may reach
+_PUBLIC_TO_TESTS = ("checks", "instances", "oracles")
+
+
+def _test_reaches():
+    """``test file:line name`` for each underscore name of the modules above
+    that a test imports, or reads off such a module it imported."""
+    out = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    *(f"latticehk.{m}" for m in _PUBLIC_TO_TESTS),
+                    "latticehk"):
+                whole = node.module == "latticehk"
+                for a in node.names:
+                    if whole and a.name in _PUBLIC_TO_TESTS:
+                        aliases.add(a.asname or a.name)
+                    elif not whole and a.name.startswith("_"):
+                        out.append(f"{path.name}:{node.lineno} {a.name}")
+            elif isinstance(node, ast.Import):
+                aliases.update(a.asname for a in node.names
+                               if a.asname and a.name in
+                               (f"latticehk.{m}" for m in _PUBLIC_TO_TESTS))
+        out += [f"{path.name}:{node.lineno} {node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")]
+    return out
+
+
+def test_no_test_reaches_into_the_registrys_private_names():
+    assert _test_reaches() == []
