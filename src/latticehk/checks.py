@@ -465,6 +465,10 @@ def check_embedding_lemmas(ctx: RunContext, opts):
         """Whether each comparison holds, in drawing order; a failed
         morphism check counts as a found comparison that fails."""
         nonlocal n_eq, n_incl, n_d2
+        if not per:
+            # no region to draw, so no embedding to build either: a narrow
+            # cylinder's wrapped strip is refused only when it is used
+            return
         # every translation maps ctx.M to itself
         t0, t1 = ctx.t_range
         zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]

@@ -514,17 +514,36 @@ def are_causally_disjoint(M: LatticeSpacetime, U1: Region, U2: Region) -> bool:
 
 def flat_grid(M: LatticeSpacetime, regions: list[Region]):
     """One grid over the rows of ``regions``, row ``t`` laid at bit
-    ``(t - t0) * width`` of one int.  Returns ``flat``, the int of any
-    region clipped to the grid, and the ints of the future and past causal
-    cones of each explicit region (``None`` for a full one); the grid pads
-    every region's own rows, so the cones are exact there."""
+    ``(t - t0) * width`` of one int, so that a grid position is a point's
+    index.  Returns three things:
+
+    - ``flat``, the int of any region clipped to the grid;
+    - the int of each region (``None`` for the full region of an unbounded
+      spacetime, which has no rows);
+    - the ints of the future and past causal cones of each position that
+      an explicit region holds, keyed by the position: one sweep each.
+
+    A cone of a region is the OR of its points' cones.  The grid spans
+    every region's rows and pads their columns on the plane, so these
+    cones are exact on the grid's rows."""
     boxed = [R for R in regions if R.rows]
     g = _Grid(M, min((R.t0 for R in boxed), default=0),
               max((R.t_range()[1] for R in boxed), default=0), *boxed)
-    cones = [None if R.is_full else tuple(g.flat(g.cone(g.rows(R), up))
-                                          for up in (True, False))
-             for R in regions]
-    return (lambda R: g.flat(g.rows(R))), cones
+
+    def flat(R: Region) -> int:
+        return g.flat(g.rows(R))
+
+    masks = [flat(R) if R.rows else None for R in regions]
+    held = 0
+    for R, m in zip(regions, masks):
+        if not R.is_full:
+            held |= m
+    cones = {}
+    for b in set_bits(held):
+        seed = [0] * g.nrows
+        seed[b // g.width] = 1 << b % g.width
+        cones[b] = tuple(g.flat(g.cone(seed, up)) for up in (True, False))
+    return flat, masks, cones
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ verified property of the build, not an assumption.
 Relations are bitset rows: bit ``j`` of row ``i`` relates object ``i`` to
 object ``j``.  A site lays its objects over one grid
 (:func:`~latticehk.geometry.flat_grid`) and indexes their points by their
-place in it: the hom rows are ANDs of per-point column masks (the objects,
-or the developments, that hold each point), and the disjoint rows are one
-AND per pair of flattened causal-cone ints; the same cones decide causal
-convexity.  Functor properties pull target rows back along the object map
+place in it.  A point's column mask holds the objects (or the developments)
+that hold the point, and the hom rows are ANDs of column masks.  Causal
+cones are swept once per point that an object holds, never per object: a
+region's cones are the ORs of its points' cones, which decide its causal
+convexity, and its disjoint row holds the explicit objects that none of
+its points' cones meet.  ``within`` drops the columns of the points outside
+a region.  Functor properties pull target rows back along the object map
 and compare whole ints; orthogonality is read only where the two disjoint
 rows differ.  The rules above (``contains`` on regions and developments,
 ``are_causally_disjoint``) stay the definition and are the test oracle for
@@ -102,20 +105,39 @@ class SiteCategory(_Thin):
         self.objects: tuple[Region, ...] = tuple(objs)
         self.index = {r: k for k, r in enumerate(self.objects)}
         self.full = self.index.get(region_full(M))
-        # object k's points are the bits of _masks[k] over one grid, None
-        # for the full region of an unbounded spacetime
-        self._flat, cones = flat_grid(M, objs)
-        self._masks = tuple(self._flat(r) if r.rows else None for r in objs)
-        # first, so that no region is developed before its convexity holds
-        self.disjoint = self._disjoint_rows(cones)
-        own = [None if m is None else list(set_bits(m)) for m in self._masks]
-        self.plain_hom = self._containing(own, own)
+        # object k's points are the grid positions own[k], None for the
+        # full region of an unbounded spacetime; the column mask of a
+        # position is the objects that hold it
+        self._flat, masks, cones = flat_grid(M, objs)
+        own = [None if m is None else list(set_bits(m)) for m in masks]
+        self._cols, every = self._columns(own)
+        self._placed = (1 << len(objs)) - 1 & ~every
+        # a region's cones are the ORs of its points' cones; first, so that
+        # no region is developed before its convexity holds
+        reach = self._reach(cones)
+        explicit, near = 0, []
+        for k, (r, m, pos) in enumerate(zip(objs, masks, own)):
+            if r.is_full:
+                near.append(-1)  # the full region meets every object
+                continue
+            explicit |= 1 << k
+            fut = past = row = 0
+            for b in pos:
+                f, p = cones[b]
+                fut |= f
+                past |= p
+                row |= reach[b]
+            if fut & past != m:
+                raise SiteError(f"universe region not causally convex: {r}")
+            near.append(row)
+        self.disjoint = tuple(explicit & ~row for row in near)
+        self.plain_hom = self._containing(self._cols, every, own)
         # developments are needed only here, so the site does not keep them
         dev = [cauchy_development(M, r) for r in objs]
-        self.local_hom = self._containing(
-            [p if d == r else None if d.is_full else
-             list(set_bits(self._flat(d))) for p, d, r in zip(own, dev, objs)],
-            own)
+        dev_pos = [p if d == r else None if d.is_full else
+                   list(set_bits(self._flat(d)))
+                   for p, d, r in zip(own, dev, objs)]
+        self.local_hom = self._containing(*self._columns(dev_pos), own)
         self.dev_full = sum(1 << j for j, d in enumerate(dev) if d.is_full)
         same_dev: dict[Region, int] = {}
         for j, d in enumerate(dev):
@@ -126,12 +148,11 @@ class SiteCategory(_Thin):
         self._twin: Optional[SiteCategory] = None
 
     @staticmethod
-    def _containing(holders, own) -> tuple[int, ...]:
-        """Row ``i`` holds the ``j`` whose holder contains object ``i``:
-        the AND, over the grid positions ``own[i]`` of object ``i``, of
-        each position's column mask (the holders that hold it).  A holder
-        is its grid positions, ``None`` for a full region; its points off
-        the grid belong to no object."""
+    def _columns(holders) -> tuple[dict[int, int], int]:
+        """Each grid position's column mask, the holders that hold it, and
+        the mask of the holders that hold every point.  A holder is its
+        grid positions, ``None`` for a full region; its points off the grid
+        belong to no object."""
         every = 0
         cols: dict[int, int] = {}
         for j, held in enumerate(holders):
@@ -139,6 +160,13 @@ class SiteCategory(_Thin):
                 every |= 1 << j
             for b in held or ():
                 cols[b] = cols.get(b, 0) | 1 << j
+        return cols, every
+
+    @staticmethod
+    def _containing(cols, every, own) -> tuple[int, ...]:
+        """Row ``i`` holds the holders that contain object ``i``: the AND,
+        over the grid positions ``own[i]`` of object ``i``, of each
+        position's column mask."""
         rows = []
         for pos in own:
             # only a full region holds the full one, which has no positions
@@ -148,24 +176,16 @@ class SiteCategory(_Thin):
             rows.append(row | every)
         return tuple(rows)
 
-    def _disjoint_rows(self, cones) -> tuple[int, ...]:
-        """Row ``i`` holds the ``j`` causally disjoint from object ``i``:
-        one AND of the cones of ``i`` and the mask of ``j`` settles a pair.
-        The same cones decide causal convexity: a region is convex iff its
-        future and past cones meet in the region itself."""
-        out = [0] * len(cones)
-        expl = [k for k, c in enumerate(cones) if c]
-        for a, i in enumerate(expl):
-            fut, past = cones[i]
-            if fut & past != self._masks[i]:
-                raise SiteError(f"universe region not causally convex: "
-                                f"{self.objects[i]}")
-            ci = fut | past
-            for j in expl[a + 1:]:
-                if not ci & self._masks[j]:
-                    out[i] |= 1 << j
-                    out[j] |= 1 << i
-        return tuple(out)
+    def _reach(self, cones) -> dict[int, int]:
+        """Each grid position's reach: the objects its causal cones meet."""
+        cols = self._cols
+        reach = {}
+        for b, (fut, past) in cones.items():
+            near = 0
+            for c in set_bits(fut | past):
+                near |= cols.get(c, 0)
+            reach[b] = near
+        return reach
 
     def region_of(self, k) -> Region:
         return self.objects[k]
@@ -183,12 +203,16 @@ class SiteCategory(_Thin):
         return tuple(out)
 
     def within(self, region: Region) -> int:
-        """Mask of the objects that ``region`` contains."""
+        """Mask of the objects that ``region`` contains: those that hold no
+        grid position outside it."""
         if region.is_full:
             return (1 << len(self.objects)) - 1
         held = self._flat(region)
-        return sum(1 << k for k, m in enumerate(self._masks)
-                   if m is not None and not m & ~held)
+        out = self._placed
+        for b, col in self._cols.items():
+            if not held >> b & 1:
+                out &= ~col
+        return out
 
     def relocalized(self, localized: bool) -> "SiteCategory":
         """The same objects under the ``localized`` rule.  The other rule's

@@ -502,6 +502,33 @@ def test_cli_zone_too_small_to_draw_from_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+@pytest.mark.parametrize("c", [3, 4])
+def test_embedding_lemmas_draw_nothing_on_a_narrow_cylinder(tmp_path, capsys,
+                                                            c):
+    """With ``per_embedding: 0`` the check builds no embedding and skips,
+    so the plane strip too wide for the circle is refused only when regions
+    are drawn on it."""
+    scenario = {"spacetime": {**_CYLINDER, "circumference": c}, "seed": 3,
+                "universe": {"compactness": "rc", "t_range": [0, 3],
+                             "max_height": 2},
+                "checks": ["causality.embedding-development-lemmas"]}
+    scn = tmp_path / "s.json"
+    scn.write_text(json.dumps(_scenario_file(scenario)))
+    capsys.readouterr()
+    assert main(["run", str(scn)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: source strip too wide to embed injectively "
+        "with two-sided step preservation; raise spacetime.circumference "
+        f"{c} to at least 5\n")
+    scn.write_text(json.dumps(_scenario_file({**scenario, "options": {
+        "causality.embedding-development-lemmas": {"per_embedding": 0}}})))
+    out = tmp_path / "report.json"
+    assert main(["--report", str(out), "run", str(scn)]) == 0
+    rec, = json.loads(out.read_text())["records"]
+    assert (rec["verdict"], rec["witness"]["reason"]) == \
+        ("skip", "no region drawn")
+
+
 def test_cli_import_leaves_jsonschema_out():
     """A process that imports the CLI, validates a demo and runs a scenario
     never loads jsonschema."""

@@ -350,7 +350,8 @@ def _seeded_hulls(M, pts, seed):
 
 def _oracle_universes(M, seed):
     """An rc and a copen universe of ``M`` (seeded samples, seeded hulls
-    included) and a copen universe of a bounded sub-lattice of ``M``."""
+    included) and, when ``M`` is unbounded, a copen universe of a bounded
+    sub-lattice of ``M``."""
     import random
     from latticehk.geometry import bounded_spacetime
     from latticehk.sites import base_points
@@ -367,11 +368,14 @@ def _oracle_universes(M, seed):
                         | hulls, key=lambda r: r.sort_key())
                  for comp in ("rc", "copen"))
     copen = [r for r in copen if not r.is_full]
-    B = bounded_spacetime(M, extent)
-    bounded = enumerate_universe(B, compactness="copen", cap=900)
-    return [(M, "rc", rng.sample(rc, 50)),
-            (M, "copen", rng.sample(copen, 50) + [region_full(M)]),
-            (B, "copen", bounded)]
+    out = [(M, "rc", rng.sample(rc, min(50, len(rc)))),
+           (M, "copen", rng.sample(copen, min(50, len(copen))) +
+            [region_full(M)])]
+    if M.extent is None:
+        B = bounded_spacetime(M, extent)
+        out.append((B, "copen", enumerate_universe(B, compactness="copen",
+                                                   cap=900)))
+    return out
 
 
 def _holds(A, B):
@@ -401,10 +405,16 @@ def _oracle_rows(M, objs):
     return plain, loc, cauchy, disjoint
 
 
-@pytest.mark.parametrize("backend", ["plane", "cyl"])
+@pytest.mark.parametrize("backend", ["plane", "cyl", 2, 3, 4, 5, "bounded"])
 @pytest.mark.parametrize("seed", [3, 11])
-def test_site_rows_match_frozenset_oracle(backend, seed, request):
-    M = request.getfixturevalue(backend)
+def test_site_rows_match_frozenset_oracle(backend, seed, plane, cyl):
+    """The fixtures, cylinders so narrow that a cone wraps the circle in
+    one or two steps, and the bounded diamond of the convexity tests."""
+    from latticehk.geometry import LatticeSpacetime
+    if isinstance(backend, int):
+        M = LatticeSpacetime("cylinder", cyl.window, backend)
+    else:
+        M = _convexity_spacetimes(plane, cyl)[backend][0]
     for N, comp, uni in _oracle_universes(M, seed):
         site = SiteCategory(N, uni, comp, localized=False)
         plain, loc, cauchy, disjoint = _oracle_rows(N, site.objects)
@@ -798,6 +808,30 @@ def test_site_names_the_first_non_convex_object(backend, plane, cyl):
                        match=r"^universe region not causally convex: "
                              r"Region\(2 pts, t in \[0,2\]\)$"):
         SiteCategory(M, [second, ok, first], "rc")
+
+
+def test_a_site_sweeps_the_cones_of_its_points_not_of_its_objects(
+        monkeypatch):
+    """A site of the site-localization benchmark's shape (150 objects over
+    20 points) sweeps at most a future and a past cone per grid position
+    that its objects hold, never a pair per object."""
+    from latticehk.geometry import LatticeSpacetime, _Grid
+    M = LatticeSpacetime("cylinder", (-14, 16), 5)
+    uni = enumerate_universe(M, compactness="rc", t_range=(0, 3),
+                             max_height=3, cap=1600)
+    assert len(uni) == 150
+    SiteCategory(M, uni)  # the second build reads its developments off M
+    sweeps = []
+    cone = _Grid.cone
+
+    def counting(self, *args, **kwargs):
+        sweeps.append(args)
+        return cone(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Grid, "cone", counting)
+    SiteCategory(M, uni)
+    points = frozenset().union(*(r.pts for r in uni))
+    assert 0 < len(sweeps) <= 2 * len(points)
 
 
 @pytest.mark.parametrize("localized", [False, True])
