@@ -7,9 +7,10 @@ offset to strictly exceed the spatial offset.
 
 A :class:`Region` is its row masks: bit ``i`` of row ``k`` is the site
 ``(t0 + k, x0 + i)``, in a normal form that makes equal point sets equal
-regions.  Cones, Cauchy developments and causal complements shift those rows
-into a padded grid, run a handful of integer operations per row and trim the
-grid rows back into a region; the point set is a derived view.
+regions.  Cones and causal complements shift those rows into a padded grid,
+run a handful of integer operations per row and trim the grid rows back into
+a region; a Cauchy development sweeps only U's rows and the rows next to
+them that it changes.  The point set is a derived view.
 :func:`flat_grid` lays a site's regions over one shared grid as single ints.
 
 A development, double complement or Cauchy-surface test is decided on a band
@@ -133,6 +134,14 @@ class LatticeSpacetime:
         return LatticeSpacetime(self.kind, self.window, self.circumference)
 
 
+@functools.lru_cache(maxsize=1024)
+def _row_points(t: int, x0: int, m: int) -> tuple[Point, ...]:
+    """The points of the row mask ``m`` at time ``t``, bit ``i`` at
+    ``x0 + i``, in x order.  A site's objects and their translates share
+    few distinct rows, so a region lists its points from this cache."""
+    return tuple((t, x0 + i) for i in set_bits(m))
+
+
 @dataclass(frozen=True, init=False)
 class Region:
     """A finite explicit point set, or the symbolic full spacetime.
@@ -187,10 +196,11 @@ class Region:
 
     @functools.cached_property
     def _listed(self) -> tuple[Point, ...]:
-        """The points in (t, x) order, read off the rows."""
-        x0 = self.x0
-        return tuple((t, x0 + i) for t, m in enumerate(self.rows, self.t0)
-                     for i in range(m.bit_length()) if m >> i & 1)
+        """The points in (t, x) order, joined row by row."""
+        out = ()
+        for t, m in enumerate(self.rows, self.t0):
+            out += _row_points(t, self.x0, m)
+        return out
 
     def _xs(self) -> tuple[int, int]:
         """The least and the greatest x of the rows."""
@@ -593,17 +603,55 @@ def _development_raw(M: LatticeSpacetime, U: Region, t0: int,
 
     The full region when the set blocks every inextendible path (possible
     on the cylinder only); the window is not checked.
+
+    The escape sweeps run over U's rows, then on below U (upward escapes)
+    and above it (downward ones) only until a row is full, since
+    ``spread(full) == full`` makes every row beyond it full, or until the
+    band ends.  On the plane one free column on each side of U escapes
+    both ways, so the sweep needs no wider row (docs/decisions.md,
+    "Developments sweep only the rows that change").
     """
-    g = _Grid(M, t0, t1, U)
-    umask = g.rows(U)
-    up = g.escapes(umask, True)
-    if _blocks_every_path(g, up, U.t0):
-        if M.kind == "plane":
+    if U.t0 <= t0:
+        raise ModelError("grid does not pad below the blocker")
+    c = M.circumference
+    if c:
+        full, x0, rows = (1 << c) - 1, 0, U.rows[:t1 - U.t0 + 1]
+
+        def spread(m):
+            return (m | m << 1 | m >> 1 | m >> c - 1 | m << c - 1) & full
+    else:
+        width = functools.reduce(int.__or__, U.rows).bit_length() + 2
+        full, x0 = (1 << width) - 1, U.x0 - 1
+        rows = [m << 1 for m in U.rows[:t1 - U.t0 + 1]]
+
+        def spread(m):
+            return (m | m << 1 | m >> 1) & full
+    # upward escapes, from U's top row down; every row above it escapes
+    up, nxt = [], full
+    for m in reversed(rows):
+        nxt = spread(nxt) & ~m
+        up.append(nxt)
+    up.reverse()
+    nxt = spread(nxt)
+    if not nxt:  # no site of the row below U escapes
+        if not c:
             raise ModelError("finite set cannot block the plane")
         return region_full(M)
-    down = g.escapes(umask, False)
-    return g.trim([u | (g.full & ~(a & b))
-                   for u, a, b in zip(umask, up, down)])
+    below, t = [], U.t0 - 1
+    while nxt != full and t >= t0:
+        below.append(full & ~nxt)
+        nxt, t = spread(nxt), t - 1
+    # downward escapes, from U's bottom row up; a point of U's rows that
+    # escapes both ways is dropped
+    out, nxt = below[::-1], full
+    for m, a in zip(rows, up):
+        nxt = spread(nxt) & ~m
+        out.append(m | full & ~(a & nxt))
+    nxt, t = spread(nxt), U.t0 + len(rows)
+    while nxt != full and t <= t1:
+        out.append(full & ~nxt)
+        nxt, t = spread(nxt), t + 1
+    return _trimmed(M, U.t0 - len(below), x0, out)
 
 
 def cauchy_development(M: LatticeSpacetime, U: Region) -> Region:
@@ -844,6 +892,10 @@ def _moved(f: LatticeEmbedding, U: Region) -> Region:
 def apply_embedding(f: LatticeEmbedding, U: Region) -> Region:
     if U.is_full:
         out = f.image()
+    elif f.source.extent is None and f.target.extent is None:
+        # an unbounded source holds every region, and no image holds the
+        # full region of an unbounded target
+        return _moved(f, U)
     elif not region_full(f.source).contains(U):
         raise GeometryError("region leaves the embedding's domain")
     else:

@@ -124,8 +124,16 @@ def translation_embeddings(ctx: RunContext, count: int = 12):
     """Unbounded translations/rotations: embeddings whose source causal
     structure is exactly the ambient one (the faithful lattice models of
     spacetime morphisms).  Each targets a fresh twin of the spacetime, equal
-    to it but with an empty memo, so the image side of a covariance check
-    is swept at the image's own position, not moved there from the memo."""
+    to it but with an empty memo, so a development taken on the target is
+    swept at the image's own position, not moved there from the memo.
+
+    A twin equals the spacetime, so a cache keyed by it does not tell them
+    apart: ``RunContext.site_over`` keys a site by its object set, and a
+    translation whose images form an already built object set reuses that
+    site, built on the spacetime or on an earlier translation's twin.  Of
+    the first 12 shifts on a cylinder whose universe is rotation invariant,
+    only the 6 new time shifts build a target site (docs/decisions.md, "The
+    site cache lives on the run context")."""
     M = ctx.M
     shifts = [(0, 0), (1, 0), (0, 1), (2, -1), (1, 2), (3, 1), (-1, 1),
               (2, 2), (-2, 0), (1, -2), (4, 0), (0, -1), (3, -2), (2, 1)]

@@ -1,7 +1,9 @@
 import pytest
 
 from latticehk.checks import RunContext
-from latticehk.geometry import LatticeSpacetime
+from latticehk.geometry import (GeometryError, LatticeSpacetime, ModelError,
+                                _Grid, _blocks_every_path, _moved,
+                                region_full)
 from latticehk.kleingordon import KgContext, apply_P, field_clean, propagator
 from latticehk.rational import Mat, Q0, Q1, QQ
 
@@ -151,3 +153,34 @@ def _dense_matmul(a: Mat, b: Mat) -> Mat:
 @pytest.fixture(scope="session")
 def dense_matmul():
     return _dense_matmul
+
+
+def full_band_development(M, U, t0, t1):
+    """Cauchy development of U on rows t0..t1, by escape sweeps over every
+    row of a grid as wide as the band is tall on each side of U: the
+    reference that the sweep over the rows a development changes must
+    reproduce."""
+    g = _Grid(M, t0, t1, U)
+    umask = g.rows(U)
+    up = g.escapes(umask, True)
+    if _blocks_every_path(g, up, U.t0):
+        if M.kind == "plane":
+            raise ModelError("finite set cannot block the plane")
+        return region_full(M)
+    down = g.escapes(umask, False)
+    return g.trim([u | (g.full & ~(a & b))
+                   for u, a, b in zip(umask, up, down)])
+
+
+def general_apply_embedding(f, U):
+    """The image of U by the path every embedding takes: the domain test,
+    the moved rows and the whole-target test.  The reference that the
+    direct move between unbounded spacetimes must reproduce."""
+    if U.is_full:
+        out = f.image()
+    elif not region_full(f.source).contains(U):
+        raise GeometryError("region leaves the embedding's domain")
+    else:
+        out = _moved(f, U)
+    full = region_full(f.target)
+    return full if out.contains(full) else out

@@ -20,7 +20,7 @@ from latticehk.instances import translation_embeddings
 from latticehk.kleingordon import KgError
 from latticehk.nets import AqftError
 from latticehk.rational import QQ
-from latticehk.sites import SiteError
+from latticehk.sites import SiteCategory, SiteError
 
 # the documented lattice divergence of criterion 1 (docs/decisions.md)
 EXPECTED_FAIL = {"causality.development-vs-double-complement"}
@@ -330,6 +330,34 @@ def test_embedded_target_holds_images_and_around(cyl):
     for s in (site, ctx.site("copen")):
         assert ctx.embedded(turn, s, around=s.objects).target is s
         assert ctx.embedded(f, s, around=s.objects).target is not s
+
+
+def test_translation_targets_share_sites_by_object_set(monkeypatch):
+    """A translation's target site is keyed by its object set, and a twin
+    equals M, so one run of site.localized-embedding-functors on the
+    benchmark shape builds the source site and 6 of its 12 targets: the
+    images of (0, 0) and (0, +-1) are the source's own objects, and those
+    of (1, +-2) and (2, 2) the objects built for (1, 0) and (2, -1)."""
+    M = LatticeSpacetime("cylinder", (-14, 16), 5)
+    ctx = RunContext(M=M, universe_cfg={"compactness": "rc",
+                                        "t_range": [0, 3], "max_height": 3,
+                                        "cap": 1600})
+    built = []
+    init = SiteCategory.__init__
+
+    def counted(self, N, universe, *args, **kw):
+        init(self, N, universe, *args, **kw)
+        built.append(self)
+
+    monkeypatch.setattr(SiteCategory, "__init__", counted)
+    [rec] = run_check("site.localized-embedding-functors", ctx,
+                      {"count": 12})
+    assert (rec.verdict, rec.witness) == ("pass", {"embeddings": 12,
+                                                   "bad": 0})
+    assert len(built) == 7 and len(built[0].objects) == 150
+    # one new target per time shift, in the order the shifts first come
+    assert [min(U.t0 for U in site.objects) for site in built] == \
+        [0, 1, 2, 3, -1, -2, 4]
 
 
 # small universes; all but the c=4 cylinder's miss images of the diamond

@@ -5,10 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from latticehk.checks import RunContext
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
-                                LatticeSpacetime, Region, _Grid,
-                                WindowTooSmallError, _blocks_every_path,
-                                _development_raw, _double_complement_raw,
-                                _margin_for, _windowed, apply_embedding,
+                                LatticeSpacetime, ModelError, Region, _Grid,
+                                WindowTooSmallError, _band,
+                                _blocks_every_path, _development_raw,
+                                _double_complement_raw, _margin_for,
+                                _windowed, apply_embedding,
                                 are_causally_disjoint, bounded_spacetime,
                                 cauchy_development, check_loc_morphism, cone,
                                 contains_cauchy_surface_of,
@@ -19,8 +20,11 @@ from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 region_development, region_diamond,
                                 region_full, region_points, region_slab,
                                 region_strict_diamond, stabilization_check)
-from latticehk.instances import bounded_embeddings
+from latticehk.instances import (bounded_embeddings, diamond_source,
+                                 translation_embeddings)
 from latticehk.oracles import brute_confirms
+
+from conftest import full_band_development, general_apply_embedding
 
 
 def test_cone_plane_lightcone(plane):
@@ -717,6 +721,117 @@ def test_band_results_match_the_whole_window_probe(cyl, plane):
         assert any(e.startswith(start) for e in errors), start
     regions = [R for R in expected if isinstance(R, Region)]
     assert {R.is_full for R in regions} == {True, False}
+
+
+# -- the development sweep against the full-band oracle -----------------------
+
+
+def _sweep_cases(rng):
+    """``(M, U, t0, t1)``: seeded regions on the plane and on cylinders of
+    circumference 2-8 (point sets, hulls, two-row blocks and whole rows,
+    which block every path on a cylinder) over the band
+    ``cauchy_development`` passes, over bands that cut the sweep short on
+    either side, and over the band that starts at U's bottom row (the
+    ``ModelError``) or one row below it."""
+    for c in (None, 2, 3, 4, 5, 6, 7, 8):
+        M = LatticeSpacetime("plane", (-14, 16)) if c is None else \
+            LatticeSpacetime("cylinder", (-14, 16), c)
+        for _ in range(30):
+            pts = [(rng.randint(0, 4), rng.randint(-3, 3))
+                   for _ in range(rng.randint(1, 6))]
+            shape = rng.choice(["points", "hull", "block", "row"])
+            t = rng.randint(0, 3)
+            if shape == "block":
+                pts += [(t + dt, x) for dt in (0, 1)
+                        for x in range(rng.randint(2, 6))]
+            if shape == "row":
+                pts += [(t, x) for x in range(c or 6)]
+            U = region_points(M, pts)
+            if shape == "hull":
+                U = hull(M, U)
+            a, b = U.t_range()
+            yield M, U, *_band(U, _margin_for(M, U) + 1)
+            yield M, U, a - rng.randint(1, 3), b + rng.randint(0, 3)
+            yield M, U, a - 1, rng.randint(a, b + 1)
+            yield M, U, a, b + 1
+
+
+def test_development_sweep_matches_the_full_band_oracle():
+    """The development sweep over the rows it changes gives the full-band
+    sweep's region, full result or ``ModelError``, on every band."""
+    outcomes = []
+    for M, U, t0, t1 in _sweep_cases(random.Random("sweep-oracle")):
+        got, want = (_sweep_outcome(lambda M, U: dev(M, U, t0, t1), M, U)
+                     for dev in (_development_raw, full_band_development))
+        assert got == want, (M, sorted(U.pts), t0, t1)
+        outcomes.append((U, t0, t1, want))
+    regions = [(U, t0, t1, R) for U, t0, t1, R in outcomes
+               if isinstance(R, Region) and not R.is_full]
+    # results reach past U on both sides, and some are cut by the band
+    assert any(R.t0 < U.t0 for U, _, _, R in regions)
+    assert any(R.t_range()[1] > U.t_range()[1] for U, _, _, R in regions)
+    assert any(R.t0 == t0 for U, t0, _, R in regions)
+    assert any(R.t_range()[1] == t1 > U.t_range()[1]
+               for U, _, t1, R in regions)
+    assert any(isinstance(R, Region) and R.is_full for *_, R in outcomes)
+    assert (ModelError, "grid does not pad below the blocker") in \
+        [R for *_, R in outcomes]
+
+
+# -- the direct move against the general embedding path ----------------------
+
+
+def _embedding_regions(rng, M):
+    """Seeded regions of ``M``: hulls and point sets, some on the window's
+    edge rows, and the full region."""
+    lo, hi = M.window
+    for _ in range(25):
+        t = rng.choice([lo, hi, rng.randint(lo, hi)])
+        pts = [(min(hi, t + rng.randint(0, 2)), rng.randint(-3, 3))
+               for _ in range(rng.randint(1, 4))]
+        U = region_points(M, pts)
+        yield hull(M, U) if rng.random() < 0.5 else U
+    yield region_full(M)
+
+
+def test_direct_move_matches_the_general_embedding_path(plane_ctx,
+                                                        cyl_ctx):
+    """Between unbounded spacetimes ``apply_embedding`` moves a region's
+    rows directly: every ``translation_embeddings`` shift of seeded regions
+    on the plane and on cylinders gives the general path's region, or its
+    window refusal.  Bounded sources and targets keep the domain and the
+    whole-target tests."""
+    rng = random.Random("direct-move")
+    outcomes = []
+    for c in (None, 2, 3, 5, 8):
+        M = LatticeSpacetime("plane", (-3, 8)) if c is None else \
+            LatticeSpacetime("cylinder", (-3, 8), c)
+        regions = list(_embedding_regions(rng, M))
+        for f in translation_embeddings(RunContext(M=M), 14):
+            for U in regions:
+                got, want = (_sweep_outcome(move, f, U) for move in (
+                    apply_embedding, general_apply_embedding))
+                assert got == want, (f, sorted(U.pts))
+                outcomes.append(want)
+    refusals = {o[1].split(" outside")[0] for o in outcomes
+                if isinstance(o, tuple)}
+    assert len(refusals) > 10 and all(r.startswith("point (")
+                                      for r in refusals)
+    assert {R.is_full for R in outcomes if isinstance(R, Region)} == \
+        {True, False}
+    for ctx in (plane_ctx, cyl_ctx):
+        sub = diamond_source(ctx.M)
+        inside = region_points(sub, sub.extent)
+        for f in bounded_embeddings(ctx):
+            away = region_points(f.source.unbounded(), [(-3, 0)])
+            with pytest.raises(GeometryError, match="embedding's domain"):
+                apply_embedding(f, away)
+        into = LatticeEmbedding(sub.unbounded(), sub)
+        away = region_points(sub.unbounded(), [(-3, 0)])
+        for f in (LatticeEmbedding(sub, sub), into):
+            assert apply_embedding(f, inside) == region_full(sub)
+        with pytest.raises(GeometryError, match="outside bounded extent"):
+            apply_embedding(into, away)
 
 
 # -- the row form against the point-set oracle --------------------------------
