@@ -53,7 +53,7 @@ from .rational import Q1, QQ
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
                     SiteFunctor, check_cover_intersections,
                     check_localization_functor,
-                    close_universe_for_localization,
+                    close_universe_for_localization, causal_pairs,
                     compare_localization_models, enumerate_universe,
                     j_functor, refinement_functor, extend_cover, base_points)
 
@@ -277,17 +277,12 @@ class RunContext:
 @register("causality.cone-lightcone", "unit-slope-lattice-lightcones")
 def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
     M = ctx.M
-    if M.kind == "plane":
-        c = cone(M, region_points(M, [(0, 0)]), "future", False, 4)
-        want = {(t, x) for t in range(0, 5) for x in range(-t, t + 1)}
-        ok = c.pts == frozenset(want)
-        ci = cone(M, region_points(M, [(0, 0)]), "future", True, 4)
-        wanti = {(t, x) for t in range(1, 5) for x in range(-(t - 1), t)}
-        ok = ok and ci.pts == frozenset(wanti)
-    else:
-        c3 = cone(M, region_points(M, [(0, 0)]), "future", False, 3)
-        slice3 = {p for p in c3.pts if p[0] == 3}
-        ok = len(slice3) == M.circumference
+    xs = range(-4, 5) if M.kind == "plane" else range(M.circumference)
+    # J+ of (0, 0) holds distance <= t at row t, I+ distance < t
+    ok = all(cone(M, region_points(M, [(0, 0)]), "future", strict, 4).pts
+             == {(t, x) for t in range(5) for x in xs
+                 if M.xdist(x, 0) < t + (not strict)}
+             for strict in (False, True))
     return [ctx.record("causality.cone-lightcone", "pass" if ok else "fail")]
 
 
@@ -361,22 +356,12 @@ def check_development_properties(ctx: RunContext, opts):
           "strict-diamonds-are-d-stable-causally-convex")
 def check_strict_diamonds(ctx: RunContext, opts):
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
-
-    def diamonds():
-        for p in zone:
-            for q in zone:
-                if q[0] - p[0] < 2 or \
-                        M.xdist(q[1], p[1]) > q[0] - p[0] - 2:
-                    continue
-                try:
-                    V = region_strict_diamond(M, p, q)
-                except geo.GeometryError:
-                    continue
-                yield V
-
+    # the pairs whose strict diamond is nonempty
+    diamonds = (region_strict_diamond(M, p, q)
+                for p, q in causal_pairs(M, sorted(ctx.zone().pts))
+                if M.xdist(q[1], p[1]) <= q[0] - p[0] - 2)
     return [ctx.tally_over(
-        "causality.strict-diamonds-d-stable", diamonds(),
+        "causality.strict-diamonds-d-stable", diamonds,
         lambda V: is_causally_convex(M, V) and V.is_relatively_compact
         and is_D_stable(M, V), "no strict diamond in the zone",
         lambda n, bad: {"total": n, "bad": bad})]

@@ -311,13 +311,13 @@ class _Grid:
     """Per-row bitmask workspace over rows ``t0..t1`` (inclusive).
 
     On the plane, bit ``i`` of a row mask is the site ``x = x0 + i``; the
-    x-range of ``regions`` and ``xs`` is padded so that their cones never
+    x-range of ``regions`` is padded so that their cones never
     reach the lateral boundary inside the row range.  On the cylinder each
     row has exactly ``circumference`` bits with wrap-around spreading.
     """
 
     def __init__(self, M: LatticeSpacetime, t0: int, t1: int,
-                 *regions: Region, xs: Iterable[int] = ()):
+                 *regions: Region):
         self.M = M
         self.t0 = t0
         self.nrows = t1 - t0 + 1
@@ -325,7 +325,7 @@ class _Grid:
             self.width = M.circumference
             self.x0 = 0
         else:
-            xs = [*xs, *(x for R in regions for x in R._xs())] or [0]
+            xs = [x for R in regions for x in R._xs()] or [0]
             pad = (t1 - t0) + 2
             self.x0 = min(xs) - pad
             self.width = (max(xs) - min(xs)) + 2 * pad + 1
@@ -766,23 +766,17 @@ def region_diamond(M: LatticeSpacetime, bottom: Point, top: Point) -> Region:
 
 def region_strict_diamond(M: LatticeSpacetime, bottom: Point,
                           top: Point) -> Region:
-    """I+(bottom) & I-(top); empty for time separation < 2."""
-    bottom, top = M.norm_point(bottom), M.norm_point(top)
-    t0, t1 = bottom[0], top[0]
+    """I+(bottom) & I-(top): the diamond of the inner tips, one row above
+    ``bottom`` and one row below ``top`` (docs/decisions.md, "A strict
+    diamond is the diamond of its inner tips").  Refused for time
+    separation < 2, when empty, and, like :func:`region_diamond`, when an
+    inner tip leaves the window or a bounded extent."""
+    (t0, x0), (t1, x1) = bottom, top
     if t1 - t0 < 2:
         raise GeometryError("strict diamond needs time separation >= 2")
-    g = _Grid(M, t0, t1, xs=(bottom[1], top[1]))
-    # each strict cone shifts the other end off the grid
-    ends = [0] * g.nrows
-    ends[0], ends[-1] = 1 << bottom[1] - g.x0, 1 << top[1] - g.x0
-    rows = _meet(g.cone(ends, True, strict=True),
-                 g.cone(ends, False, strict=True))
-    if not any(rows):
+    if M.xdist(x0, x1) > t1 - t0 - 2:
         raise GeometryError("empty strict diamond")
-    rows = _in_extent(M, g, rows)
-    if not any(rows):
-        raise GeometryError("strict diamond misses the bounded extent")
-    return _checked(M, g.trim(rows))
+    return region_diamond(M, (t0 + 1, x0), (t1 - 1, x1))
 
 
 def region_slab(M: LatticeSpacetime, t0: int, t1: int) -> Region:
@@ -803,7 +797,7 @@ def find_D_stable_neighborhood(M: LatticeSpacetime, p: Point,
     """A D-stable causally convex relatively compact V with p in V <= U.
 
     Strategy: the largest symmetric strict diamond around ``p`` that fits in
-    ``U`` and verifies D-stable; the singleton ``{p}`` is the fallback.
+    ``U`` and verifies D-stable; at ``r = 1`` it is the singleton ``{p}``.
     """
     p = M.norm_point(p)
     if not U.is_full and p not in U.pts:
@@ -815,17 +809,14 @@ def find_D_stable_neighborhood(M: LatticeSpacetime, p: Point,
     if not U.is_full:
         a, b = U.t_range()
         rmax = min(rmax, p[0] - a, b - p[0])  # largest that can fit in U
-    for r in range(rmax, 0, -1):
+    for r in range(max(rmax, 1), 0, -1):
         try:
             V = region_strict_diamond(M, (p[0] - r, p[1]), (p[0] + r, p[1]))
         except GeometryError:
-            continue
+            continue  # an inner tip leaves a bounded extent
         if U.contains(V) and is_D_stable(M, V):
             return V
-    V = region_points(M, [p])
-    if not is_D_stable(M, V):
-        raise ModelError("singleton is not D-stable; degenerate backend")
-    return V
+    raise ModelError("singleton is not D-stable; degenerate backend")
 
 
 # ---------------------------------------------------------------------------

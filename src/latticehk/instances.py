@@ -11,7 +11,7 @@ from .geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                        bounded_spacetime, cauchy_development, hull,
                        is_causally_convex, is_D_stable, region_diamond,
                        region_full, region_points, region_strict_diamond)
-from .sites import Cover, SiteCategory, SiteError
+from .sites import Cover, SiteCategory, SiteError, causal_pairs
 
 if TYPE_CHECKING:
     from .checks import RunContext
@@ -19,9 +19,8 @@ if TYPE_CHECKING:
 
 def exhaustive_diamonds(M: LatticeSpacetime, zone) -> list[Region]:
     """The distinct diamonds of pairs of ``zone``, first found first."""
-    return list(dict.fromkeys(
-        region_diamond(M, p, q) for p in zone for q in zone
-        if q[0] >= p[0] and M.xdist(q[1], p[1]) <= q[0] - p[0]))
+    return list(dict.fromkeys(region_diamond(M, p, q)
+                              for p, q in causal_pairs(M, zone)))
 
 
 def draw_points(rng, zone: list, lo: int, hi: int) -> list:

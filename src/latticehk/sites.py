@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .geometry import (GeometryError, LatticeSpacetime, Point, Region,
+from .geometry import (LatticeSpacetime, Point, Region,
                        cauchy_development, find_D_stable_neighborhood,
                        flat_grid, hull, is_causally_convex, is_D_stable,
                        region_diamond, region_full, region_points,
@@ -258,6 +258,18 @@ def base_points(M: LatticeSpacetime,
             for x in range(x_range[0], x_range[1] + 1)]
 
 
+def causal_pairs(M: LatticeSpacetime, pts: list[Point],
+                 max_dt: Optional[int] = None):
+    """The pairs (p, q) of ``pts`` with q in J+(p) and at most ``max_dt``
+    rows above p, p-major in list order."""
+    for p in pts:
+        for q in pts:
+            dt = q[0] - p[0]
+            if 0 <= dt and (max_dt is None or dt <= max_dt) and \
+                    M.xdist(q[1], p[1]) <= dt:
+                yield p, q
+
+
 def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
                        x_range: Optional[tuple[int, int]] = None,
                        t_range: Optional[tuple[int, int]] = None,
@@ -267,10 +279,7 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
                        cap: int = 500) -> list[Region]:
     """Deterministic deduplicated universe of causally convex regions."""
     pts = base_points(M, x_range, t_range)
-    ptset = set(pts)
     out: set[Region] = set()
-    hmax = max_height if max_height is not None else (M.window[1] -
-                                                      M.window[0])
 
     def admit(r: Region):
         if M.extent is not None and r.contains(region_full(M)):
@@ -282,29 +291,19 @@ def enumerate_universe(M: LatticeSpacetime, *, compactness: str = "rc",
                             "or universe.max_height")
 
     if diamonds:
-        for (t0, x0) in pts:
-            for dt in range(0, hmax + 1):
-                for x1 in range(x0 - dt, x0 + dt + 1):
-                    q = M.norm_point((t0 + dt, x1))
-                    if q not in ptset or M.xdist(x1, x0) > dt:
-                        continue
-                    try:
-                        admit(region_diamond(M, (t0, x0), q))
-                    except GeometryError:
-                        continue
-                    if strict_diamonds and dt >= 2:
-                        try:
-                            admit(region_strict_diamond(M, (t0, x0), q))
-                        except GeometryError:
-                            pass
+        for p, q in causal_pairs(M, pts, max_height):
+            admit(region_diamond(M, p, q))
+            # a nonempty strict diamond: its inner tips are causal too
+            if strict_diamonds and M.xdist(p[1], q[1]) <= q[0] - p[0] - 2:
+                admit(region_strict_diamond(M, p, q))
     if M.kind == "cylinder" and M.extent is None:
         t_lo, t_hi = t_range if t_range is not None else M.window
         for a in range(t_lo, t_hi + 1):
+            top = t_hi if max_height is None else min(a + max_height, t_hi)
             # a slab of time thickness one is causally a Cauchy band but
             # carries only half the leapfrog Cauchy data; field universes
             # exclude them via min_slab_height=2
-            for b in range(a + min_slab_height - 1,
-                           min(a + hmax, t_hi) + 1):
+            for b in range(a + min_slab_height - 1, top + 1):
                 admit(region_slab(M, a, b))
     if compactness == "copen":
         out.add(region_full(M))
@@ -468,13 +467,13 @@ class CoverCategory(_Thin):
         # the simplified description: row a holds b iff the site has the
         # morphism between their underlying regions
         self._described = _pullback(site.hom, self._image)
-        gen = [self._described[a] & piece_rows[i]
-               for a, (i, _) in enumerate(objs)]
-        for (i, j), overlap in cover.intersections().items():
-            for k in set_bits(site.within(overlap)):
-                a, b = self.index[(i, k)], self.index[(j, k)]
-                gen[a] |= 1 << b
-                gen[b] |= 1 << a
+        # an object lies in P_i & P_j exactly when it has a copy in both,
+        # and the overlap identifies the copies
+        copies: dict[int, int] = {}
+        for a, k in enumerate(self._image):
+            copies[k] = copies.get(k, 0) | 1 << a
+        gen = [self._described[a] & piece_rows[i] | copies[k]
+               for a, (i, k) in enumerate(objs)]
         self.hom = _closure(gen)
         self.check_explicit_description()
 

@@ -2,10 +2,12 @@ import pytest
 
 from latticehk.checks import RunContext
 from latticehk.geometry import (GeometryError, LatticeSpacetime, ModelError,
-                                _Grid, _blocks_every_path, _moved,
-                                region_full)
+                                _Grid, _blocks_every_path, _checked,
+                                _in_extent, _meet, _moved, region_diamond,
+                                region_full, region_points, region_slab)
 from latticehk.kleingordon import KgContext, apply_P, field_clean, propagator
 from latticehk.rational import Mat, Q0, Q1, QQ
+from latticehk.sites import SiteError, base_points
 
 
 @pytest.fixture(scope="session")
@@ -184,3 +186,76 @@ def general_apply_embedding(f, U):
         out = _moved(f, U)
     full = region_full(f.target)
     return full if out.contains(full) else out
+
+
+def grid_strict_diamond(M, bottom, top):
+    """I+(bottom) & I-(top) by two strict cone sweeps on a grid of its own
+    rows, clipped to a bounded extent: the reference that the diamond of
+    the inner tips must reproduce wherever those tips lie in the extent."""
+    bottom, top = M.norm_point(bottom), M.norm_point(top)
+    t0, t1 = bottom[0], top[0]
+    if t1 - t0 < 2:
+        raise GeometryError("strict diamond needs time separation >= 2")
+    # the grid is padded around the tips' columns
+    tips = region_points(M.unbounded().with_window(t0, t1), [bottom, top])
+    g = _Grid(M, t0, t1, tips)
+    # each strict cone shifts the other end off the grid
+    ends = [0] * g.nrows
+    ends[0], ends[-1] = 1 << bottom[1] - g.x0, 1 << top[1] - g.x0
+    rows = _meet(g.cone(ends, True, strict=True),
+                 g.cone(ends, False, strict=True))
+    if not any(rows):
+        raise GeometryError("empty strict diamond")
+    rows = _in_extent(M, g, rows)
+    if not any(rows):
+        raise GeometryError("strict diamond misses the bounded extent")
+    return _checked(M, g.trim(rows))
+
+
+def scanned_universe(M, *, compactness="rc", x_range=None, t_range=None,
+                     max_height=None, diamonds=True, strict_diamonds=True,
+                     min_slab_height=1, cap=500):
+    """The universe by a scan over each base point's candidate tops up to
+    ``max_height`` (or the window's span) rows above it, with the grid
+    strict diamonds: the reference that the causal-pair loop of
+    ``enumerate_universe`` must reproduce, cap refusal included."""
+    pts = base_points(M, x_range, t_range)
+    ptset = set(pts)
+    out = set()
+    hmax = max_height if max_height is not None else (M.window[1] -
+                                                      M.window[0])
+
+    def admit(r):
+        if M.extent is not None and r.contains(region_full(M)):
+            return
+        out.add(r)
+        if len(out) > cap:
+            raise SiteError(f"universe exceeds cap {cap}; raise universe.cap "
+                            "or narrow universe.t_range, universe.x_range "
+                            "or universe.max_height")
+
+    if diamonds:
+        for (t0, x0) in pts:
+            for dt in range(0, hmax + 1):
+                for x1 in range(x0 - dt, x0 + dt + 1):
+                    q = M.norm_point((t0 + dt, x1))
+                    if q not in ptset or M.xdist(x1, x0) > dt:
+                        continue
+                    try:
+                        admit(region_diamond(M, (t0, x0), q))
+                    except GeometryError:
+                        continue
+                    if strict_diamonds and dt >= 2:
+                        try:
+                            admit(grid_strict_diamond(M, (t0, x0), q))
+                        except GeometryError:
+                            pass
+    if M.kind == "cylinder" and M.extent is None:
+        t_lo, t_hi = t_range if t_range is not None else M.window
+        for a in range(t_lo, t_hi + 1):
+            for b in range(a + min_slab_height - 1,
+                           min(a + hmax, t_hi) + 1):
+                admit(region_slab(M, a, b))
+    if compactness == "copen":
+        out.add(region_full(M))
+    return sorted(out, key=lambda r: r.sort_key())

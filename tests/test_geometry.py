@@ -24,7 +24,8 @@ from latticehk.instances import (bounded_embeddings, diamond_source,
                                  translation_embeddings)
 from latticehk.oracles import brute_confirms
 
-from conftest import full_band_development, general_apply_embedding
+from conftest import (full_band_development, general_apply_embedding,
+                      grid_strict_diamond)
 
 
 def test_cone_plane_lightcone(plane):
@@ -247,6 +248,68 @@ def test_strict_diamonds(plane):
     assert is_causally_convex(plane, sd)
     with pytest.raises(GeometryError):
         region_strict_diamond(plane, (0, 0), (1, 0))
+
+
+def _strict_outcome(build, M, bottom, top):
+    """The strict diamond of the tips, or its refusal message."""
+    try:
+        return build(M, bottom, top)
+    except GeometryError as e:
+        return str(e)
+
+
+def _strict_tip_cases():
+    """Spacetimes with tip pairs: the plane, cylinders of circumference
+    2-8 with unnormalized tip columns, and bounded extents with both tips
+    inside."""
+    plane = LatticeSpacetime("plane", (-20, 20))
+    yield plane, [((0, 0), (s, x)) for s in range(-1, 9)
+                  for x in range(-9, 10)]
+    for c in range(2, 9):
+        M = LatticeSpacetime("cylinder", (-20, 20), c)
+        yield M, [((0, xb), (s, x)) for xb in (-1, 0, c + 1)
+                  for s in range(-1, c + 4) for x in range(-c, 2 * c)]
+    for M, extent in [
+            (plane, region_diamond(plane, (0, 0), (8, 1)).pts),
+            (LatticeSpacetime("cylinder", (-20, 20), 5),
+             {(t, x) for t in range(0, 7) for x in range(5)}),
+            (LatticeSpacetime("cylinder", (-20, 20), 4),
+             region_diamond(LatticeSpacetime("cylinder", (-20, 20), 4),
+                            (0, 0), (6, 1)).pts)]:
+        B = bounded_spacetime(M, extent)
+        pts = sorted(B.extent)
+        yield B, [(p, q) for p in pts for q in pts]
+
+
+def test_strict_diamond_matches_grid_construction():
+    """The diamond of the inner tips equals the strict cones' meet on a
+    grid of its own, refusals and their messages included, wherever the
+    tips lie in the spacetime."""
+    compared = built = 0
+    for M, pairs in _strict_tip_cases():
+        for p, q in pairs:
+            got = _strict_outcome(region_strict_diamond, M, p, q)
+            assert got == _strict_outcome(grid_strict_diamond, M, p, q), \
+                (M, p, q)
+            compared += 1
+            built += isinstance(got, Region)
+    assert (compared, built) == (6817, 2549)
+
+
+def test_strict_diamond_refuses_inner_tips_outside_the_extent(plane):
+    """On a bounded spacetime a strict diamond whose inner tips leave the
+    extent is refused as the diamond of those tips is, where the clipped
+    meet I+ & I- & extent is not empty (docs/decisions.md)."""
+    B = bounded_spacetime(plane, region_diamond(plane, (0, 0), (6, 0)).pts)
+    assert region_strict_diamond(B, (-1, 0), (7, 0)).pts == B.extent
+    with pytest.raises(GeometryError, match=r"point \(-1, 0\) outside "
+                       "bounded extent"):
+        region_strict_diamond(B, (-2, 0), (4, 0))
+    with pytest.raises(GeometryError, match="outside bounded extent"):
+        region_diamond(B, (-1, 0), (3, 0))
+    clipped = grid_strict_diamond(B, (-2, 0), (4, 0))
+    assert clipped.pts == {(t, x) for t in range(0, 4)
+                           for x in range(-t, t + 1) if abs(x) <= 3 - t}
 
 
 @pytest.mark.parametrize("c", [4, 5, 6, 7])
@@ -482,7 +545,7 @@ def _grids(rng):
             t1 = t0 + rng.randint(0, 12)
             seeds = [(rng.randint(t0, t1), rng.randint(-3, 3))
                      for _ in range(rng.randint(1, 3))]
-            yield _Grid(M, t0, t1, xs=[x for (_, x) in seeds])
+            yield _Grid(M, t0, t1, region_points(M, seeds))
 
 
 def test_saturating_cone_matches_full_sweep():
@@ -654,7 +717,7 @@ def _window_cauchy_surface(M, U):
     t_lo, t_hi = M.window
 
     def run(e):
-        g = _Grid(M, t_lo - e - 1, t_hi + e + 1, xs=[x for (_, x) in U.pts])
+        g = _Grid(M, t_lo - e - 1, t_hi + e + 1, U)
         return _blocks_every_path(g, g.escapes(g.rows(U), True),
                                   min(t for (t, _) in U.pts))
 

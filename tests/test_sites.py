@@ -1,6 +1,7 @@
 import pytest
 
-from latticehk.geometry import (LatticeEmbedding, apply_embedding,
+from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
+                                apply_embedding, bounded_spacetime,
                                 cauchy_development,
                                 contains_cauchy_surface_of, hull,
                                 is_D_stable, region_development,
@@ -14,6 +15,8 @@ from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              compare_localization_models, enumerate_universe,
                              extend_cover, j_functor, localization_functor,
                              refinement_functor, saturation_hom)
+
+from conftest import scanned_universe
 
 GOLDEN_UNIVERSE_SIZE = 278  # cylinder c=6, rows 0..4, heights <= 3
 
@@ -305,6 +308,59 @@ def test_enumerate_universe_tiny_plane_diamonds(plane):
                 h = region_diamond(plane, p, q)
                 seen.add(h.pts)
     assert pair_hulls == seen
+
+
+def _universe_cases():
+    """Spacetimes with the universe keywords that reach every base:
+    a plane strip, cylinders of circumference 2-6, the bounded diamond
+    source and a bounded slab."""
+    plane = LatticeSpacetime("plane", (-2, 6))
+    yield plane, {"x_range": (-1, 2), "t_range": (0, 3)}
+    for c in range(2, 7):
+        yield LatticeSpacetime("cylinder", (-2, 6), c), {"t_range": (0, 3)}
+    cyl = LatticeSpacetime("cylinder", (-2, 6), 5)
+    yield diamond_source(cyl), {}
+    yield bounded_spacetime(cyl, region_slab(cyl, 0, 2).pts), {}
+
+
+def _universe_outcome(enum, M, **kw):
+    try:
+        return enum(M, **kw)
+    except SiteError as e:
+        return str(e)
+
+
+def test_enumerate_universe_matches_candidate_scan():
+    """The causal-pair loop lists the universe the scan over candidate
+    tops lists, and trips the cap at the same count."""
+    for M, kw in _universe_cases():
+        for compactness in ("rc", "copen"):
+            for strict in (True, False):
+                for max_height in (None, 3):
+                    opts = dict(kw, compactness=compactness, cap=2000,
+                                strict_diamonds=strict, max_height=max_height)
+                    want = scanned_universe(M, **opts)
+                    assert enumerate_universe(M, **opts) == want, (M, opts)
+                    explicit = sum(not r.is_full for r in want)
+                    for cap in (explicit - 1, explicit):
+                        opts["cap"] = cap
+                        assert _universe_outcome(enumerate_universe, M,
+                                                 **opts) == \
+                            _universe_outcome(scanned_universe, M, **opts)
+
+
+def test_enumerate_universe_normalizes_no_candidate(monkeypatch):
+    """The copen universe of the bounded diamond source on a cylinder with
+    a 30-row window and no height bound is listed from the pairs of its
+    points: no top is normalized per row of the window."""
+    src = diamond_source(LatticeSpacetime("cylinder", (-14, 16), 5))
+    calls = []
+    real = LatticeSpacetime.norm_point
+    monkeypatch.setattr(LatticeSpacetime, "norm_point",
+                        lambda M, p: calls.append(p) or real(M, p))
+    uni = enumerate_universe(src, compactness="copen", cap=2000)
+    assert len(uni) > len(src.extent)
+    assert len(calls) <= len(src.extent) ** 2
 
 
 def _orthogonality_composition_stable(site) -> bool:
