@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
+from .geometry import weak_components
 from .rational import IntegerEchelon, Mat, Q0, Q1, QQ
 
 
@@ -131,27 +132,6 @@ class ThinDiagram:
     homs: frozenset[tuple[int, int]]
 
 
-def weak_components(nodes: Sequence, edges: Iterable[tuple]) -> list[list]:
-    """The weakly connected components of a directed graph on ``nodes``,
-    each listed in the order of ``nodes`` and ordered by its first node."""
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (a, b) in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    comps: dict = {}
-    for v in nodes:
-        comps.setdefault(find(v), []).append(v)
-    return list(comps.values())
-
-
 def two_valued_colimit(D: ThinDiagram, values: Sequence):
     """Colimit of a diagram valued in {Initial, A} with forced transitions.
 
@@ -170,9 +150,12 @@ def two_valued_colimit(D: ThinDiagram, values: Sequence):
                                "Initial is unsupported")
     if not a_objs:
         return INITIAL
-    inside = set(a_objs)
-    k = len(weak_components(a_objs, [(a, b) for (a, b) in D.homs
-                                     if a in inside and b in inside]))
+    # the A-objects and the homs between them, both ways round
+    rows = [0] * D.n
+    for (a, b) in D.homs:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    k = sum(1 for _ in weak_components(sum(1 << i for i in a_objs), rows))
     A = values[a_objs[0]]
     return A if k == 1 else FreeProduct(A, k)
 

@@ -264,7 +264,8 @@ class RunContext:
         if kind == "initial":
             return QPower(1)
         k = literal.get("k", 2) if kind == "qpower" else None
-        if not (isinstance(k, int) and k >= 1):
+        # a bool is no integer, as in the scenario validator
+        if not (type(k) is int and k >= 1):
             raise AqftError(f"unknown algebra literal {literal!r}")
         return QPower(k)
 

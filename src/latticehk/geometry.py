@@ -50,6 +50,40 @@ def set_bits(m: int):
         m ^= low
 
 
+def flood_fill(seed: int, *rows, within: int = -1) -> int:
+    """The bits reachable from ``seed`` along the bitset rows of every
+    relation in ``rows``, never leaving ``within``; ``seed`` is included."""
+    reach = frontier = seed
+    while frontier:
+        step = 0
+        for rel in rows:
+            for j in set_bits(frontier):
+                step |= rel[j]
+        frontier = step & within & ~reach
+        reach |= frontier
+    return reach
+
+
+def weak_components(mask: int, *rows):
+    """The components of ``mask`` under the relations ``rows``, lowest
+    first.  They are weakly connected components when ``rows`` hold each
+    relation's transpose too."""
+    while mask:
+        comp = flood_fill(mask & -mask, *rows, within=mask)
+        yield comp
+        mask &= ~comp
+
+
+def transposed(rows, mask: int) -> tuple[int, ...]:
+    """The transpose of the rows of ``mask``: row ``j`` holds ``i`` iff
+    ``i`` is in ``mask`` and ``rows[i]`` holds ``j``."""
+    out = [0] * len(rows)
+    for i in set_bits(mask):
+        for j in set_bits(rows[i]):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LatticeSpacetime:
     """A plane or cylinder causal lattice with a materialization window.
@@ -152,7 +186,8 @@ class Region:
     cylinder and the least x on the plane.  ``pts`` is the derived point
     set.  The full region is the only region that is not relatively
     compact; on a bounded spacetime it denotes the extent and holds its
-    rows, on an unbounded one it holds none.
+    rows, on an unbounded one it holds none: there ``pts`` is empty and
+    :meth:`points` refuses.
     """
 
     ambient: LatticeSpacetime
@@ -184,12 +219,10 @@ class Region:
 
     @functools.cached_property
     def pts(self) -> frozenset[Point]:
-        return frozenset(() if self.is_full else self._listed)
+        return frozenset(self._listed)
 
     def points(self) -> frozenset[Point]:
-        if self.is_full:
-            if self.ambient.extent is not None:
-                return self.ambient.extent
+        if not self.rows:
             raise GeometryError("full region on unbounded spacetime has no "
                                 "materialized point set")
         return self.pts
@@ -807,8 +840,9 @@ def find_D_stable_neighborhood(M: LatticeSpacetime, p: Point,
     t_lo, t_hi = M.window
     rmax = min(p[0] - t_lo, t_hi - p[0])
     if not U.is_full:
+        # a strict diamond of radius r spans rows p[0] - r + 1 .. p[0] + r - 1
         a, b = U.t_range()
-        rmax = min(rmax, p[0] - a, b - p[0])  # largest that can fit in U
+        rmax = min(rmax, p[0] - a + 1, b - p[0] + 1)
     for r in range(max(rmax, 1), 0, -1):
         try:
             V = region_strict_diamond(M, (p[0] - r, p[1]), (p[0] + r, p[1]))
@@ -946,7 +980,7 @@ def development_restriction(f: LatticeEmbedding, U: Region) -> tuple[
     of an unbounded target.  The development is confined to the image,
     D_tgt(f(U)) inside f(source), iff the last two are equal."""
     def pts(R: Region):
-        return None if R.is_full and R.ambient.extent is None else R.points()
+        return R.pts if R.rows else None
 
     lhs = pts(apply_embedding(f, cauchy_development(f.source, U)))
     DV = pts(cauchy_development(f.target, apply_embedding(f, U)))

@@ -297,7 +297,7 @@ class KgContext:
         self.cfg = KgConfig(ambient, QQ(mass2))
         self.kernel = GreenKernel(self.cfg)
         self._spaces: dict[frozenset, KgSpace] = {}
-        self._extensions: dict[tuple[frozenset, frozenset], Mat] = {}
+        self._extensions: dict[tuple[KgSpace, KgSpace], Mat] = {}
 
     @property
     def ambient(self):
@@ -313,10 +313,11 @@ class KgContext:
     def extension(self, U, V) -> Mat:
         """Extension-by-zero on classes: the relabelling map along the
         identity, injective for causally convex nested point sets.  Cached
-        by the two point sets; callers share the map and never change its
-        column dicts."""
+        by the two spaces, which :meth:`space` builds once per point set,
+        so the key hashes by identity; callers share the map and never
+        change its column dicts."""
         src, dst = self.space(U), self.space(V)
-        key = (src.pts, dst.pts)
+        key = (src, dst)
         if key not in self._extensions:
             if not src.index.keys() <= dst.index.keys():
                 raise KgError("extension needs nested regions")

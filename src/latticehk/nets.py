@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (INITIAL, AlgebraError, Initial, QPower,
-                      enumerate_homs, weak_components)
-from .geometry import set_bits
+from .algebra import INITIAL, AlgebraError, Initial, QPower, enumerate_homs
+from .geometry import set_bits, transposed, weak_components
 from .kleingordon import TimesliceSkip
 from .rational import Mat, Q1
 from .sites import SiteCategory
@@ -90,17 +89,7 @@ def epsilon_iso_check(A: IndicatorAqft, U_key) -> bool:
     if any(hom[a] & below & ~support for a in set_bits(rest)):
         raise AlgebraError("transition from the nontrivial value to "
                            "Initial is unsupported")
-    k = 0
-    while rest:
-        k += 1
-        comp, frontier = 0, rest & -rest
-        while frontier:
-            comp |= frontier
-            reach = 0
-            for j in set_bits(frontier):
-                reach |= hom[j] | inside[j]
-            frontier = reach & rest & ~comp
-        rest &= ~comp
+    k = sum(1 for _ in weak_components(rest, hom, inside))
     # Initial at U matches no component, A matches exactly one
     return k == (support >> U_key & 1)
 
@@ -154,19 +143,15 @@ def count_nat_transforms(A: IndicatorAqft, B: IndicatorAqft) -> int:
     support = A.support
     if not support:
         return 1
-    sup = list(set_bits(support))
-    if any(site.hom[a] & ~support for a in sup):
+    hom = site.hom
+    if any(hom[a] & ~support for a in set_bits(support)):
         raise AqftError("support of A not upward closed")
-    edges = [(a, b) for a in sup for b in set_bits(site.hom[a]) if b != a]
     total = 1
-    for nodes in weak_components(sup, edges):
-        members = set(nodes)
-        # a component holds both ends of each of its edges
-        out_edges: dict = {}
-        for (a, b) in edges:
-            if a in members:
-                out_edges.setdefault(a, []).append(
-                    (b, _b_transition(B, a, b)))
+    for comp in weak_components(support, hom, transposed(hom, support)):
+        nodes = list(set_bits(comp))
+        out_edges = {a: [(b, _b_transition(B, a, b))
+                         for b in set_bits(hom[a] & ~(1 << a))]
+                     for a in nodes}
         total *= _count_assignments(A, B, nodes, out_edges, {}, [])
     return total
 

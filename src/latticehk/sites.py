@@ -40,6 +40,7 @@ from .geometry import (LatticeSpacetime, Point, Region,
                        flat_grid, hull, is_causally_convex, is_D_stable,
                        region_diamond, region_full, region_points,
                        region_slab, region_strict_diamond, set_bits,
+                       flood_fill, transposed,
                        LatticeEmbedding, apply_embedding, preimage_region)
 
 
@@ -47,21 +48,10 @@ class SiteError(Exception):
     """Invalid site, cover or functor construction."""
 
 
-def _closure(masks: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a relation given as bitmask rows."""
-    n = len(masks)
-    out = [m | (1 << i) for i, m in enumerate(masks)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = out[i]
-            for j in set_bits(acc):
-                acc |= out[j]
-            if acc != out[i]:
-                out[i] = acc
-                changed = True
-    return out
+def _closure(*rows) -> list[int]:
+    """Reflexive-transitive closure of the union of relations given as
+    bitset rows: row ``i`` is the flood fill from ``i``."""
+    return [flood_fill(1 << i, *rows) for i in range(len(rows[0]))]
 
 
 class _Thin:
@@ -196,11 +186,7 @@ class SiteCategory(_Thin):
         transpose of ``plain_hom``, equal to ``within(region_of(j))``.  It
         transposes ``plain_hom`` only, never ``hom``, because the
         :meth:`relocalized` twin copies this site's attributes."""
-        out = [0] * len(self.objects)
-        for i, row in enumerate(self.plain_hom):
-            for j in set_bits(row):
-                out[j] |= 1 << i
-        return tuple(out)
+        return transposed(self.plain_hom, (1 << len(self.objects)) - 1)
 
     def within(self, region: Region) -> int:
         """Mask of the objects that ``region`` contains: those that hold no
@@ -315,13 +301,9 @@ def saturation_hom(plain_site: SiteCategory) -> list[int]:
     formal inverses of Cauchy morphisms (zigzag closure)."""
     if plain_site.localized:
         raise SiteError("saturation starts from a plain site")
-    n = len(plain_site.objects)
-    edges = [0] * n
-    for i in range(n):
-        edges[i] |= plain_site.hom[i]
-        for j in set_bits(plain_site.cauchy[i]):
-            edges[j] |= 1 << i  # formal inverse of the Cauchy morphism i -> j
-    return _closure(edges)
+    # the formal inverse of each Cauchy morphism i -> j is an edge j -> i
+    everything = (1 << len(plain_site.objects)) - 1
+    return _closure(plain_site.hom, transposed(plain_site.cauchy, everything))
 
 
 def close_universe_for_localization(M: LatticeSpacetime,

@@ -4,7 +4,8 @@ from latticehk.checks import RunContext
 from latticehk.geometry import (GeometryError, LatticeSpacetime, ModelError,
                                 _Grid, _blocks_every_path, _checked,
                                 _in_extent, _meet, _moved, region_diamond,
-                                region_full, region_points, region_slab)
+                                region_full, region_points, region_slab,
+                                set_bits)
 from latticehk.kleingordon import KgContext, apply_P, field_clean, propagator
 from latticehk.rational import Mat, Q0, Q1, QQ
 from latticehk.sites import SiteError, base_points
@@ -259,3 +260,44 @@ def scanned_universe(M, *, compactness="rc", x_range=None, t_range=None,
     if compactness == "copen":
         out.add(region_full(M))
     return sorted(out, key=lambda r: r.sort_key())
+
+
+def fixpoint_closure(masks):
+    """Reflexive-transitive closure of a relation given as bitmask rows, by
+    full rounds until no row changes: the reference that the flood-fill
+    closure must reproduce."""
+    n = len(masks)
+    out = [m | (1 << i) for i, m in enumerate(masks)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = out[i]
+            for j in set_bits(acc):
+                acc |= out[j]
+            if acc != out[i]:
+                out[i] = acc
+                changed = True
+    return out
+
+
+def union_find_components(nodes, edges):
+    """The weakly connected components of a directed graph on ``nodes`` by
+    union-find, each listed in the order of ``nodes`` and ordered by its
+    first node: the reference of the flood-fill components."""
+    parent = {v: v for v in nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (a, b) in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    comps: dict = {}
+    for v in nodes:
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())

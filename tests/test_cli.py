@@ -180,6 +180,10 @@ _MISCONFIGURED = [
     ([], {"universe": _ROWS, "aqft": {"algebra": {"kind": "matrix"}},
           "checks": ["net.indicator-time-slice"]},
      "unknown algebra literal {'kind': 'matrix'}"),
+    ([], {"universe": _ROWS, "aqft": {"algebra": {"kind": "qpower",
+                                                  "k": True}},
+          "checks": ["net.indicator-time-slice"]},
+     "unknown algebra literal {'kind': 'qpower', 'k': True}"),
     ([], {"aqft": {"mass2": "a quarter"}, "checks": ["kg.generator-spaces"]},
      "mass2 must be a rational, not 'a quarter'"),
     ([], {"spacetime": {"kind": "plane", "window": [-14, 16]},
@@ -298,7 +302,7 @@ _MISCONFIGURED = [
 
 @pytest.mark.parametrize("flags,scenario,message", _MISCONFIGURED, ids=[
     "option-value", "option-name", "window-number", "window-words",
-    "algebra-kind", "mass2", "plane-x-range", "covers-key",
+    "algebra-kind", "algebra-bool-k", "mass2", "plane-x-range", "covers-key",
     "no-circumference", "t-range-type", "max-universe", "option-float",
     "t-range-float", "seed-float", "seed-on-a-list", "window-on-a-string",
     "negative-brute", "negative-count", "max-height-type",

@@ -14,18 +14,21 @@ from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 cauchy_development, check_loc_morphism, cone,
                                 contains_cauchy_surface_of,
                                 development_restriction, double_complement,
-                                find_D_stable_neighborhood, hull,
+                                find_D_stable_neighborhood, flood_fill, hull,
                                 is_causally_convex, is_cauchy_morphism,
                                 is_D_stable, preimage_region,
                                 region_development, region_diamond,
                                 region_full, region_points, region_slab,
-                                region_strict_diamond, stabilization_check)
+                                region_strict_diamond, set_bits,
+                                stabilization_check, transposed,
+                                weak_components)
 from latticehk.instances import (bounded_embeddings, diamond_source,
                                  translation_embeddings)
 from latticehk.oracles import brute_confirms
 
-from conftest import (full_band_development, general_apply_embedding,
-                      grid_strict_diamond)
+from conftest import (fixpoint_closure, full_band_development,
+                      general_apply_embedding, grid_strict_diamond,
+                      union_find_components)
 
 
 def test_cone_plane_lightcone(plane):
@@ -345,6 +348,84 @@ def test_find_d_stable_neighborhood_sweep(plane):
     single = find_D_stable_neighborhood(plane, (0, 0),
                                         region_points(plane, [(0, 0)]))
     assert single.pts == frozenset({(0, 0)})
+
+
+def test_find_d_stable_neighborhood_tries_the_radius_that_fills_u(plane):
+    """A strict diamond of radius r spans rows p[0] - r + 1 .. p[0] + r - 1,
+    so the diamond (0, 0)-(4, 0) is the strict diamond of radius 3 around
+    its centre, which is D-stable."""
+    U = region_diamond(plane, (0, 0), (4, 0))
+    V = find_D_stable_neighborhood(plane, (2, 0), U)
+    assert V == U and len(V.pts) == 13
+
+
+def test_full_region_point_views(plane):
+    """A bounded full region lists its extent in both views; the unbounded
+    one has no rows, so ``pts`` is empty and ``points`` refuses."""
+    M = bounded_spacetime(plane, region_diamond(plane, (0, 0), (3, 1)).pts)
+    full = region_full(M)
+    assert full.pts == full.points() == M.extent
+    assert len(full.pts) == 8
+    assert region_full(plane).pts == frozenset()
+    with pytest.raises(GeometryError, match="no materialized point set"):
+        region_full(plane).points()
+
+
+# -- the bitset relation helpers against the fixpoint and union-find ---------
+
+
+def _random_relations(rng):
+    """Seeded bitset relations on 0 to 40 objects: empty, self-loops only,
+    and asymmetric ones of three densities."""
+    for n in (0, 1, 5, 17, 40):
+        yield [0] * n
+        yield [1 << i for i in range(n)]
+        for density in (0.03, 0.15, 0.5):
+            yield [sum(1 << j for j in range(n) if rng.random() < density)
+                   for _ in range(n)]
+
+
+def test_flood_fill_closure_matches_the_fixpoint_closure():
+    rng = random.Random(35)
+    for rows in _random_relations(rng):
+        n = len(rows)
+        assert [flood_fill(1 << i, rows) for i in range(n)] == \
+            fixpoint_closure(rows)
+        # two relations close like their union
+        other = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                 for _ in range(n)]
+        union = fixpoint_closure([a | b for a, b in zip(rows, other)])
+        assert [flood_fill(1 << i, rows, other) for i in range(n)] == union
+        # inside a mask: the closure of the relation cut down to the mask
+        within = rng.getrandbits(n) if n else 0
+        cut = fixpoint_closure([row & within if within >> i & 1 else 0
+                                for i, row in enumerate(rows)])
+        for i in set_bits(within):
+            assert flood_fill(1 << i, rows, within=within) == cut[i]
+
+
+def test_weak_components_match_union_find():
+    rng = random.Random(36)
+    for rows in _random_relations(rng):
+        n = len(rows)
+        for mask in ((1 << n) - 1, rng.getrandbits(n) if n else 0):
+            nodes = list(set_bits(mask))
+            edges = [(a, b) for a in nodes for b in set_bits(rows[a] & mask)]
+            expected = [sum(1 << v for v in comp)
+                        for comp in union_find_components(nodes, edges)]
+            assert list(weak_components(
+                mask, rows, transposed(rows, mask))) == expected
+
+
+def test_transposed_matches_the_pairwise_transpose():
+    rng = random.Random(37)
+    for rows in _random_relations(rng):
+        n = len(rows)
+        for mask in ((1 << n) - 1, rng.getrandbits(n) if n else 0):
+            assert transposed(rows, mask) == tuple(
+                sum(1 << i for i in range(n)
+                    if mask >> i & 1 and rows[i] >> j & 1)
+                for j in range(n))
 
 
 def test_embeddings_translation(cyl):

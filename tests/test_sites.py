@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from latticehk import sites
 from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
                                 apply_embedding, bounded_spacetime,
                                 cauchy_development,
@@ -8,6 +11,7 @@ from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime,
                                 region_diamond, region_full, region_points,
                                 region_slab, set_bits)
 from latticehk.instances import diamond_source
+from latticehk.scenarios import DEMOS, run_scenario
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              check_cover_intersections,
                              check_localization_functor,
@@ -16,7 +20,7 @@ from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              extend_cover, j_functor, localization_functor,
                              refinement_functor, saturation_hom)
 
-from conftest import scanned_universe
+from conftest import fixpoint_closure, scanned_universe
 
 GOLDEN_UNIVERSE_SIZE = 278  # cylinder c=6, rows 0..4, heights <= 3
 
@@ -585,7 +589,6 @@ def _pairwise_cover_category(site, cover):
     """Objects and generated homs of a cover category, by the frozenset
     definitions: admission by containment, per-piece morphisms and overlap
     identifications, closed under composition."""
-    from latticehk.sites import _closure
     objs = [(i, k) for i, piece in enumerate(cover.pieces)
             for k in site.object_keys() if piece.contains(site.objects[k])]
     overlaps = cover.intersections()
@@ -599,7 +602,38 @@ def _pairwise_cover_category(site, cover):
                 if key in overlaps and \
                         overlaps[key].contains(site.objects[k1]):
                     gen[a] |= 1 << b
-    return tuple(objs), _closure(gen)
+    return tuple(objs), fixpoint_closure(gen)
+
+
+def test_site_localization_closures_match_the_fixpoint_closure(monkeypatch):
+    """Every CoverCategory and saturation_hom closure of one pass of the
+    benchmark's site-localization workload (the localization-oracle demo and
+    site.precostack-instances on a circumference-5 cylinder, rows 0..3)
+    equals the fixpoint closure of the union of its relations."""
+    inputs = []
+    closure = sites._closure
+
+    def recording(*rows):
+        inputs.append(rows)
+        return closure(*rows)
+
+    monkeypatch.setattr(sites, "_closure", recording)
+    demo = DEMOS["localization-oracle"]
+    report = run_scenario({
+        "schema": "latticehk-scenario/1", "seed": 7,
+        "spacetime": {"kind": "cylinder", "circumference": 5,
+                      "window": [-14, 16]},
+        "universe": {"compactness": "rc", "t_range": [0, 3],
+                     "max_height": 3, "cap": 1600},
+        "aqft": {"family": "klein-gordon", "mass2": "1/4"},
+        "checks": demo["checks"] + ["site.precostack-instances"],
+        "options": demo["options"]}, jobs=1)
+    assert not report["summary"]["unexpected"]
+    assert len(inputs) == 20
+    assert max(len(rows[0]) for rows in inputs) >= 300
+    for rows in inputs:
+        union = [functools.reduce(int.__or__, row) for row in zip(*rows)]
+        assert closure(*rows) == fixpoint_closure(union)
 
 
 def test_cover_category_rows_match_pairwise_definitions(cyl):
