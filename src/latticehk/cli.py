@@ -8,7 +8,7 @@ Subcommands:
   list-checks     print the registry
 
 Exit codes: 0 all verdicts as expected, 1 unexpected failure,
-2 configuration error.
+2 configuration error, 3 internal error (an engine invariant failed).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 
 from .checks import CLAIM_OF, EXPECTED, REGISTRY
-from .geometry import GeometryError
+from .geometry import GeometryError, ModelError
 from .kleingordon import KgError
 from .nets import AqftError
 from .scenarios import (DEMOS, ScenarioError, report_bytes, run_scenario,
@@ -129,6 +129,9 @@ def main(argv=None) -> int:
                 "causality.development-vs-double-complement": "fail"}
         report = run_scenario(_apply_overrides(config, args),
                               fail_fast=args.fail_fast)
+    except ModelError as e:  # a bug, not bad input
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (argparse.ArgumentError, ScenarioError, GeometryError, SiteError,
             KgError, AqftError, FileNotFoundError,
             json.JSONDecodeError) as e:

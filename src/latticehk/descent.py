@@ -180,13 +180,12 @@ def build_adapted_cover(ctx: KgContext, target_pts: frozenset,
             best_reason = "a band edge point fits no piece"
             continue
         segments = [segs[x] for x in cols]
+        regions = [region_points(M, seg) for seg in segments]
         for i in range(len(segments)):
             if not ok:
                 break
             for j in range(i + 1, len(segments)):
-                a = region_points(M, segments[i])
-                b = region_points(M, segments[j])
-                if are_causally_disjoint(M, a, b):
+                if are_causally_disjoint(M, regions[i], regions[j]):
                     continue
                 if not any((segments[i] | segments[j]) <= p
                            for p in parts):
@@ -259,12 +258,18 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     sigma = [-x for x in primitive_integer(graph.columns()[-1], graph.nrows)]
     span = IntegerEchelon(graph.nrows)
     bases: dict = {}
+    region_of: dict = {}
 
     def image_basis(pts):
         if pts not in bases:
             bases[pts] = [primitive_integer(c, T.dim) for c in
                           ctx.extension(pts, target_pts).columns()]
         return bases[pts]
+
+    def region(pts):
+        if pts not in region_of:
+            region_of[pts] = region_points(M, pts)
+        return region_of[pts]
 
     def add_same_piece(regions):
         for pts in regions:
@@ -275,8 +280,7 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
 
     def add_perp(region_pairs):
         for a, b in region_pairs:
-            if not are_causally_disjoint(M, region_points(M, a),
-                                         region_points(M, b)):
+            if not are_causally_disjoint(M, region(a), region(b)):
                 continue
             for u in image_basis(a):
                 for v in image_basis(b):

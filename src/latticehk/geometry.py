@@ -340,6 +340,15 @@ def _trimmed(M: LatticeSpacetime, t0: int, x0: int,
     return Region(M, "points", t0 + held[0], x0, tuple(rows))
 
 
+def _spreader(full: int, c: Optional[int]):
+    """The causal step on rows of ``full``'s width: a row mask to the sites
+    that it reaches in one step, wrapping round a cylinder of circumference
+    ``c`` and clipped to ``full`` on the plane (``c`` None)."""
+    if c:
+        return lambda m: (m | m << 1 | m >> 1 | m >> c - 1 | m << c - 1) & full
+    return lambda m: (m | m << 1 | m >> 1) & full
+
+
 class _Grid:
     """Per-row bitmask workspace over rows ``t0..t1`` (inclusive).
 
@@ -363,6 +372,7 @@ class _Grid:
             self.x0 = min(xs) - pad
             self.width = (max(xs) - min(xs)) + 2 * pad + 1
         self.full = (1 << self.width) - 1
+        self.spread = _spreader(self.full, M.circumference)
 
     def rows(self, R: Region) -> list[int]:
         """The rows of ``R`` shifted into this grid, clipped to its rows
@@ -386,14 +396,6 @@ class _Grid:
         for m in reversed(rows):
             v = v << self.width | m
         return v
-
-    def spread(self, m: int) -> int:
-        if self.M.kind == "cylinder":
-            c = self.width
-            left = ((m << 1) | (m >> (c - 1))) & self.full
-            right = ((m >> 1) | ((m & 1) << (c - 1))) & self.full
-            return m | left | right
-        return (m | (m << 1) | (m >> 1)) & self.full
 
     # -- cones ------------------------------------------------------------
 
@@ -432,38 +434,18 @@ class _Grid:
     # -- escape dynamic programming ----------------------------------------
 
     def escapes(self, blocker: list[int], up: bool,
-                inside: Optional[list[int]] = None) -> list[int]:
+                inside: list[int]) -> list[int]:
         """Rows of points admitting a future-maximal (``up``) or past-maximal
-        causal path avoiding ``blocker``.  With ``inside`` the path must stay
-        in ``inside`` and is maximal there; otherwise paths are unbounded and
-        escape past the last row in that direction (which must lie beyond
-        the blocker).
-
-        The sweep runs against the path direction.  Without ``inside``, the
-        rows before the first blocker row are full, and after the last
-        blocker row the sweep stops at the first full row, since
-        ``spread(full) == full``."""
-        order = self._order(not up)
-        if inside is not None:
-            out = [0] * self.nrows
-            nxt = nxt_inside = 0
-            for r in order:
-                # a path inside may also end here: no step stays inside
-                ok = inside[r] & (self.spread(nxt) |
-                                  (self.full & ~self.spread(nxt_inside)))
-                nxt_inside = inside[r]
-                nxt = out[r] = ok & ~blocker[r]
-            return out
-        out = [self.full] * self.nrows
-        hit = [k for k, r in enumerate(order) if blocker[r]]
-        if not hit:
-            return out
-        nxt = self.full
-        for k in range(hit[0], self.nrows):
-            if k > hit[-1] and nxt == self.full:
-                break
-            r = order[k]
-            nxt = out[r] = self.spread(nxt) & ~blocker[r]
+        causal path that avoids ``blocker`` and stays in ``inside``, maximal
+        there.  The sweep runs against the path direction."""
+        out = [0] * self.nrows
+        nxt = nxt_inside = 0
+        for r in self._order(not up):
+            # a path inside may also end here: no step stays inside
+            ok = inside[r] & (self.spread(nxt) |
+                              (self.full & ~self.spread(nxt_inside)))
+            nxt_inside = inside[r]
+            nxt = out[r] = ok & ~blocker[r]
         return out
 
 
@@ -493,8 +475,9 @@ def cone(M: LatticeSpacetime, S: Region, direction: str, strict: bool,
     up = direction == "future"
     if up and horizon > t_hi or not up and horizon < t_lo:
         raise WindowTooSmallError(
-            f"horizon {horizon} beyond window top {t_hi}" if up else
-            f"horizon {horizon} below window bottom {t_lo}")
+            (f"horizon {horizon} beyond window top {t_hi}" if up else
+             f"horizon {horizon} below window bottom {t_lo}") +
+            f"; widen spacetime.window [{t_lo}, {t_hi}]")
     g = _Grid(M, tmin, horizon, S) if up else _Grid(M, horizon, tmax, S)
     out = g.trim(_in_extent(M, g, g.cone(g.rows(S), up, strict)))
     if out is None:
@@ -611,22 +594,13 @@ def _band(U: Region, pad: int) -> tuple[int, int]:
     return t0 - pad, t1 + pad
 
 
-def _blocks_every_path(g: _Grid, up: list[int], tmin: int) -> bool:
-    """True iff every inextendible causal path meets the blocker whose
-    upward escapes are ``up``: no site of the row below it escapes."""
-    r = tmin - g.t0 - 1
-    if r < 0:
-        raise ModelError("grid does not pad below the blocker")
-    return up[r] == 0
-
-
 def _windowed(M: LatticeSpacetime, R: Region, exceeds: str) -> Region:
     """``R``, a stable result; ``exceeds`` is the error text when it
     leaves the window."""
     t_lo, t_hi = M.window
     if not R.is_full and not t_lo <= R.t0 <= R.t_range()[1] <= t_hi:
-        raise WindowTooSmallError(f"{exceeds} the window {M.window}; "
-                                  "enlarge it")
+        raise WindowTooSmallError(f"{exceeds} the window; widen "
+                                  f"spacetime.window [{t_lo}, {t_hi}]")
     return R
 
 
@@ -649,16 +623,11 @@ def _development_raw(M: LatticeSpacetime, U: Region, t0: int,
     c = M.circumference
     if c:
         full, x0, rows = (1 << c) - 1, 0, U.rows[:t1 - U.t0 + 1]
-
-        def spread(m):
-            return (m | m << 1 | m >> 1 | m >> c - 1 | m << c - 1) & full
     else:
         width = functools.reduce(int.__or__, U.rows).bit_length() + 2
         full, x0 = (1 << width) - 1, U.x0 - 1
         rows = [m << 1 for m in U.rows[:t1 - U.t0 + 1]]
-
-        def spread(m):
-            return (m | m << 1 | m >> 1) & full
+    spread = _spreader(full, c)
     # upward escapes, from U's top row down; every row above it escapes
     up, nxt = [], full
     for m in reversed(rows):
@@ -781,10 +750,12 @@ def contains_cauchy_surface_of(M: LatticeSpacetime, U: Region,
     if U.is_full:
         return True
     if V.is_full and V.ambient.extent is None and M.extent is None:
-        # the rows above U are full, so U's rows +-1 decide the full case
-        lo, hi = _band(U, 1)
-        g = _Grid(M, lo, hi, U)
-        return _blocks_every_path(g, g.escapes(g.rows(U), True), lo + 1)
+        # U blocks every path iff no site of the row below it escapes up;
+        # with every row inside, the bounded sweep over U's rows +-1 is the
+        # unbounded one (docs/decisions.md, "One step rule, one escape
+        # sweep per question")
+        g = _Grid(M, *_band(U, 1), U)
+        return not g.escapes(g.rows(U), True, [g.full] * g.nrows)[0]
     return region_development(M, U, V).contains(V)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from latticehk.checks import RunContext
 from latticehk.geometry import (GeometryError, LatticeSpacetime, ModelError,
-                                _Grid, _blocks_every_path, _checked,
+                                _Grid, _checked,
                                 _in_extent, _meet, _moved, region_diamond,
                                 region_full, region_points, region_slab,
                                 set_bits)
@@ -164,13 +164,16 @@ def full_band_development(M, U, t0, t1):
     reference that the sweep over the rows a development changes must
     reproduce."""
     g = _Grid(M, t0, t1, U)
-    umask = g.rows(U)
-    up = g.escapes(umask, True)
-    if _blocks_every_path(g, up, U.t0):
+    umask, inside = g.rows(U), [g.full] * g.nrows
+    up = g.escapes(umask, True, inside)
+    below = U.t0 - g.t0 - 1
+    if below < 0:
+        raise ModelError("grid does not pad below the blocker")
+    if not up[below]:  # no site of the row below U escapes
         if M.kind == "plane":
             raise ModelError("finite set cannot block the plane")
         return region_full(M)
-    down = g.escapes(umask, False)
+    down = g.escapes(umask, False, inside)
     return g.trim([u | (g.full & ~(a & b))
                    for u, a, b in zip(umask, up, down)])
 

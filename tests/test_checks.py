@@ -445,3 +445,39 @@ def test_digest_hashes_the_raw_universe_block(cyl_ctx):
     default = RunContext(M=cyl_ctx.M, seed=cyl_ctx.seed)
     assert written.t_range == default.t_range
     assert written.digest() != default.digest()
+
+
+# the registry sweep's shapes: the small shapes above in the usual window,
+# the narrowest cylinder, and a window only as tall as the zone
+_SWEEP_SHAPES = {
+    **{name: (kind, c, (-14, 16), universe)
+       for name, (kind, c, universe) in _SMALL_SHAPES.items()},
+    "cyl2-rows-0-3": ("cylinder", 2, (-14, 16), {"t_range": [0, 3]}),
+    "cyl5-window-0-3": ("cylinder", 5, (0, 3), {}),
+}
+_SCENARIO_KEY = re.compile(r"\bspacetime\.\w|\buniverse\.\w|\b[tx]_range\b")
+
+
+@pytest.mark.parametrize("shape", sorted(_SWEEP_SHAPES))
+def test_registry_sweep_over_small_shapes(shape):
+    """Every check on a small shape either gives records, failing only
+    where docs/decisions.md documents a divergence, or refuses the scenario
+    with a message that names the key to change; an engine fault
+    (``ModelError``) or any other exception is neither."""
+    kind, c, window, universe = _SWEEP_SHAPES[shape]
+    ctx = RunContext(M=LatticeSpacetime(kind, window, c), seed=3,
+                     universe_cfg={"compactness": "rc", "max_height": 2,
+                                   **universe})
+    for cid in sorted(REGISTRY):
+        try:
+            records = run_check(cid, ctx)
+        except (geometry.GeometryError, SiteError, KgError, AqftError) as e:
+            msg = str(e)
+            assert not isinstance(e, geometry.ModelError), (cid, msg)
+            assert _SCENARIO_KEY.search(msg) or any(
+                re.search(rf"\b{name}\b", msg) for name in OPTIONS[cid]), \
+                (cid, msg)
+            continue
+        for rec in records:
+            assert rec.verdict != "fail" or rec.id in EXPECTED_FAIL, \
+                (cid, rec.id, rec.witness)

@@ -13,9 +13,10 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 import latticehk
-from latticehk import scenarios
+from latticehk import checks, scenarios
 from latticehk.checks import UNIVERSE_KEYS
 from latticehk.cli import main
+from latticehk.geometry import ModelError
 from latticehk.scenarios import (DEMOS, SCENARIO_SCHEMA, ScenarioError,
                                  report_bytes, run_scenario,
                                  validate_scenario)
@@ -551,6 +552,18 @@ def test_cli_import_leaves_jsonschema_out():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    """A failed engine invariant is a bug, not a configuration error."""
+    def broken(M, U):
+        raise ModelError("development left its band")
+
+    monkeypatch.setattr(checks, "cauchy_development", broken)
+    capsys.readouterr()
+    assert main(["demo", "appendix-geometry"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: development left its band\n"
 
 
 def test_cli_demo_and_overrides(tmp_path):

@@ -7,9 +7,9 @@ from latticehk.checks import RunContext
 from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 LatticeSpacetime, ModelError, Region, _Grid,
                                 WindowTooSmallError, _band,
-                                _blocks_every_path, _development_raw,
-                                _double_complement_raw, _margin_for,
-                                _windowed, apply_embedding,
+                                _development_raw, _double_complement_raw,
+                                _margin_for, _spreader, _windowed,
+                                apply_embedding,
                                 are_causally_disjoint, bounded_spacetime,
                                 cauchy_development, check_loc_morphism, cone,
                                 contains_cauchy_surface_of,
@@ -24,7 +24,7 @@ from latticehk.geometry import (GeometryError, LatticeEmbedding,
                                 weak_components)
 from latticehk.instances import (bounded_embeddings, diamond_source,
                                  translation_embeddings)
-from latticehk.oracles import brute_confirms
+from latticehk.oracles import brute_confirms, brute_escapes
 
 from conftest import (fixpoint_closure, full_band_development,
                       general_apply_embedding, grid_strict_diamond,
@@ -577,16 +577,42 @@ def _ref_cone(g, seed_rows, up, strict=False):
     return out
 
 
-def _ref_escapes(g, blocker, up, inside=None):
+def _brute_step(m, width, c):
+    """The sites one causal step from the row mask ``m``, bit by bit: bit
+    ``i`` reaches ``i - 1``, ``i`` and ``i + 1``, taken mod ``c`` on a
+    cylinder and clipped to ``width`` bits on the plane (``c`` None)."""
+    out = 0
+    for i in set_bits(m):
+        for j in (i - 1, i, i + 1):
+            if c:
+                out |= 1 << j % c
+            elif 0 <= j < width:
+                out |= 1 << j
+    return out
+
+
+def _ref_escapes(g, blocker, up, inside):
+    """Point by point: a site escapes when it is inside and off the
+    blocker, and either no step from it stays inside or a step reaches a
+    site that escapes."""
     out = [0] * g.nrows
-    nxt = g.full if inside is None else 0
-    nxt_inside = 0
+    nxt = nxt_inside = 0
     for r in range(g.nrows - 1, -1, -1) if up else range(g.nrows):
-        ok = g.spread(nxt)
-        if inside is not None:
-            ok = inside[r] & (ok | (g.full & ~g.spread(nxt_inside)))
-            nxt_inside = inside[r]
-        nxt = out[r] = ok & ~blocker[r]
+        for i in set_bits(inside[r] & ~blocker[r]):
+            step = _brute_step(1 << i, g.width, g.M.circumference)
+            if step & nxt or not step & nxt_inside:
+                out[r] |= 1 << i
+        nxt, nxt_inside = out[r], inside[r]
+    return out
+
+
+def _unbounded_escapes(g, blocker, up):
+    """Every row of the window with paths that escape past its last row:
+    the row beyond it is full."""
+    out = [0] * g.nrows
+    nxt = g.full
+    for r in range(g.nrows - 1, -1, -1) if up else range(g.nrows):
+        nxt = out[r] = g.spread(nxt) & ~blocker[r]
     return out
 
 
@@ -649,13 +675,76 @@ def test_saturating_escapes_match_full_sweep():
     for g in _grids(rng):
         for shape in SHAPES:
             blocker = _rows(rng, g, shape)
-            for inside in (None, _rows(rng, g, rng.choice(SHAPES)),
+            for inside in (_rows(rng, g, rng.choice(SHAPES)),
                            [g.full] * g.nrows):
                 for up in (True, False):
                     assert g.escapes(blocker, up, inside) == \
                         _ref_escapes(g, blocker, up, inside)
                     checked += 1
-    assert checked == 8 * 6 * len(SHAPES) * 6
+            # over full rows the bounded sweep is the unbounded one
+            for up in (True, False):
+                assert g.escapes(blocker, up, [g.full] * g.nrows) == \
+                    _unbounded_escapes(g, blocker, up)
+    assert checked == 8 * 6 * len(SHAPES) * 4
+
+
+def test_spreader_matches_the_per_bit_step():
+    for c, widths in [(None, range(1, 9))] + [(c, [c]) for c in range(2, 9)]:
+        for width in widths:
+            full = (1 << width) - 1
+            spread = _spreader(full, c)
+            for m in range(full + 1):
+                assert spread(m) == _brute_step(m, width, c), (c, width, m)
+
+
+def _surface_cases(rng):
+    """Seeded regions on cylinders of circumference 2-8 and on the plane:
+    hulls, whole rows, slabs, diamonds and staircases of row segments."""
+    for c in (None, 2, 3, 4, 5, 6, 7, 8):
+        M = LatticeSpacetime("plane", (-14, 16)) if c is None else \
+            LatticeSpacetime("cylinder", (-14, 16), c)
+        n = c or 6
+        for _ in range(12):
+            t, x = rng.randint(0, 3), rng.randint(-3, 3)
+            shape = rng.choice(["hull", "row", "slab", "diamond", "stairs"])
+            if shape == "hull":
+                yield M, hull(M, region_points(M, [
+                    (rng.randint(0, 4), rng.randint(-3, 3))
+                    for _ in range(rng.randint(1, 4))]))
+            elif shape == "row":
+                yield M, region_points(M, [(t, x + i) for i in range(n)])
+            elif shape == "slab" and c:
+                yield M, region_slab(M, t, t + rng.randint(0, 2))
+            elif shape == "diamond":
+                h = rng.randint(0, 4)
+                yield M, region_diamond(M, (t, x), (t + h, x + rng.randint(
+                    -h, h)))
+            else:
+                # each row a segment, moved sideways from the row below (a
+                # plane slab is infinite, so the plane draws one of these)
+                length, shift = rng.randint(1, n), rng.randint(-2, 2)
+                yield M, region_points(M, [
+                    (t + k, x + k * shift + i)
+                    for k in range(rng.randint(1, 4)) for i in range(length)])
+
+
+def test_whole_spacetime_cauchy_surface_matches_the_escape_enumerator():
+    """U holds a Cauchy surface of the whole spacetime iff no point of the
+    row below U escapes upward within U's rows +-1, by enumeration."""
+    seen = set()
+    for M, U in _surface_cases(random.Random("surface-oracle")):
+        got = contains_cauchy_surface_of(M, U, region_full(M))
+        a, b = U.t_range()
+        if M.kind == "plane":
+            assert got is False, sorted(U.pts)
+            continue
+        memo: dict = {}
+        want = not any(brute_escapes(M, U.pts, a - 1, b + 1, (a - 1, x),
+                                     True, memo)
+                       for x in range(M.circumference))
+        assert got == want, (M.circumference, sorted(U.pts))
+        seen.add(got)
+    assert seen == {True, False}
 
 
 # -- the development memo -----------------------------------------------------
@@ -799,8 +888,9 @@ def _window_cauchy_surface(M, U):
 
     def run(e):
         g = _Grid(M, t_lo - e - 1, t_hi + e + 1, U)
-        return _blocks_every_path(g, g.escapes(g.rows(U), True),
-                                  min(t for (t, _) in U.pts))
+        up = g.escapes(g.rows(U), True, [g.full] * g.nrows)
+        # no site of the row below U escapes
+        return not up[U.t0 - g.t0 - 1]
 
     return _doubling(M, U, run, "contains_cauchy_surface_of unstable")
 
