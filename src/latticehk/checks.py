@@ -148,40 +148,40 @@ class RunContext:
                    "universe": self.universe_cfg, "extra": extra}
         return make_digest(payload)
 
-    def record(self, rec_id: str, verdict: str, witness=None,
+    def record(self, rec_id: str, ok: bool, witness=None,
                extra=None) -> CheckRecord:
-        """A record with its registered claim and this run's digest, salted
-        by ``extra``."""
-        return CheckRecord(rec_id, CLAIM_OF[rec_id], verdict, witness,
-                           self.digest(extra))
+        """A ``pass`` or, unless ``ok``, ``fail`` record with its
+        registered claim and this run's digest, salted by ``extra``."""
+        return CheckRecord(rec_id, CLAIM_OF[rec_id], "pass" if ok else "fail",
+                           witness, self.digest(extra))
 
     def skip(self, rec_id: str, reason: str, extra=None,
              **witness) -> CheckRecord:
         """A skipped record whose witness opens with the reason."""
-        return self.record(rec_id, "skip", {"reason": reason, **witness},
-                           extra)
-
-    def tally(self, rec_id: str, found: int, ok: bool, reason: str,
-              witness: dict) -> CheckRecord:
-        """The verdict of a check over drawn instances: ``skip`` with
-        ``reason`` when it found none, else ``pass`` iff all were ``ok``."""
-        if not found:
-            return self.skip(rec_id, reason, **witness)
-        return self.record(rec_id, "pass" if ok else "fail", witness)
+        return CheckRecord(rec_id, CLAIM_OF[rec_id], "skip",
+                           {"reason": reason, **witness}, self.digest(extra))
 
     def tally_over(self, rec_id: str, instances, test: Callable, reason: str,
-                   witness: Optional[Callable] = None) -> CheckRecord:
-        """:meth:`tally` over ``instances``, drawn lazily if need be: each is
-        judged by ``test`` before the next is drawn.  ``witness(found, bad)``
-        gives the witness (a pass or fail may carry none), by default
-        ``{"instances": found, "bad": bad}``."""
+                   witness: Optional[Callable] = None, extra=None,
+                   beside: Callable = lambda: True) -> CheckRecord:
+        """The verdict of a check over ``instances``, drawn lazily if need
+        be: each is judged by ``test`` before the next is drawn, and then
+        ``beside()``, a verdict that no instance carries, is taken.  The
+        record skips with ``reason`` when no instance was found and that
+        verdict holds, and else passes iff no instance was bad and it
+        holds.  ``witness(found, bad)``, read last, gives the witness (a
+        pass or fail may carry none), by default ``{"instances": found,
+        "bad": bad}``; ``extra`` salts the digest."""
         found = bad = 0
         for instance in instances:
             found += 1
             bad += not test(instance)
-        return self.tally(rec_id, found, not bad, reason,
-                          witness(found, bad) if witness else
-                          {"instances": found, "bad": bad})
+        holds = beside()
+        out = witness(found, bad) if witness else \
+            {"instances": found, "bad": bad}
+        if not found and holds:
+            return self.skip(rec_id, reason, extra, **out)
+        return self.record(rec_id, holds and not bad, out, extra)
 
     def universe(self, compactness: str) -> tuple[Region, ...]:
         """The configured universe, enumerated once per run and
@@ -284,7 +284,7 @@ def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
              == {(t, x) for t in range(5) for x in xs
                  if M.xdist(x, 0) < t + (not strict)}
              for strict in (False, True))
-    return [ctx.record("causality.cone-lightcone", "pass" if ok else "fail")]
+    return [ctx.record("causality.cone-lightcone", ok)]
 
 
 @register("causality.development-vs-double-complement",
@@ -297,36 +297,35 @@ def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
                   "enumeration"}, options={"hulls": 50, "brute": 2})
 def check_development_vs_double_complement(ctx: RunContext, opts):
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
     corpus = exhaustive_diamonds(M, zone)
     corpus += seeded_hulls(M, zone, ctx.rng("hulls"), opts["hulls"])
     mism = []
-    incl_bad = 0
-    for U in corpus:
-        D = cauchy_development(M, U)
-        DC = double_complement(M, U)
-        if not DC.contains(D):
-            incl_bad += 1
+
+    def included(U):
+        # keeps the regions whose development and double complement differ
+        D, DC = cauchy_development(M, U), double_complement(M, U)
         if D != DC:
             mism.append((U, D, DC))
-    recs = [ctx.record(
-        "causality.development-vs-double-complement",
-        "pass" if not mism else "fail",
+        return DC.contains(D)
+
+    inside = ctx.tally_over(
+        "causality.development-inside-double-complement", corpus, included,
+        "no region in the corpus",
+        lambda n, bad: {"violations": bad} if bad or not n else None)
+    return [ctx.record(
+        "causality.development-vs-double-complement", not mism,
         None if not mism else {
             "corpus": len(corpus), "mismatches": len(mism),
             "example": sorted(mism[0][0].pts)},
-        {"corpus": len(corpus)}),
-        ctx.record("causality.development-inside-double-complement",
-                   "pass" if incl_bad == 0 else "fail",
-                   None if not incl_bad else {"violations": incl_bad})]
-    # brute-force confirmation on a few divergent instances: the divergence
-    # is a property of the lattice, not of the mask engine
-    recs.append(ctx.tally_over(
-        "causality.divergence-brute-confirmed", mism[: opts["brute"]],
-        lambda case: brute_confirms(M, *case),
-        "no divergent instance brute-checked",
-        lambda n, bad: {"divergent": len(mism), "brute_checked": n}))
-    return recs
+        {"corpus": len(corpus)}), inside,
+        # brute-force confirmation on a few divergent instances: the
+        # divergence is a property of the lattice, not of the mask engine
+        ctx.tally_over(
+            "causality.divergence-brute-confirmed", mism[: opts["brute"]],
+            lambda case: brute_confirms(M, *case),
+            "no divergent instance brute-checked",
+            lambda n, bad: {"divergent": len(mism), "brute_checked": n})]
 
 
 @register("causality.development-props",
@@ -347,7 +346,7 @@ def check_development_properties(ctx: RunContext, opts):
         return idem and mono and hull(M, H) == H and H.is_relatively_compact
 
     # every hull is drawn before the first test draws its half
-    corpus = seeded_hulls(M, sorted(ctx.zone().pts), rng, opts["count"])
+    corpus = seeded_hulls(M, ctx.zone().listed, rng, opts["count"])
     return [ctx.tally_over("causality.development-props", corpus, holds,
                            "no hull drawn",
                            lambda n, bad: None if n else {"count": 0})]
@@ -359,7 +358,7 @@ def check_strict_diamonds(ctx: RunContext, opts):
     M = ctx.M
     # the pairs whose strict diamond is nonempty
     diamonds = (region_strict_diamond(M, p, q)
-                for p, q in causal_pairs(M, sorted(ctx.zone().pts))
+                for p, q in causal_pairs(M, ctx.zone().listed)
                 if M.xdist(q[1], p[1]) <= q[0] - p[0] - 2)
     return [ctx.tally_over(
         "causality.strict-diamonds-d-stable", diamonds,
@@ -372,7 +371,7 @@ def check_strict_diamonds(ctx: RunContext, opts):
           "causal-disjointness-passes-to-subregions", options={"count": 20})
 def check_disjointness_hereditary(ctx: RunContext, opts):
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
     rng = ctx.rng("disj")
 
     def disjoint_pairs():
@@ -397,7 +396,7 @@ def check_cauchy_union_property(ctx: RunContext, opts):
     """For a Cauchy inclusion U <= U' and any U <= V (all causally convex),
     the union U' | V is causally convex and V <= U' | V is Cauchy."""
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
     rng = ctx.rng("s3")
 
     def extensions():
@@ -425,14 +424,15 @@ def check_cauchy_union_property(ctx: RunContext, opts):
 def check_d_stable_neighborhoods(ctx: RunContext, opts):
     M = ctx.M
     U = hull(M, ctx.zone())
-    ok = True
-    for p in sorted(U.pts):
+
+    def holds(p):
         V = find_D_stable_neighborhood(M, p, U)
-        if not (p in V.pts and U.contains(V) and is_D_stable(M, V)
-                and is_causally_convex(M, V)):
-            ok = False
-    return [ctx.record("causality.d-stable-neighborhood-sweep",
-                       "pass" if ok else "fail", {"points": len(U.pts)})]
+        return p in V.pts and U.contains(V) and is_D_stable(M, V) \
+            and is_causally_convex(M, V)
+
+    return [ctx.tally_over("causality.d-stable-neighborhood-sweep",
+                           U.listed, holds, "no point in the zone",
+                           lambda n, bad: {"points": n})]
 
 
 @register("causality.embedding-development-lemmas",
@@ -524,8 +524,7 @@ def check_stabilization(ctx: RunContext, opts):
         cauchy_development(tight, region_points(tight, wide.pts))
     except WindowTooSmallError:
         caught = True
-    return [ctx.record("causality.stabilization",
-                       "pass" if ok and caught else "fail")]
+    return [ctx.record("causality.stabilization", ok and caught)]
 
 
 @register("causality.cauchy-morphism-equivalence",
@@ -539,39 +538,42 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     vertex can meet all of them; the count of such instances is recorded.)
     """
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
     rng = ctx.rng("cauchyeq")
-    found, bad, converse_gap = 0, 0, 0
-    for _ in range(opts["count"]):
-        V = draw_hull(M, rng, zone, 2, 4)
-        U = hull(M, draw_half(M, rng, V))
-        if not V.contains(U):
-            continue
-        found += 1
-        lhs = is_cauchy_morphism(M, U, V)
-        rhs = contains_cauchy_surface_of(M, U, V)
-        if lhs and not rhs:
-            bad += 1
-        if rhs and not lhs:
-            converse_gap += 1
-    full_ok = True
-    if M.kind == "cylinder":
+    converse_gap = 0
+
+    def nested_pairs():
+        for _ in range(opts["count"]):
+            V = draw_hull(M, rng, zone, 2, 4)
+            U = hull(M, draw_half(M, rng, V))
+            if V.contains(U):
+                yield U, V
+
+    def holds(pair):
+        nonlocal converse_gap
+        lhs = is_cauchy_morphism(M, *pair)
+        rhs = contains_cauchy_surface_of(M, *pair)
+        converse_gap += rhs and not lhs
+        return rhs or not lhs
+
+    def whole_cylinder():
+        # a slab and a diamond from each configured row
+        if M.kind != "cylinder":
+            return True
         full = region_full(M)
         t0, t1 = ctx.t_range
-        for a in range(t0, t1):
-            slab = region_slab(M, a, a + 1)
-            dia = region_diamond(M, (a, 0), (a + 2, 0))
-            for U in (slab, dia):
-                lhs = cauchy_development(M, U).is_full
-                rhs = contains_cauchy_surface_of(M, U, full)
-                if lhs != rhs:
-                    full_ok = False
-    witness = {"instances": found, "bad": bad,
-               "intrinsic_only": converse_gap}
-    # a failed whole-spacetime comparison is a verdict without nested pairs
-    return [ctx.tally("causality.cauchy-morphism-equivalence",
-                      found or not full_ok, bad == 0 and full_ok,
-                      "no nested pair drawn", witness)]
+        return all(cauchy_development(M, U).is_full ==
+                   contains_cauchy_surface_of(M, U, full)
+                   for a in range(t0, t1)
+                   for U in (region_slab(M, a, a + 1),
+                             region_diamond(M, (a, 0), (a + 2, 0))))
+
+    return [ctx.tally_over(
+        "causality.cauchy-morphism-equivalence", nested_pairs(), holds,
+        "no nested pair drawn",
+        lambda n, bad: {"instances": n, "bad": bad,
+                        "intrinsic_only": converse_gap},
+        beside=whole_cylinder)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,29 +589,32 @@ def check_localization_oracle(ctx: RunContext, opts):
     on seeded witness-closed universes.  With no universe to draw, or no
     region to seed one with, it skips."""
     M = ctx.M
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
     rng = ctx.rng("locoracle")
-    rounds = opts["universes"]
     per = opts["regions"]
-    if not (rounds and per):
-        return [ctx.skip("site.localization-oracle", "no universe drawn",
-                         {"universes": 0}, universes=0)]
-    mismatches = 0
+    rounds = opts["universes"] if per else 0
     sizes = []
-    for _ in range(rounds):
-        seeds = seeded_hulls(M, zone, rng, per)
-        closed = close_universe_for_localization(M, seeds, cap=1200)
+    mismatches = 0
+
+    def universes():
+        for _ in range(rounds):
+            seeds = seeded_hulls(M, zone, rng, per)
+            yield close_universe_for_localization(M, seeds, cap=1200)
+
+    def agrees(closed):
+        nonlocal mismatches
         sizes.append(len(closed))
         psite = ctx.site_over(closed, "rc")
         _, mism = compare_localization_models(psite)
-        mismatches += len(mism)
-        if not check_localization_functor(psite):
-            mismatches += 1
-    return [ctx.record("site.localization-oracle",
-                       "pass" if mismatches == 0 else "fail",
-                       {"universes": rounds, "sizes": sizes,
-                        "mismatches": mismatches},
-                       {"universes": rounds})]
+        wrong = len(mism) + (not check_localization_functor(psite))
+        mismatches += wrong
+        return not wrong
+
+    return [ctx.tally_over(
+        "site.localization-oracle", universes(), agrees, "no universe drawn",
+        lambda n, bad: {"universes": n, "sizes": sizes,
+                        "mismatches": mismatches} if n else {"universes": 0},
+        {"universes": rounds})]
 
 
 @register("site.localized-embedding-functors",
@@ -675,8 +680,7 @@ def check_precostack_instances(ctx: RunContext, opts):
         CoverCategory(site, Cover(rect, (rect,)))
     except SiteError:
         refused = True
-    return [rec, ctx.record("site.localized-refusal",
-                            "pass" if refused else "fail")]
+    return [rec, ctx.record("site.localized-refusal", refused)]
 
 
 @register("site.refinement-functors", "refinement-functors-fully-faithful",
@@ -782,8 +786,7 @@ def check_hom_counts(ctx: RunContext, opts):
            count_homs(QPower(2), QPower(1)),
            count_homs(QPower(3), QPower(2)))
     ok = got == (1, 4, 2, 9)
-    return [ctx.record("algebra.hom-counts", "pass" if ok else "fail",
-                       {"counts": list(got)})]
+    return [ctx.record("algebra.hom-counts", ok, {"counts": list(got)})]
 
 
 @register("algebra.two-valued-colimit",
@@ -799,17 +802,18 @@ def check_two_valued_colimit(ctx: RunContext, opts):
          [A, A, A, A, INITIAL]),
         (ThinDiagram(2, frozenset()), [A, A]),
     ]
-    bad = 0
-    for D, vals in diagrams:
-        colim = two_valued_colimit(D, vals)
-        for T in (QPower(1), QPower(2), QPower(3)):
-            want = count_cocones(D, vals, T)
-            got = count_homs_from_value(colim, T)
-            if want != got:
-                bad += 1
-    return [ctx.record("algebra.two-valued-colimit",
-                       "pass" if bad == 0 else "fail",
-                       {"diagrams": len(diagrams), "bad": bad})]
+
+    def counts():
+        for D, vals in diagrams:
+            colim = two_valued_colimit(D, vals)
+            for T in (QPower(1), QPower(2), QPower(3)):
+                yield (count_cocones(D, vals, T),
+                       count_homs_from_value(colim, T))
+
+    return [ctx.tally_over(
+        "algebra.two-valued-colimit", counts(),
+        lambda both: both[0] == both[1], "no diagram",
+        lambda n, bad: {"diagrams": len(diagrams), "bad": bad})]
 
 
 @register("algebra.degree2-ideal-principle",
@@ -888,8 +892,7 @@ def check_indicator_time_slice(ctx: RunContext, opts):
                    if k != site.full and site.cauchy[k] & ~(1 << k)), None)
     negative_ok = target is None or \
         not check_time_slice(IndicatorAqft(site, QPower(2), 1 << target))
-    return [ctx.record("net.indicator-time-slice",
-                       "pass" if ok and negative_ok else "fail")]
+    return [ctx.record("net.indicator-time-slice", ok and negative_ok)]
 
 
 @register("net.epsilon-iso-violation",
@@ -916,7 +919,7 @@ def check_epsilon_iso(ctx: RunContext, opts):
     const_ok = all(epsilon_iso_check(const_A, k)
                    for k in siteN.object_keys())
     ok = pass_on_N and viol and expl_ok and const_ok
-    return [ctx.record("net.epsilon-iso-violation", "pass" if ok else "fail",
+    return [ctx.record("net.epsilon-iso-violation", ok,
                        {"passes_on_ambient": pass_on_N,
                         "pullback_fails_at_full": viol,
                         "explicit_values_initial": expl_ok})]
@@ -932,7 +935,7 @@ def check_nat_transform_counts(ctx: RunContext, opts):
     Cinit = build_indicator(site, 0, QPower(2))
     c3 = count_nat_transforms(Cinit, Cinit)
     ok = (c1, c2, c3) == (4, 2, 1)
-    return [ctx.record("net.nat-transform-counts", "pass" if ok else "fail",
+    return [ctx.record("net.nat-transform-counts", ok,
                        {"counts": [c1, c2, c3]})]
 
 
@@ -956,7 +959,7 @@ def check_pullback_functorial(ctx: RunContext, opts):
     ok = Fgf.target is s2 and \
         Fgf.omap == {k: Fg.omap[j] for k, j in Ff.omap.items()} and \
         pullback_indicator(Fgf, A).support == rhs.support
-    return [ctx.record("net.pullback-functorial", "pass" if ok else "fail")]
+    return [ctx.record("net.pullback-functorial", ok)]
 
 
 @register("net.point-family", "natural-families-cohere-and-reconstruct")
@@ -1029,7 +1032,7 @@ def check_point_family(ctx: RunContext, opts):
     bad_verdicts = verify_point(fam_bad)
     neg_ok = not all(bad_verdicts.values())
     return [ctx.record("net.point-family",
-                       "pass" if ok and rt_ok and neg_ok else "fail",
+                       ok and rt_ok and neg_ok,
                        {"verdicts": verdicts, "round_trip_iso": rt_ok,
                         "negative_control": neg_ok})]
 
@@ -1049,7 +1052,7 @@ def check_kg_field_identities(ctx: RunContext, opts):
     kg = ctx.kg()
     M = ctx.M
     rng = ctx.rng("kgfields")
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
     count = opts["count"]
     bad = {"green": 0, "support": 0, "antisym": 0, "degenerate": 0,
            "causal": 0}
@@ -1109,7 +1112,7 @@ def check_kg_generator_spaces(ctx: RunContext, opts):
         ext = kg.extension(region_slab(M, 0, 1).pts,
                            region_slab(M, 0, 3).pts)
         ok = ok and ext.rank() == 2 * c
-    return [ctx.record("kg.generator-spaces", "pass" if ok else "fail")]
+    return [ctx.record("kg.generator-spaces", ok)]
 
 
 @register("kg.time-slice", "cauchy-inclusions-induce-isomorphisms")
@@ -1131,22 +1134,16 @@ def check_kg_time_slice(ctx: RunContext, opts):
         raise KgError("kg.time-slice needs a universe without one-row "
                       "slabs: a one-row slab carries half the leapfrog "
                       "Cauchy data; set universe.min_slab_height to 2")
-    bad_iso, n_iso = 0, 0
-    for a in site.object_keys():
-        for b in set_bits(site.cauchy[a]):
-            if a == b:
-                continue
-            Ua, Ub = site.region_of(a), site.region_of(b)
-            ext = kg.extension(Ua.points(), Ub.points())
-            n_iso += 1
-            if not ext.is_iso():
-                bad_iso += 1
-    if n_iso == 0:
-        return [ctx.skip("kg.time-slice", "no Cauchy pair in the universe",
-                         cauchy_pairs=0)]
-    # flat-cut reduction on a plain localized pair
+    pairs = ((site.region_of(a).points(), site.region_of(b).points())
+             for a in site.object_keys() for b in set_bits(site.cauchy[a])
+             if a != b)
     bad_cut = 0
-    if M.kind == "cylinder":
+
+    def flat_cut():
+        # the flat-cut reduction on a plain localized pair
+        nonlocal bad_cut
+        if M.kind != "cylinder":
+            return True
         U = region_points(M, [(1, 0), (2, 0)])
         V = region_slab(M, 0, 3)
         try:
@@ -1176,10 +1173,14 @@ def check_kg_time_slice(ctx: RunContext, opts):
 
         if near(plus) != formula or near(field_add(plus, minus)):
             bad_cut += 1
-    ok = bad_iso == 0 and bad_cut == 0
-    return [ctx.record("kg.time-slice", "pass" if ok else "fail",
-                       {"cauchy_pairs": n_iso, "bad": bad_iso,
-                        "cut_bad": bad_cut})]
+        return not bad_cut
+
+    return [ctx.tally_over(
+        "kg.time-slice", pairs,
+        lambda pair: kg.extension(*pair).is_iso(),
+        "no Cauchy pair in the universe",
+        lambda n, bad: {"cauchy_pairs": n, "bad": bad, "cut_bad": bad_cut}
+        if n else {"cauchy_pairs": 0}, beside=flat_cut)]
 
 
 @register("kg.pullback-identification",
@@ -1190,7 +1191,7 @@ def check_kg_pullback(ctx: RunContext, opts):
     M = ctx.M
     f = LatticeEmbedding(M, M, 1, 1)
     rng = ctx.rng("kgpull")
-    zone = sorted(ctx.zone().pts)
+    zone = ctx.zone().listed
 
     def identified(U):
         # the target carries the same configuration
@@ -1220,50 +1221,45 @@ def check_kg_descent(ctx: RunContext, opts):
     """Generator and relation counit checks over seeded instances, plus the
     coarsest-cover triviality."""
     kg = ctx.kg()
-    M = ctx.M
     count = opts["count"]
-    recs = []
-    for localized in (False, True):
+
+    def flavor_record(localized):
         flavor = "localized" if localized else "plain"
-        instances = descent_instances(ctx, localized, count)
-        if not instances:
-            recs.append(ctx.skip(f"descent.kg-counit-{flavor}",
-                                 "no instance drawn",
-                                 {"flavor": flavor, "count": count},
-                                 instances=0))
-            continue
-        gen_bad, rel_bad, done, skipped = 0, 0, 0, 0
-        strategies = {"direct": 0, "adapted": 0}
-        for cov, U in instances:
-            v, info = generator_counit_check(kg, cov, U, localized=localized)
-            if v == "skip":
-                skipped += 1
-                continue
-            if v == "fail":
-                gen_bad += 1
-                continue
-            v2, info2 = relation_counit_check(kg, cov, U,
-                                              localized=localized)
-            if v2 == "fail":
-                rel_bad += 1
-            elif v2 == "pass":
-                strategies[info2["strategy"]] += 1
-            done += 1
-        recs.append(ctx.record(
+        tally = {"instances": 0, "skipped": 0, "generator_failures": 0,
+                 "relation_failures": 0,
+                 "strategies": {"direct": 0, "adapted": 0}}
+
+        def holds(instance):
+            # the relation check runs where the generator check passes
+            v, _ = generator_counit_check(kg, *instance, localized=localized)
+            if v != "pass":
+                tally["skipped" if v == "skip" else "generator_failures"] += 1
+                return v == "skip"
+            v, info = relation_counit_check(kg, *instance,
+                                            localized=localized)
+            tally["instances"] += 1
+            tally["relation_failures"] += v == "fail"
+            if v == "pass":
+                tally["strategies"][info["strategy"]] += 1
+            return v != "fail"
+
+        # a flavor whose instances all skip fails
+        return ctx.tally_over(
             f"descent.kg-counit-{flavor}",
-            "pass" if done and gen_bad == 0 and rel_bad == 0 else "fail",
-            {"instances": done, "skipped": skipped,
-             "generator_failures": gen_bad, "relation_failures": rel_bad,
-             "strategies": strategies},
-            {"flavor": flavor, "count": count}))
+            descent_instances(ctx, localized, count), holds,
+            "no instance drawn",
+            lambda n, bad: tally if n else {"instances": 0},
+            {"flavor": flavor, "count": count},
+            beside=lambda: tally["instances"] or not tally["skipped"])
+
+    recs = [flavor_record(False), flavor_record(True)]
     # coarsest cover: trivial descent
     U = largest_first(ctx.site(compactness="rc"))[0]
     cov = Cover(U, (U,))
     v, _ = generator_counit_check(kg, cov, U)
     v2, _ = relation_counit_check(kg, cov, U)
-    recs.append(ctx.record("descent.single-piece-trivial",
-                           "pass" if v == v2 == "pass" else "fail"))
-    return recs
+    return recs + [ctx.record("descent.single-piece-trivial",
+                              v == v2 == "pass")]
 
 
 @register("descent.kg-negative-control",
@@ -1295,7 +1291,7 @@ def check_kg_negative_control(ctx: RunContext, opts):
     ok = ok_cc and v == "fail" and info.get("witness") is not None
     v2, _ = relation_counit_check(kg, cov, U, include_perp=True)
     return [ctx.record("descent.kg-negative-control",
-                       "pass" if ok and v2 == "pass" else "fail",
+                       ok and v2 == "pass",
                        {"without_perp": v, "with_perp": v2})]
 
 
@@ -1333,34 +1329,24 @@ def check_finer_coarser(ctx: RunContext, opts):
           "hk-style-assignments-are-not-a-prestack",
           flavors=("plain", "time-sliced", "rc", "rc-time-sliced"))
 def check_prestack_demos(ctx: RunContext, opts):
-    """The four no-prestack demonstrations with counts (4, 1)."""
-    recs = []
+    """The four no-prestack demonstrations with counts (4, 1), each on the
+    objects that contain a Cauchy surface (on the plane, the full one)."""
     M = ctx.M
     cov = point_cover(M, ctx.zone())
-    if M.kind == "plane":
-        site = ctx.site("copen")
-        r = prestack_failure_demo(site, cov, 1 << site.full, QPower(2))
+    uni = ctx.universe("copen")
+    # (flavor, compactness, localized, digest salt)
+    variants = [("plain", "copen", False, None)] if M.kind == "plane" else [
+        (name, comp, loc, {"v": name}) for name, comp, loc in (
+            ("time-sliced", "copen", True), ("rc", "rc", False),
+            ("rc-time-sliced", "rc", True))]
+    recs = []
+    for name, comp, loc, salt in variants:
+        site = ctx.site_over(uni if comp == "copen" else
+                             [u for u in uni if not u.is_full], comp, loc)
+        r = prestack_failure_demo(site, cov, site.dev_full, QPower(2))
         recs.append(ctx.record(
-            "descent.prestack-failure-plain",
-            "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
-            else "fail", r))
-    else:
-        uni = ctx.universe("copen")
-        variants = [
-            ("time-sliced", "copen", True),
-            ("rc", "rc", False),
-            ("rc-time-sliced", "rc", True),
-        ]
-        for name, comp, loc in variants:
-            objs = uni if comp == "copen" else \
-                [u for u in uni if not u.is_full]
-            site = ctx.site_over(objs, comp, loc)
-            # the objects that contain a Cauchy surface of the cylinder
-            r = prestack_failure_demo(site, cov, site.dev_full, QPower(2))
-            recs.append(ctx.record(
-                f"descent.prestack-failure-{name}",
-                "pass" if (r["global_count"], r["datum_count"]) == (4, 1)
-                else "fail", r, {"v": name}))
+            f"descent.prestack-failure-{name}",
+            (r["global_count"], r["datum_count"]) == (4, 1), r, salt))
     return recs
 
 
@@ -1374,8 +1360,7 @@ def check_indicator_datum(ctx: RunContext, opts):
     A = build_indicator(site, 1 << site.full, QPower(2))
     cc = CoverCategory(site, point_cover(M, ctx.zone()))
     ok = not pullback_indicator(j_functor(cc), A).support
-    return [ctx.record("descent.indicator-datum-trivial",
-                       "pass" if ok else "fail")]
+    return [ctx.record("descent.indicator-datum-trivial", ok)]
 
 
 # every claim label a record may carry

@@ -27,11 +27,11 @@ from itertools import accumulate, chain, combinations, product
 from operator import mul
 
 from .algebra import WedgeSpace
-from .geometry import (LatticeSpacetime, Region, are_causally_disjoint,
-                       cauchy_development, region_points)
+from .geometry import (LatticeSpacetime, ModelError, Region,
+                       are_causally_disjoint, cauchy_development,
+                       region_points)
 from .kleingordon import KgContext
-from .nets import (AqftError, build_indicator, count_nat_transforms,
-                   pullback_indicator)
+from .nets import build_indicator, count_nat_transforms, pullback_indicator
 from .rational import (IntegerEchelon, Mat, is_exact_coequalizer,
                        primitive_integer)
 from .sites import (Cover, CoverCategory, SiteCategory, SiteError,
@@ -286,8 +286,7 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
                 for v in image_basis(b):
                     w = wedge.wedge(u, v)
                     if sum(map(mul, w, sigma)):
-                        raise AqftError("pairing fails causal support "
-                                        "(internal error)")
+                        raise ModelError("pairing fails causal support")
                     span.add(w)
 
     add_same_piece(parts)

@@ -219,7 +219,7 @@ class Region:
 
     @functools.cached_property
     def pts(self) -> frozenset[Point]:
-        return frozenset(self._listed)
+        return frozenset(self.listed)
 
     def points(self) -> frozenset[Point]:
         if not self.rows:
@@ -228,7 +228,7 @@ class Region:
         return self.pts
 
     @functools.cached_property
-    def _listed(self) -> tuple[Point, ...]:
+    def listed(self) -> tuple[Point, ...]:
         """The points in (t, x) order, joined row by row."""
         out = ()
         for t, m in enumerate(self.rows, self.t0):
@@ -260,7 +260,7 @@ class Region:
         if self.is_full:
             return (1, 0, 0, ())
         ts = self.t_range()
-        return (0, ts[0], ts[1], self._listed)
+        return (0, ts[0], ts[1], self.listed)
 
     def __repr__(self):
         if self.is_full:
@@ -292,12 +292,12 @@ def _checked(M: LatticeSpacetime, R: Region) -> Region:
     names the least point outside."""
     (a, b), (t_lo, t_hi) = R.t_range(), M.window
     if a < t_lo or b > t_hi:
-        p = next(p for p in R._listed if not t_lo <= p[0] <= t_hi)
+        p = next(p for p in R.listed if not t_lo <= p[0] <= t_hi)
         raise GeometryError(
             f"point {p} outside the window; widen spacetime.window "
             f"[{t_lo}, {t_hi}] or narrow universe.t_range")
     if M.extent is not None and not region_full(M).contains(R):
-        p = next(p for p in R._listed if p not in M.extent)
+        p = next(p for p in R.listed if p not in M.extent)
         raise GeometryError(f"point {p} outside bounded extent")
     return R
 

@@ -19,9 +19,8 @@ under P is unique and supported in the causally convex hull of its image).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .geometry import LatticeSpacetime, WindowTooSmallError
+from .geometry import LatticeSpacetime, ModelError, WindowTooSmallError
 from .rational import (Mat, Q0, Q1, QQ, QuotientSpace, induced_quotient_map)
 
 
@@ -90,14 +89,13 @@ def apply_P(cfg: KgConfig, phi: dict) -> dict:
     return field_clean(out)
 
 
-def green(cfg: KgConfig, phi: dict, direction: str,
-          t_stop: Optional[int] = None) -> dict:
+def green(cfg: KgConfig, phi: dict, direction: str, t_stop: int) -> dict:
     """Retarded or advanced solve of ``P psi = phi``.
 
     The leapfrog recursion marches one row at a time from the quiet side,
     solving the stencil for its entry on the next row, so the answer is
     exact and supported in the corresponding causal cone of the source.
-    ``t_stop`` bounds the marched rows (the window edge by default).
+    ``t_stop`` bounds the marched rows.
     """
     M = cfg.ambient
     phi = field_clean(phi)
@@ -107,13 +105,11 @@ def green(cfg: KgConfig, phi: dict, direction: str,
     t_lo, t_hi = M.window
     if direction == "retarded":
         step, start = 1, min(ts)
-        stop = t_hi if t_stop is None else t_stop
-        if stop > t_hi:
+        if t_stop > t_hi:
             raise WindowTooSmallError("green horizon beyond the window")
     elif direction == "advanced":
         step, start = -1, max(ts)
-        stop = t_lo if t_stop is None else t_stop
-        if stop < t_lo:
+        if t_stop < t_lo:
             raise WindowTooSmallError("green horizon below the window")
     else:
         raise KgError("direction must be 'retarded' or 'advanced'")
@@ -125,7 +121,7 @@ def green(cfg: KgConfig, phi: dict, direction: str,
     stencil = _stencil(QQ(cfg.mass2))
     c_next = next(c for dt, dx, c in stencil if (dt, dx) == (step, 0))
     known = [e for e in stencil if e[:2] != (step, 0)]
-    for t in range(start, stop, step):
+    for t in range(start, t_stop, step):
         # c_next psi(t + step, x) = phi(t, x) - sum of the known entries
         # c psi(t + dt, x + dx), scattered from each nonzero psi
         acc = dict(src.get(t, {}))
@@ -278,7 +274,7 @@ class KgSpace:
             cols = _green_columns(self._kernel, self.pts, self.pts)
             sig = Mat.from_columns(cols, len(self.pts))
             if sig.transpose() != -sig:
-                raise KgError("pairing failed antisymmetry (internal error)")
+                raise ModelError("pairing failed antisymmetry")
             # by antisymmetry, r @ sig vanishes iff sig applied to r does
             if not self.quotient.sub_rref.annihilates(sig):
                 raise KgError("pairing does not descend to the quotient")

@@ -12,7 +12,7 @@ import pytest
 from latticehk.algebra import QPower
 from latticehk.checks import (CLAIMS, OPTIONS, REGISTRY, RunContext,
                               run_check)
-from latticehk import geometry
+from latticehk import checks, geometry
 from latticehk.geometry import (LatticeEmbedding, LatticeSpacetime, Region,
                                 apply_embedding, development_restriction,
                                 region_points, region_slab)
@@ -219,6 +219,70 @@ def test_zero_instances_skip(ctx_name, universe, cid, opts, request):
     assert recs
     for rec in recs:
         assert rec.verdict == "skip" and rec.witness["reason"], rec.id
+
+
+@pytest.mark.parametrize("instances,beside,verdict", [
+    ([], True, "skip"),
+    ([], False, "fail"),
+    ([True, False], True, "fail"),
+    ([True, True], False, "fail"),
+    ([True, True], True, "pass"),
+])
+def test_tally_over_is_the_one_verdict_rule(plane_ctx, instances, beside,
+                                            verdict):
+    """A counted record skips only when it found nothing and the verdict
+    beside the instances holds, and passes only when nothing was bad and
+    it holds.  Each instance is tested before the next is drawn, the
+    verdict beside is taken after the last and the witness is read last;
+    the salt moves the digest."""
+    log = []
+
+    def drawn():
+        for ok in instances:
+            log.append("draw")
+            yield ok
+
+    def test(ok):
+        log.append("test")
+        return ok
+
+    def witness(n, bad):
+        log.append("witness")
+        return {"instances": n, "bad": bad}
+
+    def holds():
+        log.append("beside")
+        return beside
+
+    rec = plane_ctx.tally_over("causality.cauchy-morphism-equivalence",
+                               drawn(), test, "nothing drawn", witness,
+                               {"salt": 1}, beside=holds)
+    counted = {"instances": len(instances), "bad": instances.count(False)}
+    assert rec.verdict == verdict
+    assert rec.witness == ({"reason": "nothing drawn", **counted}
+                           if verdict == "skip" else counted)
+    assert rec.digest == plane_ctx.digest({"salt": 1}) != plane_ctx.digest()
+    assert log == ["draw", "test"] * len(instances) + ["beside", "witness"]
+
+
+def test_kg_counit_fails_a_flavor_whose_instances_all_skip(plane_ctx,
+                                                         monkeypatch):
+    """A flavor whose generator checks all skip has drawn instances but
+    checked none, so it fails rather than skips."""
+    monkeypatch.setattr(checks, "generator_counit_check",
+                        lambda *args, **kwargs: ("skip", {}))
+    recs = run_check("descent.kg-counit", plane_ctx, {"count": 3})
+    flavors = [r for r in recs if r.id.startswith("descent.kg-counit-")]
+    assert [(r.id, r.verdict) for r in flavors] == \
+        [("descent.kg-counit-plain", "fail"),
+         ("descent.kg-counit-localized", "fail")]
+    for rec, flavor in zip(flavors, ("plain", "localized")):
+        assert rec.witness == {
+            "instances": 0, "skipped": 3, "generator_failures": 0,
+            "relation_failures": 0,
+            "strategies": {"direct": 0, "adapted": 0}}
+        assert rec.digest == plane_ctx.digest({"flavor": flavor,
+                                               "count": 3})
 
 
 def test_indicator_time_slice_skips_without_cauchy_pairs(plane_ctx):

@@ -17,6 +17,8 @@ from latticehk import checks, scenarios
 from latticehk.checks import UNIVERSE_KEYS
 from latticehk.cli import main
 from latticehk.geometry import ModelError
+from latticehk.kleingordon import KgSpace
+from latticehk.rational import Mat
 from latticehk.scenarios import (DEMOS, SCENARIO_SCHEMA, ScenarioError,
                                  report_bytes, run_scenario,
                                  validate_scenario)
@@ -564,6 +566,26 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     assert main(["demo", "appendix-geometry"]) == 3
     assert capsys.readouterr().err == \
         "internal error: development left its band\n"
+
+
+def test_cli_perturbed_pairing_exits_3(monkeypatch, capsys):
+    """A pairing perturbed by +1/-1 in one antisymmetric pair stays
+    antisymmetric, but no longer vanishes on some causally disjoint pair:
+    the relation counit check refuses it as an engine fault."""
+    reduced = KgSpace.sigma_reduced
+
+    def perturbed(space):
+        rows = [list(row) for row in reduced(space).data]
+        if len(rows) > 1:
+            rows[0][1] += 1
+            rows[1][0] -= 1
+        return Mat(rows, len(rows))
+
+    monkeypatch.setattr(KgSpace, "sigma_reduced", perturbed)
+    capsys.readouterr()
+    assert main(["demo", "kg-descent"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: pairing fails causal support\n"
 
 
 def test_cli_demo_and_overrides(tmp_path):

@@ -24,6 +24,10 @@ a stored result past the window check the geometry operations make.
 
 No test imports or reads an underscore name of ``checks``, ``instances`` or
 ``oracles``: what a test draws, builds or confirms with is public there.
+
+Only ``RunContext`` turns a truth value into ``"pass"`` or ``"fail"``: a
+runner hands ``record`` a bool or ``tally_over`` its instances, so that no
+runner grows a verdict rule of its own.
 """
 
 import ast
@@ -223,3 +227,20 @@ def _test_reaches():
 
 def test_no_test_reaches_into_the_registrys_private_names():
     assert _test_reaches() == []
+
+
+def _verdict_expressions():
+    """``checks.py:line`` of each conditional expression choosing between
+    ``"pass"`` and ``"fail"`` outside ``RunContext``."""
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "RunContext"
+              for node in ast.walk(cls)}
+    return [f"checks.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.IfExp) and id(node) not in inside
+            and {getattr(node.body, "value", None),
+                 getattr(node.orelse, "value", None)} == {"pass", "fail"}]
+
+
+def test_only_the_run_context_writes_pass_or_fail():
+    assert _verdict_expressions() == []
