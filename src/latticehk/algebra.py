@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .geometry import weak_components
+from .geometry import ModelError, weak_components
 from .rational import IntegerEchelon, Mat, Q0, Q1, QQ
 
 
@@ -94,7 +94,7 @@ def enumerate_homs(A, B) -> list[Mat]:
         cols = [{r: Q1 for r in range(b) if assign[r] == c}
                 for c in range(a)]
         if not _is_unital_mult(cols, b):
-            raise AlgebraError("enumerated candidate fails verification")
+            raise ModelError("enumerated candidate fails verification")
         out.append(Mat.from_columns(cols, b))
     return out
 

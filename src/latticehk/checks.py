@@ -294,7 +294,7 @@ def check_cone_examples(ctx: RunContext, opts) -> list[CheckRecord]:
                   "development-inside-double-complement",
               "causality.divergence-brute-confirmed":
                   "double-complement-divergences-confirmed-by-path-"
-                  "enumeration"}, options={"hulls": 50, "brute": 2})
+                  "enumeration"}, options={"hulls": 50})
 def check_development_vs_double_complement(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone().listed
@@ -319,18 +319,17 @@ def check_development_vs_double_complement(ctx: RunContext, opts):
             "corpus": len(corpus), "mismatches": len(mism),
             "example": sorted(mism[0][0].pts)},
         {"corpus": len(corpus)}), inside,
-        # brute-force confirmation on a few divergent instances: the
-        # divergence is a property of the lattice, not of the mask engine
+        # brute-force confirmation on the first two divergent instances:
+        # the divergence is a property of the lattice, not of the mask engine
         ctx.tally_over(
-            "causality.divergence-brute-confirmed", mism[: opts["brute"]],
+            "causality.divergence-brute-confirmed", mism[:2],
             lambda case: brute_confirms(M, *case),
             "no divergent instance brute-checked",
             lambda n, bad: {"divergent": len(mism), "brute_checked": n})]
 
 
 @register("causality.development-props",
-          "development-idempotent-monotone-hull-stable",
-          options={"count": 30})
+          "development-idempotent-monotone-hull-stable")
 def check_development_properties(ctx: RunContext, opts):
     M = ctx.M
     rng = ctx.rng("devprops")
@@ -346,7 +345,7 @@ def check_development_properties(ctx: RunContext, opts):
         return idem and mono and hull(M, H) == H and H.is_relatively_compact
 
     # every hull is drawn before the first test draws its half
-    corpus = seeded_hulls(M, ctx.zone().listed, rng, opts["count"])
+    corpus = seeded_hulls(M, ctx.zone().listed, rng, 30)
     return [ctx.tally_over("causality.development-props", corpus, holds,
                            "no hull drawn",
                            lambda n, bad: None if n else {"count": 0})]
@@ -368,7 +367,7 @@ def check_strict_diamonds(ctx: RunContext, opts):
 
 
 @register("causality.disjointness-hereditary",
-          "causal-disjointness-passes-to-subregions", options={"count": 20})
+          "causal-disjointness-passes-to-subregions")
 def check_disjointness_hereditary(ctx: RunContext, opts):
     M = ctx.M
     zone = ctx.zone().listed
@@ -383,15 +382,14 @@ def check_disjointness_hereditary(ctx: RunContext, opts):
 
     return [ctx.tally_over(
         "causality.disjointness-hereditary",
-        islice(disjoint_pairs(), opts["count"]),
+        islice(disjoint_pairs(), 20),
         lambda pair: are_causally_disjoint(
             M, *[draw_half(M, rng, U) for U in pair]),
         "no disjoint pair drawn", lambda n, bad: {"instances": n})]
 
 
 @register("causality.cauchy-union-property",
-          "cauchy-extension-unions-stay-causally-convex",
-          options={"count": 15})
+          "cauchy-extension-unions-stay-causally-convex")
 def check_cauchy_union_property(ctx: RunContext, opts):
     """For a Cauchy inclusion U <= U' and any U <= V (all causally convex),
     the union U' | V is causally convex and V <= U' | V is Cauchy."""
@@ -414,7 +412,7 @@ def check_cauchy_union_property(ctx: RunContext, opts):
     # each instance is the inclusion V <= U' | V
     return [ctx.tally_over(
         "causality.cauchy-union-property",
-        islice(extensions(), opts["count"]),
+        islice(extensions(), 15),
         lambda inclusion: is_causally_convex(M, inclusion[1])
         and is_cauchy_morphism(M, *inclusion), "no Cauchy inclusion drawn")]
 
@@ -437,7 +435,7 @@ def check_d_stable_neighborhoods(ctx: RunContext, opts):
 
 @register("causality.embedding-development-lemmas",
           "development-commutes-with-embeddings-and-stays-in-d-stable-"
-          "images", options={"per_embedding": 6})
+          "images")
 def check_embedding_lemmas(ctx: RunContext, opts):
     """Development commutes with faithful (translation) embeddings exactly;
     for bounded sub-lattice sources only the outer bound survives (their
@@ -445,16 +443,12 @@ def check_embedding_lemmas(ctx: RunContext, opts):
     in D-stable images holds throughout."""
     rng = ctx.rng("emb")
     n_eq = n_incl = n_d2 = 0
-    per = opts["per_embedding"]
 
     def comparisons():
         """Whether each comparison holds, in drawing order; a failed
-        morphism check counts as a found comparison that fails."""
+        morphism check counts as a found comparison that fails.  Six
+        regions are drawn per embedding."""
         nonlocal n_eq, n_incl, n_d2
-        if not per:
-            # no region to draw, so no embedding to build either: a narrow
-            # cylinder's wrapped strip is refused only when it is used
-            return
         # every translation maps ctx.M to itself
         t0, t1 = ctx.t_range
         zone = [(t, x) for t in range(t0, t1 + 1) for x in range(0, 3)]
@@ -462,7 +456,7 @@ def check_embedding_lemmas(ctx: RunContext, opts):
             if not check_loc_morphism(f):
                 yield False
                 continue
-            for _ in range(per):
+            for _ in range(6):
                 U = draw_hull(f.source, rng, zone, 1, 3)
                 n_eq += 1
                 lhs, rhs, _ = development_restriction(f, U)
@@ -474,7 +468,7 @@ def check_embedding_lemmas(ctx: RunContext, opts):
             src = f.source
             zone = sorted(src.extent)
             stable = is_D_stable(f.target, f.image())
-            for _ in range(per):
+            for _ in range(6):
                 U = draw_hull(src, rng, zone, 1, 3)
                 n_incl += 1
                 lhs, rhs, DV = development_restriction(f, U)
@@ -528,8 +522,7 @@ def check_stabilization(ctx: RunContext, opts):
 
 
 @register("causality.cauchy-morphism-equivalence",
-          "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces",
-          options={"count": 40})
+          "ambient-cauchy-morphisms-contain-intrinsic-cauchy-surfaces")
 def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     """Ambient Cauchy morphisms always contain an intrinsic Cauchy surface
     of their codomain, and for the whole spacetime as codomain the two
@@ -543,7 +536,7 @@ def check_cauchy_morphism_equivalence(ctx: RunContext, opts):
     converse_gap = 0
 
     def nested_pairs():
-        for _ in range(opts["count"]):
+        for _ in range(40):
             V = draw_hull(M, rng, zone, 2, 4)
             U = hull(M, draw_half(M, rng, V))
             if V.contains(U):
@@ -619,7 +612,7 @@ def check_localization_oracle(ctx: RunContext, opts):
 
 @register("site.localized-embedding-functors",
           "localized-embedding-functors-fully-faithful-orthogonality-"
-          "reflecting", options={"count": 12})
+          "reflecting")
 def check_localized_embedding_functors(ctx: RunContext, opts):
     """Embedding functors between localized sites are fully faithful and
     reflect orthogonality, over the faithful (translation) embeddings."""
@@ -627,7 +620,7 @@ def check_localized_embedding_functors(ctx: RunContext, opts):
     return [ctx.tally_over(
         "site.localized-embedding-functors",
         (ctx.embedded(f, src_site)
-         for f in translation_embeddings(ctx, opts["count"])
+         for f in translation_embeddings(ctx, 12)
          if check_loc_morphism(f)),
         lambda F: F.fully_faithful() and F.preserves_orthogonality()
         and F.reflects_orthogonality(), "no embedding drawn",
@@ -683,8 +676,7 @@ def check_precostack_instances(ctx: RunContext, opts):
     return [rec, ctx.record("site.localized-refusal", refused)]
 
 
-@register("site.refinement-functors", "refinement-functors-fully-faithful",
-          options={"count": 6})
+@register("site.refinement-functors", "refinement-functors-fully-faithful")
 def check_refinements(ctx: RunContext, opts):
     site = ctx.site(localized=False)
 
@@ -696,7 +688,7 @@ def check_refinements(ctx: RunContext, opts):
 
     return [ctx.tally_over(
         "site.refinement-functors",
-        (cov for cov in covers_for_site(ctx, site, False, opts["count"])
+        (cov for cov in covers_for_site(ctx, site, False, 6)
          if cov.base.t_range()[1] - cov.base.t_range()[0] >= 3),
         refines, "no cover to refine")]
 
@@ -817,8 +809,7 @@ def check_two_valued_colimit(ctx: RunContext, opts):
 
 
 @register("algebra.degree2-ideal-principle",
-          "degree-two-ideal-membership-equals-span-membership",
-          options={"trials": 6})
+          "degree-two-ideal-membership-equals-span-membership")
 def check_degree2_ideal_principle(ctx: RunContext, opts):
     """Span membership in the wedge+scalar calculus equals membership in the
     brute-force truncated two-sided ideal (degree 4 closure, n <= 3) for
@@ -840,7 +831,7 @@ def check_degree2_ideal_principle(ctx: RunContext, opts):
         for n in (2, 3):
             free = TruncatedFreeAlgebra(n, 4)
             w = WedgeSpace(n)
-            for _ in range(opts["trials"]):
+            for _ in range(6):
                 triples = [draw(n) for _ in range(rng.randint(1, 3))]
                 candidates = [draw(n) for _ in range(4)]
                 span = relation_span(n, triples)
@@ -1184,8 +1175,7 @@ def check_kg_time_slice(ctx: RunContext, opts):
 
 
 @register("kg.pullback-identification",
-          "generator-spaces-identify-along-embeddings",
-          options={"count": 8})
+          "generator-spaces-identify-along-embeddings")
 def check_kg_pullback(ctx: RunContext, opts):
     kg = ctx.kg()
     M = ctx.M
@@ -1201,7 +1191,7 @@ def check_kg_pullback(ctx: RunContext, opts):
 
     return [ctx.tally_over(
         "kg.pullback-identification",
-        (draw_hull(M, rng, zone, 1, 3) for _ in range(opts["count"])),
+        (draw_hull(M, rng, zone, 1, 3) for _ in range(8)),
         identified, "no region drawn",
         lambda n, bad: None if n else {"count": 0})]
 
@@ -1369,7 +1359,11 @@ CLAIMS = frozenset(CLAIM_OF.values())
 
 def run_check(check_id: str, ctx: RunContext, opts: Optional[dict] = None):
     """The records of ``check_id`` on ``ctx``, with the options it leaves
-    out at their declared defaults."""
+    out at their declared defaults; an option it does not declare is
+    refused."""
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check id {check_id!r}")
+    for name in opts or {}:
+        if name not in OPTIONS[check_id]:
+            raise KeyError(f"{check_id} declares no option {name!r}")
     return REGISTRY[check_id](ctx, {**OPTIONS[check_id], **(opts or {})})

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .checks import CLAIM_OF, EXPECTED, REGISTRY
 from .geometry import GeometryError, ModelError
@@ -137,6 +138,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except Exception:  # named by no clause above: a bug as well
+        traceback.print_exc()
+        return 3
     return _emit(report, args.report)
 
 

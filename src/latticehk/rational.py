@@ -16,12 +16,10 @@ from fractions import Fraction as QQ
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
+from .geometry import ModelError
+
 Q0 = QQ(0)
 Q1 = QQ(1)
-
-
-class ForkError(ValueError):
-    """The two parallel maps do not form a fork with the candidate quotient."""
 
 
 class Mat:
@@ -313,12 +311,13 @@ def is_exact_coequalizer(d: Mat, q: Mat):
     Returns ``(True, None)`` when q is surjective and ker(q) = im(d);
     otherwise ``(False, witness)`` where the witness names either a cokernel
     functional or a kernel vector missed by the image.
-    Raises :class:`ForkError` when q.d != 0.
+    Raises :class:`~latticehk.geometry.ModelError` when q.d != 0: every
+    caller builds q to coequalize the pair, so a broken fork is a bug.
     """
     if q.ncols != d.nrows:
         raise ValueError("q domain mismatch")
     if not q.annihilates(d):
-        raise ForkError("q does not coequalize the pair")
+        raise ModelError("q does not coequalize the pair")
     rank = q.rank()
     if rank != q.nrows:   # q is not onto; a cokernel vector is nonzero
         return False, {"kind": "cokernel",

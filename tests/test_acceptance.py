@@ -135,8 +135,7 @@ def test_criterion_2_localization_model(plane_ctx, cyl_ctx):
             site = SiteCategory(ctx.M, closed, "rc", localized=False)
             ok, mism = compare_localization_models(site)
             mismatches += len(mism)
-    recs = C.run_check("site.localized-embedding-functors", cyl_ctx,
-                       {"count": 12})
+    recs = C.run_check("site.localized-embedding-functors", cyl_ctx)
     fw = recs[0]
     embeddings = fw.witness["embeddings"]
     ok = mismatches == 0 and fw.verdict == "pass" and \

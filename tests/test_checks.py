@@ -20,6 +20,7 @@ from latticehk.instances import translation_embeddings
 from latticehk.kleingordon import KgError
 from latticehk.nets import AqftError
 from latticehk.rational import QQ
+from latticehk.scenarios import ScenarioError, validate_scenario
 from latticehk.sites import SiteCategory, SiteError
 
 # the documented lattice divergence of criterion 1 (docs/decisions.md)
@@ -182,22 +183,26 @@ def test_every_check_runs_on_both_backends(ctx_name, cid, request):
 
 
 @pytest.mark.parametrize("ctx_name,universe,cid,opts", [
-    ("cyl_ctx", {}, "kg.pullback-identification", {"count": 0}),
-    ("cyl_ctx", {}, "causality.development-props", {"count": 0}),
+    # the plane universe holds no Cauchy pair
+    ("plane_ctx", {}, "kg.time-slice", {}),
+    ("plane_ctx", {}, "net.point-family", {}),
     ("cyl_ctx", {}, "site.localization-oracle", {"universes": 0}),
     ("cyl_ctx", {}, "kg.field-identities", {"count": 0}),
-    ("cyl_ctx", {}, "causality.embedding-development-lemmas",
-     {"per_embedding": 0}),
+    ("plane_ctx", {}, "net.indicator-time-slice", {}),
     # every region spans at most two rows, so no band cover exists
     ("plane_ctx", {"t_range": [0, 1]}, "site.cover-intersections", {}),
-    ("cyl_ctx", {}, "site.refinement-functors", {"count": 0}),
+    # a cover is refined only when its base spans four rows
+    ("cyl_ctx", {"t_range": [0, 1]}, "site.refinement-functors", {}),
     ("cyl_ctx", {}, "descent.finer-implies-coarser", {"count": 0}),
     ("cyl_ctx", {}, "site.extend-cover", {"count": 0}),
     ("cyl_ctx", {}, "site.precostack-instances", {"count": 0}),
-    ("cyl_ctx", {}, "site.localized-embedding-functors", {"count": 0}),
-    ("cyl_ctx", {}, "causality.disjointness-hereditary", {"count": 0}),
-    ("cyl_ctx", {}, "causality.cauchy-morphism-equivalence", {"count": 0}),
-    ("cyl_ctx", {}, "causality.cauchy-union-property", {"count": 0}),
+    ("plane_ctx", {"t_range": [0, 1]}, "site.refinement-functors", {}),
+    # one plane column: every two points are causally related
+    ("plane_ctx", {"x_range": [0, 0], "t_range": [0, 2]},
+     "causality.disjointness-hereditary", {}),
+    ("cyl_ctx", {"t_range": [0, 0]}, "site.refinement-functors", {}),
+    ("plane_ctx", {"x_range": [0, 0]}, "causality.disjointness-hereditary",
+     {}),
     # both flavor records; the coarsest-cover record still runs
     ("cyl_ctx", {}, "descent.kg-counit", {"count": 0}),
     # a strict diamond spans at least three rows
@@ -299,29 +304,21 @@ def test_indicator_time_slice_skips_without_cauchy_pairs(plane_ctx):
 
 
 @pytest.mark.parametrize("ctx_name,t_range,opts,divergent", [
-    ("plane_ctx", None, {"hulls": 5, "brute": 0}, 2),
-    # one cylinder row: every development equals its double complement
+    # one row: every development equals its double complement
+    ("plane_ctx", [0, 0], {"hulls": 5}, 0),
     ("cyl_ctx", [0, 0], {}, 0),
 ])
 def test_divergence_check_skips_when_it_checks_none(ctx_name, t_range, opts,
                                                     divergent, request):
     base = request.getfixturevalue(ctx_name)
-    ctx = base if t_range is None else RunContext(
-        M=base.M, seed=base.seed,
-        universe_cfg={**base.universe_cfg, "t_range": t_range})
+    ctx = RunContext(M=base.M, seed=base.seed,
+                     universe_cfg={**base.universe_cfg, "t_range": t_range})
     rec, = [r for r in run_check("causality.development-vs-double-complement",
                                  ctx, opts)
             if r.id == "causality.divergence-brute-confirmed"]
     assert (rec.verdict, rec.witness) == \
         ("skip", {"reason": "no divergent instance brute-checked",
                   "divergent": divergent, "brute_checked": 0})
-
-
-def test_embedding_functors_pass_below_ten_embeddings(cyl_ctx):
-    recs = run_check("site.localized-embedding-functors", cyl_ctx,
-                     {"count": 5})
-    assert [(r.verdict, r.witness["embeddings"]) for r in recs] == \
-        [("pass", 5)]
 
 
 def test_embedding_functors_move_each_object_once(cyl_ctx, monkeypatch):
@@ -334,11 +331,10 @@ def test_embedding_functors_move_each_object_once(cyl_ctx, monkeypatch):
         monkeypatch.setattr(mod, "apply_embedding",
                             lambda f, U, move=mod.apply_embedding:
                             moved.append((f.dt, f.dx)) or move(f, U))
-    rec, = run_check("site.localized-embedding-functors", cyl_ctx,
-                     {"count": 5})
+    rec, = run_check("site.localized-embedding-functors", cyl_ctx)
     n = len(cyl_ctx.universe("rc"))
-    assert rec.witness["embeddings"] == 5
-    assert list(Counter(moved).values()) == [n] * 5
+    assert rec.witness["embeddings"] == 12
+    assert list(Counter(moved).values()) == [n] * 12
 
 
 def test_a_moved_memo_hit_fails_the_covariance_check(plane_ctx,
@@ -414,8 +410,7 @@ def test_translation_targets_share_sites_by_object_set(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(SiteCategory, "__init__", counted)
-    [rec] = run_check("site.localized-embedding-functors", ctx,
-                      {"count": 12})
+    [rec] = run_check("site.localized-embedding-functors", ctx)
     assert (rec.verdict, rec.witness) == ("pass", {"embeddings": 12,
                                                    "bad": 0})
     assert len(built) == 7 and len(built[0].objects) == 150
@@ -473,6 +468,38 @@ def test_each_runner_declares_the_options_it_reads():
         read = re.findall(r'opts\["(\w+)"\]', source)
         assert set(read) == set(OPTIONS[cid]), cid
         assert source.count("opts") == len(read) + 1, cid
+
+
+@pytest.mark.parametrize("cid,name", [
+    # the per-check counts that are constants of their runners
+    ("causality.development-vs-double-complement", "brute"),
+    ("causality.development-props", "count"),
+    ("causality.disjointness-hereditary", "count"),
+    ("causality.cauchy-union-property", "count"),
+    ("causality.embedding-development-lemmas", "per_embedding"),
+    ("causality.cauchy-morphism-equivalence", "count"),
+    ("site.localized-embedding-functors", "count"),
+    ("site.refinement-functors", "count"),
+    ("algebra.degree2-ideal-principle", "trials"),
+    ("kg.pullback-identification", "count"),
+    # a misspelt option
+    ("site.extend-cover", "cuont"),
+])
+def test_an_undeclared_option_is_refused(cyl_ctx, cid, name):
+    """An option a check does not declare is refused by name, by the
+    scenario schema and by ``run_check``, rather than run at the check's
+    constant."""
+    scenario = {"schema": "latticehk-scenario/1",
+                "spacetime": {"kind": "plane", "window": [0, 4]},
+                "checks": [cid], "options": {cid: {name: 1}}}
+    with pytest.raises(ScenarioError) as refused:
+        validate_scenario(scenario)
+    assert str(refused.value) == (f"invalid scenario: {name!r} is not one "
+                                  f"of {list(OPTIONS[cid])!r} at "
+                                  f"options/{cid}")
+    with pytest.raises(KeyError, match=f"{cid} declares no option "
+                                       f"'{name}'"):
+        run_check(cid, cyl_ctx, {name: 1})
 
 
 def test_run_context_reads_each_input_once(plane_ctx, cyl_ctx):

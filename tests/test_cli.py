@@ -13,7 +13,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 import latticehk
-from latticehk import checks, scenarios
+from latticehk import checks, descent, scenarios
 from latticehk.checks import UNIVERSE_KEYS
 from latticehk.cli import main
 from latticehk.geometry import ModelError
@@ -171,10 +171,10 @@ _MISCONFIGURED = [
           "options": {"descent.kg-counit": {"count": "x"}}},
      "invalid scenario: 'x' is not of type 'integer' at "
      "options/descent.kg-counit/count"),
-    ([], {"checks": ["causality.development-props"],
-          "options": {"causality.development-props": {"cuont": 1}}},
+    ([], {"checks": ["site.extend-cover"],
+          "options": {"site.extend-cover": {"cuont": 1}}},
      "invalid scenario: 'cuont' is not one of ['count'] at "
-     "options/causality.development-props"),
+     "options/site.extend-cover"),
     (["--window", "5"], {"checks": ["algebra.hom-counts"]},
      "argument --window: window must read LO..HI, e.g. -12..14, not '5'"),
     (["--window", "a..b"], {"checks": ["algebra.hom-counts"]},
@@ -207,10 +207,10 @@ _MISCONFIGURED = [
      "universe exceeds cap 5; raise universe.cap or narrow "
      "universe.t_range, universe.x_range or universe.max_height"),
     # an integral float is no integer: range() would refuse it
-    ([], {"checks": ["causality.development-props"],
-          "options": {"causality.development-props": {"count": 2.0}}},
+    ([], {"checks": ["site.extend-cover"],
+          "options": {"site.extend-cover": {"count": 2.0}}},
      "invalid scenario: 2.0 is not of type 'integer' at "
-     "options/causality.development-props/count"),
+     "options/site.extend-cover/count"),
     ([], {"universe": {"t_range": [0, 1.0]},
           "checks": ["causality.development-props"]},
      "invalid scenario: 1.0 is not of type 'integer' at universe/t_range/1"),
@@ -222,16 +222,18 @@ _MISCONFIGURED = [
     (["--window=-12..14"], {"spacetime": "cylinder",
                             "checks": ["algebra.hom-counts"]},
      "invalid scenario: 'cylinder' is not of type 'object' at spacetime"),
-    # a negative count would slice from the end or skip the check
+    # the brute-force sample is a constant, refused by name before its
+    # value is read
     ([], {"checks": ["causality.development-vs-double-complement"],
           "options": {"causality.development-vs-double-complement":
                       {"hulls": 5, "brute": -1}}},
-     "invalid scenario: -1 is less than the minimum of 0 at "
-     "options/causality.development-vs-double-complement/brute"),
-    ([], {"checks": ["causality.development-props"],
-          "options": {"causality.development-props": {"count": -3}}},
+     "invalid scenario: 'brute' is not one of ['hulls'] at "
+     "options/causality.development-vs-double-complement"),
+    # a negative count would skip the check
+    ([], {"checks": ["site.extend-cover"],
+          "options": {"site.extend-cover": {"count": -3}}},
      "invalid scenario: -3 is less than the minimum of 0 at "
-     "options/causality.development-props/count"),
+     "options/site.extend-cover/count"),
     # the universe keys of the counterexamples demo, each mistyped or out
     # of range: a negative height or cap would empty the universe quietly
     *(([], {**DEMOS["counterexamples"],
@@ -512,9 +514,8 @@ def test_cli_zone_too_small_to_draw_from_exits_2(tmp_path, capsys,
 @pytest.mark.parametrize("c", [3, 4])
 def test_embedding_lemmas_draw_nothing_on_a_narrow_cylinder(tmp_path, capsys,
                                                             c):
-    """With ``per_embedding: 0`` the check builds no embedding and skips,
-    so the plane strip too wide for the circle is refused only when regions
-    are drawn on it."""
+    """The check draws no region on a circle narrower than its plane strip
+    plus two: the scenario is refused and names the circumference."""
     scenario = {"spacetime": {**_CYLINDER, "circumference": c}, "seed": 3,
                 "universe": {"compactness": "rc", "t_range": [0, 3],
                              "max_height": 2},
@@ -527,13 +528,6 @@ def test_embedding_lemmas_draw_nothing_on_a_narrow_cylinder(tmp_path, capsys,
         "configuration error: source strip too wide to embed injectively "
         "with two-sided step preservation; raise spacetime.circumference "
         f"{c} to at least 5\n")
-    scn.write_text(json.dumps(_scenario_file({**scenario, "options": {
-        "causality.embedding-development-lemmas": {"per_embedding": 0}}})))
-    out = tmp_path / "report.json"
-    assert main(["--report", str(out), "run", str(scn)]) == 0
-    rec, = json.loads(out.read_text())["records"]
-    assert (rec["verdict"], rec["witness"]["reason"]) == \
-        ("skip", "no region drawn")
 
 
 def test_cli_import_leaves_jsonschema_out():
@@ -586,6 +580,35 @@ def test_cli_perturbed_pairing_exits_3(monkeypatch, capsys):
     assert main(["demo", "kg-descent"]) == 3
     assert capsys.readouterr().err == \
         "internal error: pairing fails causal support\n"
+
+
+def test_cli_broken_fork_exits_3(monkeypatch, capsys):
+    """A quotient map that does not coequalize its pair is an engine
+    fault: the relation counit check builds both, so it never sees one
+    from a scenario."""
+    exact = descent.is_exact_coequalizer
+    monkeypatch.setattr(descent, "is_exact_coequalizer",
+                        lambda d, q: exact(Mat.identity(d.nrows), q))
+    capsys.readouterr()
+    assert main(["demo", "kg-descent"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: q does not coequalize the pair\n"
+
+
+def test_cli_unnamed_exception_exits_3_with_its_traceback(monkeypatch,
+                                                         capsys):
+    """An exception that no clause of the CLI names is a bug too: it exits
+    3, the code of an engine fault, not 1, the code of an unexpected
+    verdict, and its traceback is printed."""
+    def broken(*args):
+        raise ZeroDivisionError("cone of nothing")
+
+    monkeypatch.setattr(checks, "cone", broken)
+    capsys.readouterr()
+    assert main(["check-causality", "--backend", "plane"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("ZeroDivisionError: cone of nothing\n")
 
 
 def test_cli_demo_and_overrides(tmp_path):

@@ -7,14 +7,14 @@ from latticehk.checks import RunContext, make_digest, run_check
 from latticehk.descent import (_counit_target, _jsonable_witness,
                                build_adapted_cover, generator_counit_check,
                                prestack_failure_demo, relation_counit_check)
-from latticehk.geometry import (LatticeSpacetime, are_causally_disjoint,
-                                cauchy_development, is_causally_convex,
-                                region_diamond, region_full, region_points,
-                                region_slab)
+from latticehk.geometry import (LatticeSpacetime, ModelError,
+                                are_causally_disjoint, cauchy_development,
+                                is_causally_convex, region_diamond,
+                                region_full, region_points, region_slab)
 from latticehk.instances import (column_cover, descent_candidates,
                                  descent_instances, tall_diamond_cover)
 from latticehk.nets import build_indicator, pullback_indicator
-from latticehk.rational import ForkError, Mat, Q0, Q1
+from latticehk.rational import Mat, Q0, Q1
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor, restrict_pieces)
 
@@ -320,7 +320,7 @@ def _dense_coequalizer(r1: Mat, r2: Mat, q: Mat):
               for x, y in zip(r1.data, r2.data)], r1.ncols)
     if any(sum((a * b for a, b in zip(row, col)), Q0)
            for row in q.data for col in dense_columns(d)):
-        raise ForkError("q does not coequalize the pair")
+        raise ModelError("q does not coequalize the pair")
     kernel = q.nullspace()
     if q.ncols - len(kernel) != q.nrows:
         for y in q.transpose().nullspace():

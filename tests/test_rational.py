@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticehk.rational import (ForkError, Mat, QQ, Q0, Q1, QuotientSpace,
+from latticehk.geometry import ModelError
+from latticehk.rational import (Mat, QQ, Q0, Q1, QuotientSpace,
                                 induced_quotient_map, is_exact_coequalizer)
 
 from conftest import (dense_apply, dense_rank, dense_reduce,
@@ -343,7 +344,7 @@ def test_coequalizer_fork_error():
     r1 = Mat([[1], [0]])
     r2 = Mat([[0], [1]])
     q = Mat([[1, 0]])
-    with pytest.raises(ForkError):
+    with pytest.raises(ModelError, match="does not coequalize"):
         is_exact_coequalizer(_diff(r1, r2), q)
 
 

@@ -28,10 +28,18 @@ No test imports or reads an underscore name of ``checks``, ``instances`` or
 Only ``RunContext`` turns a truth value into ``"pass"`` or ``"fail"``: a
 runner hands ``record`` a bool or ``tally_over`` its instances, so that no
 runner grows a verdict rule of its own.
+
+Every per-check option is set to a value other than its default by a
+curated demo, a benchmark workload scenario or an acceptance criterion: a
+count that no one varies is a constant of its runner, not a key of the
+scenario schema.
 """
 
 import ast
+import json
 from pathlib import Path
+
+from latticehk.checks import OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latticehk"
@@ -244,3 +252,46 @@ def _verdict_expressions():
 
 def test_only_the_run_context_writes_pass_or_fail():
     assert _verdict_expressions() == []
+
+
+def _literal_options(tree):
+    """(check id, option name, value) of each option written out in
+    ``tree``: a ``{check id: {name: value}}`` literal, as in a workload's
+    scenario, or the options literal of a ``run_check(check id, ctx, ...)``
+    call, as in an acceptance criterion."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            pairs = [(k.value, v) for k, v in zip(node.keys, node.values)
+                     if isinstance(k, ast.Constant) and k.value in OPTIONS]
+        elif isinstance(node, ast.Call) and len(node.args) == 3 and \
+                ast.unparse(node.func).split(".")[-1] == "run_check" and \
+                isinstance(node.args[0], ast.Constant):
+            pairs = [(node.args[0].value, node.args[2])]
+        else:
+            continue
+        for cid, opts in pairs:
+            if isinstance(opts, ast.Dict):
+                for name, value in ast.literal_eval(opts).items():
+                    yield cid, name, value
+
+
+def _varied_options() -> set:
+    """(check id, option name) of each option that a curated demo, a
+    benchmark workload scenario or an acceptance criterion sets to a value
+    other than its default."""
+    found = [(cid, name, value)
+             for path in sorted((PACKAGE / "demos").glob("*.json"))
+             for cid, opts in json.loads(path.read_text()).get(
+                 "options", {}).items()
+             for name, value in opts.items()]
+    for path in (ROOT / "perfbench" / "workloads.py",
+                 ROOT / "tests" / "test_acceptance.py"):
+        found += _literal_options(ast.parse(path.read_text()))
+    return {(cid, name) for cid, name, value in found
+            if value != OPTIONS[cid].get(name, value)}
+
+
+def test_every_option_is_varied_by_a_demo_a_workload_or_a_criterion():
+    declared = {(cid, name) for cid, names in OPTIONS.items()
+                for name in names}
+    assert declared - _varied_options() == set()
