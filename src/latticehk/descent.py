@@ -12,7 +12,10 @@ algebra:
 * the relation check asks the commutation relations available from the
   pieces (same-piece pairings plus vanishing pairings between causally
   disjoint parts) to span the full pairing graph in the degree-two relation
-  calculus.
+  calculus.  It decides this on the generator pairs e_p wedge e_q: a piece
+  image spanned by unit vectors, and a causally disjoint pair of such
+  images, covers a set of pairs, kept as bitset rows, and only the wedges
+  of the other images are eliminated, on the pairs left uncovered.
 
 When the piece relations alone do not span, a band of small diamonds
 covering a two-row Cauchy slice of the region is constructed; segments are
@@ -24,12 +27,11 @@ settled the verdict is recorded.
 from __future__ import annotations
 
 from itertools import accumulate, chain, combinations, product
-from operator import mul
 
 from .algebra import WedgeSpace
 from .geometry import (LatticeSpacetime, ModelError, Region,
                        are_causally_disjoint, cauchy_development,
-                       region_points)
+                       region_points, set_bits)
 from .kleingordon import KgContext
 from .nets import build_indicator, count_nat_transforms, pullback_indicator
 from .rational import (IntegerEchelon, Mat, is_exact_coequalizer,
@@ -243,9 +245,19 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     {(w, -sigma(w))}: a same-piece relation by construction, a vanishing one
     because sigma(u, v) = 0 is verified for it.  The graph projects one to
     one onto its wedge part, so the span is always consistent, and it equals
-    the graph exactly when its wedge parts have rank d(d-1)/2.  That rank is
-    found over the integers, from primitive integer multiples of the image
-    basis vectors, which span the same relations.
+    the graph exactly when its wedge parts span Lambda^2 of the target.
+
+    The wedge parts are decided on the basis pairs e_p wedge e_q of the
+    target's quotient coordinates (docs/decisions.md, "The relation counit
+    on covered pairs").  An image whose rank equals the size of its joint
+    support S is a coordinate image: its wedges are exactly the pairs inside
+    S, and those of two causally disjoint coordinate images the pairs across
+    their supports.  These covered pairs are bits of one row per coordinate.
+    The wedges of every other image are built sparse from primitive integer
+    multiples of its basis vectors, projected onto the uncovered pairs and
+    eliminated over the integers; the span's dimension is the covered count
+    plus that residual rank, and the witness is the graph row of the first
+    uncovered pair off the residual span.
     """
     verdict, info, target_pts, parts = _counit_target(ctx, cover, U,
                                                       localized)
@@ -256,58 +268,121 @@ def relation_counit_check(ctx: KgContext, cover: Cover, U: Region,
     wedge = WedgeSpace(T.dim)
     graph = wedge.graph_of(T.sigma_reduced())
     sigma = [-x for x in primitive_integer(graph.columns()[-1], graph.nrows)]
-    span = IntegerEchelon(graph.nrows)
-    bases: dict = {}
+    # one bitset row per coordinate p: bit q of sigma_rows[p] says that
+    # sigma(e_p, e_q) is nonzero, bit q of covered[p] that e_p wedge e_q is
+    # a wedge of coordinate images
+    sigma_rows = [0] * T.dim
+    for k, (p, q) in enumerate(wedge.pairs):
+        if sigma[k]:
+            sigma_rows[p] |= 1 << q
+            sigma_rows[q] |= 1 << p
+    covered = [0] * T.dim
+    residual: list[dict] = []
+    images: dict = {}
     region_of: dict = {}
 
-    def image_basis(pts):
-        if pts not in bases:
-            bases[pts] = [primitive_integer(c, T.dim) for c in
-                          ctx.extension(pts, target_pts).columns()]
-        return bases[pts]
+    def image(pts):
+        """(support mask, unit basis) of a coordinate image, or (None,
+        sparse primitive integer basis) of any other."""
+        if pts not in images:
+            cols = ctx.extension(pts, target_pts).columns()
+            support = sum(1 << p for p in set().union(*cols))
+            # columns that are multiples of unit vectors span their support
+            if all(len(c) == 1 for c in cols) or \
+                    Mat.from_columns(cols, T.dim).rank() == \
+                    support.bit_count():
+                images[pts] = support, [{p: 1} for p in set_bits(support)]
+            else:
+                images[pts] = None, [
+                    {i: x for i, x in enumerate(primitive_integer(c, T.dim))
+                     if x} for c in cols]
+        return images[pts]
 
     def region(pts):
         if pts not in region_of:
             region_of[pts] = region_points(M, pts)
         return region_of[pts]
 
+    def wedge_of(u, v):
+        """u wedge v as ``{pair index: int}``, without zeros."""
+        w: dict = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                if i != j:
+                    k = wedge.pair_index[(i, j) if i < j else (j, i)]
+                    w[k] = w.get(k, 0) + (a * b if i < j else -a * b)
+        return {k: x for k, x in w.items() if x}
+
     def add_same_piece(regions):
         for pts in regions:
-            cols = image_basis(pts)
-            for i, u in enumerate(cols):
-                for v in cols[i + 1:]:
-                    span.add(wedge.wedge(u, v))
+            support, basis = image(pts)
+            if support is not None:
+                for p in set_bits(support):
+                    covered[p] |= support
+                continue
+            for i, u in enumerate(basis):
+                for v in basis[i + 1:]:
+                    residual.append(wedge_of(u, v))
 
     def add_perp(region_pairs):
         for a, b in region_pairs:
             if not are_causally_disjoint(M, region(a), region(b)):
                 continue
-            for u in image_basis(a):
-                for v in image_basis(b):
-                    w = wedge.wedge(u, v)
-                    if sum(map(mul, w, sigma)):
+            (sa, ua), (sb, ub) = image(a), image(b)
+            if sa is not None and sb is not None:
+                if any(sigma_rows[p] & sb for p in set_bits(sa)):
+                    raise ModelError("pairing fails causal support")
+                for p in set_bits(sa):
+                    covered[p] |= sb
+                for q in set_bits(sb):
+                    covered[q] |= sa
+                continue
+            for u in ua:
+                for v in ub:
+                    w = wedge_of(u, v)
+                    if sum(x * sigma[k] for k, x in w.items()):
                         raise ModelError("pairing fails causal support")
-                    span.add(w)
+                    residual.append(w)
+
+    def residual_span():
+        """The uncovered pair indices in order, and the residual wedges
+        projected onto them, eliminated."""
+        full = (1 << T.dim) - 1
+        uncovered = [wedge.pair_index[(p, q)] for p in range(T.dim)
+                     for q in set_bits(full & -(2 << p) & ~covered[p])]
+        column = {k: c for c, k in enumerate(uncovered)}
+        span = IntegerEchelon(len(uncovered))
+        for w in residual:
+            row = [0] * len(uncovered)
+            for k, x in w.items():
+                if k in column:
+                    row[column[k]] = x
+            span.add(row)
+        return uncovered, span
 
     add_same_piece(parts)
     if include_perp:
         add_perp(combinations(parts, 2))
+    uncovered, span = residual_span()
     strategy = "direct"
-    if span.rank < graph.nrows and include_perp:
+    if span.rank < len(uncovered) and include_perp:
         segments, ad_info = build_adapted_cover(ctx, target_pts, parts)
         info["adapted"] = ad_info
         if segments is not None:
             add_same_piece(segments)
             add_perp(chain(combinations(segments, 2),
                            product(segments, parts)))
+            uncovered, span = residual_span()
             strategy = "adapted"
-    info.update(strategy=strategy, span_dim=span.rank,
+    span_dim = graph.nrows - len(uncovered) + span.rank
+    info.update(strategy=strategy, span_dim=span_dim,
                 graph_dim=graph.nrows, consistent=True)
-    if span.rank == graph.nrows:
+    if span_dim == graph.nrows:
         return "pass", info
-    # the first graph row off the span: the first pair whose e_k is missing
-    missing = next(k for k in range(graph.nrows) if not span.contains(
-        [int(t == k) for t in range(graph.nrows)]))
+    # the first graph row off the span: the first uncovered pair whose unit
+    # vector is off the residual span
+    missing = next(k for c, k in enumerate(uncovered) if not span.contains(
+        [int(t == c) for t in range(len(uncovered))]))
     return "fail", {**info, "witness": [str(v) for v in graph.data[missing]]}
 
 

@@ -1,13 +1,20 @@
+from itertools import chain, combinations, product
+from operator import mul
+
 import pytest
 
+from latticehk.algebra import WedgeSpace
 from latticehk.checks import RunContext
+from latticehk.descent import _counit_target, build_adapted_cover
 from latticehk.geometry import (GeometryError, LatticeSpacetime, ModelError,
                                 _Grid, _checked,
-                                _in_extent, _meet, _moved, region_diamond,
+                                _in_extent, _meet, _moved,
+                                are_causally_disjoint, region_diamond,
                                 region_full, region_points, region_slab,
                                 set_bits)
 from latticehk.kleingordon import KgContext, apply_P, field_clean, propagator
-from latticehk.rational import Mat, Q0, Q1, QQ
+from latticehk.rational import (IntegerEchelon, Mat, Q0, Q1, QQ,
+                                primitive_integer)
 from latticehk.sites import SiteError, base_points
 
 
@@ -140,6 +147,77 @@ def two_elimination_relations(cfg, pts) -> tuple[Mat, tuple[int, ...]]:
         assert set(img) <= set(pts), "a relation escapes the region"
         rows.append([img.get(p, Q0) for p in pts])
     return Mat(rows, n).rref()
+
+
+def dense_relation_check(ctx, cover, U, localized=False,
+                         include_perp=True):
+    """The relation counit check with every same-piece and perp wedge
+    reduced as a dense integer row of length d(d-1)/2 by one
+    ``IntegerEchelon`` over all pairs: the reference that the check on
+    covered pairs plus the residual elimination must reproduce, verdict,
+    ``span_dim`` and witness included."""
+    verdict, info, target_pts, parts = _counit_target(ctx, cover, U,
+                                                      localized)
+    if verdict:
+        return verdict, info
+    M = ctx.ambient
+    T = ctx.space(target_pts)
+    wedge = WedgeSpace(T.dim)
+    graph = wedge.graph_of(T.sigma_reduced())
+    sigma = [-x for x in primitive_integer(graph.columns()[-1], graph.nrows)]
+    span = IntegerEchelon(graph.nrows)
+    bases: dict = {}
+    region_of: dict = {}
+
+    def image_basis(pts):
+        if pts not in bases:
+            bases[pts] = [primitive_integer(c, T.dim) for c in
+                          ctx.extension(pts, target_pts).columns()]
+        return bases[pts]
+
+    def region(pts):
+        if pts not in region_of:
+            region_of[pts] = region_points(M, pts)
+        return region_of[pts]
+
+    def add_same_piece(regions):
+        for pts in regions:
+            cols = image_basis(pts)
+            for i, u in enumerate(cols):
+                for v in cols[i + 1:]:
+                    span.add(wedge.wedge(u, v))
+
+    def add_perp(region_pairs):
+        for a, b in region_pairs:
+            if not are_causally_disjoint(M, region(a), region(b)):
+                continue
+            for u in image_basis(a):
+                for v in image_basis(b):
+                    w = wedge.wedge(u, v)
+                    if sum(map(mul, w, sigma)):
+                        raise ModelError("pairing fails causal support")
+                    span.add(w)
+
+    add_same_piece(parts)
+    if include_perp:
+        add_perp(combinations(parts, 2))
+    strategy = "direct"
+    if span.rank < graph.nrows and include_perp:
+        segments, ad_info = build_adapted_cover(ctx, target_pts, parts)
+        info["adapted"] = ad_info
+        if segments is not None:
+            add_same_piece(segments)
+            add_perp(chain(combinations(segments, 2),
+                           product(segments, parts)))
+            strategy = "adapted"
+    info.update(strategy=strategy, span_dim=span.rank,
+                graph_dim=graph.nrows, consistent=True)
+    if span.rank == graph.nrows:
+        return "pass", info
+    # the first graph row off the span: the first pair whose e_k is missing
+    missing = next(k for k in range(graph.nrows) if not span.contains(
+        [int(t == k) for t in range(graph.nrows)]))
+    return "fail", {**info, "witness": [str(v) for v in graph.data[missing]]}
 
 
 def _dense_matmul(a: Mat, b: Mat) -> Mat:

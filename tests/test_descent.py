@@ -13,13 +13,15 @@ from latticehk.geometry import (LatticeSpacetime, ModelError,
                                 region_full, region_points, region_slab)
 from latticehk.instances import (column_cover, descent_candidates,
                                  descent_instances, tall_diamond_cover)
+from latticehk.kleingordon import KgSpace
 from latticehk.nets import build_indicator, pullback_indicator
 from latticehk.rational import Mat, Q0, Q1
 from latticehk.sites import (Cover, CoverCategory, SiteCategory, SiteError,
                              enumerate_universe, j_functor, restrict_pieces)
 
 from conftest import (dense_apply, dense_columns, dense_rank,
-                      from_dense_columns, row_space, span_consistent)
+                      dense_relation_check, from_dense_columns, row_space,
+                      span_consistent)
 
 
 def _band_cover(M, U, overlap=1):
@@ -263,6 +265,128 @@ def test_relation_check_agrees_with_fraction_oracle(plane_ctx, cyl_ctx,
         seen.add((got[0], got[1].get("strategy")))
     assert {("pass", "direct"), ("pass", "adapted"),
             ("fail", "direct")} <= seen
+
+
+def _is_coordinate_image(kg, pts, target_pts) -> bool:
+    """Whether the image of L(pts) in L(target) is spanned by the unit
+    vectors of its joint support: its rank, by Fraction elimination, equals
+    the number of coordinates its columns touch."""
+    cols = dense_columns(kg.extension(pts, target_pts))
+    support = {i for col in cols for i, v in enumerate(col) if v}
+    return dense_rank(cols, len(cols[0]) if cols else 0) == len(support)
+
+
+def test_relation_check_agrees_with_the_dense_oracle(plane_ctx, cyl_ctx,
+                                                     kg_plane, kg_cyl, plane,
+                                                     cyl):
+    """The check on covered pairs plus the residual elimination returns
+    the whole result of the dense elimination over all pairs, witness
+    included, on the fixture instances, every plane-strip instance at count
+    30 (four of which fail), the negative control both ways, the null band
+    cover and a single-piece cover."""
+    inputs = []
+    for ctx, kg in ((plane_ctx, kg_plane), (cyl_ctx, kg_cyl)):
+        for localized in (False, True):
+            inputs += [(kg, cov, U, {"localized": localized})
+                       for cov, U in descent_instances(ctx, localized, 8)]
+    inputs += [(kg_plane, cov, U, {})
+               for cov, U in descent_instances(_plane_strip_ctx(), False, 30)]
+    p1 = region_points(cyl, [(0, 0), (1, 0)])
+    p2 = region_points(cyl, [(0, 3), (1, 3)])
+    U = region_points(cyl, p1.pts | p2.pts)
+    for include_perp in (False, True):
+        inputs.append((kg_cyl, Cover(U, (p1, p2)), U,
+                       {"include_perp": include_perp}))
+    T = region_diamond(plane, (0, 0), (6, 0))
+    n1 = region_points(plane, [p for p in T.pts if p[0] - p[1] <= 4])
+    n2 = region_points(plane, [p for p in T.pts if p[0] - p[1] >= 2])
+    inputs.append((kg_plane, Cover(T, (n1, n2)), T, {}))
+    D = region_diamond(plane, (0, 0), (4, 0))
+    inputs.append((kg_plane, Cover(D, (D,)), D, {}))
+    seen = set()
+    fails = masked = residual = 0
+    for kg, cov, U, kwargs in inputs:
+        got = relation_counit_check(kg, cov, U, **kwargs)
+        assert got == dense_relation_check(kg, cov, U, **kwargs)
+        seen.add((got[0], got[1].get("strategy")))
+        fails += got[0] == "fail"
+        _, _, target, parts = _counit_target(kg, cov, U,
+                                             kwargs.get("localized", False))
+        coordinate = [_is_coordinate_image(kg, p, target) for p in parts]
+        # every part a coordinate image and a direct pass: the covered
+        # pairs alone span, with nothing left to eliminate
+        masked += all(coordinate) and got[0] == "pass" and \
+            got[1]["strategy"] == "direct"
+        residual += not all(coordinate)
+    assert {("pass", "direct"), ("pass", "adapted"),
+            ("fail", "direct")} <= seen
+    assert fails == 5 and masked and residual
+
+
+def _first_coordinate(kg, pts, target_pts) -> int:
+    """The lowest coordinate of L(target) that the first image column of
+    L(pts) touches."""
+    return min(kg.extension(pts, target_pts).columns()[0])
+
+
+def _perturbed_pairing(monkeypatch, space, p, q):
+    """Make ``space``'s pairing sigma(e_p, e_q) one larger and
+    sigma(e_q, e_p) one smaller: still antisymmetric, but no longer zero on
+    a pair it vanished on."""
+    reduced = KgSpace.sigma_reduced
+
+    def perturbed(s):
+        m = reduced(s)
+        if s is not space:
+            return m
+        rows = [list(row) for row in m.data]
+        assert rows[p][q] == 0
+        rows[p][q] += 1
+        rows[q][p] -= 1
+        return Mat(rows, len(rows))
+
+    monkeypatch.setattr(KgSpace, "sigma_reduced", perturbed)
+
+
+def test_perturbed_pairing_raises_on_both_paths(monkeypatch, kg_cyl, cyl,
+                                                kg_plane, plane):
+    """A pairing that no longer vanishes on a causally disjoint pair is an
+    engine fault, refused whether the pair is two coordinate images (read
+    off the covered-pair masks) or involves another image (read off its
+    sparse wedges)."""
+    # the negative control: two coordinate images, disjoint
+    p1 = region_points(cyl, [(0, 0), (1, 0)])
+    p2 = region_points(cyl, [(0, 3), (1, 3)])
+    U = region_points(cyl, p1.pts | p2.pts)
+    target = U.points()
+    assert _is_coordinate_image(kg_cyl, p1.pts, target)
+    assert _is_coordinate_image(kg_cyl, p2.pts, target)
+    coordinate_case = (kg_cyl, Cover(U, (p1, p2)), U,
+                       _first_coordinate(kg_cyl, p1.pts, target),
+                       _first_coordinate(kg_cyl, p2.pts, target))
+    # a diamond whose bottom point is a combination of four coordinates,
+    # and a point disjoint from that bottom point only
+    D = region_diamond(plane, (0, 0), (2, 0))
+    a = region_points(plane, [(0, 0)])
+    b = region_points(plane, [(-1, 3)])
+    c = region_points(plane, D.pts - a.pts)
+    T = region_points(plane, D.pts | b.pts)
+    target = T.points()
+    assert are_causally_disjoint(plane, a, b)
+    assert not are_causally_disjoint(plane, b, c)
+    assert not are_causally_disjoint(plane, a, c)
+    assert not _is_coordinate_image(kg_plane, a.pts, target)
+    residual_case = (kg_plane, Cover(T, (a, b, c)), T,
+                     _first_coordinate(kg_plane, a.pts, target),
+                     _first_coordinate(kg_plane, b.pts, target))
+    for kg, cov, U, p, q in (coordinate_case, residual_case):
+        assert relation_counit_check(kg, cov, U)[0] in ("pass", "fail")
+        with monkeypatch.context() as m:
+            _perturbed_pairing(m, kg.space(U.points()), p, q)
+            for check in (relation_counit_check, dense_relation_check):
+                with pytest.raises(ModelError,
+                                   match="pairing fails causal support"):
+                    check(kg, cov, U)
 
 
 def test_plane_strip_relation_failure_diagnosis(kg_plane, plane):
